@@ -7,11 +7,9 @@ __version__ = "0.1.0"
 from .errors import (
     BadName,
     ConfigError,
-    InconsistentSplit,
     IoError,
     NoBracket,
     NoConvergence,
-    NonpositiveBudget,
     PeriodOverflow,
     ReducibleChain,
     SaveTxError,
@@ -26,32 +24,19 @@ from .models import (
     SystemState,
     discretize_gain,
     make_eh_preset,
-    sample_access,
-    sample_gain,
-    sample_next,
     stationary_distribution,
 )
 from .power import (
-    PowerSplit,
-    RateValue,
     WaterLevel,
     conventional_power,
-    instant_rate,
-    rate_at_stop,
     solve_water_level,
     stop_rate,
-    water_fill_two_channel,
 )
 from .simulate import (
     Metrics,
-    PeriodOutcome,
     Policy,
-    SimCarry,
-    advance_battery,
-    fresh_carry,
     run_best_effort,
     run_conventional,
-    run_period,
     run_simulation,
 )
 from .solver import (
@@ -75,22 +60,18 @@ __all__ = [
     "__version__",
     # errors
     "SaveTxError", "ReducibleChain", "BadName", "UnsupportedKind",
-    "NonpositiveBudget", "InconsistentSplit", "NoBracket", "NoConvergence",
-    "PeriodOverflow", "ConfigError", "IoError",
+    "NoBracket", "NoConvergence", "PeriodOverflow", "ConfigError", "IoError",
     # models
     "MarkovChainSpec", "GainDistribution", "AccessModel", "EHModelPreset",
-    "SystemModel", "SystemState", "stationary_distribution", "sample_next",
-    "sample_gain", "sample_access", "make_eh_preset", "discretize_gain",
+    "SystemModel", "SystemState", "stationary_distribution",
+    "make_eh_preset", "discretize_gain",
     # power
-    "PowerSplit", "RateValue", "WaterLevel", "water_fill_two_channel",
-    "instant_rate", "rate_at_stop", "stop_rate", "conventional_power",
-    "solve_water_level",
+    "WaterLevel", "stop_rate", "conventional_power", "solve_water_level",
     # solver
     "SolverConfig", "ValueTable", "ThresholdPolicy", "value_iteration",
     "solve_markov", "dp_decide", "evaluate_threshold", "optimize_threshold",
     # simulate
-    "Policy", "PeriodOutcome", "Metrics", "SimCarry", "advance_battery",
-    "fresh_carry", "run_period", "run_simulation", "run_best_effort",
+    "Policy", "Metrics", "run_simulation", "run_best_effort",
     "run_conventional",
     # experiments
     "ExperimentConfig", "validate_config", "run_experiment",

@@ -17,14 +17,6 @@ class UnsupportedKind(SaveTxError):
     """Operation not defined for this distribution kind."""
 
 
-class NonpositiveBudget(SaveTxError):
-    """Power allocation requested with a non-positive energy budget."""
-
-
-class InconsistentSplit(SaveTxError):
-    """Power split incompatible with the channel-access indicator."""
-
-
 class NoBracket(SaveTxError):
     """Water-level bisection could not bracket the target average power."""
 

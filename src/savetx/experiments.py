@@ -330,6 +330,28 @@ def _meta_base(cfg: ExperimentConfig) -> dict:
     }
 
 
+def _supply_rows(cfg: ExperimentConfig, model: SystemModel, rows: list,
+                 stats: dict):
+    """Append the best-effort and conventional rows of one ``p_s``, record
+    the water level, and return the conventional metrics."""
+    mc = cfg.mc
+    p_s = model.access.p_s
+    m_be = run_best_effort(model, mc["slots"], cfg.seed + 1,
+                           warmup_slots=mc["warmup_slots"],
+                           replications=mc["replications"],
+                           streams=mc["streams"])
+    rows.append((p_s, "best_effort", m_be.throughput, m_be.se_throughput))
+    level = solve_water_level(model.private, model.common, model.access,
+                              cfg.p_bar)
+    stats.setdefault("water_level", {})[str(p_s)] = level.xi
+    m_cv = run_conventional(model, cfg.p_bar, mc["slots"], cfg.seed + 2,
+                            water_level=level,
+                            replications=mc["replications"],
+                            streams=mc["streams"])
+    rows.append((p_s, "conventional", m_cv.throughput, m_cv.se_throughput))
+    return m_cv
+
+
 def _run_fig3(cfg: ExperimentConfig):
     rows = []
     stats = {"lambda_star": {}, "solver_iters": {}}
@@ -346,21 +368,7 @@ def _run_fig3(cfg: ExperimentConfig):
                               slot_cap=mc["slot_cap"])
         rows.append((p_s, "opportunistic", m_dp.throughput,
                      m_dp.se_throughput))
-        m_be = run_best_effort(model, mc["slots"], cfg.seed + 1,
-                               warmup_slots=mc["warmup_slots"],
-                               replications=mc["replications"],
-                               streams=mc["streams"])
-        rows.append((p_s, "best_effort", m_be.throughput,
-                     m_be.se_throughput))
-        level = solve_water_level(model.private, model.common, model.access,
-                                  cfg.p_bar)
-        m_cv = run_conventional(model, cfg.p_bar, mc["slots"], cfg.seed + 2,
-                                water_level=level,
-                                replications=mc["replications"],
-                                streams=mc["streams"])
-        rows.append((p_s, "conventional", m_cv.throughput,
-                     m_cv.se_throughput))
-        stats.setdefault("water_level", {})[str(p_s)] = level.xi
+        m_cv = _supply_rows(cfg, model, rows, stats)
         stats.setdefault("realized_power", {})[str(p_s)] = \
             m_cv.realized_avg_power
     return rows, stats
@@ -408,7 +416,6 @@ def _run_fig7(cfg: ExperimentConfig):
 def _run_fig8(cfg: ExperimentConfig):
     rows = []
     stats = {"gamma_star": {}, "water_level": {}}
-    mc = cfg.mc
     for p_s in cfg.p_s_grid:
         model = cfg.build_model(p_s)
         policy = optimize_threshold(model, cfg.solver)
@@ -416,21 +423,7 @@ def _run_fig8(cfg: ExperimentConfig):
         m_opp = evaluate_threshold(model, policy.gamma, cfg.solver)
         rows.append((p_s, "opportunistic", m_opp.throughput,
                      m_opp.se_throughput))
-        m_be = run_best_effort(model, mc["slots"], cfg.seed + 1,
-                               warmup_slots=mc["warmup_slots"],
-                               replications=mc["replications"],
-                               streams=mc["streams"])
-        rows.append((p_s, "best_effort", m_be.throughput,
-                     m_be.se_throughput))
-        level = solve_water_level(model.private, model.common, model.access,
-                                  cfg.p_bar)
-        stats["water_level"][str(p_s)] = level.xi
-        m_cv = run_conventional(model, cfg.p_bar, mc["slots"], cfg.seed + 2,
-                                water_level=level,
-                                replications=mc["replications"],
-                                streams=mc["streams"])
-        rows.append((p_s, "conventional", m_cv.throughput,
-                     m_cv.se_throughput))
+        _supply_rows(cfg, model, rows, stats)
     return rows, stats
 
 

@@ -1,8 +1,9 @@
 """Stochastic building blocks: Markov chains, gain distributions, channel
 access, and the two-state harvesting presets.
 
-All model objects are immutable after construction.  Every sampling routine
-takes an explicit ``numpy.random.Generator`` so runs are reproducible.
+All model objects are immutable after construction.  Sampling lives in the
+Monte Carlo engine (``savetx.simulate``), which draws every slot for all of
+its streams at once from an explicit ``numpy.random.Generator``.
 """
 from __future__ import annotations
 
@@ -19,9 +20,6 @@ __all__ = [
     "EHModelPreset",
     "SystemState",
     "stationary_distribution",
-    "sample_next",
-    "sample_gain",
-    "sample_access",
     "make_eh_preset",
     "discretize_gain",
     "SystemModel",
@@ -113,15 +111,6 @@ def stationary_distribution(chain: MarkovChainSpec) -> np.ndarray:
     return pi
 
 
-def sample_next(chain: MarkovChainSpec, current_index: int,
-                rng: np.random.Generator) -> int:
-    """Draw the next state index from row ``current_index``."""
-    if not 0 <= current_index < chain.n_states:
-        raise IndexError(f"state index {current_index} out of range")
-    row = chain.transition[current_index]
-    return int(np.searchsorted(np.cumsum(row), rng.random(), side="right"))
-
-
 @dataclass(frozen=True)
 class GainDistribution:
     """Channel power-gain distribution.
@@ -182,22 +171,6 @@ class GainDistribution:
         return self.kind != "markov"
 
 
-def sample_gain(dist: GainDistribution, rng: np.random.Generator,
-                size=None):
-    """Draw gains from an i.i.d. distribution (markov kind is stepped via
-    sample_next, not here)."""
-    if dist.kind == "constant":
-        return dist.value if size is None else np.full(size, dist.value)
-    if dist.kind == "exponential":
-        out = rng.exponential(dist.mean, size=size)
-        return float(out) if size is None else out
-    if dist.kind == "discrete":
-        idx = rng.choice(len(dist.values), size=size, p=dist.probabilities)
-        vals = np.asarray(dist.values)
-        return float(vals[idx]) if size is None else vals[idx]
-    raise UnsupportedKind("markov gains are sampled with sample_next")
-
-
 @dataclass(frozen=True)
 class AccessModel:
     """Shared-channel access: the slot is secured with probability p_s."""
@@ -207,14 +180,6 @@ class AccessModel:
     def __post_init__(self):
         if not 0.0 <= self.p_s <= 1.0:
             raise ValueError(f"p_s must lie in [0, 1], got {self.p_s}")
-
-
-def sample_access(model: AccessModel, rng: np.random.Generator,
-                  size=None):
-    """Indicator draw: 1 with probability p_s, independent across slots."""
-    if size is None:
-        return int(rng.random() < model.p_s)
-    return (rng.random(size) < model.p_s).astype(np.int8)
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,9 @@
-"""Instantaneous rate and power allocation over the private/common channel
-pair.
+"""Slot rates and power allocation over the private/common channel pair.
 
-Two budget regimes: spending a fixed energy budget in one slot (the
-save-then-transmit case) and holding an average-power constraint (the
-conventional-supply benchmark).
+Two budget regimes: ``stop_rate`` spends a whole battery in one slot (the
+save-then-transmit case), water-filling it over both channels when the
+common channel is held; ``conventional_power`` and ``solve_water_level``
+hold an average-power constraint (the conventional-supply benchmark).
 """
 from __future__ import annotations
 
@@ -12,47 +12,15 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate, optimize
 
-from .errors import InconsistentSplit, NoBracket, NonpositiveBudget
+from .errors import NoBracket
 from .models import AccessModel, GainDistribution
 
 __all__ = [
-    "PowerSplit",
-    "RateValue",
     "WaterLevel",
-    "water_fill_two_channel",
-    "instant_rate",
-    "rate_at_stop",
     "stop_rate",
     "conventional_power",
     "solve_water_level",
 ]
-
-
-@dataclass(frozen=True)
-class PowerSplit:
-    """Transmit powers on the private and common channels."""
-
-    p_private: float
-    p_common: float
-
-    def __post_init__(self):
-        if self.p_private < 0 or self.p_common < 0:
-            raise ValueError("powers must be >= 0")
-
-    @property
-    def total(self) -> float:
-        return self.p_private + self.p_common
-
-
-@dataclass(frozen=True)
-class RateValue:
-    """Information delivered in one slot (log units set by the caller)."""
-
-    rate: float
-
-    def __post_init__(self):
-        if self.rate < 0:
-            raise ValueError("rate must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -70,47 +38,13 @@ def _log(x, base: float):
     return np.log2(x) if base == 2.0 else np.log(x)
 
 
-def water_fill_two_channel(budget: float, h_private: float,
-                           h_common: float) -> PowerSplit:
-    """Split an energy budget across both channels to maximize the slot rate.
-
-    Interior solution equalizes 1/gain + power across the two channels;
-    otherwise the whole budget goes to the stronger channel.  Zero-gain
-    channels receive zero power.
-    """
-    if budget <= 0:
-        raise NonpositiveBudget(f"budget must be > 0, got {budget}")
-    if h_private <= 0 and h_common <= 0:
-        return PowerSplit(budget, 0.0)
-    if h_common <= 0:
-        return PowerSplit(budget, 0.0)
-    if h_private <= 0:
-        return PowerSplit(0.0, budget)
-    gap = 1.0 / h_common - 1.0 / h_private
-    if abs(gap) < budget:
-        p = 0.5 * (budget + gap)
-        return PowerSplit(p, budget - p)
-    if h_private > h_common:
-        return PowerSplit(budget, 0.0)
-    return PowerSplit(0.0, budget)
-
-
-def instant_rate(state, split: PowerSplit, base: float = 2.0) -> RateValue:
-    """Slot rate for a given state and power split."""
-    if state.phi == 0 and split.p_common > 0:
-        raise InconsistentSplit("common power assigned without channel access")
-    r = _log(1.0 + state.h * split.p_private, base)
-    if state.phi == 1:
-        r += _log(1.0 + state.h_common * split.p_common, base)
-    return RateValue(float(r))
-
-
 def stop_rate(b, h, hc, phi, base: float = 2.0):
-    """Vectorized rate when the whole battery is spent this slot.
+    """Rate when the whole battery is spent this slot.
 
-    With channel access the budget is water-filled across both channels;
-    without it everything goes to the private channel.  Accepts scalars or
-    broadcastable arrays.
+    With channel access the budget is water-filled across both channels:
+    an interior split equalizes 1/gain + power, otherwise the whole budget
+    goes to the stronger (live) channel.  Without access everything goes
+    to the private channel.  Accepts scalars or broadcastable arrays.
     """
     b = np.asarray(b, dtype=float)
     h = np.asarray(h, dtype=float)
@@ -126,8 +60,6 @@ def stop_rate(b, h, hc, phi, base: float = 2.0):
     m1 = pos & (phi == 1)
     if m1.any():
         bb, hh, cc = b[m1], h[m1], hc[m1]
-        p_pri = np.empty_like(bb)
-        p_com = np.empty_like(bb)
         both = (hh > 0) & (cc > 0)
         with np.errstate(divide="ignore"):
             gap = np.where(both, 1.0 / np.where(cc > 0, cc, 1.0)
@@ -141,12 +73,6 @@ def stop_rate(b, h, hc, phi, base: float = 2.0):
         out[m1] = (_log(1.0 + hh * p_pri, base)
                    + _log(1.0 + cc * p_com, base))
     return out if out.shape else float(out)
-
-
-def rate_at_stop(state, base: float = 2.0) -> RateValue:
-    """Rate obtained by stopping in ``state`` and spending the battery."""
-    return RateValue(float(stop_rate(state.b, state.h, state.h_common,
-                                     state.phi, base)))
 
 
 def conventional_power(h: float, level: WaterLevel):

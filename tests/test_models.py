@@ -5,6 +5,8 @@ from scipy import integrate, stats
 
 import savetx as sx
 from savetx.errors import BadName, ReducibleChain, UnsupportedKind
+from savetx.simulate import _GainSampler, _PrivateSampler, _draw_slot, \
+    _step_chain
 
 PAPER_CHAIN = sx.MarkovChainSpec([0.1, 2.0 ** 4],
                                  [[0.0, 1.0], [0.5, 0.5]])
@@ -83,32 +85,55 @@ class TestStationaryDistribution:
         assert np.allclose(sx.stationary_distribution(chain), [0.5, 0.5])
 
 
+def cum_rows(chain):
+    return np.cumsum(chain.transition, axis=1)
+
+
+def one_state_model(private=None, p_s=0.5):
+    return sx.SystemModel(
+        private=private or sx.GainDistribution.constant(1.0),
+        common=sx.GainDistribution.constant(1.0),
+        access=sx.AccessModel(p_s),
+        eh=sx.MarkovChainSpec([1.0], [[1.0]]),
+        b_max_units=1, delta=1.0)
+
+
+def access_draws(p_s, rng, n):
+    model = one_state_model(p_s=p_s)
+    phi, *_ = _draw_slot(model, _PrivateSampler(model),
+                         _GainSampler(model.common), np.zeros(n, int), rng, n)
+    return phi
+
+
 class TestSampling:
+    """The engine's vectorized samplers, one block of draws per call."""
+
     def test_forced_transition(self):
         rng = np.random.default_rng(0)
-        assert all(sx.sample_next(PAPER_CHAIN, 0, rng) == 1
-                   for _ in range(100))
+        nxt = _step_chain(cum_rows(PAPER_CHAIN), np.zeros(100, int), rng, 100)
+        assert (nxt == 1).all()
 
     def test_single_state_loops(self):
         chain = sx.MarkovChainSpec([2.0], [[1.0]])
         rng = np.random.default_rng(0)
-        assert sx.sample_next(chain, 0, rng) == 0
+        assert _step_chain(cum_rows(chain), np.zeros(5, int), rng,
+                           5).tolist() == [0] * 5
 
     def test_bad_index(self):
         with pytest.raises(IndexError):
-            sx.sample_next(PAPER_CHAIN, 5, np.random.default_rng(0))
+            _step_chain(cum_rows(PAPER_CHAIN), np.array([5]),
+                        np.random.default_rng(0), 1)
 
     def test_switch_fraction_lln(self):
         chain = sx.MarkovChainSpec([0.0, 1.0], [[0.5, 0.5], [0.5, 0.5]])
+        private = _PrivateSampler(
+            one_state_model(private=sx.GainDistribution.markov(chain)))
         rng = np.random.default_rng(42)
-        cur = 0
-        switches = 0
         n = 1_000_000
-        for _ in range(n):
-            nxt = sx.sample_next(chain, cur, rng)
-            switches += nxt != cur
-            cur = nxt
-        assert abs(switches / n - 0.5) < 0.002
+        cur = private.init(rng, n)
+        vals, nxt = private.step(cur, rng, n)
+        assert (vals == np.asarray(chain.states)[nxt]).all()
+        assert abs((nxt != cur).mean() - 0.5) < 0.002
 
     def test_sample_next_chi_square(self):
         rng_p = np.random.default_rng(9)
@@ -116,45 +141,47 @@ class TestSampling:
         chain = sx.MarkovChainSpec([1.0, 2.0, 3.0], P)
         rng = np.random.default_rng(7)
         n = 1_000_000
-        counts = np.zeros(3)
-        for _ in range(n):
-            counts[sx.sample_next(chain, 1, rng)] += 1
+        nxt = _step_chain(cum_rows(chain), np.ones(n, int), rng, n)
+        counts = np.bincount(nxt, minlength=3)
         _, p = stats.chisquare(counts, P[1] * n)
         assert p > 0.001
 
     def test_constant_gain(self):
-        dist = sx.GainDistribution.constant(2.0 ** 5)
+        sampler = _GainSampler(sx.GainDistribution.constant(2.0 ** 5))
         rng = np.random.default_rng(0)
-        assert sx.sample_gain(dist, rng) == 32.0
-        assert (sx.sample_gain(dist, rng, size=10) == 32.0).all()
+        vals, idx = sampler.draw(rng, 10)
+        assert (vals == 32.0).all() and (idx == 0).all()
 
     def test_exponential_mean_lln(self):
-        dist = sx.GainDistribution.exponential(1.0)
+        sampler = _GainSampler(sx.GainDistribution.exponential(1.0))
         rng = np.random.default_rng(11)
-        draws = sx.sample_gain(dist, rng, size=1_000_000)
+        draws, _ = sampler.draw(rng, 1_000_000)
         assert abs(draws.mean() - 1.0) < 0.005
 
     def test_degenerate_discrete(self):
-        dist = sx.GainDistribution.discrete([0.0], [1.0])
-        assert sx.sample_gain(dist, np.random.default_rng(0)) == 0.0
+        sampler = _GainSampler(sx.GainDistribution.discrete([0.0], [1.0]))
+        vals, _ = sampler.draw(np.random.default_rng(0), 3)
+        assert vals.tolist() == [0.0] * 3
 
     def test_discrete_chi_square(self):
         probs = [0.2, 0.5, 0.3]
-        dist = sx.GainDistribution.discrete([1.0, 2.0, 4.0], probs)
+        sampler = _GainSampler(
+            sx.GainDistribution.discrete([1.0, 2.0, 4.0], probs))
         rng = np.random.default_rng(5)
-        draws = sx.sample_gain(dist, rng, size=1_000_000)
+        draws, idx = sampler.draw(rng, 1_000_000)
+        assert (draws == np.array([1.0, 2.0, 4.0])[idx]).all()
         counts = [(draws == v).sum() for v in (1.0, 2.0, 4.0)]
         _, p = stats.chisquare(counts, np.array(probs) * 1_000_000)
         assert p > 0.001
 
     def test_access_endpoints(self):
         rng = np.random.default_rng(0)
-        assert not sx.sample_access(sx.AccessModel(0.0), rng, size=1000).any()
-        assert sx.sample_access(sx.AccessModel(1.0), rng, size=1000).all()
+        assert not access_draws(0.0, rng, 1000).any()
+        assert access_draws(1.0, rng, 1000).all()
 
     def test_access_fraction_lln(self):
         rng = np.random.default_rng(21)
-        draws = sx.sample_access(sx.AccessModel(0.5), rng, size=1_000_000)
+        draws = access_draws(0.5, rng, 1_000_000)
         assert abs(draws.mean() - 0.5) < 0.002
 
     def test_access_validation(self):

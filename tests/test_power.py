@@ -4,56 +4,58 @@ from hypothesis import given, settings, strategies as st
 from scipy import optimize, special
 
 import savetx as sx
-from savetx.errors import InconsistentSplit, NoBracket, NonpositiveBudget
+from savetx.errors import NoBracket
 
-from oracles import best_grid_split
-
-
-def state(phi=1, b=1.0, h=1.0, hc=1.0, e=0.0):
-    return sx.SystemState(phi=phi, b=b, e_prev=e, h=h, h_common=hc)
+from oracles import Split, best_grid_split, split_rate, water_fill_two_channel
 
 
 class TestWaterFill:
+    """The scalar split oracle, pinned to the split inside stop_rate."""
+
     def test_symmetric_split(self):
-        split = sx.water_fill_two_channel(1.0, 4.0, 4.0)
+        split = water_fill_two_channel(1.0, 4.0, 4.0)
         assert split.p_private == pytest.approx(0.5, abs=1e-15)
         assert split.p_common == pytest.approx(0.5, abs=1e-15)
 
     def test_interior_example(self):
-        split = sx.water_fill_two_channel(1.0, 2.0 ** 4, 2.0 ** 5)
+        split = water_fill_two_channel(1.0, 2.0 ** 4, 2.0 ** 5)
         assert split.p_private == pytest.approx(31 / 64, abs=1e-12)
         assert split.p_common == pytest.approx(33 / 64, abs=1e-12)
         _, p_best = best_grid_split(1.0, 16.0, 32.0, n=1_000_000)
         assert abs(split.p_private - p_best) < 2e-6
 
     def test_corner_case(self):
-        split = sx.water_fill_two_channel(0.01, 100.0, 0.5)
+        split = water_fill_two_channel(0.01, 100.0, 0.5)
         assert (split.p_private, split.p_common) == (0.01, 0.0)
 
     def test_nonpositive_budget(self):
-        with pytest.raises(NonpositiveBudget):
-            sx.water_fill_two_channel(0.0, 1.0, 1.0)
+        with pytest.raises(ValueError):
+            water_fill_two_channel(0.0, 1.0, 1.0)
 
     def test_zero_gain_channels(self):
-        assert sx.water_fill_two_channel(1.0, 0.0, 2.0).p_common == 1.0
-        assert sx.water_fill_two_channel(1.0, 2.0, 0.0).p_private == 1.0
-        assert sx.water_fill_two_channel(1.0, 0.0, 0.0).p_private == 1.0
+        assert water_fill_two_channel(1.0, 0.0, 2.0).p_common == 1.0
+        assert water_fill_two_channel(1.0, 2.0, 0.0).p_private == 1.0
+        assert water_fill_two_channel(1.0, 0.0, 0.0).p_private == 1.0
+        for h, hc in ((0.0, 2.0), (2.0, 0.0), (0.0, 0.0)):
+            split = water_fill_two_channel(1.0, h, hc)
+            assert sx.stop_rate(1.0, h, hc, 1) == split_rate(1, h, hc, split)
 
     @given(st.floats(1e-3, 1e3), st.floats(1e-3, 1e3), st.floats(1e-3, 1e3))
     @settings(max_examples=200, deadline=None)
     def test_budget_conserved(self, b, h, hc):
-        split = sx.water_fill_two_channel(b, h, hc)
+        split = water_fill_two_channel(b, h, hc)
         assert split.p_private >= 0 and split.p_common >= 0
         assert abs(split.total - b) < 1e-12 * max(1.0, b)
 
     @given(st.floats(1e-3, 1e3), st.floats(1e-3, 1e3), st.floats(1e-3, 1e3))
     @settings(max_examples=100, deadline=None)
     def test_interior_water_level_equality(self, b, h, hc):
-        split = sx.water_fill_two_channel(b, h, hc)
+        split = water_fill_two_channel(b, h, hc)
         if split.p_private > 0 and split.p_common > 0:
             lhs = 1 / h + split.p_private
             rhs = 1 / hc + split.p_common
             assert abs(lhs - rhs) < 1e-9 * max(1.0, lhs)
+        assert sx.stop_rate(b, h, hc, 1) == split_rate(1, h, hc, split)
 
     def test_beats_grid_search(self):
         rng = np.random.default_rng(17)
@@ -61,54 +63,49 @@ class TestWaterFill:
             b = float(rng.uniform(0.01, 20))
             h = float(2.0 ** rng.uniform(-5, 6))
             hc = float(2.0 ** rng.uniform(-5, 6))
-            split = sx.water_fill_two_channel(b, h, hc)
-            ours = np.log2(1 + h * split.p_private) \
-                + np.log2(1 + hc * split.p_common)
+            ours = sx.stop_rate(b, h, hc, 1)
             best, _ = best_grid_split(b, h, hc, n=10_000)
             assert ours >= best - 1e-9
 
 
 class TestInstantRate:
     def test_private_only(self):
-        r = sx.instant_rate(state(phi=0), sx.PowerSplit(1.0, 0.0))
-        assert r.rate == pytest.approx(1.0, abs=1e-15)
+        assert sx.stop_rate(1.0, 1.0, 1.0, 0) == pytest.approx(1.0,
+                                                              abs=1e-15)
 
     def test_zero_power(self):
-        r = sx.instant_rate(state(phi=1), sx.PowerSplit(0.0, 0.0))
-        assert r.rate == 0.0
+        assert split_rate(1, 1.0, 1.0, Split(0.0, 0.0)) == 0.0
+        for phi in (0, 1):
+            assert sx.stop_rate(0.0, 1.0, 1.0, phi) == 0.0
 
     def test_waterfilled_example(self):
-        st_ = state(phi=1, h=16.0, hc=32.0)
-        r = sx.instant_rate(st_, sx.PowerSplit(31 / 64, 33 / 64))
-        assert r.rate == pytest.approx(np.log2(8.75) + np.log2(17.5),
-                                       abs=1e-12)
-        assert r.rate == pytest.approx(7.2586, abs=2e-4)
+        r = sx.stop_rate(1.0, 16.0, 32.0, 1)
+        assert r == pytest.approx(np.log2(8.75) + np.log2(17.5), abs=1e-12)
+        assert r == pytest.approx(7.2586, abs=2e-4)
 
     def test_inconsistent_split(self):
-        with pytest.raises(InconsistentSplit):
-            sx.instant_rate(state(phi=0), sx.PowerSplit(0.5, 0.5))
+        with pytest.raises(ValueError):
+            split_rate(0, 1.0, 1.0, Split(0.5, 0.5))
 
 
 class TestRateAtStop:
     def test_private_only_example(self):
-        st_ = state(phi=0, b=0.001, h=0.1)
-        r = sx.rate_at_stop(st_)
-        assert r.rate == pytest.approx(np.log2(1 + 1e-4), rel=1e-12)
-        assert r.rate == pytest.approx(1.4426e-4, rel=1e-3)
+        r = sx.stop_rate(0.001, 0.1, 1.0, 0)
+        assert r == pytest.approx(np.log2(1 + 1e-4), rel=1e-12)
+        assert r == pytest.approx(1.4426e-4, rel=1e-3)
 
     def test_equal_gains_split_in_half(self):
         for h in (0.5, 2.0, 16.0):
             for b in (0.1, 1.0, 7.0):
-                r = sx.rate_at_stop(state(phi=1, b=b, h=h, hc=h))
-                assert r.rate == pytest.approx(2 * np.log2(1 + h * b / 2),
-                                               rel=1e-12)
+                r = sx.stop_rate(b, h, h, 1)
+                assert r == pytest.approx(2 * np.log2(1 + h * b / 2),
+                                          rel=1e-12)
 
     def test_empty_battery(self):
-        assert sx.rate_at_stop(state(phi=1, b=0.0)).rate == 0.0
+        assert sx.stop_rate(0.0, 1.0, 1.0, 1) == 0.0
 
     def test_natural_log_base(self):
-        st_ = state(phi=0, b=2.0, h=1.0)
-        assert sx.rate_at_stop(st_, base=np.e).rate == pytest.approx(
+        assert sx.stop_rate(2.0, 1.0, 1.0, 0, base=np.e) == pytest.approx(
             np.log(3.0), rel=1e-12)
 
     def test_vector_matches_scalar(self):
@@ -119,7 +116,8 @@ class TestRateAtStop:
         phi = rng.integers(0, 2, 200)
         vec = sx.stop_rate(b, h, hc, phi)
         for i in range(200):
-            got = sx.rate_at_stop(state(int(phi[i]), b[i], h[i], hc[i])).rate
+            got = sx.stop_rate(b[i], h[i], hc[i], int(phi[i]))
+            assert isinstance(got, float)
             assert vec[i] == pytest.approx(got, abs=1e-14)
 
 
