@@ -266,10 +266,10 @@ def _mean_about(shift: float, deviations: np.ndarray,
 
 
 def _batch_ratio_se(num: np.ndarray, den: np.ndarray, n_batches: int):
-    """Batch-means standard error of sum(num)/sum(den)."""
+    """Batch-means SE of sum(num)/sum(den); NaN below 2 records per batch."""
     n = len(num)
     if n < n_batches * 2:
-        return 0.0
+        return float("nan")
     edges = np.linspace(0, n, n_batches + 1, dtype=int)
     ratios = np.array([
         num[a:b].sum() / max(den[a:b].sum(), 1e-300)

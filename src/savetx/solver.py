@@ -5,13 +5,13 @@ Two solution paths:
 * ``solve_markov`` handles Markov-modulated gains and harvesting.  It works
   on the discretized state space (access flag, battery level, previous
   harvest rate, private gain, common gain) and finds the throughput-optimal
-  stationary stop/continue rule.  The long-run throughput is a renewal
-  ratio, so the outer loop alternates exact ratio evaluation of the current
-  rule with a greedy improvement step; evaluation accounts for the state
-  carried across the transmission slot into the next saving period (the
-  stop slot's harvest seeds the next period's battery and the gain chain
-  advances one step).  For i.i.d. dynamics that carry-over is irrelevant
-  and the rule collapses to the classic one-period comparison.
+  stationary stop/continue rule by average-reward policy iteration.  The
+  access flag and the common gain are drawn fresh every slot, so a rule's
+  slot chain closes on (battery, harvest rate, private gain), where one
+  sparse solve evaluates it exactly; the chain carries the stop slot's
+  harvest and the gain chain's step into the next saving period.  For
+  i.i.d. dynamics that carry-over is irrelevant and the rule collapses to
+  the classic one-period comparison.
 
 * ``optimize_threshold`` handles i.i.d. gains and harvesting, where the
   optimal rule is a fixed rate threshold.  It maximizes the simulated
@@ -24,6 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy import sparse
+from scipy.sparse.linalg import spsolve
 
 from .errors import NoConvergence
 from .models import (
@@ -44,10 +46,6 @@ __all__ = [
     "evaluate_threshold",
     "optimize_threshold",
 ]
-
-# Dense policy evaluation is cubic in the state count; past this size the
-# discretization should be coarsened instead.
-_MAX_DP_STATES = 4000
 
 
 @dataclass
@@ -157,7 +155,6 @@ class _DPSpace:
     """Grids, transition factors, and stop rewards for the DP."""
 
     def __init__(self, model: SystemModel, cfg: SolverConfig):
-        self.model = model
         self.delta = cfg.delta if cfg.delta is not None else model.delta
         self.bmax = (cfg.b_max_units if cfg.b_max_units is not None
                      else model.b_max_units)
@@ -176,7 +173,6 @@ class _DPSpace:
         nb, ne = len(self.b_vals), len(self.eh_vals)
         nh, nc = len(self.h_vals), len(self.hc_vals)
         self.shape = (2, nb, ne, nh, nc)
-        self.n = 2 * nb * ne * nh * nc
 
         # next battery index after harvesting in state e', from level b
         b_idx = np.arange(nb)
@@ -192,57 +188,47 @@ class _DPSpace:
             base=model.log_base,
         ) * np.ones(self.shape)
 
-    def continuation(self, V: np.ndarray) -> np.ndarray:
-        """E[V(next state) | current, skip] as a (nb, ne, nh) tensor.
+    def average(self, V: np.ndarray) -> np.ndarray:
+        """Mean over the access flag and common gain, which are drawn fresh
+        each slot: a (nb, ne, nh) tensor on the pre-observation state."""
+        return np.einsum("p,pbehc,c->beh", self.p_phi, V, self.hc_probs)
 
-        The skipped slot's harvest, next gains, and next access flag are
-        drawn fresh, so the expectation depends only on (b, e, h).
-        """
-        # average out next-slot phi and common gain
-        vbar = np.einsum("p,pbehc,c->beh", self.p_phi, V, self.hc_probs)
+    def propagate(self, vbar: np.ndarray) -> np.ndarray:
+        """E[vbar(next pre-observation state) | current, skip] as a
+        (nb, ne, nh) tensor."""
         # battery moves to next_b[b, e'] when the harvest state is e'
         gathered = vbar[self.next_b, np.arange(len(self.eh_vals))[None, :], :]
         return np.einsum("ef,bfg,hg->beh", self.Pe, gathered, self.Ph)
+
+    def continuation(self, V: np.ndarray) -> np.ndarray:
+        """E[V(next state) | current, skip] as a (nb, ne, nh) tensor."""
+        return self.propagate(self.average(V))
+
+    def sweep(self, V: np.ndarray, lam: float) -> np.ndarray:
+        """One Bellman sweep, V <- max(rates, E[V' | skip]) - lam."""
+        return np.maximum(self.R, self.broadcast(self.continuation(V))) - lam
 
     def broadcast(self, C: np.ndarray) -> np.ndarray:
         """Expand a (nb, ne, nh) continuation to the full state shape."""
         return np.broadcast_to(C[None, :, :, :, None], self.shape).copy()
 
-    def transition_matrix(self, stop: np.ndarray) -> np.ndarray:
-        """Dense slot-to-slot kernel under a stop/continue rule.
-
-        Continue rows follow the saving dynamics; stop rows spend the
-        battery and restart the period (battery reset to the transmission
-        slot's harvest, gain chain advanced one step).
-        """
-        if self.n > _MAX_DP_STATES:
-            raise NoConvergence(
-                f"state space too large for exact evaluation ({self.n}); "
-                "reduce common_bins or the battery cap")
-        nb, ne = len(self.b_vals), len(self.eh_vals)
-        nh, nc = len(self.h_vals), len(self.hc_vals)
-        P = np.zeros((self.n, self.n))
-        flat_stop = stop.reshape(self.n)
-        # base destination weights per (e, h) pair, battery handled per e'
-        w_phi_c = self.p_phi[:, None] * self.hc_probs[None, :]  # (2, nc)
-        for b in range(nb):
-            for e in range(ne):
-                for h in range(nh):
-                    dest_cont = np.zeros(self.shape)
-                    dest_stop = np.zeros(self.shape)
-                    for e2 in range(ne):
-                        w = self.Pe[e, e2] * np.einsum(
-                            "g,pc->pgc", self.Ph[h], w_phi_c)
-                        dest_cont[:, self.next_b[b, e2], e2, :, :] += w
-                        dest_stop[:, self.next_b[0, e2], e2, :, :] += w
-                    rc = dest_cont.reshape(self.n)
-                    rs = dest_stop.reshape(self.n)
-                    for phi in range(2):
-                        for c in range(nc):
-                            i = np.ravel_multi_index((phi, b, e, h, c),
-                                                     self.shape)
-                            P[i] = rs if flat_stop[i] else rc
-        return P
+    def kernel(self, p_stop: np.ndarray) -> sparse.coo_array:
+        """Slot-to-slot kernel on (b, e, h) of a rule that stops with
+        probability ``p_stop``: a skip moves the battery to ``next_b[b, e']``,
+        a stop restarts at ``next_b[0, e']``, and both step the harvest and
+        private-gain chains.  Entries that coincide at the cap add up."""
+        red = p_stop.shape
+        # axes (skip/stop, b, e, h, e', h')
+        a, b, e, h, e2, h2 = np.ix_(*map(np.arange, (2,) + red + red[1:]))
+        src = np.ravel_multi_index((b, e, h), red)
+        dest = np.ravel_multi_index((self.next_b[b * (1 - a), e2], e2, h2),
+                                    red)
+        p = p_stop[b, e, h]
+        w = np.where(a, p, 1.0 - p) * self.Pe[e, e2] * self.Ph[h, h2]
+        src, dest, w = np.broadcast_arrays(src, dest, w)
+        edge = w > 0
+        return sparse.coo_array((w[edge], (src[edge], dest[edge])),
+                                shape=(p_stop.size, p_stop.size))
 
 
 def _private_chain(dist: GainDistribution, bins: int):
@@ -284,12 +270,9 @@ def value_iteration(model: SystemModel, lam: float,
     cfg = cfg or SolverConfig()
     space = _DPSpace(model, cfg)
     V = space.R - lam
-    sweeps = 0
     for sweeps in range(1, cfg.value_iter_max_sweeps + 1):
-        C = space.continuation(V)
-        Vn = np.maximum(space.R, space.broadcast(C)) - lam
-        change = np.abs(Vn - V).max()
-        V = Vn
+        Vp, V = V, space.sweep(V, lam)
+        change = np.abs(V - Vp).max()
         if change < cfg.value_iter_tol:
             break
     else:
@@ -307,36 +290,40 @@ def value_iteration(model: SystemModel, lam: float,
 def _gain_and_bias(space: _DPSpace, stop: np.ndarray):
     """Long-run throughput and relative values of a stationary rule.
 
-    Solves the evaluation equations h + gain = reward + P h with h pinned
-    at state 0; the gain equals the renewal ratio E[rate at stop]/E[T].
+    Solves g + gain = average(stop * rates) + K g on the pre-observation
+    state (b, e, h), with g pinned at state 0, and returns (gain, g); the
+    gain is the renewal ratio E[rate at stop]/E[T].
     """
-    P = space.transition_matrix(stop)
-    n = space.n
-    r = np.where(stop, space.R, 0.0).reshape(n)
-    A = np.zeros((n + 1, n + 1))
-    A[:n, :n] = np.eye(n) - P
-    A[:n, n] = 1.0
-    A[n, 0] = 1.0
-    rhs = np.zeros(n + 1)
-    rhs[:n] = r
-    try:
-        x = np.linalg.solve(A, rhs)
-    except np.linalg.LinAlgError:
-        x, *_ = np.linalg.lstsq(A, rhs, rcond=None)
-    resid = np.abs(A @ x - rhs).max()
-    if resid > 1e-6:
+    # imported here, not at module load: the threshold paths never need it
+    from scipy.sparse.csgraph import connected_components
+
+    K = space.kernel(space.average(stop))
+    m = K.shape[0]
+    # one gain fits every state only if a single class is closed
+    n_cls, cls = connected_components(K, connection="strong")
+    closed = n_cls - len(np.unique(cls[K.row][cls[K.row] != cls[K.col]]))
+    if closed > 1:
+        raise NoConvergence(f"the rule's chain has {closed} recurrent classes")
+    r = space.average(np.where(stop, space.R, 0.0)).ravel()
+    # pinning g[0] = 0 frees column 0 of I - K for the gain
+    A = sparse.hstack(
+        [np.ones((m, 1)), (sparse.eye_array(m) - K).tocsc()[:, 1:]], "csc")
+    x = spsolve(A, r)
+    resid = np.abs(A @ x - r).max()
+    if not resid <= 1e-6:
         raise NoConvergence(f"policy evaluation residual {resid:.2e}")
-    return float(x[n]), x[:n].reshape(space.shape)
+    return float(x[0]), np.r_[0.0, x[1:]].reshape(space.shape[1:4])
 
 
 def solve_markov(model: SystemModel, cfg: SolverConfig | None = None
                  ) -> ValueTable:
     """Throughput-optimal stationary stopping rule and its value table.
 
-    Outer loop: evaluate the current rule's renewal throughput exactly,
-    then improve greedily; the stop side of the comparison credits the
-    restart value of the state components that survive the transmission
-    slot.  Converges in finitely many improvements.
+    Outer loop: evaluate the current rule's throughput and relative values
+    g on (b, e, h) exactly, then improve greedily against E[g' | skip]; the
+    stop side of the comparison credits the restart value of the state
+    components that survive the transmission slot.  Converges in finitely
+    many improvements.
     """
     cfg = cfg or SolverConfig()
     space = _DPSpace(model, cfg)
@@ -344,21 +331,18 @@ def solve_markov(model: SystemModel, cfg: SolverConfig | None = None
     charged = (space.b_vals > 0)[None, :, None, None, None]
 
     # warm start: rule that is greedy for zero waiting cost
-    V = space.R.copy()
+    V = space.R
     for _ in range(200):
-        Vn = np.maximum(space.R, space.broadcast(space.continuation(V)))
-        if np.abs(Vn - V).max() < 1e-9:
-            V = Vn
+        Vp, V = V, space.sweep(V, 0.0)
+        if np.abs(V - Vp).max() < 1e-9:
             break
-        V = Vn
     stop = (space.R >= space.broadcast(space.continuation(V))) & charged
 
-    lam, h = _gain_and_bias(space, stop)
+    lam, g = _gain_and_bias(space, stop)
     for it in range(1, cfg.outer_max_iters + 1):
-        Ch = space.continuation(h)
-        q_cont = space.broadcast(Ch)
-        q_stop = space.R + space.broadcast(
-            np.broadcast_to(Ch[0][None, :, :], Ch.shape))
+        Cg = space.propagate(g)
+        q_cont = space.broadcast(Cg)
+        q_stop = space.R + space.broadcast(np.broadcast_to(Cg[0], Cg.shape))
         # stopping with an empty battery is value-neutral; keep it a skip
         new_stop = (q_stop >= q_cont - 1e-12) & charged
         changed = new_stop != stop
@@ -366,7 +350,7 @@ def solve_markov(model: SystemModel, cfg: SolverConfig | None = None
             break
         near_tie = np.abs(q_stop[changed] - q_cont[changed]).max() < 1e-9
         stop = new_stop
-        lam_new, h = _gain_and_bias(space, stop)
+        lam_new, g = _gain_and_bias(space, stop)
         settled = abs(lam_new - lam) < cfg.lambda_tol and near_tie
         lam = lam_new
         if settled:
@@ -376,14 +360,13 @@ def solve_markov(model: SystemModel, cfg: SolverConfig | None = None
             f"policy improvement did not settle in {cfg.outer_max_iters} "
             "iterations")
 
-    Ch = space.continuation(h)
-    seed_value = np.broadcast_to(Ch[0][None, :, :], Ch.shape)
-    values = h - space.broadcast(seed_value)
-    continuation = space.broadcast(Ch - seed_value)
+    Cg = space.propagate(g)
+    continuation = space.broadcast(Cg - Cg[0])
     table = ValueTable(
         lambda_star=lam, delta=space.delta, b_values=space.b_vals,
         eh_values=space.eh_vals, h_values=space.h_vals,
-        hc_values=space.hc_vals, rates=space.R, values=values,
+        hc_values=space.hc_vals, rates=space.R,
+        values=np.where(stop, space.R, continuation) - lam,
         continuation=continuation, finalized=True, outer_iters=it)
     fixed_point_err = np.abs(
         table.values - (np.maximum(table.rates, table.continuation) - lam)

@@ -355,6 +355,60 @@ class SmallConfig:
         return [self.index(phi, b, e, h)
                 for phi, b, e, h in self.states() if b > 0]
 
+    def system_model(self):
+        """The same environment as a ``savetx.SystemModel``."""
+        import savetx as sx
+
+        return sx.SystemModel(
+            private=sx.GainDistribution.markov(
+                sx.MarkovChainSpec(self.h_vals, self.Ph)),
+            common=sx.GainDistribution.constant(self.hc),
+            access=sx.AccessModel(self.ps),
+            eh=sx.MarkovChainSpec([float(u) for u in self.e_units], self.Pe),
+            b_max_units=self.bmax, delta=self.delta)
+
+
+def markov_workload_config(common_bins=8):
+    """The model of the benchmark's markov workload: fig3 runner, 4-state
+    private chain, exponential common gain on ``common_bins`` bins, harvest
+    preset c, 21 battery levels."""
+    import savetx as sx
+
+    return sx.validate_config({
+        "experiment": "fig3",
+        "private": {"kind": "markov", "states": [0.25, 0.75, 1.5, 3.0],
+                    "transition": [[0.7, 0.3, 0.0, 0.0],
+                                   [0.15, 0.7, 0.15, 0.0],
+                                   [0.0, 0.15, 0.7, 0.15],
+                                   [0.0, 0.0, 0.3, 0.7]]},
+        "common": {"kind": "exponential", "mean": 1.0},
+        "eh": {"preset": "c"}, "delta": 1.0, "b_max_units": 20,
+        "solver": {"common_bins": common_bins}})
+
+
+def random_small_config(rng) -> SmallConfig:
+    """Random environment with at most 12 charged decision states."""
+    nh = int(rng.integers(1, 4))
+    ne = int(rng.integers(1, 3))
+    bmax = int(rng.integers(1, 4))
+    while 2 * bmax * ne * nh > 12:
+        if bmax > 1:
+            bmax -= 1
+        elif nh > 1:
+            nh -= 1
+        else:
+            ne -= 1
+    h_vals = np.sort(2.0 ** rng.uniform(-4, 5, nh))
+    Ph = rng.dirichlet(np.ones(nh) * rng.uniform(0.4, 3.0), size=nh)
+    e_units = sorted(
+        rng.choice(np.arange(0, 5), size=ne, replace=False).tolist())
+    if not any(e_units):
+        e_units[-1] = 1
+    Pe = rng.dirichlet(np.ones(ne) * rng.uniform(0.4, 3.0), size=ne)
+    p_s = float(rng.choice([0.0, 0.25, 0.5, 0.75, 1.0]))
+    hc = float(2.0 ** rng.uniform(-2, 6))
+    return SmallConfig(p_s, bmax, e_units, Pe, h_vals, Ph, hc)
+
 
 def policy_gains(config: SmallConfig, masks: np.ndarray) -> np.ndarray:
     """Exact long-run reward per slot for a batch of stop/continue maps.

@@ -11,8 +11,8 @@ import pytest
 
 import savetx as sx
 
-from oracles import SmallConfig, enumerate_best_policy, fresh_carry, \
-    run_period, water_fill_two_channel
+from oracles import enumerate_best_policy, fresh_carry, \
+    random_small_config, run_period, water_fill_two_channel
 
 SEED = 20240501
 PS_GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
@@ -133,34 +133,9 @@ def test_criterion_02_brute_force_equivalence():
                       "enumeration on 20 random small configurations"):
         rng = np.random.default_rng(4242)
         for _ in range(20):
-            nh = int(rng.integers(1, 4))
-            ne = int(rng.integers(1, 3))
-            bmax = int(rng.integers(1, 4))
-            while 2 * bmax * ne * nh > 12:
-                if bmax > 1:
-                    bmax -= 1
-                elif nh > 1:
-                    nh -= 1
-                else:
-                    ne -= 1
-            h_vals = np.sort(2.0 ** rng.uniform(-4, 5, nh))
-            Ph = rng.dirichlet(np.ones(nh) * rng.uniform(0.4, 3.0), size=nh)
-            e_units = sorted(
-                rng.choice(np.arange(0, 5), size=ne, replace=False).tolist())
-            if not any(e_units):
-                e_units[-1] = 1
-            Pe = rng.dirichlet(np.ones(ne) * rng.uniform(0.4, 3.0), size=ne)
-            p_s = float(rng.choice([0.0, 0.25, 0.5, 0.75, 1.0]))
-            hc = float(2.0 ** rng.uniform(-2, 6))
-            best, _ = enumerate_best_policy(
-                SmallConfig(p_s, bmax, e_units, Pe, h_vals, Ph, hc))
-            model = sx.SystemModel(
-                private=sx.GainDistribution.markov(
-                    sx.MarkovChainSpec(h_vals, Ph)),
-                common=sx.GainDistribution.constant(hc),
-                access=sx.AccessModel(p_s),
-                eh=sx.MarkovChainSpec([float(u) for u in e_units], Pe),
-                b_max_units=bmax, delta=1.0)
+            config = random_small_config(rng)
+            best, _ = enumerate_best_policy(config)
+            model = config.system_model()
             table = sx.solve_markov(model, sx.SolverConfig(lambda_tol=1e-9))
             assert abs(table.lambda_star - best) <= 1e-6
 

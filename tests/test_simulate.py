@@ -9,7 +9,7 @@ import savetx as sx
 from savetx.simulate import _run_block
 
 from oracles import advance_battery, exact_threshold_metrics, fresh_carry, \
-    run_period
+    markov_workload_config, run_period
 
 
 def constant_world(delta=1e-3, h=1.0, p_s=0.0):
@@ -27,21 +27,6 @@ def iid_model(p_s):
 
 def fig3_model(p_s):
     return sx.validate_config({"experiment": "fig3"}).build_model(p_s)
-
-
-def markov_workload_config():
-    """The model of the benchmark's markov workload: fig3 runner, 4-state
-    private chain, exponential common gain on 8 bins, harvest preset c."""
-    return sx.validate_config({
-        "experiment": "fig3",
-        "private": {"kind": "markov", "states": [0.25, 0.75, 1.5, 3.0],
-                    "transition": [[0.7, 0.3, 0.0, 0.0],
-                                   [0.15, 0.7, 0.15, 0.0],
-                                   [0.0, 0.15, 0.7, 0.15],
-                                   [0.0, 0.0, 0.3, 0.7]]},
-        "common": {"kind": "exponential", "mean": 1.0},
-        "eh": {"preset": "c"}, "delta": 1.0, "b_max_units": 20,
-        "solver": {"common_bins": 8}})
 
 
 class TestAdvanceBattery:
@@ -132,6 +117,16 @@ class TestRunSimulation:
         assert met.se_throughput == 0.0
         assert met.mean_saving_time == 1.0
         assert met.periods == 500
+
+    def test_short_run_se_unknown(self):
+        # fewer than two records per batch: the SE is unknown, not zero
+        met = sx.run_simulation(sx.Policy.threshold(2.0), iid_model(0.5), 30,
+                                seed=1)
+        assert met.throughput > 0
+        assert np.isnan(met.se_throughput) and np.isnan(met.se_saving_time)
+        # 10,000 slots on 512 streams leave 32 per-slot means
+        cv = sx.run_conventional(iid_model(0.5), 2.0, 10_000, seed=3)
+        assert cv.throughput > 0 and np.isnan(cv.se_throughput)
 
     def test_bitwise_determinism(self):
         model = iid_model(0.5)

@@ -3,9 +3,11 @@ import pytest
 
 import savetx as sx
 from savetx.errors import NoConvergence, PeriodOverflow
+from savetx.solver import _DPSpace, _gain_and_bias
 
 from oracles import SmallConfig, enumerate_best_policy, \
-    exact_threshold_metrics
+    exact_threshold_metrics, markov_workload_config, policy_gains, \
+    random_small_config
 
 
 def fig3_model(p_s):
@@ -118,6 +120,57 @@ class TestSolveMarkov:
                 b_max_units=bmax, delta=1.0)
             table = sx.solve_markov(model)
             assert table.lambda_star == pytest.approx(best, abs=1e-6)
+
+    def test_reducible_harvest_chain_refused(self):
+        # the harvest stays at 0 or at 1 unit forever, so the rule's slot
+        # chain has one recurrent class per harvest state and no single gain
+        model = sx.SystemModel(
+            private=sx.GainDistribution.markov(
+                sx.MarkovChainSpec([0.1, 16.0], [[0.0, 1.0], [0.5, 0.5]])),
+            common=sx.GainDistribution.constant(32.0),
+            access=sx.AccessModel(0.5),
+            eh=sx.MarkovChainSpec([0.0, 1.0], [[1.0, 0.0], [0.0, 1.0]]),
+            b_max_units=2, delta=1.0)
+        with pytest.raises(NoConvergence):
+            sx.solve_markov(model)
+
+    def test_markov_workload_with_16_common_bins(self):
+        cfg = markov_workload_config(common_bins=16)
+        table = sx.solve_markov(cfg.build_model(0.75), cfg.solver)
+        assert table.rates.size == 2 * 21 * 2 * 4 * 16
+        assert (table.slack() >= -1e-9).all()
+        coarse = markov_workload_config(common_bins=8)
+        lam8 = sx.solve_markov(coarse.build_model(0.75),
+                               coarse.solver).lambda_star
+        assert table.lambda_star == pytest.approx(lam8, rel=1e-2)
+
+
+class TestGainAndBias:
+    def test_matches_oracle_on_random_rules(self):
+        """Gains of arbitrary rules, including rules that read the access
+        flag and rules that stop at an empty battery; a rule is refused
+        exactly when its slot chain has more than one recurrent class."""
+        rng = np.random.default_rng(7)
+        accepted = 0
+        for _ in range(30):
+            config = random_small_config(rng)
+            space = _DPSpace(config.system_model(), sx.SolverConfig())
+            masks = rng.random((5, config.n)) < rng.uniform(0, 1, (5, 1))
+            Kc, Kr = config.kernels()
+            for mask, gain in zip(masks, policy_gains(config, masks)):
+                # one recurrent class per null direction of P - I
+                P = np.where(mask[:, None], Kr, Kc)
+                sv = np.linalg.svd(P - np.eye(config.n), compute_uv=False)
+                stop = mask.reshape(space.shape)
+                if sv[-2] < 1e-9:
+                    with pytest.raises(NoConvergence,
+                                       match="recurrent classes"):
+                        _gain_and_bias(space, stop)
+                else:
+                    lam, _ = _gain_and_bias(space, stop)
+                    assert abs(lam - gain) <= 1e-10
+                    accepted += 1
+        assert accepted >= 140
 
 
 @pytest.fixture(scope="module")
