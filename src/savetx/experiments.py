@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -138,12 +138,10 @@ _TOP_KEYS = {
     "gamma_grid", "gamma_modes", "p_bar", "log_base", "private", "common",
     "eh", "eh_models", "solver", "mc",
 }
-_SOLVER_KEYS = {
-    "value_iter_tol", "value_iter_max_sweeps", "lambda_tol",
-    "outer_max_iters", "b_max_units", "delta", "common_bins", "mc_periods",
-    "mc_warmup_periods", "mc_replications", "mc_streams", "mc_seed",
-    "slot_cap", "gamma_hi", "grid_points", "golden_tol",
-}
+# SolverConfig fields that validate_config fills from the mc block and the
+# seed; the solver block sets every other field
+_MC_FIELDS = {"mc_periods", "mc_warmup_periods", "mc_replications",
+              "mc_streams", "mc_seed", "slot_cap"}
 _MC_KEYS = {"periods", "slots", "warmup_periods", "warmup_slots",
             "replications", "streams", "slot_cap"}
 _MC_DEFAULTS = {"periods": 200_000, "slots": 1_000_000,
@@ -278,14 +276,16 @@ def validate_config(raw) -> ExperimentConfig:
     _check_keys(merged["private"], _GAIN_KEYS, "private")
     _check_keys(merged["common"], _GAIN_KEYS, "common")
     _check_keys(merged["eh"], _EH_KEYS, "eh")
-    _check_keys(merged["solver"], _SOLVER_KEYS, "solver")
+    _check_keys(merged["solver"],
+                {f.name for f in fields(SolverConfig)} - _MC_FIELDS, "solver")
     _check_keys(merged["mc"], _MC_KEYS, "mc")
 
     mc = dict(_MC_DEFAULTS)
     mc.update(merged["mc"])
-    for key in ("periods", "slots"):
-        if mc[key] < 1:
-            _fail(f"mc.{key}", "must be >= 1")
+    for key, value in mc.items():
+        low = 0 if key.startswith("warmup") else 1
+        if type(value) is not int or value < low:  # bool is an int too
+            _fail(f"mc.{key}", f"must be an integer >= {low}")
 
     try:
         solver = SolverConfig(mc_periods=mc["periods"],
@@ -317,7 +317,10 @@ def validate_config(raw) -> ExperimentConfig:
 
 def _meta_base(cfg: ExperimentConfig) -> dict:
     resolved = asdict(cfg)
-    resolved["solver"] = asdict(cfg.solver)
+    # the mc block and the seed already hold the Monte Carlo fields, so the
+    # resolved config reloads through validate_config as it is
+    resolved["solver"] = {k: v for k, v in resolved["solver"].items()
+                          if k not in _MC_FIELDS}
     return {
         "package": "savetx",
         "version": __version__,

@@ -156,16 +156,6 @@ class GainDistribution:
     def markov(cls, chain: MarkovChainSpec) -> "GainDistribution":
         return cls(kind="markov", chain=chain)
 
-    def mean_value(self) -> float:
-        if self.kind == "constant":
-            return self.value
-        if self.kind == "exponential":
-            return self.mean
-        if self.kind == "discrete":
-            return float(np.dot(self.values, self.probabilities))
-        pi = stationary_distribution(self.chain)
-        return float(np.dot(self.chain.states, pi))
-
     @property
     def is_iid(self) -> bool:
         return self.kind != "markov"

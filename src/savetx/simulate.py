@@ -196,14 +196,14 @@ def _run_block(policy: Policy, model: SystemModel, warm_per_stream: int,
     h_idx = private.init(rng, streams)
 
     T_cur = np.zeros(streams, dtype=np.int64)
-    rec: dict[str, list] = {k: [] for k in
-                            ("T", "rate", "b", "phi", "h", "hc")}
-    rec_stream: list = []
-    done = np.zeros(streams, dtype=np.int64)  # periods completed per stream
     target = warm_per_stream + keep_per_stream
+    # rec[k][s, i] is field k of stream s's period number i
+    rec = {k: np.empty((streams, target), dtype=dt) for k, dt in
+           (("T", np.int64), ("rate", float), ("b", float), ("phi", np.int8),
+            ("h", float), ("hc", float))}
+    done = np.zeros(streams, dtype=np.int64)  # periods recorded per stream
     clip_events = 0
     slot_draws = 0
-    stream_ids = np.arange(streams)
 
     while done.min() < target:
         T_cur += 1
@@ -220,16 +220,11 @@ def _run_block(policy: Policy, model: SystemModel, warm_per_stream: int,
         e_idx = _step_chain(eh_cum, e_idx, rng, streams)
         e_val = eh_vals[e_idx]
 
-        if stop.any():
-            # boolean indexing copies, so the records own their data
-            rec_stream.append(stream_ids[stop])
-            rec["T"].append(T_cur[stop])
-            rec["rate"].append(rate[stop])
-            rec["b"].append(b[stop])
-            rec["phi"].append(phi[stop])
-            rec["h"].append(h[stop])
-            rec["hc"].append(hc[stop])
-            done[stop] += 1
+        s = np.flatnonzero(stop & (done < target))
+        i = done[s]
+        for field, v in zip(rec.values(), (T_cur, rate, b, phi, h, hc)):
+            field[s, i] = v[s]
+        done[s] += 1
 
         # the stop slot's harvest seeds the next period's battery
         b_next = np.where(stop, e_val, b + e_val)
@@ -238,16 +233,7 @@ def _run_block(policy: Policy, model: SystemModel, warm_per_stream: int,
         b = np.minimum(b_next, cap)
         T_cur = np.where(stop, 0, T_cur)
 
-    # reorder chronological records to (stream, period index) and keep each
-    # stream's periods [warm, warm + keep)
-    sid = np.concatenate(rec_stream)
-    order = np.lexsort((np.arange(len(sid)), sid))
-    rank = np.arange(len(sid)) - np.repeat(
-        np.searchsorted(sid[order], np.arange(streams)),
-        np.bincount(sid, minlength=streams))
-    keep_mask = (rank >= warm_per_stream) & (rank < target)
-    sel = order[keep_mask]
-    out = {k: np.concatenate(v)[sel] for k, v in rec.items()}
+    out = {k: v[:, warm_per_stream:].ravel() for k, v in rec.items()}
     return out, clip_events, slot_draws
 
 
@@ -292,14 +278,14 @@ def run_simulation(policy: Policy, model: SystemModel, n_periods: int,
     """
     if n_periods < 1:
         raise ValueError("n_periods must be >= 1")
+    if warmup_periods < 0:
+        raise ValueError("warmup_periods must be >= 0")
     if policy.kind not in ("dp", "threshold"):
         raise ValueError("run_simulation needs a dp or threshold policy")
     reps = max(1, replications)
     quota = -(-n_periods // reps)
     keep_per_stream = -(-quota // streams)
-    warm_per_stream = 1 if warmup_periods else 0
-    if warmup_periods:
-        warm_per_stream = max(1, -(-warmup_periods // (reps * streams)))
+    warm_per_stream = -(-warmup_periods // (reps * streams))
     seeds = np.random.SeedSequence(seed).spawn(reps)
     chunks = []
     clip_events = 0

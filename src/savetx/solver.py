@@ -21,7 +21,7 @@ Two solution paths:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
@@ -50,14 +50,13 @@ __all__ = [
 
 @dataclass
 class SolverConfig:
-    """Numerical knobs for the solvers and their Monte Carlo evaluations."""
+    """Numerical knobs for the solvers and their Monte Carlo evaluations;
+    the battery grid is the model's."""
 
     value_iter_tol: float = 1e-10
     value_iter_max_sweeps: int = 200_000
     lambda_tol: float = 1e-9
     outer_max_iters: int = 100
-    b_max_units: int | None = None      # None: take from the model
-    delta: float | None = None
     common_bins: int = 64
     mc_periods: int = 200_000
     mc_warmup_periods: int = 1000
@@ -73,8 +72,9 @@ class SolverConfig:
         for name in ("value_iter_tol", "lambda_tol", "golden_tol"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be > 0")
-        if self.b_max_units is not None and self.b_max_units < 1:
-            raise ValueError("b_max_units must be >= 1")
+        for name in ("value_iter_max_sweeps", "outer_max_iters"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
         if self.grid_points < 2:
             raise ValueError("grid_points must be >= 2")
 
@@ -152,17 +152,15 @@ def dp_decide(table: ValueTable, state: SystemState) -> str:
 
 
 class _DPSpace:
-    """Grids, transition factors, and stop rewards for the DP."""
+    """Grids, transition factors, and stop rewards for the DP on the
+    model's battery grid."""
 
     def __init__(self, model: SystemModel, cfg: SolverConfig):
-        self.delta = cfg.delta if cfg.delta is not None else model.delta
-        self.bmax = (cfg.b_max_units if cfg.b_max_units is not None
-                     else model.b_max_units)
-        self.b_vals = np.arange(self.bmax + 1) * self.delta
+        self.delta = model.delta
+        self.b_vals = np.arange(model.b_max_units + 1) * self.delta
 
         self.eh_vals = np.asarray(model.eh.states)
         self.Pe = model.eh.transition
-        eh_units = np.round(self.eh_vals / self.delta).astype(int)
 
         self.h_vals, self.Ph = _private_chain(model.private, cfg.common_bins)
         self.hc_vals, self.hc_probs = _common_atoms(model.common,
@@ -176,8 +174,8 @@ class _DPSpace:
 
         # next battery index after harvesting in state e', from level b
         b_idx = np.arange(nb)
-        self.next_b = np.minimum(b_idx[:, None] + eh_units[None, :],
-                                 self.bmax)  # (nb, ne')
+        self.next_b = np.minimum(b_idx[:, None] + model.eh_units()[None, :],
+                                 model.b_max_units)  # (nb, ne')
 
         phi = np.array([0, 1])
         self.R = stop_rate(
@@ -388,7 +386,6 @@ def evaluate_threshold(model: SystemModel, gamma: float,
     if gamma < 0:
         raise ValueError("gamma must be >= 0")
     cfg = cfg or SolverConfig()
-    model = _with_cfg_battery(model, cfg)
     return run_simulation(
         Policy.threshold(gamma), model, cfg.mc_periods, cfg.mc_seed,
         warmup_periods=cfg.mc_warmup_periods,
@@ -436,12 +433,3 @@ def optimize_threshold(model: SystemModel, cfg: SolverConfig | None = None
     best = max([g_grid, g_golden], key=f)
     return ThresholdPolicy(gamma=float(best), lambda_star=f(best))
 
-
-def _with_cfg_battery(model: SystemModel, cfg: SolverConfig) -> SystemModel:
-    """Apply config overrides of the battery grid, if any."""
-    changes = {}
-    if cfg.b_max_units is not None and cfg.b_max_units != model.b_max_units:
-        changes["b_max_units"] = cfg.b_max_units
-    if cfg.delta is not None and cfg.delta != model.delta:
-        changes["delta"] = cfg.delta
-    return replace(model, **changes) if changes else model

@@ -32,9 +32,8 @@ def criterion(num, desc):
 
 
 def solver_cfg(**kw):
-    base = dict(b_max_units=10_000, delta=1.0, mc_periods=MC_PERIODS,
-                mc_warmup_periods=1000, mc_replications=16, mc_streams=512,
-                mc_seed=SEED)
+    base = dict(mc_periods=MC_PERIODS, mc_warmup_periods=1000,
+                mc_replications=16, mc_streams=512, mc_seed=SEED)
     base.update(kw)
     return sx.SolverConfig(**base)
 

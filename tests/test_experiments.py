@@ -8,6 +8,7 @@ import pytest
 
 import savetx as sx
 from savetx.errors import ConfigError, IoError
+from savetx.experiments import EXPERIMENTS, _meta_base
 from savetx.tables import emit_csv
 
 TINY_MC = {"periods": 1500, "slots": 8000, "warmup_periods": 50,
@@ -47,6 +48,32 @@ class TestValidateConfig:
         with pytest.raises(ConfigError, match="solver"):
             sx.validate_config({"experiment": "fig3",
                                 "solver": {"nope": 1}})
+
+    @pytest.mark.parametrize("key", ["b_max_units", "delta", "mc_periods",
+                                     "mc_seed", "slot_cap"])
+    def test_solver_accepts_only_settable_keys(self, key):
+        # the battery grid is set at top level, so the DP and the engine
+        # share it; Monte Carlo sizes are set in mc
+        raw = {"experiment": "fig3", "eh": {"preset": "c"}, "delta": 1.0,
+               "b_max_units": 20, "solver": {"common_bins": 8, key: 2}}
+        with pytest.raises(ConfigError, match=rf"^solver\.{key}: unknown key"):
+            sx.validate_config(raw)
+
+    @pytest.mark.parametrize("name", EXPERIMENTS)
+    def test_resolved_config_reloads(self, name):
+        for raw in ({"experiment": name},
+                    {"experiment": name, "solver": FAST_SOLVER,
+                     "mc": TINY_MC}):
+            cfg = sx.validate_config(raw)
+            meta = json.loads(json.dumps(_meta_base(cfg), default=float))
+            assert sx.validate_config(meta["resolved_config"]) == cfg
+
+    @pytest.mark.parametrize("key, value", [
+        ("streams", 0), ("replications", 0), ("periods", 1500.5),
+        ("warmup_periods", -1), ("slot_cap", 0), ("streams", True)])
+    def test_bad_mc_value(self, key, value):
+        with pytest.raises(ConfigError, match=rf"^mc\.{key}: must be an int"):
+            sx.validate_config({"experiment": "fig4", "mc": {key: value}})
 
     def test_bad_gain_kind(self):
         with pytest.raises(ConfigError, match="private.kind"):

@@ -118,6 +118,14 @@ class TestRunSimulation:
         assert met.mean_saving_time == 1.0
         assert met.periods == 500
 
+    @pytest.mark.parametrize("key, value", [("n_periods", 0),
+                                            ("warmup_periods", -1)])
+    def test_bad_sizes_rejected(self, key, value):
+        args = {"n_periods": 100, "warmup_periods": 0, key: value}
+        with pytest.raises(ValueError, match=key):
+            sx.run_simulation(sx.Policy.threshold(0.0), constant_world(),
+                              seed=1, **args)
+
     def test_short_run_se_unknown(self):
         # fewer than two records per batch: the SE is unknown, not zero
         met = sx.run_simulation(sx.Policy.threshold(2.0), iid_model(0.5), 30,

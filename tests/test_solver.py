@@ -251,8 +251,7 @@ class TestDpDecide:
 
 class TestEvaluateThreshold:
     def make_cfg(self, periods=20_000, seed=0):
-        return sx.SolverConfig(b_max_units=10_000, delta=1.0,
-                               mc_periods=periods, mc_warmup_periods=200,
+        return sx.SolverConfig(mc_periods=periods, mc_warmup_periods=200,
                                mc_replications=4, mc_streams=256,
                                mc_seed=seed)
 
@@ -289,16 +288,14 @@ class TestEvaluateThreshold:
 
 class TestOptimizeThreshold:
     def test_iid_low_access_optimum_near_calibrated_value(self):
-        cfg = sx.SolverConfig(b_max_units=10_000, delta=1.0,
-                              mc_periods=50_000, mc_warmup_periods=200,
+        cfg = sx.SolverConfig(mc_periods=50_000, mc_warmup_periods=200,
                               mc_replications=4, mc_streams=512, mc_seed=3)
         policy = sx.optimize_threshold(iid_model(0.0), cfg)
         assert 1.25 <= policy.gamma <= 1.75
         assert policy.lambda_star > 1.0
 
     def test_iid_high_access_optimum_near_two(self):
-        cfg = sx.SolverConfig(b_max_units=10_000, delta=1.0,
-                              mc_periods=50_000, mc_warmup_periods=200,
+        cfg = sx.SolverConfig(mc_periods=50_000, mc_warmup_periods=200,
                               mc_replications=4, mc_streams=512, mc_seed=3)
         policy = sx.optimize_threshold(iid_model(0.75), cfg)
         assert 1.75 <= policy.gamma <= 2.35
@@ -327,5 +324,9 @@ class TestSolverConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             sx.SolverConfig(lambda_tol=0.0)
-        with pytest.raises(ValueError):
-            sx.SolverConfig(b_max_units=0)
+
+    @pytest.mark.parametrize("name", ["value_iter_max_sweeps",
+                                      "outer_max_iters"])
+    def test_at_least_one_iteration(self, name):
+        with pytest.raises(ValueError, match=name):
+            sx.SolverConfig(**{name: 0})
