@@ -21,7 +21,6 @@ from .models import (
     GainDistribution,
     MarkovChainSpec,
     SystemModel,
-    SystemState,
     discretize_gain,
     make_eh_preset,
     stationary_distribution,
@@ -43,11 +42,9 @@ from .solver import (
     SolverConfig,
     ThresholdPolicy,
     ValueTable,
-    dp_decide,
     evaluate_threshold,
     optimize_threshold,
     solve_markov,
-    value_iteration,
 )
 from .experiments import (
     ExperimentConfig,
@@ -63,13 +60,13 @@ __all__ = [
     "NoBracket", "NoConvergence", "PeriodOverflow", "ConfigError", "IoError",
     # models
     "MarkovChainSpec", "GainDistribution", "AccessModel", "EHModelPreset",
-    "SystemModel", "SystemState", "stationary_distribution",
+    "SystemModel", "stationary_distribution",
     "make_eh_preset", "discretize_gain",
     # power
     "WaterLevel", "stop_rate", "conventional_power", "solve_water_level",
     # solver
-    "SolverConfig", "ValueTable", "ThresholdPolicy", "value_iteration",
-    "solve_markov", "dp_decide", "evaluate_threshold", "optimize_threshold",
+    "SolverConfig", "ValueTable", "ThresholdPolicy", "solve_markov",
+    "evaluate_threshold", "optimize_threshold",
     # simulate
     "Policy", "Metrics", "run_simulation", "run_best_effort",
     "run_conventional",

@@ -71,7 +71,7 @@ def _cmd_solve_markov(args) -> int:
         "p_s": p_s,
         "lambda_star": table.lambda_star,
         "outer_iters": table.outer_iters,
-        "states": int(table.values.size),
+        "states": int(table.rates.size),
         "stop_fraction": float(table.stop_table.mean()),
     }, args)
     return 0

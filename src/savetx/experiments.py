@@ -221,7 +221,7 @@ def validate_config(raw) -> ExperimentConfig:
     merged.update(data)
 
     seed = merged["seed"]
-    if not isinstance(seed, int) or seed < 0:
+    if type(seed) is not int or seed < 0:  # bool is an int too
         _fail("seed", "must be a nonnegative integer")
     delta = float(merged["delta"])
     if delta <= 0:
@@ -295,8 +295,8 @@ def validate_config(raw) -> ExperimentConfig:
                               mc_seed=seed,
                               slot_cap=mc["slot_cap"],
                               **merged["solver"])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"solver: {exc}") from exc
+    except ValueError as exc:  # its message starts with the field name
+        raise ConfigError(f"solver.{exc}") from exc
 
     cfg = ExperimentConfig(
         experiment=experiment, seed=seed, delta=delta,

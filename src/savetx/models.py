@@ -18,7 +18,6 @@ __all__ = [
     "GainDistribution",
     "AccessModel",
     "EHModelPreset",
-    "SystemState",
     "stationary_distribution",
     "make_eh_preset",
     "discretize_gain",
@@ -239,29 +238,6 @@ def discretize_gain(dist: GainDistribution, n_bins: int) -> GainDistribution:
     reps = m * ((a / m + 1) * ea - bt) / (ea - eb)
     probs = np.full(n_bins, 1.0 / n_bins)
     return GainDistribution.discrete(reps, probs)
-
-
-@dataclass(frozen=True)
-class SystemState:
-    """Everything the transmitter observes at the start of a slot.
-
-    ``phi``: common-channel indicator, ``b``: battery energy, ``e_prev``:
-    last slot's harvesting rate, ``h``/``h_common``: channel power gains.
-    """
-
-    phi: int
-    b: float
-    e_prev: float
-    h: float
-    h_common: float
-
-    def __post_init__(self):
-        if self.phi not in (0, 1):
-            raise ValueError("phi must be 0 or 1")
-        if self.b < 0 or self.e_prev < 0:
-            raise ValueError("energies must be >= 0")
-        if self.h < 0 or self.h_common < 0:
-            raise ValueError("gains must be >= 0")
 
 
 @dataclass(frozen=True)

@@ -179,7 +179,11 @@ def _run_block(policy: Policy, model: SystemModel, warm_per_stream: int,
     hc_grid = None
     if policy.kind == "dp":
         t = policy.table
-        stop_tab = t.rates >= t.continuation
+        # unlike t.stop_table this stops at an empty battery (0 >= gamma[0]
+        # = 0); masking it moved the markov benchmark's DP rows by a mean z
+        # of -1.76 at p_s 0.75 over seeds 1-20, a start-up transient that
+        # stationary period starts (ROADMAP item 4) would remove
+        stop_tab = t.rates >= t.gamma[None, :, :, :, None]
         private_grid = t.h_values
         hc_grid = t.hc_values
     private = _PrivateSampler(model, private_grid)

@@ -5,13 +5,14 @@ Two solution paths:
 * ``solve_markov`` handles Markov-modulated gains and harvesting.  It works
   on the discretized state space (access flag, battery level, previous
   harvest rate, private gain, common gain) and finds the throughput-optimal
-  stationary stop/continue rule by average-reward policy iteration.  The
-  access flag and the common gain are drawn fresh every slot, so a rule's
-  slot chain closes on (battery, harvest rate, private gain), where one
-  sparse solve evaluates it exactly; the chain carries the stop slot's
-  harvest and the gain chain's step into the next saving period.  For
-  i.i.d. dynamics that carry-over is irrelevant and the rule collapses to
-  the classic one-period comparison.
+  stationary stop/continue rule by average-reward policy iteration, started
+  from the rule that stops wherever the battery is charged.  The access
+  flag and the common gain are drawn fresh every slot, so a rule's slot
+  chain closes on (battery, harvest rate, private gain), where one sparse
+  solve evaluates it exactly; the chain carries the stop slot's harvest and
+  the gain chain's step into the next saving period.  The solved rule is a
+  threshold table on that carried state: stop iff the battery is charged
+  and the rate meets gamma(b, e, h).
 
 * ``optimize_threshold`` handles i.i.d. gains and harvesting, where the
   optimal rule is a fixed rate threshold.  It maximizes the simulated
@@ -21,6 +22,8 @@ Two solution paths:
 """
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +34,6 @@ from .errors import NoConvergence
 from .models import (
     GainDistribution,
     SystemModel,
-    SystemState,
     discretize_gain,
 )
 from .power import stop_rate
@@ -40,9 +42,7 @@ __all__ = [
     "SolverConfig",
     "ValueTable",
     "ThresholdPolicy",
-    "value_iteration",
     "solve_markov",
-    "dp_decide",
     "evaluate_threshold",
     "optimize_threshold",
 ]
@@ -53,8 +53,6 @@ class SolverConfig:
     """Numerical knobs for the solvers and their Monte Carlo evaluations;
     the battery grid is the model's."""
 
-    value_iter_tol: float = 1e-10
-    value_iter_max_sweeps: int = 200_000
     lambda_tol: float = 1e-9
     outer_max_iters: int = 100
     common_bins: int = 64
@@ -69,14 +67,18 @@ class SolverConfig:
     golden_tol: float = 5e-3
 
     def __post_init__(self):
-        for name in ("value_iter_tol", "lambda_tol", "golden_tol"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be > 0")
-        for name in ("value_iter_max_sweeps", "outer_max_iters"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
-        if self.grid_points < 2:
-            raise ValueError("grid_points must be >= 2")
+        # bool is an Integral and a Real too, so it is refused by name
+        for name, low in (("outer_max_iters", 1), ("common_bins", 2),
+                          ("grid_points", 2)):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, numbers.Integral) \
+                    or v < low:
+                raise ValueError(f"{name}: must be an integer >= {low}")
+        for name in ("lambda_tol", "golden_tol", "gamma_hi"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, numbers.Real) \
+                    or not 0 < v < math.inf:
+                raise ValueError(f"{name}: must be a finite number > 0")
 
 
 @dataclass(frozen=True)
@@ -93,58 +95,34 @@ class ThresholdPolicy:
 
 @dataclass
 class ValueTable:
-    """Solved (or trial) dynamic program on the discretized state space.
+    """Solved dynamic program on the discretized state space.
 
-    ``values[phi, b, e, h, hc]`` is the relative value of a state and
-    ``continuation`` the value of skipping the slot, normalized so that
-    ``values = max(rates, continuation) - lambda_star`` holds everywhere.
-    The induced rule stops exactly when ``rates >= continuation``.
+    ``rates[phi, b, e, h, hc]`` is the stop rate of each grid state.  The
+    rule is one threshold table on the carried state (battery, harvest
+    rate, private gain): stop iff the battery is charged and the rate meets
+    ``gamma[b, e, h] = Cg[b, e, h] - Cg[0, e, h]``, where ``Cg`` is the
+    expected relative value one slot ahead.  ``gamma[0]`` is 0.
     """
 
     lambda_star: float
     delta: float
-    b_values: np.ndarray
-    eh_values: np.ndarray
     h_values: np.ndarray
     hc_values: np.ndarray
     rates: np.ndarray
-    values: np.ndarray
-    continuation: np.ndarray
-    finalized: bool = False
-    sweeps: int = 0
+    gamma: np.ndarray
     outer_iters: int = 0
 
     @property
     def stop_table(self) -> np.ndarray:
-        """Stop wherever the rate meets the continuation (ties stop).
+        """Stop wherever the rate meets gamma (ties stop).
 
         An empty battery always continues: it has nothing to transmit, and
         under periodic restarts a zero-rate stop is value-identical to
         skipping, so the tie is resolved toward skipping.
         """
-        charged = self.b_values > 0
-        return (self.rates >= self.continuation) \
-            & charged[None, :, None, None, None]
-
-    def slack(self) -> np.ndarray:
-        """values - rates + lambda_star; nonnegative at a fixed point."""
-        return self.values - self.rates + self.lambda_star
-
-    def state_indices(self, state: SystemState) -> tuple[int, ...]:
-        """Map a (possibly off-grid) state to the nearest grid cell."""
-        bi = int(np.clip(round(state.b / self.delta), 0,
-                         len(self.b_values) - 1))
-        ei = int(np.argmin(np.abs(self.eh_values - state.e_prev)))
-        hi = int(np.argmin(np.abs(self.h_values - state.h)))
-        ci = int(np.argmin(np.abs(self.hc_values - state.h_common)))
-        return state.phi, bi, ei, hi, ci
-
-
-def dp_decide(table: ValueTable, state: SystemState) -> str:
-    """Stop/continue decision for one state; rate ties stop (except that an
-    empty battery always continues)."""
-    return "stop" if table.stop_table[table.state_indices(state)] \
-        else "continue"
+        stop = self.rates >= self.gamma[None, :, :, :, None]
+        stop[:, 0] = False
+        return stop
 
 
 # ---------------------------------------------------------------------------
@@ -198,18 +176,6 @@ class _DPSpace:
         gathered = vbar[self.next_b, np.arange(len(self.eh_vals))[None, :], :]
         return np.einsum("ef,bfg,hg->beh", self.Pe, gathered, self.Ph)
 
-    def continuation(self, V: np.ndarray) -> np.ndarray:
-        """E[V(next state) | current, skip] as a (nb, ne, nh) tensor."""
-        return self.propagate(self.average(V))
-
-    def sweep(self, V: np.ndarray, lam: float) -> np.ndarray:
-        """One Bellman sweep, V <- max(rates, E[V' | skip]) - lam."""
-        return np.maximum(self.R, self.broadcast(self.continuation(V))) - lam
-
-    def broadcast(self, C: np.ndarray) -> np.ndarray:
-        """Expand a (nb, ne, nh) continuation to the full state shape."""
-        return np.broadcast_to(C[None, :, :, :, None], self.shape).copy()
-
     def kernel(self, p_stop: np.ndarray) -> sparse.coo_array:
         """Slot-to-slot kernel on (b, e, h) of a rule that stops with
         probability ``p_stop``: a skip moves the battery to ``next_b[b, e']``,
@@ -258,33 +224,6 @@ def _common_atoms(dist: GainDistribution, bins: int):
 # Markov solver
 
 
-def value_iteration(model: SystemModel, lam: float,
-                    cfg: SolverConfig | None = None) -> ValueTable:
-    """Fixed point of V = max(rates, E[V' | skip]) - lam for a trial lam.
-
-    Returns an unfinalized table (lambda_star is just the trial value); the
-    induced rule stops wherever the immediate rate beats the continuation.
-    """
-    cfg = cfg or SolverConfig()
-    space = _DPSpace(model, cfg)
-    V = space.R - lam
-    for sweeps in range(1, cfg.value_iter_max_sweeps + 1):
-        Vp, V = V, space.sweep(V, lam)
-        change = np.abs(V - Vp).max()
-        if change < cfg.value_iter_tol:
-            break
-    else:
-        raise NoConvergence(
-            f"value iteration did not converge in "
-            f"{cfg.value_iter_max_sweeps} sweeps (last change {change:.2e})")
-    C = space.broadcast(space.continuation(V))
-    return ValueTable(
-        lambda_star=lam, delta=space.delta, b_values=space.b_vals,
-        eh_values=space.eh_vals, h_values=space.h_vals,
-        hc_values=space.hc_vals, rates=space.R, values=V, continuation=C,
-        finalized=False, sweeps=sweeps)
-
-
 def _gain_and_bias(space: _DPSpace, stop: np.ndarray):
     """Long-run throughput and relative values of a stationary rule.
 
@@ -315,38 +254,32 @@ def _gain_and_bias(space: _DPSpace, stop: np.ndarray):
 
 def solve_markov(model: SystemModel, cfg: SolverConfig | None = None
                  ) -> ValueTable:
-    """Throughput-optimal stationary stopping rule and its value table.
+    """Throughput-optimal stationary stopping rule and its threshold table.
 
-    Outer loop: evaluate the current rule's throughput and relative values
-    g on (b, e, h) exactly, then improve greedily against E[g' | skip]; the
-    stop side of the comparison credits the restart value of the state
-    components that survive the transmission slot.  Converges in finitely
-    many improvements.
+    Average-reward policy iteration, started from the rule that stops
+    wherever the battery is charged.  Each outer step evaluates the current
+    rule's throughput and relative values g on (b, e, h) exactly, then
+    improves greedily against Cg = E[g' | skip]; the stop side of the
+    comparison credits the restart value Cg[0] of the state components that
+    survive the transmission slot.  Converges in finitely many improvements.
     """
     cfg = cfg or SolverConfig()
     space = _DPSpace(model, cfg)
+    R = space.R
 
     charged = (space.b_vals > 0)[None, :, None, None, None]
-
-    # warm start: rule that is greedy for zero waiting cost
-    V = space.R
-    for _ in range(200):
-        Vp, V = V, space.sweep(V, 0.0)
-        if np.abs(V - Vp).max() < 1e-9:
-            break
-    stop = (space.R >= space.broadcast(space.continuation(V))) & charged
-
+    stop = np.broadcast_to(charged, space.shape).copy()
     lam, g = _gain_and_bias(space, stop)
     for it in range(1, cfg.outer_max_iters + 1):
         Cg = space.propagate(g)
-        q_cont = space.broadcast(Cg)
-        q_stop = space.R + space.broadcast(np.broadcast_to(Cg[0], Cg.shape))
+        q_cont = Cg[None, :, :, :, None]
+        q_stop = R + Cg[0][None, None, :, :, None]
         # stopping with an empty battery is value-neutral; keep it a skip
         new_stop = (q_stop >= q_cont - 1e-12) & charged
         changed = new_stop != stop
         if not changed.any():
             break
-        near_tie = np.abs(q_stop[changed] - q_cont[changed]).max() < 1e-9
+        near_tie = np.abs(q_stop - q_cont)[changed].max() < 1e-9
         stop = new_stop
         lam_new, g = _gain_and_bias(space, stop)
         settled = abs(lam_new - lam) < cfg.lambda_tol and near_tie
@@ -359,19 +292,15 @@ def solve_markov(model: SystemModel, cfg: SolverConfig | None = None
             "iterations")
 
     Cg = space.propagate(g)
-    continuation = space.broadcast(Cg - Cg[0])
-    table = ValueTable(
-        lambda_star=lam, delta=space.delta, b_values=space.b_vals,
-        eh_values=space.eh_vals, h_values=space.h_vals,
-        hc_values=space.hc_vals, rates=space.R,
-        values=np.where(stop, space.R, continuation) - lam,
-        continuation=continuation, finalized=True, outer_iters=it)
-    fixed_point_err = np.abs(
-        table.values - (np.maximum(table.rates, table.continuation) - lam)
-    ).max()
+    gamma = Cg - Cg[0]
+    cont = gamma[None, :, :, :, None]
+    fixed_point_err = np.abs(np.where(stop, R, cont) - np.maximum(R, cont)
+                             ).max()
     if fixed_point_err > 1e-7:
         raise NoConvergence(f"fixed-point residual {fixed_point_err:.2e}")
-    return table
+    return ValueTable(
+        lambda_star=lam, delta=space.delta, h_values=space.h_vals,
+        hc_values=space.hc_vals, rates=R, gamma=gamma, outer_iters=it)
 
 
 # ---------------------------------------------------------------------------

@@ -94,8 +94,8 @@ def split_rate(phi, h, hc, split: Split, base=2.0) -> float:
 #
 # One stream, scalar draws taken from ``rng`` in the engine's order (phi,
 # private gain, common gain, harvest), so a single-stream engine run matches
-# it draw for draw.  The DP rule is the raw ``rates >= continuation``
-# comparison at the state's nearest grid cell, as the engine applies it.
+# it draw for draw.  The DP rule is the raw ``rates >= gamma`` comparison
+# at the state's nearest grid cell, as the engine applies it.
 
 
 def advance_battery(b, e, b_max_units, delta) -> float:
@@ -103,6 +103,18 @@ def advance_battery(b, e, b_max_units, delta) -> float:
     if b < 0 or e < 0:
         raise ValueError("energies must be >= 0")
     return min(b + e, b_max_units * delta)
+
+
+@dataclass(frozen=True)
+class SystemState:
+    """What the transmitter observes at the start of a slot: access flag,
+    battery, last harvest rate, private and common gains."""
+
+    phi: int
+    b: float
+    e_prev: float
+    h: float
+    h_common: float
 
 
 @dataclass
@@ -119,7 +131,7 @@ class PeriodOutcome:
     """One completed save-then-transmit period."""
 
     saving_slots: int
-    stop_state: object
+    stop_state: SystemState
     rate_at_stop: float
     energy_spent: float
     harvested: float = 0.0
@@ -155,12 +167,16 @@ def fresh_carry(model, rng) -> SimCarry:
                     h_idx=h_idx)
 
 
-def _decide_stop(policy, state, rate) -> bool:
+def _decide_stop(policy, model, state: SystemState, rate) -> bool:
     if policy.kind == "threshold":
         return rate >= policy.gamma
     t = policy.table
-    idx = t.state_indices(state)
-    return bool(t.rates[idx] >= t.continuation[idx])
+    # nearest grid cell of each state component
+    b = int(np.clip(round(state.b / t.delta), 0, len(t.gamma) - 1))
+    e = int(np.argmin(np.abs(np.asarray(model.eh.states) - state.e_prev)))
+    h = int(np.argmin(np.abs(t.h_values - state.h)))
+    hc = int(np.argmin(np.abs(t.hc_values - state.h_common)))
+    return bool(t.rates[state.phi, b, e, h, hc] >= t.gamma[b, e, h])
 
 
 def run_period(policy, model, rng, carry: SimCarry | None = None,
@@ -192,10 +208,10 @@ def run_period(policy, model, rng, carry: SimCarry | None = None,
         else:
             h = _draw_gain(model.private, rng)
         hc = _draw_gain(model.common, rng)
-        state = sx.SystemState(phi=phi, b=b, e_prev=model.eh.states[e_idx],
-                               h=float(h), h_common=float(hc))
+        state = SystemState(phi=phi, b=b, e_prev=model.eh.states[e_idx],
+                            h=float(h), h_common=float(hc))
         rate = float(sx.stop_rate(b, h, hc, phi, model.log_base))
-        stop = _decide_stop(policy, state, rate)
+        stop = _decide_stop(policy, model, state, rate)
         e_idx = _draw_index(np.cumsum(model.eh.transition[e_idx]), rng)
         e_val = model.eh.states[e_idx]
         if stop:
@@ -366,6 +382,15 @@ class SmallConfig:
             access=sx.AccessModel(self.ps),
             eh=sx.MarkovChainSpec([float(u) for u in self.e_units], self.Pe),
             b_max_units=self.bmax, delta=self.delta)
+
+
+def fig3_oracle_config(p_s) -> SmallConfig:
+    """fig3's default model: private chain {0.1, 16}, constant common gain
+    32, one-unit battery refilled by one unit of 1e-3 every slot."""
+    return SmallConfig(
+        ps=p_s, bmax=1, e_units=[1], Pe=[[1.0]],
+        h_vals=[0.1, 16.0], Ph=[[0.0, 1.0], [0.5, 0.5]],
+        hc=32.0, delta=1e-3)
 
 
 def markov_workload_config(common_bins=8):

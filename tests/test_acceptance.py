@@ -11,8 +11,9 @@ import pytest
 
 import savetx as sx
 
-from oracles import enumerate_best_policy, fresh_carry, \
-    random_small_config, run_period, water_fill_two_channel
+from oracles import enumerate_best_policy, fig3_oracle_config, \
+    fresh_carry, policy_gains, random_small_config, run_period, \
+    water_fill_two_channel
 
 SEED = 20240501
 PS_GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
@@ -255,9 +256,16 @@ def test_criterion_09_invariant_suite(fig3_tables):
     with criterion(9, "value-table slack/monotonicity, battery and energy "
                       "ledgers, immediate stop at zero threshold, and "
                       "bitwise reproducibility"):
-        for table in fig3_tables.values():
-            assert (table.slack() >= -1e-9).all()
-            assert (np.diff(table.values, axis=1) >= -1e-9).all()
+        for p, table in fig3_tables.items():
+            # the value of a state is max(rates, gamma) - lambda_star; its
+            # slack over the stop value is >= 0 by construction, so the
+            # stored rule must be worth lambda_star on an independent chain
+            gain, = policy_gains(fig3_oracle_config(p),
+                                 table.stop_table.reshape(1, -1))
+            assert abs(gain - table.lambda_star) <= 1e-9
+            values = np.maximum(table.rates,
+                                table.gamma[None, :, :, :, None])
+            assert (np.diff(values, axis=1) >= -1e-9).all()
 
         model = sx.SystemModel(
             private=sx.GainDistribution.exponential(1.0),

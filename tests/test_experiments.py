@@ -40,6 +40,10 @@ class TestValidateConfig:
         with pytest.raises(ConfigError, match="seed"):
             sx.validate_config({"experiment": "fig3", "seed": -1})
 
+    def test_bool_seed(self):
+        with pytest.raises(ConfigError, match="^seed: "):
+            sx.validate_config({"experiment": "fig3", "seed": True})
+
     def test_unknown_top_key(self):
         with pytest.raises(ConfigError, match="bogus"):
             sx.validate_config({"experiment": "fig3", "bogus": 1})
@@ -50,7 +54,8 @@ class TestValidateConfig:
                                 "solver": {"nope": 1}})
 
     @pytest.mark.parametrize("key", ["b_max_units", "delta", "mc_periods",
-                                     "mc_seed", "slot_cap"])
+                                     "mc_seed", "slot_cap", "value_iter_tol",
+                                     "value_iter_max_sweeps"])
     def test_solver_accepts_only_settable_keys(self, key):
         # the battery grid is set at top level, so the DP and the engine
         # share it; Monte Carlo sizes are set in mc
@@ -74,6 +79,20 @@ class TestValidateConfig:
     def test_bad_mc_value(self, key, value):
         with pytest.raises(ConfigError, match=rf"^mc\.{key}: must be an int"):
             sx.validate_config({"experiment": "fig4", "mc": {key: value}})
+
+    @pytest.mark.parametrize("experiment, key, value", [
+        ("fig8", "grid_points", 5.5), ("fig8", "grid_points", 1),
+        ("fig3", "common_bins", 1), ("fig3", "common_bins", 8.0),
+        ("fig3", "outer_max_iters", 0), ("fig3", "outer_max_iters", True),
+        ("fig3", "lambda_tol", 0.0), ("fig8", "golden_tol", float("nan")),
+        ("fig8", "gamma_hi", -1.0), ("fig8", "gamma_hi", float("inf")),
+        ("fig8", "gamma_hi", "4"), ("fig8", "golden_tol", False)])
+    def test_bad_solver_value(self, experiment, key, value):
+        # fig3 with an exponential common gain is the one that bins it
+        raw = {"experiment": experiment, "solver": {key: value},
+               "common": {"kind": "exponential", "mean": 1.0}}
+        with pytest.raises(ConfigError, match=rf"^solver\.{key}: must be"):
+            sx.validate_config(raw)
 
     def test_bad_gain_kind(self):
         with pytest.raises(ConfigError, match="private.kind"):
@@ -215,6 +234,10 @@ class TestCli:
         assert r.returncode == 0
         out = json.loads(r.stdout)
         assert out["lambda_star"] == pytest.approx(0.0153150, abs=1e-6)
+        # 2 access flags x 2 battery levels x 2 private gains
+        assert out["states"] == 8
+        # at p_s 0 the rule stops wherever the battery is charged
+        assert out["stop_fraction"] == 0.5
 
     def test_experiment_subcommand(self, tmp_path):
         cfg = tmp_path / "c.json"

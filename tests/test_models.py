@@ -262,12 +262,6 @@ class TestDiscretizeGain:
 
 
 class TestSystemTypes:
-    def test_state_validation(self):
-        with pytest.raises(ValueError):
-            sx.SystemState(phi=2, b=0.0, e_prev=0.0, h=1.0, h_common=1.0)
-        with pytest.raises(ValueError):
-            sx.SystemState(phi=0, b=-1.0, e_prev=0.0, h=1.0, h_common=1.0)
-
     def test_common_must_be_iid(self):
         with pytest.raises(ValueError, match="i.i.d."):
             sx.SystemModel(

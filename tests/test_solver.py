@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -6,8 +8,8 @@ from savetx.errors import NoConvergence, PeriodOverflow
 from savetx.solver import _DPSpace, _gain_and_bias
 
 from oracles import SmallConfig, enumerate_best_policy, \
-    exact_threshold_metrics, markov_workload_config, policy_gains, \
-    random_small_config
+    exact_threshold_metrics, fig3_oracle_config, markov_workload_config, \
+    policy_gains, random_small_config
 
 
 def fig3_model(p_s):
@@ -28,43 +30,14 @@ def degenerate_model(delta=1e-3):
         b_max_units=1, delta=delta)
 
 
-def fig3_oracle_config(p_s):
-    return SmallConfig(
-        ps=p_s, bmax=1, e_units=[1], Pe=[[1.0]],
-        h_vals=[0.1, 16.0], Ph=[[0.0, 1.0], [0.5, 0.5]],
-        hc=32.0, delta=1e-3)
-
-
-class TestValueIteration:
-    def test_degenerate_fixed_point(self):
-        model = degenerate_model()
-        lam = float(np.log2(1 + 1e-3))
-        table = sx.value_iteration(model, lam)
-        full = sx.SystemState(phi=0, b=1e-3, e_prev=1e-3, h=1.0,
-                              h_common=1.0)
-        idx = table.state_indices(full)
-        assert table.values[idx] == pytest.approx(0.0, abs=1e-9)
-        assert sx.dp_decide(table, full) == "stop"
-
-    def test_zero_cost_dominates_rates(self):
-        model = fig3_model(0.5)
-        table = sx.value_iteration(model, 0.0)
-        assert (table.values >= table.rates - 1e-9).all()
-        best = np.unravel_index(np.argmax(table.rates), table.rates.shape)
-        assert bool(table.stop_table[best])
-
-    def test_slack_nonnegative_at_trial_lambda(self):
-        model = fig3_model(0.5)
-        table = sx.value_iteration(model, 0.0153)
-        assert (table.slack() >= -1e-9).all()
-
-    def test_no_convergence(self):
-        cfg = sx.SolverConfig(value_iter_max_sweeps=1, value_iter_tol=1e-14)
-        with pytest.raises(NoConvergence):
-            sx.value_iteration(fig3_model(0.5), 0.01, cfg)
-
-
 class TestSolveMarkov:
+    def test_degenerate_fixed_point(self):
+        table = sx.solve_markov(degenerate_model())
+        full = (0, 1, 0, 0, 0)  # (phi, b, e, h, hc): the one charged cell
+        assert table.stop_table[full]
+        assert table.rates[full] - table.lambda_star == \
+            pytest.approx(0.0, abs=1e-9)
+
     def test_degenerate_lambda(self):
         table = sx.solve_markov(degenerate_model())
         expect = float(np.log2(1 + 1e-3))
@@ -138,11 +111,26 @@ class TestSolveMarkov:
         cfg = markov_workload_config(common_bins=16)
         table = sx.solve_markov(cfg.build_model(0.75), cfg.solver)
         assert table.rates.size == 2 * 21 * 2 * 4 * 16
-        assert (table.slack() >= -1e-9).all()
+        space = _DPSpace(cfg.build_model(0.75), cfg.solver)
+        lam, _ = _gain_and_bias(space, table.stop_table)
+        assert abs(lam - table.lambda_star) <= 1e-9
         coarse = markov_workload_config(common_bins=8)
         lam8 = sx.solve_markov(coarse.build_model(0.75),
                                coarse.solver).lambda_star
         assert table.lambda_star == pytest.approx(lam8, rel=1e-2)
+
+    @pytest.mark.parametrize("p_s, expect", [(0.25, 1.2881497166934794),
+                                             (0.75, 1.4845204029145533)])
+    def test_markov_workload_lambda_pinned(self, p_s, expect):
+        cfg = markov_workload_config()
+        table = sx.solve_markov(cfg.build_model(p_s), cfg.solver)
+        assert table.lambda_star == pytest.approx(expect, rel=1e-9, abs=0)
+
+    def test_no_convergence(self):
+        cfg = markov_workload_config()
+        with pytest.raises(NoConvergence, match="did not settle"):
+            sx.solve_markov(cfg.build_model(0.75),
+                            replace(cfg.solver, outer_max_iters=2))
 
 
 class TestGainAndBias:
@@ -179,34 +167,42 @@ def table():
 
 
 class TestValueTableInvariants:
+    """The solved fig3 table at p_s 0.5, read through its threshold table:
+    the value of a state is max(rates, gamma) - lambda_star."""
 
     def test_fixed_point_identity(self, table):
-        recon = np.maximum(table.rates, table.continuation) \
-            - table.lambda_star
-        assert np.abs(table.values - recon).max() < 1e-9
+        cont = table.gamma[None, :, :, :, None]
+        chosen = np.where(table.stop_table, table.rates, cont)
+        assert np.abs(chosen - np.maximum(table.rates, cont)).max() < 1e-9
 
     def test_slack_nonnegative(self, table):
-        assert (table.slack() >= -1e-9).all()
+        # the slack max(rates, gamma) - rates is >= 0 by construction, so
+        # what is left to check is that the stored rule is worth
+        # lambda_star, evaluated on the enumeration oracle's dense chain
+        gain, = policy_gains(fig3_oracle_config(0.5),
+                             table.stop_table.reshape(1, -1))
+        assert abs(gain - table.lambda_star) <= 1e-9
 
     def test_values_monotone_in_battery(self, table):
-        assert (np.diff(table.values, axis=1) >= -1e-9).all()
+        values = np.maximum(table.rates, table.gamma[None, :, :, :, None])
+        assert (np.diff(values, axis=1) >= -1e-9).all()
 
     def test_decision_argmax_consistent(self, table):
-        # the rule is the rate/continuation comparison wherever there is
-        # energy to send; an empty battery always waits
+        # the rule is the rate/gamma comparison wherever there is energy to
+        # send; an empty battery always waits
         stop = table.stop_table
-        cmp = table.rates >= table.continuation
-        charged = table.b_values > 0
-        assert (stop == (cmp & charged[None, :, None, None, None])).all()
+        cmp = table.rates >= table.gamma[None, :, :, :, None]
+        assert (stop[:, 1:] == cmp[:, 1:]).all()
         assert not stop[:, 0].any()
 
     def test_decisions_scale_invariant(self, table):
-        charged = (table.b_values > 0)[None, :, None, None, None]
-        scaled = (table.rates * 3.0 >= table.continuation * 3.0) & charged
-        assert (scaled == table.stop_table).all()
+        scaled = table.rates * 3.0 >= table.gamma[None, :, :, :, None] * 3.0
+        assert (scaled[:, 1:] == table.stop_table[:, 1:]).all()
 
 
 class TestDpDecide:
+    """The rule read off ``stop_table`` at (phi, b, e, h, hc) grid cells."""
+
     def test_empty_battery_continues(self):
         model = sx.SystemModel(
             private=sx.GainDistribution.markov(
@@ -216,23 +212,18 @@ class TestDpDecide:
             access=sx.AccessModel(0.5),
             eh=sx.MarkovChainSpec([0.0, 1e-3], [[0.5, 0.5], [0.5, 0.5]]),
             b_max_units=3, delta=1e-3)
-        st0 = sx.SystemState(phi=0, b=0.0, e_prev=1e-3, h=16.0,
-                             h_common=32.0)
-        # a trial table at zero waiting cost has strictly positive
-        # continuation at the empty battery; the solved table resolves the
-        # value tie there toward skipping
-        trial = sx.value_iteration(model, 0.0)
-        idx = trial.state_indices(st0)
-        assert trial.continuation[idx] > 0
-        assert sx.dp_decide(trial, st0) == "continue"
         table = sx.solve_markov(model)
-        assert sx.dp_decide(table, st0) == "continue"
+        # rate 0 meets gamma[0] = 0, and the table resolves that value tie
+        # toward skipping
+        assert table.gamma[0, 1, 1] == 0.0
+        assert not table.stop_table[0, 0, 1, 1, 0]
+        assert not table.stop_table[:, 0].any()
 
     def test_peak_rate_state_stops(self):
         table = sx.solve_markov(fig3_model(0.5))
-        st1 = sx.SystemState(phi=1, b=1e-3, e_prev=1e-3, h=16.0,
-                             h_common=32.0)
-        assert sx.dp_decide(table, st1) == "stop"
+        # access, one unit of energy, private gain 16, common gain 32
+        assert table.stop_table[1, 1, 0, 1, 0]
+        assert table.rates[1, 1, 0, 1, 0] == table.rates.max()
 
     def test_matches_enumerated_policy(self):
         # spot-check the rule at the weak-gain state against the best
@@ -241,10 +232,9 @@ class TestDpDecide:
         oracle = fig3_oracle_config(p_s)
         best, mask = enumerate_best_policy(oracle)
         table = sx.solve_markov(fig3_model(p_s))
-        st_bad = sx.SystemState(phi=0, b=1e-3, e_prev=1e-3, h=0.1,
-                                h_common=32.0)
+        # no access, one unit of energy, private gain 0.1
         oracle_stops = bool(mask[oracle.index(0, 1, 0, 0)])
-        assert (sx.dp_decide(table, st_bad) == "stop") == oracle_stops
+        assert bool(table.stop_table[0, 1, 0, 0, 0]) == oracle_stops
         # the rule's throughput also matches the enumerated optimum
         assert table.lambda_star == pytest.approx(best, abs=1e-6)
 
@@ -325,8 +315,7 @@ class TestSolverConfig:
         with pytest.raises(ValueError):
             sx.SolverConfig(lambda_tol=0.0)
 
-    @pytest.mark.parametrize("name", ["value_iter_max_sweeps",
-                                      "outer_max_iters"])
+    @pytest.mark.parametrize("name", ["outer_max_iters"])
     def test_at_least_one_iteration(self, name):
         with pytest.raises(ValueError, match=name):
             sx.SolverConfig(**{name: 0})
