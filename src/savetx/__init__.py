@@ -45,6 +45,7 @@ from .solver import (
     evaluate_threshold,
     optimize_threshold,
     solve_markov,
+    threshold_metrics,
 )
 from .experiments import (
     ExperimentConfig,
@@ -66,7 +67,7 @@ __all__ = [
     "WaterLevel", "stop_rate", "conventional_power", "solve_water_level",
     # solver
     "SolverConfig", "ValueTable", "ThresholdPolicy", "solve_markov",
-    "evaluate_threshold", "optimize_threshold",
+    "threshold_metrics", "evaluate_threshold", "optimize_threshold",
     # simulate
     "Policy", "Metrics", "run_simulation", "run_best_effort",
     "run_conventional",

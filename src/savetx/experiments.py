@@ -8,6 +8,7 @@ config and provenance.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
@@ -27,7 +28,7 @@ from .power import solve_water_level
 from .simulate import Policy, run_best_effort, run_conventional, \
     run_simulation
 from .solver import SolverConfig, evaluate_threshold, optimize_threshold, \
-    solve_markov
+    solve_markov, threshold_metrics
 from .tables import emit_csv
 
 __all__ = ["ExperimentConfig", "validate_config", "run_experiment",
@@ -242,19 +243,24 @@ def validate_config(raw) -> ExperimentConfig:
         if not 0.0 <= v <= 1.0:
             _fail("p_s_grid", f"p_s out of [0,1]: {v}")
 
-    gamma_grid = [float(g) for g in merged["gamma_grid"]]
+    try:
+        gamma_grid = [float(g) for g in merged["gamma_grid"]]
+    except (TypeError, ValueError):
+        _fail("gamma_grid", "thresholds must be numbers")
+    if not all(0.0 <= g < math.inf for g in gamma_grid):
+        _fail("gamma_grid", "thresholds must be finite and >= 0")
     if sorted(gamma_grid) != gamma_grid:
         _fail("gamma_grid", "must be sorted")
-    if any(g < 0 for g in gamma_grid):
-        _fail("gamma_grid", "thresholds must be >= 0")
     if experiment in ("fig4", "fig6", "fig7", "custom") and not gamma_grid:
         _fail("gamma_grid", "must be nonempty for this experiment")
 
     modes = list(merged["gamma_modes"])
     for m in modes:
-        if m != "optimal" and not isinstance(m, (int, float)):
-            _fail("gamma_modes", f"entries must be numbers or 'optimal', "
-                                 f"got {m!r}")
+        if m != "optimal" and (isinstance(m, bool)
+                               or not isinstance(m, (int, float))
+                               or not 0.0 <= m < math.inf):
+            _fail("gamma_modes", f"entries must be finite numbers >= 0 or "
+                                 f"'optimal', got {m!r}")
 
     p_bar = float(merged["p_bar"])
     if p_bar <= 0:
@@ -328,8 +334,9 @@ def _meta_base(cfg: ExperimentConfig) -> dict:
         "seed": cfg.seed,
         "resolved_config": resolved,
         "labels": {"slot_ms": cfg.slot_ms, "delta": cfg.delta},
-        "notes": ("thresholds share one seed across evaluations "
-                  "(common random numbers)"),
+        "notes": ("Monte Carlo rows share one seed across thresholds "
+                  "(common random numbers); threshold searches and the "
+                  "exact stats use no random numbers"),
     }
 
 
@@ -387,6 +394,19 @@ def _run_fig4(cfg: ExperimentConfig):
     return rows, {}
 
 
+def _record_optimum(model: SystemModel, cfg: ExperimentConfig,
+                    stats: dict) -> float:
+    """Search the best threshold of one ``p_s``; record it with its exact
+    throughput and mean saving time, and return it."""
+    gamma = optimize_threshold(model, cfg.solver).gamma
+    lam, mean_T = threshold_metrics(model, gamma)
+    key = str(model.access.p_s)
+    for name, value in (("gamma_star", gamma), ("lambda_exact", lam),
+                        ("mean_T_exact", mean_T)):
+        stats.setdefault(name, {})[key] = value
+    return gamma
+
+
 def _run_fig6(cfg: ExperimentConfig):
     rows = []
     stats = {"gamma_star": {}}
@@ -394,9 +414,7 @@ def _run_fig6(cfg: ExperimentConfig):
         model = cfg.build_model(p_s)
         for mode in cfg.gamma_modes:
             if mode == "optimal":
-                policy = optimize_threshold(model, cfg.solver)
-                gamma = policy.gamma
-                stats["gamma_star"][str(p_s)] = gamma
+                gamma = _record_optimum(model, cfg, stats)
             else:
                 gamma = float(mode)
             m = evaluate_threshold(model, gamma, cfg.solver)
@@ -421,9 +439,8 @@ def _run_fig8(cfg: ExperimentConfig):
     stats = {"gamma_star": {}, "water_level": {}}
     for p_s in cfg.p_s_grid:
         model = cfg.build_model(p_s)
-        policy = optimize_threshold(model, cfg.solver)
-        stats["gamma_star"][str(p_s)] = policy.gamma
-        m_opp = evaluate_threshold(model, policy.gamma, cfg.solver)
+        gamma = _record_optimum(model, cfg, stats)
+        m_opp = evaluate_threshold(model, gamma, cfg.solver)
         rows.append((p_s, "opportunistic", m_opp.throughput,
                      m_opp.se_throughput))
         _supply_rows(cfg, model, rows, stats)

@@ -13,6 +13,7 @@ only in how a slot's energy is spent.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,8 +51,9 @@ class Policy:
     @classmethod
     def threshold(cls, gamma) -> "Policy":
         gamma = getattr(gamma, "gamma", gamma)
-        if gamma < 0:
-            raise ValueError("gamma must be >= 0")
+        if not 0.0 <= gamma < math.inf:  # NaN fails both comparisons
+            raise ValueError(f"gamma must be a finite number >= 0, got "
+                             f"{gamma}")
         return cls(kind="threshold", gamma=float(gamma))
 
 

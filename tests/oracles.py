@@ -239,17 +239,78 @@ def _rate_vec(b, h, hc):
     return np.where(interior, r_int, r_one)
 
 
+def _tail_log(u, s):
+    """int_u^inf e^-h ln(h + s) dh = e^-u ln(u + s) + e^s E1(u + s)."""
+    from scipy.special import exp1
+
+    return np.exp(-u) * np.log(u + s) + np.exp(s) * exp1(u + s)
+
+
+def _tail_rate_bits(b, hc, hstar):
+    """int_hstar^inf e^-h R(b, h, hc) dh in bits, with access, piece by
+    piece: R is log2(1 + hc b) up to ha = 1 / (b + 1/hc), then
+    log2(hc / 4) + 2 log2(b + 1/hc) - log2(h) + 2 log2(h + ha), then
+    log2(1 + h b) from hb = 1 / (1/hc - b) (never when hc b >= 1)."""
+    ha = 1.0 / (b + 1.0 / hc)
+    lo = np.maximum(hstar, ha)
+    with np.errstate(divide="ignore"):
+        hb = np.where(hc * b < 1.0, 1.0 / (1.0 / hc - b), np.inf)
+    hb = np.maximum(hb, lo)
+    fin = np.isfinite(hb)
+    hbf = np.where(fin, hb, lo)
+    const = np.log(hc / 4.0) + 2.0 * np.log(b + 1.0 / hc)
+    common = np.log1p(hc * b) * (np.exp(-hstar) - np.exp(-lo))
+    both = (const * np.exp(-lo) - _tail_log(lo, 0.0) + 2.0 * _tail_log(lo, ha)
+            - np.where(fin, const * np.exp(-hbf) - _tail_log(hbf, 0.0)
+                       + 2.0 * _tail_log(hbf, ha), 0.0))
+    private = np.where(fin, np.log(b) * np.exp(-hbf)
+                       + _tail_log(hbf, 1.0 / b), 0.0)
+    return (common + both + private) / np.log(2.0)
+
+
 def _q_rho1(b, gamma, ps):
-    """(P(R >= gamma), E[R 1{R >= gamma}]) given battery b, gains exp(1)."""
+    """(P(R >= gamma), E[R 1{R >= gamma}]) given battery b, gains exp(1).
+
+    The private gain is integrated in closed form above the gain where the
+    rate reaches gamma (found by bisection).  With access, the common gain
+    hc is integrated piecewise, with 48-point Gauss-Legendre rules between
+    the points where the integrand is not smooth: c1 = c0 / 2^gamma (the
+    threshold gain starts to fall), c0 = (2^gamma - 1) / b (it falls like
+    sqrt(c0 - hc) and jumps to 0), 1/b (the private-only regime ends) and
+    e + 1 for e = max(c0, 1/b) (in log hc from e, as hc -> 0 is singular);
+    [c1, c0] is taken in s with hc = c0 - (c0 - c1) s^2, and the tail past
+    e + 1 by the 128-point Gauss-Laguerre rule.
+    """
     if b <= 0:
         return (1.0, 0.0) if gamma <= 0 else (0.0, 0.0)
     c = 2.0 ** gamma - 1.0
     hs0 = c / b
     q0 = np.exp(-hs0)
-    r0 = q0 * np.sum(GL_W * np.log2(1 + (hs0 + GL_X) * b))
+    r0 = (np.log(b) * q0 + _tail_log(hs0, 1.0 / b)) / np.log(2.0)
     if ps == 0.0:
         return float(q0), float(r0)
-    hc = GL_X
+    c0 = c / b
+    c1 = c0 / 2.0 ** gamma
+    e = max(c0, 1.0 / b)
+    s_e = np.sqrt(min(max((c0 - 1.0 / b) / (c0 - c1), 0.0), 1.0)) \
+        if c0 > c1 else 0.0
+    x, w = np.polynomial.legendre.leggauss(48)
+    x, w = 0.5 * (x + 1.0), 0.5 * w
+    nodes, weights = [], []
+    for lo, hi, kind in ((0.0, c1, "c"), (0.0, s_e, "s"), (s_e, 1.0, "s"),
+                         (c0, e, "c"), (0.0, 1.0, "log")):
+        if hi <= lo or (kind == "s" and c0 <= c1):
+            continue  # an empty piece: gamma = 0 has c0 = c1 = 0
+        u, wu = lo + (hi - lo) * x, (hi - lo) * w
+        if kind == "s":
+            u, wu = c0 - (c0 - c1) * u * u, 2.0 * (c0 - c1) * u * wu
+        elif kind == "log":
+            u = e * ((e + 1.0) / e) ** u
+            wu = u * np.log((e + 1.0) / e) * wu
+        nodes.append(u)
+        weights.append(wu * np.exp(-u))
+    hc = np.concatenate(nodes + [e + 1.0 + GL_X])
+    wc = np.concatenate(weights + [GL_W * np.exp(-(e + 1.0))])
     if gamma <= 0:
         hstar = np.zeros_like(hc)
     else:
@@ -265,11 +326,10 @@ def _q_rho1(b, gamma, ps):
             ok = _rate_vec(b, mid, hc) >= gamma
             hi = np.where(ok, mid, hi)
             lo = np.where(ok, lo, mid)
-        hstar = hi
-    q1 = np.sum(GL_W * np.exp(-hstar))
-    rates = _rate_vec(b, hstar[None, :] + GL_X[:, None], hc[None, :])
-    inner = np.exp(-hstar) * (GL_W @ rates)
-    r1 = np.sum(GL_W * inner)
+        # past c0 the common gain alone reaches gamma
+        hstar = np.where(hc >= c0, 0.0, hi)
+    q1 = np.sum(wc * np.exp(-hstar))
+    r1 = np.sum(wc * _tail_rate_bits(b, hc, hstar))
     return float((1 - ps) * q0 + ps * q1), float((1 - ps) * r0 + ps * r1)
 
 

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import subprocess
 import sys
 
@@ -93,6 +94,21 @@ class TestValidateConfig:
                "common": {"kind": "exponential", "mean": 1.0}}
         with pytest.raises(ConfigError, match=rf"^solver\.{key}: must be"):
             sx.validate_config(raw)
+
+    @pytest.mark.parametrize("key, value", [
+        ("gamma_grid", [0.0, float("nan")]), ("gamma_grid", [0.0, math.inf]),
+        ("gamma_grid", [-1.0, 0.0]), ("gamma_grid", ["x"]),
+        ("gamma_modes", [float("nan"), "optimal"]),
+        ("gamma_modes", [-1.0, "optimal"]), ("gamma_modes", [math.inf]),
+        ("gamma_modes", [True])])
+    def test_bad_threshold(self, key, value):
+        with pytest.raises(ConfigError, match=rf"^{key}: "):
+            sx.validate_config({"experiment": "fig6", key: value})
+
+    def test_non_finite_threshold_in_json_text(self):
+        with pytest.raises(ConfigError, match="^gamma_grid: "):
+            sx.validate_config(
+                '{"experiment": "fig4", "gamma_grid": [0, Infinity]}')
 
     def test_bad_gain_kind(self):
         with pytest.raises(ConfigError, match="private.kind"):
@@ -200,6 +216,7 @@ class TestRunExperiment:
         assert [r["gamma_mode"] for r in rows] == ["1.5", "2", "optimal"]
         meta = json.loads(open(res["meta"]).read())
         assert "0.5" in meta["stats"]["gamma_star"]
+        assert_exact_stats(cfg, meta["stats"])
 
     def test_fig7_models(self, tmp_path):
         cfg = sx.validate_config({
@@ -219,6 +236,18 @@ class TestRunExperiment:
             rows = list(csv.DictReader(fh))
         by = {r["scheme"]: float(r["throughput"]) for r in rows}
         assert by["conventional"] >= max(by.values()) - 1e-12
+        assert_exact_stats(cfg, json.loads(open(res["meta"]).read())["stats"])
+
+
+def assert_exact_stats(cfg, stats):
+    """The sidecar holds the exact throughput and mean saving time at each
+    p_s's searched threshold."""
+    for p_s in cfg.p_s_grid:
+        k = str(p_s)
+        lam, mean_T = sx.threshold_metrics(cfg.build_model(p_s),
+                                           stats["gamma_star"][k])
+        assert stats["lambda_exact"][k] == lam
+        assert stats["mean_T_exact"][k] == mean_T
 
 
 def run_cli(*args):

@@ -107,6 +107,14 @@ class TestRunPeriod:
             run_period(sx.Policy.threshold(10.0), model, rng, slot_cap=50)
 
 
+class TestPolicy:
+    @pytest.mark.parametrize("gamma", [float("nan"), float("inf"), -1.0])
+    def test_bad_threshold_rejected(self, gamma):
+        # a NaN threshold never stops, so it would run to the slot cap
+        with pytest.raises(ValueError, match="finite"):
+            sx.Policy.threshold(gamma)
+
+
 class TestRunSimulation:
     def test_constant_world_exact(self):
         model = constant_world()

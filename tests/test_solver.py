@@ -1,11 +1,16 @@
+import json
+import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import savetx as sx
+import savetx.simulate
 from savetx.errors import NoConvergence, PeriodOverflow
-from savetx.solver import _DPSpace, _gain_and_bias
+from savetx.solver import _DPSpace, _gain_and_bias, _stop_moments, \
+    _threshold_chain, _threshold_gain
 
 from oracles import SmallConfig, enumerate_best_policy, \
     exact_threshold_metrics, fig3_oracle_config, markov_workload_config, \
@@ -18,6 +23,11 @@ def fig3_model(p_s):
 
 def iid_model(p_s):
     return sx.validate_config({"experiment": "fig4"}).build_model(p_s)
+
+
+def fig7_model(preset):
+    return sx.validate_config(
+        {"experiment": "fig7", "eh": {"preset": preset}}).build_model(0.5)
 
 
 def degenerate_model(delta=1e-3):
@@ -276,6 +286,210 @@ class TestEvaluateThreshold:
             sx.evaluate_threshold(iid_model(0.5), -1.0)
 
 
+def with_iid_private(config: SmallConfig, rng) -> SmallConfig:
+    """``config`` with an i.i.d. private gain: every row of its private
+    chain becomes one random distribution."""
+    config.Ph = np.tile(rng.dirichlet(np.ones(config.nh)), (config.nh, 1))
+    return config
+
+
+def iid_model_of(config: SmallConfig):
+    """The same environment with a discrete i.i.d. private gain."""
+    return sx.SystemModel(
+        private=sx.GainDistribution.discrete(config.h_vals, config.Ph[0]),
+        common=sx.GainDistribution.constant(config.hc),
+        access=sx.AccessModel(config.ps),
+        eh=sx.MarkovChainSpec([float(u) for u in config.e_units],
+                              config.Pe),
+        b_max_units=config.bmax, delta=config.delta)
+
+
+class TestThresholdMetrics:
+    @pytest.mark.parametrize("p_s", [0.0, 0.5])
+    def test_matches_renewal_oracle(self, p_s):
+        # at gamma = 0 the oracle stops on an empty battery and the
+        # evaluator does not, which moves the mean saving time only
+        model = iid_model(p_s)
+        for gamma in np.linspace(0.0, 4.0, 21):
+            lam, mean_T = sx.threshold_metrics(model, gamma)
+            lam_o, mean_T_o = exact_threshold_metrics(gamma, p_s)
+            assert abs(lam - lam_o) <= 1e-9
+            if gamma > 0:
+                assert mean_T == pytest.approx(mean_T_o, rel=1e-9, abs=0)
+
+    def test_matches_enumerated_chain(self):
+        """Discrete i.i.d. private gains, a constant common gain and a
+        Markov harvest chain, against the dense slot chain of the mask
+        'rates >= gamma and b > 0', with gamma between distinct rates."""
+        rng = np.random.default_rng(11)
+        configs = [random_small_config(rng) for _ in range(12)]
+        # a cap that is not a multiple of the harvest unit
+        configs.append(SmallConfig(
+            0.5, 10, [0, 4], [[0.3, 0.7], [0.6, 0.4]], [0.2, 1.0, 3.0],
+            np.eye(3), 2.0))
+        checked = 0
+        for config in configs:
+            model = iid_model_of(with_iid_private(config, rng))
+            rates = config.rates()
+            charged = np.array([b > 0 for _, b, _, _ in config.states()])
+            levels = np.unique(rates[charged])
+            for gamma in np.r_[0.0, 0.5 * (levels[1:] + levels[:-1]),
+                               levels[-1] + 1.0]:
+                mask = (rates >= gamma) & charged
+                gain, = policy_gains(config, mask[None, :])
+                lam, mean_T = sx.threshold_metrics(model, gamma)
+                assert abs(lam - gain) <= 1e-10
+                if not mask.any():
+                    assert lam == 0.0 and mean_T == math.inf
+                checked += 1
+        assert checked >= 50
+
+    @pytest.mark.parametrize("preset", ["a", "b", "c", "d"])
+    def test_monte_carlo_agrees_on_harvest_presets(self, preset):
+        model = fig7_model(preset)
+        cfg = sx.SolverConfig(mc_periods=100_000, mc_replications=8,
+                              mc_streams=256, mc_seed=5)
+        for gamma in (1.5, 2.0):
+            lam, mean_T = sx.threshold_metrics(model, gamma)
+            met = sx.evaluate_threshold(model, gamma, cfg)
+            assert abs(met.throughput - lam) <= 3 * met.se_throughput
+            assert abs(met.mean_saving_time - mean_T) <= \
+                3 * met.se_saving_time
+
+    def test_monte_carlo_agrees_under_full_access(self):
+        # the stop probability jumps where the common gain alone reaches
+        # gamma, which a single Gauss-Laguerre rule over the common gain
+        # misses by up to 2% per level; the mean saving time shows it most
+        model = iid_model(1.0)
+        lam, mean_T = sx.threshold_metrics(model, 2.17)
+        met = sx.evaluate_threshold(model, 2.17, sx.SolverConfig(mc_seed=1))
+        assert abs(met.throughput - lam) <= 3 * met.se_throughput
+        assert abs(met.mean_saving_time - mean_T) <= 3 * met.se_saving_time
+
+    def test_stop_moments_match_adaptive_quadrature(self):
+        """Both gains exponential, with access, at one battery level:
+        scipy's adaptive quadrature of the rate over (h, hc), split where
+        the rate changes regime."""
+        from scipy import integrate
+
+        b, gamma = 12.0, 2.17
+        G = 2.0 ** gamma
+        c0 = (G - 1) / b
+
+        def h_star(hc):  # bisection, not the closed-form inverse
+            lo, hi = 0.0, 64.0
+            for _ in range(100):
+                mid = 0.5 * (lo + hi)
+                lo, hi = (lo, mid) if sx.stop_rate(b, mid, hc, 1) >= gamma \
+                    else (mid, hi)
+            return hi if hc < c0 else 0.0
+
+        def tail(hc):
+            t = h_star(hc)
+            edges = [t] + [x for x in (1 / (b + 1 / hc), 1 / (1 / hc - b))
+                           if t < x] + [np.inf]
+            return sum(integrate.quad(
+                lambda h: np.exp(-h) * sx.stop_rate(b, h, hc, 1), lo, hi,
+                epsabs=1e-13, epsrel=1e-12)[0]
+                for lo, hi in zip(edges, edges[1:]))
+
+        cuts = [0.0, c0 / G, 1 / b, c0, np.inf]
+        p_ref = r_ref = 0.0
+        for lo, hi in zip(cuts, cuts[1:]):
+            p_ref += integrate.quad(lambda c: np.exp(-c - h_star(c)), lo, hi,
+                                    epsabs=1e-13, epsrel=1e-12)[0]
+            r_ref += integrate.quad(lambda c: np.exp(-c) * tail(c), lo, hi,
+                                    epsabs=1e-12, epsrel=1e-11)[0]
+        p, r = _stop_moments(iid_model(1.0), np.array([b]), gamma)
+        assert p[0] == pytest.approx(p_ref, rel=1e-10, abs=0)
+        assert r[0] == pytest.approx(r_ref, rel=1e-9, abs=0)
+
+    @pytest.mark.parametrize("private, common, log_base", [
+        (sx.GainDistribution.discrete([0.0, 0.5, 2.0], [0.2, 0.5, 0.3]),
+         sx.GainDistribution.exponential(1.5), np.e),
+        (sx.GainDistribution.exponential(2.0),
+         sx.GainDistribution.constant(0.5), 2.0),
+        (sx.GainDistribution.constant(1.0),
+         sx.GainDistribution.discrete([0.25, 4.0], [0.5, 0.5]), 2.0),
+        (sx.GainDistribution.exponential(2.0),
+         sx.GainDistribution.exponential(0.5), np.e)])
+    def test_monte_carlo_agrees_on_gain_kinds(self, private, common,
+                                              log_base):
+        model = sx.SystemModel(
+            private=private, common=common, access=sx.AccessModel(0.5),
+            eh=sx.make_eh_preset("b").chain, b_max_units=10_000,
+            log_base=log_base)
+        cfg = sx.SolverConfig(mc_periods=100_000, mc_replications=8,
+                              mc_streams=256, mc_seed=9)
+        for gamma in (1.0, 2.5):
+            lam, mean_T = sx.threshold_metrics(model, gamma)
+            met = sx.evaluate_threshold(model, gamma, cfg)
+            assert abs(met.throughput - lam) <= 3 * met.se_throughput
+            assert abs(met.mean_saving_time - mean_T) <= \
+                3 * met.se_saving_time
+
+    def test_gains_swap_under_full_access(self):
+        # with access every slot the rate is symmetric in the two gains,
+        # so swapping them inverts the other one and must agree
+        discrete = sx.GainDistribution.discrete([0.0, 0.5, 2.0],
+                                                [0.2, 0.5, 0.3])
+        exponential = sx.GainDistribution.exponential(1.5)
+        lams = [sx.threshold_metrics(sx.SystemModel(
+            private=pri, common=com, access=sx.AccessModel(1.0),
+            eh=sx.make_eh_preset("a").chain, b_max_units=10_000), 2.0)[0]
+            for pri, com in ((discrete, exponential),
+                             (exponential, discrete))]
+        assert lams[0] == pytest.approx(lams[1], rel=1e-12, abs=0)
+
+    def test_truncation_grows_with_gamma(self):
+        model = iid_model(0.0)
+        assert _threshold_chain(model, 1.0)[2] < \
+            _threshold_chain(model, 4.0)[2] < model.b_max_units // 4
+
+    @pytest.mark.parametrize("gamma", [1.0, 4.0])
+    def test_truncation_matches_full_chain(self, gamma):
+        # harvest units {0, 4}: a cap of 200 units gives 51 levels
+        model = replace(iid_model(0.5), b_max_units=200)
+        lam, stops, levels = _threshold_chain(model, gamma)
+        # a negative tolerance never truncates
+        lam_f, stops_f, levels_f = _threshold_chain(model, gamma,
+                                                    mass_tol=-1.0)
+        assert levels < levels_f == 51
+        assert lam == pytest.approx(lam_f, rel=1e-12, abs=0)
+        assert stops == pytest.approx(stops_f, rel=1e-12, abs=0)
+
+    def test_threshold_gain_inverts_rate(self):
+        rng = np.random.default_rng(3)
+        b = 10.0 ** rng.uniform(-2, 2, 2000)
+        c = np.where(rng.random(2000) < 0.1, 0.0,
+                     10.0 ** rng.uniform(-3, 2, 2000))
+        G = 1.0 + 10.0 ** rng.uniform(-3, 3, 2000)
+        h = _threshold_gain(b, c, G)
+        at = sx.stop_rate(b, h, c, 1)
+        below = sx.stop_rate(b, h * (1 - 1e-9), c, 1)
+        reached = h > 0
+        assert np.allclose(at[reached], np.log2(G[reached]), rtol=1e-11,
+                           atol=0)
+        assert (below[reached] < np.log2(G[reached])).all()
+        # h = 0 exactly when the other channel alone reaches the target
+        assert (np.log2(1 + c * b)[~reached] >=
+                np.log2(G[~reached]) - 1e-12).all()
+
+    @pytest.mark.parametrize("gamma", [float("nan"), float("inf"), -1.0])
+    def test_bad_gamma_rejected(self, gamma):
+        model = iid_model(0.5)
+        with pytest.raises(ValueError, match="finite"):
+            sx.threshold_metrics(model, gamma)
+        with pytest.raises(ValueError, match="finite"):
+            sx.ThresholdPolicy(gamma=gamma)
+        with pytest.raises(ValueError, match="finite"):
+            sx.evaluate_threshold(model, gamma)
+
+    def test_markov_gains_rejected(self):
+        with pytest.raises(ValueError, match="i.i.d. private"):
+            sx.threshold_metrics(fig3_model(0.5), 1.0)
+
+
 class TestOptimizeThreshold:
     def test_iid_low_access_optimum_near_calibrated_value(self):
         cfg = sx.SolverConfig(mc_periods=50_000, mc_warmup_periods=200,
@@ -308,6 +522,22 @@ class TestOptimizeThreshold:
     def test_markov_gains_rejected(self):
         with pytest.raises(ValueError):
             sx.optimize_threshold(fig3_model(0.5))
+
+    def test_search_is_exact(self, monkeypatch):
+        """The search simulates nothing, and its optimum has exact regret
+        at most 1e-4 against the benchmark's reference optimum."""
+        def no_mc(*args, **kwargs):
+            raise AssertionError("the threshold search ran Monte Carlo")
+
+        monkeypatch.setattr(savetx.simulate, "run_simulation", no_mc)
+        refs = json.loads((Path(__file__).resolve().parents[1] / "perfbench"
+                           / "references.json").read_text())
+        for p_s, key in ((0.0, "0"), (0.5, "0.5")):
+            policy = sx.optimize_threshold(iid_model(p_s))
+            best = refs["search"]["lambda_opt"][key]
+            lam, _ = exact_threshold_metrics(policy.gamma, p_s)
+            assert (best - lam) / best <= 1e-4
+            assert policy.lambda_star == pytest.approx(lam, abs=1e-9)
 
 
 class TestSolverConfig:
