@@ -43,6 +43,7 @@ from .solver import (
     ThresholdPolicy,
     ValueTable,
     evaluate_threshold,
+    evaluate_thresholds,
     optimize_threshold,
     solve_markov,
     threshold_metrics,
@@ -67,7 +68,8 @@ __all__ = [
     "WaterLevel", "stop_rate", "conventional_power", "solve_water_level",
     # solver
     "SolverConfig", "ValueTable", "ThresholdPolicy", "solve_markov",
-    "threshold_metrics", "evaluate_threshold", "optimize_threshold",
+    "threshold_metrics", "evaluate_threshold", "evaluate_thresholds",
+    "optimize_threshold",
     # simulate
     "Policy", "Metrics", "run_simulation", "run_best_effort",
     "run_conventional",

@@ -27,8 +27,8 @@ from .models import (
 from .power import solve_water_level
 from .simulate import Policy, run_best_effort, run_conventional, \
     run_simulation
-from .solver import SolverConfig, evaluate_threshold, optimize_threshold, \
-    solve_markov, threshold_metrics
+from .solver import SolverConfig, evaluate_threshold, evaluate_thresholds, \
+    optimize_threshold, solve_markov, threshold_metrics
 from .tables import emit_csv
 
 __all__ = ["ExperimentConfig", "validate_config", "run_experiment",
@@ -224,9 +224,11 @@ def validate_config(raw) -> ExperimentConfig:
     seed = merged["seed"]
     if type(seed) is not int or seed < 0:  # bool is an int too
         _fail("seed", "must be a nonnegative integer")
-    delta = float(merged["delta"])
-    if delta <= 0:
-        _fail("delta", "must be > 0")
+    positive = ("delta", "slot_ms", "p_bar")
+    delta, slot_ms, p_bar = (float(merged[k]) for k in positive)
+    for key, value in zip(positive, (delta, slot_ms, p_bar)):
+        if not 0.0 < value < math.inf:  # NaN fails both comparisons
+            _fail(key, "must be a finite number > 0")
 
     b_max = merged["b_max_units"]
     if b_max == "large":
@@ -261,10 +263,6 @@ def validate_config(raw) -> ExperimentConfig:
                                or not 0.0 <= m < math.inf):
             _fail("gamma_modes", f"entries must be finite numbers >= 0 or "
                                  f"'optimal', got {m!r}")
-
-    p_bar = float(merged["p_bar"])
-    if p_bar <= 0:
-        _fail("p_bar", "must be > 0")
 
     log_base = merged["log_base"]
     if log_base in (2, 2.0):
@@ -306,7 +304,7 @@ def validate_config(raw) -> ExperimentConfig:
 
     cfg = ExperimentConfig(
         experiment=experiment, seed=seed, delta=delta,
-        slot_ms=float(merged["slot_ms"]), b_max_units=b_max,
+        slot_ms=slot_ms, b_max_units=b_max,
         p_s_grid=[float(v) for v in ps_grid], gamma_grid=gamma_grid,
         gamma_modes=modes, p_bar=p_bar, log_base=log_base,
         private=merged["private"], common=merged["common"], eh=merged["eh"],
@@ -387,10 +385,10 @@ def _run_fig3(cfg: ExperimentConfig):
 def _run_fig4(cfg: ExperimentConfig):
     rows = []
     for p_s in cfg.p_s_grid:
-        model = cfg.build_model(p_s)
-        for gamma in cfg.gamma_grid:
-            m = evaluate_threshold(model, gamma, cfg.solver)
-            rows.append((p_s, gamma, m.throughput, m.se_throughput))
+        mets = evaluate_thresholds(cfg.build_model(p_s), cfg.gamma_grid,
+                                   cfg.solver)
+        rows += [(p_s, gamma, m.throughput, m.se_throughput)
+                 for gamma, m in zip(cfg.gamma_grid, mets)]
     return rows, {}
 
 
@@ -412,12 +410,10 @@ def _run_fig6(cfg: ExperimentConfig):
     stats = {"gamma_star": {}}
     for p_s in cfg.p_s_grid:
         model = cfg.build_model(p_s)
-        for mode in cfg.gamma_modes:
-            if mode == "optimal":
-                gamma = _record_optimum(model, cfg, stats)
-            else:
-                gamma = float(mode)
-            m = evaluate_threshold(model, gamma, cfg.solver)
+        gammas = [_record_optimum(model, cfg, stats) if mode == "optimal"
+                  else float(mode) for mode in cfg.gamma_modes]
+        for mode, m in zip(cfg.gamma_modes,
+                           evaluate_thresholds(model, gammas, cfg.solver)):
             label = "optimal" if mode == "optimal" else f"{float(mode):g}"
             rows.append((p_s, label, m.mean_saving_time, m.se_saving_time))
     return rows, stats
@@ -428,9 +424,9 @@ def _run_fig7(cfg: ExperimentConfig):
     p_s = cfg.p_s_grid[0]
     for name in cfg.eh_models:
         model = cfg.build_model(p_s, eh_block={"preset": name})
-        for gamma in cfg.gamma_grid:
-            m = evaluate_threshold(model, gamma, cfg.solver)
-            rows.append((name, gamma, m.throughput, m.se_throughput))
+        mets = evaluate_thresholds(model, cfg.gamma_grid, cfg.solver)
+        rows += [(name, gamma, m.throughput, m.se_throughput)
+                 for gamma, m in zip(cfg.gamma_grid, mets)]
     return rows, {}
 
 

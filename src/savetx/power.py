@@ -121,7 +121,7 @@ def solve_water_level(private: GainDistribution, common: GainDistribution,
     Bisection over xi; expectations by quadrature for exponential gains and
     exact sums for discrete/constant ones.
     """
-    if p_bar <= 0:
+    if not p_bar > 0:  # NaN fails the comparison
         raise ValueError("p_bar must be > 0")
 
     def total(xi: float) -> float:

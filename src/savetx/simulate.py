@@ -167,20 +167,23 @@ def _first_harvest(model: SystemModel, rng, size: int):
 # period engine
 
 
-def _run_block(policy: Policy, model: SystemModel, warm_per_stream: int,
-               keep_per_stream: int, rng, streams: int, slot_cap: int):
-    """Collect a fixed number of periods from every lockstep stream.
+def _run_block(policies, model: SystemModel, warm_per_stream: int,
+               keep_per_stream: int, rng, streams: int, slot_cap: int,
+               trace: bool = False):
+    """Collect a fixed number of periods from every lockstep stream of one
+    DP rule or of several threshold rules, one row of streams each.
 
-    Each stream contributes exactly its periods number ``warm_per_stream``
+    Rows share each slot's draws; a row leaves once all its streams have
+    their quota, so it gets what a pass of its rule alone would.  Each
+    stream contributes exactly its periods number ``warm_per_stream``
     through ``warm_per_stream + keep_per_stream - 1``; selecting periods by
-    index keeps the sample free of length bias (cutting a run mid-flight
-    would over-represent short periods).  Records are ordered by (stream,
-    period index).
-    """
-    private_grid = None
-    hc_grid = None
-    if policy.kind == "dp":
-        t = policy.table
+    index keeps the sample free of length bias.  Records ``T`` and ``rate``
+    (plus ``b``, ``phi``, ``h``, ``hc`` when ``trace``) are (row, stream,
+    period index) arrays."""
+    gammas = np.array([p.gamma for p in policies])[:, None]  # NaN for DP
+    private_grid = hc_grid = None
+    if policies[0].kind == "dp":
+        t = policies[0].table
         # unlike t.stop_table this stops at an empty battery (0 >= gamma[0]
         # = 0); masking it moved the markov benchmark's DP rows by a mean z
         # of -1.76 at p_s 0.75 over seeds 1-20, a start-up transient that
@@ -194,53 +197,100 @@ def _run_block(policy: Policy, model: SystemModel, warm_per_stream: int,
     eh_vals = np.asarray(model.eh.states)
     cap = model.b_cap
     base = model.log_base
+    rows = len(policies)
 
     # initial carry: one harvest as the first battery, gain chain from its
     # stationary law
     e_idx = _first_harvest(model, rng, streams)
-    b = np.minimum(eh_vals[e_idx], cap)
+    b = np.tile(np.minimum(eh_vals[e_idx], cap), (rows, 1))
     h_idx = private.init(rng, streams)
 
-    T_cur = np.zeros(streams, dtype=np.int64)
+    T_cur = np.zeros((rows, streams), dtype=np.int64)
     target = warm_per_stream + keep_per_stream
-    # rec[k][s, i] is field k of stream s's period number i
-    rec = {k: np.empty((streams, target), dtype=dt) for k, dt in
-           (("T", np.int64), ("rate", float), ("b", float), ("phi", np.int8),
-            ("h", float), ("hc", float))}
-    done = np.zeros(streams, dtype=np.int64)  # periods recorded per stream
-    clip_events = 0
-    slot_draws = 0
+    # float records hold period lengths and access flags exactly
+    rec = {k: np.empty((rows, streams, target))
+           for k in ("T", "rate", "b", "phi", "h", "hc")[:6 if trace else 2]}
+    done = np.zeros((rows, streams), dtype=np.int64)  # periods recorded
+    clips = np.zeros(rows, dtype=np.int64)
+    slots_run = np.zeros(rows, dtype=np.int64)  # set as each row leaves
+    live = np.arange(rows)  # the rows that b, T_cur, done and gammas hold
+    slots = 0
 
-    while done.min() < target:
+    while live.size:
+        slots += 1
         T_cur += 1
         if T_cur.max() > slot_cap:
             raise PeriodOverflow(f"period exceeded {slot_cap} slots")
         phi, h, h_idx, hc, hc_idx = _draw_slot(model, private, common,
                                                h_idx, rng, streams)
         rate = stop_rate(b, h, hc, phi, base)
-        if policy.kind == "threshold":
-            stop = rate >= policy.gamma
+        if policies[0].kind == "threshold":
+            stop = rate >= gammas
         else:
-            b_units = np.round(b / policy.table.delta).astype(np.int64)
+            b_units = np.round(b / t.delta).astype(np.int64)
             stop = stop_tab[phi, b_units, e_idx, h_idx, hc_idx]
         e_idx = _step_chain(eh_cum, e_idx, rng, streams)
         e_val = eh_vals[e_idx]
 
-        s = np.flatnonzero(stop & (done < target))
-        i = done[s]
+        r, s = np.nonzero(stop & (done < target))
+        at = live[r], s, done[r, s]
         for field, v in zip(rec.values(), (T_cur, rate, b, phi, h, hc)):
-            field[s, i] = v[s]
-        done[s] += 1
+            field[at] = v[r, s] if v.ndim == 2 else v[s]
+        done[r, s] = at[2] + 1
 
         # the stop slot's harvest seeds the next period's battery
         b_next = np.where(stop, e_val, b + e_val)
-        clip_events += int((b_next > cap).sum())
-        slot_draws += streams
+        clips[live] += (b_next > cap).sum(axis=1)
         b = np.minimum(b_next, cap)
         T_cur = np.where(stop, 0, T_cur)
+        going = done.min(axis=1) < target
+        if not going.all():
+            slots_run[live[~going]] = slots
+            live, b, T_cur, done, gammas = (
+                a[going] for a in (live, b, T_cur, done, gammas))
 
-    out = {k: v[:, warm_per_stream:].ravel() for k, v in rec.items()}
-    return out, clip_events, slot_draws
+    return ({k: v[:, :, warm_per_stream:] for k, v in rec.items()},
+            (clips, slots_run * streams))
+
+
+class _Batches:
+    """Sums of rates R, lengths T and R - shift T (shift: the first R / T)
+    over fixed batches of the first ``n`` records, taken as they arrive; a
+    batch sums the records a slice of all records would, in that order."""
+
+    def __init__(self, n: int, n_batches: int):
+        self.sizes = np.diff(np.linspace(0, n, n_batches + 1, dtype=int))
+        self.sums = []
+        self.buf = np.zeros(0), np.zeros(0)
+        self.shift = None
+
+    def add(self, T: np.ndarray, R: np.ndarray):
+        T, R = (np.concatenate(p, axis=None) for p in zip(self.buf, (T, R)))
+        self.shift = R[0] / T[0] if self.shift is None else self.shift
+        for m in self.sizes[len(self.sums):]:
+            if m > len(T):
+                break
+            t, r, T, R = T[:m], R[:m], T[m:], R[m:]
+            self.sums.append((r.sum(), t.sum(), (r - self.shift * t).sum()))
+        self.buf = T.copy(), R.copy()  # not views that hold all records
+
+    def ses(self):
+        """Batch-means SEs of sum(R) / sum(T) and of mean(T)."""
+        R, T, _ = np.array(self.sums).T
+        if self.sizes.sum() < 2 * len(self.sizes):
+            return float("nan"), float("nan")
+        return tuple(float(x.std(ddof=1) / np.sqrt(len(x)))
+                     for x in (R / T, T / self.sizes))
+
+    def metrics(self, clip_events: int, slot_draws: int) -> Metrics:
+        _, T, dev = np.array(self.sums).T
+        n = self.sizes.sum()
+        se_rate, se_T = self.ses()
+        return Metrics(
+            throughput=_mean_about(self.shift, dev, T),
+            mean_saving_time=float(T.sum() / n), se_throughput=se_rate,
+            se_saving_time=se_T, periods=int(n),
+            cap_hit_fraction=float(clip_events / max(slot_draws, 1)))
 
 
 def _mean_about(shift: float, deviations: np.ndarray,
@@ -257,17 +307,45 @@ def _mean_about(shift: float, deviations: np.ndarray,
     return float(shift + deviations.sum() / den)
 
 
-def _batch_ratio_se(num: np.ndarray, den: np.ndarray, n_batches: int):
-    """Batch-means SE of sum(num)/sum(den); NaN below 2 records per batch."""
-    n = len(num)
-    if n < n_batches * 2:
-        return float("nan")
-    edges = np.linspace(0, n, n_batches + 1, dtype=int)
-    ratios = np.array([
-        num[a:b].sum() / max(den[a:b].sum(), 1e-300)
-        for a, b in zip(edges[:-1], edges[1:])
-    ])
-    return float(ratios.std(ddof=1) / np.sqrt(n_batches))
+def _simulate(policies, model: SystemModel, n_periods: int, seed: int,
+              warmup_periods: int, replications: int, streams: int,
+              slot_cap: int, n_batches: int = 20,
+              trace_path=None) -> list[Metrics]:
+    """``run_simulation`` of each rule, in one pass per replication."""
+    if n_periods < 1:
+        raise ValueError("n_periods must be >= 1")
+    if warmup_periods < 0:
+        raise ValueError("warmup_periods must be >= 0")
+    if any(p.kind not in ("dp", "threshold") for p in policies):
+        raise ValueError("run_simulation needs a dp or threshold policy")
+    if not policies:
+        return []
+    reps = max(1, replications)
+    quota = -(-n_periods // reps)
+    keep_per_stream = -(-quota // streams)
+    warm_per_stream = -(-warmup_periods // (reps * streams))
+    rows = [_Batches(n_periods, n_batches) for _ in policies]
+    counts, traced = [], []
+    for rep_seed in np.random.SeedSequence(seed).spawn(reps):
+        rng = np.random.Generator(np.random.PCG64(rep_seed))
+        out, count = _run_block(policies, model, warm_per_stream,
+                                keep_per_stream, rng, streams, slot_cap,
+                                trace_path is not None)
+        counts.append(count)
+        for i, row in enumerate(rows):
+            row.add(out["T"][i], out["rate"][i])
+        if trace_path is not None:
+            traced.append(out)
+        del out  # free this replication's records before the next one
+    if trace_path is not None:
+        # trimming the tail drops whole per-stream index blocks, never a
+        # completion-ordered subset, so it cannot skew period lengths
+        cols = [np.concatenate([c[k][0] for c in traced], axis=None)
+                [:n_periods] for k in ("T", "b", "phi", "h", "hc", "rate")]
+        emit_csv(([p, int(t), float(bb), int(ph), float(hh), float(cc),
+                   float(rr)] for p, (t, bb, ph, hh, cc, rr)
+                  in enumerate(zip(*cols))), TRACE_SCHEMA, trace_path)
+    return [row.metrics(*c) for row, c in zip(rows, np.sum(counts, axis=0).T)]
 
 
 def run_simulation(policy: Policy, model: SystemModel, n_periods: int,
@@ -282,52 +360,9 @@ def run_simulation(policy: Policy, model: SystemModel, n_periods: int,
     seeds derive from ``seed`` and partial results combine in replication
     order.
     """
-    if n_periods < 1:
-        raise ValueError("n_periods must be >= 1")
-    if warmup_periods < 0:
-        raise ValueError("warmup_periods must be >= 0")
-    if policy.kind not in ("dp", "threshold"):
-        raise ValueError("run_simulation needs a dp or threshold policy")
-    reps = max(1, replications)
-    quota = -(-n_periods // reps)
-    keep_per_stream = -(-quota // streams)
-    warm_per_stream = -(-warmup_periods // (reps * streams))
-    seeds = np.random.SeedSequence(seed).spawn(reps)
-    chunks = []
-    clip_events = 0
-    slot_draws = 0
-    for rep_seed in seeds:
-        rng = np.random.Generator(np.random.PCG64(rep_seed))
-        out, clips, draws = _run_block(policy, model, warm_per_stream,
-                                       keep_per_stream, rng, streams,
-                                       slot_cap)
-        chunks.append(out)
-        clip_events += clips
-        slot_draws += draws
-    # trimming the tail drops whole per-stream index blocks, never a
-    # completion-ordered subset, so it cannot skew the length distribution
-    data = {k: np.concatenate([c[k] for c in chunks])[:n_periods]
-            for k in chunks[0]}
-    del chunks  # hold each record once while the metrics are reduced
-
-    T = data["T"]  # integer lengths: exact sums without a float copy
-    R = data["rate"]
-    shift = R[0] / T[0]
-    metrics = Metrics(
-        throughput=_mean_about(shift, R - shift * T, T),
-        mean_saving_time=float(T.mean()),
-        se_throughput=_batch_ratio_se(R, T, n_batches),
-        se_saving_time=_batch_ratio_se(T, np.ones_like(T), n_batches),
-        periods=len(T),
-        cap_hit_fraction=clip_events / max(slot_draws, 1),
-    )
-    if trace_path is not None:
-        rows = zip(range(len(T)), data["T"], data["b"], data["phi"],
-                   data["h"], data["hc"], data["rate"])
-        emit_csv(([int(p), int(t), float(bb), int(ph), float(hh), float(cc),
-                   float(rr)] for p, t, bb, ph, hh, cc, rr in rows),
-                 TRACE_SCHEMA, trace_path)
-    return metrics
+    return _simulate([policy], model, n_periods, seed, warmup_periods,
+                     replications, streams, slot_cap, n_batches,
+                     trace_path)[0]
 
 
 def _run_supply(model: SystemModel, n_slots: int, seed: int, start, *,
@@ -368,10 +403,12 @@ def _run_supply(model: SystemModel, n_slots: int, seed: int, start, *,
         slot_means.append(means[:, warm_slots:])
     per_slot = np.concatenate(slot_means, axis=1)
     rate = per_slot[0]
+    batches = _Batches(len(rate), n_batches)
+    batches.add(np.ones(len(rate)), rate)
     return Metrics(
         throughput=_mean_about(shifts[0], rate),
         mean_saving_time=1.0,
-        se_throughput=_batch_ratio_se(rate, np.ones_like(rate), n_batches),
+        se_throughput=batches.ses()[0],
         se_saving_time=0.0,
         periods=len(rate) * streams,
         cap_hit_fraction=0.0,
@@ -417,7 +454,7 @@ def run_conventional(model: SystemModel, p_bar: float, n_slots: int,
     Throughput is total rate over total slots, exact when the per-slot
     rate is constant; the realized average power is reduced the same way.
     """
-    if p_bar <= 0:
+    if not p_bar > 0:  # NaN fails the comparison
         raise ValueError("p_bar must be > 0")
     level = water_level or solve_water_level(model.private, model.common,
                                              model.access, p_bar)

@@ -23,8 +23,8 @@ Two solution paths:
   integrated by Gauss rules on the pieces where the integrand is smooth.
   ``optimize_threshold`` maximizes that exact throughput over the
   threshold with a golden-section search cross-checked by a coarse grid
-  scan.  ``evaluate_threshold`` is the Monte Carlo estimate of the same
-  rule, which carries standard errors.
+  scan.  ``evaluate_thresholds`` is the Monte Carlo estimate of such
+  rules, which carries standard errors; one lockstep pass serves them all.
 """
 from __future__ import annotations
 
@@ -52,6 +52,7 @@ __all__ = [
     "solve_markov",
     "threshold_metrics",
     "evaluate_threshold",
+    "evaluate_thresholds",
     "optimize_threshold",
 ]
 
@@ -581,17 +582,21 @@ def threshold_metrics(model: SystemModel, gamma: float):
     return lam, (1.0 / stops if stops > 0 else math.inf)
 
 
+def evaluate_thresholds(model: SystemModel, gammas, cfg: SolverConfig) -> list:
+    """Monte Carlo metrics of the rule 'stop once rate >= gamma' for each
+    entry of ``gammas``, in order, from one lockstep pass over common
+    random numbers; each is what a run of its rule alone gives."""
+    from .simulate import Policy, _simulate
+
+    return _simulate([Policy.threshold(g) for g in gammas], model,
+                     cfg.mc_periods, cfg.mc_seed, cfg.mc_warmup_periods,
+                     cfg.mc_replications, cfg.mc_streams, cfg.slot_cap)
+
+
 def evaluate_threshold(model: SystemModel, gamma: float,
                        cfg: SolverConfig | None = None):
     """Monte Carlo renewal metrics of the rule 'stop once rate >= gamma'."""
-    from .simulate import Policy, run_simulation
-
-    cfg = cfg or SolverConfig()
-    return run_simulation(
-        Policy.threshold(gamma), model, cfg.mc_periods, cfg.mc_seed,
-        warmup_periods=cfg.mc_warmup_periods,
-        replications=cfg.mc_replications, streams=cfg.mc_streams,
-        slot_cap=cfg.slot_cap)
+    return evaluate_thresholds(model, [gamma], cfg or SolverConfig())[0]
 
 
 def optimize_threshold(model: SystemModel, cfg: SolverConfig | None = None

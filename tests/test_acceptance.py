@@ -60,7 +60,7 @@ def gamma_curve(p_s):
     if p_s not in _gamma_curves:
         cfg = solver_cfg()
         model = iid_model(p_s)
-        mets = [sx.evaluate_threshold(model, g, cfg) for g in GAMMA_GRID]
+        mets = sx.evaluate_thresholds(model, GAMMA_GRID, cfg)
         _gamma_curves[p_s] = (
             np.array([m.throughput for m in mets]),
             np.array([m.se_throughput for m in mets]),

@@ -105,6 +105,13 @@ class TestValidateConfig:
         with pytest.raises(ConfigError, match=rf"^{key}: "):
             sx.validate_config({"experiment": "fig6", key: value})
 
+    @pytest.mark.parametrize("key", ["p_bar", "slot_ms", "delta"])
+    @pytest.mark.parametrize("value", [float("nan"), math.inf, 0.0])
+    def test_non_finite_positive_number(self, key, value):
+        # NaN passed a plain "<= 0" check and reached scipy's brentq
+        with pytest.raises(ConfigError, match=rf"^{key}: must be a finite"):
+            sx.validate_config({"experiment": "fig8", key: value})
+
     def test_non_finite_threshold_in_json_text(self):
         with pytest.raises(ConfigError, match="^gamma_grid: "):
             sx.validate_config(

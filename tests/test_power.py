@@ -200,3 +200,10 @@ class TestSolveWaterLevel:
             sx.solve_water_level(sx.GainDistribution.constant(1.0),
                                  sx.GainDistribution.constant(1.0),
                                  sx.AccessModel(0.0), 0.0)
+
+    def test_nan_p_bar(self):
+        # a NaN passed "p_bar <= 0" and reached scipy's brentq
+        with pytest.raises(ValueError, match="p_bar must be > 0"):
+            sx.solve_water_level(sx.GainDistribution.constant(1.0),
+                                 sx.GainDistribution.constant(1.0),
+                                 sx.AccessModel(0.0), float("nan"))

@@ -190,8 +190,8 @@ class TestRunSimulation:
         n = 300
         for case_model, case_pol in cases:
             rng = np.random.Generator(np.random.PCG64(7))
-            rec, _, _ = _run_block(case_pol, case_model, 0, n, rng, 1,
-                                   1_000_000)
+            rec, _ = _run_block([case_pol], case_model, 0, n, rng, 1,
+                                   1_000_000, trace=True)
             rng = np.random.Generator(np.random.PCG64(7))
             carry = fresh_carry(case_model, rng)
             outs = [run_period(case_pol, case_model, rng, carry=carry)
@@ -206,21 +206,40 @@ class TestRunSimulation:
             }
             assert set(rec) == set(columns)
             for name, want in columns.items():
-                assert rec[name].tolist() == want, name
+                assert rec[name].ravel().tolist() == want, name
 
     def test_records_held_once(self):
-        """Peak traced memory of one 50k-period evaluation: the engine keeps
-        only the trace columns, and the per-replication records are freed
-        once concatenated.  The bound sits between two measurements with
-        numpy 2.4: 4.73 MB for this engine, 7.36 MB for one that also
-        recorded per-period harvest and clipping and kept the records
-        beside their concatenation."""
+        """Peak traced memory of one 50k-period evaluation: each record is
+        held once.  The bound sits between two measurements with numpy 2.4:
+        4.73 MB for an engine that kept every record's trace columns until
+        the end, 7.36 MB for one that also recorded per-period harvest and
+        clipping and kept the records beside their concatenation.  The
+        engine that reduces each replication's records into batch sums
+        peaks at 0.37 MB."""
         model = iid_model(0.5)
         cfg = sx.SolverConfig(mc_periods=50_000, mc_seed=20240501)
         sx.evaluate_threshold(model, 2.0, cfg)
         tracemalloc.start()
         try:
             sx.evaluate_threshold(model, 2.0, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 6.0e6
+
+    def test_threshold_table_records_reduced(self):
+        """Peak traced memory of a 21-threshold, 50k-period evaluation in
+        one lockstep pass.  The bound sits between two measurements with
+        numpy 2.4: 4.09 MB for this engine, which reduces each
+        replication's records into batch sums, and 41.1 MB for the same
+        pass keeping every row's records until the end."""
+        model = iid_model(0.5)
+        cfg = sx.SolverConfig(mc_periods=50_000, mc_seed=20240501)
+        grid = np.linspace(0.0, 4.0, 21)
+        sx.evaluate_thresholds(model, grid, cfg)
+        tracemalloc.start()
+        try:
+            sx.evaluate_thresholds(model, grid, cfg)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -311,6 +330,11 @@ class TestConventional:
         model = iid_model(0.5)
         met = sx.run_conventional(model, 2.0, 1_000_000, seed=3)
         assert abs(met.realized_avg_power - 2.0) / 2.0 < 0.01
+
+    @pytest.mark.parametrize("p_bar", [0.0, float("nan")])
+    def test_bad_p_bar(self, p_bar):
+        with pytest.raises(ValueError, match="p_bar must be > 0"):
+            sx.run_conventional(iid_model(0.5), p_bar, 10_000, seed=3)
 
     def test_water_level_reused(self):
         model = iid_model(0.5)

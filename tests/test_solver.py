@@ -9,6 +9,7 @@ import pytest
 import savetx as sx
 import savetx.simulate
 from savetx.errors import NoConvergence, PeriodOverflow
+from savetx.tables import format_value
 from savetx.solver import _DPSpace, _gain_and_bias, _stop_moments, \
     _threshold_chain, _threshold_gain
 
@@ -286,6 +287,46 @@ class TestEvaluateThreshold:
             sx.evaluate_threshold(iid_model(0.5), -1.0)
 
 
+class TestEvaluateThresholds:
+    CFG = sx.SolverConfig(mc_periods=4000, mc_warmup_periods=100,
+                          mc_replications=3, mc_streams=64, mc_seed=7)
+    # gamma = 0, a long-period gamma (4), unsorted, and a duplicate
+    GAMMAS = [2.0, 0.0, 4.0, 1.0, 2.0]
+
+    @pytest.mark.parametrize("model", [
+        iid_model(0.5),
+        sx.SystemModel(
+            private=sx.GainDistribution.discrete([0.0, 0.5, 2.0],
+                                                 [0.2, 0.5, 0.3]),
+            common=sx.GainDistribution.discrete([0.25, 4.0], [0.5, 0.5]),
+            access=sx.AccessModel(0.5), eh=sx.make_eh_preset("b").chain,
+            b_max_units=10_000),
+        markov_workload_config().build_model(0.75),
+    ], ids=["exp-exp", "discrete", "markov-private-preset-c"])
+    def test_matches_one_rule_at_a_time(self, model):
+        mets = sx.evaluate_thresholds(model, self.GAMMAS, self.CFG)
+        assert len(mets) == len(self.GAMMAS)
+        for gamma, met in zip(self.GAMMAS, mets):
+            one = sx.evaluate_threshold(model, gamma, self.CFG)
+            for name in ("throughput", "se_throughput", "mean_saving_time",
+                         "se_saving_time"):
+                got, want = getattr(met, name), getattr(one, name)
+                assert got == pytest.approx(want, rel=1e-12, abs=0), name
+                assert format_value(got) == format_value(want), name
+            assert met.periods == one.periods
+            assert met.cap_hit_fraction == one.cap_hit_fraction
+        assert mets[0] == mets[4]
+        assert mets[2].mean_saving_time > mets[0].mean_saving_time > \
+            mets[1].mean_saving_time
+        assert sx.evaluate_thresholds(model, [], self.CFG) == []
+
+    def test_one_unreachable_threshold_overflows(self):
+        cfg = sx.SolverConfig(mc_periods=100, mc_replications=1,
+                              mc_streams=16, slot_cap=200)
+        with pytest.raises(PeriodOverflow):
+            sx.evaluate_thresholds(fig3_model(0.0), [0.0, 10.0], cfg)
+
+
 def with_iid_private(config: SmallConfig, rng) -> SmallConfig:
     """``config`` with an i.i.d. private gain: every row of its private
     chain becomes one random distribution."""
@@ -513,8 +554,8 @@ class TestOptimizeThreshold:
             b_max_units=100_000, delta=1.0)
         cfg = sx.SolverConfig(mc_periods=2000, mc_replications=2,
                               mc_streams=128, mc_seed=0, gamma_hi=8.0)
-        lams = [sx.evaluate_threshold(model, g, cfg).throughput
-                for g in np.linspace(0.0, 8.0, 21)]
+        lams = [m.throughput for m in sx.evaluate_thresholds(
+            model, np.linspace(0.0, 8.0, 21), cfg)]
         k = int(np.argmax(lams))
         assert all(x <= y + 1e-12 for x, y in zip(lams[:k], lams[1:k + 1]))
         assert all(x >= y - 1e-12 for x, y in zip(lams[k:], lams[k + 1:]))
@@ -530,6 +571,8 @@ class TestOptimizeThreshold:
             raise AssertionError("the threshold search ran Monte Carlo")
 
         monkeypatch.setattr(savetx.simulate, "run_simulation", no_mc)
+        # the period engine, which evaluate_thresholds reaches directly
+        monkeypatch.setattr(savetx.simulate, "_run_block", no_mc)
         refs = json.loads((Path(__file__).resolve().parents[1] / "perfbench"
                            / "references.json").read_text())
         for p_s, key in ((0.0, "0"), (0.5, "0.5")):
