@@ -114,7 +114,6 @@ def _cmd_simulate(args) -> int:
                            trace_path=args.trace)
     elif args.scheme == "best-effort":
         m = run_best_effort(model, mc["slots"], cfg.seed,
-                            warmup_slots=mc["warmup_slots"],
                             replications=mc["replications"],
                             streams=mc["streams"])
     else:

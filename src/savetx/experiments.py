@@ -143,11 +143,11 @@ _TOP_KEYS = {
 # seed; the solver block sets every other field
 _MC_FIELDS = {"mc_periods", "mc_warmup_periods", "mc_replications",
               "mc_streams", "mc_seed", "slot_cap"}
-_MC_KEYS = {"periods", "slots", "warmup_periods", "warmup_slots",
-            "replications", "streams", "slot_cap"}
+_MC_KEYS = {"periods", "slots", "warmup_periods", "replications",
+            "streams", "slot_cap"}
 _MC_DEFAULTS = {"periods": 200_000, "slots": 1_000_000,
-                "warmup_periods": 1000, "warmup_slots": 10_000,
-                "replications": 16, "streams": 512, "slot_cap": 1_000_000}
+                "warmup_periods": 1000, "replications": 16, "streams": 512,
+                "slot_cap": 1_000_000}
 _GAIN_KEYS = {"kind", "value", "mean", "values", "probabilities", "states",
               "transition"}
 _EH_KEYS = {"preset", "switch", "p_good", "states", "transition"}
@@ -225,10 +225,11 @@ def validate_config(raw) -> ExperimentConfig:
     if type(seed) is not int or seed < 0:  # bool is an int too
         _fail("seed", "must be a nonnegative integer")
     positive = ("delta", "slot_ms", "p_bar")
-    delta, slot_ms, p_bar = (float(merged[k]) for k in positive)
-    for key, value in zip(positive, (delta, slot_ms, p_bar)):
-        if not 0.0 < value < math.inf:  # NaN fails both comparisons
+    for key in positive:  # type() rejects bool; NaN fails both comparisons
+        value = merged[key]
+        if type(value) not in (int, float) or not 0.0 < value < math.inf:
             _fail(key, "must be a finite number > 0")
+    delta, slot_ms, p_bar = (float(merged[k]) for k in positive)
 
     b_max = merged["b_max_units"]
     if b_max == "large":
@@ -345,7 +346,6 @@ def _supply_rows(cfg: ExperimentConfig, model: SystemModel, rows: list,
     mc = cfg.mc
     p_s = model.access.p_s
     m_be = run_best_effort(model, mc["slots"], cfg.seed + 1,
-                           warmup_slots=mc["warmup_slots"],
                            replications=mc["replications"],
                            streams=mc["streams"])
     rows.append((p_s, "best_effort", m_be.throughput, m_be.se_throughput))

@@ -51,6 +51,9 @@ def stop_rate(b, h, hc, phi, base: float = 2.0):
     hc = np.asarray(hc, dtype=float)
     phi = np.asarray(phi)
     b, h, hc, phi = np.broadcast_arrays(b, h, hc, phi)
+    shape = b.shape
+    # boolean masks select faster from 1-D arrays than from 2-D ones
+    b, h, hc, phi = (a.ravel() for a in (b, h, hc, phi))
     out = np.zeros(b.shape)
     pos = b > 0
 
@@ -72,7 +75,7 @@ def stop_rate(b, h, hc, phi, base: float = 2.0):
         p_com = bb - p_pri
         out[m1] = (_log(1.0 + hh * p_pri, base)
                    + _log(1.0 + cc * p_com, base))
-    return out if out.shape else float(out)
+    return out.reshape(shape) if shape else float(out[0])
 
 
 def conventional_power(h: float, level: WaterLevel):

@@ -8,8 +8,9 @@ and are combined in replication order.
 
 Per-slot draw order is phi, private gain, common gain, harvest, each one
 block over all streams.  ``_run_block`` is the only period engine; the two
-benchmark supplies share one per-slot loop, ``_run_supply``, and differ
-only in how a slot's energy is spent.
+benchmark supplies share one slot loop, ``_run_supply``, which draws per
+slot in that same order but spends per block of slots, and they differ
+only in how energy is spent.
 """
 from __future__ import annotations
 
@@ -85,7 +86,10 @@ def _step_chain(cum: np.ndarray, idx, rng, size: int):
     one uniform per draw; ``idx=None`` draws every index from the single
     cumulative row ``cum``."""
     u = rng.random(size)
-    return (u[:, None] >= cum[idx]).sum(axis=1)
+    out = np.zeros(size, dtype=np.int64)
+    for col in cum.T:  # one column at a time: cheaper than a 2-D broadcast
+        out += u >= (col if idx is None else col[idx])
+    return out
 
 
 class _GainSampler:
@@ -365,24 +369,30 @@ def run_simulation(policy: Policy, model: SystemModel, n_periods: int,
                      trace_path)[0]
 
 
-def _run_supply(model: SystemModel, n_slots: int, seed: int, start, *,
-                warmup_slots: int, replications: int, streams: int,
-                n_batches: int, with_power: bool = False) -> Metrics:
-    """Per-slot loop shared by the two benchmark supplies.
+# slots per spend in ``_run_supply``: spreads the spend kernels' call
+# overhead over many values and keeps their temporaries small
+_SUPPLY_BLOCK = 32
 
-    Each replication first calls ``start(rng)``, which draws the supply's
-    own initial state and returns its spend step ``spend(phi, h, hc)``.
-    Every slot then draws the access flag and both gains for all streams,
-    and ``spend`` returns the slot's rates, plus its powers when
-    ``with_power`` (it may draw more).  Throughput is total rate over total
-    slots, exact when the per-slot rate is constant; the realized average
-    power is reduced the same way.
+
+def _run_supply(model: SystemModel, n_slots: int, seed: int, start, *,
+                replications: int, streams: int, n_batches: int,
+                with_power: bool = False) -> Metrics:
+    """Slot loop shared by the two benchmark supplies: draws per slot,
+    spending per block of slots.
+
+    ``start(rng)`` draws a replication's initial supply state and returns
+    ``(draw, spend)``.  Each slot draws the access flag and both gains for
+    all streams, then ``draw()`` the supply's own values as a tuple.
+    ``spend(phi, h, hc, *drawn)`` takes up to ``_SUPPLY_BLOCK`` slots of
+    them as (slots, streams) arrays and returns the rates, plus the powers
+    when ``with_power``.  Throughput is total rate over total slots, exact
+    when the per-slot rate is constant; the realized average power is
+    reduced the same way.
     """
     if n_slots < 1:
         raise ValueError("n_slots must be >= 1")
     reps = max(1, replications)
-    warm_slots = -(-warmup_slots // max(streams, 1))
-    slots_per_rep = -(-n_slots // (reps * streams)) + warm_slots
+    slots_per_rep = -(-n_slots // (reps * streams))
     private = _PrivateSampler(model)
     common = _GainSampler(model.common)
 
@@ -390,17 +400,26 @@ def _run_supply(model: SystemModel, n_slots: int, seed: int, start, *,
     slot_means = []
     for rep_seed in np.random.SeedSequence(seed).spawn(reps):
         rng = np.random.Generator(np.random.PCG64(rep_seed))
-        spend = start(rng)
+        draw, spend = start(rng)
         h_idx = private.init(rng, streams)
         means = np.empty((1 + with_power, slots_per_rep))
-        for s in range(slots_per_rep):
-            phi, h, h_idx, hc, _ = _draw_slot(model, private, common, h_idx,
-                                              rng, streams)
-            values = spend(phi, h, hc)
+        for first in range(0, slots_per_rep, _SUPPLY_BLOCK):
+            n = min(_SUPPLY_BLOCK, slots_per_rep - first)
+            block = None  # (slots, streams) buffers of phi, h, hc, *drawn
+            for i in range(n):
+                phi, h, h_idx, hc, _ = _draw_slot(model, private, common,
+                                                  h_idx, rng, streams)
+                slot = (phi, h, hc, *draw())
+                block = block or [np.empty((n, streams), a.dtype)
+                                  for a in slot]
+                for buf, a in zip(block, slot):
+                    buf[i] = a
+            values = spend(*block)
             if shifts is None:
-                shifts = [float(v[0]) for v in values]
-            means[:, s] = [(v - c).mean() for v, c in zip(values, shifts)]
-        slot_means.append(means[:, warm_slots:])
+                shifts = [float(v[0, 0]) for v in values]
+            means[:, first:first + n] = [
+                (v - c).mean(axis=1) for v, c in zip(values, shifts)]
+        slot_means.append(means)
     per_slot = np.concatenate(slot_means, axis=1)
     rate = per_slot[0]
     batches = _Batches(len(rate), n_batches)
@@ -418,8 +437,8 @@ def _run_supply(model: SystemModel, n_slots: int, seed: int, start, *,
 
 
 def run_best_effort(model: SystemModel, n_slots: int, seed: int, *,
-                    warmup_slots: int = 10_000, replications: int = 16,
-                    streams: int = 512, n_batches: int = 20) -> Metrics:
+                    replications: int = 16, streams: int = 512,
+                    n_batches: int = 20) -> Metrics:
     """Per-slot transmission using only the previous slot's harvest.
 
     No battery: each slot's budget is the harvest of the slot before it
@@ -432,23 +451,26 @@ def run_best_effort(model: SystemModel, n_slots: int, seed: int, *,
     def start(rng):
         e_idx = _first_harvest(model, rng, streams)
 
-        def spend(phi, h, hc):
+        def draw():
             nonlocal e_idx
-            rate = stop_rate(eh_vals[e_idx], h, hc, phi, model.log_base)
+            budget = eh_vals[e_idx]
             e_idx = _step_chain(eh_cum, e_idx, rng, streams)
-            return (rate,)
+            return (budget,)
 
-        return spend
+        def spend(phi, h, hc, budget):
+            return (stop_rate(budget, h, hc, phi, model.log_base),)
+
+        return draw, spend
 
     return _run_supply(model, n_slots, seed, start,
-                       warmup_slots=warmup_slots, replications=replications,
-                       streams=streams, n_batches=n_batches)
+                       replications=replications, streams=streams,
+                       n_batches=n_batches)
 
 
 def run_conventional(model: SystemModel, p_bar: float, n_slots: int,
                      seed: int, *, water_level=None,
-                     warmup_slots: int = 0, replications: int = 16,
-                     streams: int = 512, n_batches: int = 20) -> Metrics:
+                     replications: int = 16, streams: int = 512,
+                     n_batches: int = 20) -> Metrics:
     """Water-filling transmission under an average power constraint.
 
     Throughput is total rate over total slots, exact when the per-slot
@@ -467,6 +489,7 @@ def run_conventional(model: SystemModel, p_bar: float, n_slots: int,
             phi == 1, logf(1.0 + hc * pc), 0.0)
         return rate, p + pc
 
-    return _run_supply(model, n_slots, seed, lambda rng: spend,
-                       warmup_slots=warmup_slots, replications=replications,
-                       streams=streams, n_batches=n_batches, with_power=True)
+    # the conventional supply draws nothing of its own: draw is tuple()
+    return _run_supply(model, n_slots, seed, lambda rng: (tuple, spend),
+                       replications=replications, streams=streams,
+                       n_batches=n_batches, with_power=True)

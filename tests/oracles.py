@@ -228,6 +228,98 @@ def run_period(policy, model, rng, carry: SimCarry | None = None,
 
 
 # ---------------------------------------------------------------------------
+# benchmark supplies spent one slot at a time
+
+
+def step_chain(cum, idx, rng, size):
+    """Inverse-CDF index draws as one 2-D broadcast against the rows
+    ``cum[idx]`` (``idx=None``: the single row ``cum``)."""
+    u = rng.random(size)
+    return (u[:, None] >= cum[idx]).sum(axis=1)
+
+
+def run_supply_per_slot(model, n_slots, seed, start, *, replications=16,
+                        streams=512, n_batches=20, with_power=False):
+    """The engine's supply loop with one spend per slot.
+
+    ``start(rng)`` draws the supply's initial state and returns its step
+    ``spend(phi, h, hc)``, which returns the slot's rates (plus powers when
+    ``with_power``) and makes the supply's own draws after the channel's,
+    so the draws are those of ``run_best_effort`` / ``run_conventional``.
+    """
+    import savetx as sx
+    from savetx import simulate as sim
+
+    reps = max(1, replications)
+    slots_per_rep = -(-n_slots // (reps * streams))
+    private = sim._PrivateSampler(model)
+    common = sim._GainSampler(model.common)
+    shifts = None
+    slot_means = []
+    for rep_seed in np.random.SeedSequence(seed).spawn(reps):
+        rng = np.random.Generator(np.random.PCG64(rep_seed))
+        spend = start(rng)
+        h_idx = private.init(rng, streams)
+        means = np.empty((1 + with_power, slots_per_rep))
+        for s in range(slots_per_rep):
+            phi, h, h_idx, hc, _ = sim._draw_slot(model, private, common,
+                                                  h_idx, rng, streams)
+            values = spend(phi, h, hc)
+            if shifts is None:
+                shifts = [float(v[0]) for v in values]
+            means[:, s] = [(v - c).mean() for v, c in zip(values, shifts)]
+        slot_means.append(means)
+    per_slot = np.concatenate(slot_means, axis=1)
+    rate = per_slot[0]
+    batches = sim._Batches(len(rate), n_batches)
+    batches.add(np.ones(len(rate)), rate)
+    return sx.Metrics(
+        throughput=sim._mean_about(shifts[0], rate), mean_saving_time=1.0,
+        se_throughput=batches.ses()[0], se_saving_time=0.0,
+        periods=len(rate) * streams, cap_hit_fraction=0.0,
+        realized_avg_power=(sim._mean_about(shifts[1], per_slot[1])
+                            if with_power else None))
+
+
+def best_effort_start(model, streams):
+    """Per-slot best-effort spend: the budget is the previous harvest."""
+    import savetx as sx
+    from savetx.simulate import _first_harvest
+
+    eh_cum = np.cumsum(model.eh.transition, axis=1)
+    eh_vals = np.asarray(model.eh.states)
+
+    def start(rng):
+        e_idx = _first_harvest(model, rng, streams)
+
+        def spend(phi, h, hc):
+            nonlocal e_idx
+            rate = sx.stop_rate(eh_vals[e_idx], h, hc, phi, model.log_base)
+            e_idx = step_chain(eh_cum, e_idx, rng, streams)
+            return (rate,)
+
+        return spend
+
+    return start
+
+
+def conventional_start(model, level):
+    """Per-slot water-filling spend at water level ``level``."""
+    import savetx as sx
+
+    logf = np.log2 if model.log_base == 2.0 else np.log
+
+    def spend(phi, h, hc):
+        p = sx.conventional_power(h, level)
+        pc = np.where(phi == 1, sx.conventional_power(hc, level), 0.0)
+        rate = logf(1.0 + h * p) + np.where(
+            phi == 1, logf(1.0 + hc * pc), 0.0)
+        return rate, p + pc
+
+    return lambda rng: spend
+
+
+# ---------------------------------------------------------------------------
 # exact renewal metrics for the i.i.d. unit-mean-exponential configuration
 
 

@@ -13,7 +13,7 @@ from savetx.experiments import EXPERIMENTS, _meta_base
 from savetx.tables import emit_csv
 
 TINY_MC = {"periods": 1500, "slots": 8000, "warmup_periods": 50,
-           "warmup_slots": 100, "replications": 2, "streams": 64}
+           "replications": 2, "streams": 64}
 FAST_SOLVER = {"grid_points": 5, "gamma_hi": 3.0, "golden_tol": 0.25}
 
 
@@ -111,6 +111,19 @@ class TestValidateConfig:
         # NaN passed a plain "<= 0" check and reached scipy's brentq
         with pytest.raises(ConfigError, match=rf"^{key}: must be a finite"):
             sx.validate_config({"experiment": "fig8", key: value})
+
+    @pytest.mark.parametrize("key", ["p_bar", "slot_ms", "delta"])
+    @pytest.mark.parametrize("value", ["abc", "2.0", None, [1.0], True])
+    def test_positive_number_not_a_number(self, key, value):
+        # a bare float() let these escape as ValueError or TypeError
+        with pytest.raises(ConfigError, match=rf"^{key}: must be a finite"):
+            sx.validate_config({"experiment": "fig8", key: value})
+
+    def test_warmup_slots_removed(self):
+        # the supplies start from stationary laws, so they need no warm-up
+        with pytest.raises(ConfigError, match=r"^mc\.warmup_slots: unknown"):
+            sx.validate_config({"experiment": "fig8",
+                                "mc": {"warmup_slots": 100}})
 
     def test_non_finite_threshold_in_json_text(self):
         with pytest.raises(ConfigError, match="^gamma_grid: "):

@@ -8,6 +8,8 @@ from savetx.errors import BadName, ReducibleChain, UnsupportedKind
 from savetx.simulate import _GainSampler, _PrivateSampler, _draw_slot, \
     _step_chain
 
+from oracles import step_chain
+
 PAPER_CHAIN = sx.MarkovChainSpec([0.1, 2.0 ** 4],
                                  [[0.0, 1.0], [0.5, 0.5]])
 
@@ -123,6 +125,17 @@ class TestSampling:
         with pytest.raises(IndexError):
             _step_chain(cum_rows(PAPER_CHAIN), np.array([5]),
                         np.random.default_rng(0), 1)
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_matches_broadcast_step(self, k):
+        rng = np.random.default_rng(k)
+        cum = np.cumsum(rng.dirichlet(np.ones(k), size=k), axis=1)
+        idx = rng.integers(0, k, 1000)
+        for rows, at in ((cum, idx), (cum[-1], None)):
+            got = _step_chain(rows, at, np.random.default_rng(5), 1000)
+            want = step_chain(rows, at, np.random.default_rng(5), 1000)
+            assert got.dtype == want.dtype
+            assert (got == want).all()
 
     def test_switch_fraction_lln(self):
         chain = sx.MarkovChainSpec([0.0, 1.0], [[0.5, 0.5], [0.5, 0.5]])

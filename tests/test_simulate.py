@@ -1,5 +1,6 @@
 import csv
 import tracemalloc
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -8,8 +9,9 @@ from hypothesis import given, settings, strategies as st
 import savetx as sx
 from savetx.simulate import _run_block
 
-from oracles import advance_battery, exact_threshold_metrics, fresh_carry, \
-    markov_workload_config, run_period
+from oracles import advance_battery, best_effort_start, \
+    conventional_start, exact_threshold_metrics, fresh_carry, \
+    markov_workload_config, run_period, run_supply_per_slot
 
 
 def constant_world(delta=1e-3, h=1.0, p_s=0.0):
@@ -282,7 +284,7 @@ class TestRunSimulation:
 class TestBestEffort:
     def test_constant_world_exact(self):
         met = sx.run_best_effort(constant_world(), 2000, seed=1,
-                                 warmup_slots=0, replications=2, streams=20)
+                                 replications=2, streams=20)
         assert met.throughput == pytest.approx(np.log2(1 + 1e-3), rel=1e-14)
         assert met.mean_saving_time == 1.0
 
@@ -293,7 +295,7 @@ class TestBestEffort:
             access=sx.AccessModel(0.0),
             eh=sx.MarkovChainSpec([0.0, 4.0], [[0.5, 0.5], [0.5, 0.5]]),
             b_max_units=10, delta=1.0)
-        met = sx.run_best_effort(model, 200_000, seed=4, warmup_slots=0)
+        met = sx.run_best_effort(model, 200_000, seed=4)
         # exp(1) private gain, budget 4 on half the slots
         expect = 0.5 * np.sum(
             np.polynomial.laguerre.laggauss(64)[1]
@@ -310,8 +312,8 @@ class TestBestEffort:
         met_dp = sx.run_simulation(sx.Policy.dp(table), model, n, seed=7,
                                    warmup_periods=0, replications=reps,
                                    streams=streams)
-        met_be = sx.run_best_effort(model, n, seed=7, warmup_slots=0,
-                                    replications=reps, streams=streams)
+        met_be = sx.run_best_effort(model, n, seed=7, replications=reps,
+                                    streams=streams)
         assert met_dp.throughput == pytest.approx(met_be.throughput,
                                                   rel=1e-12)
         assert abs(met_dp.throughput - met_be.throughput) <= \
@@ -343,6 +345,77 @@ class TestConventional:
         met = sx.run_conventional(model, 2.0, 10_000, seed=3,
                                   water_level=level)
         assert met.throughput > 0
+
+
+def discrete_model(p_s=0.5):
+    return sx.SystemModel(
+        private=sx.GainDistribution.discrete([0.0, 0.5, 2.0], [0.2, 0.5, 0.3]),
+        common=sx.GainDistribution.discrete([0.25, 4.0], [0.6, 0.4]),
+        access=sx.AccessModel(p_s),
+        eh=sx.MarkovChainSpec([0.0, 4.0], [[0.7, 0.3], [0.4, 0.6]]),
+        b_max_units=10, delta=1.0)
+
+
+class TestSupplyBlocks:
+    """The supplies draw per slot and spend per block of slots; the
+    per-slot loop of ``tests/oracles.py`` makes the same draws, so both
+    give the same metrics bit for bit."""
+
+    MODELS = {"exponential": lambda: iid_model(0.5),
+              "discrete": discrete_model,
+              "markov_c": lambda: markov_workload_config().build_model(0.5)}
+    # replications, streams, slots per replication: one slot, one block
+    # plus one slot, two blocks plus one slot, and many full blocks
+    SIZES = [(2, 16, 1), (2, 16, 33), (3, 8, 65), (2, 64, 96)]
+
+    @staticmethod
+    def assert_same(got, want):
+        np.testing.assert_equal(astuple(got), astuple(want))
+
+    @pytest.mark.parametrize("name", MODELS)
+    @pytest.mark.parametrize("reps, streams, slots", SIZES)
+    def test_best_effort_matches_per_slot(self, name, reps, streams, slots):
+        model = self.MODELS[name]()
+        n = reps * streams * slots
+        got = sx.run_best_effort(model, n, seed=3, replications=reps,
+                                 streams=streams, n_batches=4)
+        want = run_supply_per_slot(model, n, 3,
+                                   best_effort_start(model, streams),
+                                   replications=reps, streams=streams,
+                                   n_batches=4)
+        self.assert_same(got, want)
+        assert got.periods == n
+
+    @pytest.mark.parametrize("name", MODELS)
+    @pytest.mark.parametrize("reps, streams, slots", SIZES)
+    def test_conventional_matches_per_slot(self, name, reps, streams, slots):
+        model = self.MODELS[name]()
+        level = sx.solve_water_level(model.private, model.common,
+                                     model.access, 2.0)
+        n = reps * streams * slots
+        got = sx.run_conventional(model, 2.0, n, seed=5, water_level=level,
+                                  replications=reps, streams=streams,
+                                  n_batches=4)
+        want = run_supply_per_slot(model, n, 5,
+                                   conventional_start(model, level),
+                                   replications=reps, streams=streams,
+                                   n_batches=4, with_power=True)
+        self.assert_same(got, want)
+
+    def test_best_effort_memory(self):
+        """Peak traced memory of a 1M-slot best-effort run.  The bound
+        sits between two measurements with numpy 2.4: 1.08 MB with 32-slot
+        blocks, and 4.00 MB when each replication's 123 slots are spent as
+        one block (the temporaries of ``stop_rate`` grow with the block)."""
+        model = iid_model(0.5)
+        sx.run_best_effort(model, 1_000_000, seed=1)
+        tracemalloc.start()
+        try:
+            sx.run_best_effort(model, 1_000_000, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5e6
 
 
 class TestConstantRateExact:
