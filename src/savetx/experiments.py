@@ -157,6 +157,18 @@ def _fail(path: str, reason: str):
     raise ConfigError(f"{path}: {reason}")
 
 
+def _is_number(v) -> bool:
+    # bool is an int too; the defaults' np.float64 values are floats
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _as_list(value, path: str) -> list:
+    try:
+        return list(value)
+    except TypeError:
+        _fail(path, "must be a list")
+
+
 def _check_keys(block: dict, allowed: set, path: str):
     if not isinstance(block, dict):
         _fail(path, "must be an object")
@@ -234,22 +246,25 @@ def validate_config(raw) -> ExperimentConfig:
     b_max = merged["b_max_units"]
     if b_max == "large":
         b_max = LARGE_B_MAX
-    if not isinstance(b_max, int) or b_max < 1:
+    if type(b_max) is not int or b_max < 1:  # bool is an int too
         _fail("b_max_units", "must be a positive integer or \"large\"")
 
-    ps_grid = list(merged["p_s_grid"])
+    ps_grid = _as_list(merged["p_s_grid"], "p_s_grid")
     if not ps_grid:
         _fail("p_s_grid", "must be nonempty")
-    if sorted(ps_grid) != ps_grid:
-        _fail("p_s_grid", "must be sorted")
     for v in ps_grid:
+        if not _is_number(v):
+            _fail("p_s_grid", f"entries must be numbers, got {v!r}")
         if not 0.0 <= v <= 1.0:
             _fail("p_s_grid", f"p_s out of [0,1]: {v}")
+    if sorted(ps_grid) != ps_grid:
+        _fail("p_s_grid", "must be sorted")
 
-    try:
-        gamma_grid = [float(g) for g in merged["gamma_grid"]]
-    except (TypeError, ValueError):
-        _fail("gamma_grid", "thresholds must be numbers")
+    gamma_grid = _as_list(merged["gamma_grid"], "gamma_grid")
+    for g in gamma_grid:
+        if not _is_number(g):
+            _fail("gamma_grid", f"thresholds must be numbers, got {g!r}")
+    gamma_grid = [float(g) for g in gamma_grid]
     if not all(0.0 <= g < math.inf for g in gamma_grid):
         _fail("gamma_grid", "thresholds must be finite and >= 0")
     if sorted(gamma_grid) != gamma_grid:
@@ -257,11 +272,9 @@ def validate_config(raw) -> ExperimentConfig:
     if experiment in ("fig4", "fig6", "fig7", "custom") and not gamma_grid:
         _fail("gamma_grid", "must be nonempty for this experiment")
 
-    modes = list(merged["gamma_modes"])
+    modes = _as_list(merged["gamma_modes"], "gamma_modes")
     for m in modes:
-        if m != "optimal" and (isinstance(m, bool)
-                               or not isinstance(m, (int, float))
-                               or not 0.0 <= m < math.inf):
+        if m != "optimal" and (not _is_number(m) or not 0.0 <= m < math.inf):
             _fail("gamma_modes", f"entries must be finite numbers >= 0 or "
                                  f"'optimal', got {m!r}")
 
@@ -273,7 +286,7 @@ def validate_config(raw) -> ExperimentConfig:
     else:
         _fail("log_base", "must be 2 or \"e\"")
 
-    eh_models = list(merged["eh_models"])
+    eh_models = _as_list(merged["eh_models"], "eh_models")
     for name in eh_models:
         if name not in ("a", "b", "c", "d"):
             _fail("eh_models", f"unknown preset {name!r}")

@@ -4,13 +4,15 @@ Two budget regimes: ``stop_rate`` spends a whole battery in one slot (the
 save-then-transmit case), water-filling it over both channels when the
 common channel is held; ``conventional_power`` and ``solve_water_level``
 hold an average-power constraint (the conventional-supply benchmark).
+
+Importing this module needs numpy alone: scipy's quadrature and root finder
+are imported inside ``_mean_power`` and ``solve_water_level``, on first use.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, optimize
 
 from .errors import NoBracket
 from .models import AccessModel, GainDistribution
@@ -109,6 +111,8 @@ def _mean_power(dist: GainDistribution, xi: float) -> float:
                      np.maximum(1.0 / xi - 1.0 / np.where(vals > 0, vals, 1.0),
                                 0.0), 0.0)
         return float(p @ probs)
+    from scipy import integrate
+
     m = dist.mean
     val, _ = integrate.quad(
         lambda g: (1.0 / xi - 1.0 / g) * np.exp(-g / m) / m,
@@ -129,6 +133,8 @@ def solve_water_level(private: GainDistribution, common: GainDistribution,
 
     def total(xi: float) -> float:
         return _mean_power(private, xi) + access.p_s * _mean_power(common, xi)
+
+    from scipy import optimize
 
     lo, hi = 1e-12, 1e12
     if total(lo) < p_bar or total(hi) > p_bar:

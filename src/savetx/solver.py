@@ -34,8 +34,6 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.linalg import spsolve
 
 from .errors import NoConvergence
 from .models import (
@@ -219,6 +217,8 @@ def _slot_kernel(p_stop: np.ndarray, next_b: np.ndarray, Pe: np.ndarray,
     ``next_b[b, e']``, a stop restarts at ``next_b[0, e']``, and both step
     the harvest chain ``Pe`` and the private-gain chain ``Ph``.  Entries
     that coincide at the cap add up."""
+    from scipy import sparse
+
     red = p_stop.shape
     # axes (skip/stop, b, e, h, e', h')
     a, b, e, h, e2, h2 = np.ix_(*map(np.arange, (2,) + red + red[1:]))
@@ -240,8 +240,13 @@ def _chain_gains(K: sparse.coo_array, r: np.ndarray) -> np.ndarray:
     chain's stationary law pi.  ``r`` may hold several reward columns,
     which share one factorization.
     """
-    # imported here, not at module load, so that importing savetx stays cheap
+    # scipy is imported inside the functions that use it (here, in
+    # _slot_kernel and _log_mean, and in power's _mean_power and
+    # solve_water_level), not at module load, so that importing savetx
+    # needs numpy alone
+    from scipy import sparse
     from scipy.sparse.csgraph import connected_components
+    from scipy.sparse.linalg import spsolve
 
     m = K.shape[0]
     # one gain fits every state only if a single class is closed

@@ -1,10 +1,16 @@
-"""Every exported name resolves.
+"""Every exported name resolves, and importing savetx needs numpy alone.
 
 Tools that walk a module's ``__all__`` (tracing wrappers, ``from savetx
 import *``) fail on the first stale entry, so a name removed from a module
-must leave its ``__all__`` too.
+must leave its ``__all__`` too.  scipy is imported inside the functions that
+use it, so a run that needs none of them never pays for loading it.
 """
 import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -30,3 +36,33 @@ def test_star_import():
     namespace = {}
     exec("from savetx import *", namespace)
     assert set(sx.__all__) <= set(namespace)
+
+
+def scipy_modules_after(code: str) -> list:
+    """scipy modules loaded once ``code`` has run in a fresh interpreter."""
+    src = str(Path(sx.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    probe = code + ("\nimport json, sys\nprint(json.dumps(sorted(m for m in "
+                    "sys.modules if m.split('.')[0] == 'scipy')))")
+    r = subprocess.run([sys.executable, "-c", probe], env=env,
+                       capture_output=True, text=True, check=True)
+    return json.loads(r.stdout.splitlines()[-1])
+
+
+def test_import_loads_no_scipy():
+    assert scipy_modules_after("import savetx, savetx.cli") == []
+
+
+def test_fig4_run_loads_no_scipy(tmp_path):
+    # fig4 runs the Monte Carlo engine only: no water level, DP or exact
+    # evaluator
+    code = (
+        "import savetx as sx\n"
+        "cfg = sx.validate_config({'experiment': 'fig4', 'p_s_grid': [0.5],"
+        " 'gamma_grid': [1.0, 2.0], 'mc': {'periods': 200, 'replications': 2,"
+        " 'streams': 16, 'warmup_periods': 10}})\n"
+        f"sx.run_experiment(cfg, {str(tmp_path)!r})\n")
+    assert scipy_modules_after(code) == []
+    assert (tmp_path / "fig4.csv").exists()

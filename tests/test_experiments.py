@@ -37,6 +37,24 @@ class TestValidateConfig:
             sx.validate_config({"experiment": "fig3",
                                 "p_s_grid": [0.0, 1.5]})
 
+    @pytest.mark.parametrize("value", [["abc"], [None], 5, [True], "ab"])
+    def test_p_s_grid_not_numbers(self, value):
+        # these escaped as a raw TypeError, and [True] ran as p_s 1.0
+        with pytest.raises(ConfigError, match="^p_s_grid: "):
+            sx.validate_config({"experiment": "fig3", "p_s_grid": value})
+
+    def test_bool_b_max_units(self):
+        # True passed an isinstance(..., int) check as a one-unit battery
+        with pytest.raises(ConfigError, match="^b_max_units: "):
+            sx.validate_config({"experiment": "fig3", "b_max_units": True})
+
+    @pytest.mark.parametrize("name", EXPERIMENTS)
+    def test_default_grids_validate(self, name):
+        # the fig defaults hold np.float64 thresholds
+        cfg = sx.validate_config({"experiment": name})
+        assert all(type(g) is float for g in cfg.gamma_grid)
+        assert all(type(p) is float for p in cfg.p_s_grid)
+
     def test_negative_seed(self):
         with pytest.raises(ConfigError, match="seed"):
             sx.validate_config({"experiment": "fig3", "seed": -1})
@@ -100,7 +118,9 @@ class TestValidateConfig:
         ("gamma_grid", [-1.0, 0.0]), ("gamma_grid", ["x"]),
         ("gamma_modes", [float("nan"), "optimal"]),
         ("gamma_modes", [-1.0, "optimal"]), ("gamma_modes", [math.inf]),
-        ("gamma_modes", [True])])
+        ("gamma_modes", [True]), ("gamma_modes", 5),
+        ("gamma_grid", ["1.5"]), ("gamma_grid", [True]),
+        ("gamma_grid", [None]), ("gamma_grid", 5)])
     def test_bad_threshold(self, key, value):
         with pytest.raises(ConfigError, match=rf"^{key}: "):
             sx.validate_config({"experiment": "fig6", key: value})
@@ -156,6 +176,8 @@ class TestValidateConfig:
         with pytest.raises(ConfigError, match="eh_models"):
             sx.validate_config({"experiment": "fig7",
                                 "eh_models": ["a", "z"]})
+        with pytest.raises(ConfigError, match="^eh_models: must be a list"):
+            sx.validate_config({"experiment": "fig7", "eh_models": 5})
 
 
 class TestEmitCsv:
