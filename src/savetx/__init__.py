@@ -36,14 +36,12 @@ from .simulate import (
     Policy,
     run_best_effort,
     run_conventional,
+    run_policies,
     run_simulation,
 )
 from .solver import (
     SolverConfig,
-    ThresholdPolicy,
     ValueTable,
-    evaluate_threshold,
-    evaluate_thresholds,
     optimize_threshold,
     solve_markov,
     threshold_metrics,
@@ -67,11 +65,10 @@ __all__ = [
     # power
     "WaterLevel", "stop_rate", "conventional_power", "solve_water_level",
     # solver
-    "SolverConfig", "ValueTable", "ThresholdPolicy", "solve_markov",
-    "threshold_metrics", "evaluate_threshold", "evaluate_thresholds",
+    "SolverConfig", "ValueTable", "solve_markov", "threshold_metrics",
     "optimize_threshold",
     # simulate
-    "Policy", "Metrics", "run_simulation", "run_best_effort",
+    "Policy", "Metrics", "run_policies", "run_simulation", "run_best_effort",
     "run_conventional",
     # experiments
     "ExperimentConfig", "validate_config", "run_experiment",

@@ -11,12 +11,11 @@ import json
 import sys
 from pathlib import Path
 
-from .errors import SaveTxError
+from .errors import ConfigError, SaveTxError
 from .experiments import EXPERIMENTS, ExperimentConfig, run_experiment, \
     validate_config
 from .power import solve_water_level
-from .simulate import Policy, run_best_effort, run_conventional, \
-    run_simulation
+from .simulate import Policy, run_best_effort, run_conventional
 from .solver import optimize_threshold, solve_markov
 
 
@@ -31,6 +30,14 @@ def _load_config(args, experiment=None) -> ExperimentConfig:
     if args.seed is not None:
         data["seed"] = args.seed
     return validate_config(data)
+
+
+def _model(args, cfg: ExperimentConfig):
+    """``(p_s, model)`` at ``--p-s``, or at the first p_s of the grid."""
+    p_s = cfg.p_s_grid[0] if args.p_s is None else args.p_s
+    if not 0.0 <= p_s <= 1.0:  # NaN fails both comparisons
+        raise ConfigError(f"--p-s: must lie in [0, 1], got {p_s}")
+    return p_s, cfg.build_model(p_s)
 
 
 def _dump(payload: dict, args) -> None:
@@ -63,8 +70,7 @@ def _cmd_experiment(args) -> int:
 
 def _cmd_solve_markov(args) -> int:
     cfg = _load_config(args)
-    p_s = args.p_s if args.p_s is not None else cfg.p_s_grid[0]
-    model = cfg.build_model(p_s)
+    p_s, model = _model(args, cfg)
     table = solve_markov(model, cfg.solver)
     _dump({
         "command": "solve-markov",
@@ -79,39 +85,36 @@ def _cmd_solve_markov(args) -> int:
 
 def _cmd_optimize_threshold(args) -> int:
     cfg = _load_config(args)
-    p_s = args.p_s if args.p_s is not None else cfg.p_s_grid[0]
-    model = cfg.build_model(p_s)
-    policy = optimize_threshold(model, cfg.solver)
+    p_s, model = _model(args, cfg)
+    gamma, (lam, _) = optimize_threshold(model, cfg.solver)
     _dump({
         "command": "optimize-threshold",
         "p_s": p_s,
-        "gamma_star": policy.gamma,
-        "throughput": policy.lambda_star,
+        "gamma_star": gamma,
+        "throughput": lam,
     }, args)
     return 0
 
 
+def _rule(args, cfg: ExperimentConfig, model) -> Policy:
+    """The stopping rule of ``simulate --scheme threshold|dp``."""
+    if args.scheme == "dp":
+        return Policy.dp(solve_markov(model, cfg.solver))
+    if args.gamma is None:
+        raise ConfigError("--gamma is required for the threshold scheme")
+    try:
+        return Policy.threshold(args.gamma)
+    except ValueError as exc:
+        raise ConfigError(f"--gamma: {exc}") from exc
+
+
 def _cmd_simulate(args) -> int:
     cfg = _load_config(args)
-    p_s = args.p_s if args.p_s is not None else cfg.p_s_grid[0]
-    model = cfg.build_model(p_s)
+    p_s, model = _model(args, cfg)
     mc = cfg.mc
-    if args.scheme == "threshold":
-        if args.gamma is None:
-            raise SaveTxError("--gamma is required for the threshold scheme")
-        policy = Policy.threshold(args.gamma)
-        m = run_simulation(policy, model, mc["periods"], cfg.seed,
-                           warmup_periods=mc["warmup_periods"],
-                           replications=mc["replications"],
-                           streams=mc["streams"], slot_cap=mc["slot_cap"],
-                           trace_path=args.trace)
-    elif args.scheme == "dp":
-        table = solve_markov(model, cfg.solver)
-        m = run_simulation(Policy.dp(table), model, mc["periods"], cfg.seed,
-                           warmup_periods=mc["warmup_periods"],
-                           replications=mc["replications"],
-                           streams=mc["streams"], slot_cap=mc["slot_cap"],
-                           trace_path=args.trace)
+    if args.scheme in ("threshold", "dp"):
+        m, = cfg.simulate(model, [_rule(args, cfg, model)],
+                          trace_path=args.trace)
     elif args.scheme == "best-effort":
         m = run_best_effort(model, mc["slots"], cfg.seed,
                             replications=mc["replications"],

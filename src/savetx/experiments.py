@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError
+from .errors import BadName, ConfigError
 from .models import (
     AccessModel,
     GainDistribution,
@@ -26,9 +26,8 @@ from .models import (
 )
 from .power import solve_water_level
 from .simulate import Policy, run_best_effort, run_conventional, \
-    run_simulation
-from .solver import SolverConfig, evaluate_threshold, evaluate_thresholds, \
-    optimize_threshold, solve_markov, threshold_metrics
+    run_policies
+from .solver import SolverConfig, optimize_threshold, solve_markov
 from .tables import emit_csv
 
 __all__ = ["ExperimentConfig", "validate_config", "run_experiment",
@@ -81,6 +80,16 @@ class ExperimentConfig:
             delta=self.delta,
             log_base=self.log_base,
         )
+
+    def simulate(self, model: SystemModel, policies, trace_path=None) -> list:
+        """``run_policies`` of the rules on ``model`` at the ``mc`` sizes
+        and the config's seed: one Metrics per rule, in order."""
+        mc = self.mc
+        return run_policies(policies, model, mc["periods"], self.seed,
+                            warmup_periods=mc["warmup_periods"],
+                            replications=mc["replications"],
+                            streams=mc["streams"], slot_cap=mc["slot_cap"],
+                            trace_path=trace_path)
 
 
 def _fig3_private() -> dict:
@@ -139,10 +148,6 @@ _TOP_KEYS = {
     "gamma_grid", "gamma_modes", "p_bar", "log_base", "private", "common",
     "eh", "eh_models", "solver", "mc",
 }
-# SolverConfig fields that validate_config fills from the mc block and the
-# seed; the solver block sets every other field
-_MC_FIELDS = {"mc_periods", "mc_warmup_periods", "mc_replications",
-              "mc_streams", "mc_seed", "slot_cap"}
 _MC_KEYS = {"periods", "slots", "warmup_periods", "replications",
             "streams", "slot_cap"}
 _MC_DEFAULTS = {"periods": 200_000, "slots": 1_000_000,
@@ -192,22 +197,24 @@ def _gain_from_block(block: dict, path: str) -> GainDistribution:
                 MarkovChainSpec(block["states"], block["transition"]))
     except KeyError as exc:
         _fail(f"{path}.{exc.args[0]}", "missing key")
-    except ValueError as exc:
-        _fail(path, str(exc))
+    except ValueError as exc:  # its message starts with the argument name
+        raise ConfigError(f"{path}.{exc}") from exc
     _fail(f"{path}.kind", f"unknown gain kind {kind!r}")
 
 
 def _eh_from_block(block: dict, delta: float) -> MarkovChainSpec:
-    if "preset" in block:
-        preset = make_eh_preset(block["preset"], switch=block.get("switch"),
-                                p_good=block.get("p_good"), delta=delta)
-        return preset.chain
     try:
+        if "preset" in block:
+            return make_eh_preset(block["preset"], switch=block.get("switch"),
+                                  p_good=block.get("p_good"),
+                                  delta=delta).chain
         return MarkovChainSpec(block["states"], block["transition"])
     except KeyError as exc:
         _fail(f"eh.{exc.args[0]}", "missing key")
-    except ValueError as exc:
-        _fail("eh", str(exc))
+    except BadName as exc:
+        _fail("eh.preset", str(exc))
+    except ValueError as exc:  # its message starts with the argument name
+        raise ConfigError(f"eh.{exc}") from exc
 
 
 def validate_config(raw) -> ExperimentConfig:
@@ -294,8 +301,8 @@ def validate_config(raw) -> ExperimentConfig:
     _check_keys(merged["private"], _GAIN_KEYS, "private")
     _check_keys(merged["common"], _GAIN_KEYS, "common")
     _check_keys(merged["eh"], _EH_KEYS, "eh")
-    _check_keys(merged["solver"],
-                {f.name for f in fields(SolverConfig)} - _MC_FIELDS, "solver")
+    _check_keys(merged["solver"], {f.name for f in fields(SolverConfig)},
+                "solver")
     _check_keys(merged["mc"], _MC_KEYS, "mc")
 
     mc = dict(_MC_DEFAULTS)
@@ -306,13 +313,7 @@ def validate_config(raw) -> ExperimentConfig:
             _fail(f"mc.{key}", f"must be an integer >= {low}")
 
     try:
-        solver = SolverConfig(mc_periods=mc["periods"],
-                              mc_warmup_periods=mc["warmup_periods"],
-                              mc_replications=mc["replications"],
-                              mc_streams=mc["streams"],
-                              mc_seed=seed,
-                              slot_cap=mc["slot_cap"],
-                              **merged["solver"])
+        solver = SolverConfig(**merged["solver"])
     except ValueError as exc:  # its message starts with the field name
         raise ConfigError(f"solver.{exc}") from exc
 
@@ -324,8 +325,10 @@ def validate_config(raw) -> ExperimentConfig:
         private=merged["private"], common=merged["common"], eh=merged["eh"],
         eh_models=eh_models, solver=solver, mc=mc,
     )
-    # fail fast on malformed model blocks
-    cfg.build_model(cfg.p_s_grid[0])
+    try:  # fail fast on malformed model blocks
+        cfg.build_model(cfg.p_s_grid[0])
+    except ValueError as exc:  # its message starts with the block name
+        raise ConfigError(str(exc)) from exc
     return cfg
 
 
@@ -334,17 +337,12 @@ def validate_config(raw) -> ExperimentConfig:
 
 
 def _meta_base(cfg: ExperimentConfig) -> dict:
-    resolved = asdict(cfg)
-    # the mc block and the seed already hold the Monte Carlo fields, so the
-    # resolved config reloads through validate_config as it is
-    resolved["solver"] = {k: v for k, v in resolved["solver"].items()
-                          if k not in _MC_FIELDS}
     return {
         "package": "savetx",
         "version": __version__,
         "experiment": cfg.experiment,
         "seed": cfg.seed,
-        "resolved_config": resolved,
+        "resolved_config": asdict(cfg),
         "labels": {"slot_ms": cfg.slot_ms, "delta": cfg.delta},
         "notes": ("Monte Carlo rows share one seed across thresholds "
                   "(common random numbers); threshold searches and the "
@@ -376,17 +374,12 @@ def _supply_rows(cfg: ExperimentConfig, model: SystemModel, rows: list,
 def _run_fig3(cfg: ExperimentConfig):
     rows = []
     stats = {"lambda_star": {}, "solver_iters": {}}
-    mc = cfg.mc
     for p_s in cfg.p_s_grid:
         model = cfg.build_model(p_s)
         table = solve_markov(model, cfg.solver)
         stats["lambda_star"][str(p_s)] = table.lambda_star
         stats["solver_iters"][str(p_s)] = table.outer_iters
-        m_dp = run_simulation(Policy.dp(table), model, mc["periods"],
-                              cfg.seed, warmup_periods=mc["warmup_periods"],
-                              replications=mc["replications"],
-                              streams=mc["streams"],
-                              slot_cap=mc["slot_cap"])
+        m_dp, = cfg.simulate(model, [Policy.dp(table)])
         rows.append((p_s, "opportunistic", m_dp.throughput,
                      m_dp.se_throughput))
         m_cv = _supply_rows(cfg, model, rows, stats)
@@ -398,8 +391,8 @@ def _run_fig3(cfg: ExperimentConfig):
 def _run_fig4(cfg: ExperimentConfig):
     rows = []
     for p_s in cfg.p_s_grid:
-        mets = evaluate_thresholds(cfg.build_model(p_s), cfg.gamma_grid,
-                                   cfg.solver)
+        mets = cfg.simulate(cfg.build_model(p_s), [
+            Policy.threshold(g) for g in cfg.gamma_grid])
         rows += [(p_s, gamma, m.throughput, m.se_throughput)
                  for gamma, m in zip(cfg.gamma_grid, mets)]
     return rows, {}
@@ -409,8 +402,7 @@ def _record_optimum(model: SystemModel, cfg: ExperimentConfig,
                     stats: dict) -> float:
     """Search the best threshold of one ``p_s``; record it with its exact
     throughput and mean saving time, and return it."""
-    gamma = optimize_threshold(model, cfg.solver).gamma
-    lam, mean_T = threshold_metrics(model, gamma)
+    gamma, (lam, mean_T) = optimize_threshold(model, cfg.solver)
     key = str(model.access.p_s)
     for name, value in (("gamma_star", gamma), ("lambda_exact", lam),
                         ("mean_T_exact", mean_T)):
@@ -423,10 +415,10 @@ def _run_fig6(cfg: ExperimentConfig):
     stats = {"gamma_star": {}}
     for p_s in cfg.p_s_grid:
         model = cfg.build_model(p_s)
-        gammas = [_record_optimum(model, cfg, stats) if mode == "optimal"
-                  else float(mode) for mode in cfg.gamma_modes]
-        for mode, m in zip(cfg.gamma_modes,
-                           evaluate_thresholds(model, gammas, cfg.solver)):
+        rules = [Policy.threshold(_record_optimum(model, cfg, stats)
+                                  if mode == "optimal" else mode)
+                 for mode in cfg.gamma_modes]
+        for mode, m in zip(cfg.gamma_modes, cfg.simulate(model, rules)):
             label = "optimal" if mode == "optimal" else f"{float(mode):g}"
             rows.append((p_s, label, m.mean_saving_time, m.se_saving_time))
     return rows, stats
@@ -437,7 +429,8 @@ def _run_fig7(cfg: ExperimentConfig):
     p_s = cfg.p_s_grid[0]
     for name in cfg.eh_models:
         model = cfg.build_model(p_s, eh_block={"preset": name})
-        mets = evaluate_thresholds(model, cfg.gamma_grid, cfg.solver)
+        mets = cfg.simulate(model, [Policy.threshold(g)
+                                    for g in cfg.gamma_grid])
         rows += [(name, gamma, m.throughput, m.se_throughput)
                  for gamma, m in zip(cfg.gamma_grid, mets)]
     return rows, {}
@@ -449,7 +442,7 @@ def _run_fig8(cfg: ExperimentConfig):
     for p_s in cfg.p_s_grid:
         model = cfg.build_model(p_s)
         gamma = _record_optimum(model, cfg, stats)
-        m_opp = evaluate_threshold(model, gamma, cfg.solver)
+        m_opp, = cfg.simulate(model, [Policy.threshold(gamma)])
         rows.append((p_s, "opportunistic", m_opp.throughput,
                      m_opp.se_throughput))
         _supply_rows(cfg, model, rows, stats)

@@ -7,6 +7,8 @@ its streams at once from an explicit ``numpy.random.Generator``.
 """
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +29,24 @@ __all__ = [
 _ROW_SUM_TOL = 1e-12
 
 
+def _reals(x, name: str, ndim: int = 0):
+    """``x`` as a float (``ndim`` 0) or a float array of ``ndim`` axes.
+    Refuses booleans, non-numbers and non-finite entries, which a plain
+    float() takes or passes through every range check, naming ``name``."""
+    arr = np.array(x, dtype=object)
+    try:  # bool is a Real too, so it is refused by name
+        ok = arr.ndim == ndim and all(
+            isinstance(v, numbers.Real) and not isinstance(v, bool)
+            and math.isfinite(v) for v in arr.flat)
+    except OverflowError:  # an int beyond the float range
+        ok = False
+    if not ok:
+        raise ValueError(f"{name}: must be " + (
+            "a finite number", "a list of finite numbers",
+            "a matrix of finite numbers")[ndim])
+    return float(arr) if ndim == 0 else arr.astype(float)
+
+
 @dataclass(frozen=True)
 class MarkovChainSpec:
     """Finite-state homogeneous Markov chain over nonnegative real values.
@@ -39,22 +59,23 @@ class MarkovChainSpec:
     transition: np.ndarray
 
     def __init__(self, states, transition):
-        states = tuple(float(s) for s in states)
-        transition = np.array(transition, dtype=float)
+        states = tuple(_reals(states, "states", 1).tolist())
+        transition = _reals(transition, "transition", 2)
         if len(states) < 1:
-            raise ValueError("chain needs at least one state")
-        if any(not np.isfinite(s) or s < 0 for s in states):
-            raise ValueError("state values must be finite and >= 0")
+            raise ValueError("states: chain needs at least one state")
+        if any(s < 0 for s in states):
+            raise ValueError("states: state values must be >= 0")
         if transition.shape != (len(states), len(states)):
             raise ValueError(
-                f"transition must be {len(states)}x{len(states)}, "
+                f"transition: must be {len(states)}x{len(states)}, "
                 f"got {transition.shape}"
             )
         if np.any(transition < 0) or np.any(transition > 1):
-            raise ValueError("transition entries must lie in [0, 1]")
+            raise ValueError("transition: entries must lie in [0, 1]")
         row_err = np.abs(transition.sum(axis=1) - 1.0).max()
         if row_err > _ROW_SUM_TOL:
-            raise ValueError(f"rows must sum to 1 (off by {row_err:.2e})")
+            raise ValueError(
+                f"transition: rows must sum to 1 (off by {row_err:.2e})")
         transition.setflags(write=False)
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "transition", transition)
@@ -116,6 +137,7 @@ class GainDistribution:
 
     One of four kinds: a constant gain, an exponential (Rayleigh-power)
     gain, a discrete distribution over fixed values, or a Markov chain.
+    Constructors refuse NaN, infinities and booleans, naming the argument.
     """
 
     kind: str
@@ -127,28 +149,31 @@ class GainDistribution:
 
     @classmethod
     def constant(cls, value: float) -> "GainDistribution":
+        value = _reals(value, "value")
         if value < 0:
-            raise ValueError("constant gain must be >= 0")
-        return cls(kind="constant", value=float(value))
+            raise ValueError("value: constant gain must be >= 0")
+        return cls(kind="constant", value=value)
 
     @classmethod
     def exponential(cls, mean: float) -> "GainDistribution":
+        mean = _reals(mean, "mean")
         if mean <= 0:
-            raise ValueError("exponential mean must be > 0")
-        return cls(kind="exponential", mean=float(mean))
+            raise ValueError("mean: exponential mean must be > 0")
+        return cls(kind="exponential", mean=mean)
 
     @classmethod
     def discrete(cls, values, probabilities) -> "GainDistribution":
-        values = tuple(float(v) for v in values)
-        probabilities = tuple(float(p) for p in probabilities)
+        values = tuple(_reals(values, "values", 1).tolist())
+        probabilities = tuple(
+            _reals(probabilities, "probabilities", 1).tolist())
         if len(values) != len(probabilities) or not values:
-            raise ValueError("values and probabilities must align")
+            raise ValueError("probabilities: must align with values")
         if any(v < 0 for v in values):
-            raise ValueError("gain values must be >= 0")
+            raise ValueError("values: gain values must be >= 0")
         if any(p < 0 for p in probabilities):
-            raise ValueError("probabilities must be >= 0")
+            raise ValueError("probabilities: must be >= 0")
         if abs(sum(probabilities) - 1.0) > 1e-9:
-            raise ValueError("probabilities must sum to 1")
+            raise ValueError("probabilities: must sum to 1")
         return cls(kind="discrete", values=values, probabilities=probabilities)
 
     @classmethod
@@ -199,14 +224,15 @@ def make_eh_preset(name: str, switch: float | None = None,
     """
     states = (0.0, 4.0 * delta)
     if name in ("a", "b", "c"):
-        s = _PRESET_SWITCH[name] if switch is None else float(switch)
+        s = _PRESET_SWITCH[name] if switch is None else \
+            _reals(switch, "switch")
         if not 0.0 < s <= 1.0:
-            raise ValueError("switch probability must lie in (0, 1]")
+            raise ValueError("switch: probability must lie in (0, 1]")
         chain = MarkovChainSpec(states, [[1 - s, s], [s, 1 - s]])
     elif name == "d":
-        g = _PRESET_D_P_GOOD if p_good is None else float(p_good)
+        g = _PRESET_D_P_GOOD if p_good is None else _reals(p_good, "p_good")
         if not 0.5 < g < 1.0:
-            raise ValueError("preset d needs 0.5 < p_good < 1")
+            raise ValueError("p_good: preset d needs 0.5 < p_good < 1")
         chain = MarkovChainSpec(states, [[1 - g, g], [1 - g, g]])
     else:
         raise BadName(f"unknown harvesting preset {name!r}")
@@ -264,11 +290,12 @@ class SystemModel:
         if self.log_base not in (2.0, np.e):
             raise ValueError("log_base must be 2 or e")
         if self.common.kind == "markov":
-            raise ValueError("common gains must be i.i.d.")
+            raise ValueError("common: common gains must be i.i.d.")
         # Harvest amounts must land on the battery grid.
         units = np.asarray(self.eh.states) / self.delta
         if np.abs(units - np.round(units)).max() > 1e-9:
-            raise ValueError("harvesting states must be multiples of delta")
+            raise ValueError(
+                "eh: harvesting states must be multiples of delta")
 
     @property
     def b_cap(self) -> float:

@@ -10,6 +10,7 @@ are imported inside ``_mean_power`` and ``solve_water_level``, on first use.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,6 +79,14 @@ def stop_rate(b, h, hc, phi, base: float = 2.0):
         out[m1] = (_log(1.0 + hh * p_pri, base)
                    + _log(1.0 + cc * p_com, base))
     return out.reshape(shape) if shape else float(out[0])
+
+
+def check_gamma(gamma) -> float:
+    """A rate threshold as a float: finite and >= 0.  A NaN threshold
+    never stops, so a rule with one would run to the slot cap."""
+    if not 0.0 <= gamma < math.inf:  # NaN fails both comparisons
+        raise ValueError(f"gamma must be a finite number >= 0, got {gamma}")
+    return float(gamma)
 
 
 def conventional_power(h: float, level: WaterLevel):

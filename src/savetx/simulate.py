@@ -7,26 +7,29 @@ metrics bit for bit.  Replications carry seeds derived from the base seed
 and are combined in replication order.
 
 Per-slot draw order is phi, private gain, common gain, harvest, each one
-block over all streams.  ``_run_block`` is the only period engine; the two
+block over all streams.  ``run_policies`` is the one entry to the period
+engine ``_run_block``: it runs a DP rule, or a table of threshold rules in
+one lockstep pass, and ``run_simulation`` is its one-rule form.  The two
 benchmark supplies share one slot loop, ``_run_supply``, which draws per
 slot in that same order but spends per block of slots, and they differ
 only in how energy is spent.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import PeriodOverflow
 from .models import GainDistribution, SystemModel, stationary_distribution
-from .power import conventional_power, solve_water_level, stop_rate
+from .power import check_gamma, conventional_power, solve_water_level, \
+    stop_rate
 from .tables import emit_csv
 
 __all__ = [
     "Policy",
     "Metrics",
+    "run_policies",
     "run_simulation",
     "run_best_effort",
     "run_conventional",
@@ -34,6 +37,10 @@ __all__ = [
 
 TRACE_SCHEMA = ("period", "saving_slots", "b_stop", "phi", "h", "h_common",
                 "rate")
+
+# batches of the batch-means standard errors: a z-score against one of
+# them follows a t law with N_BATCHES - 1 degrees of freedom
+N_BATCHES = 20
 
 
 @dataclass(frozen=True)
@@ -51,11 +58,7 @@ class Policy:
 
     @classmethod
     def threshold(cls, gamma) -> "Policy":
-        gamma = getattr(gamma, "gamma", gamma)
-        if not 0.0 <= gamma < math.inf:  # NaN fails both comparisons
-            raise ValueError(f"gamma must be a finite number >= 0, got "
-                             f"{gamma}")
-        return cls(kind="threshold", gamma=float(gamma))
+        return cls(kind="threshold", gamma=check_gamma(gamma))
 
 
 @dataclass(frozen=True)
@@ -262,8 +265,8 @@ class _Batches:
     over fixed batches of the first ``n`` records, taken as they arrive; a
     batch sums the records a slice of all records would, in that order."""
 
-    def __init__(self, n: int, n_batches: int):
-        self.sizes = np.diff(np.linspace(0, n, n_batches + 1, dtype=int))
+    def __init__(self, n: int):
+        self.sizes = np.diff(np.linspace(0, n, N_BATCHES + 1, dtype=int))
         self.sums = []
         self.buf = np.zeros(0), np.zeros(0)
         self.shift = None
@@ -311,26 +314,44 @@ def _mean_about(shift: float, deviations: np.ndarray,
     return float(shift + deviations.sum() / den)
 
 
-def _simulate(policies, model: SystemModel, n_periods: int, seed: int,
-              warmup_periods: int, replications: int, streams: int,
-              slot_cap: int, n_batches: int = 20,
-              trace_path=None) -> list[Metrics]:
-    """``run_simulation`` of each rule, in one pass per replication."""
-    if n_periods < 1:
-        raise ValueError("n_periods must be >= 1")
-    if warmup_periods < 0:
-        raise ValueError("warmup_periods must be >= 0")
-    if any(p.kind not in ("dp", "threshold") for p in policies):
-        raise ValueError("run_simulation needs a dp or threshold policy")
+def _check_sizes(**sizes):
+    """Refuse a size below its least value: 0 for warm-up, else 1."""
+    for name, value in sizes.items():
+        low = 0 if name == "warmup_periods" else 1
+        if not value >= low:  # NaN fails the comparison
+            raise ValueError(f"{name} must be >= {low}")
+
+
+def run_policies(policies, model: SystemModel, n_periods: int, seed: int, *,
+                 warmup_periods: int = 1000, replications: int = 16,
+                 streams: int = 512, slot_cap: int = 1_000_000,
+                 trace_path=None) -> list[Metrics]:
+    """Renewal metrics of each stopping rule over ``n_periods`` periods, in
+    order, from one lockstep pass per replication.
+
+    ``policies`` holds one DP rule or any number of threshold rules.  The
+    rules share each slot's draws (common random numbers) and keep their
+    own batteries and records, so each gets what a run of it alone would.
+    Throughput is total rate over total slots, exact when the per-slot
+    rate is constant.  Deterministic for fixed arguments: replication
+    seeds derive from ``seed`` and partial results combine in replication
+    order.  ``trace_path`` receives the first rule's periods as CSV.
+    """
+    _check_sizes(n_periods=n_periods, warmup_periods=warmup_periods,
+                 replications=replications, streams=streams,
+                 slot_cap=slot_cap)
+    kinds = [p.kind for p in policies]
+    if kinds != ["dp"] and any(k != "threshold" for k in kinds):
+        raise ValueError("run_policies needs one dp policy or threshold "
+                         "policies only")
     if not policies:
         return []
-    reps = max(1, replications)
-    quota = -(-n_periods // reps)
+    quota = -(-n_periods // replications)
     keep_per_stream = -(-quota // streams)
-    warm_per_stream = -(-warmup_periods // (reps * streams))
-    rows = [_Batches(n_periods, n_batches) for _ in policies]
+    warm_per_stream = -(-warmup_periods // (replications * streams))
+    rows = [_Batches(n_periods) for _ in policies]
     counts, traced = [], []
-    for rep_seed in np.random.SeedSequence(seed).spawn(reps):
+    for rep_seed in np.random.SeedSequence(seed).spawn(replications):
         rng = np.random.Generator(np.random.PCG64(rep_seed))
         out, count = _run_block(policies, model, warm_per_stream,
                                 keep_per_stream, rng, streams, slot_cap,
@@ -353,20 +374,10 @@ def _simulate(policies, model: SystemModel, n_periods: int, seed: int,
 
 
 def run_simulation(policy: Policy, model: SystemModel, n_periods: int,
-                   seed: int, *, warmup_periods: int = 1000,
-                   replications: int = 16, streams: int = 512,
-                   slot_cap: int = 1_000_000, n_batches: int = 20,
-                   trace_path=None) -> Metrics:
-    """Renewal metrics of a stopping policy over ``n_periods`` periods.
-
-    Throughput is total rate over total slots, exact when the per-slot
-    rate is constant.  Deterministic for fixed arguments: replication
-    seeds derive from ``seed`` and partial results combine in replication
-    order.
-    """
-    return _simulate([policy], model, n_periods, seed, warmup_periods,
-                     replications, streams, slot_cap, n_batches,
-                     trace_path)[0]
+                   seed: int, **sizes) -> Metrics:
+    """Renewal metrics of one stopping policy: ``run_policies`` of that
+    rule alone, with the same keyword arguments and defaults."""
+    return run_policies([policy], model, n_periods, seed, **sizes)[0]
 
 
 # slots per spend in ``_run_supply``: spreads the spend kernels' call
@@ -375,7 +386,7 @@ _SUPPLY_BLOCK = 32
 
 
 def _run_supply(model: SystemModel, n_slots: int, seed: int, start, *,
-                replications: int, streams: int, n_batches: int,
+                replications: int, streams: int,
                 with_power: bool = False) -> Metrics:
     """Slot loop shared by the two benchmark supplies: draws per slot,
     spending per block of slots.
@@ -389,16 +400,14 @@ def _run_supply(model: SystemModel, n_slots: int, seed: int, start, *,
     when the per-slot rate is constant; the realized average power is
     reduced the same way.
     """
-    if n_slots < 1:
-        raise ValueError("n_slots must be >= 1")
-    reps = max(1, replications)
-    slots_per_rep = -(-n_slots // (reps * streams))
+    _check_sizes(n_slots=n_slots, replications=replications, streams=streams)
+    slots_per_rep = -(-n_slots // (replications * streams))
     private = _PrivateSampler(model)
     common = _GainSampler(model.common)
 
     shifts = None
     slot_means = []
-    for rep_seed in np.random.SeedSequence(seed).spawn(reps):
+    for rep_seed in np.random.SeedSequence(seed).spawn(replications):
         rng = np.random.Generator(np.random.PCG64(rep_seed))
         draw, spend = start(rng)
         h_idx = private.init(rng, streams)
@@ -422,7 +431,7 @@ def _run_supply(model: SystemModel, n_slots: int, seed: int, start, *,
         slot_means.append(means)
     per_slot = np.concatenate(slot_means, axis=1)
     rate = per_slot[0]
-    batches = _Batches(len(rate), n_batches)
+    batches = _Batches(len(rate))
     batches.add(np.ones(len(rate)), rate)
     return Metrics(
         throughput=_mean_about(shifts[0], rate),
@@ -437,8 +446,7 @@ def _run_supply(model: SystemModel, n_slots: int, seed: int, start, *,
 
 
 def run_best_effort(model: SystemModel, n_slots: int, seed: int, *,
-                    replications: int = 16, streams: int = 512,
-                    n_batches: int = 20) -> Metrics:
+                    replications: int = 16, streams: int = 512) -> Metrics:
     """Per-slot transmission using only the previous slot's harvest.
 
     No battery: each slot's budget is the harvest of the slot before it
@@ -463,14 +471,12 @@ def run_best_effort(model: SystemModel, n_slots: int, seed: int, *,
         return draw, spend
 
     return _run_supply(model, n_slots, seed, start,
-                       replications=replications, streams=streams,
-                       n_batches=n_batches)
+                       replications=replications, streams=streams)
 
 
 def run_conventional(model: SystemModel, p_bar: float, n_slots: int,
                      seed: int, *, water_level=None,
-                     replications: int = 16, streams: int = 512,
-                     n_batches: int = 20) -> Metrics:
+                     replications: int = 16, streams: int = 512) -> Metrics:
     """Water-filling transmission under an average power constraint.
 
     Throughput is total rate over total slots, exact when the per-slot
@@ -492,4 +498,4 @@ def run_conventional(model: SystemModel, p_bar: float, n_slots: int,
     # the conventional supply draws nothing of its own: draw is tuple()
     return _run_supply(model, n_slots, seed, lambda rng: (tuple, spend),
                        replications=replications, streams=streams,
-                       n_batches=n_batches, with_power=True)
+                       with_power=True)

@@ -23,8 +23,11 @@ Two solution paths:
   integrated by Gauss rules on the pieces where the integrand is smooth.
   ``optimize_threshold`` maximizes that exact throughput over the
   threshold with a golden-section search cross-checked by a coarse grid
-  scan.  ``evaluate_thresholds`` is the Monte Carlo estimate of such
-  rules, which carries standard errors; one lockstep pass serves them all.
+  scan.
+
+This module only solves: it draws no random numbers.  Monte Carlo
+estimates of the solved rules, with standard errors, come from the engine
+in ``savetx.simulate`` (``run_policies``).
 """
 from __future__ import annotations
 
@@ -35,40 +38,31 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoConvergence
+from .errors import NoConvergence, UnsupportedKind
 from .models import (
     GainDistribution,
     SystemModel,
     discretize_gain,
 )
-from .power import stop_rate
+from .power import check_gamma, stop_rate
 
 __all__ = [
     "SolverConfig",
     "ValueTable",
-    "ThresholdPolicy",
     "solve_markov",
     "threshold_metrics",
-    "evaluate_threshold",
-    "evaluate_thresholds",
     "optimize_threshold",
 ]
 
 
 @dataclass
 class SolverConfig:
-    """Numerical knobs for the solvers and their Monte Carlo evaluations;
-    the battery grid is the model's."""
+    """Numerical knobs of the solvers; the battery grid is the model's,
+    and Monte Carlo sizes belong to the engine's callers."""
 
     lambda_tol: float = 1e-9
     outer_max_iters: int = 100
     common_bins: int = 64
-    mc_periods: int = 200_000
-    mc_warmup_periods: int = 1000
-    mc_replications: int = 16
-    mc_streams: int = 512
-    mc_seed: int = 0
-    slot_cap: int = 1_000_000
     gamma_hi: float = 4.0
     grid_points: int = 21
     golden_tol: float = 5e-3
@@ -86,17 +80,6 @@ class SolverConfig:
             if isinstance(v, bool) or not isinstance(v, numbers.Real) \
                     or not 0 < v < math.inf:
                 raise ValueError(f"{name}: must be a finite number > 0")
-
-
-@dataclass(frozen=True)
-class ThresholdPolicy:
-    """Pure-threshold stopping rule: stop at the first rate >= gamma."""
-
-    gamma: float
-    lambda_star: float = float("nan")
-
-    def __post_init__(self):
-        _check_gamma(self.gamma)
 
 
 @dataclass
@@ -335,12 +318,6 @@ def solve_markov(model: SystemModel, cfg: SolverConfig | None = None
 # Threshold rules (i.i.d. gains)
 
 
-def _check_gamma(gamma) -> float:
-    if not 0.0 <= gamma < math.inf:  # NaN fails both comparisons
-        raise ValueError(f"gamma must be a finite number >= 0, got {gamma}")
-    return float(gamma)
-
-
 @functools.cache
 def _laguerre():
     """Gauss-Laguerre nodes and weights of the 128-point rule, built on
@@ -545,8 +522,6 @@ def _threshold_chain(model: SystemModel, gamma: float,
     top holds stationary mass <= ``mass_tol`` or the cap is reached.  One
     factorization gives all three long-run averages.
     """
-    if not model.private.is_iid:
-        raise ValueError("threshold rules need an i.i.d. private gain")
     units = model.eh_units()
     pos = units[units > 0]
     step = int(np.gcd.reduce(pos)) if pos.size else 1
@@ -581,44 +556,30 @@ def threshold_metrics(model: SystemModel, gamma: float):
     saving time is 1 / (stops per slot), infinite for a rule that never
     stops.  Unlike the Monte Carlo engine, an empty battery never stops,
     which leaves the throughput unchanged and can lengthen the periods at
-    gamma = 0.
+    gamma = 0.  A Markov private gain is refused with UnsupportedKind: the
+    rule's chain would have to carry it.
     """
-    lam, stops, _ = _threshold_chain(model, _check_gamma(gamma))
+    if not model.private.is_iid:
+        raise UnsupportedKind("threshold rules need an i.i.d. private gain")
+    lam, stops, _ = _threshold_chain(model, check_gamma(gamma))
     return lam, (1.0 / stops if stops > 0 else math.inf)
 
 
-def evaluate_thresholds(model: SystemModel, gammas, cfg: SolverConfig) -> list:
-    """Monte Carlo metrics of the rule 'stop once rate >= gamma' for each
-    entry of ``gammas``, in order, from one lockstep pass over common
-    random numbers; each is what a run of its rule alone gives."""
-    from .simulate import Policy, _simulate
-
-    return _simulate([Policy.threshold(g) for g in gammas], model,
-                     cfg.mc_periods, cfg.mc_seed, cfg.mc_warmup_periods,
-                     cfg.mc_replications, cfg.mc_streams, cfg.slot_cap)
-
-
-def evaluate_threshold(model: SystemModel, gamma: float,
-                       cfg: SolverConfig | None = None):
-    """Monte Carlo renewal metrics of the rule 'stop once rate >= gamma'."""
-    return evaluate_thresholds(model, [gamma], cfg or SolverConfig())[0]
-
-
-def optimize_threshold(model: SystemModel, cfg: SolverConfig | None = None
-                       ) -> ThresholdPolicy:
+def optimize_threshold(model: SystemModel, cfg: SolverConfig | None = None):
     """Best pure threshold by golden-section search plus a coarse grid scan.
 
     Both searches maximize the exact throughput of ``threshold_metrics``;
-    the better of the two wins.
+    the better of the two wins.  Returns ``(gamma, (throughput, mean
+    saving time))``, the pair being ``threshold_metrics`` at that gamma.
     """
     cfg = cfg or SolverConfig()
-    cache: dict[float, float] = {}
+    cache: dict[float, tuple[float, float]] = {}
 
     def f(gamma: float) -> float:
         g = float(gamma)
         if g not in cache:
-            cache[g] = threshold_metrics(model, g)[0]
-        return cache[g]
+            cache[g] = threshold_metrics(model, g)
+        return cache[g][0]
 
     grid = np.linspace(0.0, cfg.gamma_hi, cfg.grid_points)
     grid_vals = [f(g) for g in grid]
@@ -637,8 +598,7 @@ def optimize_threshold(model: SystemModel, cfg: SolverConfig | None = None
             a, c, fc = c, d, fd
             d = a + invphi * (b - a)
             fd = f(d)
-    g_golden = 0.5 * (a + b)
+    g_golden = float(0.5 * (a + b))
 
     best = max([g_grid, g_golden], key=f)
-    return ThresholdPolicy(gamma=float(best), lambda_star=f(best))
-
+    return best, cache[best]

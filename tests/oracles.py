@@ -239,7 +239,7 @@ def step_chain(cum, idx, rng, size):
 
 
 def run_supply_per_slot(model, n_slots, seed, start, *, replications=16,
-                        streams=512, n_batches=20, with_power=False):
+                        streams=512, with_power=False):
     """The engine's supply loop with one spend per slot.
 
     ``start(rng)`` draws the supply's initial state and returns its step
@@ -250,13 +250,12 @@ def run_supply_per_slot(model, n_slots, seed, start, *, replications=16,
     import savetx as sx
     from savetx import simulate as sim
 
-    reps = max(1, replications)
-    slots_per_rep = -(-n_slots // (reps * streams))
+    slots_per_rep = -(-n_slots // (replications * streams))
     private = sim._PrivateSampler(model)
     common = sim._GainSampler(model.common)
     shifts = None
     slot_means = []
-    for rep_seed in np.random.SeedSequence(seed).spawn(reps):
+    for rep_seed in np.random.SeedSequence(seed).spawn(replications):
         rng = np.random.Generator(np.random.PCG64(rep_seed))
         spend = start(rng)
         h_idx = private.init(rng, streams)
@@ -271,7 +270,7 @@ def run_supply_per_slot(model, n_slots, seed, start, *, replications=16,
         slot_means.append(means)
     per_slot = np.concatenate(slot_means, axis=1)
     rate = per_slot[0]
-    batches = sim._Batches(len(rate), n_batches)
+    batches = sim._Batches(len(rate))
     batches.add(np.ones(len(rate)), rate)
     return sx.Metrics(
         throughput=sim._mean_about(shifts[0], rate), mean_saving_time=1.0,

@@ -32,11 +32,12 @@ def criterion(num, desc):
     print(f"[criterion {num:02d}] PASS  {desc}", file=sys.stderr)
 
 
-def solver_cfg(**kw):
-    base = dict(mc_periods=MC_PERIODS, mc_warmup_periods=1000,
-                mc_replications=16, mc_streams=512, mc_seed=SEED)
-    base.update(kw)
-    return sx.SolverConfig(**base)
+def evaluate(model, gammas, periods=MC_PERIODS):
+    """Monte Carlo metrics of threshold rules at the default engine sizes
+    (1000 warm-up periods, 16 replications, 512 streams), one lockstep
+    pass."""
+    return sx.run_policies([sx.Policy.threshold(g) for g in gammas], model,
+                           periods, SEED)
 
 
 def iid_model(p_s, eh_preset="a"):
@@ -58,9 +59,7 @@ _optimals: dict = {}
 def gamma_curve(p_s):
     """(throughputs, ses, mean_times, time_ses) over GAMMA_GRID."""
     if p_s not in _gamma_curves:
-        cfg = solver_cfg()
-        model = iid_model(p_s)
-        mets = sx.evaluate_thresholds(model, GAMMA_GRID, cfg)
+        mets = evaluate(iid_model(p_s), GAMMA_GRID)
         _gamma_curves[p_s] = (
             np.array([m.throughput for m in mets]),
             np.array([m.se_throughput for m in mets]),
@@ -70,11 +69,15 @@ def gamma_curve(p_s):
     return _gamma_curves[p_s]
 
 
+def optimal_gamma(p_s, eh_preset="a"):
+    return optimal_policy(p_s, eh_preset)[0]
+
+
 def optimal_policy(p_s, eh_preset="a"):
+    """``(gamma, (throughput, mean saving time))`` of the best threshold."""
     key = (p_s, eh_preset)
     if key not in _optimals:
-        _optimals[key] = sx.optimize_threshold(
-            iid_model(p_s, eh_preset), solver_cfg())
+        _optimals[key] = sx.optimize_threshold(iid_model(p_s, eh_preset))
     return _optimals[key]
 
 
@@ -176,19 +179,17 @@ def test_criterion_05_threshold_curve_calibration():
                 assert lam[i + 1] >= lam[i] - 2 * (se[i] + se[i + 1])
             for i in range(k, len(lam) - 1):
                 assert lam[i + 1] <= lam[i] + 2 * (se[i] + se[i + 1])
-        assert 1.25 <= optimal_policy(0.0).gamma <= 1.75
+        assert 1.25 <= optimal_gamma(0.0) <= 1.75
         for p_s in (0.5, 0.75, 1.0):
-            assert 1.75 <= optimal_policy(p_s).gamma <= 2.25
+            assert 1.75 <= optimal_gamma(p_s) <= 2.25
 
 
 def test_criterion_06_saving_time_curves():
     with criterion(6, "mean saving time falls with access probability at "
                       "fixed thresholds; re-optimized curve sits between"):
-        cfg = solver_cfg()
         fixed = {}
         for gamma in (1.5, 2.0):
-            mets = [sx.evaluate_threshold(iid_model(p), gamma, cfg)
-                    for p in PS_GRID]
+            mets = [evaluate(iid_model(p), [gamma])[0] for p in PS_GRID]
             times = [m.mean_saving_time for m in mets]
             ses = [m.se_saving_time for m in mets]
             # strictly decreasing with non-overlapping 95% intervals
@@ -202,8 +203,7 @@ def test_criterion_06_saving_time_curves():
         # half-unit threshold grid
         slope = (hi_t - lo_t) / 0.5
         for i, p_s in enumerate(PS_GRID):
-            met = sx.evaluate_threshold(
-                iid_model(p_s), optimal_policy(p_s).gamma, cfg)
+            met, = evaluate(iid_model(p_s), [optimal_gamma(p_s)])
             tol_lo = 2 * (met.se_saving_time + lo_se[i]) + slope[i] * 0.25
             tol_hi = 2 * (met.se_saving_time + hi_se[i]) + slope[i] * 0.25
             assert met.mean_saving_time >= lo_t[i] - tol_lo
@@ -214,14 +214,12 @@ def test_criterion_07_harvesting_diversity():
     with criterion(7, "throughput at each model's best threshold orders "
                       "d > b > a > c; same-stationary models tie at zero "
                       "threshold (model d sits above by design)"):
-        cfg = solver_cfg()
         best = {}
         at_zero = {}
         for name in ("a", "b", "c", "d"):
-            pol = optimal_policy(0.5, name)
-            met = sx.evaluate_threshold(iid_model(0.5, name), pol.gamma, cfg)
+            met, met0 = evaluate(iid_model(0.5, name),
+                                 [optimal_gamma(0.5, name), 0.0])
             best[name] = (met.throughput, met.se_throughput)
-            met0 = sx.evaluate_threshold(iid_model(0.5, name), 0.0, cfg)
             at_zero[name] = (met0.throughput, met0.se_throughput)
         assert best["d"][0] - best["b"][0] > 2 * (best["d"][1]
                                                   + best["b"][1])
@@ -244,7 +242,7 @@ def test_criterion_08_fraction_of_conventional():
         ratios = []
         for p_s in PS_GRID:
             model = iid_model(p_s)
-            opp = optimal_policy(p_s).lambda_star
+            _, (opp, _) = optimal_policy(p_s)
             cv = sx.run_conventional(model, 2.0, MC_SLOTS, SEED + 2,
                                      replications=16, streams=512)
             ratios.append(opp / cv.throughput)
@@ -288,12 +286,11 @@ def test_criterion_09_invariant_suite(fig3_tables):
             spent += out.energy_spent
             assert spent <= harvested + 1e-9
 
-        cfg = solver_cfg(mc_periods=50_000)
-        met0 = sx.evaluate_threshold(iid_model(0.5), 0.0, cfg)
+        met0, = evaluate(iid_model(0.5), [0.0], periods=50_000)
         assert met0.mean_saving_time == 1.0
 
-        m1 = sx.evaluate_threshold(iid_model(0.5), 2.0, cfg)
-        m2 = sx.evaluate_threshold(iid_model(0.5), 2.0, cfg)
+        m1, = evaluate(iid_model(0.5), [2.0], periods=50_000)
+        m2, = evaluate(iid_model(0.5), [2.0], periods=50_000)
         assert m1 == m2
 
 

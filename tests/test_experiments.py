@@ -1,6 +1,8 @@
 import csv
+import hashlib
 import json
 import math
+import re
 import subprocess
 import sys
 
@@ -15,6 +17,7 @@ from savetx.tables import emit_csv
 TINY_MC = {"periods": 1500, "slots": 8000, "warmup_periods": 50,
            "replications": 2, "streams": 64}
 FAST_SOLVER = {"grid_points": 5, "gamma_hi": 3.0, "golden_tol": 0.25}
+NAN = float("nan")
 
 
 class TestValidateConfig:
@@ -150,6 +153,44 @@ class TestValidateConfig:
             sx.validate_config(
                 '{"experiment": "fig4", "gamma_grid": [0, Infinity]}')
 
+    @pytest.mark.parametrize("key, block, path", [
+        ("private", {"kind": "exponential", "mean": NAN}, "private.mean"),
+        ("private", {"kind": "exponential", "mean": math.inf},
+         "private.mean"),
+        ("private", {"kind": "exponential", "mean": True}, "private.mean"),
+        ("private", {"kind": "exponential", "mean": "abc"}, "private.mean"),
+        ("private", {"kind": "exponential", "mean": -1.0}, "private.mean"),
+        ("common", {"kind": "constant", "value": NAN}, "common.value"),
+        ("common", {"kind": "constant", "value": None}, "common.value"),
+        ("private", {"kind": "discrete", "values": [1.0, 2.0],
+                     "probabilities": [0.5, NAN]}, "private.probabilities"),
+        ("private", {"kind": "discrete", "values": [1.0, math.inf],
+                     "probabilities": [0.5, 0.5]}, "private.values"),
+        ("private", {"kind": "discrete", "values": 5,
+                     "probabilities": [1.0]}, "private.values"),
+        ("private", {"kind": "markov", "states": [1.0, 2.0],
+                     "transition": [[0.5, NAN], [0.5, 0.5]]},
+         "private.transition"),
+        ("eh", {"states": [0.0, 4.0], "transition": [[0.5, NAN], [0.5, 0.5]]},
+         "eh.transition"),
+        ("eh", {"states": [0.0, 4.0], "transition": [[0.5, 0.5], [1.0]]},
+         "eh.transition"),
+        ("eh", {"preset": "a", "switch": "x"}, "eh.switch"),
+        ("eh", {"preset": "a", "switch": NAN}, "eh.switch"),
+        ("eh", {"preset": "a", "switch": 0.0}, "eh.switch"),
+        ("eh", {"preset": "d", "p_good": NAN}, "eh.p_good"),
+        ("eh", {"preset": "z"}, "eh.preset"),
+        ("eh", {"states": [0.0, 0.5], "transition": [[0.5, 0.5]] * 2}, "eh"),
+        ("common", {"kind": "markov", "states": [1.0],
+                    "transition": [[1.0]]}, "common"),
+        ("private", {"kind": "exponential", "mean": 10 ** 400},
+         "private.mean")])
+    def test_bad_model_block(self, key, block, path):
+        # these were accepted, or escaped as a raw TypeError, ValueError or
+        # BadName
+        with pytest.raises(ConfigError, match=rf"^{re.escape(path)}: "):
+            sx.validate_config({"experiment": "fig4", key: block})
+
     def test_bad_gain_kind(self):
         with pytest.raises(ConfigError, match="private.kind"):
             sx.validate_config({"experiment": "fig3",
@@ -281,6 +322,35 @@ class TestRunExperiment:
         assert_exact_stats(cfg, json.loads(open(res["meta"]).read())["stats"])
 
 
+class TestPinnedTables:
+    """sha256 of each figure's CSV at the default seed and small Monte
+    Carlo sizes, so a change that moves any printed digit shows.  Hashes
+    from numpy 2.4 and scipy 1.17 on x86-64; another numpy or scipy may
+    round the last digits differently."""
+
+    MC = {"periods": 2000, "slots": 20000, "warmup_periods": 100,
+          "replications": 2, "streams": 64}
+    SHA256 = {
+        "fig3": "bca5a081cab8abf6e2452306ddd4da5d"
+                "387561b9f69c8395cb64ee967693cacc",
+        "fig4": "586b49d7294e467f5aae516b330273f7"
+                "c4a1433a6e6518b43936a70838d44f99",
+        "fig6": "927480f2698772b237873223ef5aa973"
+                "e0243a89b56aed395f5c3b06fff3c8f8",
+        "fig7": "11aeed31825f6df33bb0547462068fa1"
+                "03565f5419d16c34d79824413df599da",
+        "fig8": "88a07653c4266a73436d5fdd6bfe7b6a"
+                "44044ec177858f719a54e980211996d1",
+    }
+
+    @pytest.mark.parametrize("name", sorted(SHA256))
+    def test_csv_bytes(self, name, tmp_path):
+        cfg = sx.validate_config({"experiment": name, "mc": self.MC})
+        res = sx.run_experiment(cfg, tmp_path)
+        with open(res["csv"], "rb") as fh:
+            assert hashlib.sha256(fh.read()).hexdigest() == self.SHA256[name]
+
+
 def assert_exact_stats(cfg, stats):
     """The sidecar holds the exact throughput and mean saving time at each
     p_s's searched threshold."""
@@ -351,6 +421,21 @@ class TestCli:
         r = run_cli("--config", str(cfg), "--seed", "-5", "solve-markov")
         assert r.returncode == 2
         assert "seed" in r.stderr
+
+    @pytest.mark.parametrize("experiment, args, named", [
+        ("fig3", ["solve-markov", "--p-s", "1.5"], "--p-s"),
+        ("fig4", ["optimize-threshold", "--p-s", "nan"], "--p-s"),
+        ("fig4", ["simulate", "--scheme", "threshold", "--gamma", "-1"],
+         "--gamma"),
+        ("fig3", ["optimize-threshold"], "i.i.d. private")])
+    def test_bad_input_is_an_error(self, tmp_path, experiment, args, named):
+        # each of these exited 1 with a traceback
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"experiment": experiment, "mc": TINY_MC}))
+        r = run_cli("--config", str(cfg), *args)
+        assert r.returncode == 2
+        assert r.stderr.startswith("error: ") and named in r.stderr
+        assert "Traceback" not in r.stderr
 
     def test_missing_gamma(self, tmp_path):
         cfg = tmp_path / "c.json"

@@ -54,6 +54,48 @@ class TestMarkovChainSpec:
         assert np.abs(chain.transition.sum(axis=1) - 1).max() <= 1e-12
 
 
+NAN = float("nan")
+INF = float("inf")
+
+
+class TestNonFiniteRefused:
+    """Model constructors refuse NaN, infinities, booleans and
+    non-numbers, naming the argument; NaN used to pass every range
+    check, and True ran as 1.0."""
+
+    @pytest.mark.parametrize("name, make", [
+        ("value", lambda: sx.GainDistribution.constant(NAN)),
+        ("value", lambda: sx.GainDistribution.constant(None)),
+        ("value", lambda: sx.GainDistribution.constant(True)),
+        ("mean", lambda: sx.GainDistribution.exponential(INF)),
+        ("mean", lambda: sx.GainDistribution.exponential("abc")),
+        ("mean", lambda: sx.GainDistribution.exponential(True)),
+        ("values", lambda: sx.GainDistribution.discrete([1.0, INF],
+                                                        [0.5, 0.5])),
+        ("values", lambda: sx.GainDistribution.discrete([1.0, False],
+                                                        [0.5, 0.5])),
+        ("probabilities", lambda: sx.GainDistribution.discrete(
+            [1.0, 2.0], [0.5, NAN])),
+        ("states", lambda: sx.MarkovChainSpec([1.0, NAN],
+                                              [[0.5, 0.5], [0.5, 0.5]])),
+        ("transition", lambda: sx.MarkovChainSpec(
+            [1.0, 2.0], [[0.5, NAN], [0.5, 0.5]])),
+        ("transition", lambda: sx.MarkovChainSpec([1.0], [[True]])),
+        ("switch", lambda: sx.make_eh_preset("a", switch=NAN)),
+        ("switch", lambda: sx.make_eh_preset("a", switch="x")),
+        ("p_good", lambda: sx.make_eh_preset("d", p_good=NAN))],
+        ids=lambda v: v if isinstance(v, str) else "")
+    def test_refused(self, name, make):
+        with pytest.raises(ValueError, match=f"^{name}: "):
+            make()
+
+    def test_numpy_scalars_accepted(self):
+        gain = sx.GainDistribution.discrete(np.array([0.5, 2.0]),
+                                            [np.float64(0.25), 0.75])
+        assert gain.values == (0.5, 2.0)
+        assert sx.GainDistribution.exponential(np.int64(2)).mean == 2.0
+
+
 class TestStationaryDistribution:
     def test_paper_chain(self):
         pi = sx.stationary_distribution(PAPER_CHAIN)

@@ -128,13 +128,34 @@ class TestRunSimulation:
         assert met.mean_saving_time == 1.0
         assert met.periods == 500
 
-    @pytest.mark.parametrize("key, value", [("n_periods", 0),
-                                            ("warmup_periods", -1)])
+    @pytest.mark.parametrize("key, value", [
+        ("n_periods", 0), ("warmup_periods", -1), ("streams", 0),
+        ("replications", 0), ("replications", -2), ("slot_cap", 0),
+        ("n_periods", float("nan"))])
     def test_bad_sizes_rejected(self, key, value):
+        # streams=0 divided by zero, replications <= 0 ran as 1, and
+        # slot_cap=0 drew a slot before it overflowed
         args = {"n_periods": 100, "warmup_periods": 0, key: value}
         with pytest.raises(ValueError, match=key):
             sx.run_simulation(sx.Policy.threshold(0.0), constant_world(),
                               seed=1, **args)
+
+    @pytest.mark.parametrize("key, value", [
+        ("n_slots", 0), ("streams", 0), ("replications", 0),
+        ("replications", -2)])
+    def test_bad_supply_sizes_rejected(self, key, value):
+        args = {"n_slots": 100, "seed": 1, key: value}
+        with pytest.raises(ValueError, match=key):
+            sx.run_best_effort(constant_world(), **args)
+        with pytest.raises(ValueError, match=key):
+            sx.run_conventional(constant_world(), 2.0, **args)
+
+    def test_mixed_rules_rejected(self):
+        # a DP rule's table would stop every row of a lockstep pass
+        table = sx.solve_markov(constant_world())
+        with pytest.raises(ValueError, match="one dp policy"):
+            sx.run_policies([sx.Policy.dp(table), sx.Policy.threshold(0.0)],
+                            constant_world(), 100, seed=1)
 
     def test_short_run_se_unknown(self):
         # fewer than two records per batch: the SE is unknown, not zero
@@ -219,11 +240,11 @@ class TestRunSimulation:
         engine that reduces each replication's records into batch sums
         peaks at 0.37 MB."""
         model = iid_model(0.5)
-        cfg = sx.SolverConfig(mc_periods=50_000, mc_seed=20240501)
-        sx.evaluate_threshold(model, 2.0, cfg)
+        rule = sx.Policy.threshold(2.0)
+        sx.run_simulation(rule, model, 50_000, 20240501)
         tracemalloc.start()
         try:
-            sx.evaluate_threshold(model, 2.0, cfg)
+            sx.run_simulation(rule, model, 50_000, 20240501)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -236,12 +257,11 @@ class TestRunSimulation:
         replication's records into batch sums, and 41.1 MB for the same
         pass keeping every row's records until the end."""
         model = iid_model(0.5)
-        cfg = sx.SolverConfig(mc_periods=50_000, mc_seed=20240501)
-        grid = np.linspace(0.0, 4.0, 21)
-        sx.evaluate_thresholds(model, grid, cfg)
+        rules = [sx.Policy.threshold(g) for g in np.linspace(0.0, 4.0, 21)]
+        sx.run_policies(rules, model, 50_000, 20240501)
         tracemalloc.start()
         try:
-            sx.evaluate_thresholds(model, grid, cfg)
+            sx.run_policies(rules, model, 50_000, 20240501)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -378,11 +398,10 @@ class TestSupplyBlocks:
         model = self.MODELS[name]()
         n = reps * streams * slots
         got = sx.run_best_effort(model, n, seed=3, replications=reps,
-                                 streams=streams, n_batches=4)
+                                 streams=streams)
         want = run_supply_per_slot(model, n, 3,
                                    best_effort_start(model, streams),
-                                   replications=reps, streams=streams,
-                                   n_batches=4)
+                                   replications=reps, streams=streams)
         self.assert_same(got, want)
         assert got.periods == n
 
@@ -394,12 +413,11 @@ class TestSupplyBlocks:
                                      model.access, 2.0)
         n = reps * streams * slots
         got = sx.run_conventional(model, 2.0, n, seed=5, water_level=level,
-                                  replications=reps, streams=streams,
-                                  n_batches=4)
+                                  replications=reps, streams=streams)
         want = run_supply_per_slot(model, n, 5,
                                    conventional_start(model, level),
                                    replications=reps, streams=streams,
-                                   n_batches=4, with_power=True)
+                                   with_power=True)
         self.assert_same(got, want)
 
     def test_best_effort_memory(self):

@@ -1,6 +1,6 @@
 import json
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +8,7 @@ import pytest
 
 import savetx as sx
 import savetx.simulate
-from savetx.errors import NoConvergence, PeriodOverflow
+from savetx.errors import NoConvergence, PeriodOverflow, UnsupportedKind
 from savetx.tables import format_value
 from savetx.solver import _DPSpace, _gain_and_bias, _stop_moments, \
     _threshold_chain, _threshold_gain
@@ -24,6 +24,10 @@ def fig3_model(p_s):
 
 def iid_model(p_s):
     return sx.validate_config({"experiment": "fig4"}).build_model(p_s)
+
+
+def thresholds(gammas):
+    return [sx.Policy.threshold(g) for g in gammas]
 
 
 def fig7_model(preset):
@@ -251,45 +255,49 @@ class TestDpDecide:
 
 
 class TestEvaluateThreshold:
-    def make_cfg(self, periods=20_000, seed=0):
-        return sx.SolverConfig(mc_periods=periods, mc_warmup_periods=200,
-                               mc_replications=4, mc_streams=256,
-                               mc_seed=seed)
+    """Monte Carlo metrics of one threshold rule (``run_simulation``)."""
+
+    @staticmethod
+    def run(model, gamma, periods=20_000):
+        return sx.run_simulation(sx.Policy.threshold(gamma), model, periods,
+                                 0, warmup_periods=200, replications=4,
+                                 streams=256)
 
     def test_zero_threshold_stops_immediately(self):
         m = iid_model(0.5)
-        met = sx.evaluate_threshold(m, 0.0, self.make_cfg())
+        met = self.run(m, 0.0)
         assert met.mean_saving_time == 1.0
         lam0, _ = exact_threshold_metrics(0.0, 0.5)
         assert abs(met.throughput - lam0) < 4 * max(met.se_throughput, 1e-4)
 
     def test_mean_saving_time_decreases_with_access(self):
-        cfg = self.make_cfg(periods=40_000)
-        times = [sx.evaluate_threshold(iid_model(p), 2.0, cfg)
+        times = [self.run(iid_model(p), 2.0, periods=40_000)
                  .mean_saving_time for p in (0.0, 0.25, 0.5, 0.75, 1.0)]
         assert all(a > b for a, b in zip(times, times[1:]))
 
     def test_matches_renewal_oracle(self):
         m = iid_model(0.5)
-        met = sx.evaluate_threshold(m, 1.5, self.make_cfg(periods=100_000))
+        met = self.run(m, 1.5, periods=100_000)
         lam, eT = exact_threshold_metrics(1.5, 0.5)
         assert abs(met.throughput - lam) < 3 * met.se_throughput
         assert abs(met.mean_saving_time - eT) < 3 * met.se_saving_time
 
     def test_unreachable_threshold_overflows(self):
-        cfg = sx.SolverConfig(mc_periods=100, mc_replications=1,
-                              mc_streams=16, slot_cap=200)
         with pytest.raises(PeriodOverflow):
-            sx.evaluate_threshold(fig3_model(0.0), 10.0, cfg)
+            sx.run_simulation(sx.Policy.threshold(10.0), fig3_model(0.0),
+                              100, 0, replications=1, streams=16,
+                              slot_cap=200)
 
     def test_negative_gamma_rejected(self):
         with pytest.raises(ValueError):
-            sx.evaluate_threshold(iid_model(0.5), -1.0)
+            self.run(iid_model(0.5), -1.0)
 
 
 class TestEvaluateThresholds:
-    CFG = sx.SolverConfig(mc_periods=4000, mc_warmup_periods=100,
-                          mc_replications=3, mc_streams=64, mc_seed=7)
+    """Monte Carlo metrics of a table of threshold rules in one lockstep
+    pass (``run_policies``)."""
+
+    SIZES = dict(warmup_periods=100, replications=3, streams=64)
     # gamma = 0, a long-period gamma (4), unsorted, and a duplicate
     GAMMAS = [2.0, 0.0, 4.0, 1.0, 2.0]
 
@@ -304,10 +312,12 @@ class TestEvaluateThresholds:
         markov_workload_config().build_model(0.75),
     ], ids=["exp-exp", "discrete", "markov-private-preset-c"])
     def test_matches_one_rule_at_a_time(self, model):
-        mets = sx.evaluate_thresholds(model, self.GAMMAS, self.CFG)
+        mets = sx.run_policies(thresholds(self.GAMMAS), model, 4000, 7,
+                               **self.SIZES)
         assert len(mets) == len(self.GAMMAS)
         for gamma, met in zip(self.GAMMAS, mets):
-            one = sx.evaluate_threshold(model, gamma, self.CFG)
+            one = sx.run_simulation(sx.Policy.threshold(gamma), model, 4000,
+                                    7, **self.SIZES)
             for name in ("throughput", "se_throughput", "mean_saving_time",
                          "se_saving_time"):
                 got, want = getattr(met, name), getattr(one, name)
@@ -318,13 +328,12 @@ class TestEvaluateThresholds:
         assert mets[0] == mets[4]
         assert mets[2].mean_saving_time > mets[0].mean_saving_time > \
             mets[1].mean_saving_time
-        assert sx.evaluate_thresholds(model, [], self.CFG) == []
+        assert sx.run_policies([], model, 4000, 7, **self.SIZES) == []
 
     def test_one_unreachable_threshold_overflows(self):
-        cfg = sx.SolverConfig(mc_periods=100, mc_replications=1,
-                              mc_streams=16, slot_cap=200)
         with pytest.raises(PeriodOverflow):
-            sx.evaluate_thresholds(fig3_model(0.0), [0.0, 10.0], cfg)
+            sx.run_policies(thresholds([0.0, 10.0]), fig3_model(0.0), 100, 0,
+                            replications=1, streams=16, slot_cap=200)
 
 
 def with_iid_private(config: SmallConfig, rng) -> SmallConfig:
@@ -388,11 +397,10 @@ class TestThresholdMetrics:
     @pytest.mark.parametrize("preset", ["a", "b", "c", "d"])
     def test_monte_carlo_agrees_on_harvest_presets(self, preset):
         model = fig7_model(preset)
-        cfg = sx.SolverConfig(mc_periods=100_000, mc_replications=8,
-                              mc_streams=256, mc_seed=5)
         for gamma in (1.5, 2.0):
             lam, mean_T = sx.threshold_metrics(model, gamma)
-            met = sx.evaluate_threshold(model, gamma, cfg)
+            met = sx.run_simulation(sx.Policy.threshold(gamma), model,
+                                    100_000, 5, replications=8, streams=256)
             assert abs(met.throughput - lam) <= 3 * met.se_throughput
             assert abs(met.mean_saving_time - mean_T) <= \
                 3 * met.se_saving_time
@@ -403,7 +411,7 @@ class TestThresholdMetrics:
         # misses by up to 2% per level; the mean saving time shows it most
         model = iid_model(1.0)
         lam, mean_T = sx.threshold_metrics(model, 2.17)
-        met = sx.evaluate_threshold(model, 2.17, sx.SolverConfig(mc_seed=1))
+        met = sx.run_simulation(sx.Policy.threshold(2.17), model, 200_000, 1)
         assert abs(met.throughput - lam) <= 3 * met.se_throughput
         assert abs(met.mean_saving_time - mean_T) <= 3 * met.se_saving_time
 
@@ -460,11 +468,10 @@ class TestThresholdMetrics:
             private=private, common=common, access=sx.AccessModel(0.5),
             eh=sx.make_eh_preset("b").chain, b_max_units=10_000,
             log_base=log_base)
-        cfg = sx.SolverConfig(mc_periods=100_000, mc_replications=8,
-                              mc_streams=256, mc_seed=9)
         for gamma in (1.0, 2.5):
             lam, mean_T = sx.threshold_metrics(model, gamma)
-            met = sx.evaluate_threshold(model, gamma, cfg)
+            met = sx.run_simulation(sx.Policy.threshold(gamma), model,
+                                    100_000, 9, replications=8, streams=256)
             assert abs(met.throughput - lam) <= 3 * met.se_throughput
             assert abs(met.mean_saving_time - mean_T) <= \
                 3 * met.se_saving_time
@@ -522,28 +529,22 @@ class TestThresholdMetrics:
         with pytest.raises(ValueError, match="finite"):
             sx.threshold_metrics(model, gamma)
         with pytest.raises(ValueError, match="finite"):
-            sx.ThresholdPolicy(gamma=gamma)
-        with pytest.raises(ValueError, match="finite"):
-            sx.evaluate_threshold(model, gamma)
+            sx.Policy.threshold(gamma)
 
     def test_markov_gains_rejected(self):
-        with pytest.raises(ValueError, match="i.i.d. private"):
+        with pytest.raises(UnsupportedKind, match="i.i.d. private"):
             sx.threshold_metrics(fig3_model(0.5), 1.0)
 
 
 class TestOptimizeThreshold:
     def test_iid_low_access_optimum_near_calibrated_value(self):
-        cfg = sx.SolverConfig(mc_periods=50_000, mc_warmup_periods=200,
-                              mc_replications=4, mc_streams=512, mc_seed=3)
-        policy = sx.optimize_threshold(iid_model(0.0), cfg)
-        assert 1.25 <= policy.gamma <= 1.75
-        assert policy.lambda_star > 1.0
+        gamma, (lam, _) = sx.optimize_threshold(iid_model(0.0))
+        assert 1.25 <= gamma <= 1.75
+        assert lam > 1.0
 
     def test_iid_high_access_optimum_near_two(self):
-        cfg = sx.SolverConfig(mc_periods=50_000, mc_warmup_periods=200,
-                              mc_replications=4, mc_streams=512, mc_seed=3)
-        policy = sx.optimize_threshold(iid_model(0.75), cfg)
-        assert 1.75 <= policy.gamma <= 2.35
+        gamma, _ = sx.optimize_threshold(iid_model(0.75))
+        assert 1.75 <= gamma <= 2.35
 
     def test_scan_is_unimodal_in_constant_world(self):
         model = sx.SystemModel(
@@ -552,16 +553,15 @@ class TestOptimizeThreshold:
             access=sx.AccessModel(0.0),
             eh=sx.MarkovChainSpec([1.0], [[1.0]]),
             b_max_units=100_000, delta=1.0)
-        cfg = sx.SolverConfig(mc_periods=2000, mc_replications=2,
-                              mc_streams=128, mc_seed=0, gamma_hi=8.0)
-        lams = [m.throughput for m in sx.evaluate_thresholds(
-            model, np.linspace(0.0, 8.0, 21), cfg)]
+        lams = [m.throughput for m in sx.run_policies(
+            thresholds(np.linspace(0.0, 8.0, 21)), model, 2000, 0,
+            replications=2, streams=128)]
         k = int(np.argmax(lams))
         assert all(x <= y + 1e-12 for x, y in zip(lams[:k], lams[1:k + 1]))
         assert all(x >= y - 1e-12 for x, y in zip(lams[k:], lams[k + 1:]))
 
     def test_markov_gains_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(UnsupportedKind):
             sx.optimize_threshold(fig3_model(0.5))
 
     def test_search_is_exact(self, monkeypatch):
@@ -571,19 +571,27 @@ class TestOptimizeThreshold:
             raise AssertionError("the threshold search ran Monte Carlo")
 
         monkeypatch.setattr(savetx.simulate, "run_simulation", no_mc)
-        # the period engine, which evaluate_thresholds reaches directly
+        # the period engine, which run_policies reaches directly
         monkeypatch.setattr(savetx.simulate, "_run_block", no_mc)
         refs = json.loads((Path(__file__).resolve().parents[1] / "perfbench"
                            / "references.json").read_text())
         for p_s, key in ((0.0, "0"), (0.5, "0.5")):
-            policy = sx.optimize_threshold(iid_model(p_s))
+            gamma, pair = sx.optimize_threshold(iid_model(p_s))
             best = refs["search"]["lambda_opt"][key]
-            lam, _ = exact_threshold_metrics(policy.gamma, p_s)
+            lam, _ = exact_threshold_metrics(gamma, p_s)
             assert (best - lam) / best <= 1e-4
-            assert policy.lambda_star == pytest.approx(lam, abs=1e-9)
+            assert pair[0] == pytest.approx(lam, abs=1e-9)
+            # the pair is the exact evaluator's, not a second estimate
+            assert pair == sx.threshold_metrics(iid_model(p_s), gamma)
 
 
 class TestSolverConfig:
+    def test_fields_are_the_solver_knobs(self):
+        # Monte Carlo sizes and the seed live in the mc block and the seed
+        assert [f.name for f in fields(sx.SolverConfig)] == [
+            "lambda_tol", "outer_max_iters", "common_bins", "gamma_hi",
+            "grid_points", "golden_tol"]
+
     def test_validation(self):
         with pytest.raises(ValueError):
             sx.SolverConfig(lambda_tol=0.0)
