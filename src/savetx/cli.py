@@ -109,6 +109,10 @@ def _rule(args, cfg: ExperimentConfig, model) -> Policy:
 
 
 def _cmd_simulate(args) -> int:
+    for flag, value, schemes in (("--gamma", args.gamma, ("threshold",)),
+                                 ("--trace", args.trace, ("threshold", "dp"))):
+        if value is not None and args.scheme not in schemes:
+            raise ConfigError(f"{flag}: not used by the {args.scheme} scheme")
     cfg = _load_config(args)
     p_s, model = _model(args, cfg)
     mc = cfg.mc

@@ -7,12 +7,11 @@ metrics bit for bit.  Replications carry seeds derived from the base seed
 and are combined in replication order.
 
 Per-slot draw order is phi, private gain, common gain, harvest, each one
-block over all streams.  ``run_policies`` is the one entry to the period
-engine ``_run_block``: it runs a DP rule, or a table of threshold rules in
-one lockstep pass, and ``run_simulation`` is its one-rule form.  The two
-benchmark supplies share one slot loop, ``_run_supply``, which draws per
-slot in that same order but spends per block of slots, and they differ
-only in how energy is spent.
+block over all streams.  ``run_policies`` runs any list of rules, each a
+``Policy`` gamma table, in one lockstep pass of the period engine
+``_run_block``; ``run_simulation`` is its one-rule form.  The two benchmark
+supplies share one slot loop, ``_run_supply``, which draws per slot in that
+order but spends per block of slots, differing only in how energy is spent.
 """
 from __future__ import annotations
 
@@ -43,22 +42,28 @@ TRACE_SCHEMA = ("period", "saving_slots", "b_stop", "phi", "h", "h_common",
 N_BATCHES = 20
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Policy:
-    """Stopping rule of the period engine: a solved DP table or a rate
-    threshold."""
+    """Stopping rule of the period engine: stop once the slot's rate meets
+    ``gamma[b, e, h]``, a read-only table on (battery units, harvest state,
+    private-gain state); an axis of length 1 applies to all its states."""
 
-    kind: str
-    table: object = None          # solved value table for kind="dp"
-    gamma: float = float("nan")   # threshold for kind="threshold"
+    gamma: np.ndarray
+
+    def __post_init__(self):
+        gamma = np.array(self.gamma, dtype=float)  # a read-only copy
+        if gamma.ndim != 3:
+            raise ValueError("gamma: a rule table has 3 axes")
+        gamma.setflags(write=False)
+        object.__setattr__(self, "gamma", gamma)
 
     @classmethod
     def dp(cls, table) -> "Policy":
-        return cls(kind="dp", table=table)
+        return cls(table.gamma)
 
     @classmethod
     def threshold(cls, gamma) -> "Policy":
-        return cls(kind="threshold", gamma=check_gamma(gamma))
+        return cls(np.full((1, 1, 1), check_gamma(gamma)))
 
 
 @dataclass(frozen=True)
@@ -96,37 +101,26 @@ def _step_chain(cum: np.ndarray, idx, rng, size: int):
 
 
 class _GainSampler:
-    """Per-slot i.i.d. gain draws; returns values and grid indices."""
+    """Per-slot i.i.d. gain draws."""
 
-    def __init__(self, dist: GainDistribution, grid: np.ndarray | None = None):
+    def __init__(self, dist: GainDistribution):
         self.dist = dist
         if dist.kind == "discrete":
             self.values = np.asarray(dist.values)
             self.cum = np.cumsum(dist.probabilities)
-        if grid is not None and len(grid) > 1:
-            g = np.sort(np.asarray(grid, dtype=float))
-            self.mids = 0.5 * (g[1:] + g[:-1])
-        else:
-            self.mids = None
 
-    def draw(self, rng, size: int):
-        kind = self.dist.kind
-        if kind == "discrete":
-            idx = _step_chain(self.cum, None, rng, size)
-            return self.values[idx], idx
-        if kind == "constant":
-            vals = np.full(size, self.dist.value)
-        else:
-            vals = rng.exponential(self.dist.mean, size=size)
-        if self.mids is None:
-            return vals, np.zeros(size, dtype=np.int64)
-        return vals, np.searchsorted(self.mids, vals)
+    def draw(self, rng, size: int) -> np.ndarray:
+        if self.dist.kind == "discrete":
+            return self.values[_step_chain(self.cum, None, rng, size)]
+        if self.dist.kind == "constant":
+            return np.full(size, self.dist.value)
+        return rng.exponential(self.dist.mean, size=size)
 
 
 class _PrivateSampler:
-    """Private gain: Markov chain steps or fresh i.i.d. draws."""
+    """Private gain: Markov chain steps, or fresh i.i.d. draws at index 0."""
 
-    def __init__(self, model: SystemModel, grid: np.ndarray | None = None):
+    def __init__(self, model: SystemModel):
         self.is_markov = model.private.kind == "markov"
         if self.is_markov:
             chain = model.private.chain
@@ -134,7 +128,7 @@ class _PrivateSampler:
             self.cum = np.cumsum(chain.transition, axis=1)
             self.pi_cum = np.cumsum(stationary_distribution(chain))
         else:
-            self.iid = _GainSampler(model.private, grid)
+            self.iid = _GainSampler(model.private)
 
     def init(self, rng, size: int):
         """Chain indices from the stationary law (zeros when i.i.d., which
@@ -148,17 +142,16 @@ class _PrivateSampler:
         if self.is_markov:
             nxt = _step_chain(self.cum, idx, rng, size)
             return self.values[nxt], nxt
-        return self.iid.draw(rng, size)
+        return self.iid.draw(rng, size), idx
 
 
 def _draw_slot(model: SystemModel, private: _PrivateSampler,
                common: _GainSampler, h_idx, rng, size: int):
     """One slot's channel draws for every stream: access flag, private
-    gain, common gain.  Returns (phi, h, h_idx, hc, hc_idx)."""
+    gain, common gain.  Returns (phi, h, h_idx, hc)."""
     phi = (rng.random(size) < model.access.p_s).astype(np.int8)
     h, h_idx = private.step(h_idx, rng, size)
-    hc, hc_idx = common.draw(rng, size)
-    return phi, h, h_idx, hc, hc_idx
+    return phi, h, h_idx, common.draw(rng, size)
 
 
 def _first_harvest(model: SystemModel, rng, size: int):
@@ -174,11 +167,28 @@ def _first_harvest(model: SystemModel, rng, size: int):
 # period engine
 
 
+def _rule_tables(policies, model: SystemModel) -> np.ndarray:
+    """The rules' gamma tables stacked on a row axis; refuses an axis that
+    is neither 1 long nor the model's state count.  An i.i.d. private gain
+    reads h at 0: a DP's gamma is constant in h there."""
+    iid = model.private.is_iid
+    tables = [p.gamma[:, :, :1] if iid else p.gamma for p in policies]
+    sizes = {"battery": model.b_max_units + 1,
+             "harvest": len(model.eh.states),
+             "private-gain": 1 if iid else len(model.private.chain.states)}
+    for t in tables:
+        for (axis, n), have in zip(sizes.items(), t.shape):
+            if have not in (1, n):
+                raise ValueError(f"rule table: the {axis} axis has length "
+                                 f"{have}, the model needs 1 or {n}")
+    return np.stack(np.broadcast_arrays(*tables))
+
+
 def _run_block(policies, model: SystemModel, warm_per_stream: int,
                keep_per_stream: int, rng, streams: int, slot_cap: int,
                trace: bool = False):
-    """Collect a fixed number of periods from every lockstep stream of one
-    DP rule or of several threshold rules, one row of streams each.
+    """Collect a fixed number of periods from every lockstep stream of
+    each rule, one row of streams per rule.
 
     Rows share each slot's draws; a row leaves once all its streams have
     their quota, so it gets what a pass of its rule alone would.  Each
@@ -187,19 +197,10 @@ def _run_block(policies, model: SystemModel, warm_per_stream: int,
     index keeps the sample free of length bias.  Records ``T`` and ``rate``
     (plus ``b``, ``phi``, ``h``, ``hc`` when ``trace``) are (row, stream,
     period index) arrays."""
-    gammas = np.array([p.gamma for p in policies])[:, None]  # NaN for DP
-    private_grid = hc_grid = None
-    if policies[0].kind == "dp":
-        t = policies[0].table
-        # unlike t.stop_table this stops at an empty battery (0 >= gamma[0]
-        # = 0); masking it moved the markov benchmark's DP rows by a mean z
-        # of -1.76 at p_s 0.75 over seeds 1-20, a start-up transient that
-        # stationary period starts (ROADMAP item 4) would remove
-        stop_tab = t.rates >= t.gamma[None, :, :, :, None]
-        private_grid = t.h_values
-        hc_grid = t.hc_values
-    private = _PrivateSampler(model, private_grid)
-    common = _GainSampler(model.common, hc_grid)
+    gammas = _rule_tables(policies, model)
+    nb, ne, nh = gammas.shape[1:]
+    private = _PrivateSampler(model)
+    common = _GainSampler(model.common)
     eh_cum = np.cumsum(model.eh.transition, axis=1)
     eh_vals = np.asarray(model.eh.states)
     cap = model.b_cap
@@ -228,14 +229,17 @@ def _run_block(policies, model: SystemModel, warm_per_stream: int,
         T_cur += 1
         if T_cur.max() > slot_cap:
             raise PeriodOverflow(f"period exceeded {slot_cap} slots")
-        phi, h, h_idx, hc, hc_idx = _draw_slot(model, private, common,
-                                               h_idx, rng, streams)
+        phi, h, h_idx, hc = _draw_slot(model, private, common, h_idx, rng,
+                                       streams)
         rate = stop_rate(b, h, hc, phi, base)
-        if policies[0].kind == "threshold":
-            stop = rate >= gammas
-        else:
-            b_units = np.round(b / t.delta).astype(np.int64)
-            stop = stop_tab[phi, b_units, e_idx, h_idx, hc_idx]
+        # unlike stop_table, this stops at an empty battery (0 >= gamma[0] =
+        # 0); masking it moved the markov benchmark's DP rows by a mean z of
+        # -1.76 at p_s 0.75 over seeds 1-20, a start-up transient that
+        # stationary period starts (ROADMAP item 4) would remove
+        at = (np.arange(len(gammas))[:, None],
+              np.round(b / model.delta).astype(np.int64) if nb > 1 else 0,
+              e_idx if ne > 1 else 0, h_idx if nh > 1 else 0)
+        stop = rate >= gammas[at]
         e_idx = _step_chain(eh_cum, e_idx, rng, streams)
         e_val = eh_vals[e_idx]
 
@@ -329,9 +333,10 @@ def run_policies(policies, model: SystemModel, n_periods: int, seed: int, *,
     """Renewal metrics of each stopping rule over ``n_periods`` periods, in
     order, from one lockstep pass per replication.
 
-    ``policies`` holds one DP rule or any number of threshold rules.  The
-    rules share each slot's draws (common random numbers) and keep their
-    own batteries and records, so each gets what a run of it alone would.
+    ``policies`` is any list of rules; a table that does not fit the model
+    raises ValueError naming the axis.  The rules share each slot's draws
+    (common random numbers) and keep their own batteries and records, so
+    each gets what a run of it alone would.
     Throughput is total rate over total slots, exact when the per-slot
     rate is constant.  Deterministic for fixed arguments: replication
     seeds derive from ``seed`` and partial results combine in replication
@@ -340,10 +345,6 @@ def run_policies(policies, model: SystemModel, n_periods: int, seed: int, *,
     _check_sizes(n_periods=n_periods, warmup_periods=warmup_periods,
                  replications=replications, streams=streams,
                  slot_cap=slot_cap)
-    kinds = [p.kind for p in policies]
-    if kinds != ["dp"] and any(k != "threshold" for k in kinds):
-        raise ValueError("run_policies needs one dp policy or threshold "
-                         "policies only")
     if not policies:
         return []
     quota = -(-n_periods // replications)
@@ -416,8 +417,8 @@ def _run_supply(model: SystemModel, n_slots: int, seed: int, start, *,
             n = min(_SUPPLY_BLOCK, slots_per_rep - first)
             block = None  # (slots, streams) buffers of phi, h, hc, *drawn
             for i in range(n):
-                phi, h, h_idx, hc, _ = _draw_slot(model, private, common,
-                                                  h_idx, rng, streams)
+                phi, h, h_idx, hc = _draw_slot(model, private, common,
+                                               h_idx, rng, streams)
                 slot = (phi, h, hc, *draw())
                 block = block or [np.empty((n, streams), a.dtype)
                                   for a in slot]

@@ -12,7 +12,7 @@ Two solution paths:
   solve evaluates it exactly; the chain carries the stop slot's harvest and
   the gain chain's step into the next saving period.  The solved rule is a
   threshold table on that carried state: stop iff the battery is charged
-  and the rate meets gamma(b, e, h).
+  and the rate meets gamma(b, e, h); the engine reads it on the drawn rate.
 
 * ``threshold_metrics`` evaluates a constant rate threshold exactly when
   the gains are i.i.d., under any harvest chain.  The rule's slot chain
@@ -94,9 +94,6 @@ class ValueTable:
     """
 
     lambda_star: float
-    delta: float
-    h_values: np.ndarray
-    hc_values: np.ndarray
     rates: np.ndarray
     gamma: np.ndarray
     outer_iters: int = 0
@@ -123,8 +120,7 @@ class _DPSpace:
     model's battery grid."""
 
     def __init__(self, model: SystemModel, cfg: SolverConfig):
-        self.delta = model.delta
-        self.b_vals = np.arange(model.b_max_units + 1) * self.delta
+        self.b_vals = np.arange(model.b_max_units + 1) * model.delta
 
         self.eh_vals = np.asarray(model.eh.states)
         self.Pe = model.eh.transition
@@ -309,9 +305,7 @@ def solve_markov(model: SystemModel, cfg: SolverConfig | None = None
                              ).max()
     if fixed_point_err > 1e-7:
         raise NoConvergence(f"fixed-point residual {fixed_point_err:.2e}")
-    return ValueTable(
-        lambda_star=lam, delta=space.delta, h_values=space.h_vals,
-        hc_values=space.hc_vals, rates=R, gamma=gamma, outer_iters=it)
+    return ValueTable(lambda_star=lam, rates=R, gamma=gamma, outer_iters=it)
 
 
 # ---------------------------------------------------------------------------

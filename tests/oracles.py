@@ -94,8 +94,9 @@ def split_rate(phi, h, hc, split: Split, base=2.0) -> float:
 #
 # One stream, scalar draws taken from ``rng`` in the engine's order (phi,
 # private gain, common gain, harvest), so a single-stream engine run matches
-# it draw for draw.  The DP rule is the raw ``rates >= gamma`` comparison
-# at the state's nearest grid cell, as the engine applies it.
+# it draw for draw.  A rule stops once the drawn rate meets its gamma table
+# at (battery units, harvest state, private-gain state), as the engine
+# applies it.
 
 
 def advance_battery(b, e, b_max_units, delta) -> float:
@@ -167,16 +168,14 @@ def fresh_carry(model, rng) -> SimCarry:
                     h_idx=h_idx)
 
 
-def _decide_stop(policy, model, state: SystemState, rate) -> bool:
-    if policy.kind == "threshold":
-        return rate >= policy.gamma
-    t = policy.table
-    # nearest grid cell of each state component
-    b = int(np.clip(round(state.b / t.delta), 0, len(t.gamma) - 1))
-    e = int(np.argmin(np.abs(np.asarray(model.eh.states) - state.e_prev)))
-    h = int(np.argmin(np.abs(t.h_values - state.h)))
-    hc = int(np.argmin(np.abs(t.hc_values - state.h_common)))
-    return bool(t.rates[state.phi, b, e, h, hc] >= t.gamma[b, e, h])
+def _decide_stop(policy, model, b, e_idx, h_idx, rate) -> bool:
+    """``rate >= gamma`` at the state; a length-1 axis applies to every
+    state on it, and an i.i.d. private gain (``h_idx`` None) reads the
+    private axis at 0."""
+    at = (round(b / model.delta), e_idx, h_idx or 0)
+    gamma = policy.gamma
+    return bool(rate >= gamma[tuple(i if n > 1 else 0
+                                    for i, n in zip(at, gamma.shape))])
 
 
 def run_period(policy, model, rng, carry: SimCarry | None = None,
@@ -211,7 +210,7 @@ def run_period(policy, model, rng, carry: SimCarry | None = None,
         state = SystemState(phi=phi, b=b, e_prev=model.eh.states[e_idx],
                             h=float(h), h_common=float(hc))
         rate = float(sx.stop_rate(b, h, hc, phi, model.log_base))
-        stop = _decide_stop(policy, model, state, rate)
+        stop = _decide_stop(policy, model, b, e_idx, h_idx, rate)
         e_idx = _draw_index(np.cumsum(model.eh.transition[e_idx]), rng)
         e_val = model.eh.states[e_idx]
         if stop:
@@ -261,8 +260,8 @@ def run_supply_per_slot(model, n_slots, seed, start, *, replications=16,
         h_idx = private.init(rng, streams)
         means = np.empty((1 + with_power, slots_per_rep))
         for s in range(slots_per_rep):
-            phi, h, h_idx, hc, _ = sim._draw_slot(model, private, common,
-                                                  h_idx, rng, streams)
+            phi, h, h_idx, hc = sim._draw_slot(model, private, common,
+                                               h_idx, rng, streams)
             values = spend(phi, h, hc)
             if shifts is None:
                 shifts = [float(v[0]) for v in values]

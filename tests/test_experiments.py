@@ -427,9 +427,16 @@ class TestCli:
         ("fig4", ["optimize-threshold", "--p-s", "nan"], "--p-s"),
         ("fig4", ["simulate", "--scheme", "threshold", "--gamma", "-1"],
          "--gamma"),
-        ("fig3", ["optimize-threshold"], "i.i.d. private")])
+        ("fig3", ["optimize-threshold"], "i.i.d. private"),
+        ("fig4", ["simulate", "--scheme", "dp", "--gamma", "1"], "--gamma"),
+        ("fig4", ["simulate", "--scheme", "best-effort", "--gamma", "1"],
+         "--gamma"),
+        ("fig4", ["simulate", "--scheme", "best-effort", "--trace", "t.csv"],
+         "--trace"),
+        ("fig4", ["simulate", "--scheme", "conventional", "--trace", "t.csv"],
+         "--trace")])
     def test_bad_input_is_an_error(self, tmp_path, experiment, args, named):
-        # each of these exited 1 with a traceback
+        # each of these exited 1 with a traceback, or 0 ignoring a flag
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"experiment": experiment, "mc": TINY_MC}))
         r = run_cli("--config", str(cfg), *args)

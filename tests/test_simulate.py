@@ -116,6 +116,15 @@ class TestPolicy:
         with pytest.raises(ValueError, match="finite"):
             sx.Policy.threshold(gamma)
 
+    def test_one_read_only_table(self):
+        table = sx.solve_markov(fig3_model(0.5))
+        for rule, want in ((sx.Policy.threshold(2.0), np.full((1, 1, 1), 2.0)),
+                           (sx.Policy.dp(table), table.gamma)):
+            np.testing.assert_array_equal(rule.gamma, want)
+            assert not rule.gamma.flags.writeable
+        with pytest.raises(ValueError, match="3 axes"):
+            sx.Policy(np.zeros((2, 2)))
+
 
 class TestRunSimulation:
     def test_constant_world_exact(self):
@@ -150,12 +159,35 @@ class TestRunSimulation:
         with pytest.raises(ValueError, match=key):
             sx.run_conventional(constant_world(), 2.0, **args)
 
-    def test_mixed_rules_rejected(self):
-        # a DP rule's table would stop every row of a lockstep pass
-        table = sx.solve_markov(constant_world())
-        with pytest.raises(ValueError, match="one dp policy"):
-            sx.run_policies([sx.Policy.dp(table), sx.Policy.threshold(0.0)],
-                            constant_world(), 100, seed=1)
+    def test_mixed_rules_match_solo_runs(self):
+        # a DP rule and threshold rules share one lockstep pass, and each
+        # row gets exactly what a run of its rule alone would
+        cfg = markov_workload_config()
+        model = cfg.build_model(0.75)
+        rules = [sx.Policy.threshold(1.0),
+                 sx.Policy.dp(sx.solve_markov(model, cfg.solver)),
+                 sx.Policy.threshold(2.5)]
+        kw = dict(warmup_periods=100, replications=2, streams=64)
+        got = sx.run_policies(rules, model, 4000, 3, **kw)
+        assert got == [sx.run_simulation(r, model, 4000, 3, **kw)
+                       for r in rules]
+
+    @pytest.mark.parametrize("b_max_units, eh, axis", [
+        (30, None, "battery axis has length 21"),
+        (10, None, "battery axis has length 21"),
+        (20, sx.MarkovChainSpec([0.0, 2.0, 4.0], np.full((3, 3), 1 / 3)),
+         "harvest axis has length 2")])
+    def test_rule_table_must_fit_model(self, b_max_units, eh, axis):
+        # a b_max 30 model raised a bare IndexError, and a b_max 10 model
+        # ran the b_max 20 table silently
+        cfg = markov_workload_config()
+        model = cfg.build_model(0.75)
+        rule = sx.Policy.dp(sx.solve_markov(model, cfg.solver))
+        other = sx.SystemModel(
+            private=model.private, common=model.common, access=model.access,
+            eh=eh or model.eh, b_max_units=b_max_units, delta=model.delta)
+        with pytest.raises(ValueError, match=axis):
+            sx.run_simulation(rule, other, 100, seed=1)
 
     def test_short_run_se_unknown(self):
         # fewer than two records per batch: the SE is unknown, not zero
@@ -204,11 +236,22 @@ class TestRunSimulation:
 
         markov_cfg = markov_workload_config()
         markov_model = markov_cfg.build_model(0.75)
+        # i.i.d. exponential gains: the DP's private axis is read at 0
+        iid_dp_model = sx.SystemModel(
+            private=sx.GainDistribution.exponential(1.0),
+            common=sx.GainDistribution.exponential(1.0),
+            access=sx.AccessModel(0.5),
+            eh=sx.MarkovChainSpec([0.0, 2.0], [[0.6, 0.4], [0.3, 0.7]]),
+            b_max_units=6, delta=1.0)
+        iid_dp_table = sx.solve_markov(iid_dp_model,
+                                       sx.SolverConfig(common_bins=4))
+        assert iid_dp_table.gamma.shape == (7, 2, 4)
         cases = [
             (model, pol),
             (fig3_model(0.5), sx.Policy.dp(sx.solve_markov(fig3_model(0.5)))),
             (markov_model, sx.Policy.dp(sx.solve_markov(markov_model,
                                                         markov_cfg.solver))),
+            (iid_dp_model, sx.Policy.dp(iid_dp_table)),
         ]
         n = 300
         for case_model, case_pol in cases:
