@@ -221,7 +221,7 @@ def _run_block(policies, model: SystemModel, warm_per_stream: int,
     done = np.zeros((rows, streams), dtype=np.int64)  # periods recorded
     clips = np.zeros(rows, dtype=np.int64)
     slots_run = np.zeros(rows, dtype=np.int64)  # set as each row leaves
-    live = np.arange(rows)  # the rows that b, T_cur, done and gammas hold
+    live = np.arange(rows)  # the rows that b, T_cur and done hold
     slots = 0
 
     while live.size:
@@ -236,7 +236,7 @@ def _run_block(policies, model: SystemModel, warm_per_stream: int,
         # 0); masking it moved the markov benchmark's DP rows by a mean z of
         # -1.76 at p_s 0.75 over seeds 1-20, a start-up transient that
         # stationary period starts (ROADMAP item 4) would remove
-        at = (np.arange(len(gammas))[:, None],
+        at = (live[:, None],
               np.round(b / model.delta).astype(np.int64) if nb > 1 else 0,
               e_idx if ne > 1 else 0, h_idx if nh > 1 else 0)
         stop = rate >= gammas[at]
@@ -257,8 +257,8 @@ def _run_block(policies, model: SystemModel, warm_per_stream: int,
         going = done.min(axis=1) < target
         if not going.all():
             slots_run[live[~going]] = slots
-            live, b, T_cur, done, gammas = (
-                a[going] for a in (live, b, T_cur, done, gammas))
+            live, b, T_cur, done = (
+                a[going] for a in (live, b, T_cur, done))
 
     return ({k: v[:, :, warm_per_stream:] for k, v in rec.items()},
             (clips, slots_run * streams))

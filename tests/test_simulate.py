@@ -246,6 +246,8 @@ class TestRunSimulation:
         iid_dp_table = sx.solve_markov(iid_dp_model,
                                        sx.SolverConfig(common_bins=4))
         assert iid_dp_table.gamma.shape == (7, 2, 4)
+        # the engine reads only h = 0, so gamma must not depend on h
+        assert (iid_dp_table.gamma == iid_dp_table.gamma[:, :, :1]).all()
         cases = [
             (model, pol),
             (fig3_model(0.5), sx.Policy.dp(sx.solve_markov(fig3_model(0.5)))),
