@@ -87,7 +87,6 @@ class ExperimentConfig:
         mc = self.mc
         return run_policies(policies, model, mc["periods"], self.seed,
                             warmup_periods=mc["warmup_periods"],
-                            replications=mc["replications"],
                             streams=mc["streams"], slot_cap=mc["slot_cap"],
                             trace_path=trace_path)
 

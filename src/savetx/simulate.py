@@ -1,17 +1,21 @@
 """Slot-level Monte Carlo of save-then-transmit periods and the two
 benchmark supplies.
 
-The engine runs many battery streams in lockstep, one vectorized draw block
-per slot, so a fixed (configuration, seed) pair always reproduces the same
-metrics bit for bit.  Replications carry seeds derived from the base seed
-and are combined in replication order.
+Everything runs many battery streams side by side, one vectorized draw
+block per slot, so a fixed (configuration, seed) pair always reproduces the
+same metrics bit for bit.
 
 Per-slot draw order is phi, private gain, common gain, harvest, each one
 block over all streams.  ``run_policies`` runs any list of rules, each a
-``Policy`` gamma table, in one lockstep pass of the period engine
-``_run_block``; ``run_simulation`` is its one-rule form.  The two benchmark
-supplies share one slot loop, ``_run_supply``, which draws per slot in that
-order but spends per block of slots, differing only in how energy is spent.
+``Policy`` gamma table, in one refill pass of the period engine
+``_run_block``, which draws from one generator; ``run_simulation`` is its
+one-rule form.  Each rule's lanes take period indices from a queue as they
+end periods, so a lane simulates unrecorded periods only in its warm-up and
+while it waits, idle, for its rule's last recorded periods to end.
+The two benchmark supplies share one slot loop, ``_run_supply``, which
+draws per slot in that order but spends per block of slots, differing only
+in how energy is spent; their replications carry seeds derived from the
+base seed and are combined in replication order.
 """
 from __future__ import annotations
 
@@ -184,19 +188,66 @@ def _rule_tables(policies, model: SystemModel) -> np.ndarray:
     return np.stack(np.broadcast_arrays(*tables))
 
 
-def _run_block(policies, model: SystemModel, warm_per_stream: int,
-               keep_per_stream: int, rng, streams: int, slot_cap: int,
-               trace: bool = False):
-    """Collect a fixed number of periods from every lockstep stream of
-    each rule, one row of streams per rule.
+def _refill(take, cur, taken, n_periods: int):
+    """Hand each lane in the (rows, lanes) mask ``take`` its row's next
+    period index, in lane order, or -1 once the row's ``n_periods``
+    indices are out.  Returns the new ``cur`` and ``taken``."""
+    idx = taken[:, None] + np.cumsum(take, axis=1) - 1
+    cur = np.where(take, np.where(idx < n_periods, idx, -1), cur)
+    return cur, np.minimum(idx[:, -1] + 1, n_periods)
 
-    Rows share each slot's draws; a row leaves once all its streams have
-    their quota, so it gets what a pass of its rule alone would.  Each
-    stream contributes exactly its periods number ``warm_per_stream``
-    through ``warm_per_stream + keep_per_stream - 1``; selecting periods by
-    index keeps the sample free of length bias.  Records ``T`` and ``rate``
-    (plus ``b``, ``phi``, ``h``, ``hc`` when ``trace``) are (row, stream,
-    period index) arrays."""
+
+class _LaneGroups:
+    """Per-rule sums of the recorded periods' lengths T, deviations
+    R - shift T of their rates R, and counts, over ``N_BATCHES`` fixed
+    groups of lanes (shift: the rule's first recorded R / T).  Lanes are
+    independent, so the groups' ratios are too; batches of consecutive
+    periods would be time slices of every lane, correlated under correlated
+    dynamics."""
+
+    def __init__(self, rows: int, lanes: int):
+        self.group = np.arange(lanes) * N_BATCHES // lanes
+        self.sums = np.zeros((3, rows * N_BATCHES))
+        self.shift = np.full(rows, np.nan)
+
+    def add(self, row, lane, T, R):
+        unset = np.isnan(self.shift[row])
+        if unset.any():  # the first record of a row, lowest lane first
+            first, i = np.unique(row[unset], return_index=True)
+            self.shift[first] = R[unset][i] / T[unset][i]
+        key = row * N_BATCHES + self.group[lane]
+        for acc, w in zip(self.sums, (T, R - self.shift[row] * T, None)):
+            acc += np.bincount(key, w, minlength=acc.size)
+
+    def metrics(self, row: int, clip_events: int, slot_draws: int
+                ) -> Metrics:
+        T, dev, n = self.sums[:, row * N_BATCHES:(row + 1) * N_BATCHES]
+        se_rate, se_T = _batch_ses(dev, T, n)
+        return Metrics(
+            throughput=_mean_about(self.shift[row], dev, T),
+            mean_saving_time=float(T.sum() / n.sum()), se_throughput=se_rate,
+            se_saving_time=se_T, periods=int(n.sum()),
+            cap_hit_fraction=float(clip_events / max(slot_draws, 1)))
+
+
+def _run_block(policies, model: SystemModel, warm_per_lane: int,
+               n_periods: int, rng, lanes: int, slot_cap: int,
+               trace: bool = False):
+    """One refill pass of the period engine: ``lanes`` lanes per rule, one
+    row of lanes per rule, against a queue of ``n_periods`` period indices
+    per row.
+
+    A lane's first ``warm_per_lane`` periods are warm-up and not recorded.
+    After them, each slot the lanes that end a period take their row's next
+    indices in lane order; once the queue is empty they go idle, and a row
+    leaves when none of its lanes runs a recorded period.  A period is
+    included when it starts, before its length is known, so the sample is
+    free of length bias.  Rows share each slot's draws and keep their own
+    batteries, so each gets what a pass of its rule alone would.
+
+    Returns one Metrics per rule and, when ``trace``, the first rule's
+    records ``T``, ``rate``, ``b``, ``phi``, ``h`` and ``hc`` in period
+    index order (else None)."""
     gammas = _rule_tables(policies, model)
     nb, ne, nh = gammas.shape[1:]
     private = _PrivateSampler(model)
@@ -209,19 +260,22 @@ def _run_block(policies, model: SystemModel, warm_per_stream: int,
 
     # initial carry: one harvest as the first battery, gain chain from its
     # stationary law
-    e_idx = _first_harvest(model, rng, streams)
+    e_idx = _first_harvest(model, rng, lanes)
     b = np.tile(np.minimum(eh_vals[e_idx], cap), (rows, 1))
-    h_idx = private.init(rng, streams)
+    h_idx = private.init(rng, lanes)
 
-    T_cur = np.zeros((rows, streams), dtype=np.int64)
-    target = warm_per_stream + keep_per_stream
+    T_cur = np.zeros((rows, lanes), dtype=np.int64)
+    left = np.full((rows, lanes), warm_per_lane)  # warm-up periods to end
+    # the index of each lane's running period; -1 when it is not recorded
+    cur, taken = _refill(left == 0, np.full((rows, lanes), -1),
+                         np.zeros(rows, dtype=np.int64), n_periods)
+    groups = _LaneGroups(rows, lanes)
     # float records hold period lengths and access flags exactly
-    rec = {k: np.empty((rows, streams, target))
-           for k in ("T", "rate", "b", "phi", "h", "hc")[:6 if trace else 2]}
-    done = np.zeros((rows, streams), dtype=np.int64)  # periods recorded
+    rec = {k: np.empty(n_periods)
+           for k in ("T", "rate", "b", "phi", "h", "hc")} if trace else None
     clips = np.zeros(rows, dtype=np.int64)
     slots_run = np.zeros(rows, dtype=np.int64)  # set as each row leaves
-    live = np.arange(rows)  # the rows that b, T_cur and done hold
+    live = np.arange(rows)  # the rows that the per-lane arrays hold
     slots = 0
 
     while live.size:
@@ -230,78 +284,66 @@ def _run_block(policies, model: SystemModel, warm_per_stream: int,
         if T_cur.max() > slot_cap:
             raise PeriodOverflow(f"period exceeded {slot_cap} slots")
         phi, h, h_idx, hc = _draw_slot(model, private, common, h_idx, rng,
-                                       streams)
+                                       lanes)
         rate = stop_rate(b, h, hc, phi, base)
         # unlike stop_table, this stops at an empty battery (0 >= gamma[0] =
-        # 0); masking it moved the markov benchmark's DP rows by a mean z of
-        # -1.76 at p_s 0.75 over seeds 1-20, a start-up transient that
-        # stationary period starts (ROADMAP item 4) would remove
+        # 0).  Masking that stop gave the markov benchmark's DP rows a mean
+        # z of +0.01 and -0.03 at p_s 0.25 and 0.75 (seeds 1-20; -1.76 at
+        # p_s 0.75 before the refill pass, +0.13 and +0.07 unmasked), but
+        # it doubled their slots and slowed the table, so it waits for
+        # stationary starts (ROADMAP item 4)
         at = (live[:, None],
               np.round(b / model.delta).astype(np.int64) if nb > 1 else 0,
               e_idx if ne > 1 else 0, h_idx if nh > 1 else 0)
         stop = rate >= gammas[at]
-        e_idx = _step_chain(eh_cum, e_idx, rng, streams)
+        e_idx = _step_chain(eh_cum, e_idx, rng, lanes)
         e_val = eh_vals[e_idx]
 
-        r, s = np.nonzero(stop & (done < target))
-        at = live[r], s, done[r, s]
-        for field, v in zip(rec.values(), (T_cur, rate, b, phi, h, hc)):
-            field[at] = v[r, s] if v.ndim == 2 else v[s]
-        done[r, s] = at[2] + 1
+        r, s = np.nonzero(stop & (cur >= 0))
+        groups.add(live[r], s, T_cur[r, s], rate[r, s])
+        if trace and live[0] == 0:
+            s0 = s[r == 0]
+            for field, v in zip(rec.values(), (T_cur, rate, b, phi, h, hc)):
+                field[cur[0, s0]] = v[0, s0] if v.ndim == 2 else v[s0]
+        # a lane that ends its last warm-up period or a recorded one takes
+        # the next index
+        take = stop & (left <= 1)
+        left -= stop & (left > 0)
+        cur, taken = _refill(take, cur, taken, n_periods)
 
         # the stop slot's harvest seeds the next period's battery
         b_next = np.where(stop, e_val, b + e_val)
         clips[live] += (b_next > cap).sum(axis=1)
         b = np.minimum(b_next, cap)
         T_cur = np.where(stop, 0, T_cur)
-        going = done.min(axis=1) < target
+        going = (taken < n_periods) | (cur >= 0).any(axis=1)
         if not going.all():
             slots_run[live[~going]] = slots
-            live, b, T_cur, done = (
-                a[going] for a in (live, b, T_cur, done))
+            live, b, T_cur, left, cur, taken = (
+                a[going] for a in (live, b, T_cur, left, cur, taken))
 
-    return ({k: v[:, :, warm_per_stream:] for k, v in rec.items()},
-            (clips, slots_run * streams))
+    return ([groups.metrics(i, clips[i], slots_run[i] * lanes)
+             for i in range(rows)], rec)
 
 
-class _Batches:
-    """Sums of rates R, lengths T and R - shift T (shift: the first R / T)
-    over fixed batches of the first ``n`` records, taken as they arrive; a
-    batch sums the records a slice of all records would, in that order."""
+def _batch_ses(dev, T, n):
+    """Batch-means SEs of the ratio estimate and of the mean length, from
+    per-batch sums of deviations R - shift T, of lengths T and of record
+    counts n; NaN when a batch holds fewer than 2 records.  Taking the
+    ratio on deviations makes the SE exactly 0 when every R / T is shift."""
+    if n.min() < 2:
+        return float("nan"), float("nan")
+    return tuple(float(x.std(ddof=1) / np.sqrt(len(x)))
+                 for x in (dev / T, T / n))
 
-    def __init__(self, n: int):
-        self.sizes = np.diff(np.linspace(0, n, N_BATCHES + 1, dtype=int))
-        self.sums = []
-        self.buf = np.zeros(0), np.zeros(0)
-        self.shift = None
 
-    def add(self, T: np.ndarray, R: np.ndarray):
-        T, R = (np.concatenate(p, axis=None) for p in zip(self.buf, (T, R)))
-        self.shift = R[0] / T[0] if self.shift is None else self.shift
-        for m in self.sizes[len(self.sums):]:
-            if m > len(T):
-                break
-            t, r, T, R = T[:m], R[:m], T[m:], R[m:]
-            self.sums.append((r.sum(), t.sum(), (r - self.shift * t).sum()))
-        self.buf = T.copy(), R.copy()  # not views that hold all records
-
-    def ses(self):
-        """Batch-means SEs of sum(R) / sum(T) and of mean(T)."""
-        R, T, _ = np.array(self.sums).T
-        if self.sizes.sum() < 2 * len(self.sizes):
-            return float("nan"), float("nan")
-        return tuple(float(x.std(ddof=1) / np.sqrt(len(x)))
-                     for x in (R / T, T / self.sizes))
-
-    def metrics(self, clip_events: int, slot_draws: int) -> Metrics:
-        _, T, dev = np.array(self.sums).T
-        n = self.sizes.sum()
-        se_rate, se_T = self.ses()
-        return Metrics(
-            throughput=_mean_about(self.shift, dev, T),
-            mean_saving_time=float(T.sum() / n), se_throughput=se_rate,
-            se_saving_time=se_T, periods=int(n),
-            cap_hit_fraction=float(clip_events / max(slot_draws, 1)))
+def _slice_se(values: np.ndarray) -> float:
+    """Batch-means SE of the mean of per-slot ``values``, over
+    ``N_BATCHES`` consecutive slices."""
+    sizes = np.diff(np.linspace(0, len(values), N_BATCHES + 1, dtype=int))
+    dev = np.array([v.sum() for v in
+                    np.split(values, np.cumsum(sizes)[:-1])])
+    return _batch_ses(dev, sizes.astype(float), sizes)[0]
 
 
 def _mean_about(shift: float, deviations: np.ndarray,
@@ -327,51 +369,40 @@ def _check_sizes(**sizes):
 
 
 def run_policies(policies, model: SystemModel, n_periods: int, seed: int, *,
-                 warmup_periods: int = 1000, replications: int = 16,
-                 streams: int = 512, slot_cap: int = 1_000_000,
-                 trace_path=None) -> list[Metrics]:
+                 warmup_periods: int = 1000, streams: int = 512,
+                 slot_cap: int = 1_000_000, trace_path=None) -> list[Metrics]:
     """Renewal metrics of each stopping rule over ``n_periods`` periods, in
-    order, from one lockstep pass per replication.
+    order, from one refill pass of ``streams`` lanes per rule.
 
     ``policies`` is any list of rules; a table that does not fit the model
     raises ValueError naming the axis.  The rules share each slot's draws
     (common random numbers) and keep their own batteries and records, so
-    each gets what a run of it alone would.
+    each gets what a run of it alone would.  Each lane first runs
+    ``ceil(warmup_periods / streams)`` unrecorded periods.
     Throughput is total rate over total slots, exact when the per-slot
-    rate is constant.  Deterministic for fixed arguments: replication
-    seeds derive from ``seed`` and partial results combine in replication
-    order.  ``trace_path`` receives the first rule's periods as CSV.
+    rate is constant; the standard errors are batch means over
+    ``N_BATCHES`` fixed groups of lanes, so they are NaN with fewer
+    streams than that.  Deterministic for fixed
+    arguments: the pass draws from one PCG64 generator seeded from
+    ``seed``.  ``trace_path`` receives the first rule's periods as CSV.
     """
     _check_sizes(n_periods=n_periods, warmup_periods=warmup_periods,
-                 replications=replications, streams=streams,
-                 slot_cap=slot_cap)
+                 streams=streams, slot_cap=slot_cap)
     if not policies:
         return []
-    quota = -(-n_periods // replications)
-    keep_per_stream = -(-quota // streams)
-    warm_per_stream = -(-warmup_periods // (replications * streams))
-    rows = [_Batches(n_periods) for _ in policies]
-    counts, traced = [], []
-    for rep_seed in np.random.SeedSequence(seed).spawn(replications):
-        rng = np.random.Generator(np.random.PCG64(rep_seed))
-        out, count = _run_block(policies, model, warm_per_stream,
-                                keep_per_stream, rng, streams, slot_cap,
-                                trace_path is not None)
-        counts.append(count)
-        for i, row in enumerate(rows):
-            row.add(out["T"][i], out["rate"][i])
-        if trace_path is not None:
-            traced.append(out)
-        del out  # free this replication's records before the next one
+    # the first child of the seed's SeedSequence: the generator of a
+    # supply's first replication at the same seed
+    rng = np.random.Generator(np.random.PCG64(
+        np.random.SeedSequence(seed).spawn(1)[0]))
+    metrics, rec = _run_block(policies, model, -(-warmup_periods // streams),
+                              n_periods, rng, streams, slot_cap,
+                              trace_path is not None)
     if trace_path is not None:
-        # trimming the tail drops whole per-stream index blocks, never a
-        # completion-ordered subset, so it cannot skew period lengths
-        cols = [np.concatenate([c[k][0] for c in traced], axis=None)
-                [:n_periods] for k in ("T", "b", "phi", "h", "hc", "rate")]
+        cols = [rec[k] for k in ("T", "b", "phi", "h", "hc", "rate")]
         emit_csv(([p, int(t), float(bb), int(ph), float(hh), float(cc),
                    float(rr)] for p, (t, bb, ph, hh, cc, rr)
                   in enumerate(zip(*cols))), TRACE_SCHEMA, trace_path)
-    return [row.metrics(*c) for row, c in zip(rows, np.sum(counts, axis=0).T)]
+    return metrics
 
 
 def run_simulation(policy: Policy, model: SystemModel, n_periods: int,
@@ -432,12 +463,10 @@ def _run_supply(model: SystemModel, n_slots: int, seed: int, start, *,
         slot_means.append(means)
     per_slot = np.concatenate(slot_means, axis=1)
     rate = per_slot[0]
-    batches = _Batches(len(rate))
-    batches.add(np.ones(len(rate)), rate)
     return Metrics(
         throughput=_mean_about(shifts[0], rate),
         mean_saving_time=1.0,
-        se_throughput=batches.ses()[0],
+        se_throughput=_slice_se(rate),
         se_saving_time=0.0,
         periods=len(rate) * streams,
         cap_hit_fraction=0.0,

@@ -90,7 +90,7 @@ def split_rate(phi, h, hc, split: Split, base=2.0) -> float:
 
 
 # ---------------------------------------------------------------------------
-# scalar reference of the lockstep period engine
+# scalar reference of the period engine
 #
 # One stream, scalar draws taken from ``rng`` in the engine's order (phi,
 # private gain, common gain, harvest), so a single-stream engine run matches
@@ -269,11 +269,9 @@ def run_supply_per_slot(model, n_slots, seed, start, *, replications=16,
         slot_means.append(means)
     per_slot = np.concatenate(slot_means, axis=1)
     rate = per_slot[0]
-    batches = sim._Batches(len(rate))
-    batches.add(np.ones(len(rate)), rate)
     return sx.Metrics(
         throughput=sim._mean_about(shifts[0], rate), mean_saving_time=1.0,
-        se_throughput=batches.ses()[0], se_saving_time=0.0,
+        se_throughput=sim._slice_se(rate), se_saving_time=0.0,
         periods=len(rate) * streams, cap_hit_fraction=0.0,
         realized_avg_power=(sim._mean_about(shifts[1], per_slot[1])
                             if with_power else None))

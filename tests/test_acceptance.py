@@ -34,8 +34,7 @@ def criterion(num, desc):
 
 def evaluate(model, gammas, periods=MC_PERIODS):
     """Monte Carlo metrics of threshold rules at the default engine sizes
-    (1000 warm-up periods, 16 replications, 512 streams), one lockstep
-    pass."""
+    (1000 warm-up periods, 512 streams), one pass."""
     return sx.run_policies([sx.Policy.threshold(g) for g in gammas], model,
                            periods, SEED)
 
@@ -94,7 +93,7 @@ def fig3_sims(fig3_tables):
         out[p] = {
             "opportunistic": sx.run_simulation(
                 sx.Policy.dp(table), model, MC_PERIODS, SEED,
-                warmup_periods=1000, replications=16, streams=512),
+                warmup_periods=1000, streams=512),
             "best_effort": sx.run_best_effort(
                 model, MC_SLOTS, SEED + 1, replications=16, streams=512),
             "conventional": sx.run_conventional(

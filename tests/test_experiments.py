@@ -331,16 +331,16 @@ class TestPinnedTables:
     MC = {"periods": 2000, "slots": 20000, "warmup_periods": 100,
           "replications": 2, "streams": 64}
     SHA256 = {
-        "fig3": "bca5a081cab8abf6e2452306ddd4da5d"
-                "387561b9f69c8395cb64ee967693cacc",
-        "fig4": "586b49d7294e467f5aae516b330273f7"
-                "c4a1433a6e6518b43936a70838d44f99",
-        "fig6": "927480f2698772b237873223ef5aa973"
-                "e0243a89b56aed395f5c3b06fff3c8f8",
-        "fig7": "11aeed31825f6df33bb0547462068fa1"
-                "03565f5419d16c34d79824413df599da",
-        "fig8": "88a07653c4266a73436d5fdd6bfe7b6a"
-                "44044ec177858f719a54e980211996d1",
+        "fig3": "65f8060d47ae9a2989625a87bdeb7f42"
+                "14fc7ee8175051ee31f7b05c386ee34d",
+        "fig4": "6094de7dc0d76e3e770c83cb4b5c1ab1"
+                "019154eebfcd22289bcb90844f4b2801",
+        "fig6": "005dfb2bb3ce50c87e77053068467e30"
+                "0aad5a58421a604d47f89157409e9a01",
+        "fig7": "c0f740df8a259672a4bb48376cdfb6ab"
+                "d5120f4dccae4042f5edf07fa2f181b4",
+        "fig8": "ae7c2e7f9919a88c102350b6765efe49"
+                "87675103221e85f9e9f8d54780aa805e",
     }
 
     @pytest.mark.parametrize("name", sorted(SHA256))

@@ -130,8 +130,7 @@ class TestRunSimulation:
     def test_constant_world_exact(self):
         model = constant_world()
         met = sx.run_simulation(sx.Policy.threshold(0.0), model, 500,
-                                seed=3, warmup_periods=0, replications=2,
-                                streams=25)
+                                seed=3, warmup_periods=0, streams=25)
         assert met.throughput == pytest.approx(np.log2(1 + 1e-3), rel=1e-14)
         assert met.se_throughput == 0.0
         assert met.mean_saving_time == 1.0
@@ -139,13 +138,13 @@ class TestRunSimulation:
 
     @pytest.mark.parametrize("key, value", [
         ("n_periods", 0), ("warmup_periods", -1), ("streams", 0),
-        ("replications", 0), ("replications", -2), ("slot_cap", 0),
-        ("n_periods", float("nan"))])
+        ("replications", 0), ("slot_cap", 0), ("n_periods", float("nan"))])
     def test_bad_sizes_rejected(self, key, value):
-        # streams=0 divided by zero, replications <= 0 ran as 1, and
-        # slot_cap=0 drew a slot before it overflowed
+        # streams=0 divided by zero, and slot_cap=0 drew a slot before it
+        # overflowed; the period engine takes no replications at all
         args = {"n_periods": 100, "warmup_periods": 0, key: value}
-        with pytest.raises(ValueError, match=key):
+        error = TypeError if key == "replications" else ValueError
+        with pytest.raises(error, match=key):
             sx.run_simulation(sx.Policy.threshold(0.0), constant_world(),
                               seed=1, **args)
 
@@ -160,14 +159,14 @@ class TestRunSimulation:
             sx.run_conventional(constant_world(), 2.0, **args)
 
     def test_mixed_rules_match_solo_runs(self):
-        # a DP rule and threshold rules share one lockstep pass, and each
+        # a DP rule and threshold rules share one engine pass, and each
         # row gets exactly what a run of its rule alone would
         cfg = markov_workload_config()
         model = cfg.build_model(0.75)
         rules = [sx.Policy.threshold(1.0),
                  sx.Policy.dp(sx.solve_markov(model, cfg.solver)),
                  sx.Policy.threshold(2.5)]
-        kw = dict(warmup_periods=100, replications=2, streams=64)
+        kw = dict(warmup_periods=100, streams=64)
         got = sx.run_policies(rules, model, 4000, 3, **kw)
         assert got == [sx.run_simulation(r, model, 4000, 3, **kw)
                        for r in rules]
@@ -201,7 +200,7 @@ class TestRunSimulation:
 
     def test_bitwise_determinism(self):
         model = iid_model(0.5)
-        kw = dict(warmup_periods=50, replications=3, streams=64)
+        kw = dict(warmup_periods=50, streams=64)
         a = sx.run_simulation(sx.Policy.threshold(2.0), model, 3000, 11, **kw)
         b = sx.run_simulation(sx.Policy.threshold(2.0), model, 3000, 11, **kw)
         assert a == b
@@ -209,8 +208,7 @@ class TestRunSimulation:
     def test_matches_exact_oracle(self):
         model = iid_model(0.5)
         met = sx.run_simulation(sx.Policy.threshold(2.0), model, 100_000,
-                                seed=5, warmup_periods=500, replications=8,
-                                streams=256)
+                                seed=5, warmup_periods=500, streams=256)
         lam, eT = exact_threshold_metrics(2.0, 0.5)
         assert abs(met.throughput - lam) < 3 * met.se_throughput
         assert abs(met.mean_saving_time - eT) < 3 * met.se_saving_time
@@ -222,7 +220,7 @@ class TestRunSimulation:
         model = iid_model(0.5)
         pol = sx.Policy.threshold(2.0)
         met = sx.run_simulation(pol, model, 200, seed=42, warmup_periods=0,
-                                replications=1, streams=1)
+                                streams=1)
         rng = np.random.Generator(np.random.PCG64(
             np.random.SeedSequence(42).spawn(1)[0]))
         carry = fresh_carry(model, rng)
@@ -258,7 +256,7 @@ class TestRunSimulation:
         n = 300
         for case_model, case_pol in cases:
             rng = np.random.Generator(np.random.PCG64(7))
-            rec, _ = _run_block([case_pol], case_model, 0, n, rng, 1,
+            _, rec = _run_block([case_pol], case_model, 0, n, rng, 1,
                                    1_000_000, trace=True)
             rng = np.random.Generator(np.random.PCG64(7))
             carry = fresh_carry(case_model, rng)
@@ -282,8 +280,8 @@ class TestRunSimulation:
         4.73 MB for an engine that kept every record's trace columns until
         the end, 7.36 MB for one that also recorded per-period harvest and
         clipping and kept the records beside their concatenation.  The
-        engine that reduces each replication's records into batch sums
-        peaks at 0.37 MB."""
+        engine that reduces the records into per-lane-group sums as they
+        arrive peaks at 0.09 MB."""
         model = iid_model(0.5)
         rule = sx.Policy.threshold(2.0)
         sx.run_simulation(rule, model, 50_000, 20240501)
@@ -297,10 +295,11 @@ class TestRunSimulation:
 
     def test_threshold_table_records_reduced(self):
         """Peak traced memory of a 21-threshold, 50k-period evaluation in
-        one lockstep pass.  The bound sits between two measurements with
-        numpy 2.4: 4.09 MB for this engine, which reduces each
-        replication's records into batch sums, and 41.1 MB for the same
-        pass keeping every row's records until the end."""
+        one pass.  The bound sits between two measurements with numpy 2.4:
+        4.09 MB for an engine that reduced each of 16 replications' records
+        into batch sums, and 41.1 MB for the same pass keeping every row's
+        records until the end.  This engine reduces the records into
+        per-lane-group sums as they arrive and peaks at 1.24 MB."""
         model = iid_model(0.5)
         rules = [sx.Policy.threshold(g) for g in np.linspace(0.0, 4.0, 21)]
         sx.run_policies(rules, model, 50_000, 20240501)
@@ -312,12 +311,55 @@ class TestRunSimulation:
             tracemalloc.stop()
         assert peak < 6.0e6
 
+    @pytest.mark.parametrize("p_s", [0.0, 0.5])
+    def test_lanes_do_useful_work(self, p_s, monkeypatch):
+        """At least 90% of the lane evaluations of a 21-threshold,
+        50k-period pass on the sweep's models belong to recorded periods:
+        0.95 with refill, against 0.42-0.44 for lockstep replications, whose
+        every stream ran until the slowest had its quota."""
+        evals = []
+
+        def counted(b, *args):
+            evals.append(np.size(b))
+            return sx.stop_rate(b, *args)
+
+        monkeypatch.setattr(sx.simulate, "stop_rate", counted)
+        rules = [sx.Policy.threshold(g) for g in np.linspace(0.0, 4.0, 21)]
+        mets = sx.run_policies(rules, iid_model(p_s), 50_000, 20240501)
+        recorded = sum(m.periods * m.mean_saving_time for m in mets)
+        assert recorded >= 0.9 * sum(evals)
+
+    @pytest.mark.parametrize("case", ["markov-dp", "fig4-threshold"])
+    def test_lane_group_se_calibrated(self, case):
+        """Over 40 seeds, the sd of z = (MC - exact) / SE lies between 0.68
+        and 1.5, the 0.001 and 0.999 quantiles of the sd of 40 t(19)
+        draws.  The sd is taken about the mean, so the offset of the binned
+        DP's lambda* from its rule's throughput on the drawn gains does not
+        count.  Batches of consecutive period indices, time slices of every
+        lane, gave 2.26 on the markov workload's DP rule, whose harvest and
+        private-gain chains carry over from one period to the next."""
+        if case == "markov-dp":
+            cfg = markov_workload_config()
+            model = cfg.build_model(0.75)
+            table = sx.solve_markov(model, cfg.solver)
+            rule, exact = sx.Policy.dp(table), table.lambda_star
+        else:
+            model = iid_model(0.5)
+            rule = sx.Policy.threshold(2.0)
+            exact, _ = sx.threshold_metrics(model, 2.0)
+        z = []
+        for seed in range(1, 41):
+            met = sx.run_simulation(rule, model, 4000, seed,
+                                    warmup_periods=100, streams=64)
+            z.append((met.throughput - exact) / met.se_throughput)
+        assert 0.68 <= np.std(z, ddof=1) <= 1.5
+
     def test_trace_roundtrip(self, tmp_path):
         model = iid_model(0.5)
         path = tmp_path / "trace.csv"
         met = sx.run_simulation(sx.Policy.threshold(1.0), model, 200,
-                                seed=9, warmup_periods=0, replications=1,
-                                streams=16, trace_path=path)
+                                seed=9, warmup_periods=0, streams=16,
+                                trace_path=path)
         with open(path, newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == met.periods
@@ -337,8 +379,8 @@ class TestRunSimulation:
             b_max_units=8, delta=1.0)
         path = tmp_path / "trace.csv"
         met = sx.run_simulation(sx.Policy.threshold(4.0), model, 2000,
-                                seed=2, warmup_periods=0, replications=2,
-                                streams=64, trace_path=path)
+                                seed=2, warmup_periods=0, streams=64,
+                                trace_path=path)
         with open(path, newline="") as fh:
             b_stops = [float(r["b_stop"]) for r in csv.DictReader(fh)]
         assert max(b_stops) <= model.b_cap + 1e-12
@@ -372,12 +414,13 @@ class TestBestEffort:
         model = fig3_model(p_s)
         table = sx.solve_markov(model)
         assert table.stop_table[:, 1:].all()  # stop everywhere charged
-        streams, slots, reps = 64, 400, 2
-        n = streams * slots * reps
+        # the engine draws from the generator of the supply's first
+        # replication, so one replication makes the same draws
+        streams, slots = 64, 800
+        n = streams * slots
         met_dp = sx.run_simulation(sx.Policy.dp(table), model, n, seed=7,
-                                   warmup_periods=0, replications=reps,
-                                   streams=streams)
-        met_be = sx.run_best_effort(model, n, seed=7, replications=reps,
+                                   warmup_periods=0, streams=streams)
+        met_be = sx.run_best_effort(model, n, seed=7, replications=1,
                                     streams=streams)
         assert met_dp.throughput == pytest.approx(met_be.throughput,
                                                   rel=1e-12)
@@ -499,7 +542,7 @@ class TestConstantRateExact:
         be = sx.run_best_effort(model, n, seed=1, replications=reps,
                                 streams=streams)
         opp = sx.run_simulation(sx.Policy.threshold(0.0), model, n, seed=1,
-                                replications=reps, streams=streams)
+                                streams=streams)
         assert be.throughput == c
         assert opp.throughput == c
 

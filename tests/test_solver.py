@@ -260,7 +260,7 @@ class TestEvaluateThreshold:
     @staticmethod
     def run(model, gamma, periods=20_000):
         return sx.run_simulation(sx.Policy.threshold(gamma), model, periods,
-                                 0, warmup_periods=200, replications=4,
+                                 0, warmup_periods=200,
                                  streams=256)
 
     def test_zero_threshold_stops_immediately(self):
@@ -285,7 +285,7 @@ class TestEvaluateThreshold:
     def test_unreachable_threshold_overflows(self):
         with pytest.raises(PeriodOverflow):
             sx.run_simulation(sx.Policy.threshold(10.0), fig3_model(0.0),
-                              100, 0, replications=1, streams=16,
+                              100, 0, streams=16,
                               slot_cap=200)
 
     def test_negative_gamma_rejected(self):
@@ -294,10 +294,10 @@ class TestEvaluateThreshold:
 
 
 class TestEvaluateThresholds:
-    """Monte Carlo metrics of a table of threshold rules in one lockstep
+    """Monte Carlo metrics of a table of threshold rules in one engine
     pass (``run_policies``)."""
 
-    SIZES = dict(warmup_periods=100, replications=3, streams=64)
+    SIZES = dict(warmup_periods=100, streams=64)
     # gamma = 0, a long-period gamma (4), unsorted, and a duplicate
     GAMMAS = [2.0, 0.0, 4.0, 1.0, 2.0]
 
@@ -333,7 +333,7 @@ class TestEvaluateThresholds:
     def test_one_unreachable_threshold_overflows(self):
         with pytest.raises(PeriodOverflow):
             sx.run_policies(thresholds([0.0, 10.0]), fig3_model(0.0), 100, 0,
-                            replications=1, streams=16, slot_cap=200)
+                            streams=16, slot_cap=200)
 
 
 def with_iid_private(config: SmallConfig, rng) -> SmallConfig:
@@ -400,7 +400,7 @@ class TestThresholdMetrics:
         for gamma in (1.5, 2.0):
             lam, mean_T = sx.threshold_metrics(model, gamma)
             met = sx.run_simulation(sx.Policy.threshold(gamma), model,
-                                    100_000, 5, replications=8, streams=256)
+                                    100_000, 5, streams=256)
             assert abs(met.throughput - lam) <= 3 * met.se_throughput
             assert abs(met.mean_saving_time - mean_T) <= \
                 3 * met.se_saving_time
@@ -471,7 +471,7 @@ class TestThresholdMetrics:
         for gamma in (1.0, 2.5):
             lam, mean_T = sx.threshold_metrics(model, gamma)
             met = sx.run_simulation(sx.Policy.threshold(gamma), model,
-                                    100_000, 9, replications=8, streams=256)
+                                    100_000, 9, streams=256)
             assert abs(met.throughput - lam) <= 3 * met.se_throughput
             assert abs(met.mean_saving_time - mean_T) <= \
                 3 * met.se_saving_time
@@ -555,7 +555,7 @@ class TestOptimizeThreshold:
             b_max_units=100_000, delta=1.0)
         lams = [m.throughput for m in sx.run_policies(
             thresholds(np.linspace(0.0, 8.0, 21)), model, 2000, 0,
-            replications=2, streams=128)]
+            streams=128)]
         k = int(np.argmax(lams))
         assert all(x <= y + 1e-12 for x, y in zip(lams[:k], lams[1:k + 1]))
         assert all(x >= y - 1e-12 for x, y in zip(lams[k:], lams[k + 1:]))
