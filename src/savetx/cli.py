@@ -14,7 +14,6 @@ from pathlib import Path
 from .errors import ConfigError, SaveTxError
 from .experiments import EXPERIMENTS, ExperimentConfig, run_experiment, \
     validate_config
-from .power import solve_water_level
 from .simulate import Policy, run_best_effort, run_conventional
 from .solver import optimize_threshold, solve_markov
 
@@ -121,14 +120,9 @@ def _cmd_simulate(args) -> int:
                           trace_path=args.trace)
     elif args.scheme == "best-effort":
         m = run_best_effort(model, mc["slots"], cfg.seed,
-                            replications=mc["replications"],
                             streams=mc["streams"])
     else:
-        level = solve_water_level(model.private, model.common, model.access,
-                                  cfg.p_bar)
         m = run_conventional(model, cfg.p_bar, mc["slots"], cfg.seed,
-                             water_level=level,
-                             replications=mc["replications"],
                              streams=mc["streams"])
     payload = {
         "command": "simulate",

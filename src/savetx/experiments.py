@@ -147,11 +147,9 @@ _TOP_KEYS = {
     "gamma_grid", "gamma_modes", "p_bar", "log_base", "private", "common",
     "eh", "eh_models", "solver", "mc",
 }
-_MC_KEYS = {"periods", "slots", "warmup_periods", "replications",
-            "streams", "slot_cap"}
+_MC_KEYS = {"periods", "slots", "warmup_periods", "streams", "slot_cap"}
 _MC_DEFAULTS = {"periods": 200_000, "slots": 1_000_000,
-                "warmup_periods": 1000, "replications": 16, "streams": 512,
-                "slot_cap": 1_000_000}
+                "warmup_periods": 1000, "streams": 512, "slot_cap": 1_000_000}
 _GAIN_KEYS = {"kind", "value", "mean", "values", "probabilities", "states",
               "transition"}
 _EH_KEYS = {"preset", "switch", "p_good", "states", "transition"}
@@ -356,16 +354,13 @@ def _supply_rows(cfg: ExperimentConfig, model: SystemModel, rows: list,
     mc = cfg.mc
     p_s = model.access.p_s
     m_be = run_best_effort(model, mc["slots"], cfg.seed + 1,
-                           replications=mc["replications"],
                            streams=mc["streams"])
     rows.append((p_s, "best_effort", m_be.throughput, m_be.se_throughput))
     level = solve_water_level(model.private, model.common, model.access,
                               cfg.p_bar)
     stats.setdefault("water_level", {})[str(p_s)] = level.xi
     m_cv = run_conventional(model, cfg.p_bar, mc["slots"], cfg.seed + 2,
-                            water_level=level,
-                            replications=mc["replications"],
-                            streams=mc["streams"])
+                            water_level=level, streams=mc["streams"])
     rows.append((p_s, "conventional", m_cv.throughput, m_cv.se_throughput))
     return m_cv
 

@@ -14,8 +14,9 @@ end periods, so a lane simulates unrecorded periods only in its warm-up and
 while it waits, idle, for its rule's last recorded periods to end.
 The two benchmark supplies share one slot loop, ``_run_supply``, which
 draws per slot in that order but spends per block of slots, differing only
-in how energy is spent; their replications carry seeds derived from the
-base seed and are combined in replication order.
+in how energy is spent.  It runs the engine's Monte Carlo scheme: ``streams``
+lanes on one generator built as the engine's, with standard errors batched
+over the engine's ``N_BATCHES`` fixed groups of lanes.
 """
 from __future__ import annotations
 
@@ -206,7 +207,7 @@ class _LaneGroups:
     dynamics."""
 
     def __init__(self, rows: int, lanes: int):
-        self.group = np.arange(lanes) * N_BATCHES // lanes
+        self.group = _lane_groups(lanes)
         self.sums = np.zeros((3, rows * N_BATCHES))
         self.shift = np.full(rows, np.nan)
 
@@ -337,18 +338,9 @@ def _batch_ses(dev, T, n):
                  for x in (dev / T, T / n))
 
 
-def _slice_se(values: np.ndarray) -> float:
-    """Batch-means SE of the mean of per-slot ``values``, over
-    ``N_BATCHES`` consecutive slices."""
-    sizes = np.diff(np.linspace(0, len(values), N_BATCHES + 1, dtype=int))
-    dev = np.array([v.sum() for v in
-                    np.split(values, np.cumsum(sizes)[:-1])])
-    return _batch_ses(dev, sizes.astype(float), sizes)[0]
-
-
 def _mean_about(shift: float, deviations: np.ndarray,
-                weights: np.ndarray | None = None) -> float:
-    """``shift + sum(deviations) / sum(weights)``; weights default to 1.
+                weights: np.ndarray) -> float:
+    """``shift + sum(deviations) / sum(weights)``.
 
     The runners reduce their throughput and power averages as deviations
     from an observed value ``shift``.  When every slot's value equals
@@ -356,8 +348,20 @@ def _mean_about(shift: float, deviations: np.ndarray,
     ``shift`` for any count; a plain mean of n copies of c can miss c by an
     ulp, because floating-point summation does not form n * c exactly.
     """
-    den = len(deviations) if weights is None else weights.sum()
-    return float(shift + deviations.sum() / den)
+    return float(shift + deviations.sum() / weights.sum())
+
+
+def _rng(seed: int) -> np.random.Generator:
+    """The one generator of an engine pass or a supply run: PCG64 on the
+    first child of the seed's SeedSequence."""
+    return np.random.Generator(np.random.PCG64(
+        np.random.SeedSequence(seed).spawn(1)[0]))
+
+
+def _lane_groups(lanes: int) -> np.ndarray:
+    """Each lane's batch: ``N_BATCHES`` fixed groups of consecutive lanes,
+    as equal in size as the lane count allows."""
+    return np.arange(lanes) * N_BATCHES // lanes
 
 
 def _check_sizes(**sizes):
@@ -390,12 +394,8 @@ def run_policies(policies, model: SystemModel, n_periods: int, seed: int, *,
                  streams=streams, slot_cap=slot_cap)
     if not policies:
         return []
-    # the first child of the seed's SeedSequence: the generator of a
-    # supply's first replication at the same seed
-    rng = np.random.Generator(np.random.PCG64(
-        np.random.SeedSequence(seed).spawn(1)[0]))
     metrics, rec = _run_block(policies, model, -(-warmup_periods // streams),
-                              n_periods, rng, streams, slot_cap,
+                              n_periods, _rng(seed), streams, slot_cap,
                               trace_path is not None)
     if trace_path is not None:
         cols = [rec[k] for k in ("T", "b", "phi", "h", "hc", "rate")]
@@ -418,65 +418,64 @@ _SUPPLY_BLOCK = 32
 
 
 def _run_supply(model: SystemModel, n_slots: int, seed: int, start, *,
-                replications: int, streams: int,
-                with_power: bool = False) -> Metrics:
-    """Slot loop shared by the two benchmark supplies: draws per slot,
+                streams: int, with_power: bool = False) -> Metrics:
+    """Slot loop shared by the two benchmark supplies: ``streams`` lanes
+    run ``ceil(n_slots / streams)`` slots each, drawing per slot and
     spending per block of slots.
 
-    ``start(rng)`` draws a replication's initial supply state and returns
+    ``start(rng)`` draws the initial supply state and returns
     ``(draw, spend)``.  Each slot draws the access flag and both gains for
-    all streams, then ``draw()`` the supply's own values as a tuple.
+    all lanes, then ``draw()`` the supply's own values as a tuple.
     ``spend(phi, h, hc, *drawn)`` takes up to ``_SUPPLY_BLOCK`` slots of
     them as (slots, streams) arrays and returns the rates, plus the powers
-    when ``with_power``.  Throughput is total rate over total slots, exact
-    when the per-slot rate is constant; the realized average power is
-    reduced the same way.
+    when ``with_power``.  The run draws from the engine's generator at
+    ``seed``, and its standard error is a batch mean over the engine's
+    lane groups, so NaN with fewer streams than ``N_BATCHES``.  Throughput
+    is total rate over total slots, exact when the per-slot rate is
+    constant; the realized average power is reduced the same way.
     """
-    _check_sizes(n_slots=n_slots, replications=replications, streams=streams)
-    slots_per_rep = -(-n_slots // (replications * streams))
+    _check_sizes(n_slots=n_slots, streams=streams)
+    slots = -(-n_slots // streams)
     private = _PrivateSampler(model)
     common = _GainSampler(model.common)
+    rng = _rng(seed)
+    draw, spend = start(rng)
+    h_idx = private.init(rng, streams)
 
     shifts = None
-    slot_means = []
-    for rep_seed in np.random.SeedSequence(seed).spawn(replications):
-        rng = np.random.Generator(np.random.PCG64(rep_seed))
-        draw, spend = start(rng)
-        h_idx = private.init(rng, streams)
-        means = np.empty((1 + with_power, slots_per_rep))
-        for first in range(0, slots_per_rep, _SUPPLY_BLOCK):
-            n = min(_SUPPLY_BLOCK, slots_per_rep - first)
-            block = None  # (slots, streams) buffers of phi, h, hc, *drawn
-            for i in range(n):
-                phi, h, h_idx, hc = _draw_slot(model, private, common,
-                                               h_idx, rng, streams)
-                slot = (phi, h, hc, *draw())
-                block = block or [np.empty((n, streams), a.dtype)
-                                  for a in slot]
-                for buf, a in zip(block, slot):
-                    buf[i] = a
-            values = spend(*block)
-            if shifts is None:
-                shifts = [float(v[0, 0]) for v in values]
-            means[:, first:first + n] = [
-                (v - c).mean(axis=1) for v, c in zip(values, shifts)]
-        slot_means.append(means)
-    per_slot = np.concatenate(slot_means, axis=1)
-    rate = per_slot[0]
+    sums = np.zeros((1 + with_power, streams))  # per lane: value - shift
+    for first in range(0, slots, _SUPPLY_BLOCK):
+        n = min(_SUPPLY_BLOCK, slots - first)
+        block = None  # (slots, streams) buffers of phi, h, hc, *drawn
+        for i in range(n):
+            phi, h, h_idx, hc = _draw_slot(model, private, common, h_idx,
+                                           rng, streams)
+            slot = (phi, h, hc, *draw())
+            block = block or [np.empty((n, streams), a.dtype) for a in slot]
+            for buf, a in zip(block, slot):
+                buf[i] = a
+        values = spend(*block)
+        if shifts is None:
+            shifts = [float(v[0, 0]) for v in values]
+        for acc, v, c in zip(sums, values, shifts):
+            acc += (v - c).sum(axis=0)
+    group = _lane_groups(streams)
+    group_slots = np.bincount(group, minlength=N_BATCHES) * float(slots)
+    dev = [np.bincount(group, acc, minlength=N_BATCHES) for acc in sums]
     return Metrics(
-        throughput=_mean_about(shifts[0], rate),
+        throughput=_mean_about(shifts[0], dev[0], group_slots),
         mean_saving_time=1.0,
-        se_throughput=_slice_se(rate),
+        se_throughput=_batch_ses(dev[0], group_slots, group_slots)[0],
         se_saving_time=0.0,
-        periods=len(rate) * streams,
+        periods=slots * streams,
         cap_hit_fraction=0.0,
-        realized_avg_power=(_mean_about(shifts[1], per_slot[1])
+        realized_avg_power=(_mean_about(shifts[1], dev[1], group_slots)
                             if with_power else None),
     )
 
 
 def run_best_effort(model: SystemModel, n_slots: int, seed: int, *,
-                    replications: int = 16, streams: int = 512) -> Metrics:
+                    streams: int = 512) -> Metrics:
     """Per-slot transmission using only the previous slot's harvest.
 
     No battery: each slot's budget is the harvest of the slot before it
@@ -500,13 +499,12 @@ def run_best_effort(model: SystemModel, n_slots: int, seed: int, *,
 
         return draw, spend
 
-    return _run_supply(model, n_slots, seed, start,
-                       replications=replications, streams=streams)
+    return _run_supply(model, n_slots, seed, start, streams=streams)
 
 
 def run_conventional(model: SystemModel, p_bar: float, n_slots: int,
                      seed: int, *, water_level=None,
-                     replications: int = 16, streams: int = 512) -> Metrics:
+                     streams: int = 512) -> Metrics:
     """Water-filling transmission under an average power constraint.
 
     Throughput is total rate over total slots, exact when the per-slot
@@ -527,5 +525,4 @@ def run_conventional(model: SystemModel, p_bar: float, n_slots: int,
 
     # the conventional supply draws nothing of its own: draw is tuple()
     return _run_supply(model, n_slots, seed, lambda rng: (tuple, spend),
-                       replications=replications, streams=streams,
-                       with_power=True)
+                       streams=streams, with_power=True)

@@ -237,43 +237,50 @@ def step_chain(cum, idx, rng, size):
     return (u[:, None] >= cum[idx]).sum(axis=1)
 
 
-def run_supply_per_slot(model, n_slots, seed, start, *, replications=16,
-                        streams=512, with_power=False):
+def run_supply_per_slot(model, n_slots, seed, start, *, streams=512,
+                        with_power=False):
     """The engine's supply loop with one spend per slot.
 
     ``start(rng)`` draws the supply's initial state and returns its step
     ``spend(phi, h, hc)``, which returns the slot's rates (plus powers when
     ``with_power``) and makes the supply's own draws after the channel's,
     so the draws are those of ``run_best_effort`` / ``run_conventional``.
+    Each lane's deviations from the first slot's values are summed in
+    blocks of the engine's spend size, so the sums round as the engine's
+    do, then folded into the engine's ``N_BATCHES`` lane groups.
     """
     import savetx as sx
     from savetx import simulate as sim
 
-    slots_per_rep = -(-n_slots // (replications * streams))
+    slots = -(-n_slots // streams)
     private = sim._PrivateSampler(model)
     common = sim._GainSampler(model.common)
+    rng = np.random.Generator(np.random.PCG64(
+        np.random.SeedSequence(seed).spawn(1)[0]))
+    spend = start(rng)
+    h_idx = private.init(rng, streams)
     shifts = None
-    slot_means = []
-    for rep_seed in np.random.SeedSequence(seed).spawn(replications):
-        rng = np.random.Generator(np.random.PCG64(rep_seed))
-        spend = start(rng)
-        h_idx = private.init(rng, streams)
-        means = np.empty((1 + with_power, slots_per_rep))
-        for s in range(slots_per_rep):
-            phi, h, h_idx, hc = sim._draw_slot(model, private, common,
-                                               h_idx, rng, streams)
-            values = spend(phi, h, hc)
-            if shifts is None:
-                shifts = [float(v[0]) for v in values]
-            means[:, s] = [(v - c).mean() for v, c in zip(values, shifts)]
-        slot_means.append(means)
-    per_slot = np.concatenate(slot_means, axis=1)
-    rate = per_slot[0]
+    sums = np.zeros((1 + with_power, streams))
+    block = []  # per-lane deviations of the slots since the last fold
+    for s in range(slots):
+        phi, h, h_idx, hc = sim._draw_slot(model, private, common, h_idx,
+                                           rng, streams)
+        values = spend(phi, h, hc)
+        if shifts is None:
+            shifts = [float(v[0]) for v in values]
+        block.append([v - c for v, c in zip(values, shifts)])
+        if len(block) == sim._SUPPLY_BLOCK or s == slots - 1:
+            sums += np.sum(block, axis=0)
+            block = []
+    group = np.arange(streams) * sim.N_BATCHES // streams
+    count = np.bincount(group, minlength=sim.N_BATCHES) * float(slots)
+    dev = [np.bincount(group, acc, minlength=sim.N_BATCHES) for acc in sums]
     return sx.Metrics(
-        throughput=sim._mean_about(shifts[0], rate), mean_saving_time=1.0,
-        se_throughput=sim._slice_se(rate), se_saving_time=0.0,
-        periods=len(rate) * streams, cap_hit_fraction=0.0,
-        realized_avg_power=(sim._mean_about(shifts[1], per_slot[1])
+        throughput=sim._mean_about(shifts[0], dev[0], count),
+        mean_saving_time=1.0,
+        se_throughput=sim._batch_ses(dev[0], count, count)[0],
+        se_saving_time=0.0, periods=slots * streams, cap_hit_fraction=0.0,
+        realized_avg_power=(sim._mean_about(shifts[1], dev[1], count)
                             if with_power else None))
 
 

@@ -95,10 +95,9 @@ def fig3_sims(fig3_tables):
                 sx.Policy.dp(table), model, MC_PERIODS, SEED,
                 warmup_periods=1000, streams=512),
             "best_effort": sx.run_best_effort(
-                model, MC_SLOTS, SEED + 1, replications=16, streams=512),
+                model, MC_SLOTS, SEED + 1, streams=512),
             "conventional": sx.run_conventional(
-                model, 1e-3, MC_SLOTS, SEED + 2, replications=16,
-                streams=512),
+                model, 1e-3, MC_SLOTS, SEED + 2, streams=512),
         }
     return out
 
@@ -243,7 +242,7 @@ def test_criterion_08_fraction_of_conventional():
             model = iid_model(p_s)
             _, (opp, _) = optimal_policy(p_s)
             cv = sx.run_conventional(model, 2.0, MC_SLOTS, SEED + 2,
-                                     replications=16, streams=512)
+                                     streams=512)
             ratios.append(opp / cv.throughput)
         mean_ratio = float(np.mean(ratios))
         assert 0.60 <= mean_ratio <= 0.80
@@ -303,5 +302,5 @@ def test_criterion_10_average_power_constraint():
         ]
         for model, p_bar, seed in cases:
             met = sx.run_conventional(model, p_bar, MC_SLOTS, seed,
-                                      replications=16, streams=512)
+                                      streams=512)
             assert abs(met.realized_avg_power - p_bar) / p_bar < 0.01

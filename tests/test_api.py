@@ -61,8 +61,8 @@ def test_fig4_run_loads_no_scipy(tmp_path):
     code = (
         "import savetx as sx\n"
         "cfg = sx.validate_config({'experiment': 'fig4', 'p_s_grid': [0.5],"
-        " 'gamma_grid': [1.0, 2.0], 'mc': {'periods': 200, 'replications': 2,"
-        " 'streams': 16, 'warmup_periods': 10}})\n"
+        " 'gamma_grid': [1.0, 2.0], 'mc': {'periods': 200, 'streams': 16,"
+        " 'warmup_periods': 10}})\n"
         f"sx.run_experiment(cfg, {str(tmp_path)!r})\n")
     assert scipy_modules_after(code) == []
     assert (tmp_path / "fig4.csv").exists()

@@ -15,7 +15,7 @@ from savetx.experiments import EXPERIMENTS, _meta_base
 from savetx.tables import emit_csv
 
 TINY_MC = {"periods": 1500, "slots": 8000, "warmup_periods": 50,
-           "replications": 2, "streams": 64}
+           "streams": 64}
 FAST_SOLVER = {"grid_points": 5, "gamma_hi": 3.0, "golden_tol": 0.25}
 NAN = float("nan")
 
@@ -74,6 +74,11 @@ class TestValidateConfig:
         with pytest.raises(ConfigError, match="solver"):
             sx.validate_config({"experiment": "fig3",
                                 "solver": {"nope": 1}})
+        # the supplies run the engine's lanes: no replication count
+        with pytest.raises(ConfigError,
+                           match=r"^mc\.replications: unknown key"):
+            sx.validate_config({"experiment": "fig3",
+                                "mc": {"replications": 16}})
 
     @pytest.mark.parametrize("key", ["b_max_units", "delta", "mc_periods",
                                      "mc_seed", "slot_cap", "value_iter_tol",
@@ -96,7 +101,7 @@ class TestValidateConfig:
             assert sx.validate_config(meta["resolved_config"]) == cfg
 
     @pytest.mark.parametrize("key, value", [
-        ("streams", 0), ("replications", 0), ("periods", 1500.5),
+        ("streams", 0), ("slots", 0), ("periods", 1500.5),
         ("warmup_periods", -1), ("slot_cap", 0), ("streams", True)])
     def test_bad_mc_value(self, key, value):
         with pytest.raises(ConfigError, match=rf"^mc\.{key}: must be an int"):
@@ -329,18 +334,18 @@ class TestPinnedTables:
     round the last digits differently."""
 
     MC = {"periods": 2000, "slots": 20000, "warmup_periods": 100,
-          "replications": 2, "streams": 64}
+          "streams": 64}
     SHA256 = {
-        "fig3": "65f8060d47ae9a2989625a87bdeb7f42"
-                "14fc7ee8175051ee31f7b05c386ee34d",
+        "fig3": "b4d7fe84bfb75d1e95e41968c9b9929c"
+                "4896bf3f21d78d51e845b8d593753e78",
         "fig4": "6094de7dc0d76e3e770c83cb4b5c1ab1"
                 "019154eebfcd22289bcb90844f4b2801",
         "fig6": "005dfb2bb3ce50c87e77053068467e30"
                 "0aad5a58421a604d47f89157409e9a01",
         "fig7": "c0f740df8a259672a4bb48376cdfb6ab"
                 "d5120f4dccae4042f5edf07fa2f181b4",
-        "fig8": "ae7c2e7f9919a88c102350b6765efe49"
-                "87675103221e85f9e9f8d54780aa805e",
+        "fig8": "500b21bb2b9c6dffe9bd8d303c4540d0"
+                "f654f785213a7cb2103b757d2bc5beb0",
     }
 
     @pytest.mark.parametrize("name", sorted(SHA256))
@@ -404,6 +409,28 @@ class TestCli:
         out = json.loads(r.stdout)
         assert out["throughput"] > 0
         assert trace.exists()
+
+    @pytest.mark.parametrize("scheme, run", [
+        ("best-effort", lambda m, cfg: sx.run_best_effort(
+            m, cfg.mc["slots"], cfg.seed, streams=cfg.mc["streams"])),
+        ("conventional", lambda m, cfg: sx.run_conventional(
+            m, cfg.p_bar, cfg.mc["slots"], cfg.seed,
+            streams=cfg.mc["streams"]))])
+    def test_simulate_supply(self, tmp_path, scheme, run):
+        # the command prints the library run's metrics at the config's
+        # sizes and seed; conventional solves its own water level
+        raw = {"experiment": "fig4", "mc": TINY_MC}
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(raw))
+        r = run_cli("--config", str(cfg), "simulate", "--scheme", scheme,
+                    "--p-s", "0.5")
+        assert r.returncode == 0, r.stderr
+        out = json.loads(r.stdout)
+        conf = sx.validate_config(raw)
+        met = run(conf.build_model(0.5), conf)
+        assert out["throughput"] == met.throughput
+        assert out["se_throughput"] == met.se_throughput
+        assert out.get("realized_avg_power") == met.realized_avg_power
 
     def test_optimize_threshold(self, tmp_path):
         cfg = tmp_path / "c.json"

@@ -149,13 +149,14 @@ class TestRunSimulation:
                               seed=1, **args)
 
     @pytest.mark.parametrize("key, value", [
-        ("n_slots", 0), ("streams", 0), ("replications", 0),
-        ("replications", -2)])
+        ("n_slots", 0), ("streams", 0), ("replications", 0)])
     def test_bad_supply_sizes_rejected(self, key, value):
+        # the supplies run the engine's lanes and take no replications
         args = {"n_slots": 100, "seed": 1, key: value}
-        with pytest.raises(ValueError, match=key):
+        error = TypeError if key == "replications" else ValueError
+        with pytest.raises(error, match=key):
             sx.run_best_effort(constant_world(), **args)
-        with pytest.raises(ValueError, match=key):
+        with pytest.raises(error, match=key):
             sx.run_conventional(constant_world(), 2.0, **args)
 
     def test_mixed_rules_match_solo_runs(self):
@@ -194,8 +195,9 @@ class TestRunSimulation:
                                 seed=1)
         assert met.throughput > 0
         assert np.isnan(met.se_throughput) and np.isnan(met.se_saving_time)
-        # 10,000 slots on 512 streams leave 32 per-slot means
-        cv = sx.run_conventional(iid_model(0.5), 2.0, 10_000, seed=3)
+        # 16 lanes leave 4 of the N_BATCHES lane groups empty
+        cv = sx.run_conventional(iid_model(0.5), 2.0, 10_000, seed=3,
+                                 streams=16)
         assert cv.throughput > 0 and np.isnan(cv.se_throughput)
 
     def test_bitwise_determinism(self):
@@ -329,7 +331,8 @@ class TestRunSimulation:
         recorded = sum(m.periods * m.mean_saving_time for m in mets)
         assert recorded >= 0.9 * sum(evals)
 
-    @pytest.mark.parametrize("case", ["markov-dp", "fig4-threshold"])
+    @pytest.mark.parametrize("case", ["markov-dp", "fig4-threshold",
+                                      "best-effort", "conventional"])
     def test_lane_group_se_calibrated(self, case):
         """Over 40 seeds, the sd of z = (MC - exact) / SE lies between 0.68
         and 1.5, the 0.001 and 0.999 quantiles of the sd of 40 t(19)
@@ -337,21 +340,39 @@ class TestRunSimulation:
         DP's lambda* from its rule's throughput on the drawn gains does not
         count.  Batches of consecutive period indices, time slices of every
         lane, gave 2.26 on the markov workload's DP rule, whose harvest and
-        private-gain chains carry over from one period to the next."""
+        private-gain chains carry over from one period to the next.
+
+        The supplies batch the same lane groups.  Best-effort runs an
+        i.i.d. model with preset-c harvesting, centred on the exact gamma-0
+        throughput.  Conventional runs the markov workload's model and,
+        with no exact value in the library, is centred on the mean of its
+        40 runs."""
         if case == "markov-dp":
             cfg = markov_workload_config()
             model = cfg.build_model(0.75)
             table = sx.solve_markov(model, cfg.solver)
             rule, exact = sx.Policy.dp(table), table.lambda_star
-        else:
+        elif case == "fig4-threshold":
             model = iid_model(0.5)
             rule = sx.Policy.threshold(2.0)
             exact, _ = sx.threshold_metrics(model, 2.0)
-        z = []
-        for seed in range(1, 41):
-            met = sx.run_simulation(rule, model, 4000, seed,
-                                    warmup_periods=100, streams=64)
-            z.append((met.throughput - exact) / met.se_throughput)
+        if case in ("markov-dp", "fig4-threshold"):
+            mets = [sx.run_simulation(rule, model, 4000, seed,
+                                      warmup_periods=100, streams=64)
+                    for seed in range(1, 41)]
+        elif case == "best-effort":
+            model = sx.validate_config({"experiment": "fig4",
+                                        "eh": {"preset": "c"}}
+                                       ).build_model(0.5)
+            exact, _ = sx.threshold_metrics(model, 0.0)
+            mets = [sx.run_best_effort(model, 32_000, seed, streams=64)
+                    for seed in range(1, 41)]
+        else:
+            model = markov_workload_config().build_model(0.75)
+            mets = [sx.run_conventional(model, 2.0, 32_000, seed, streams=64)
+                    for seed in range(1, 41)]
+            exact = np.mean([m.throughput for m in mets])
+        z = [(m.throughput - exact) / m.se_throughput for m in mets]
         assert 0.68 <= np.std(z, ddof=1) <= 1.5
 
     def test_trace_roundtrip(self, tmp_path):
@@ -391,7 +412,7 @@ class TestRunSimulation:
 class TestBestEffort:
     def test_constant_world_exact(self):
         met = sx.run_best_effort(constant_world(), 2000, seed=1,
-                                 replications=2, streams=20)
+                                 streams=20)
         assert met.throughput == pytest.approx(np.log2(1 + 1e-3), rel=1e-14)
         assert met.mean_saving_time == 1.0
 
@@ -414,25 +435,40 @@ class TestBestEffort:
         model = fig3_model(p_s)
         table = sx.solve_markov(model)
         assert table.stop_table[:, 1:].all()  # stop everywhere charged
-        # the engine draws from the generator of the supply's first
-        # replication, so one replication makes the same draws
+        # the engine and the supply draw from one generator at the seed
         streams, slots = 64, 800
         n = streams * slots
         met_dp = sx.run_simulation(sx.Policy.dp(table), model, n, seed=7,
                                    warmup_periods=0, streams=streams)
-        met_be = sx.run_best_effort(model, n, seed=7, replications=1,
-                                    streams=streams)
+        met_be = sx.run_best_effort(model, n, seed=7, streams=streams)
         assert met_dp.throughput == pytest.approx(met_be.throughput,
                                                   rel=1e-12)
         assert abs(met_dp.throughput - met_be.throughput) <= \
             2 * (met_dp.se_throughput + met_be.se_throughput) + 1e-12
 
+    @pytest.mark.parametrize("workload", ["search", "markov"])
+    def test_is_zero_threshold_rule(self, workload):
+        # gamma 0 stops every slot on the previous slot's harvest, which
+        # is the best-effort budget; both batch the same lane groups
+        model = (iid_model(0.5) if workload == "search" else
+                 markov_workload_config().build_model(0.75))
+        streams, slots = 64, 800
+        n = streams * slots
+        met_opp = sx.run_simulation(sx.Policy.threshold(0.0), model, n,
+                                    seed=7, warmup_periods=0,
+                                    streams=streams)
+        met_be = sx.run_best_effort(model, n, seed=7, streams=streams)
+        assert met_be.throughput == pytest.approx(met_opp.throughput,
+                                                  rel=1e-12)
+        assert met_be.se_throughput == pytest.approx(met_opp.se_throughput,
+                                                     rel=1e-12)
+        assert met_be.periods == met_opp.periods == n
+
 
 class TestConventional:
     def test_constant_world(self):
         model = constant_world(delta=1.0, h=1.0)
-        met = sx.run_conventional(model, 2.0, 2000, seed=1, replications=2,
-                                  streams=20)
+        met = sx.run_conventional(model, 2.0, 2000, seed=1, streams=20)
         assert met.throughput == pytest.approx(np.log2(3.0), rel=1e-9)
         assert met.realized_avg_power == pytest.approx(2.0, rel=1e-9)
 
@@ -472,8 +508,10 @@ class TestSupplyBlocks:
     MODELS = {"exponential": lambda: iid_model(0.5),
               "discrete": discrete_model,
               "markov_c": lambda: markov_workload_config().build_model(0.5)}
-    # replications, streams, slots per replication: one slot, one block
-    # plus one slot, two blocks plus one slot, and many full blocks
+    # slots short of a whole last slot on every lane (the run rounds
+    # n_slots = streams * slots - short up), streams, slots per lane: one
+    # slot, one block plus one slot, two blocks plus one slot, and many
+    # full blocks
     SIZES = [(2, 16, 1), (2, 16, 33), (3, 8, 65), (2, 64, 96)]
 
     @staticmethod
@@ -481,38 +519,38 @@ class TestSupplyBlocks:
         np.testing.assert_equal(astuple(got), astuple(want))
 
     @pytest.mark.parametrize("name", MODELS)
-    @pytest.mark.parametrize("reps, streams, slots", SIZES)
-    def test_best_effort_matches_per_slot(self, name, reps, streams, slots):
+    @pytest.mark.parametrize("short, streams, slots", SIZES)
+    def test_best_effort_matches_per_slot(self, name, short, streams, slots):
         model = self.MODELS[name]()
-        n = reps * streams * slots
-        got = sx.run_best_effort(model, n, seed=3, replications=reps,
-                                 streams=streams)
+        n = streams * slots - short
+        got = sx.run_best_effort(model, n, seed=3, streams=streams)
         want = run_supply_per_slot(model, n, 3,
                                    best_effort_start(model, streams),
-                                   replications=reps, streams=streams)
+                                   streams=streams)
         self.assert_same(got, want)
-        assert got.periods == n
+        assert got.periods == streams * slots
 
     @pytest.mark.parametrize("name", MODELS)
-    @pytest.mark.parametrize("reps, streams, slots", SIZES)
-    def test_conventional_matches_per_slot(self, name, reps, streams, slots):
+    @pytest.mark.parametrize("short, streams, slots", SIZES)
+    def test_conventional_matches_per_slot(self, name, short, streams, slots):
         model = self.MODELS[name]()
         level = sx.solve_water_level(model.private, model.common,
                                      model.access, 2.0)
-        n = reps * streams * slots
+        n = streams * slots - short
         got = sx.run_conventional(model, 2.0, n, seed=5, water_level=level,
-                                  replications=reps, streams=streams)
+                                  streams=streams)
         want = run_supply_per_slot(model, n, 5,
                                    conventional_start(model, level),
-                                   replications=reps, streams=streams,
-                                   with_power=True)
+                                   streams=streams, with_power=True)
         self.assert_same(got, want)
+        assert got.periods == streams * slots
 
     def test_best_effort_memory(self):
         """Peak traced memory of a 1M-slot best-effort run.  The bound
-        sits between two measurements with numpy 2.4: 1.08 MB with 32-slot
-        blocks, and 4.00 MB when each replication's 123 slots are spent as
-        one block (the temporaries of ``stop_rate`` grow with the block)."""
+        sits between two measurements with numpy 2.4: 1.06 MB with 32-slot
+        blocks, and 4.00 MB when each of 16 replications' 123 slots was
+        spent as one block (the temporaries of ``stop_rate`` grow with the
+        block)."""
         model = iid_model(0.5)
         sx.run_best_effort(model, 1_000_000, seed=1)
         tracemalloc.start()
@@ -531,31 +569,31 @@ class TestConstantRateExact:
     which breaks the zero-SE equalities of acceptance criterion 04.
     """
 
+    # slots, streams, seed
     SIZES = [(2000, 20, 2), (100_000, 512, 4), (50_000, 64, 3),
              (62_976, 512, 16)]
 
     @pytest.mark.parametrize("p_s", [0.0, 1.0])
-    @pytest.mark.parametrize("n, streams, reps", SIZES)
-    def test_best_effort_and_zero_threshold(self, p_s, n, streams, reps):
+    @pytest.mark.parametrize("n, streams, seed", SIZES)
+    def test_best_effort_and_zero_threshold(self, p_s, n, streams, seed):
         model = constant_world(p_s=p_s)
         c = float(sx.stop_rate(1e-3, 1.0, 1.0, int(p_s), model.log_base))
-        be = sx.run_best_effort(model, n, seed=1, replications=reps,
-                                streams=streams)
-        opp = sx.run_simulation(sx.Policy.threshold(0.0), model, n, seed=1,
-                                streams=streams)
+        be = sx.run_best_effort(model, n, seed=seed, streams=streams)
+        opp = sx.run_simulation(sx.Policy.threshold(0.0), model, n,
+                                seed=seed, streams=streams)
         assert be.throughput == c
         assert opp.throughput == c
 
     @pytest.mark.parametrize("p_s", [0.0, 1.0])
-    @pytest.mark.parametrize("n, streams, reps", SIZES)
-    def test_conventional(self, p_s, n, streams, reps):
+    @pytest.mark.parametrize("n, streams, seed", SIZES)
+    def test_conventional(self, p_s, n, streams, seed):
         model = constant_world(delta=1.0, h=1.0, p_s=p_s)
         level = sx.solve_water_level(model.private, model.common,
                                      model.access, 2.0)
         p = sx.conventional_power(1.0, level)
         c = float(np.log2(1.0 + p) + p_s * np.log2(1.0 + p))
-        met = sx.run_conventional(model, 2.0, n, seed=1, water_level=level,
-                                  replications=reps, streams=streams)
+        met = sx.run_conventional(model, 2.0, n, seed=seed,
+                                  water_level=level, streams=streams)
         assert met.throughput == c
         assert met.realized_avg_power == p + p_s * p
 
