@@ -4,6 +4,8 @@ Two budget regimes: ``stop_rate`` spends a whole battery in one slot (the
 save-then-transmit case), water-filling it over both channels when the
 common channel is held; ``conventional_power`` and ``solve_water_level``
 hold an average-power constraint (the conventional-supply benchmark).
+``stop_rate`` is one branch-free ``np.where`` expression over the broadcast
+arguments, with no access taken as a common channel of gain 0.
 
 Importing this module needs numpy alone: scipy's quadrature and root finder
 are imported inside ``_mean_power`` and ``solve_water_level``, on first use.
@@ -37,8 +39,8 @@ class WaterLevel:
             raise ValueError("water level must be > 0")
 
 
-def _log(x, base: float):
-    return np.log2(x) if base == 2.0 else np.log(x)
+def _log(x, base: float, out=None):
+    return (np.log2 if base == 2.0 else np.log)(x, out=out)
 
 
 def stop_rate(b, h, hc, phi, base: float = 2.0):
@@ -47,38 +49,30 @@ def stop_rate(b, h, hc, phi, base: float = 2.0):
     With channel access the budget is water-filled across both channels:
     an interior split equalizes 1/gain + power, otherwise the whole budget
     goes to the stronger (live) channel.  Without access everything goes
-    to the private channel.  Accepts scalars or broadcastable arrays.
+    to the private channel.  Accepts scalars or broadcastable arrays and
+    returns their broadcast shape (a float for scalars); an empty or
+    negative battery gives rate 0.
     """
-    b = np.asarray(b, dtype=float)
-    h = np.asarray(h, dtype=float)
-    hc = np.asarray(hc, dtype=float)
-    phi = np.asarray(phi)
-    b, h, hc, phi = np.broadcast_arrays(b, h, hc, phi)
-    shape = b.shape
-    # boolean masks select faster from 1-D arrays than from 2-D ones
-    b, h, hc, phi = (a.ravel() for a in (b, h, hc, phi))
-    out = np.zeros(b.shape)
-    pos = b > 0
-
-    m0 = pos & (phi == 0)
-    out[m0] = _log(1.0 + h[m0] * b[m0], base)
-
-    m1 = pos & (phi == 1)
-    if m1.any():
-        bb, hh, cc = b[m1], h[m1], hc[m1]
-        both = (hh > 0) & (cc > 0)
-        with np.errstate(divide="ignore"):
-            gap = np.where(both, 1.0 / np.where(cc > 0, cc, 1.0)
-                           - 1.0 / np.where(hh > 0, hh, 1.0), 0.0)
-        interior = both & (np.abs(gap) < bb)
-        p_pri = np.where(interior, 0.5 * (bb + gap),
-                         np.where(hh >= cc, bb, 0.0))
-        # zero-gain corners: all budget to the live channel
-        p_pri = np.where(both | (cc <= 0), p_pri, 0.0)
-        p_com = bb - p_pri
-        out[m1] = (_log(1.0 + hh * p_pri, base)
-                   + _log(1.0 + cc * p_com, base))
-    return out.reshape(shape) if shape else float(out[0])
+    b, h, hc, phi = (np.asarray(a) for a in (b, h, hc, phi))
+    b = np.fmax(b, 0.0)  # fmax also sends a NaN battery to 0
+    live = phi == 1
+    if live.any():
+        # no access is a dead common channel: its term below is log(1) = 0
+        cc = np.where(live, hc, 0.0)
+        both = (h > 0) & (cc > 0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            gap = np.where(both, 1.0 / cc - 1.0 / h, 0.0)
+        interior = both & (np.abs(gap) < b)
+        # outside the interior the whole budget goes to the stronger
+        # channel, and a dead one (gain 0 or no access) never wins
+        p_pri = np.where(interior, 0.5 * (b + gap),
+                         np.where(h >= cc, b, 0.0))
+        rate = (_log(1.0 + h * p_pri, base)
+                + _log(1.0 + cc * (b - p_pri), base))
+    else:
+        rate = _log(1.0 + h * b, base,
+                    out=np.empty(np.broadcast(b, h, hc, phi).shape))
+    return rate if rate.shape else float(rate)
 
 
 def check_gamma(gamma) -> float:

@@ -94,6 +94,15 @@ class Metrics:
 # samplers: every call draws one block of ``size`` values
 
 
+def _cum_table(p) -> np.ndarray:
+    """Cumulative sums of the probability rows ``p`` (one row, or a
+    transition matrix), less the columns that are >= 1.0 in every row: a
+    uniform in [0, 1) never reaches them, so ``_step_chain`` draws the same
+    indices without them, and a two-state chain steps one column."""
+    cum = np.cumsum(p, axis=-1)
+    return cum[..., (cum < 1.0).reshape(-1, cum.shape[-1]).any(axis=0)]
+
+
 def _step_chain(cum: np.ndarray, idx, rng, size: int):
     """Inverse-CDF index draws against the cumulative rows ``cum[idx]``,
     one uniform per draw; ``idx=None`` draws every index from the single
@@ -112,7 +121,7 @@ class _GainSampler:
         self.dist = dist
         if dist.kind == "discrete":
             self.values = np.asarray(dist.values)
-            self.cum = np.cumsum(dist.probabilities)
+            self.cum = _cum_table(dist.probabilities)
 
     def draw(self, rng, size: int) -> np.ndarray:
         if self.dist.kind == "discrete":
@@ -130,8 +139,8 @@ class _PrivateSampler:
         if self.is_markov:
             chain = model.private.chain
             self.values = np.asarray(chain.states)
-            self.cum = np.cumsum(chain.transition, axis=1)
-            self.pi_cum = np.cumsum(stationary_distribution(chain))
+            self.cum = _cum_table(chain.transition)
+            self.pi_cum = _cum_table(stationary_distribution(chain))
         else:
             self.iid = _GainSampler(model.private)
 
@@ -162,8 +171,8 @@ def _draw_slot(model: SystemModel, private: _PrivateSampler,
 def _first_harvest(model: SystemModel, rng, size: int):
     """Harvest-chain indices from the stationary law, stepped once; the
     harvest of that step is the first battery (or best-effort budget)."""
-    eh_cum = np.cumsum(model.eh.transition, axis=1)
-    pi_cum = np.cumsum(stationary_distribution(model.eh))
+    eh_cum = _cum_table(model.eh.transition)
+    pi_cum = _cum_table(stationary_distribution(model.eh))
     return _step_chain(eh_cum, _step_chain(pi_cum, None, rng, size), rng,
                        size)
 
@@ -253,7 +262,7 @@ def _run_block(policies, model: SystemModel, warm_per_lane: int,
     nb, ne, nh = gammas.shape[1:]
     private = _PrivateSampler(model)
     common = _GainSampler(model.common)
-    eh_cum = np.cumsum(model.eh.transition, axis=1)
+    eh_cum = _cum_table(model.eh.transition)
     eh_vals = np.asarray(model.eh.states)
     cap = model.b_cap
     base = model.log_base
@@ -482,7 +491,7 @@ def run_best_effort(model: SystemModel, n_slots: int, seed: int, *,
     (the very first budget is one fresh harvest draw).  Throughput is
     total rate over total slots, exact when the per-slot rate is constant.
     """
-    eh_cum = np.cumsum(model.eh.transition, axis=1)
+    eh_cum = _cum_table(model.eh.transition)
     eh_vals = np.asarray(model.eh.states)
 
     def start(rng):

@@ -5,8 +5,8 @@ from scipy import integrate, stats
 
 import savetx as sx
 from savetx.errors import BadName, ReducibleChain, UnsupportedKind
-from savetx.simulate import _GainSampler, _PrivateSampler, _draw_slot, \
-    _step_chain
+from savetx.simulate import _GainSampler, _PrivateSampler, _cum_table, \
+    _draw_slot, _step_chain
 
 from oracles import step_chain
 
@@ -177,6 +177,27 @@ class TestSampling:
             got = _step_chain(rows, at, np.random.default_rng(5), 1000)
             want = step_chain(rows, at, np.random.default_rng(5), 1000)
             assert got.dtype == want.dtype
+            assert (got == want).all()
+
+    @pytest.mark.parametrize("P, kept", [
+        # the last column is 1.0 in every row and is dropped
+        ([[0.9, 0.1], [0.3, 0.7]], 1),
+        # both cumsums end at 0.9999999999999999: no column of ones
+        ([[0.2, 0.7, 0.1], [0.3, 0.6, 0.1]], 3),
+        # only row 1 ends at 0.9999999999999999, so the last column stays:
+        # a uniform in [that, 1) counts it
+        ([[0.5, 0.5, 0.0], [0.2, 0.7, 0.1]], 3),
+    ])
+    def test_cum_table_skips_columns_of_ones(self, P, kept):
+        full = np.cumsum(P, axis=1)
+        cum = _cum_table(np.asarray(P))
+        assert cum.shape == (len(P), kept)
+        assert (full[:, kept:] >= 1.0).all()
+        idx = np.random.default_rng(3).integers(0, len(P), 10_000)
+        for rows, at in ((cum, idx), (_cum_table(np.asarray(P[1])), None)):
+            got = _step_chain(rows, at, np.random.default_rng(5), 10_000)
+            want = step_chain(full if at is not None else full[1], at,
+                              np.random.default_rng(5), 10_000)
             assert (got == want).all()
 
     def test_switch_fraction_lln(self):

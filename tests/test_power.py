@@ -76,7 +76,8 @@ class TestInstantRate:
     def test_zero_power(self):
         assert split_rate(1, 1.0, 1.0, Split(0.0, 0.0)) == 0.0
         for phi in (0, 1):
-            assert sx.stop_rate(0.0, 1.0, 1.0, phi) == 0.0
+            for b in (0.0, -0.0, -1.0):
+                assert sx.stop_rate(b, 1.0, 1.0, phi) == 0.0
 
     def test_waterfilled_example(self):
         r = sx.stop_rate(1.0, 16.0, 32.0, 1)
@@ -107,6 +108,36 @@ class TestRateAtStop:
     def test_natural_log_base(self):
         assert sx.stop_rate(2.0, 1.0, 1.0, 0, base=np.e) == pytest.approx(
             np.log(3.0), rel=1e-12)
+
+    def test_scalars_give_float(self):
+        for phi in (0, 1):
+            assert type(sx.stop_rate(1.0, 2.0, 3.0, phi)) is float
+            assert type(sx.stop_rate(0.0, 2.0, 3.0, phi)) is float
+
+    def test_broadcast_shape(self):
+        """The result has the broadcast shape of all four arguments, also
+        when no entry holds the common channel."""
+        for phi in (np.zeros(3, int), np.ones(3, int)):
+            r = sx.stop_rate(1.0, 1.0, np.ones(3), phi)
+            assert r.shape == (3,)
+        r = sx.stop_rate(np.ones((2, 1)), 1.0, 1.0, np.zeros(4, np.int8))
+        assert r.shape == (2, 4) and (r == 1.0).all()
+
+    @pytest.mark.parametrize("p_s", [0.0, 0.5, 1.0])
+    def test_rows_by_lanes_match_scalar(self, p_s):
+        """The engine's call: a (rows, lanes) battery against (lanes,)
+        gains, with empty batteries and zero-gain corners, equal to the
+        scalar call on every element."""
+        rng = np.random.default_rng(11)
+        lanes = 64
+        b = rng.integers(0, 6, (5, lanes)) * 0.5
+        h, hc = rng.exponential(1.0, (2, lanes))
+        h[:8], hc[4:12] = 0.0, 0.0
+        phi = (rng.random(lanes) < p_s).astype(np.int8)
+        vec = sx.stop_rate(b, h, hc, phi)
+        assert vec.shape == b.shape
+        for (i, j), got in np.ndenumerate(vec):
+            assert got == sx.stop_rate(b[i, j], h[j], hc[j], phi[j])
 
     def test_vector_matches_scalar(self):
         rng = np.random.default_rng(3)

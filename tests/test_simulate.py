@@ -301,7 +301,8 @@ class TestRunSimulation:
         4.09 MB for an engine that reduced each of 16 replications' records
         into batch sums, and 41.1 MB for the same pass keeping every row's
         records until the end.  This engine reduces the records into
-        per-lane-group sums as they arrive and peaks at 1.24 MB."""
+        per-lane-group sums as they arrive and peaks at 1.18 MB (1.24 MB
+        with a ``stop_rate`` that gathered and scattered by mask)."""
         model = iid_model(0.5)
         rules = [sx.Policy.threshold(g) for g in np.linspace(0.0, 4.0, 21)]
         sx.run_policies(rules, model, 50_000, 20240501)
@@ -547,9 +548,11 @@ class TestSupplyBlocks:
 
     def test_best_effort_memory(self):
         """Peak traced memory of a 1M-slot best-effort run.  The bound
-        sits between two measurements with numpy 2.4: 1.06 MB with 32-slot
-        blocks, and 4.00 MB when each of 16 replications' 123 slots was
-        spent as one block (the temporaries of ``stop_rate`` grow with the
+        sits between two measurements with numpy 2.4: 1.54 MB with 32-slot
+        blocks (1.06 MB with a ``stop_rate`` that gathered and scattered
+        by mask, whose temporaries covered only the entries with access),
+        and 4.00 MB when each of 16 replications' 123 slots was spent as
+        one block (the temporaries of ``stop_rate`` grow with the
         block)."""
         model = iid_model(0.5)
         sx.run_best_effort(model, 1_000_000, seed=1)
