@@ -17,7 +17,6 @@ from .errors import (
 )
 from .models import (
     AccessModel,
-    EHModelPreset,
     GainDistribution,
     MarkovChainSpec,
     SystemModel,
@@ -59,7 +58,7 @@ __all__ = [
     "SaveTxError", "ReducibleChain", "BadName", "UnsupportedKind",
     "NoBracket", "NoConvergence", "PeriodOverflow", "ConfigError", "IoError",
     # models
-    "MarkovChainSpec", "GainDistribution", "AccessModel", "EHModelPreset",
+    "MarkovChainSpec", "GainDistribution", "AccessModel",
     "SystemModel", "stationary_distribution",
     "make_eh_preset", "discretize_gain",
     # power

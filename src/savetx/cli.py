@@ -19,11 +19,14 @@ from .solver import optimize_threshold, solve_markov
 
 
 def _load_config(args, experiment=None) -> ExperimentConfig:
+    data = {}
     if args.config:
-        raw = Path(args.config).read_text()
-        data = json.loads(raw)
-    else:
-        data = {}
+        try:
+            data = json.loads(Path(args.config).read_text())
+        except (OSError, ValueError) as exc:  # JSONDecodeError is a ValueError
+            raise ConfigError(f"--config: {exc}") from exc
+        if not isinstance(data, dict):
+            raise ConfigError("--config: the file must hold a JSON object")
     if experiment is not None:
         data["experiment"] = experiment
     if args.seed is not None:

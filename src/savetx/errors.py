@@ -6,7 +6,7 @@ class SaveTxError(Exception):
 
 
 class ReducibleChain(SaveTxError):
-    """Markov chain has no unique stationary distribution."""
+    """Markov chain is not irreducible."""
 
 
 class BadName(SaveTxError):

@@ -204,7 +204,7 @@ def _eh_from_block(block: dict, delta: float) -> MarkovChainSpec:
         if "preset" in block:
             return make_eh_preset(block["preset"], switch=block.get("switch"),
                                   p_good=block.get("p_good"),
-                                  delta=delta).chain
+                                  delta=delta)
         return MarkovChainSpec(block["states"], block["transition"])
     except KeyError as exc:
         _fail(f"eh.{exc.args[0]}", "missing key")

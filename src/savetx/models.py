@@ -19,7 +19,6 @@ __all__ = [
     "MarkovChainSpec",
     "GainDistribution",
     "AccessModel",
-    "EHModelPreset",
     "stationary_distribution",
     "make_eh_preset",
     "discretize_gain",
@@ -111,8 +110,9 @@ def _strongly_connected(P: np.ndarray) -> bool:
 def stationary_distribution(chain: MarkovChainSpec) -> np.ndarray:
     """Solve pi @ P = pi, sum(pi) = 1 for an irreducible chain.
 
-    Raises ReducibleChain when the chain has no unique stationary
-    distribution.
+    Raises ReducibleChain for any chain that is not irreducible, even one
+    with a unique stationary law: [[1, 0], [0.5, 0.5]], whose law is
+    [1, 0], is refused.
     """
     P = chain.transition
     n = chain.n_states
@@ -196,18 +196,6 @@ class AccessModel:
             raise ValueError(f"p_s must lie in [0, 1], got {self.p_s}")
 
 
-@dataclass(frozen=True)
-class EHModelPreset:
-    """Named two-state harvesting model over {0, 4*delta}."""
-
-    name: str
-    chain: MarkovChainSpec
-
-    def __post_init__(self):
-        if self.chain.n_states != 2:
-            raise ValueError("harvesting preset needs exactly two states")
-
-
 # Default switch probabilities: (a) is i.i.d.-equivalent, (b) flips state
 # more often than (a), (c) less often, (d) skews stationary mass to GOOD.
 _PRESET_SWITCH = {"a": 0.5, "b": 0.9, "c": 0.1}
@@ -216,7 +204,7 @@ _PRESET_D_P_GOOD = 0.75
 
 def make_eh_preset(name: str, switch: float | None = None,
                    p_good: float | None = None,
-                   delta: float = 1.0) -> EHModelPreset:
+                   delta: float = 1.0) -> MarkovChainSpec:
     """Build harvesting preset ``name`` over states {0, 4*delta}.
 
     ``switch`` overrides the state-flip probability for a/b/c;
@@ -228,15 +216,13 @@ def make_eh_preset(name: str, switch: float | None = None,
             _reals(switch, "switch")
         if not 0.0 < s <= 1.0:
             raise ValueError("switch: probability must lie in (0, 1]")
-        chain = MarkovChainSpec(states, [[1 - s, s], [s, 1 - s]])
-    elif name == "d":
+        return MarkovChainSpec(states, [[1 - s, s], [s, 1 - s]])
+    if name == "d":
         g = _PRESET_D_P_GOOD if p_good is None else _reals(p_good, "p_good")
         if not 0.5 < g < 1.0:
             raise ValueError("p_good: preset d needs 0.5 < p_good < 1")
-        chain = MarkovChainSpec(states, [[1 - g, g], [1 - g, g]])
-    else:
-        raise BadName(f"unknown harvesting preset {name!r}")
-    return EHModelPreset(name=name, chain=chain)
+        return MarkovChainSpec(states, [[1 - g, g], [1 - g, g]])
+    raise BadName(f"unknown harvesting preset {name!r}")
 
 
 def discretize_gain(dist: GainDistribution, n_bins: int) -> GainDistribution:

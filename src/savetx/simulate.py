@@ -16,7 +16,9 @@ The two benchmark supplies share one slot loop, ``_run_supply``, which
 draws per slot in that order but spends per block of slots, differing only
 in how energy is spent.  It runs the engine's Monte Carlo scheme: ``streams``
 lanes on one generator built as the engine's, with standard errors batched
-over the engine's ``N_BATCHES`` fixed groups of lanes.
+over the engine's ``N_BATCHES`` fixed groups of lanes.  The engine and the
+supplies keep per-lane sums of their records and reduce them once, after
+the slot loop, with one fold, ``_fold``.
 """
 from __future__ import annotations
 
@@ -207,39 +209,6 @@ def _refill(take, cur, taken, n_periods: int):
     return cur, np.minimum(idx[:, -1] + 1, n_periods)
 
 
-class _LaneGroups:
-    """Per-rule sums of the recorded periods' lengths T, deviations
-    R - shift T of their rates R, and counts, over ``N_BATCHES`` fixed
-    groups of lanes (shift: the rule's first recorded R / T).  Lanes are
-    independent, so the groups' ratios are too; batches of consecutive
-    periods would be time slices of every lane, correlated under correlated
-    dynamics."""
-
-    def __init__(self, rows: int, lanes: int):
-        self.group = _lane_groups(lanes)
-        self.sums = np.zeros((3, rows * N_BATCHES))
-        self.shift = np.full(rows, np.nan)
-
-    def add(self, row, lane, T, R):
-        unset = np.isnan(self.shift[row])
-        if unset.any():  # the first record of a row, lowest lane first
-            first, i = np.unique(row[unset], return_index=True)
-            self.shift[first] = R[unset][i] / T[unset][i]
-        key = row * N_BATCHES + self.group[lane]
-        for acc, w in zip(self.sums, (T, R - self.shift[row] * T, None)):
-            acc += np.bincount(key, w, minlength=acc.size)
-
-    def metrics(self, row: int, clip_events: int, slot_draws: int
-                ) -> Metrics:
-        T, dev, n = self.sums[:, row * N_BATCHES:(row + 1) * N_BATCHES]
-        se_rate, se_T = _batch_ses(dev, T, n)
-        return Metrics(
-            throughput=_mean_about(self.shift[row], dev, T),
-            mean_saving_time=float(T.sum() / n.sum()), se_throughput=se_rate,
-            se_saving_time=se_T, periods=int(n.sum()),
-            cap_hit_fraction=float(clip_events / max(slot_draws, 1)))
-
-
 def _run_block(policies, model: SystemModel, warm_per_lane: int,
                n_periods: int, rng, lanes: int, slot_cap: int,
                trace: bool = False):
@@ -279,7 +248,12 @@ def _run_block(policies, model: SystemModel, warm_per_lane: int,
     # the index of each lane's running period; -1 when it is not recorded
     cur, taken = _refill(left == 0, np.full((rows, lanes), -1),
                          np.zeros(rows, dtype=np.int64), n_periods)
-    groups = _LaneGroups(rows, lanes)
+    # per lane: sums of the recorded periods' T, R - shift T and count,
+    # with shift the row's first recorded R / T; ``done`` takes a row's
+    # sums as it leaves
+    sums = np.zeros((rows, 3, lanes))
+    done = np.empty_like(sums)
+    shift = np.full(rows, np.nan)
     # float records hold period lengths and access flags exactly
     rec = {k: np.empty(n_periods)
            for k in ("T", "rate", "b", "phi", "h", "hc")} if trace else None
@@ -309,10 +283,17 @@ def _run_block(policies, model: SystemModel, warm_per_lane: int,
         e_idx = _step_chain(eh_cum, e_idx, rng, lanes)
         e_val = eh_vals[e_idx]
 
-        r, s = np.nonzero(stop & (cur >= 0))
-        groups.add(live[r], s, T_cur[r, s], rate[r, s])
+        recorded = stop & (cur >= 0)
+        unset = np.isnan(shift[live])
+        if unset.any():  # a row's first records, lowest lane first
+            first = np.flatnonzero(unset & recorded.any(axis=1))
+            s = recorded[first].argmax(axis=1)
+            shift[live[first]] = rate[first, s] / T_cur[first, s]
+        sums[:, 0] += np.where(recorded, T_cur, 0)
+        sums[:, 1] += np.where(recorded, rate - shift[live, None] * T_cur, 0.0)
+        sums[:, 2] += recorded
         if trace and live[0] == 0:
-            s0 = s[r == 0]
+            s0 = np.flatnonzero(recorded[0])
             for field, v in zip(rec.values(), (T_cur, rate, b, phi, h, hc)):
                 field[cur[0, s0]] = v[0, s0] if v.ndim == 2 else v[s0]
         # a lane that ends its last warm-up period or a recorded one takes
@@ -329,11 +310,12 @@ def _run_block(policies, model: SystemModel, warm_per_lane: int,
         going = (taken < n_periods) | (cur >= 0).any(axis=1)
         if not going.all():
             slots_run[live[~going]] = slots
-            live, b, T_cur, left, cur, taken = (
-                a[going] for a in (live, b, T_cur, left, cur, taken))
+            done[live[~going]] = sums[~going]
+            live, b, T_cur, left, cur, taken, sums = (
+                a[going] for a in (live, b, T_cur, left, cur, taken, sums))
 
-    return ([groups.metrics(i, clips[i], slots_run[i] * lanes)
-             for i in range(rows)], rec)
+    return ([_fold(shift[i], *done[i], cap_hit_fraction=float(
+        clips[i] / max(slots_run[i] * lanes, 1))) for i in range(rows)], rec)
 
 
 def _batch_ses(dev, T, n):
@@ -369,8 +351,26 @@ def _rng(seed: int) -> np.random.Generator:
 
 def _lane_groups(lanes: int) -> np.ndarray:
     """Each lane's batch: ``N_BATCHES`` fixed groups of consecutive lanes,
-    as equal in size as the lane count allows."""
+    as equal in size as the lane count allows.  Lanes are independent, so
+    the groups' ratios are too; batches of consecutive periods would be
+    time slices of every lane, correlated under correlated dynamics."""
     return np.arange(lanes) * N_BATCHES // lanes
+
+
+def _fold(shift: float, T, dev, n, **fields) -> Metrics:
+    """Metrics from per-lane sums of the recorded periods' lengths ``T``,
+    deviations ``dev`` = R - shift T of their rewards R, and counts ``n``,
+    folded once into the ``N_BATCHES`` lane groups.  ``fields`` gives the
+    Metrics fields the sums do not, and overrides those they do."""
+    group = _lane_groups(len(T))
+    T, dev, n = (np.bincount(group, x, minlength=N_BATCHES)
+                 for x in (T, dev, n))
+    se_rate, se_T = _batch_ses(dev, T, n)
+    return Metrics(**{
+        "throughput": _mean_about(shift, dev, T),
+        "mean_saving_time": float(T.sum() / n.sum()),
+        "se_throughput": se_rate, "se_saving_time": se_T,
+        "periods": int(n.sum()), **fields})
 
 
 def _check_sizes(**sizes):
@@ -395,9 +395,11 @@ def run_policies(policies, model: SystemModel, n_periods: int, seed: int, *,
     Throughput is total rate over total slots, exact when the per-slot
     rate is constant; the standard errors are batch means over
     ``N_BATCHES`` fixed groups of lanes, so they are NaN with fewer
-    streams than that.  Deterministic for fixed
-    arguments: the pass draws from one PCG64 generator seeded from
-    ``seed``.  ``trace_path`` receives the first rule's periods as CSV.
+    streams than that.  Each lane keeps sums of its recorded periods, and
+    the pass folds them into the lane groups once, at its end.
+    Deterministic for fixed arguments: the pass draws from one PCG64
+    generator seeded from ``seed``.  ``trace_path`` receives the first
+    rule's periods as CSV.
     """
     _check_sizes(n_periods=n_periods, warmup_periods=warmup_periods,
                  streams=streams, slot_cap=slot_cap)
@@ -438,10 +440,12 @@ def _run_supply(model: SystemModel, n_slots: int, seed: int, start, *,
     ``spend(phi, h, hc, *drawn)`` takes up to ``_SUPPLY_BLOCK`` slots of
     them as (slots, streams) arrays and returns the rates, plus the powers
     when ``with_power``.  The run draws from the engine's generator at
-    ``seed``, and its standard error is a batch mean over the engine's
-    lane groups, so NaN with fewer streams than ``N_BATCHES``.  Throughput
-    is total rate over total slots, exact when the per-slot rate is
-    constant; the realized average power is reduced the same way.
+    ``seed``.  Each lane sums its deviations from the first slot's values,
+    and the engine's fold takes those per-lane sums into its lane groups
+    once, at the end, so the standard error is a batch mean over the
+    engine's lane groups, NaN with fewer streams than ``N_BATCHES``.
+    Throughput is total rate over total slots, exact when the per-slot
+    rate is constant; the realized average power is reduced the same way.
     """
     _check_sizes(n_slots=n_slots, streams=streams)
     slots = -(-n_slots // streams)
@@ -468,19 +472,13 @@ def _run_supply(model: SystemModel, n_slots: int, seed: int, start, *,
             shifts = [float(v[0, 0]) for v in values]
         for acc, v, c in zip(sums, values, shifts):
             acc += (v - c).sum(axis=0)
-    group = _lane_groups(streams)
-    group_slots = np.bincount(group, minlength=N_BATCHES) * float(slots)
-    dev = [np.bincount(group, acc, minlength=N_BATCHES) for acc in sums]
-    return Metrics(
-        throughput=_mean_about(shifts[0], dev[0], group_slots),
-        mean_saving_time=1.0,
-        se_throughput=_batch_ses(dev[0], group_slots, group_slots)[0],
-        se_saving_time=0.0,
-        periods=slots * streams,
-        cap_hit_fraction=0.0,
-        realized_avg_power=(_mean_about(shifts[1], dev[1], group_slots)
-                            if with_power else None),
-    )
+    # a supply's period is one slot, so each lane's T and count are its
+    # slots, and the mean length is exact, with fewer lanes than groups too
+    T = np.full(streams, float(slots))
+    power = (_fold(shifts[1], T, sums[1], T, cap_hit_fraction=0.0).throughput
+             if with_power else None)
+    return _fold(shifts[0], T, sums[0], T, cap_hit_fraction=0.0,
+                 se_saving_time=0.0, realized_avg_power=power)
 
 
 def run_best_effort(model: SystemModel, n_slots: int, seed: int, *,

@@ -471,6 +471,20 @@ class TestCli:
         assert r.stderr.startswith("error: ") and named in r.stderr
         assert "Traceback" not in r.stderr
 
+    @pytest.mark.parametrize("text", ['{"experiment": "fig3"', "[1, 2]",
+                                      None],
+                             ids=["truncated", "array-root", "missing"])
+    def test_bad_config_file_is_an_error(self, tmp_path, text):
+        # a truncated file, a root that is not an object and a missing file
+        # each exited 1 with a traceback
+        cfg = tmp_path / "c.json"
+        if text is not None:
+            cfg.write_text(text)
+        r = run_cli("--config", str(cfg), "solve-markov")
+        assert r.returncode == 2
+        assert r.stderr.startswith("error: --config: ")
+        assert "Traceback" not in r.stderr
+
     def test_missing_gamma(self, tmp_path):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"experiment": "fig4", "mc": TINY_MC}))

@@ -267,25 +267,25 @@ class TestSampling:
 
 class TestEHPresets:
     def test_preset_a_rows(self):
-        preset = sx.make_eh_preset("a")
-        assert np.allclose(preset.chain.transition, 0.5)
-        assert preset.chain.states == (0.0, 4.0)
+        chain = sx.make_eh_preset("a")
+        assert np.allclose(chain.transition, 0.5)
+        assert chain.states == (0.0, 4.0)
 
     @pytest.mark.parametrize("name,switch", [("a", None), ("b", 0.9),
                                              ("c", 0.1)])
     def test_symmetric_presets_share_stationary(self, name, switch):
-        preset = sx.make_eh_preset(name, switch=switch)
-        pi = sx.stationary_distribution(preset.chain)
+        chain = sx.make_eh_preset(name, switch=switch)
+        pi = sx.stationary_distribution(chain)
         assert np.abs(pi - 0.5).max() < 1e-12
 
     def test_preset_d_favors_good(self):
-        preset = sx.make_eh_preset("d")
-        pi = sx.stationary_distribution(preset.chain)
+        chain = sx.make_eh_preset("d")
+        pi = sx.stationary_distribution(chain)
         assert pi[1] > 0.5
 
     def test_delta_scales_states(self):
-        preset = sx.make_eh_preset("a", delta=1e-3)
-        assert preset.chain.states == (0.0, 4e-3)
+        chain = sx.make_eh_preset("a", delta=1e-3)
+        assert chain.states == (0.0, 4e-3)
 
     def test_bad_name(self):
         with pytest.raises(BadName):

@@ -199,6 +199,11 @@ class TestRunSimulation:
         cv = sx.run_conventional(iid_model(0.5), 2.0, 10_000, seed=3,
                                  streams=16)
         assert cv.throughput > 0 and np.isnan(cv.se_throughput)
+        # a supply's period is one slot, so its mean length and that
+        # length's SE are exact, however few the lanes
+        be = sx.run_best_effort(iid_model(0.5), 10_000, seed=3, streams=16)
+        assert np.isnan(be.se_throughput)
+        assert be.se_saving_time == 0.0 and be.mean_saving_time == 1.0
 
     def test_bitwise_determinism(self):
         model = iid_model(0.5)
@@ -281,9 +286,10 @@ class TestRunSimulation:
         held once.  The bound sits between two measurements with numpy 2.4:
         4.73 MB for an engine that kept every record's trace columns until
         the end, 7.36 MB for one that also recorded per-period harvest and
-        clipping and kept the records beside their concatenation.  The
-        engine that reduces the records into per-lane-group sums as they
-        arrive peaks at 0.09 MB."""
+        clipping and kept the records beside their concatenation.  An
+        engine that reduced the records into per-lane-group sums as they
+        arrived peaked at 0.09 MB; this one adds them into per-lane sums,
+        folded into the lane groups once, and peaks at 0.11 MB."""
         model = iid_model(0.5)
         rule = sx.Policy.threshold(2.0)
         sx.run_simulation(rule, model, 50_000, 20240501)
@@ -300,9 +306,11 @@ class TestRunSimulation:
         one pass.  The bound sits between two measurements with numpy 2.4:
         4.09 MB for an engine that reduced each of 16 replications' records
         into batch sums, and 41.1 MB for the same pass keeping every row's
-        records until the end.  This engine reduces the records into
-        per-lane-group sums as they arrive and peaks at 1.18 MB (1.24 MB
-        with a ``stop_rate`` that gathered and scattered by mask)."""
+        records until the end.  An engine that reduced the records into
+        per-lane-group sums as they arrived peaked at 1.18 MB (1.24 MB
+        with a ``stop_rate`` that gathered and scattered by mask).  This
+        one adds them into (rules, lanes) sums, folded into the lane
+        groups once after the pass, and peaks at 1.67 MB."""
         model = iid_model(0.5)
         rules = [sx.Policy.threshold(g) for g in np.linspace(0.0, 4.0, 21)]
         sx.run_policies(rules, model, 50_000, 20240501)

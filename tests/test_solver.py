@@ -307,7 +307,7 @@ class TestEvaluateThresholds:
             private=sx.GainDistribution.discrete([0.0, 0.5, 2.0],
                                                  [0.2, 0.5, 0.3]),
             common=sx.GainDistribution.discrete([0.25, 4.0], [0.5, 0.5]),
-            access=sx.AccessModel(0.5), eh=sx.make_eh_preset("b").chain,
+            access=sx.AccessModel(0.5), eh=sx.make_eh_preset("b"),
             b_max_units=10_000),
         markov_workload_config().build_model(0.75),
     ], ids=["exp-exp", "discrete", "markov-private-preset-c"])
@@ -466,7 +466,7 @@ class TestThresholdMetrics:
                                               log_base):
         model = sx.SystemModel(
             private=private, common=common, access=sx.AccessModel(0.5),
-            eh=sx.make_eh_preset("b").chain, b_max_units=10_000,
+            eh=sx.make_eh_preset("b"), b_max_units=10_000,
             log_base=log_base)
         for gamma in (1.0, 2.5):
             lam, mean_T = sx.threshold_metrics(model, gamma)
@@ -484,7 +484,7 @@ class TestThresholdMetrics:
         exponential = sx.GainDistribution.exponential(1.5)
         lams = [sx.threshold_metrics(sx.SystemModel(
             private=pri, common=com, access=sx.AccessModel(1.0),
-            eh=sx.make_eh_preset("a").chain, b_max_units=10_000), 2.0)[0]
+            eh=sx.make_eh_preset("a"), b_max_units=10_000), 2.0)[0]
             for pri, com in ((discrete, exponential),
                              (exponential, discrete))]
         assert lams[0] == pytest.approx(lams[1], rel=1e-12, abs=0)
