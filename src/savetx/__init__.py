@@ -33,10 +33,9 @@ from .power import (
 from .simulate import (
     Metrics,
     Policy,
-    run_best_effort,
-    run_conventional,
     run_policies,
     run_simulation,
+    run_supplies,
 )
 from .solver import (
     SolverConfig,
@@ -67,8 +66,7 @@ __all__ = [
     "SolverConfig", "ValueTable", "solve_markov", "threshold_metrics",
     "optimize_threshold",
     # simulate
-    "Policy", "Metrics", "run_policies", "run_simulation", "run_best_effort",
-    "run_conventional",
+    "Policy", "Metrics", "run_policies", "run_simulation", "run_supplies",
     # experiments
     "ExperimentConfig", "validate_config", "run_experiment",
     "default_config",

@@ -14,8 +14,9 @@ from pathlib import Path
 from .errors import ConfigError, SaveTxError
 from .experiments import EXPERIMENTS, ExperimentConfig, run_experiment, \
     validate_config
-from .simulate import Policy, run_best_effort, run_conventional
+from .simulate import Policy, run_supplies
 from .solver import optimize_threshold, solve_markov
+from .tables import make_dir, write_text
 
 
 def _load_config(args, experiment=None) -> ExperimentConfig:
@@ -45,10 +46,8 @@ def _model(args, cfg: ExperimentConfig):
 def _dump(payload: dict, args) -> None:
     text = json.dumps(payload, indent=2, default=float)
     if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        path = out / f"{payload.get('command', 'result')}.json"
-        path.write_text(text + "\n")
+        path = make_dir(args.out) / f"{payload.get('command', 'result')}.json"
+        write_text(path, text + "\n")
         print(path)
     else:
         print(text)
@@ -64,7 +63,7 @@ def _cmd_experiment(args) -> int:
         with open(result["csv"], newline="") as fh:
             rows = list(_csv.DictReader(fh))
         json_path = Path(result["csv"]).with_suffix(".json")
-        json_path.write_text(json.dumps(rows, indent=2) + "\n")
+        write_text(json_path, json.dumps(rows, indent=2) + "\n")
         result["json"] = str(json_path)
     print(json.dumps(result))
     return 0
@@ -121,12 +120,10 @@ def _cmd_simulate(args) -> int:
     if args.scheme in ("threshold", "dp"):
         m, = cfg.simulate(model, [_rule(args, cfg, model)],
                           trace_path=args.trace)
-    elif args.scheme == "best-effort":
-        m = run_best_effort(model, mc["slots"], cfg.seed,
-                            streams=mc["streams"])
     else:
-        m = run_conventional(model, cfg.p_bar, mc["slots"], cfg.seed,
-                             streams=mc["streams"])
+        best_effort, conventional = run_supplies(
+            model, cfg.p_bar, mc["slots"], cfg.seed, streams=mc["streams"])
+        m = best_effort if args.scheme == "best-effort" else conventional
     payload = {
         "command": "simulate",
         "scheme": args.scheme,

@@ -11,7 +11,6 @@ import json
 import math
 import time
 from dataclasses import asdict, dataclass, fields
-from pathlib import Path
 
 import numpy as np
 
@@ -25,10 +24,9 @@ from .models import (
     make_eh_preset,
 )
 from .power import solve_water_level
-from .simulate import Policy, run_best_effort, run_conventional, \
-    run_policies
+from .simulate import Policy, run_policies, run_supplies
 from .solver import SolverConfig, optimize_threshold, solve_markov
-from .tables import emit_csv
+from .tables import emit_csv, make_dir, write_text
 
 __all__ = ["ExperimentConfig", "validate_config", "run_experiment",
            "default_config", "EXPERIMENTS"]
@@ -342,25 +340,25 @@ def _meta_base(cfg: ExperimentConfig) -> dict:
         "resolved_config": asdict(cfg),
         "labels": {"slot_ms": cfg.slot_ms, "delta": cfg.delta},
         "notes": ("Monte Carlo rows share one seed across thresholds "
-                  "(common random numbers); threshold searches and the "
-                  "exact stats use no random numbers"),
+                  "(common random numbers), and both supplies share one "
+                  "pass of draws; threshold searches and the exact stats "
+                  "use no random numbers"),
     }
 
 
 def _supply_rows(cfg: ExperimentConfig, model: SystemModel, rows: list,
                  stats: dict):
-    """Append the best-effort and conventional rows of one ``p_s``, record
-    the water level, and return the conventional metrics."""
+    """Append the best-effort and conventional rows of one ``p_s``, both
+    from one supply pass, record the water level, and return the
+    conventional metrics."""
     mc = cfg.mc
     p_s = model.access.p_s
-    m_be = run_best_effort(model, mc["slots"], cfg.seed + 1,
-                           streams=mc["streams"])
-    rows.append((p_s, "best_effort", m_be.throughput, m_be.se_throughput))
     level = solve_water_level(model.private, model.common, model.access,
                               cfg.p_bar)
     stats.setdefault("water_level", {})[str(p_s)] = level.xi
-    m_cv = run_conventional(model, cfg.p_bar, mc["slots"], cfg.seed + 2,
-                            water_level=level, streams=mc["streams"])
+    m_be, m_cv = run_supplies(model, cfg.p_bar, mc["slots"], cfg.seed + 1,
+                              water_level=level, streams=mc["streams"])
+    rows.append((p_s, "best_effort", m_be.throughput, m_be.se_throughput))
     rows.append((p_s, "conventional", m_cv.throughput, m_cv.se_throughput))
     return m_cv
 
@@ -458,8 +456,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> dict:
 
     Returns {"csv": path, "meta": path, "rows": row count}.
     """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = make_dir(out_dir)
     start = time.perf_counter()
     rows, stats = _RUNNERS[cfg.experiment](cfg)
     elapsed = time.perf_counter() - start
@@ -472,5 +469,5 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> dict:
     meta["rows"] = len(rows)
     meta["stats"] = stats
     meta_path = out / f"{cfg.experiment}_meta.json"
-    meta_path.write_text(json.dumps(meta, indent=2, default=float) + "\n")
+    write_text(meta_path, json.dumps(meta, indent=2, default=float) + "\n")
     return {"csv": str(csv_path), "meta": str(meta_path), "rows": len(rows)}

@@ -7,8 +7,9 @@ hold an average-power constraint (the conventional-supply benchmark).
 ``stop_rate`` is one branch-free ``np.where`` expression over the broadcast
 arguments, with no access taken as a common channel of gain 0.
 
-Importing this module needs numpy alone: scipy's quadrature and root finder
-are imported inside ``_mean_power`` and ``solve_water_level``, on first use.
+Importing this module needs numpy alone: scipy's exponential integral and
+root finder are imported inside ``_mean_power`` and ``solve_water_level``,
+on first use.
 """
 from __future__ import annotations
 
@@ -94,7 +95,8 @@ def conventional_power(h: float, level: WaterLevel):
 
 
 def _mean_power(dist: GainDistribution, xi: float) -> float:
-    """E[(1/xi - 1/H)^+] under a gain distribution.
+    """E[(1/xi - 1/H)^+] under a gain distribution, exact: a closed form
+    for an exponential gain, a sum for the others.
 
     Markov gains enter through their stationary distribution (the power
     constraint is a long-run average).
@@ -114,13 +116,13 @@ def _mean_power(dist: GainDistribution, xi: float) -> float:
                      np.maximum(1.0 / xi - 1.0 / np.where(vals > 0, vals, 1.0),
                                 0.0), 0.0)
         return float(p @ probs)
-    from scipy import integrate
+    from scipy.special import exp1
 
+    # exponential of mean m, z = xi / m:
+    # int_xi^inf (1/xi - 1/g) e^(-g/m) / m dg = e^(-z) / xi - E1(z) / m
     m = dist.mean
-    val, _ = integrate.quad(
-        lambda g: (1.0 / xi - 1.0 / g) * np.exp(-g / m) / m,
-        xi, np.inf, limit=200)
-    return val
+    z = xi / m
+    return float(math.exp(-z) / xi - exp1(z) / m)
 
 
 def solve_water_level(private: GainDistribution, common: GainDistribution,
@@ -128,8 +130,9 @@ def solve_water_level(private: GainDistribution, common: GainDistribution,
                       rel_tol: float = 1e-12) -> WaterLevel:
     """Find xi with E[P(H)] + p_s E[Pc(Hc)] = p_bar.
 
-    Bisection over xi; expectations by quadrature for exponential gains and
-    exact sums for discrete/constant ones.
+    Brent's method over xi; the expectations are exact: a closed form in
+    the exponential integral E1 for exponential gains, sums for the
+    others.
     """
     if not p_bar > 0:  # NaN fails the comparison
         raise ValueError("p_bar must be > 0")

@@ -12,17 +12,17 @@ block over all streams.  ``run_policies`` runs any list of rules, each a
 one-rule form.  Each rule's lanes take period indices from a queue as they
 end periods, so a lane simulates unrecorded periods only in its warm-up and
 while it waits, idle, for its rule's last recorded periods to end.
-The two benchmark supplies share one slot loop, ``_run_supply``, which
-draws per slot in that order but spends per block of slots, differing only
-in how energy is spent.  It runs the engine's Monte Carlo scheme: ``streams``
-lanes on one generator built as the engine's, with standard errors batched
-over the engine's ``N_BATCHES`` fixed groups of lanes.  The engine and the
-supplies keep per-lane sums of their records and reduce them once, after
-the slot loop, with one fold, ``_fold``.
+The two benchmark supplies run as one pass, ``run_supplies``, which draws
+per slot in that order, spends per block of slots, and gives both supplies
+the same draws, as the engine gives its rules.  It runs the engine's Monte
+Carlo scheme: ``streams`` lanes on one generator built as the engine's,
+with standard errors batched over the engine's ``N_BATCHES`` fixed groups
+of lanes.  The engine and the supplies keep per-lane sums of their records
+and reduce them once, after the slot loop, with one fold, ``_fold``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -37,8 +37,7 @@ __all__ = [
     "Metrics",
     "run_policies",
     "run_simulation",
-    "run_best_effort",
-    "run_conventional",
+    "run_supplies",
 ]
 
 TRACE_SCHEMA = ("period", "saving_slots", "b_stop", "phi", "h", "h_common",
@@ -423,51 +422,68 @@ def run_simulation(policy: Policy, model: SystemModel, n_periods: int,
     return run_policies([policy], model, n_periods, seed, **sizes)[0]
 
 
-# slots per spend in ``_run_supply``: spreads the spend kernels' call
+# slots per spend in ``run_supplies``: spreads the spend kernels' call
 # overhead over many values and keeps their temporaries small
 _SUPPLY_BLOCK = 32
 
 
-def _run_supply(model: SystemModel, n_slots: int, seed: int, start, *,
-                streams: int, with_power: bool = False) -> Metrics:
-    """Slot loop shared by the two benchmark supplies: ``streams`` lanes
-    run ``ceil(n_slots / streams)`` slots each, drawing per slot and
-    spending per block of slots.
+def run_supplies(model: SystemModel, p_bar: float, n_slots: int, seed: int,
+                 *, water_level=None,
+                 streams: int = 512) -> tuple[Metrics, Metrics]:
+    """Metrics of the two benchmark supplies, ``(best_effort,
+    conventional)``, from one pass of shared slot draws.
 
-    ``start(rng)`` draws the initial supply state and returns
-    ``(draw, spend)``.  Each slot draws the access flag and both gains for
-    all lanes, then ``draw()`` the supply's own values as a tuple.
-    ``spend(phi, h, hc, *drawn)`` takes up to ``_SUPPLY_BLOCK`` slots of
-    them as (slots, streams) arrays and returns the rates, plus the powers
-    when ``with_power``.  The run draws from the engine's generator at
-    ``seed``.  Each lane sums its deviations from the first slot's values,
-    and the engine's fold takes those per-lane sums into its lane groups
-    once, at the end, so the standard error is a batch mean over the
-    engine's lane groups, NaN with fewer streams than ``N_BATCHES``.
+    Best-effort has no battery: each slot's budget is the harvest of the
+    slot before it (the very first budget is one fresh harvest draw),
+    spent whole with ``stop_rate``.  Conventional water-fills an average
+    power ``p_bar`` at ``water_level`` (solved from the model when None),
+    so a model whose level cannot be bracketed raises ``NoBracket`` for
+    both.
+
+    ``streams`` lanes run ``ceil(n_slots / streams)`` slots each on the
+    engine's generator at ``seed``.  Each slot draws the access flag and
+    both gains, then steps the harvest chain; each block of
+    ``_SUPPLY_BLOCK`` slots is spent by both supplies at once.  Each lane
+    sums its deviations from the first slot's values, and ``_fold`` takes
+    those sums into the engine's lane groups once, at the end, so the
+    standard errors are NaN with fewer streams than ``N_BATCHES``.
     Throughput is total rate over total slots, exact when the per-slot
     rate is constant; the realized average power is reduced the same way.
     """
+    if not p_bar > 0:  # NaN fails the comparison
+        raise ValueError("p_bar must be > 0")
     _check_sizes(n_slots=n_slots, streams=streams)
+    level = water_level or solve_water_level(model.private, model.common,
+                                             model.access, p_bar)
     slots = -(-n_slots // streams)
     private = _PrivateSampler(model)
     common = _GainSampler(model.common)
+    eh_cum = _cum_table(model.eh.transition)
+    eh_vals = np.asarray(model.eh.states)
+    logf = np.log2 if model.log_base == 2.0 else np.log
     rng = _rng(seed)
-    draw, spend = start(rng)
+    e_idx = _first_harvest(model, rng, streams)
     h_idx = private.init(rng, streams)
 
     shifts = None
-    sums = np.zeros((1 + with_power, streams))  # per lane: value - shift
+    # per lane: best-effort rate, conventional rate and power, less shifts
+    sums = np.zeros((3, streams))
     for first in range(0, slots, _SUPPLY_BLOCK):
         n = min(_SUPPLY_BLOCK, slots - first)
-        block = None  # (slots, streams) buffers of phi, h, hc, *drawn
+        phi = np.empty((n, streams), np.int8)
+        h, hc, budget = np.empty((3, n, streams))
         for i in range(n):
-            phi, h, h_idx, hc = _draw_slot(model, private, common, h_idx,
-                                           rng, streams)
-            slot = (phi, h, hc, *draw())
-            block = block or [np.empty((n, streams), a.dtype) for a in slot]
-            for buf, a in zip(block, slot):
-                buf[i] = a
-        values = spend(*block)
+            budget[i] = eh_vals[e_idx]
+            phi[i], h[i], h_idx, hc[i] = _draw_slot(model, private, common,
+                                                    h_idx, rng, streams)
+            e_idx = _step_chain(eh_cum, e_idx, rng, streams)
+        live = phi == 1
+        p = conventional_power(h, level)
+        pc = np.where(live, conventional_power(hc, level), 0.0)
+        values = (stop_rate(budget, h, hc, phi, model.log_base),
+                  logf(1.0 + h * p) + np.where(live, logf(1.0 + hc * pc),
+                                               0.0),
+                  p + pc)
         if shifts is None:
             shifts = [float(v[0, 0]) for v in values]
         for acc, v, c in zip(sums, values, shifts):
@@ -475,61 +491,7 @@ def _run_supply(model: SystemModel, n_slots: int, seed: int, start, *,
     # a supply's period is one slot, so each lane's T and count are its
     # slots, and the mean length is exact, with fewer lanes than groups too
     T = np.full(streams, float(slots))
-    power = (_fold(shifts[1], T, sums[1], T, cap_hit_fraction=0.0).throughput
-             if with_power else None)
-    return _fold(shifts[0], T, sums[0], T, cap_hit_fraction=0.0,
-                 se_saving_time=0.0, realized_avg_power=power)
-
-
-def run_best_effort(model: SystemModel, n_slots: int, seed: int, *,
-                    streams: int = 512) -> Metrics:
-    """Per-slot transmission using only the previous slot's harvest.
-
-    No battery: each slot's budget is the harvest of the slot before it
-    (the very first budget is one fresh harvest draw).  Throughput is
-    total rate over total slots, exact when the per-slot rate is constant.
-    """
-    eh_cum = _cum_table(model.eh.transition)
-    eh_vals = np.asarray(model.eh.states)
-
-    def start(rng):
-        e_idx = _first_harvest(model, rng, streams)
-
-        def draw():
-            nonlocal e_idx
-            budget = eh_vals[e_idx]
-            e_idx = _step_chain(eh_cum, e_idx, rng, streams)
-            return (budget,)
-
-        def spend(phi, h, hc, budget):
-            return (stop_rate(budget, h, hc, phi, model.log_base),)
-
-        return draw, spend
-
-    return _run_supply(model, n_slots, seed, start, streams=streams)
-
-
-def run_conventional(model: SystemModel, p_bar: float, n_slots: int,
-                     seed: int, *, water_level=None,
-                     streams: int = 512) -> Metrics:
-    """Water-filling transmission under an average power constraint.
-
-    Throughput is total rate over total slots, exact when the per-slot
-    rate is constant; the realized average power is reduced the same way.
-    """
-    if not p_bar > 0:  # NaN fails the comparison
-        raise ValueError("p_bar must be > 0")
-    level = water_level or solve_water_level(model.private, model.common,
-                                             model.access, p_bar)
-    logf = np.log2 if model.log_base == 2.0 else np.log
-
-    def spend(phi, h, hc):
-        p = conventional_power(h, level)
-        pc = np.where(phi == 1, conventional_power(hc, level), 0.0)
-        rate = logf(1.0 + h * p) + np.where(
-            phi == 1, logf(1.0 + hc * pc), 0.0)
-        return rate, p + pc
-
-    # the conventional supply draws nothing of its own: draw is tuple()
-    return _run_supply(model, n_slots, seed, lambda rng: (tuple, spend),
-                       streams=streams, with_power=True)
+    be, cv, power = (_fold(c, T, dev, T, cap_hit_fraction=0.0,
+                           se_saving_time=0.0)
+                     for c, dev in zip(shifts, sums))
+    return be, replace(cv, realized_avg_power=power.throughput)

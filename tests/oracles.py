@@ -237,14 +237,13 @@ def step_chain(cum, idx, rng, size):
     return (u[:, None] >= cum[idx]).sum(axis=1)
 
 
-def run_supply_per_slot(model, n_slots, seed, start, *, streams=512,
-                        with_power=False):
-    """The engine's supply loop with one spend per slot.
+def run_supplies_per_slot(model, level, n_slots, seed, *, streams=512):
+    """``run_supplies`` with one spend per slot: ``(best_effort,
+    conventional)`` at water level ``level``.
 
-    ``start(rng)`` draws the supply's initial state and returns its step
-    ``spend(phi, h, hc)``, which returns the slot's rates (plus powers when
-    ``with_power``) and makes the supply's own draws after the channel's,
-    so the draws are those of ``run_best_effort`` / ``run_conventional``.
+    Each slot draws the access flag and both gains, then steps the harvest
+    chain, so the draws are those of ``run_supplies``.  Best-effort spends
+    the harvest of the slot before; conventional water-fills at ``level``.
     Each lane's deviations from the first slot's values are summed in
     blocks of the engine's spend size, so the sums round as the engine's
     do, then folded into the engine's ``N_BATCHES`` lane groups.
@@ -255,17 +254,27 @@ def run_supply_per_slot(model, n_slots, seed, start, *, streams=512,
     slots = -(-n_slots // streams)
     private = sim._PrivateSampler(model)
     common = sim._GainSampler(model.common)
+    eh_cum = np.cumsum(model.eh.transition, axis=1)
+    eh_vals = np.asarray(model.eh.states)
+    logf = np.log2 if model.log_base == 2.0 else np.log
     rng = np.random.Generator(np.random.PCG64(
         np.random.SeedSequence(seed).spawn(1)[0]))
-    spend = start(rng)
+    e_idx = sim._first_harvest(model, rng, streams)
     h_idx = private.init(rng, streams)
     shifts = None
-    sums = np.zeros((1 + with_power, streams))
+    sums = np.zeros((3, streams))
     block = []  # per-lane deviations of the slots since the last fold
     for s in range(slots):
+        budget = eh_vals[e_idx]
         phi, h, h_idx, hc = sim._draw_slot(model, private, common, h_idx,
                                            rng, streams)
-        values = spend(phi, h, hc)
+        e_idx = step_chain(eh_cum, e_idx, rng, streams)
+        p = sx.conventional_power(h, level)
+        pc = np.where(phi == 1, sx.conventional_power(hc, level), 0.0)
+        values = (sx.stop_rate(budget, h, hc, phi, model.log_base),
+                  logf(1.0 + h * p) + np.where(phi == 1,
+                                               logf(1.0 + hc * pc), 0.0),
+                  p + pc)
         if shifts is None:
             shifts = [float(v[0]) for v in values]
         block.append([v - c for v, c in zip(values, shifts)])
@@ -275,51 +284,16 @@ def run_supply_per_slot(model, n_slots, seed, start, *, streams=512,
     group = np.arange(streams) * sim.N_BATCHES // streams
     count = np.bincount(group, minlength=sim.N_BATCHES) * float(slots)
     dev = [np.bincount(group, acc, minlength=sim.N_BATCHES) for acc in sums]
-    return sx.Metrics(
-        throughput=sim._mean_about(shifts[0], dev[0], count),
-        mean_saving_time=1.0,
-        se_throughput=sim._batch_ses(dev[0], count, count)[0],
-        se_saving_time=0.0, periods=slots * streams, cap_hit_fraction=0.0,
-        realized_avg_power=(sim._mean_about(shifts[1], dev[1], count)
-                            if with_power else None))
 
+    def metrics(k, power=None):
+        return sx.Metrics(
+            throughput=sim._mean_about(shifts[k], dev[k], count),
+            mean_saving_time=1.0,
+            se_throughput=sim._batch_ses(dev[k], count, count)[0],
+            se_saving_time=0.0, periods=slots * streams,
+            cap_hit_fraction=0.0, realized_avg_power=power)
 
-def best_effort_start(model, streams):
-    """Per-slot best-effort spend: the budget is the previous harvest."""
-    import savetx as sx
-    from savetx.simulate import _first_harvest
-
-    eh_cum = np.cumsum(model.eh.transition, axis=1)
-    eh_vals = np.asarray(model.eh.states)
-
-    def start(rng):
-        e_idx = _first_harvest(model, rng, streams)
-
-        def spend(phi, h, hc):
-            nonlocal e_idx
-            rate = sx.stop_rate(eh_vals[e_idx], h, hc, phi, model.log_base)
-            e_idx = step_chain(eh_cum, e_idx, rng, streams)
-            return (rate,)
-
-        return spend
-
-    return start
-
-
-def conventional_start(model, level):
-    """Per-slot water-filling spend at water level ``level``."""
-    import savetx as sx
-
-    logf = np.log2 if model.log_base == 2.0 else np.log
-
-    def spend(phi, h, hc):
-        p = sx.conventional_power(h, level)
-        pc = np.where(phi == 1, sx.conventional_power(hc, level), 0.0)
-        rate = logf(1.0 + h * p) + np.where(
-            phi == 1, logf(1.0 + hc * pc), 0.0)
-        return rate, p + pc
-
-    return lambda rng: spend
+    return metrics(0), metrics(1, sim._mean_about(shifts[2], dev[2], count))
 
 
 # ---------------------------------------------------------------------------

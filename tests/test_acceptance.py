@@ -90,14 +90,15 @@ def fig3_sims(fig3_tables):
     out = {}
     for p, table in fig3_tables.items():
         model = fig3_model(p)
+        # both supplies from one pass of draws
+        be, cv = sx.run_supplies(model, 1e-3, MC_SLOTS, SEED + 1,
+                                 streams=512)
         out[p] = {
             "opportunistic": sx.run_simulation(
                 sx.Policy.dp(table), model, MC_PERIODS, SEED,
                 warmup_periods=1000, streams=512),
-            "best_effort": sx.run_best_effort(
-                model, MC_SLOTS, SEED + 1, streams=512),
-            "conventional": sx.run_conventional(
-                model, 1e-3, MC_SLOTS, SEED + 2, streams=512),
+            "best_effort": be,
+            "conventional": cv,
         }
     return out
 
@@ -241,8 +242,8 @@ def test_criterion_08_fraction_of_conventional():
         for p_s in PS_GRID:
             model = iid_model(p_s)
             _, (opp, _) = optimal_policy(p_s)
-            cv = sx.run_conventional(model, 2.0, MC_SLOTS, SEED + 2,
-                                     streams=512)
+            _, cv = sx.run_supplies(model, 2.0, MC_SLOTS, SEED + 2,
+                                    streams=512)
             ratios.append(opp / cv.throughput)
         mean_ratio = float(np.mean(ratios))
         assert 0.60 <= mean_ratio <= 0.80
@@ -301,6 +302,6 @@ def test_criterion_10_average_power_constraint():
             (fig3_model(0.25), 1e-3, SEED + 13),
         ]
         for model, p_bar, seed in cases:
-            met = sx.run_conventional(model, p_bar, MC_SLOTS, seed,
-                                      streams=512)
+            _, met = sx.run_supplies(model, p_bar, MC_SLOTS, seed,
+                                     streams=512)
             assert abs(met.realized_avg_power - p_bar) / p_bar < 0.01

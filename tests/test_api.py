@@ -66,3 +66,20 @@ def test_fig4_run_loads_no_scipy(tmp_path):
         f"sx.run_experiment(cfg, {str(tmp_path)!r})\n")
     assert scipy_modules_after(code) == []
     assert (tmp_path / "fig4.csv").exists()
+
+
+def test_fig8_run_loads_no_quadrature(tmp_path):
+    # the water level's mean power is a closed form in E1, so a fig8 run
+    # (threshold search, water level, engine and supplies) integrates
+    # nothing numerically
+    code = (
+        "import savetx as sx\n"
+        "cfg = sx.validate_config({'experiment': 'fig8', 'p_s_grid': [0.5],"
+        " 'solver': {'grid_points': 5, 'gamma_hi': 3.0, 'golden_tol': 0.25},"
+        " 'mc': {'periods': 200, 'slots': 2000, 'streams': 16,"
+        " 'warmup_periods': 10}})\n"
+        f"sx.run_experiment(cfg, {str(tmp_path)!r})\n")
+    loaded = scipy_modules_after(code)
+    assert "scipy.special" in loaded
+    assert [m for m in loaded if m.startswith("scipy.integrate")] == []
+    assert (tmp_path / "fig8.csv").exists()

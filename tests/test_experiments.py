@@ -336,16 +336,16 @@ class TestPinnedTables:
     MC = {"periods": 2000, "slots": 20000, "warmup_periods": 100,
           "streams": 64}
     SHA256 = {
-        "fig3": "b4d7fe84bfb75d1e95e41968c9b9929c"
-                "4896bf3f21d78d51e845b8d593753e78",
+        "fig3": "e753b3376cbc8ef8b5e9b1f6918dfa46"
+                "26464879b0fd0bb72bffa9c695b40454",
         "fig4": "6094de7dc0d76e3e770c83cb4b5c1ab1"
                 "019154eebfcd22289bcb90844f4b2801",
         "fig6": "005dfb2bb3ce50c87e77053068467e30"
                 "0aad5a58421a604d47f89157409e9a01",
         "fig7": "c0f740df8a259672a4bb48376cdfb6ab"
                 "d5120f4dccae4042f5edf07fa2f181b4",
-        "fig8": "500b21bb2b9c6dffe9bd8d303c4540d0"
-                "f654f785213a7cb2103b757d2bc5beb0",
+        "fig8": "1e8c273419d09657a7b02e82cc63d972"
+                "7efc3fa15f1fb40c72618c620ecc1361",
     }
 
     @pytest.mark.parametrize("name", sorted(SHA256))
@@ -411,14 +411,16 @@ class TestCli:
         assert trace.exists()
 
     @pytest.mark.parametrize("scheme, run", [
-        ("best-effort", lambda m, cfg: sx.run_best_effort(
-            m, cfg.mc["slots"], cfg.seed, streams=cfg.mc["streams"])),
-        ("conventional", lambda m, cfg: sx.run_conventional(
+        ("best-effort", lambda m, cfg: sx.run_supplies(
             m, cfg.p_bar, cfg.mc["slots"], cfg.seed,
-            streams=cfg.mc["streams"]))])
+            streams=cfg.mc["streams"])[0]),
+        ("conventional", lambda m, cfg: sx.run_supplies(
+            m, cfg.p_bar, cfg.mc["slots"], cfg.seed,
+            streams=cfg.mc["streams"])[1])])
     def test_simulate_supply(self, tmp_path, scheme, run):
-        # the command prints the library run's metrics at the config's
-        # sizes and seed; conventional solves its own water level
+        # the command prints its scheme's metrics from the library's
+        # supply pass at the config's sizes and seed, which solves its own
+        # water level
         raw = {"experiment": "fig4", "mc": TINY_MC}
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps(raw))
@@ -484,6 +486,23 @@ class TestCli:
         assert r.returncode == 2
         assert r.stderr.startswith("error: --config: ")
         assert "Traceback" not in r.stderr
+
+    @pytest.mark.parametrize("args", [["experiment", "fig4"],
+                                      ["optimize-threshold", "--p-s", "0.0"]],
+                             ids=["experiment", "optimize-threshold"])
+    def test_out_is_a_file(self, tmp_path, args):
+        # --out naming an existing file ended in a FileExistsError
+        # traceback with exit 1
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"experiment": "fig4", "mc": TINY_MC,
+                                   "solver": FAST_SOLVER}))
+        out = tmp_path / "afile"
+        out.write_text("")
+        r = run_cli("--config", str(cfg), "--out", str(out), *args)
+        assert r.returncode == 2
+        assert r.stderr.startswith("error: ") and str(out) in r.stderr
+        assert "Traceback" not in r.stderr
+        assert out.read_text() == ""
 
     def test_missing_gamma(self, tmp_path):
         cfg = tmp_path / "c.json"

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy import optimize, special
+from scipy import integrate, optimize, special
 
 import savetx as sx
 from savetx.errors import NoBracket
@@ -199,6 +199,19 @@ class TestSolveWaterLevel:
             sx.GainDistribution.constant(1.0),
             sx.AccessModel(0.0), 2.0)
         assert level.xi == pytest.approx(target, rel=1e-6)
+
+    @pytest.mark.parametrize("m", [0.3, 1.0, 5.0])
+    def test_exponential_mean_power_exact(self, m):
+        # the closed form e^-z / xi - E1(z) / m, z = xi / m, against tight
+        # quadrature; the default quad missed it by 3.4e-6 at m 5, xi 50
+        from savetx.power import _mean_power
+
+        dist = sx.GainDistribution.exponential(m)
+        for xi in np.geomspace(1e-6, 50.0, 25):
+            want, _ = integrate.quad(
+                lambda g: (1.0 / xi - 1.0 / g) * np.exp(-g / m) / m,
+                xi, np.inf, epsabs=0, epsrel=1e-12, limit=200)
+            assert _mean_power(dist, xi) == pytest.approx(want, rel=1e-12)
 
     def test_two_constant_channels(self):
         level = sx.solve_water_level(

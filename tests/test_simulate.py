@@ -9,9 +9,8 @@ from hypothesis import given, settings, strategies as st
 import savetx as sx
 from savetx.simulate import _run_block
 
-from oracles import advance_battery, best_effort_start, \
-    conventional_start, exact_threshold_metrics, fresh_carry, \
-    markov_workload_config, run_period, run_supply_per_slot
+from oracles import advance_battery, exact_threshold_metrics, \
+    fresh_carry, markov_workload_config, run_period, run_supplies_per_slot
 
 
 def constant_world(delta=1e-3, h=1.0, p_s=0.0):
@@ -155,9 +154,7 @@ class TestRunSimulation:
         args = {"n_slots": 100, "seed": 1, key: value}
         error = TypeError if key == "replications" else ValueError
         with pytest.raises(error, match=key):
-            sx.run_best_effort(constant_world(), **args)
-        with pytest.raises(error, match=key):
-            sx.run_conventional(constant_world(), 2.0, **args)
+            sx.run_supplies(constant_world(), 2.0, **args)
 
     def test_mixed_rules_match_solo_runs(self):
         # a DP rule and threshold rules share one engine pass, and each
@@ -196,12 +193,11 @@ class TestRunSimulation:
         assert met.throughput > 0
         assert np.isnan(met.se_throughput) and np.isnan(met.se_saving_time)
         # 16 lanes leave 4 of the N_BATCHES lane groups empty
-        cv = sx.run_conventional(iid_model(0.5), 2.0, 10_000, seed=3,
+        be, cv = sx.run_supplies(iid_model(0.5), 2.0, 10_000, seed=3,
                                  streams=16)
         assert cv.throughput > 0 and np.isnan(cv.se_throughput)
         # a supply's period is one slot, so its mean length and that
         # length's SE are exact, however few the lanes
-        be = sx.run_best_effort(iid_model(0.5), 10_000, seed=3, streams=16)
         assert np.isnan(be.se_throughput)
         assert be.se_saving_time == 0.0 and be.mean_saving_time == 1.0
 
@@ -374,11 +370,11 @@ class TestRunSimulation:
                                         "eh": {"preset": "c"}}
                                        ).build_model(0.5)
             exact, _ = sx.threshold_metrics(model, 0.0)
-            mets = [sx.run_best_effort(model, 32_000, seed, streams=64)
+            mets = [sx.run_supplies(model, 2.0, 32_000, seed, streams=64)[0]
                     for seed in range(1, 41)]
         else:
             model = markov_workload_config().build_model(0.75)
-            mets = [sx.run_conventional(model, 2.0, 32_000, seed, streams=64)
+            mets = [sx.run_supplies(model, 2.0, 32_000, seed, streams=64)[1]
                     for seed in range(1, 41)]
             exact = np.mean([m.throughput for m in mets])
         z = [(m.throughput - exact) / m.se_throughput for m in mets]
@@ -420,7 +416,7 @@ class TestRunSimulation:
 
 class TestBestEffort:
     def test_constant_world_exact(self):
-        met = sx.run_best_effort(constant_world(), 2000, seed=1,
+        met, _ = sx.run_supplies(constant_world(), 2.0, 2000, seed=1,
                                  streams=20)
         assert met.throughput == pytest.approx(np.log2(1 + 1e-3), rel=1e-14)
         assert met.mean_saving_time == 1.0
@@ -432,7 +428,7 @@ class TestBestEffort:
             access=sx.AccessModel(0.0),
             eh=sx.MarkovChainSpec([0.0, 4.0], [[0.5, 0.5], [0.5, 0.5]]),
             b_max_units=10, delta=1.0)
-        met = sx.run_best_effort(model, 200_000, seed=4)
+        met, _ = sx.run_supplies(model, 2.0, 200_000, seed=4)
         # exp(1) private gain, budget 4 on half the slots
         expect = 0.5 * np.sum(
             np.polynomial.laguerre.laggauss(64)[1]
@@ -449,7 +445,7 @@ class TestBestEffort:
         n = streams * slots
         met_dp = sx.run_simulation(sx.Policy.dp(table), model, n, seed=7,
                                    warmup_periods=0, streams=streams)
-        met_be = sx.run_best_effort(model, n, seed=7, streams=streams)
+        met_be, _ = sx.run_supplies(model, 1e-3, n, seed=7, streams=streams)
         assert met_dp.throughput == pytest.approx(met_be.throughput,
                                                   rel=1e-12)
         assert abs(met_dp.throughput - met_be.throughput) <= \
@@ -466,7 +462,7 @@ class TestBestEffort:
         met_opp = sx.run_simulation(sx.Policy.threshold(0.0), model, n,
                                     seed=7, warmup_periods=0,
                                     streams=streams)
-        met_be = sx.run_best_effort(model, n, seed=7, streams=streams)
+        met_be, _ = sx.run_supplies(model, 2.0, n, seed=7, streams=streams)
         assert met_be.throughput == pytest.approx(met_opp.throughput,
                                                   rel=1e-12)
         assert met_be.se_throughput == pytest.approx(met_opp.se_throughput,
@@ -477,26 +473,26 @@ class TestBestEffort:
 class TestConventional:
     def test_constant_world(self):
         model = constant_world(delta=1.0, h=1.0)
-        met = sx.run_conventional(model, 2.0, 2000, seed=1, streams=20)
+        _, met = sx.run_supplies(model, 2.0, 2000, seed=1, streams=20)
         assert met.throughput == pytest.approx(np.log2(3.0), rel=1e-9)
         assert met.realized_avg_power == pytest.approx(2.0, rel=1e-9)
 
     def test_realized_power_near_target(self):
         model = iid_model(0.5)
-        met = sx.run_conventional(model, 2.0, 1_000_000, seed=3)
+        _, met = sx.run_supplies(model, 2.0, 1_000_000, seed=3)
         assert abs(met.realized_avg_power - 2.0) / 2.0 < 0.01
 
     @pytest.mark.parametrize("p_bar", [0.0, float("nan")])
     def test_bad_p_bar(self, p_bar):
         with pytest.raises(ValueError, match="p_bar must be > 0"):
-            sx.run_conventional(iid_model(0.5), p_bar, 10_000, seed=3)
+            sx.run_supplies(iid_model(0.5), p_bar, 10_000, seed=3)
 
     def test_water_level_reused(self):
         model = iid_model(0.5)
         level = sx.solve_water_level(model.private, model.common,
                                      model.access, 2.0)
-        met = sx.run_conventional(model, 2.0, 10_000, seed=3,
-                                  water_level=level)
+        _, met = sx.run_supplies(model, 2.0, 10_000, seed=3,
+                                 water_level=level)
         assert met.throughput > 0
 
 
@@ -527,46 +523,46 @@ class TestSupplyBlocks:
     def assert_same(got, want):
         np.testing.assert_equal(astuple(got), astuple(want))
 
+    def run_both(self, name, short, streams, slots, seed):
+        """The supplies' metrics from ``run_supplies`` and from the
+        per-slot oracle."""
+        model = self.MODELS[name]()
+        level = sx.solve_water_level(model.private, model.common,
+                                     model.access, 2.0)
+        n = streams * slots - short
+        got = sx.run_supplies(model, 2.0, n, seed=seed, water_level=level,
+                              streams=streams)
+        return got, run_supplies_per_slot(model, level, n, seed,
+                                          streams=streams)
+
     @pytest.mark.parametrize("name", MODELS)
     @pytest.mark.parametrize("short, streams, slots", SIZES)
     def test_best_effort_matches_per_slot(self, name, short, streams, slots):
-        model = self.MODELS[name]()
-        n = streams * slots - short
-        got = sx.run_best_effort(model, n, seed=3, streams=streams)
-        want = run_supply_per_slot(model, n, 3,
-                                   best_effort_start(model, streams),
-                                   streams=streams)
+        (got, _), (want, _) = self.run_both(name, short, streams, slots, 3)
         self.assert_same(got, want)
         assert got.periods == streams * slots
 
     @pytest.mark.parametrize("name", MODELS)
     @pytest.mark.parametrize("short, streams, slots", SIZES)
     def test_conventional_matches_per_slot(self, name, short, streams, slots):
-        model = self.MODELS[name]()
-        level = sx.solve_water_level(model.private, model.common,
-                                     model.access, 2.0)
-        n = streams * slots - short
-        got = sx.run_conventional(model, 2.0, n, seed=5, water_level=level,
-                                  streams=streams)
-        want = run_supply_per_slot(model, n, 5,
-                                   conventional_start(model, level),
-                                   streams=streams, with_power=True)
+        (_, got), (_, want) = self.run_both(name, short, streams, slots, 5)
         self.assert_same(got, want)
         assert got.periods == streams * slots
 
     def test_best_effort_memory(self):
-        """Peak traced memory of a 1M-slot best-effort run.  The bound
-        sits between two measurements with numpy 2.4: 1.54 MB with 32-slot
-        blocks (1.06 MB with a ``stop_rate`` that gathered and scattered
-        by mask, whose temporaries covered only the entries with access),
-        and 4.00 MB when each of 16 replications' 123 slots was spent as
-        one block (the temporaries of ``stop_rate`` grow with the
-        block)."""
+        """Peak traced memory of a 1M-slot supply pass, best-effort and
+        conventional together.  The bound sits between two measurements
+        with numpy 2.4: 2.08 MB with 32-slot blocks spent by both supplies
+        (1.54 MB for best-effort alone, 1.06 MB with a ``stop_rate`` that
+        gathered and scattered by mask, whose temporaries covered only the
+        entries with access), and 4.00 MB when each of 16 replications'
+        123 slots was spent as one best-effort block (the temporaries of
+        ``stop_rate`` grow with the block)."""
         model = iid_model(0.5)
-        sx.run_best_effort(model, 1_000_000, seed=1)
+        sx.run_supplies(model, 2.0, 1_000_000, seed=1)
         tracemalloc.start()
         try:
-            sx.run_best_effort(model, 1_000_000, seed=1)
+            sx.run_supplies(model, 2.0, 1_000_000, seed=1)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -589,7 +585,7 @@ class TestConstantRateExact:
     def test_best_effort_and_zero_threshold(self, p_s, n, streams, seed):
         model = constant_world(p_s=p_s)
         c = float(sx.stop_rate(1e-3, 1.0, 1.0, int(p_s), model.log_base))
-        be = sx.run_best_effort(model, n, seed=seed, streams=streams)
+        be, _ = sx.run_supplies(model, 2.0, n, seed=seed, streams=streams)
         opp = sx.run_simulation(sx.Policy.threshold(0.0), model, n,
                                 seed=seed, streams=streams)
         assert be.throughput == c
@@ -603,8 +599,8 @@ class TestConstantRateExact:
                                      model.access, 2.0)
         p = sx.conventional_power(1.0, level)
         c = float(np.log2(1.0 + p) + p_s * np.log2(1.0 + p))
-        met = sx.run_conventional(model, 2.0, n, seed=seed,
-                                  water_level=level, streams=streams)
+        _, met = sx.run_supplies(model, 2.0, n, seed=seed,
+                                 water_level=level, streams=streams)
         assert met.throughput == c
         assert met.realized_avg_power == p + p_s * p
 
