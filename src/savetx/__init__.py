@@ -13,6 +13,7 @@ from .errors import (
     PeriodOverflow,
     ReducibleChain,
     SaveTxError,
+    StateSpaceTooLarge,
     UnsupportedKind,
 )
 from .models import (
@@ -56,6 +57,7 @@ __all__ = [
     # errors
     "SaveTxError", "ReducibleChain", "BadName", "UnsupportedKind",
     "NoBracket", "NoConvergence", "PeriodOverflow", "ConfigError", "IoError",
+    "StateSpaceTooLarge",
     # models
     "MarkovChainSpec", "GainDistribution", "AccessModel",
     "SystemModel", "stationary_distribution",

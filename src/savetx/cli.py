@@ -43,10 +43,16 @@ def _model(args, cfg: ExperimentConfig):
     return p_s, cfg.build_model(p_s)
 
 
-def _dump(payload: dict, args) -> None:
+def _out_dir(args):
+    """``--out`` as a directory, created before the command's work (so a
+    bad one fails first), or None without the flag."""
+    return make_dir(args.out) if args.out else None
+
+
+def _dump(payload: dict, out) -> None:
     text = json.dumps(payload, indent=2, default=float)
-    if args.out:
-        path = make_dir(args.out) / f"{payload.get('command', 'result')}.json"
+    if out is not None:
+        path = out / f"{payload['command']}.json"
         write_text(path, text + "\n")
         print(path)
     else:
@@ -72,6 +78,7 @@ def _cmd_experiment(args) -> int:
 def _cmd_solve_markov(args) -> int:
     cfg = _load_config(args)
     p_s, model = _model(args, cfg)
+    out = _out_dir(args)
     table = solve_markov(model, cfg.solver)
     _dump({
         "command": "solve-markov",
@@ -80,20 +87,21 @@ def _cmd_solve_markov(args) -> int:
         "outer_iters": table.outer_iters,
         "states": int(table.rates.size),
         "stop_fraction": float(table.stop_table.mean()),
-    }, args)
+    }, out)
     return 0
 
 
 def _cmd_optimize_threshold(args) -> int:
     cfg = _load_config(args)
     p_s, model = _model(args, cfg)
+    out = _out_dir(args)
     gamma, (lam, _) = optimize_threshold(model, cfg.solver)
     _dump({
         "command": "optimize-threshold",
         "p_s": p_s,
         "gamma_star": gamma,
         "throughput": lam,
-    }, args)
+    }, out)
     return 0
 
 
@@ -116,6 +124,7 @@ def _cmd_simulate(args) -> int:
             raise ConfigError(f"{flag}: not used by the {args.scheme} scheme")
     cfg = _load_config(args)
     p_s, model = _model(args, cfg)
+    out = _out_dir(args)
     mc = cfg.mc
     if args.scheme in ("threshold", "dp"):
         m, = cfg.simulate(model, [_rule(args, cfg, model)],
@@ -136,7 +145,7 @@ def _cmd_simulate(args) -> int:
     }
     if m.realized_avg_power is not None:
         payload["realized_avg_power"] = m.realized_avg_power
-    _dump(payload, args)
+    _dump(payload, out)
     return 0
 
 

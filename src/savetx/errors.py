@@ -25,6 +25,10 @@ class NoConvergence(SaveTxError):
     """Iterative solver exhausted its iteration budget."""
 
 
+class StateSpaceTooLarge(SaveTxError):
+    """The DP's discretized state space exceeds its size bound."""
+
+
 class PeriodOverflow(SaveTxError):
     """A saving period exceeded the hard per-period slot cap."""
 

@@ -79,9 +79,10 @@ class ExperimentConfig:
             log_base=self.log_base,
         )
 
-    def simulate(self, model: SystemModel, policies, trace_path=None) -> list:
-        """``run_policies`` of the rules on ``model`` at the ``mc`` sizes
-        and the config's seed: one Metrics per rule, in order."""
+    def simulate(self, model, policies, trace_path=None) -> list:
+        """``run_policies`` of the rules on ``model`` (one model, or one
+        per rule) at the ``mc`` sizes and the config's seed: one Metrics
+        per rule, in order."""
         mc = self.mc
         return run_policies(policies, model, mc["periods"], self.seed,
                             warmup_periods=mc["warmup_periods"],
@@ -346,37 +347,42 @@ def _meta_base(cfg: ExperimentConfig) -> dict:
     }
 
 
-def _supply_rows(cfg: ExperimentConfig, model: SystemModel, rows: list,
+def _scheme_rows(cfg: ExperimentConfig, models: list, rules: list,
                  stats: dict):
-    """Append the best-effort and conventional rows of one ``p_s``, both
-    from one supply pass, record the water level, and return the
-    conventional metrics."""
+    """Rows of a scheme table, per p_s the opportunistic rule's row then
+    the best-effort and conventional rows, from one engine pass of all
+    rules and one supply pass over the whole p_s grid.  Records each water
+    level, and returns the rows and the conventional metrics."""
     mc = cfg.mc
-    p_s = model.access.p_s
-    level = solve_water_level(model.private, model.common, model.access,
-                              cfg.p_bar)
-    stats.setdefault("water_level", {})[str(p_s)] = level.xi
-    m_be, m_cv = run_supplies(model, cfg.p_bar, mc["slots"], cfg.seed + 1,
-                              water_level=level, streams=mc["streams"])
-    rows.append((p_s, "best_effort", m_be.throughput, m_be.se_throughput))
-    rows.append((p_s, "conventional", m_cv.throughput, m_cv.se_throughput))
-    return m_cv
+    levels = [solve_water_level(m.private, m.common, m.access, cfg.p_bar)
+              for m in models]
+    opps = cfg.simulate(models, rules)
+    supplies = run_supplies(models, cfg.p_bar, mc["slots"], cfg.seed + 1,
+                            water_level=levels, streams=mc["streams"])
+    rows = []
+    for model, level, m_opp, (m_be, m_cv) in zip(models, levels, opps,
+                                                  supplies):
+        p_s = model.access.p_s
+        stats.setdefault("water_level", {})[str(p_s)] = level.xi
+        rows += [(p_s, scheme, m.throughput, m.se_throughput)
+                 for scheme, m in (("opportunistic", m_opp),
+                                   ("best_effort", m_be),
+                                   ("conventional", m_cv))]
+    return rows, [m_cv for _, m_cv in supplies]
 
 
 def _run_fig3(cfg: ExperimentConfig):
-    rows = []
     stats = {"lambda_star": {}, "solver_iters": {}}
-    for p_s in cfg.p_s_grid:
-        model = cfg.build_model(p_s)
+    models = [cfg.build_model(p_s) for p_s in cfg.p_s_grid]
+    rules = []
+    for p_s, model in zip(cfg.p_s_grid, models):
         table = solve_markov(model, cfg.solver)
         stats["lambda_star"][str(p_s)] = table.lambda_star
         stats["solver_iters"][str(p_s)] = table.outer_iters
-        m_dp, = cfg.simulate(model, [Policy.dp(table)])
-        rows.append((p_s, "opportunistic", m_dp.throughput,
-                     m_dp.se_throughput))
-        m_cv = _supply_rows(cfg, model, rows, stats)
-        stats.setdefault("realized_power", {})[str(p_s)] = \
-            m_cv.realized_avg_power
+        rules.append(Policy.dp(table))
+    rows, conventional = _scheme_rows(cfg, models, rules, stats)
+    stats["realized_power"] = {str(p_s): m.realized_avg_power
+                               for p_s, m in zip(cfg.p_s_grid, conventional)}
     return rows, stats
 
 
@@ -429,15 +435,10 @@ def _run_fig7(cfg: ExperimentConfig):
 
 
 def _run_fig8(cfg: ExperimentConfig):
-    rows = []
     stats = {"gamma_star": {}, "water_level": {}}
-    for p_s in cfg.p_s_grid:
-        model = cfg.build_model(p_s)
-        gamma = _record_optimum(model, cfg, stats)
-        m_opp, = cfg.simulate(model, [Policy.threshold(gamma)])
-        rows.append((p_s, "opportunistic", m_opp.throughput,
-                     m_opp.se_throughput))
-        _supply_rows(cfg, model, rows, stats)
+    models = [cfg.build_model(p_s) for p_s in cfg.p_s_grid]
+    rules = [Policy.threshold(_record_optimum(m, cfg, stats)) for m in models]
+    rows, _ = _scheme_rows(cfg, models, rules, stats)
     return rows, stats
 
 

@@ -5,16 +5,20 @@ Everything runs many battery streams side by side, one vectorized draw
 block per slot, so a fixed (configuration, seed) pair always reproduces the
 same metrics bit for bit.
 
-Per-slot draw order is phi, private gain, common gain, harvest, each one
-block over all streams.  ``run_policies`` runs any list of rules, each a
-``Policy`` gamma table, in one refill pass of the period engine
-``_run_block``, which draws from one generator; ``run_simulation`` is its
-one-rule form.  Each rule's lanes take period indices from a queue as they
-end periods, so a lane simulates unrecorded periods only in its warm-up and
-while it waits, idle, for its rule's last recorded periods to end.
-The two benchmark supplies run as one pass, ``run_supplies``, which draws
-per slot in that order, spends per block of slots, and gives both supplies
-the same draws, as the engine gives its rules.  It runs the engine's Monte
+Per-slot draw order is the access uniform u, private gain, common gain,
+harvest, each one block over all streams; the access flag is phi = u < p_s.
+``run_policies`` runs any list of rules, each a ``Policy`` gamma table, in
+one refill pass of the period engine ``_run_block``, which draws from one
+generator; ``run_simulation`` is its one-rule form.  Each rule's lanes take
+period indices from a queue as they end periods, so a lane simulates
+unrecorded periods only in its warm-up and while it waits, idle, for its
+rule's last recorded periods to end.  The two benchmark supplies run as one
+pass, ``run_supplies``, which draws per slot in that order, spends per
+block of slots, and gives both supplies the same draws, as the engine gives
+its rules.  A pass of either may hold several p_s: its models differ only
+in the access probability, the draws serve them all, and each p_s compares
+the one access uniform with its own value, so each row is what a pass of
+its p_s alone gives.  It runs the engine's Monte
 Carlo scheme: ``streams`` lanes on one generator built as the engine's,
 with standard errors batched over the engine's ``N_BATCHES`` fixed groups
 of lanes.  The engine and the supplies keep per-lane sums of their records
@@ -22,7 +26,7 @@ and reduce them once, after the slot loop, with one fold, ``_fold``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -160,13 +164,20 @@ class _PrivateSampler:
         return self.iid.draw(rng, size), idx
 
 
-def _draw_slot(model: SystemModel, private: _PrivateSampler,
-               common: _GainSampler, h_idx, rng, size: int):
-    """One slot's channel draws for every stream: access flag, private
-    gain, common gain.  Returns (phi, h, h_idx, hc)."""
-    phi = (rng.random(size) < model.access.p_s).astype(np.int8)
+def _draw_slot(private: _PrivateSampler, common: _GainSampler, h_idx, rng,
+               size: int):
+    """One slot's channel draws for every stream: the access uniform u,
+    private gain, common gain.  Returns (u, h, h_idx, hc); the access flag
+    at any p_s is ``u < p_s``, so one draw serves every p_s of a pass."""
+    u = rng.random(size)
     h, h_idx = private.step(h_idx, rng, size)
-    return phi, h, h_idx, common.draw(rng, size)
+    return u, h, h_idx, common.draw(rng, size)
+
+
+def _access(u, p_s):
+    """Access flags ``u < p_s`` as int8; ``p_s`` may be a column of one
+    p_s per row."""
+    return (u < p_s).astype(np.int8)
 
 
 def _first_harvest(model: SystemModel, rng, size: int):
@@ -176,6 +187,20 @@ def _first_harvest(model: SystemModel, rng, size: int):
     pi_cum = _cum_table(stationary_distribution(model.eh))
     return _step_chain(eh_cum, _step_chain(pi_cum, None, rng, size), rng,
                        size)
+
+
+def _access_grid(model) -> list[SystemModel]:
+    """``model``, one model or a list of them, as a list; refuses models
+    that differ in any field but ``access``, naming it: a pass draws one
+    slot stream, which serves every p_s but one model of everything else."""
+    models = [model] if isinstance(model, SystemModel) else list(model)
+    for f in fields(SystemModel):
+        if f.name != "access" and any(getattr(m, f.name) !=
+                                      getattr(models[0], f.name)
+                                      for m in models[1:]):
+            raise ValueError(f"models: they differ in {f.name}, and a "
+                             "pass takes models that differ only in access")
+    return models
 
 
 # ---------------------------------------------------------------------------
@@ -208,12 +233,13 @@ def _refill(take, cur, taken, n_periods: int):
     return cur, np.minimum(idx[:, -1] + 1, n_periods)
 
 
-def _run_block(policies, model: SystemModel, warm_per_lane: int,
-               n_periods: int, rng, lanes: int, slot_cap: int,
-               trace: bool = False):
+def _run_block(policies, model, warm_per_lane: int, n_periods: int, rng,
+               lanes: int, slot_cap: int, trace: bool = False):
     """One refill pass of the period engine: ``lanes`` lanes per rule, one
     row of lanes per rule, against a queue of ``n_periods`` period indices
-    per row.
+    per row.  ``model`` is one model for every rule, or a list of one per
+    rule that differ only in ``access``: each row then compares the slot's
+    access uniform with its own p_s.
 
     A lane's first ``warm_per_lane`` periods are warm-up and not recorded.
     After them, each slot the lanes that end a period take their row's next
@@ -226,6 +252,18 @@ def _run_block(policies, model: SystemModel, warm_per_lane: int,
     Returns one Metrics per rule and, when ``trace``, the first rule's
     records ``T``, ``rate``, ``b``, ``phi``, ``h`` and ``hc`` in period
     index order (else None)."""
+    models = _access_grid(model)
+    rows = len(policies)
+    if len(models) not in (1, rows):
+        raise ValueError(f"models: {len(models)} models for {rows} rules; "
+                         "give one model, or one per rule")
+    model = models[0]
+    p_s = np.array([[m.access.p_s] for m in models])
+    # with one p_s the access flags stay one row of lanes for every row: a
+    # (rows, lanes) compare each slot made fig4's 21-row passes 5-10% slower
+    mixed = bool((p_s != p_s[0]).any())
+    if not mixed:
+        p_s = p_s[0, 0]
     gammas = _rule_tables(policies, model)
     nb, ne, nh = gammas.shape[1:]
     private = _PrivateSampler(model)
@@ -234,7 +272,6 @@ def _run_block(policies, model: SystemModel, warm_per_lane: int,
     eh_vals = np.asarray(model.eh.states)
     cap = model.b_cap
     base = model.log_base
-    rows = len(policies)
 
     # initial carry: one harvest as the first battery, gain chain from its
     # stationary law
@@ -266,8 +303,8 @@ def _run_block(policies, model: SystemModel, warm_per_lane: int,
         T_cur += 1
         if T_cur.max() > slot_cap:
             raise PeriodOverflow(f"period exceeded {slot_cap} slots")
-        phi, h, h_idx, hc = _draw_slot(model, private, common, h_idx, rng,
-                                       lanes)
+        u, h, h_idx, hc = _draw_slot(private, common, h_idx, rng, lanes)
+        phi = _access(u, p_s[live] if mixed else p_s)
         rate = stop_rate(b, h, hc, phi, base)
         # unlike stop_table, this stops at an empty battery (0 >= gamma[0] =
         # 0).  Masking that stop gave the markov benchmark's DP rows a mean
@@ -380,17 +417,21 @@ def _check_sizes(**sizes):
             raise ValueError(f"{name} must be >= {low}")
 
 
-def run_policies(policies, model: SystemModel, n_periods: int, seed: int, *,
+def run_policies(policies, model, n_periods: int, seed: int, *,
                  warmup_periods: int = 1000, streams: int = 512,
                  slot_cap: int = 1_000_000, trace_path=None) -> list[Metrics]:
     """Renewal metrics of each stopping rule over ``n_periods`` periods, in
     order, from one refill pass of ``streams`` lanes per rule.
 
     ``policies`` is any list of rules; a table that does not fit the model
-    raises ValueError naming the axis.  The rules share each slot's draws
-    (common random numbers) and keep their own batteries and records, so
-    each gets what a run of it alone would.  Each lane first runs
-    ``ceil(warmup_periods / streams)`` unrecorded periods.
+    raises ValueError naming the axis.  ``model`` is one SystemModel for
+    every rule, or a list of one per rule; the models of a list may differ
+    in ``access`` alone, so a pass may hold several p_s, and any other
+    difference raises ValueError naming the field.  The rules share each
+    slot's draws (common random numbers; each row's access flag is the
+    slot's one access uniform below its p_s) and keep their own batteries
+    and records, so each gets what a run of it alone would.  Each lane
+    first runs ``ceil(warmup_periods / streams)`` unrecorded periods.
     Throughput is total rate over total slots, exact when the per-slot
     rate is constant; the standard errors are batch means over
     ``N_BATCHES`` fixed groups of lanes, so they are NaN with fewer
@@ -427,34 +468,49 @@ def run_simulation(policy: Policy, model: SystemModel, n_periods: int,
 _SUPPLY_BLOCK = 32
 
 
-def run_supplies(model: SystemModel, p_bar: float, n_slots: int, seed: int,
-                 *, water_level=None,
-                 streams: int = 512) -> tuple[Metrics, Metrics]:
+def run_supplies(model, p_bar: float, n_slots: int, seed: int, *,
+                 water_level=None, streams: int = 512):
     """Metrics of the two benchmark supplies, ``(best_effort,
     conventional)``, from one pass of shared slot draws.
+
+    ``model`` is one SystemModel, or a list of models that differ only in
+    ``access`` (a p_s grid; any other difference raises ValueError naming
+    the field).  A list gives a list of one pair per model from one pass:
+    the draws are made once per slot for the whole grid, and each p_s
+    spends them with its own access flags ``u < p_s`` and water level, so
+    each pair is what a call with that model alone returns.
 
     Best-effort has no battery: each slot's budget is the harvest of the
     slot before it (the very first budget is one fresh harvest draw),
     spent whole with ``stop_rate``.  Conventional water-fills an average
-    power ``p_bar`` at ``water_level`` (solved from the model when None),
-    so a model whose level cannot be bracketed raises ``NoBracket`` for
-    both.
+    power ``p_bar`` at ``water_level`` (for a list, a list of one level per
+    model; solved from the model when None), so a model whose level cannot
+    be bracketed raises ``NoBracket`` for both.
 
     ``streams`` lanes run ``ceil(n_slots / streams)`` slots each on the
-    engine's generator at ``seed``.  Each slot draws the access flag and
-    both gains, then steps the harvest chain; each block of
-    ``_SUPPLY_BLOCK`` slots is spent by both supplies at once.  Each lane
-    sums its deviations from the first slot's values, and ``_fold`` takes
-    those sums into the engine's lane groups once, at the end, so the
-    standard errors are NaN with fewer streams than ``N_BATCHES``.
+    engine's generator at ``seed``.  Each slot draws the access uniform
+    and both gains, then steps the harvest chain; each block of
+    ``_SUPPLY_BLOCK`` slots is spent by both supplies of each model at
+    once.  Each lane sums its deviations from the first slot's values, and
+    ``_fold`` takes those sums into the engine's lane groups once, at the
+    end, so the standard errors are NaN with fewer streams than
+    ``N_BATCHES``.
     Throughput is total rate over total slots, exact when the per-slot
     rate is constant; the realized average power is reduced the same way.
     """
     if not p_bar > 0:  # NaN fails the comparison
         raise ValueError("p_bar must be > 0")
     _check_sizes(n_slots=n_slots, streams=streams)
-    level = water_level or solve_water_level(model.private, model.common,
-                                             model.access, p_bar)
+    grid = not isinstance(model, SystemModel)
+    models = _access_grid(model)
+    levels = (water_level if grid else [water_level]) or [None] * len(models)
+    if len(levels) != len(models):
+        raise ValueError("water_level: give one level per model")
+    if not models:
+        return []
+    levels = [lv or solve_water_level(m.private, m.common, m.access, p_bar)
+              for m, lv in zip(models, levels)]
+    model = models[0]
     slots = -(-n_slots // streams)
     private = _PrivateSampler(model)
     common = _GainSampler(model.common)
@@ -465,33 +521,38 @@ def run_supplies(model: SystemModel, p_bar: float, n_slots: int, seed: int,
     e_idx = _first_harvest(model, rng, streams)
     h_idx = private.init(rng, streams)
 
-    shifts = None
-    # per lane: best-effort rate, conventional rate and power, less shifts
-    sums = np.zeros((3, streams))
+    shifts = [None] * len(models)
+    # per model and lane: best-effort rate, conventional rate and power,
+    # less shifts
+    sums = np.zeros((len(models), 3, streams))
     for first in range(0, slots, _SUPPLY_BLOCK):
         n = min(_SUPPLY_BLOCK, slots - first)
-        phi = np.empty((n, streams), np.int8)
-        h, hc, budget = np.empty((3, n, streams))
+        u, h, hc, budget = np.empty((4, n, streams))
         for i in range(n):
             budget[i] = eh_vals[e_idx]
-            phi[i], h[i], h_idx, hc[i] = _draw_slot(model, private, common,
-                                                    h_idx, rng, streams)
+            u[i], h[i], h_idx, hc[i] = _draw_slot(private, common, h_idx, rng,
+                                                  streams)
             e_idx = _step_chain(eh_cum, e_idx, rng, streams)
-        live = phi == 1
-        p = conventional_power(h, level)
-        pc = np.where(live, conventional_power(hc, level), 0.0)
-        values = (stop_rate(budget, h, hc, phi, model.log_base),
-                  logf(1.0 + h * p) + np.where(live, logf(1.0 + hc * pc),
-                                               0.0),
-                  p + pc)
-        if shifts is None:
-            shifts = [float(v[0, 0]) for v in values]
-        for acc, v, c in zip(sums, values, shifts):
-            acc += (v - c).sum(axis=0)
+        for k, (m, level) in enumerate(zip(models, levels)):
+            phi = _access(u, m.access.p_s)
+            live = phi == 1
+            p = conventional_power(h, level)
+            pc = np.where(live, conventional_power(hc, level), 0.0)
+            values = (stop_rate(budget, h, hc, phi, model.log_base),
+                      logf(1.0 + h * p) + np.where(live, logf(1.0 + hc * pc),
+                                                   0.0),
+                      p + pc)
+            if shifts[k] is None:
+                shifts[k] = [float(v[0, 0]) for v in values]
+            for acc, v, c in zip(sums[k], values, shifts[k]):
+                acc += (v - c).sum(axis=0)
     # a supply's period is one slot, so each lane's T and count are its
     # slots, and the mean length is exact, with fewer lanes than groups too
     T = np.full(streams, float(slots))
-    be, cv, power = (_fold(c, T, dev, T, cap_hit_fraction=0.0,
-                           se_saving_time=0.0)
-                     for c, dev in zip(shifts, sums))
-    return be, replace(cv, realized_avg_power=power.throughput)
+    pairs = []
+    for c3, dev3 in zip(shifts, sums):
+        be, cv, power = (_fold(c, T, dev, T, cap_hit_fraction=0.0,
+                               se_saving_time=0.0)
+                         for c, dev in zip(c3, dev3))
+        pairs.append((be, replace(cv, realized_avg_power=power.throughput)))
+    return pairs if grid else pairs[0]

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoConvergence, UnsupportedKind
+from .errors import NoConvergence, StateSpaceTooLarge, UnsupportedKind
 from .models import (
     GainDistribution,
     SystemModel,
@@ -114,6 +114,13 @@ class ValueTable:
 # ---------------------------------------------------------------------------
 # Discretized state space
 
+# most grid states (access flag x battery x harvest x private gain x common
+# gain) the DP takes.  The solve holds several float arrays of this size
+# and a slot kernel of about as many entries, a few hundred MB at the bound.
+# fig3's default model has 8 states and the markov benchmark's 2,688; fig4's
+# model at its "large" battery would have 164 million.
+MAX_DP_STATES = 1_000_000
+
 
 class _DPSpace:
     """Grids, transition factors, and stop rewards for the DP on the
@@ -134,6 +141,13 @@ class _DPSpace:
         nb, ne = len(self.b_vals), len(self.eh_vals)
         nh, nc = len(self.h_vals), len(self.hc_vals)
         self.shape = (2, nb, ne, nh, nc)
+        states = math.prod(self.shape)
+        if states > MAX_DP_STATES:
+            raise StateSpaceTooLarge(
+                f"the DP would have {states:,} states (b_max_units "
+                f"{model.b_max_units}, common_bins {cfg.common_bins}), "
+                f"more than {MAX_DP_STATES:,}; lower b_max_units or "
+                "common_bins")
 
         # next battery index after harvesting in state e', from level b
         b_idx = np.arange(nb)

@@ -266,8 +266,9 @@ def run_supplies_per_slot(model, level, n_slots, seed, *, streams=512):
     block = []  # per-lane deviations of the slots since the last fold
     for s in range(slots):
         budget = eh_vals[e_idx]
-        phi, h, h_idx, hc = sim._draw_slot(model, private, common, h_idx,
-                                           rng, streams)
+        u, h, h_idx, hc = sim._draw_slot(private, common, h_idx, rng,
+                                         streams)
+        phi = (u < model.access.p_s).astype(np.int8)
         e_idx = step_chain(eh_cum, e_idx, rng, streams)
         p = sx.conventional_power(h, level)
         pc = np.where(phi == 1, sx.conventional_power(hc, level), 0.0)

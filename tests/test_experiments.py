@@ -5,11 +5,14 @@ import math
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import savetx as sx
+import savetx.experiments
+from savetx import cli
 from savetx.errors import ConfigError, IoError
 from savetx.experiments import EXPERIMENTS, _meta_base
 from savetx.tables import emit_csv
@@ -327,6 +330,58 @@ class TestRunExperiment:
         assert_exact_stats(cfg, json.loads(open(res["meta"]).read())["stats"])
 
 
+class TestSchemeTables:
+    """fig3 and fig8 make one engine pass of all their rules and one supply
+    pass over the whole p_s grid; each row is what a table of its p_s
+    alone prints."""
+
+    GRID = [0.0, 0.5, 1.0]
+    STATS = {"fig3": ["lambda_star", "solver_iters", "water_level",
+                      "realized_power"],
+             "fig8": ["gamma_star", "water_level", "lambda_exact",
+                      "mean_T_exact"]}
+
+    @staticmethod
+    def table(name, grid, out):
+        cfg = sx.validate_config({"experiment": name, "p_s_grid": grid,
+                                  "mc": TINY_MC, "solver": FAST_SOLVER})
+        res = sx.run_experiment(cfg, out)
+        with open(res["csv"]) as fh:
+            lines = fh.read().splitlines()
+        return lines, json.loads(open(res["meta"]).read())["stats"]
+
+    @pytest.mark.parametrize("name", ["fig3", "fig8"])
+    def test_one_pass_each(self, name, tmp_path, monkeypatch):
+        calls = {"run_policies": 0, "run_supplies": 0}
+
+        def counted(fn):
+            def wrapper(*args, **kwargs):
+                calls[fn.__name__] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for fn in (sx.run_policies, sx.run_supplies):
+            monkeypatch.setattr(savetx.experiments, fn.__name__,
+                                counted(fn))
+        lines, stats = self.table(name, self.GRID, tmp_path)
+        assert calls == {"run_policies": 1, "run_supplies": 1}
+        assert [line.split(",")[:2] for line in lines[1:]] == [
+            [f"{p:g}", scheme] for p in self.GRID
+            for scheme in ("opportunistic", "best_effort", "conventional")]
+        assert list(stats) == self.STATS[name]
+        assert all(list(v) == [str(p) for p in self.GRID]
+                   for v in stats.values())
+
+    @pytest.mark.parametrize("name", ["fig3", "fig8"])
+    def test_rows_match_one_table_per_p_s(self, name, tmp_path):
+        lines, stats = self.table(name, self.GRID, tmp_path / "grid")
+        for i, p_s in enumerate(self.GRID):
+            solo, solo_stats = self.table(name, [p_s], tmp_path / str(i))
+            assert solo[1:] == lines[1 + 3 * i:4 + 3 * i]
+            assert all(stats[k][str(p_s)] == v[str(p_s)]
+                       for k, v in solo_stats.items())
+
+
 class TestPinnedTables:
     """sha256 of each figure's CSV at the default seed and small Monte
     Carlo sizes, so a change that moves any printed digit shows.  Hashes
@@ -487,22 +542,49 @@ class TestCli:
         assert r.stderr.startswith("error: --config: ")
         assert "Traceback" not in r.stderr
 
-    @pytest.mark.parametrize("args", [["experiment", "fig4"],
-                                      ["optimize-threshold", "--p-s", "0.0"]],
-                             ids=["experiment", "optimize-threshold"])
-    def test_out_is_a_file(self, tmp_path, args):
+    @pytest.mark.parametrize("args", [
+        ["experiment", "fig4"], ["optimize-threshold", "--p-s", "0.0"],
+        ["solve-markov", "--p-s", "0.0"],
+        ["simulate", "--scheme", "threshold", "--gamma", "1.0"]],
+        ids=["experiment", "optimize-threshold", "solve-markov", "simulate"])
+    def test_out_is_a_file(self, tmp_path, args, monkeypatch, capsys):
         # --out naming an existing file ended in a FileExistsError
-        # traceback with exit 1
+        # traceback with exit 1, and solve-markov, optimize-threshold and
+        # simulate refused it only after their work; in process, so the
+        # solvers and both engines can be made to fail if they are entered
+        def never(*args, **kwargs):
+            raise AssertionError("entered before --out was checked")
+
+        for name in ("solve_markov", "optimize_threshold", "run_supplies"):
+            monkeypatch.setattr(cli, name, never)
+        monkeypatch.setattr(savetx.experiments, "run_policies", never)
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"experiment": "fig4", "mc": TINY_MC,
                                    "solver": FAST_SOLVER}))
         out = tmp_path / "afile"
         out.write_text("")
-        r = run_cli("--config", str(cfg), "--out", str(out), *args)
-        assert r.returncode == 2
-        assert r.stderr.startswith("error: ") and str(out) in r.stderr
-        assert "Traceback" not in r.stderr
+        assert cli.main(["--config", str(cfg), "--out", str(out), *args]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(out) in err
         assert out.read_text() == ""
+
+    def test_state_space_too_large(self, tmp_path, capsys):
+        # fig4's defaults (a 10,000-unit battery, 64 common bins) were
+        # SIGKILLed building a 1.3 GB DP grid; they are refused by name
+        # before any grid is allocated
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"experiment": "fig4"}))
+        tracemalloc.start()
+        try:
+            code = cli.main(["--config", str(cfg), "solve-markov"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and "163,856,384 states" in err
+        assert "b_max_units 10000" in err and "common_bins 64" in err
+        assert peak < 10e6
 
     def test_missing_gamma(self, tmp_path):
         cfg = tmp_path / "c.json"

@@ -5,8 +5,8 @@ from scipy import integrate, stats
 
 import savetx as sx
 from savetx.errors import BadName, ReducibleChain, UnsupportedKind
-from savetx.simulate import _GainSampler, _PrivateSampler, _cum_table, \
-    _draw_slot, _step_chain
+from savetx.simulate import _GainSampler, _PrivateSampler, _access, \
+    _cum_table, _draw_slot, _step_chain
 
 from oracles import step_chain
 
@@ -144,9 +144,9 @@ def one_state_model(private=None, p_s=0.5):
 
 def access_draws(p_s, rng, n):
     model = one_state_model(p_s=p_s)
-    phi, *_ = _draw_slot(model, _PrivateSampler(model),
-                         _GainSampler(model.common), np.zeros(n, int), rng, n)
-    return phi
+    u, *_ = _draw_slot(_PrivateSampler(model), _GainSampler(model.common),
+                       np.zeros(n, int), rng, n)
+    return _access(u, model.access.p_s)
 
 
 class TestSampling:

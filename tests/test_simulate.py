@@ -1,6 +1,6 @@
 import csv
 import tracemalloc
-from dataclasses import astuple
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -168,6 +168,54 @@ class TestRunSimulation:
         got = sx.run_policies(rules, model, 4000, 3, **kw)
         assert got == [sx.run_simulation(r, model, 4000, 3, **kw)
                        for r in rules]
+
+    def test_mixed_access_rows_match_solo_runs(self, tmp_path):
+        # the rows of one pass may hold different p_s: each compares the
+        # slot's one access uniform with its own p_s, and gets what a run
+        # of its rule alone on its model would, trace included
+        cfg = markov_workload_config()
+        dp_model = cfg.build_model(0.75)
+        cases = [(sx.Policy.threshold(1.0), cfg.build_model(0.0)),
+                 (sx.Policy.dp(sx.solve_markov(dp_model, cfg.solver)),
+                  dp_model),
+                 (sx.Policy.threshold(1.5), cfg.build_model(0.25)),
+                 (sx.Policy.threshold(2.5), dp_model)]
+        kw = dict(warmup_periods=100, streams=64)
+        grid, solo = tmp_path / "grid.csv", tmp_path / "solo.csv"
+        for first in (0, 2):  # trace the p_s 0 row, then the p_s 0.25 row
+            rules, models = map(list, zip(*cases[first:], *cases[:first]))
+            got = sx.run_policies(rules, models, 4000, 3, trace_path=grid,
+                                  **kw)
+            assert got == [sx.run_simulation(r, m, 4000, 3, **kw)
+                           for r, m in zip(rules, models)]
+            sx.run_simulation(rules[0], models[0], 4000, 3, trace_path=solo,
+                              **kw)
+            assert grid.read_bytes() == solo.read_bytes()
+
+    @pytest.mark.parametrize("field, value", [
+        ("eh", sx.MarkovChainSpec([0.0, 4.0], [[0.9, 0.1], [0.1, 0.9]])),
+        ("private", sx.GainDistribution.exponential(2.0)),
+        ("b_max_units", 30)])
+    def test_pass_refuses_models_differing_beyond_access(self, field,
+                                                         value):
+        # one pass draws one slot stream, which serves every p_s but one
+        # model of everything else
+        model = iid_model(0.5)
+        other = replace(iid_model(0.25), **{field: value})
+        with pytest.raises(ValueError, match=f"differ in {field},"):
+            sx.run_supplies([model, other], 2.0, 1000, seed=1, streams=20)
+        with pytest.raises(ValueError, match=f"differ in {field},"):
+            sx.run_policies([sx.Policy.threshold(1.0)] * 2, [model, other],
+                            100, seed=1)
+
+    def test_pass_needs_one_model_or_one_per_rule(self):
+        models = [iid_model(0.0), iid_model(0.5)]
+        with pytest.raises(ValueError, match="2 models for 3 rules"):
+            sx.run_policies([sx.Policy.threshold(1.0)] * 3, models, 100, 1)
+        with pytest.raises(ValueError, match="water_level"):
+            sx.run_supplies(models, 2.0, 1000, seed=1,
+                            water_level=[sx.WaterLevel(1.0)])
+        assert sx.run_supplies([], 2.0, 1000, seed=1) == []
 
     @pytest.mark.parametrize("b_max_units, eh, axis", [
         (30, None, "battery axis has length 21"),
@@ -541,6 +589,23 @@ class TestSupplyBlocks:
         (got, _), (want, _) = self.run_both(name, short, streams, slots, 3)
         self.assert_same(got, want)
         assert got.periods == streams * slots
+
+    @pytest.mark.parametrize("name", MODELS)
+    @pytest.mark.parametrize("short, streams, slots", SIZES)
+    def test_grid_matches_one_call_per_model(self, name, short, streams,
+                                             slots):
+        # one pass over a p_s grid draws each slot once for all of it,
+        # and each pair is what a call with that model alone returns
+        base = self.MODELS[name]()
+        models = [replace(base, access=sx.AccessModel(p))
+                  for p in (0.0, base.access.p_s, 1.0)]
+        n = streams * slots - short
+        got = sx.run_supplies(models, 2.0, n, seed=7, streams=streams)
+        assert len(got) == len(models)
+        for model, pair in zip(models, got):
+            want = sx.run_supplies(model, 2.0, n, seed=7, streams=streams)
+            for g, w in zip(pair, want):
+                self.assert_same(g, w)
 
     @pytest.mark.parametrize("name", MODELS)
     @pytest.mark.parametrize("short, streams, slots", SIZES)

@@ -10,8 +10,8 @@ import savetx as sx
 import savetx.simulate
 from savetx.errors import NoConvergence, PeriodOverflow, UnsupportedKind
 from savetx.tables import format_value
-from savetx.solver import _DPSpace, _gain_and_bias, _stop_moments, \
-    _threshold_chain, _threshold_gain
+from savetx.solver import MAX_DP_STATES, _DPSpace, _gain_and_bias, \
+    _stop_moments, _threshold_chain, _threshold_gain
 
 from oracles import SmallConfig, enumerate_best_policy, \
     exact_threshold_metrics, fig3_oracle_config, markov_workload_config, \
@@ -140,6 +140,26 @@ class TestSolveMarkov:
         cfg = markov_workload_config()
         table = sx.solve_markov(cfg.build_model(p_s), cfg.solver)
         assert table.lambda_star == pytest.approx(expect, rel=1e-9, abs=0)
+
+    def test_state_space_too_large_refused(self):
+        # fig4's defaults ("large" battery, 64 common bins) would allocate
+        # 2 x 10,001 x 2 x 64 x 64 float grid states, about 1.3 GB
+        cfg = sx.validate_config({"experiment": "fig4"})
+        with pytest.raises(sx.StateSpaceTooLarge,
+                           match="163,856,384 states.*b_max_units 10000, "
+                                 "common_bins 64") as err:
+            sx.solve_markov(cfg.build_model(0.5), cfg.solver)
+        assert not isinstance(err.value, NoConvergence)
+        # 256 grid states per battery level at 8 bins: b_max_units 20
+        # solves, and the first battery past the bound is refused
+        bins = sx.SolverConfig(common_bins=8)
+        small = replace(cfg.build_model(0.5), b_max_units=20)
+        assert sx.solve_markov(small, bins).rates.size == 21 * 256
+        levels = MAX_DP_STATES // 256  # b_max_units levels: levels + 1
+        big = replace(small, b_max_units=levels)
+        with pytest.raises(sx.StateSpaceTooLarge,
+                           match=f"b_max_units {levels},"):
+            sx.solve_markov(big, bins)
 
     def test_no_convergence(self):
         cfg = markov_workload_config()
