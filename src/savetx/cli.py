@@ -86,7 +86,7 @@ def _cmd_solve_markov(args) -> int:
         "lambda_star": table.lambda_star,
         "outer_iters": table.outer_iters,
         "states": int(table.rates.size),
-        "stop_fraction": float(table.stop_table.mean()),
+        "stop_fraction": table.stop_fraction,
     }, out)
     return 0
 

@@ -269,10 +269,12 @@ class SystemModel:
     log_base: float = 2.0
 
     def __post_init__(self):
-        if self.b_max_units < 1:
-            raise ValueError("b_max_units must be >= 1")
-        if self.delta <= 0:
-            raise ValueError("delta must be > 0")
+        # bool is an Integral too, so it is refused by name
+        if isinstance(self.b_max_units, bool) or not isinstance(
+                self.b_max_units, numbers.Integral) or self.b_max_units < 1:
+            raise ValueError("b_max_units: must be an integer >= 1")
+        if _reals(self.delta, "delta") <= 0:
+            raise ValueError("delta: must be > 0")
         if self.log_base not in (2.0, np.e):
             raise ValueError("log_base must be 2 or e")
         if self.common.kind == "markov":

@@ -26,6 +26,7 @@ and reduce them once, after the slot loop, with one fold, ``_fold``.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -210,9 +211,9 @@ def _access_grid(model) -> list[SystemModel]:
 def _rule_tables(policies, model: SystemModel) -> np.ndarray:
     """The rules' gamma tables stacked on a row axis; refuses an axis that
     is neither 1 long nor the model's state count.  An i.i.d. private gain
-    reads h at 0: a DP's gamma is constant in h there."""
+    has one state."""
     iid = model.private.is_iid
-    tables = [p.gamma[:, :, :1] if iid else p.gamma for p in policies]
+    tables = [p.gamma for p in policies]
     sizes = {"battery": model.b_max_units + 1,
              "harvest": len(model.eh.states),
              "private-gain": 1 if iid else len(model.private.chain.states)}
@@ -306,12 +307,13 @@ def _run_block(policies, model, warm_per_lane: int, n_periods: int, rng,
         u, h, h_idx, hc = _draw_slot(private, common, h_idx, rng, lanes)
         phi = _access(u, p_s[live] if mixed else p_s)
         rate = stop_rate(b, h, hc, phi, base)
-        # unlike stop_table, this stops at an empty battery (0 >= gamma[0] =
-        # 0).  Masking that stop gave the markov benchmark's DP rows a mean
-        # z of +0.01 and -0.03 at p_s 0.25 and 0.75 (seeds 1-20; -1.76 at
-        # p_s 0.75 before the refill pass, +0.13 and +0.07 unmasked), but
-        # it doubled their slots and slowed the table, so it waits for
-        # stationary starts (ROADMAP item 4)
+        # unlike the rule the solvers evaluate, which never stops at b = 0,
+        # this stops at an empty battery (0 >= gamma[0] = 0).  Masking that
+        # stop gave the markov benchmark's DP rows a mean z of +0.01 and
+        # -0.03 at p_s 0.25 and 0.75 (seeds 1-20; -1.76 at p_s 0.75 before
+        # the refill pass, +0.13 and +0.07 unmasked), but it doubled their
+        # slots and slowed the table, so it waits for stationary starts
+        # (ROADMAP item 4)
         at = (live[:, None],
               np.round(b / model.delta).astype(np.int64) if nb > 1 else 0,
               e_idx if ne > 1 else 0, h_idx if nh > 1 else 0)
@@ -410,11 +412,14 @@ def _fold(shift: float, T, dev, n, **fields) -> Metrics:
 
 
 def _check_sizes(**sizes):
-    """Refuse a size below its least value: 0 for warm-up, else 1."""
+    """Refuse a size that is not an integer, or below its least value: 0
+    for warm-up, else 1."""
     for name, value in sizes.items():
         low = 0 if name == "warmup_periods" else 1
-        if not value >= low:  # NaN fails the comparison
-            raise ValueError(f"{name} must be >= {low}")
+        # bool is an Integral too, so it is refused by name
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral) \
+                or value < low:
+            raise ValueError(f"{name} must be an integer >= {low}")
 
 
 def run_policies(policies, model, n_periods: int, seed: int, *,

@@ -2,28 +2,30 @@
 
 Two solution paths:
 
-* ``solve_markov`` handles Markov-modulated gains and harvesting.  It works
-  on the discretized state space (access flag, battery level, previous
-  harvest rate, private gain, common gain) and finds the throughput-optimal
-  stationary stop/continue rule by average-reward policy iteration, started
-  from the rule that stops wherever the battery is charged.  The access
-  flag and the common gain are drawn fresh every slot, so a rule's slot
-  chain closes on (battery, harvest rate, private gain), where one sparse
-  solve evaluates it exactly; the chain carries the stop slot's harvest and
-  the gain chain's step into the next saving period.  The solved rule is a
-  threshold table on that carried state: stop iff the battery is charged
-  and the rate meets gamma(b, e, h); the engine reads it on the drawn rate.
+* ``solve_markov`` handles Markov-modulated gains and harvesting.  It finds
+  the throughput-optimal stationary stop/continue rule by average-reward
+  policy iteration on threshold tables, started from the rule that stops
+  wherever the battery is charged.  The access flag and the common gain
+  are drawn fresh every slot, so a rule's slot chain closes on the carried
+  cells (battery, harvest rate, private gain); the chain carries the stop
+  slot's harvest and the gain chain's step into the next saving period.
+  The solved rule is a threshold table on those cells: stop iff the
+  battery is charged and the rate meets gamma(b, e, h); the engine reads
+  it on the drawn rate.  Exponential gains are binned.
 
 * ``threshold_metrics`` evaluates a constant rate threshold exactly when
   the gains are i.i.d., under any harvest chain.  The rule's slot chain
-  closes on (battery, harvest rate), and the same sparse solve gives the
-  throughput and the mean saving time.  Per battery level, atom gains are
-  summed exactly; an exponential gain is inverted in closed form, its tail
-  mean of the rate is closed form, and a second exponential gain is
-  integrated by Gauss rules on the pieces where the integrand is smooth.
-  ``optimize_threshold`` maximizes that exact throughput over the
-  threshold with a golden-section search cross-checked by a coarse grid
-  scan.
+  closes on (battery, harvest rate).
+
+Both evaluate a rule the same way: its stop moments per battery level
+(``_stop_moments``) set the slot chain (``_slot_kernel``), and one sparse
+solve (``_chain_gains``) gives the throughput, the mean saving time and
+the relative values.  Per battery level, atom gains are summed exactly; an
+exponential gain is inverted in closed form, its tail mean of the rate is
+closed form, and a second exponential gain is integrated by Gauss rules on
+the pieces where the integrand is smooth.  ``optimize_threshold``
+maximizes the exact throughput over the threshold with a golden-section
+search cross-checked by a coarse grid scan.
 
 This module only solves: it draws no random numbers.  Monte Carlo
 estimates of the solved rules, with standard errors, come from the engine
@@ -34,7 +36,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -60,7 +62,6 @@ class SolverConfig:
     """Numerical knobs of the solvers; the battery grid is the model's,
     and Monte Carlo sizes belong to the engine's callers."""
 
-    lambda_tol: float = 1e-9
     outer_max_iters: int = 100
     common_bins: int = 64
     gamma_hi: float = 4.0
@@ -75,7 +76,7 @@ class SolverConfig:
             if isinstance(v, bool) or not isinstance(v, numbers.Integral) \
                     or v < low:
                 raise ValueError(f"{name}: must be an integer >= {low}")
-        for name in ("lambda_tol", "golden_tol", "gamma_hi"):
+        for name in ("golden_tol", "gamma_hi"):
             v = getattr(self, name)
             if isinstance(v, bool) or not isinstance(v, numbers.Real) \
                     or not 0 < v < math.inf:
@@ -84,119 +85,24 @@ class SolverConfig:
 
 @dataclass
 class ValueTable:
-    """Solved dynamic program on the discretized state space.
+    """Solved dynamic program on the carried cells (battery, harvest state,
+    private-gain state).
 
-    ``rates[phi, b, e, h, hc]`` is the stop rate of each grid state.  The
-    rule is one threshold table on the carried state (battery, harvest
-    rate, private gain): stop iff the battery is charged and the rate meets
-    ``gamma[b, e, h] = Cg[b, e, h] - Cg[0, e, h]``, where ``Cg`` is the
-    expected relative value one slot ahead.  ``gamma[0]`` is 0.
+    The rule is one threshold table: stop iff the battery is charged and
+    the rate meets ``gamma[b, e, h] = Cg[b, e, h] - Cg[0, e, h]``, where
+    ``Cg`` is the expected relative value one slot ahead; ``gamma[0]`` is
+    0.  The h axis holds a Markov private gain's states; it has length 1
+    for an i.i.d. private gain, which each cell integrates.  ``rates`` is
+    the rule's expected stop reward E[R 1{stop}] per cell, over the fresh
+    access flag and gains, and ``stop_fraction`` the long-run share of
+    slots that stop, 1 / mean saving time.
     """
 
     lambda_star: float
     rates: np.ndarray
     gamma: np.ndarray
+    stop_fraction: float
     outer_iters: int = 0
-
-    @property
-    def stop_table(self) -> np.ndarray:
-        """Stop wherever the rate meets gamma (ties stop).
-
-        An empty battery always continues: it has nothing to transmit, and
-        under periodic restarts a zero-rate stop is value-identical to
-        skipping, so the tie is resolved toward skipping.
-        """
-        stop = self.rates >= self.gamma[None, :, :, :, None]
-        stop[:, 0] = False
-        return stop
-
-
-# ---------------------------------------------------------------------------
-# Discretized state space
-
-# most grid states (access flag x battery x harvest x private gain x common
-# gain) the DP takes.  The solve holds several float arrays of this size
-# and a slot kernel of about as many entries, a few hundred MB at the bound.
-# fig3's default model has 8 states and the markov benchmark's 2,688; fig4's
-# model at its "large" battery would have 164 million.
-MAX_DP_STATES = 1_000_000
-
-
-class _DPSpace:
-    """Grids, transition factors, and stop rewards for the DP on the
-    model's battery grid."""
-
-    def __init__(self, model: SystemModel, cfg: SolverConfig):
-        self.b_vals = np.arange(model.b_max_units + 1) * model.delta
-
-        self.eh_vals = np.asarray(model.eh.states)
-        self.Pe = model.eh.transition
-
-        self.h_vals, self.Ph = _private_chain(model.private, cfg.common_bins)
-        self.hc_vals, self.hc_probs = _common_atoms(model.common,
-                                                    cfg.common_bins)
-        ps = model.access.p_s
-        self.p_phi = np.array([1.0 - ps, ps])
-
-        nb, ne = len(self.b_vals), len(self.eh_vals)
-        nh, nc = len(self.h_vals), len(self.hc_vals)
-        self.shape = (2, nb, ne, nh, nc)
-        states = math.prod(self.shape)
-        if states > MAX_DP_STATES:
-            raise StateSpaceTooLarge(
-                f"the DP would have {states:,} states (b_max_units "
-                f"{model.b_max_units}, common_bins {cfg.common_bins}), "
-                f"more than {MAX_DP_STATES:,}; lower b_max_units or "
-                "common_bins")
-
-        # next battery index after harvesting in state e', from level b
-        b_idx = np.arange(nb)
-        self.next_b = np.minimum(b_idx[:, None] + model.eh_units()[None, :],
-                                 model.b_max_units)  # (nb, ne')
-
-        phi = np.array([0, 1])
-        self.R = stop_rate(
-            self.b_vals[None, :, None, None, None],
-            self.h_vals[None, None, None, :, None],
-            self.hc_vals[None, None, None, None, :],
-            phi[:, None, None, None, None],
-            base=model.log_base,
-        ) * np.ones(self.shape)
-
-    def average(self, V: np.ndarray) -> np.ndarray:
-        """Mean over the access flag and common gain, which are drawn fresh
-        each slot: a (nb, ne, nh) tensor on the pre-observation state."""
-        return np.einsum("p,pbehc,c->beh", self.p_phi, V, self.hc_probs)
-
-    def propagate(self, vbar: np.ndarray) -> np.ndarray:
-        """E[vbar(next pre-observation state) | current, skip] as a
-        (nb, ne, nh) tensor."""
-        # battery moves to next_b[b, e'] when the harvest state is e'
-        gathered = vbar[self.next_b, np.arange(len(self.eh_vals))[None, :], :]
-        return np.einsum("ef,bfg,hg->beh", self.Pe, gathered, self.Ph)
-
-
-def _private_chain(dist: GainDistribution, bins: int):
-    """Private gain as (values, row-stochastic matrix)."""
-    if dist.kind == "markov":
-        return np.asarray(dist.chain.states), dist.chain.transition
-    if dist.kind == "constant":
-        return np.array([dist.value]), np.array([[1.0]])
-    if dist.kind == "exponential":
-        d = discretize_gain(dist, bins)
-        vals = np.asarray(d.values)
-        probs = np.asarray(d.probabilities)
-    else:
-        vals = np.asarray(dist.values)
-        probs = np.asarray(dist.probabilities)
-    return vals, np.tile(probs, (len(vals), 1))
-
-
-def _common_atoms(dist: GainDistribution, bins: int):
-    """Common gain as (values, probabilities)."""
-    if dist.kind == "exponential":
-        dist = discretize_gain(dist, bins)
-    return _atoms(dist)
 
 
 # ---------------------------------------------------------------------------
@@ -260,66 +166,93 @@ def _chain_gains(K: sparse.coo_array, r: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Markov solver
 
+# most rate terms (access flag x battery x harvest x private gain x common
+# gain atoms) that one evaluation of a rule sums.  fig3's default model has
+# 8 and the markov benchmark's 2,688; fig4's model at its "large" battery
+# would have 164 million.
+MAX_DP_STATES = 1_000_000
 
-def _gain_and_bias(space: _DPSpace, stop: np.ndarray):
-    """Long-run throughput and relative values of a stationary rule.
+# improvements stop within this much of a tie, so that rounding in the
+# relative values cannot flip a tied cell from one improvement to the next
+_TIE = 1e-12
 
-    Solves g + gain = average(stop * rates) + K g on the pre-observation
-    state (b, e, h), with g pinned at state 0, and returns (gain, g); the
-    gain is the renewal ratio E[rate at stop]/E[T].
-    """
-    K = _slot_kernel(space.average(stop), space.next_b, space.Pe, space.Ph)
-    x = _chain_gains(K, space.average(np.where(stop, space.R, 0.0)).ravel())
-    return float(x[0]), np.r_[0.0, x[1:]].reshape(space.shape[1:4])
+
+def _carried_chain(model: SystemModel):
+    """``(next_b, Pe, Ph)`` of the carried cells (b, e, h): the battery
+    index after harvesting in state e' from level b, and the harvest and
+    private-gain chains; an i.i.d. private gain has one state."""
+    next_b = np.minimum(np.arange(model.b_max_units + 1)[:, None]
+                        + model.eh_units()[None, :], model.b_max_units)
+    Ph = model.private.chain.transition if not model.private.is_iid \
+        else np.ones((1, 1))
+    return next_b, model.eh.transition, Ph
+
+
+def _cell_moments(model: SystemModel, gamma: np.ndarray):
+    """(P(stop), E[R 1{stop}]) per carried cell (b, e, h) of the rule 'stop
+    iff b > 0 and R >= gamma[b, e, h]', over the fresh access flag and
+    gains: a Markov private gain is the cell's state h, and an i.i.d. one
+    (an h axis of length 1) is integrated."""
+    b, _, h = np.indices(gamma.shape).reshape(3, -1)
+    private = None if model.private.is_iid \
+        else np.asarray(model.private.chain.states)[h]
+    p, r = _stop_moments(model, b * model.delta, gamma.ravel(), private)
+    return p.reshape(gamma.shape), r.reshape(gamma.shape)
 
 
 def solve_markov(model: SystemModel, cfg: SolverConfig | None = None
                  ) -> ValueTable:
     """Throughput-optimal stationary stopping rule and its threshold table.
 
-    Average-reward policy iteration, started from the rule that stops
-    wherever the battery is charged.  Each outer step evaluates the current
-    rule's throughput and relative values g on (b, e, h) exactly, then
-    improves greedily against Cg = E[g' | skip]; the stop side of the
-    comparison credits the restart value Cg[0] of the state components that
-    survive the transmission slot.  Converges in finitely many improvements.
+    Average-reward policy iteration on threshold tables gamma[b, e, h],
+    started from the rule that stops wherever the battery is charged.  An
+    exponential gain is binned into ``common_bins`` equal-probability
+    atoms.  Each outer step evaluates the current rule exactly: its stop
+    moments per carried cell (``_stop_moments``) set the slot chain, whose
+    one sparse solve gives the throughput and the relative values g.  The
+    improvement compares the stop rate with gamma = Cg - Cg[0], where Cg =
+    E[g' | skip] and the stop side credits the restart value Cg[0] of the
+    state components that survive the transmission slot.  The iteration
+    ends when an improvement leaves every cell's stop moments unchanged.
     """
     cfg = cfg or SolverConfig()
-    space = _DPSpace(model, cfg)
-    R = space.R
+    model = replace(model, **{
+        name: discretize_gain(dist, cfg.common_bins)
+        for name, dist in (("private", model.private),
+                           ("common", model.common))
+        if dist.kind == "exponential"})
+    next_b, Pe, Ph = _carried_chain(model)
+    shape = (len(next_b), len(Pe), len(Ph))
+    # per cell: the access flag and the atoms of each gain it integrates
+    states = 2 * math.prod(shape) * len(_atoms(model.common)[0]) * (
+        len(_atoms(model.private)[0]) if model.private.is_iid else 1)
+    if states > MAX_DP_STATES:
+        raise StateSpaceTooLarge(
+            f"the DP would have {states:,} states (b_max_units "
+            f"{model.b_max_units}, common_bins {cfg.common_bins}), "
+            f"more than {MAX_DP_STATES:,}; lower b_max_units or "
+            "common_bins")
 
-    charged = (space.b_vals > 0)[None, :, None, None, None]
-    stop = np.broadcast_to(charged, space.shape).copy()
-    lam, g = _gain_and_bias(space, stop)
+    moments = _cell_moments(model, np.zeros(shape))
     for it in range(1, cfg.outer_max_iters + 1):
-        Cg = space.propagate(g)
-        q_cont = Cg[None, :, :, :, None]
-        q_stop = R + Cg[0][None, None, :, :, None]
-        # stopping with an empty battery is value-neutral; keep it a skip
-        new_stop = (q_stop >= q_cont - 1e-12) & charged
-        changed = new_stop != stop
-        if not changed.any():
+        p_stop, r_stop = moments
+        x = _chain_gains(_slot_kernel(p_stop, next_b, Pe, Ph),
+                         np.column_stack([r_stop.ravel(), p_stop.ravel()]))
+        g = np.r_[0.0, x[1:, 0]].reshape(shape)
+        Cg = np.einsum("ef,bfg,hg->beh", Pe,
+                       g[next_b, np.arange(shape[1])], Ph)
+        gamma = Cg - Cg[0]
+        improved = _cell_moments(model, gamma - _TIE)
+        if all(map(np.array_equal, improved, moments)):
             break
-        near_tie = np.abs(q_stop - q_cont)[changed].max() < 1e-9
-        stop = new_stop
-        lam_new, g = _gain_and_bias(space, stop)
-        settled = abs(lam_new - lam) < cfg.lambda_tol and near_tie
-        lam = lam_new
-        if settled:
-            break
+        moments = improved
     else:
         raise NoConvergence(
             f"policy improvement did not settle in {cfg.outer_max_iters} "
             "iterations")
-
-    Cg = space.propagate(g)
-    gamma = Cg - Cg[0]
-    cont = gamma[None, :, :, :, None]
-    fixed_point_err = np.abs(np.where(stop, R, cont) - np.maximum(R, cont)
-                             ).max()
-    if fixed_point_err > 1e-7:
-        raise NoConvergence(f"fixed-point residual {fixed_point_err:.2e}")
-    return ValueTable(lambda_star=lam, rates=R, gamma=gamma, outer_iters=it)
+    lam, stops = x[0]
+    return ValueTable(lambda_star=float(lam), rates=r_stop, gamma=gamma,
+                      stop_fraction=float(stops), outer_iters=it)
 
 
 # ---------------------------------------------------------------------------
@@ -468,9 +401,16 @@ def _exp_nodes(b, G, m):
 _CHUNK_ELEMS = 1 << 13
 
 
-def _stop_moments(model: SystemModel, b: np.ndarray, gamma: float):
+def _is_exponential(gain) -> bool:
+    return isinstance(gain, GainDistribution) and gain.kind == "exponential"
+
+
+def _stop_moments(model: SystemModel, b: np.ndarray, gamma, private=None):
     """(P(stop), E[R 1{stop}]) at each battery level ``b`` of the rule
     'stop iff b > 0 and R >= gamma', over the fresh access flag and gains.
+    ``gamma`` is one threshold or one per level.  ``private``, when given,
+    holds the private gain at each level (a Markov chain's state there) in
+    place of the model's i.i.d. private gain.
 
     Atom pairs are summed exactly with the engine's comparison.  When a
     gain in play is exponential, the rate is inverted in it at each atom
@@ -480,37 +420,50 @@ def _stop_moments(model: SystemModel, b: np.ndarray, gamma: float):
     """
     p = np.zeros((2, len(b)))
     charged = np.flatnonzero(b > 0)
-    G = model.log_base ** gamma
+    gamma = np.broadcast_to(gamma, b.shape)
+    # Python's power, not numpy's, which differs in the last bit: a level
+    # gets the G of a call with its threshold alone
+    G = np.array([model.log_base ** g for g in gamma.tolist()])
+
+    def atoms(gain):  # (values on (level, atom) axes, weights)
+        v, w = _atoms(gain) if isinstance(gain, GainDistribution) \
+            else (gain[:, None], np.ones(1))
+        return np.broadcast_to(v, (len(b), len(w))), w
+
     for phi, w_phi in ((0, 1.0 - model.access.p_s), (1, model.access.p_s)):
         if w_phi == 0.0:
             continue
-        inv, other = model.private, model.common
+        inv = model.private if private is None else private
+        other = model.common
         if phi == 0:  # the common gain plays no part
             other = GainDistribution.constant(0.0)
         # the rate is symmetric in the two gains: invert the exponential one
-        if other.kind == "exponential" and inv.kind != "exponential":
+        if _is_exponential(other) and not _is_exponential(inv):
             inv, other = other, inv
-        if inv.kind == "exponential":
+        if _is_exponential(inv):
             per_level = len(_laguerre()[0]) + 5 * len(_legendre()[0])
         else:
-            per_level = len(_atoms(inv)[0]) * len(_atoms(other)[0])
+            (x, wx), (y, wy) = atoms(inv), atoms(other)
+            per_level = len(wx) * len(wy)
         step = max(1, _CHUNK_ELEMS // per_level)
         for lo in range(0, len(charged), step):
             idx = charged[lo:lo + step]
-            bb = b[idx, None]
-            if inv.kind == "exponential":
-                y, wy = (_exp_nodes(bb, G, other.mean)
-                         if other.kind == "exponential" else _atoms(other))
-                t = _threshold_gain(bb, y, G)
+            bb, GG = b[idx, None], G[idx, None]
+            if _is_exponential(inv):
+                if _is_exponential(other):
+                    y, wy = _exp_nodes(bb, GG, other.mean)
+                else:
+                    y, wy = atoms(other)
+                    y = y[idx]
+                t = _threshold_gain(bb, y, GG)
                 stop_p = (np.exp(-t / inv.mean) * wy).sum(axis=-1)
                 stop_r = (_tail_rate(bb, y, t, inv.mean) * wy).sum(axis=-1) \
                     / math.log(model.log_base)
             else:
-                (x, wx), (y, wy) = _atoms(inv), _atoms(other)
                 # axes (level, private atom, common atom)
-                rate = stop_rate(bb[:, :, None], x[None, :, None],
-                                 y[None, None, :], phi, model.log_base)
-                stop = rate >= gamma
+                rate = stop_rate(bb[:, :, None], x[idx, :, None],
+                                 y[idx, None, :], phi, model.log_base)
+                stop = rate >= gamma[idx, None, None]
                 stop_p = np.einsum("lij,i,j->l", stop.astype(float), wx, wy)
                 stop_r = np.einsum("lij,i,j->l", np.where(stop, rate, 0.0),
                                    wx, wy)

@@ -514,6 +514,20 @@ class SmallConfig:
             b_max_units=self.bmax, delta=self.delta)
 
 
+def grid_rule(config: SmallConfig, gamma) -> np.ndarray:
+    """The stop mask on the oracle's (phi, b, e, h) grid of the rule 'stop
+    iff b > 0 and stop_rate >= gamma[b, e, h]', the comparison of the
+    engine; a length-1 axis of ``gamma`` applies to every state on it."""
+    import savetx as sx
+
+    phi, b, e, h = np.array(list(config.states())).T
+    rate = sx.stop_rate(b * config.delta, config.h_vals[h], config.hc, phi)
+    at = tuple(i if n > 1 else 0 for i, n in zip((b, e, h), gamma.shape))
+    mask = np.zeros(config.n, dtype=bool)
+    mask[config.index(phi, b, e, h)] = (b > 0) & (rate >= gamma[at])
+    return mask
+
+
 def fig3_oracle_config(p_s) -> SmallConfig:
     """fig3's default model: private chain {0.1, 16}, constant common gain
     32, one-unit battery refilled by one unit of 1e-3 every slot."""

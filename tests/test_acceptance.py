@@ -12,7 +12,7 @@ import pytest
 import savetx as sx
 
 from oracles import enumerate_best_policy, fig3_oracle_config, \
-    fresh_carry, policy_gains, random_small_config, run_period, \
+    fresh_carry, grid_rule, policy_gains, random_small_config, run_period, \
     water_fill_two_channel
 
 SEED = 20240501
@@ -138,7 +138,7 @@ def test_criterion_02_brute_force_equivalence():
             config = random_small_config(rng)
             best, _ = enumerate_best_policy(config)
             model = config.system_model()
-            table = sx.solve_markov(model, sx.SolverConfig(lambda_tol=1e-9))
+            table = sx.solve_markov(model)
             assert abs(table.lambda_star - best) <= 1e-6
 
 
@@ -257,11 +257,14 @@ def test_criterion_09_invariant_suite(fig3_tables):
             # the value of a state is max(rates, gamma) - lambda_star; its
             # slack over the stop value is >= 0 by construction, so the
             # stored rule must be worth lambda_star on an independent chain
-            gain, = policy_gains(fig3_oracle_config(p),
-                                 table.stop_table.reshape(1, -1))
+            # (the rule on the oracle's grid: stop iff b > 0 and the rate
+            # meets gamma)
+            config = fig3_oracle_config(p)
+            gain, = policy_gains(config, grid_rule(config, table.gamma)[None])
             assert abs(gain - table.lambda_star) <= 1e-9
-            values = np.maximum(table.rates,
-                                table.gamma[None, :, :, :, None])
+            rates = config.rates().reshape(2, config.nb, config.ne,
+                                           config.nh)
+            values = np.maximum(rates, table.gamma[None])
             assert (np.diff(values, axis=1) >= -1e-9).all()
 
         model = sx.SystemModel(

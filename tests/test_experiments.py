@@ -85,7 +85,7 @@ class TestValidateConfig:
 
     @pytest.mark.parametrize("key", ["b_max_units", "delta", "mc_periods",
                                      "mc_seed", "slot_cap", "value_iter_tol",
-                                     "value_iter_max_sweeps"])
+                                     "value_iter_max_sweeps", "lambda_tol"])
     def test_solver_accepts_only_settable_keys(self, key):
         # the battery grid is set at top level, so the DP and the engine
         # share it; Monte Carlo sizes are set in mc
@@ -114,7 +114,7 @@ class TestValidateConfig:
         ("fig8", "grid_points", 5.5), ("fig8", "grid_points", 1),
         ("fig3", "common_bins", 1), ("fig3", "common_bins", 8.0),
         ("fig3", "outer_max_iters", 0), ("fig3", "outer_max_iters", True),
-        ("fig3", "lambda_tol", 0.0), ("fig8", "golden_tol", float("nan")),
+        ("fig8", "golden_tol", float("nan")),
         ("fig8", "gamma_hi", -1.0), ("fig8", "gamma_hi", float("inf")),
         ("fig8", "gamma_hi", "4"), ("fig8", "golden_tol", False)])
     def test_bad_solver_value(self, experiment, key, value):
@@ -435,10 +435,13 @@ class TestCli:
         assert r.returncode == 0
         out = json.loads(r.stdout)
         assert out["lambda_star"] == pytest.approx(0.0153150, abs=1e-6)
-        # 2 access flags x 2 battery levels x 2 private gains
-        assert out["states"] == 8
-        # at p_s 0 the rule stops wherever the battery is charged
-        assert out["stop_fraction"] == 0.5
+        # the carried cells: 2 battery levels x 2 private gains (the access
+        # flag is drawn fresh each slot, so no cell holds it)
+        assert out["states"] == 4
+        # at p_s 0 the rule stops wherever the battery is charged, and the
+        # one-unit battery is refilled every slot: every slot stops (the
+        # long-run share of slots, 1 / mean saving time)
+        assert out["stop_fraction"] == 1.0
 
     def test_experiment_subcommand(self, tmp_path):
         cfg = tmp_path / "c.json"

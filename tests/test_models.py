@@ -347,6 +347,20 @@ class TestSystemTypes:
                 eh=sx.MarkovChainSpec([1.0], [[1.0]]),
                 b_max_units=1, delta=1.0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("delta", float("nan")), ("delta", float("inf")), ("delta", 0.0),
+        ("delta", True), ("b_max_units", 2.5), ("b_max_units", True),
+        ("b_max_units", 0)])
+    def test_bad_battery_fields(self, field, value):
+        # a NaN delta built a model whose b_cap was NaN
+        with pytest.raises(ValueError, match=rf"^{field}: must be"):
+            sx.SystemModel(
+                private=sx.GainDistribution.constant(1.0),
+                common=sx.GainDistribution.constant(1.0),
+                access=sx.AccessModel(0.5),
+                eh=sx.MarkovChainSpec([0.0], [[1.0]]),
+                **{"b_max_units": 2, "delta": 1.0, field: value})
+
     def test_harvest_must_fit_grid(self):
         with pytest.raises(ValueError, match="multiples"):
             sx.SystemModel(

@@ -10,7 +10,8 @@ import savetx as sx
 from savetx.simulate import _run_block
 
 from oracles import advance_battery, exact_threshold_metrics, \
-    fresh_carry, markov_workload_config, run_period, run_supplies_per_slot
+    fig3_oracle_config, fresh_carry, grid_rule, markov_workload_config, \
+    run_period, run_supplies_per_slot
 
 
 def constant_world(delta=1e-3, h=1.0, p_s=0.0):
@@ -137,10 +138,12 @@ class TestRunSimulation:
 
     @pytest.mark.parametrize("key, value", [
         ("n_periods", 0), ("warmup_periods", -1), ("streams", 0),
-        ("replications", 0), ("slot_cap", 0), ("n_periods", float("nan"))])
+        ("replications", 0), ("slot_cap", 0), ("n_periods", float("nan")),
+        ("n_periods", 2.5), ("warmup_periods", True), ("slot_cap", 10.0)])
     def test_bad_sizes_rejected(self, key, value):
-        # streams=0 divided by zero, and slot_cap=0 drew a slot before it
-        # overflowed; the period engine takes no replications at all
+        # streams=0 divided by zero, slot_cap=0 drew a slot before it
+        # overflowed, and n_periods=2.5 recorded 3 periods; the period
+        # engine takes no replications at all
         args = {"n_periods": 100, "warmup_periods": 0, key: value}
         error = TypeError if key == "replications" else ValueError
         with pytest.raises(error, match=key):
@@ -148,7 +151,8 @@ class TestRunSimulation:
                               seed=1, **args)
 
     @pytest.mark.parametrize("key, value", [
-        ("n_slots", 0), ("streams", 0), ("replications", 0)])
+        ("n_slots", 0), ("streams", 0), ("replications", 0),
+        ("n_slots", 100.5), ("streams", 4.5), ("streams", True)])
     def test_bad_supply_sizes_rejected(self, key, value):
         # the supplies run the engine's lanes and take no replications
         args = {"n_slots": 100, "seed": 1, key: value}
@@ -294,9 +298,8 @@ class TestRunSimulation:
             b_max_units=6, delta=1.0)
         iid_dp_table = sx.solve_markov(iid_dp_model,
                                        sx.SolverConfig(common_bins=4))
-        assert iid_dp_table.gamma.shape == (7, 2, 4)
-        # the engine reads only h = 0, so gamma must not depend on h
-        assert (iid_dp_table.gamma == iid_dp_table.gamma[:, :, :1]).all()
+        # each cell integrates the i.i.d. private gain: one h state
+        assert iid_dp_table.gamma.shape == (7, 2, 1)
         cases = [
             (model, pol),
             (fig3_model(0.5), sx.Policy.dp(sx.solve_markov(fig3_model(0.5)))),
@@ -487,7 +490,9 @@ class TestBestEffort:
     def test_matches_stop_always_rule_on_fig3(self, p_s):
         model = fig3_model(p_s)
         table = sx.solve_markov(model)
-        assert table.stop_table[:, 1:].all()  # stop everywhere charged
+        oracle = fig3_oracle_config(p_s)
+        stop = grid_rule(oracle, table.gamma).reshape(2, oracle.nb, -1)
+        assert stop[:, 1:].all()  # stop everywhere charged
         # the engine and the supply draw from one generator at the seed
         streams, slots = 64, 800
         n = streams * slots

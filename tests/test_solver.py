@@ -10,12 +10,13 @@ import savetx as sx
 import savetx.simulate
 from savetx.errors import NoConvergence, PeriodOverflow, UnsupportedKind
 from savetx.tables import format_value
-from savetx.solver import MAX_DP_STATES, _DPSpace, _gain_and_bias, \
-    _stop_moments, _threshold_chain, _threshold_gain
+from savetx.solver import MAX_DP_STATES, _carried_chain, _cell_moments, \
+    _chain_gains, _slot_kernel, _stop_moments, _threshold_chain, \
+    _threshold_gain
 
 from oracles import SmallConfig, enumerate_best_policy, \
-    exact_threshold_metrics, fig3_oracle_config, markov_workload_config, \
-    policy_gains, random_small_config
+    exact_threshold_metrics, fig3_oracle_config, grid_rule, \
+    markov_workload_config, policy_gains, random_small_config
 
 
 def fig3_model(p_s):
@@ -45,12 +46,35 @@ def degenerate_model(delta=1e-3):
         b_max_units=1, delta=delta)
 
 
+def on_grid(config: SmallConfig, table):
+    """The oracle's stop rates, the table's gamma and its rule's stop mask
+    on the oracle's grid, each with axes (phi, b, e, h)."""
+    shape = (2, config.nb, config.ne, config.nh)
+    gamma = np.broadcast_to(table.gamma[None], shape)
+    return (config.rates().reshape(shape), gamma,
+            grid_rule(config, table.gamma).reshape(shape))
+
+
+def cell_gain(model, gamma):
+    """Throughput of the rule 'stop iff b > 0 and R >= gamma[b, e, h]'
+    through the solver's evaluator: the rule's stop moments per carried
+    cell, its slot chain and one sparse solve."""
+    p, r = _cell_moments(model, gamma)
+    return _chain_gains(_slot_kernel(p, *_carried_chain(model)),
+                        r.ravel())[0]
+
+
 class TestSolveMarkov:
     def test_degenerate_fixed_point(self):
         table = sx.solve_markov(degenerate_model())
-        full = (0, 1, 0, 0, 0)  # (phi, b, e, h, hc): the one charged cell
-        assert table.stop_table[full]
-        assert table.rates[full] - table.lambda_star == \
+        oracle = SmallConfig(0.0, 1, [1], [[1.0]], [1.0], [[1.0]], 1.0,
+                             delta=1e-3)
+        full = oracle.index(0, 1, 0, 0)  # (phi, b, e, h): the charged state
+        assert grid_rule(oracle, table.gamma)[full]
+        assert oracle.rates()[full] - table.lambda_star == \
+            pytest.approx(0.0, abs=1e-9)
+        # the charged cell stops every slot: its stop reward is its rate
+        assert table.rates[1, 0, 0] - table.lambda_star == \
             pytest.approx(0.0, abs=1e-9)
 
     def test_degenerate_lambda(self):
@@ -125,10 +149,14 @@ class TestSolveMarkov:
     def test_markov_workload_with_16_common_bins(self):
         cfg = markov_workload_config(common_bins=16)
         table = sx.solve_markov(cfg.build_model(0.75), cfg.solver)
-        assert table.rates.size == 2 * 21 * 2 * 4 * 16
-        space = _DPSpace(cfg.build_model(0.75), cfg.solver)
-        lam, _ = _gain_and_bias(space, table.stop_table)
-        assert abs(lam - table.lambda_star) <= 1e-9
+        # one cell per (battery, harvest state, private-gain state); the
+        # access flag and the 16 common-gain bins are summed in each
+        assert table.rates.size == 21 * 2 * 4
+        # the table read with the engine's comparison, which has no tie
+        # margin, is worth lambda_star
+        model = cfg.build_model(0.75)
+        binned = replace(model, common=sx.discretize_gain(model.common, 16))
+        assert abs(cell_gain(binned, table.gamma) - table.lambda_star) <= 1e-9
         coarse = markov_workload_config(common_bins=8)
         lam8 = sx.solve_markov(coarse.build_model(0.75),
                                coarse.solver).lambda_star
@@ -151,10 +179,12 @@ class TestSolveMarkov:
             sx.solve_markov(cfg.build_model(0.5), cfg.solver)
         assert not isinstance(err.value, NoConvergence)
         # 256 grid states per battery level at 8 bins: b_max_units 20
-        # solves, and the first battery past the bound is refused
+        # solves, and the first battery past the bound is refused.  The
+        # solved table has one cell per (battery, harvest state): each
+        # cell integrates the i.i.d. private gain
         bins = sx.SolverConfig(common_bins=8)
         small = replace(cfg.build_model(0.5), b_max_units=20)
-        assert sx.solve_markov(small, bins).rates.size == 21 * 256
+        assert sx.solve_markov(small, bins).rates.size == 21 * 2
         levels = MAX_DP_STATES // 256  # b_max_units levels: levels + 1
         big = replace(small, b_max_units=levels)
         with pytest.raises(sx.StateSpaceTooLarge,
@@ -167,31 +197,64 @@ class TestSolveMarkov:
             sx.solve_markov(cfg.build_model(0.75),
                             replace(cfg.solver, outer_max_iters=2))
 
+    def test_dp_beats_every_threshold(self):
+        """On atom-gain models with an i.i.d. private gain the DP's
+        optimum is at least every threshold rule's exact throughput: both
+        sides are exact, and a threshold rule is one constant table."""
+        rng = np.random.default_rng(13)
+        models = [iid_model_of(with_iid_private(random_small_config(rng),
+                                                rng)) for _ in range(8)]
+        # fig3's model, its private chain replaced by the chain's
+        # stationary law as an i.i.d. gain
+        models += [sx.SystemModel(
+            private=sx.GainDistribution.discrete([0.1, 16.0],
+                                                 [1 / 3, 2 / 3]),
+            common=sx.GainDistribution.constant(32.0),
+            access=sx.AccessModel(p_s),
+            eh=sx.MarkovChainSpec([1e-3], [[1.0]]),
+            b_max_units=1, delta=1e-3) for p_s in (0.0, 0.5, 1.0)]
+        gammas = np.r_[0.0, np.geomspace(1e-3, 10.0, 40)]
+        for model in models:
+            lam = sx.solve_markov(model).lambda_star
+            lams = [sx.threshold_metrics(model, g)[0] for g in gammas]
+            assert lam >= max(lams) - 1e-9
+
 
 class TestGainAndBias:
     def test_matches_oracle_on_random_rules(self):
-        """Gains of arbitrary rules, including rules that read the access
-        flag and rules that stop at an empty battery; a rule is refused
-        exactly when its slot chain has more than one recurrent class."""
+        """Gains of random threshold tables gamma[b, e, h] through the
+        solver's evaluator, against the oracle's dense chain of the same
+        rule on its grid; half the configurations take an i.i.d. private
+        gain, whose table has one h state.  A rule is refused exactly when
+        its slot chain has more than one recurrent class."""
         rng = np.random.default_rng(7)
         accepted = 0
-        for _ in range(30):
+        for k in range(30):
             config = random_small_config(rng)
-            space = _DPSpace(config.system_model(), sx.SolverConfig())
-            masks = rng.random((5, config.n)) < rng.uniform(0, 1, (5, 1))
+            if k % 2:
+                model = iid_model_of(with_iid_private(config, rng))
+                shape = (config.nb, config.ne, 1)
+            else:
+                model = config.system_model()
+                shape = (config.nb, config.ne, config.nh)
+            top = config.rates().max()
+            # each cell stops always (gamma 0), never (above every rate) or
+            # at a threshold between
+            gammas = np.where(rng.random((5,) + shape) < 0.2, 0.0,
+                              rng.uniform(0.0, 1.2 * top, (5,) + shape))
+            masks = np.array([grid_rule(config, g) for g in gammas])
             Kc, Kr = config.kernels()
-            for mask, gain in zip(masks, policy_gains(config, masks)):
+            for gamma, mask, gain in zip(gammas, masks,
+                                         policy_gains(config, masks)):
                 # one recurrent class per null direction of P - I
                 P = np.where(mask[:, None], Kr, Kc)
                 sv = np.linalg.svd(P - np.eye(config.n), compute_uv=False)
-                stop = mask.reshape(space.shape)
                 if sv[-2] < 1e-9:
                     with pytest.raises(NoConvergence,
                                        match="recurrent classes"):
-                        _gain_and_bias(space, stop)
+                        cell_gain(model, gamma)
                 else:
-                    lam, _ = _gain_and_bias(space, stop)
-                    assert abs(lam - gain) <= 1e-10
+                    assert abs(cell_gain(model, gamma) - gain) <= 1e-10
                     accepted += 1
         assert accepted >= 140
 
@@ -202,41 +265,53 @@ def table():
 
 
 class TestValueTableInvariants:
-    """The solved fig3 table at p_s 0.5, read through its threshold table:
-    the value of a state is max(rates, gamma) - lambda_star."""
+    """The solved fig3 table at p_s 0.5, read through its threshold table
+    on the oracle's grid: the value of a state is max(rates, gamma) -
+    lambda_star."""
+
+    config = fig3_oracle_config(0.5)
 
     def test_fixed_point_identity(self, table):
-        cont = table.gamma[None, :, :, :, None]
-        chosen = np.where(table.stop_table, table.rates, cont)
-        assert np.abs(chosen - np.maximum(table.rates, cont)).max() < 1e-9
+        rates, cont, stop = on_grid(self.config, table)
+        chosen = np.where(stop, rates, cont)
+        assert np.abs(chosen - np.maximum(rates, cont)).max() < 1e-9
 
     def test_slack_nonnegative(self, table):
         # the slack max(rates, gamma) - rates is >= 0 by construction, so
         # what is left to check is that the stored rule is worth
         # lambda_star, evaluated on the enumeration oracle's dense chain
-        gain, = policy_gains(fig3_oracle_config(0.5),
-                             table.stop_table.reshape(1, -1))
+        gain, = policy_gains(self.config,
+                             grid_rule(self.config, table.gamma)[None])
         assert abs(gain - table.lambda_star) <= 1e-9
 
     def test_values_monotone_in_battery(self, table):
-        values = np.maximum(table.rates, table.gamma[None, :, :, :, None])
+        rates, cont, _ = on_grid(self.config, table)
+        values = np.maximum(rates, cont)
         assert (np.diff(values, axis=1) >= -1e-9).all()
 
     def test_decision_argmax_consistent(self, table):
         # the rule is the rate/gamma comparison wherever there is energy to
         # send; an empty battery always waits
-        stop = table.stop_table
-        cmp = table.rates >= table.gamma[None, :, :, :, None]
+        rates, cont, stop = on_grid(self.config, table)
+        cmp = rates >= cont
         assert (stop[:, 1:] == cmp[:, 1:]).all()
         assert not stop[:, 0].any()
+        # the table's stop reward per cell is that rule's, over the access
+        # flag (the common gain is constant)
+        p_phi = np.array([0.5, 0.5])[:, None, None, None]
+        np.testing.assert_allclose(
+            table.rates, (p_phi * np.where(stop, rates, 0.0)).sum(axis=0),
+            rtol=1e-12, atol=0)
 
     def test_decisions_scale_invariant(self, table):
-        scaled = table.rates * 3.0 >= table.gamma[None, :, :, :, None] * 3.0
-        assert (scaled[:, 1:] == table.stop_table[:, 1:]).all()
+        rates, cont, stop = on_grid(self.config, table)
+        scaled = rates * 3.0 >= cont * 3.0
+        assert (scaled[:, 1:] == stop[:, 1:]).all()
 
 
 class TestDpDecide:
-    """The rule read off ``stop_table`` at (phi, b, e, h, hc) grid cells."""
+    """The rule 'stop iff b > 0 and R >= gamma' at (phi, b, e, h) states
+    of the oracle's grid."""
 
     def test_empty_battery_continues(self):
         model = sx.SystemModel(
@@ -247,18 +322,23 @@ class TestDpDecide:
             access=sx.AccessModel(0.5),
             eh=sx.MarkovChainSpec([0.0, 1e-3], [[0.5, 0.5], [0.5, 0.5]]),
             b_max_units=3, delta=1e-3)
+        oracle = SmallConfig(0.5, 3, [0, 1], [[0.5, 0.5], [0.5, 0.5]],
+                             [0.1, 16.0], [[0.0, 1.0], [0.5, 0.5]], 32.0,
+                             delta=1e-3)
         table = sx.solve_markov(model)
-        # rate 0 meets gamma[0] = 0, and the table resolves that value tie
+        _, _, stop = on_grid(oracle, table)
+        # rate 0 meets gamma[0] = 0, and the rule resolves that value tie
         # toward skipping
         assert table.gamma[0, 1, 1] == 0.0
-        assert not table.stop_table[0, 0, 1, 1, 0]
-        assert not table.stop_table[:, 0].any()
+        assert not stop[0, 0, 1, 1]
+        assert not stop[:, 0].any()
 
     def test_peak_rate_state_stops(self):
-        table = sx.solve_markov(fig3_model(0.5))
+        oracle = fig3_oracle_config(0.5)
+        rates, _, stop = on_grid(oracle, sx.solve_markov(fig3_model(0.5)))
         # access, one unit of energy, private gain 16, common gain 32
-        assert table.stop_table[1, 1, 0, 1, 0]
-        assert table.rates[1, 1, 0, 1, 0] == table.rates.max()
+        assert stop[1, 1, 0, 1]
+        assert rates[1, 1, 0, 1] == rates.max()
 
     def test_matches_enumerated_policy(self):
         # spot-check the rule at the weak-gain state against the best
@@ -268,8 +348,8 @@ class TestDpDecide:
         best, mask = enumerate_best_policy(oracle)
         table = sx.solve_markov(fig3_model(p_s))
         # no access, one unit of energy, private gain 0.1
-        oracle_stops = bool(mask[oracle.index(0, 1, 0, 0)])
-        assert bool(table.stop_table[0, 1, 0, 0, 0]) == oracle_stops
+        at = oracle.index(0, 1, 0, 0)
+        assert bool(grid_rule(oracle, table.gamma)[at]) == bool(mask[at])
         # the rule's throughput also matches the enumerated optimum
         assert table.lambda_star == pytest.approx(best, abs=1e-6)
 
@@ -372,6 +452,49 @@ def iid_model_of(config: SmallConfig):
         eh=sx.MarkovChainSpec([float(u) for u in config.e_units],
                               config.Pe),
         b_max_units=config.bmax, delta=config.delta)
+
+
+class TestStopMoments:
+    """One threshold per level, and one private gain per level, give what
+    one call per value gives, bit for bit."""
+
+    @pytest.mark.parametrize("private, common", [
+        (sx.GainDistribution.discrete([0.0, 0.5, 2.0], [0.2, 0.5, 0.3]),
+         sx.GainDistribution.discrete([0.25, 4.0], [0.5, 0.5])),
+        (sx.GainDistribution.discrete([0.0, 0.5, 2.0], [0.2, 0.5, 0.3]),
+         sx.GainDistribution.exponential(1.5)),
+        (sx.GainDistribution.exponential(1.0),
+         sx.GainDistribution.exponential(1.0))],
+        ids=["atoms", "one-exponential", "two-exponential"])
+    def test_thresholds_per_level(self, private, common):
+        model = sx.SystemModel(
+            private=private, common=common, access=sx.AccessModel(0.5),
+            eh=sx.make_eh_preset("b"), b_max_units=10_000)
+        rng = np.random.default_rng(5)
+        b = np.r_[0.0, rng.uniform(0.1, 40.0, 11)]
+        gamma = rng.uniform(0.0, 4.0, len(b))
+        gamma[3] = 0.0
+        p, r = _stop_moments(model, b, gamma)
+        for i, g in enumerate(gamma):
+            p1, r1 = _stop_moments(model, b, float(g))
+            assert p[i] == p1[i] and r[i] == r1[i]
+
+    @pytest.mark.parametrize("common", [
+        sx.GainDistribution.discrete([0.25, 4.0], [0.5, 0.5]),
+        sx.GainDistribution.exponential(1.5)], ids=["atoms", "exponential"])
+    def test_private_gain_per_level(self, common):
+        model = markov_workload_config().build_model(0.5)
+        model = replace(model, common=common)
+        rng = np.random.default_rng(6)
+        b = rng.uniform(0.0, 20.0, 9)
+        h = rng.choice(model.private.chain.states, len(b))
+        gamma = rng.uniform(0.0, 4.0, len(b))
+        p, r = _stop_moments(model, b, gamma, h)
+        for i in range(len(b)):
+            one = replace(model,
+                          private=sx.GainDistribution.constant(h[i]))
+            p1, r1 = _stop_moments(one, b, gamma)
+            assert p[i] == p1[i] and r[i] == r1[i]
 
 
 class TestThresholdMetrics:
@@ -609,12 +732,12 @@ class TestSolverConfig:
     def test_fields_are_the_solver_knobs(self):
         # Monte Carlo sizes and the seed live in the mc block and the seed
         assert [f.name for f in fields(sx.SolverConfig)] == [
-            "lambda_tol", "outer_max_iters", "common_bins", "gamma_hi",
-            "grid_points", "golden_tol"]
+            "outer_max_iters", "common_bins", "gamma_hi", "grid_points",
+            "golden_tol"]
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            sx.SolverConfig(lambda_tol=0.0)
+            sx.SolverConfig(golden_tol=0.0)
 
     @pytest.mark.parametrize("name", ["outer_max_iters"])
     def test_at_least_one_iteration(self, name):
