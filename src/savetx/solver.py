@@ -110,12 +110,12 @@ class ValueTable:
 
 
 def _slot_kernel(p_stop: np.ndarray, next_b: np.ndarray, Pe: np.ndarray,
-                 Ph: np.ndarray) -> sparse.coo_array:
-    """Slot-to-slot kernel on the carried cells (b, e, h) of a rule that
-    stops with probability ``p_stop[b, e, h]``: a skip moves the battery to
-    ``next_b[b, e']``, a stop restarts at ``next_b[0, e']``, and both step
-    the harvest chain ``Pe`` and the private-gain chain ``Ph``.  Entries
-    that coincide at the cap add up."""
+                 Ph: np.ndarray):
+    """Slot-to-slot kernel, a scipy COO array, on the carried cells (b, e,
+    h) of a rule that stops with probability ``p_stop[b, e, h]``: a skip
+    moves the battery to ``next_b[b, e']``, a stop restarts at ``next_b[0,
+    e']``, and both step the harvest chain ``Pe`` and the private-gain
+    chain ``Ph``.  Entries that coincide at the cap add up."""
     from scipy import sparse
 
     red = p_stop.shape
@@ -131,8 +131,9 @@ def _slot_kernel(p_stop: np.ndarray, next_b: np.ndarray, Pe: np.ndarray,
                             shape=(p_stop.size, p_stop.size))
 
 
-def _chain_gains(K: sparse.coo_array, r: np.ndarray) -> np.ndarray:
-    """Long-run averages of per-slot rewards on the slot chain ``K``.
+def _chain_gains(K, r: np.ndarray) -> np.ndarray:
+    """Long-run averages of per-slot rewards on the slot chain ``K`` (a
+    scipy COO array, as ``_slot_kernel`` returns).
 
     Solves g + gain = r + K g with g pinned at state 0 and returns x with
     the gain in ``x[0]`` and g[1:] in ``x[1:]``; the gain is pi @ r for the
@@ -153,9 +154,19 @@ def _chain_gains(K: sparse.coo_array, r: np.ndarray) -> np.ndarray:
     closed = n_cls - len(np.unique(cls[K.row][cls[K.row] != cls[K.col]]))
     if closed > 1:
         raise NoConvergence(f"the rule's chain has {closed} recurrent classes")
-    # pinning g[0] = 0 frees column 0 of I - K for the gain
-    A = sparse.hstack(
-        [np.ones((m, 1)), (sparse.eye_array(m) - K).tocsc()[:, 1:]], "csc")
+    # pinning g[0] = 0 frees column 0 of I - K for the gain: A = [1 | (I -
+    # K)[:, 1:]], built from K's triples.  A skip and a stop that meet at
+    # the cap add up in K before I - K subtracts them, so the diagonal sums
+    # them first too; an exact 0 of I - K is left out, as the subtraction
+    # leaves it out
+    on = K.row == K.col
+    diag = 1.0 - np.bincount(K.row[on], K.data[on], minlength=m)
+    d = np.flatnonzero(diag[1:]) + 1
+    off = (K.col > 0) & ~on
+    A = sparse.csc_array(
+        (np.concatenate([np.ones(m), diag[d], -K.data[off]]),
+         (np.concatenate([np.arange(m), d, K.row[off]]),
+          np.concatenate([np.zeros(m, int), d, K.col[off]]))), shape=(m, m))
     x = spsolve(A, r)
     resid = np.abs(A @ x - r).max()
     if not resid <= 1e-6:
@@ -331,25 +342,38 @@ def _tail_rate(b, y, t, m):
     ln((1 + y b)^2 (g + h_a)^2 / (4 g y)) while both channels get power,
     and ln(1 + g b) once g >= h_b = y / (1 - y b) (never when y b >= 1).
     Every piece is a sum of ln(g + s) terms, so its tail mean is closed
-    form; no quadrature runs over g.
+    form; no quadrature runs over g.  Each piece is evaluated only on the
+    elements it applies to: the two-channel pieces where y > 0, the top
+    piece where h_b is finite.
     """
+    b, y, t = np.broadcast_arrays(b, y, t)
+    out = np.empty(b.shape)
+
+    def alone(b, u):  # mean of ln(1 + g b) over g >= u
+        return np.log(b) + _log_mean(u, 1.0 / b, m)
+
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        h_a = y / (1.0 + y * b)
+        pair = y > 0
+        solo = ~pair
+        out[solo] = np.exp(-t[solo] / m) * alone(b[solo], t[solo])
+        b, y, t = b[pair], y[pair], t[pair]
+        yb = y * b
+        h_a = y / (1.0 + yb)
         lo = np.maximum(t, h_a)
-        h_b = np.maximum(np.where(y * b < 1.0, y / (1.0 - y * b), np.inf), lo)
+        h_b = np.maximum(np.where(yb < 1.0, y / (1.0 - yb), np.inf), lo)
+        log1p_yb = np.log1p(yb)
+        c = 2.0 * log1p_yb - np.log(4.0 * y)
 
-        def both(u):  # mean of the two-channel rate over g >= u
-            return (2.0 * np.log1p(y * b) - np.log(4.0 * y)
-                    + 2.0 * _log_mean(u, h_a, m) - _log_mean(u, 0.0, m))
+        def both(u, k):  # mean of the two-channel rate over g >= u, at k
+            return c[k] + 2.0 * _log_mean(u, h_a[k], m) - _log_mean(u, 0.0, m)
 
-        def alone(u):  # mean of ln(1 + g b) over g >= u
-            return np.log(b) + _log_mean(u, 1.0 / b, m)
-
-        top = np.where(np.isfinite(h_b),
-                       np.exp(-h_b / m) * (alone(h_b) - both(h_b)), 0.0)
-        mixed = (np.log1p(y * b) * (np.exp(-t / m) - np.exp(-lo / m))
-                 + np.exp(-lo / m) * both(lo) + top)
-        return np.where(y > 0, mixed, np.exp(-t / m) * alone(t))
+        fin = np.isfinite(h_b)
+        hb = h_b[fin]
+        top = np.zeros(len(y))
+        top[fin] = np.exp(-hb / m) * (alone(b[fin], hb) - both(hb, fin))
+        out[pair] = (log1p_yb * (np.exp(-t / m) - np.exp(-lo / m))
+                     + np.exp(-lo / m) * both(lo, ...) + top)
+    return out
 
 
 def _exp_nodes(b, G, m):

@@ -338,6 +338,32 @@ def _tail_rate_bits(b, hc, hstar):
     return (common + both + private) / np.log(2.0)
 
 
+def full_array_tail_rate(b, y, t, m):
+    """``savetx.solver._tail_rate`` with every piece evaluated on every
+    element and the unused ones masked out by ``np.where``: the same
+    per-element arithmetic, so the two agree bit for bit, where the solver
+    evaluates each piece only on the elements it applies to."""
+    from savetx.solver import _log_mean
+
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        h_a = y / (1.0 + y * b)
+        lo = np.maximum(t, h_a)
+        h_b = np.maximum(np.where(y * b < 1.0, y / (1.0 - y * b), np.inf), lo)
+
+        def both(u):
+            return (2.0 * np.log1p(y * b) - np.log(4.0 * y)
+                    + 2.0 * _log_mean(u, h_a, m) - _log_mean(u, 0.0, m))
+
+        def alone(u):
+            return np.log(b) + _log_mean(u, 1.0 / b, m)
+
+        top = np.where(np.isfinite(h_b),
+                       np.exp(-h_b / m) * (alone(h_b) - both(h_b)), 0.0)
+        mixed = (np.log1p(y * b) * (np.exp(-t / m) - np.exp(-lo / m))
+                 + np.exp(-lo / m) * both(lo) + top)
+        return np.where(y > 0, mixed, np.exp(-t / m) * alone(t))
+
+
 def _q_rho1(b, gamma, ps):
     """(P(R >= gamma), E[R 1{R >= gamma}]) given battery b, gains exp(1).
 

@@ -1,15 +1,20 @@
-"""Every exported name resolves, and importing savetx needs numpy alone.
+"""Every exported name resolves, every annotation resolves, and importing
+savetx needs numpy alone.
 
 Tools that walk a module's ``__all__`` (tracing wrappers, ``from savetx
 import *``) fail on the first stale entry, so a name removed from a module
 must leave its ``__all__`` too.  scipy is imported inside the functions that
-use it, so a run that needs none of them never pays for loading it.
+use it, so a run that needs none of them never pays for loading it; so no
+annotation names a scipy type, which ``typing.get_type_hints`` could not
+resolve.
 """
 import importlib
+import inspect
 import json
 import os
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import pytest
@@ -30,6 +35,19 @@ def test_layer_all_resolves(layer):
     mod = importlib.import_module(f"savetx.{layer}")
     missing = [name for name in mod.__all__ if not hasattr(mod, name)]
     assert missing == []
+
+
+@pytest.mark.parametrize("layer", ["solver", "simulate", "power"])
+def test_type_hints_resolve(layer):
+    mod = importlib.import_module(f"savetx.{layer}")
+    functions = [f for f in vars(mod).values()
+                 if inspect.isfunction(f) and f.__module__ == mod.__name__]
+    functions += [f for c in vars(mod).values()
+                  if inspect.isclass(c) and c.__module__ == mod.__name__
+                  for f in vars(c).values() if inspect.isfunction(f)]
+    assert len(functions) >= 5
+    for f in functions:
+        typing.get_type_hints(f)
 
 
 def test_star_import():

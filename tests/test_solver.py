@@ -8,15 +8,16 @@ import pytest
 
 import savetx as sx
 import savetx.simulate
+import savetx.solver
 from savetx.errors import NoConvergence, PeriodOverflow, UnsupportedKind
 from savetx.tables import format_value
 from savetx.solver import MAX_DP_STATES, _carried_chain, _cell_moments, \
-    _chain_gains, _slot_kernel, _stop_moments, _threshold_chain, \
-    _threshold_gain
+    _chain_gains, _slot_kernel, _stop_moments, _tail_rate, \
+    _threshold_chain, _threshold_gain
 
 from oracles import SmallConfig, enumerate_best_policy, \
-    exact_threshold_metrics, fig3_oracle_config, grid_rule, \
-    markov_workload_config, policy_gains, random_small_config
+    exact_threshold_metrics, fig3_oracle_config, full_array_tail_rate, \
+    grid_rule, markov_workload_config, policy_gains, random_small_config
 
 
 def fig3_model(p_s):
@@ -495,6 +496,156 @@ class TestStopMoments:
                           private=sx.GainDistribution.constant(h[i]))
             p1, r1 = _stop_moments(one, b, gamma)
             assert p[i] == p1[i] and r[i] == r1[i]
+
+
+def tail_regimes(b, y, t):
+    """Masks of the regimes of ``_tail_rate``'s pieces: one channel (y =
+    0), an infinite h_b (y b >= 1), t < h_a, h_a <= t < h_b and t >= h_b."""
+    with np.errstate(divide="ignore"):
+        yb = y * b
+        h_a = y / (1.0 + yb)
+        h_b = np.where(yb < 1.0, y / (1.0 - yb), np.inf)
+    pair = (y > 0) & (yb < 1.0)
+    return [y == 0, (y > 0) & (yb >= 1.0), pair & (t < h_a),
+            pair & (h_a <= t) & (t < h_b), pair & (t >= h_b)]
+
+
+class TestTailRate:
+    def test_equals_full_array_form(self):
+        """Evaluating each piece only where it applies changes no bit of
+        the full-array form, which evaluates every piece everywhere."""
+        rng = np.random.default_rng(20)
+        # battery levels as a column, as _stop_moments passes them
+        b = 10.0 ** rng.uniform(-2.0, 2.0, (120, 1))
+        kind = rng.integers(5, size=(120, 100))
+        u = rng.uniform(0.01, 0.99, kind.shape)
+        y = np.select([kind == 0, kind == 1],
+                      [0.0, (1.0 + rng.exponential(1.0, kind.shape)) / b],
+                      u / b)
+        h_a, h_b = y / (1.0 + u), y / (1.0 - u)
+        t = np.select(
+            [kind == 0, kind == 1, kind == 2, kind == 3],
+            [rng.exponential(2.0, kind.shape),
+             2.0 * h_a * rng.exponential(1.0, kind.shape),
+             h_a * rng.random(kind.shape),
+             h_a + (h_b - h_a) * rng.random(kind.shape)],
+            h_b * (1.0 + rng.exponential(0.5, kind.shape)))
+        regimes = tail_regimes(np.broadcast_to(b, y.shape), y, t)
+        assert min(mask.sum() for mask in regimes) >= 1500
+        assert sum(mask.sum() for mask in regimes) == y.size
+        for m in (0.5, 1.0, 2.5):
+            r = _tail_rate(b, y, t, m)
+            assert np.isfinite(r).all()
+            assert np.array_equal(r, full_array_tail_rate(b, y, t, m))
+            # flat, with one battery level per element
+            flat = [a.ravel() for a in np.broadcast_arrays(b, y, t)]
+            assert np.array_equal(_tail_rate(*flat, m), r.ravel())
+
+    @pytest.mark.parametrize("b, y, t", [
+        (3.0, 0.0, 0.7), (2.0, 0.8, 0.1), (0.5, 1.0, 0.3), (0.5, 1.0, 1.2),
+        (0.5, 1.0, 3.0)],
+        ids=["one-channel", "no-h_b", "below-h_a", "two-channel", "above-h_b"])
+    def test_matches_adaptive_quadrature(self, b, y, t):
+        """Against scipy's adaptive quadrature of the rate in nats times
+        the exponential density, over g >= t, split at h_a and h_b."""
+        from scipy import integrate
+
+        m = 1.5
+        assert sum(mask for mask in tail_regimes(b, y, t)).item() == 1
+        h_a = y / (1.0 + y * b)
+        h_b = y / (1.0 - y * b) if y * b < 1.0 else math.inf
+        edges = [t] + [x for x in (h_a, h_b) if t < x < math.inf] \
+            + [math.inf]
+        ref = sum(integrate.quad(
+            lambda g: sx.stop_rate(b, g, y, 1, math.e) * math.exp(-g / m)
+            / m, lo, hi, epsabs=1e-14, epsrel=1e-12)[0]
+            for lo, hi in zip(edges, edges[1:]))
+        assert _tail_rate(b, y, t, m) == pytest.approx(ref, rel=1e-10, abs=0)
+
+
+class TestChainGains:
+    @staticmethod
+    def threshold_chains(monkeypatch, b_max_units, gamma):
+        """Every (K, r) that ``_threshold_chain`` solves on fig4's model
+        (harvest units {0, 4}) at p_s 0.5, up to the full cap."""
+        seen = []
+
+        def spy(K, r):
+            seen.append((K, r))
+            return _chain_gains(K, r)
+
+        model = replace(iid_model(0.5), b_max_units=b_max_units)
+        with monkeypatch.context() as patch:
+            patch.setattr(savetx.solver, "_chain_gains", spy)
+            _threshold_chain(model, gamma, mass_tol=-1.0)
+        return seen
+
+    @staticmethod
+    def check(K, r):
+        """``_chain_gains`` against a dense solve of [1 | (I - K)[:, 1:]],
+        and bit for bit against the same matrix built by sparse algebra."""
+        from scipy import sparse
+        from scipy.sparse.linalg import spsolve
+
+        m = K.shape[0]
+        x = _chain_gains(K, r)
+        A = np.eye(m) - K.toarray()
+        A[:, 0] = 1.0
+        assert np.abs(x - np.linalg.solve(A, r)).max() <= 1e-13
+        A = sparse.hstack(
+            [np.ones((m, 1)), (sparse.eye_array(m) - K).tocsc()[:, 1:]],
+            "csc")
+        assert np.array_equal(x, spsolve(A, r))
+
+    @pytest.mark.parametrize("b_max_units", [10, 200])
+    @pytest.mark.parametrize("gamma", [0.0, 1.5, 4.0])
+    def test_matches_dense_solve(self, monkeypatch, b_max_units, gamma):
+        solves = self.threshold_chains(monkeypatch, b_max_units, gamma)
+        assert len(solves) == (1 if b_max_units == 10 else 3)
+        for K, r in solves:
+            self.check(K, r)
+
+    def test_entries_meeting_at_the_cap(self, monkeypatch):
+        # at a 4-unit cap a skip and a stop from the top level land on the
+        # same cell, the top itself included, and K holds both entries
+        for gamma in np.linspace(0.0, 4.0, 41):
+            (K, r), = self.threshold_chains(monkeypatch, 4, gamma)
+            top = (K.row == K.col) & (K.row == K.shape[0] - 1)
+            assert top.sum() == 2
+            self.check(K, r)
+
+    def test_random_kernels_with_meeting_entries(self):
+        """Slot chains on (b, e, h) whose largest harvest fills the
+        battery from empty, so that every skip and stop with that harvest
+        meet at the cap, with random stop probabilities and chains.  I - K
+        sums the two entries before subtracting them from 1, and summing in
+        the other order moves the solution in the last bits."""
+        rng = np.random.default_rng(21)
+        nb, ne, nh = 6, 3, 2
+        next_b = np.minimum(np.arange(nb)[:, None] + [0, 2, nb], nb - 1)
+        for _ in range(40):
+            p = rng.random((nb, ne, nh))
+            p[0] = 0.0
+            Pe, Ph = rng.dirichlet(np.ones(ne), ne), \
+                rng.dirichlet(np.ones(nh), nh)
+            self.check(_slot_kernel(p, next_b, Pe, Ph),
+                       rng.random((p.size, 2)))
+
+    def test_two_closed_classes_refused(self):
+        from scipy import sparse
+
+        # {0, 1} and {2} are closed, and 3 leaks into both
+        K = sparse.coo_array(([0.5, 0.5, 1.0, 1.0, 0.3, 0.7],
+                              ([0, 0, 1, 2, 3, 3], [0, 1, 0, 2, 0, 2])),
+                             shape=(4, 4))
+        with pytest.raises(NoConvergence, match="2 recurrent classes"):
+            _chain_gains(K, np.ones(4))
+        # a harvest chain that never leaves its state: the empty battery
+        # without harvest is closed, and so are the harvesting levels
+        model = replace(iid_model(0.5), eh=sx.MarkovChainSpec(
+            [0.0, 4.0], [[1.0, 0.0], [0.0, 1.0]]))
+        with pytest.raises(NoConvergence, match="2 recurrent classes"):
+            sx.threshold_metrics(model, 1.5)
 
 
 class TestThresholdMetrics:
