@@ -4,11 +4,13 @@ Two budget regimes: ``stop_rate`` spends a whole battery in one slot (the
 save-then-transmit case), water-filling it over both channels when the
 common channel is held; ``conventional_power`` and ``solve_water_level``
 hold an average-power constraint (the conventional-supply benchmark).
-``stop_rate`` is one branch-free ``np.where`` expression over the broadcast
-arguments, with no access taken as a common channel of gain 0.
+``stop_rate`` is branch-free arithmetic over the broadcast arguments, with
+no access taken as a common channel of gain 0: the interior split, clipped
+to the budget, is the water-filling split, and only entries whose gains
+are both below 1/DBL_MAX are selected with ``np.where``.
 
 Importing this module needs numpy alone: scipy's exponential integral and
-root finder are imported inside ``_mean_power`` and ``solve_water_level``,
+root finder are imported inside ``_power_curve`` and ``solve_water_level``,
 on first use.
 """
 from __future__ import annotations
@@ -52,27 +54,44 @@ def stop_rate(b, h, hc, phi, base: float = 2.0):
     goes to the stronger (live) channel.  Without access everything goes
     to the private channel.  Accepts scalars or broadcastable arrays and
     returns their broadcast shape (a float for scalars); an empty or
-    negative battery gives rate 0.
+    negative battery gives rate 0, and gains are >= 0.
+
+    The private power is the interior split b/2 + (1/cc - 1/h)/2 clipped
+    to [0, b]: past either end the clip is the corner, all to the stronger
+    channel, and a dead channel's reciprocal is +inf, so it never wins.
+    Where both reciprocals are +inf (both gains 0 or below 1/DBL_MAX)
+    their difference is NaN, and those entries take the corner by
+    comparing gains.
+    Every value equals, bit for bit, that of the form which selects the
+    interior and corner cases with ``np.where``.
     """
     b, h, hc, phi = (np.asarray(a) for a in (b, h, hc, phi))
     b = np.fmax(b, 0.0)  # fmax also sends a NaN battery to 0
     live = phi == 1
+    shape = np.broadcast(b, h, hc, phi).shape
     if live.any():
-        # no access is a dead common channel: its term below is log(1) = 0
-        cc = np.where(live, hc, 0.0)
-        both = (h > 0) & (cc > 0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            gap = np.where(both, 1.0 / cc - 1.0 / h, 0.0)
-        interior = both & (np.abs(gap) < b)
-        # outside the interior the whole budget goes to the stronger
-        # channel, and a dead one (gain 0 or no access) never wins
-        p_pri = np.where(interior, 0.5 * (b + gap),
-                         np.where(h >= cc, b, 0.0))
-        rate = (_log(1.0 + h * p_pri, base)
-                + _log(1.0 + cc * (b - p_pri), base))
+        # no access is a dead common channel: its term below is log(1) = 0;
+        # abs sends a gain of -0.0 to +0.0, whose reciprocal is +inf
+        cc = hc * live
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            gap = 1.0 / np.abs(cc) - 1.0 / np.abs(h)
+            p_pri = np.add(b, gap, out=np.empty(shape))
+        # from here each step writes into p_pri or rate
+        p_pri *= 0.5
+        # fmin first: a NaN gap (both gains below 1/DBL_MAX) gives b
+        np.fmin(p_pri, b, out=p_pri)
+        np.fmax(p_pri, 0.0, out=p_pri)
+        lost = np.isnan(gap)
+        if lost.any():
+            p_pri = np.where(lost, b * (h >= cc), p_pri)
+        rate = np.multiply(h, p_pri, out=np.empty(shape))
+        _log(np.add(rate, 1.0, out=rate), base, out=rate)
+        common = np.subtract(b, p_pri, out=p_pri)
+        common *= cc
+        rate += _log(np.add(common, 1.0, out=common), base, out=common)
     else:
-        rate = _log(1.0 + h * b, base,
-                    out=np.empty(np.broadcast(b, h, hc, phi).shape))
+        rate = np.multiply(h, b, out=np.empty(shape))
+        _log(np.add(rate, 1.0, out=rate), base, out=rate)
     return rate if rate.shape else float(rate)
 
 
@@ -87,22 +106,24 @@ def check_gamma(gamma) -> float:
 def conventional_power(h: float, level: WaterLevel):
     """Water-filling power (1/xi - 1/h)^+ for a conventional supply."""
     h = np.asarray(h, dtype=float)
-    with np.errstate(divide="ignore"):
+    # a gain below 1/DBL_MAX overflows 1/h to inf, whose power is 0
+    with np.errstate(divide="ignore", over="ignore"):
         p = np.where(h > 0, 1.0 / level.xi - 1.0 / np.where(h > 0, h, 1.0),
                      0.0)
     p = np.maximum(p, 0.0)
     return float(p) if p.shape == () else p
 
 
-def _mean_power(dist: GainDistribution, xi: float) -> float:
-    """E[(1/xi - 1/H)^+] under a gain distribution, exact: a closed form
-    for an exponential gain, a sum for the others.
+def _power_curve(dist: GainDistribution):
+    """The function xi -> E[(1/xi - 1/H)^+] under a gain distribution,
+    exact: a closed form for an exponential gain, a sum for the others.
 
     Markov gains enter through their stationary distribution (the power
-    constraint is a long-run average).
+    constraint is a long-run average), solved here once per curve.
     """
     if dist.kind == "constant":
-        return max(1.0 / xi - 1.0 / dist.value, 0.0) if dist.value > 0 else 0.0
+        g = dist.value
+        return lambda xi: max(1.0 / xi - 1.0 / g, 0.0) if g > 0 else 0.0
     if dist.kind in ("discrete", "markov"):
         if dist.kind == "markov":
             from .models import stationary_distribution
@@ -112,17 +133,25 @@ def _mean_power(dist: GainDistribution, xi: float) -> float:
         else:
             vals = np.asarray(dist.values)
             probs = np.asarray(dist.probabilities)
-        p = np.where(vals > 0,
-                     np.maximum(1.0 / xi - 1.0 / np.where(vals > 0, vals, 1.0),
-                                0.0), 0.0)
-        return float(p @ probs)
+        with np.errstate(over="ignore"):  # a gain below 1/DBL_MAX
+            inv = 1.0 / np.where(vals > 0, vals, 1.0)
+
+        def atoms(xi: float) -> float:
+            p = np.where(vals > 0, np.maximum(1.0 / xi - inv, 0.0), 0.0)
+            return float(p @ probs)
+
+        return atoms
     from scipy.special import exp1
 
     # exponential of mean m, z = xi / m:
     # int_xi^inf (1/xi - 1/g) e^(-g/m) / m dg = e^(-z) / xi - E1(z) / m
     m = dist.mean
-    z = xi / m
-    return float(math.exp(-z) / xi - exp1(z) / m)
+
+    def exponential(xi: float) -> float:
+        z = xi / m
+        return float(math.exp(-z) / xi - exp1(z) / m)
+
+    return exponential
 
 
 def solve_water_level(private: GainDistribution, common: GainDistribution,
@@ -137,8 +166,10 @@ def solve_water_level(private: GainDistribution, common: GainDistribution,
     if not p_bar > 0:  # NaN fails the comparison
         raise ValueError("p_bar must be > 0")
 
+    private_power, common_power = _power_curve(private), _power_curve(common)
+
     def total(xi: float) -> float:
-        return _mean_power(private, xi) + access.p_s * _mean_power(common, xi)
+        return private_power(xi) + access.p_s * common_power(xi)
 
     from scipy import optimize
 

@@ -33,8 +33,7 @@ import numpy as np
 
 from .errors import PeriodOverflow
 from .models import GainDistribution, SystemModel, stationary_distribution
-from .power import check_gamma, conventional_power, solve_water_level, \
-    stop_rate
+from .power import check_gamma, solve_water_level, stop_rate
 from .tables import emit_csv
 
 __all__ = [
@@ -229,9 +228,11 @@ def _refill(take, cur, taken, n_periods: int):
     """Hand each lane in the (rows, lanes) mask ``take`` its row's next
     period index, in lane order, or -1 once the row's ``n_periods``
     indices are out.  Returns the new ``cur`` and ``taken``."""
-    idx = taken[:, None] + np.cumsum(take, axis=1) - 1
-    cur = np.where(take, np.where(idx < n_periods, idx, -1), cur)
-    return cur, np.minimum(idx[:, -1] + 1, n_periods)
+    # integer arithmetic on the masks, not np.where: the next index (1-based
+    # here), or -1 past the queue, and it replaces ``cur`` where ``take``
+    nxt = taken[:, None] + np.cumsum(take, axis=1)
+    new = nxt * (nxt <= n_periods) - 1
+    return cur + take * (new - cur), np.minimum(nxt[:, -1], n_periods)
 
 
 def _run_block(policies, model, warm_per_lane: int, n_periods: int, rng,
@@ -286,11 +287,13 @@ def _run_block(policies, model, warm_per_lane: int, n_periods: int, rng,
     cur, taken = _refill(left == 0, np.full((rows, lanes), -1),
                          np.zeros(rows, dtype=np.int64), n_periods)
     # per lane: sums of the recorded periods' T, R - shift T and count,
-    # with shift the row's first recorded R / T; ``done`` takes a row's
-    # sums as it leaves
+    # with shift the row's first recorded R / T (0 until it is set, so that
+    # a product with the recorded mask stays finite); ``done`` takes a
+    # row's sums as it leaves
     sums = np.zeros((rows, 3, lanes))
     done = np.empty_like(sums)
-    shift = np.full(rows, np.nan)
+    shift = np.zeros(rows)
+    unset = np.ones(rows, dtype=bool)
     # float records hold period lengths and access flags exactly
     rec = {k: np.empty(n_periods)
            for k in ("T", "rate", "b", "phi", "h", "hc")} if trace else None
@@ -322,13 +325,16 @@ def _run_block(policies, model, warm_per_lane: int, n_periods: int, rng,
         e_val = eh_vals[e_idx]
 
         recorded = stop & (cur >= 0)
-        unset = np.isnan(shift[live])
-        if unset.any():  # a row's first records, lowest lane first
-            first = np.flatnonzero(unset & recorded.any(axis=1))
+        fresh = unset[live]
+        if fresh.any():  # a row's first records, lowest lane first
+            first = np.flatnonzero(fresh & recorded.any(axis=1))
             s = recorded[first].argmax(axis=1)
             shift[live[first]] = rate[first, s] / T_cur[first, s]
-        sums[:, 0] += np.where(recorded, T_cur, 0)
-        sums[:, 1] += np.where(recorded, rate - shift[live, None] * T_cur, 0.0)
+            unset[live[first]] = False
+        # every term is finite, so a product with the mask adds exactly
+        # what np.where would select
+        sums[:, 0] += T_cur * recorded
+        sums[:, 1] += (rate - shift[live, None] * T_cur) * recorded
         sums[:, 2] += recorded
         if trace and live[0] == 0:
             s0 = np.flatnonzero(recorded[0])
@@ -341,10 +347,11 @@ def _run_block(policies, model, warm_per_lane: int, n_periods: int, rng,
         cur, taken = _refill(take, cur, taken, n_periods)
 
         # the stop slot's harvest seeds the next period's battery
-        b_next = np.where(stop, e_val, b + e_val)
+        b_next = b * ~stop
+        b_next += e_val
         clips[live] += (b_next > cap).sum(axis=1)
         b = np.minimum(b_next, cap)
-        T_cur = np.where(stop, 0, T_cur)
+        T_cur *= ~stop
         going = (taken < n_periods) | (cur >= 0).any(axis=1)
         if not going.all():
             slots_run[live[~going]] = slots
@@ -496,10 +503,16 @@ def run_supplies(model, p_bar: float, n_slots: int, seed: int, *,
     engine's generator at ``seed``.  Each slot draws the access uniform
     and both gains, then steps the harvest chain; each block of
     ``_SUPPLY_BLOCK`` slots is spent by both supplies of each model at
-    once.  Each lane sums its deviations from the first slot's values, and
-    ``_fold`` takes those sums into the engine's lane groups once, at the
-    end, so the standard errors are NaN with fewer streams than
-    ``N_BATCHES``.
+    once.  A block computes what no p_s changes once: best-effort's rates
+    without and with access, and the gains' reciprocals.  Each model then
+    adds only its access mask, its water level's powers and rates, and a
+    choice between the two best-effort rates, made by multiplying them
+    with the mask and its complement; no value is selected with
+    ``np.where``, and every value is what a spend per model and slot
+    gives, bit for bit.  Each lane sums its deviations from the first
+    slot's values, and ``_fold`` takes those sums into the engine's lane
+    groups once, at the end, so the standard errors are NaN with fewer
+    streams than ``N_BATCHES``.
     Throughput is total rate over total slots, exact when the per-slot
     rate is constant; the realized average power is reduced the same way.
     """
@@ -521,41 +534,75 @@ def run_supplies(model, p_bar: float, n_slots: int, seed: int, *,
     common = _GainSampler(model.common)
     eh_cum = _cum_table(model.eh.transition)
     eh_vals = np.asarray(model.eh.states)
-    logf = np.log2 if model.log_base == 2.0 else np.log
+    base = model.log_base
+    logf = np.log2 if base == 2.0 else np.log
     rng = _rng(seed)
     e_idx = _first_harvest(model, rng, streams)
     h_idx = private.init(rng, streams)
 
-    shifts = [None] * len(models)
     # per model and lane: best-effort rate, conventional rate and power,
-    # less shifts
+    # less shifts (each model's first values of them)
     sums = np.zeros((len(models), 3, streams))
+    shifts = np.empty((len(models), 3))
+
+    def spend(k, j, v):
+        """Add the block's values ``v`` of model ``k``'s value ``j`` to
+        its lane sums, less its shift; ``v`` is a scratch buffer."""
+        if first == 0:
+            shifts[k, j] = v[0, 0]
+        v -= shifts[k, j]
+        sums[k, j] += v.sum(axis=0)
+
+    # buffers for a block's draws, its gains' reciprocals and one model's
+    # values at a time, allocated once; a short last block uses their heads
+    draws = np.empty((4, _SUPPLY_BLOCK, streams))
+    inverses = np.empty((2, _SUPPLY_BLOCK, streams))
+    work = np.empty((3, _SUPPLY_BLOCK, streams))
+    masks = np.empty((2, _SUPPLY_BLOCK, streams), dtype=bool)
     for first in range(0, slots, _SUPPLY_BLOCK):
         n = min(_SUPPLY_BLOCK, slots - first)
-        u, h, hc, budget = np.empty((4, n, streams))
+        u, h, hc, budget = draws[:, :n]
         for i in range(n):
             budget[i] = eh_vals[e_idx]
             u[i], h[i], h_idx, hc[i] = _draw_slot(private, common, h_idx, rng,
                                                   streams)
             e_idx = _step_chain(eh_cum, e_idx, rng, streams)
+        # what no p_s changes, once per block: best-effort's rates without
+        # and with access, and the gains' reciprocals (+inf at a gain of 0,
+        # where the water-filling power is 0)
+        rate_off = stop_rate(budget, h, hc, 0, base)
+        rate_on = stop_rate(budget, h, hc, 1, base)
+        inv_h, inv_hc = inverses[:, :n]
+        with np.errstate(divide="ignore", over="ignore"):
+            np.divide(1.0, np.abs(h, out=inv_h), out=inv_h)
+            np.divide(1.0, np.abs(hc, out=inv_hc), out=inv_hc)
+        p, pc, cv = work[:, :n]
+        on, off = masks[:, :n]
         for k, (m, level) in enumerate(zip(models, levels)):
-            phi = _access(u, m.access.p_s)
-            live = phi == 1
-            p = conventional_power(h, level)
-            pc = np.where(live, conventional_power(hc, level), 0.0)
-            values = (stop_rate(budget, h, hc, phi, model.log_base),
-                      logf(1.0 + h * p) + np.where(live, logf(1.0 + hc * pc),
-                                                   0.0),
-                      p + pc)
-            if shifts[k] is None:
-                shifts[k] = [float(v[0, 0]) for v in values]
-            for acc, v, c in zip(sums[k], values, shifts[k]):
-                acc += (v - c).sum(axis=0)
+            np.less(u, m.access.p_s, out=on)
+            np.logical_not(on, out=off)
+            # best-effort takes one of its two rates: multiplied by the
+            # masks, the other is exactly 0
+            be = np.multiply(rate_off, off, out=p)
+            be += np.multiply(rate_on, on, out=pc)
+            spend(k, 0, be)
+            # conventional water-fills (1/xi - 1/gain)^+ on each channel;
+            # off access pc = 0, whose term log(1 + hc pc) is exactly 0
+            top = 1.0 / level.xi
+            np.maximum(np.subtract(top, inv_h, out=p), 0.0, out=p)
+            np.maximum(np.subtract(top, inv_hc, out=pc), 0.0, out=pc)
+            pc *= on
+            logf(np.add(np.multiply(h, p, out=cv), 1.0, out=cv), out=cv)
+            p += pc  # the power spent
+            cv += logf(np.add(np.multiply(hc, pc, out=pc), 1.0, out=pc),
+                       out=pc)
+            spend(k, 1, cv)
+            spend(k, 2, p)
     # a supply's period is one slot, so each lane's T and count are its
     # slots, and the mean length is exact, with fewer lanes than groups too
     T = np.full(streams, float(slots))
     pairs = []
-    for c3, dev3 in zip(shifts, sums):
+    for c3, dev3 in zip(shifts.tolist(), sums):
         be, cv, power = (_fold(c, T, dev, T, cap_hit_fraction=0.0,
                                se_saving_time=0.0)
                          for c, dev in zip(c3, dev3))

@@ -35,6 +35,32 @@ def oracle_rate(b, h, hc, phi, base=2.0):
     return float(logf(1 + g * b))
 
 
+def where_stop_rate(b, h, hc, phi, base=2.0):
+    """``savetx.stop_rate`` as the branches it clips together, each case
+    selected by ``np.where`` over the broadcast arguments: the same
+    per-element arithmetic, so the two agree bit for bit."""
+    logf = np.log2 if base == 2.0 else np.log
+    b, h, hc, phi = (np.asarray(a) for a in (b, h, hc, phi))
+    b = np.fmax(b, 0.0)  # fmax also sends a NaN battery to 0
+    live = phi == 1
+    if live.any():
+        # no access is a dead common channel: its term below is log(1) = 0
+        cc = np.where(live, hc, 0.0)
+        both = (h > 0) & (cc > 0)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            gap = np.where(both, 1.0 / cc - 1.0 / h, 0.0)
+        interior = both & (np.abs(gap) < b)
+        # outside the interior the whole budget goes to the stronger
+        # channel, and a dead one (gain 0 or no access) never wins
+        p_pri = np.where(interior, 0.5 * (b + gap),
+                         np.where(h >= cc, b, 0.0))
+        rate = logf(1.0 + h * p_pri) + logf(1.0 + cc * (b - p_pri))
+    else:
+        rate = logf(1.0 + h * b, out=np.empty(np.broadcast(b, h, hc,
+                                                            phi).shape))
+    return rate if rate.shape else float(rate)
+
+
 def best_grid_split(b, h, hc, n=10_000, base=2.0):
     """Exhaustive split search for the two-channel allocation."""
     logf = np.log2 if base == 2.0 else np.log

@@ -1,3 +1,6 @@
+import itertools
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,7 +9,14 @@ from scipy import integrate, optimize, special
 import savetx as sx
 from savetx.errors import NoBracket
 
-from oracles import Split, best_grid_split, split_rate, water_fill_two_channel
+from oracles import Split, best_grid_split, split_rate, \
+    water_fill_two_channel, where_stop_rate
+
+# gains from (negative) zero through the subnormals, whose reciprocals
+# overflow, to ordinary values; batteries from NaN and negative up to 1e300,
+# whose products with the subnormal gains still count
+GAINS = [0.0, -0.0, 5e-324, 1e-310, 1e-300, 0.3, 1.0, 7.0]
+BATTERIES = [np.nan, -1.0, 0.0, 1e-3, 1.0, 40.0, 1e300]
 
 
 class TestWaterFill:
@@ -152,6 +162,43 @@ class TestRateAtStop:
             assert vec[i] == pytest.approx(got, abs=1e-14)
 
 
+class TestStopRateOracle:
+    """``stop_rate`` clips the interior split; ``where_stop_rate`` selects
+    each case with ``np.where``.  They agree bit for bit, also where a
+    gain's reciprocal overflows."""
+
+    @pytest.mark.parametrize("base", [2.0, np.e])
+    def test_rows_by_lanes_equal_oracle(self, base):
+        h, hc, phi = (a.ravel() for a in np.meshgrid(GAINS, GAINS, [0, 1],
+                                                      indexing="ij"))
+        b = np.array(BATTERIES)[:, None]
+        for p in (phi, phi.astype(np.int8), 0, 1):
+            got = sx.stop_rate(b, h, hc, p, base)
+            want = where_stop_rate(b, h, hc, p, base)
+            assert got.shape == want.shape == (len(BATTERIES), len(h))
+            assert not np.isnan(got).any()
+            assert (got == want).all()
+
+    @pytest.mark.parametrize("base", [2.0, np.e])
+    def test_scalars_equal_oracle(self, base):
+        for b, h, hc, phi in itertools.product(BATTERIES, GAINS, GAINS,
+                                               [0, 1]):
+            assert sx.stop_rate(b, h, hc, phi, base) \
+                == where_stop_rate(b, h, hc, phi, base)
+
+    def test_tiny_gains_raise_no_warning(self):
+        # 1/h overflows to inf below 1/DBL_MAX; the values are still right
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert sx.stop_rate(1.0, 1e-310, 2.0, 1) == np.log2(3.0)
+            assert sx.stop_rate(1.0, 2.0, 1e-310, 1) == np.log2(3.0)
+            assert sx.conventional_power(np.array([1e-310]),
+                                         sx.WaterLevel(0.5)).tolist() == [0.0]
+            sx.solve_water_level(
+                sx.GainDistribution.discrete([1e-310, 1.0], [0.5, 0.5]),
+                sx.GainDistribution.constant(1.0), sx.AccessModel(0.5), 1.0)
+
+
 class TestConventionalPower:
     def test_boundary(self):
         assert sx.conventional_power(2.0, sx.WaterLevel(2.0)) == 0.0
@@ -204,14 +251,14 @@ class TestSolveWaterLevel:
     def test_exponential_mean_power_exact(self, m):
         # the closed form e^-z / xi - E1(z) / m, z = xi / m, against tight
         # quadrature; the default quad missed it by 3.4e-6 at m 5, xi 50
-        from savetx.power import _mean_power
+        from savetx.power import _power_curve
 
         dist = sx.GainDistribution.exponential(m)
         for xi in np.geomspace(1e-6, 50.0, 25):
             want, _ = integrate.quad(
                 lambda g: (1.0 / xi - 1.0 / g) * np.exp(-g / m) / m,
                 xi, np.inf, epsabs=0, epsrel=1e-12, limit=200)
-            assert _mean_power(dist, xi) == pytest.approx(want, rel=1e-12)
+            assert _power_curve(dist)(xi) == pytest.approx(want, rel=1e-12)
 
     def test_two_constant_channels(self):
         level = sx.solve_water_level(
@@ -227,11 +274,32 @@ class TestSolveWaterLevel:
         common = sx.GainDistribution.discrete([0.5, 4.0], [0.3, 0.7])
         level = sx.solve_water_level(private, common, sx.AccessModel(p_s),
                                      p_bar)
-        from savetx.power import _mean_power
+        from savetx.power import _power_curve
 
-        got = _mean_power(private, level.xi) \
-            + p_s * _mean_power(common, level.xi)
+        got = _power_curve(private)(level.xi) \
+            + p_s * _power_curve(common)(level.xi)
         assert got == pytest.approx(p_bar, rel=1e-6)
+
+    def test_stationary_law_once_per_solve(self, monkeypatch):
+        # the root search evaluates the mean power many times; a Markov
+        # gain's stationary law is solved once, for all of them
+        from savetx import models
+
+        calls = []
+        real = models.stationary_distribution
+        monkeypatch.setattr(models, "stationary_distribution",
+                            lambda chain: calls.append(chain) or real(chain))
+        chain = sx.MarkovChainSpec([0.25, 3.0], [[0.7, 0.3], [0.4, 0.6]])
+        level = sx.solve_water_level(sx.GainDistribution.markov(chain),
+                                     sx.GainDistribution.exponential(1.0),
+                                     sx.AccessModel(0.5), 2.0)
+        assert calls == [chain]
+        from savetx.power import _power_curve
+
+        got = _power_curve(sx.GainDistribution.markov(chain))(level.xi) \
+            + 0.5 * _power_curve(sx.GainDistribution.exponential(1.0))(
+                level.xi)
+        assert got == pytest.approx(2.0, rel=1e-9)
 
     def test_no_bracket(self):
         with pytest.raises(NoBracket):

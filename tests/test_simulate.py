@@ -613,6 +613,22 @@ class TestSupplyBlocks:
                 self.assert_same(g, w)
 
     @pytest.mark.parametrize("name", MODELS)
+    def test_unsorted_repeated_grid_matches_solo_calls(self, name):
+        # the models share each block's rates and reciprocals; a model at
+        # p_s 0 after one at 1 and before another one at 0 must neither
+        # change them nor see what the model before it spent
+        base = self.MODELS[name]()
+        models = [replace(base, access=sx.AccessModel(p))
+                  for p in (1.0, 0.0, 0.5, 0.0)]
+        n = 16 * 33 - 2
+        got = sx.run_supplies(models, 2.0, n, seed=7, streams=16)
+        for model, pair in zip(models, got):
+            want = sx.run_supplies(model, 2.0, n, seed=7, streams=16)
+            for g, w in zip(pair, want):
+                self.assert_same(g, w)
+        self.assert_same(got[1][0], got[3][0])
+
+    @pytest.mark.parametrize("name", MODELS)
     @pytest.mark.parametrize("short, streams, slots", SIZES)
     def test_conventional_matches_per_slot(self, name, short, streams, slots):
         (_, got), (_, want) = self.run_both(name, short, streams, slots, 5)
