@@ -49,6 +49,18 @@ def _out_dir(args):
     return make_dir(args.out) if args.out else None
 
 
+def _trace_file(args):
+    """``--trace`` as a path whose directory is created and whose file is
+    opened for writing before the pass (so a bad one fails first), or None
+    without the flag."""
+    if args.trace is None:
+        return None
+    path = Path(args.trace)
+    make_dir(path.parent)
+    write_text(path, "")
+    return path
+
+
 def _dump(payload: dict, out) -> None:
     text = json.dumps(payload, indent=2, default=float)
     if out is not None:
@@ -125,10 +137,13 @@ def _cmd_simulate(args) -> int:
     cfg = _load_config(args)
     p_s, model = _model(args, cfg)
     out = _out_dir(args)
+    # a threshold is checked before --trace is opened, a DP rule solved after
+    rule = _rule(args, cfg, model) if args.scheme == "threshold" else None
+    trace = _trace_file(args)
     mc = cfg.mc
     if args.scheme in ("threshold", "dp"):
-        m, = cfg.simulate(model, [_rule(args, cfg, model)],
-                          trace_path=args.trace)
+        m, = cfg.simulate(model, [rule or _rule(args, cfg, model)],
+                          trace_path=trace)
     else:
         best_effort, conventional = run_supplies(
             model, cfg.p_bar, mc["slots"], cfg.seed, streams=mc["streams"])

@@ -12,8 +12,10 @@ one refill pass of the period engine ``_run_block``, which draws from one
 generator; ``run_simulation`` is its one-rule form.  Each rule's lanes take
 period indices from a queue as they end periods, so a lane simulates
 unrecorded periods only in its warm-up and while it waits, idle, for its
-rule's last recorded periods to end.  The two benchmark supplies run as one
-pass, ``run_supplies``, which draws per slot in that order, spends per
+rule's last recorded periods to end.  A lane keeps only whether its
+running period is recorded; the queue counts its takers, and a trace alone
+keeps the traced rule's period indices.  The two benchmark supplies run as
+one pass, ``run_supplies``, which draws per slot in that order, spends per
 block of slots, and gives both supplies the same draws, as the engine gives
 its rules.  A pass of either may hold several p_s: its models differ only
 in the access probability, the draws serve them all, and each p_s compares
@@ -224,15 +226,25 @@ def _rule_tables(policies, model: SystemModel) -> np.ndarray:
     return np.stack(np.broadcast_arrays(*tables))
 
 
-def _refill(take, cur, taken, n_periods: int):
-    """Hand each lane in the (rows, lanes) mask ``take`` its row's next
-    period index, in lane order, or -1 once the row's ``n_periods``
-    indices are out.  Returns the new ``cur`` and ``taken``."""
-    # integer arithmetic on the masks, not np.where: the next index (1-based
-    # here), or -1 past the queue, and it replaces ``cur`` where ``take``
-    nxt = taken[:, None] + np.cumsum(take, axis=1)
-    new = nxt * (nxt <= n_periods) - 1
-    return cur + take * (new - cur), np.minimum(nxt[:, -1], n_periods)
+def _refill(take, recording, taken, n_periods: int):
+    """Queue the lanes in the (rows, lanes) mask ``take`` for their row's
+    next periods: a row's first ``n_periods - taken`` takers, in lane
+    order, run recorded periods, and the rest go idle.  ``recording``
+    marks the lanes whose running period is recorded; it is updated in
+    place and returned with the new ``taken``.  A row counts its takers,
+    and ranks them in lane order only in the slot its queue runs out."""
+    count = np.count_nonzero(take, axis=1)
+    room = n_periods - taken
+    recording |= take
+    short = np.flatnonzero(count > room)
+    if short.size:  # takers past the queue go idle
+        idle = take[short]
+        part = np.flatnonzero(room[short])  # the queue runs out here
+        if part.size:
+            idle[part] &= np.cumsum(idle[part], axis=1) > room[short[part],
+                                                               None]
+        recording[short] &= ~idle
+    return recording, np.minimum(taken + count, n_periods)
 
 
 def _run_block(policies, model, warm_per_lane: int, n_periods: int, rng,
@@ -250,6 +262,13 @@ def _run_block(policies, model, warm_per_lane: int, n_periods: int, rng,
     included when it starts, before its length is known, so the sample is
     free of length bias.  Rows share each slot's draws and keep their own
     batteries, so each gets what a pass of its rule alone would.
+
+    A lane keeps one flag, whether its running period is recorded, not
+    its period index: the records are summed per lane, so only a trace
+    needs indices, and only the traced row keeps them.  Work that can no
+    longer change anything is skipped: the warm-up count once every lane
+    has ended its warm-up, the leave test until some row's queue is out,
+    and the overflow test until the pass is longer than ``slot_cap``.
 
     Returns one Metrics per rule and, when ``trace``, the first rule's
     records ``T``, ``rate``, ``b``, ``phi``, ``h`` and ``hc`` in period
@@ -282,21 +301,28 @@ def _run_block(policies, model, warm_per_lane: int, n_periods: int, rng,
     h_idx = private.init(rng, lanes)
 
     T_cur = np.zeros((rows, lanes), dtype=np.int64)
-    left = np.full((rows, lanes), warm_per_lane)  # warm-up periods to end
-    # the index of each lane's running period; -1 when it is not recorded
-    cur, taken = _refill(left == 0, np.full((rows, lanes), -1),
-                         np.zeros(rows, dtype=np.int64), n_periods)
+    # warm-up periods each lane has left to end; None once all have ended
+    left = np.full((rows, lanes), warm_per_lane) if warm_per_lane else None
+    # the lanes whose running period is recorded
+    recording, taken = _refill(np.full((rows, lanes), left is None),
+                               np.zeros((rows, lanes), dtype=bool),
+                               np.zeros(rows, dtype=np.int64), n_periods)
     # per lane: sums of the recorded periods' T, R - shift T and count,
     # with shift the row's first recorded R / T (0 until it is set, so that
     # a product with the recorded mask stays finite); ``done`` takes a
-    # row's sums as it leaves
+    # row's sums as it leaves.  ``terms`` holds one slot's three terms,
+    # masked in place
     sums = np.zeros((rows, 3, lanes))
     done = np.empty_like(sums)
+    terms = np.empty_like(sums)
     shift = np.zeros(rows)
     unset = np.ones(rows, dtype=bool)
-    # float records hold period lengths and access flags exactly
+    # float records hold period lengths and access flags exactly; the
+    # traced row alone keeps its lanes' period indices
     rec = {k: np.empty(n_periods)
            for k in ("T", "rate", "b", "phi", "h", "hc")} if trace else None
+    if trace:
+        index = np.cumsum(recording[0]) - 1
     clips = np.zeros(rows, dtype=np.int64)
     slots_run = np.zeros(rows, dtype=np.int64)  # set as each row leaves
     live = np.arange(rows)  # the rows that the per-lane arrays hold
@@ -305,7 +331,8 @@ def _run_block(policies, model, warm_per_lane: int, n_periods: int, rng,
     while live.size:
         slots += 1
         T_cur += 1
-        if T_cur.max() > slot_cap:
+        # no period is longer than the pass so far
+        if slots > slot_cap and T_cur.max() > slot_cap:
             raise PeriodOverflow(f"period exceeded {slot_cap} slots")
         u, h, h_idx, hc = _draw_slot(private, common, h_idx, rng, lanes)
         phi = _access(u, p_s[live] if mixed else p_s)
@@ -324,7 +351,7 @@ def _run_block(policies, model, warm_per_lane: int, n_periods: int, rng,
         e_idx = _step_chain(eh_cum, e_idx, rng, lanes)
         e_val = eh_vals[e_idx]
 
-        recorded = stop & (cur >= 0)
+        recorded = stop & recording
         fresh = unset[live]
         if fresh.any():  # a row's first records, lowest lane first
             first = np.flatnonzero(fresh & recorded.any(axis=1))
@@ -333,31 +360,47 @@ def _run_block(policies, model, warm_per_lane: int, n_periods: int, rng,
             unset[live[first]] = False
         # every term is finite, so a product with the mask adds exactly
         # what np.where would select
-        sums[:, 0] += T_cur * recorded
-        sums[:, 1] += (rate - shift[live, None] * T_cur) * recorded
-        sums[:, 2] += recorded
-        if trace and live[0] == 0:
+        terms[:, 0] = T_cur
+        np.subtract(rate, shift[live, None] * T_cur, out=terms[:, 1])
+        terms[:, 2] = 1
+        terms *= recorded[:, None]
+        sums += terms
+        traced = trace and live[0] == 0
+        if traced:
             s0 = np.flatnonzero(recorded[0])
             for field, v in zip(rec.values(), (T_cur, rate, b, phi, h, hc)):
-                field[cur[0, s0]] = v[0, s0] if v.ndim == 2 else v[s0]
+                field[index[s0]] = v[0, s0] if v.ndim == 2 else v[s0]
         # a lane that ends its last warm-up period or a recorded one takes
         # the next index
-        take = stop & (left <= 1)
-        left -= stop & (left > 0)
-        cur, taken = _refill(take, cur, taken, n_periods)
+        if left is None:
+            take = stop
+        else:
+            take = stop & (left <= 1)
+            left -= stop & (left > 0)
+            if not left.any():
+                left = None
+        recording, taken = _refill(take, recording, taken, n_periods)
+        if traced:  # this slot's takers hold the indices just handed out
+            got = np.flatnonzero(take[0] & recording[0])
+            index[got] = np.arange(taken[0] - got.size, taken[0])
 
         # the stop slot's harvest seeds the next period's battery
-        b_next = b * ~stop
-        b_next += e_val
-        clips[live] += (b_next > cap).sum(axis=1)
-        b = np.minimum(b_next, cap)
-        T_cur *= ~stop
-        going = (taken < n_periods) | (cur >= 0).any(axis=1)
-        if not going.all():
-            slots_run[live[~going]] = slots
-            done[live[~going]] = sums[~going]
-            live, b, T_cur, left, cur, taken, sums = (
-                a[going] for a in (live, b, T_cur, left, cur, taken, sums))
+        keep = ~stop
+        b *= keep
+        b += e_val
+        clips[live] += np.count_nonzero(b > cap, axis=1)
+        np.minimum(b, cap, out=b)
+        T_cur *= keep
+        if taken.max() == n_periods:  # a row may have run out of periods
+            going = (taken < n_periods) | recording.any(axis=1)
+            if not going.all():
+                slots_run[live[~going]] = slots
+                done[live[~going]] = sums[~going]
+                live, b, T_cur, recording, taken, sums, terms = (
+                    a[going] for a in (live, b, T_cur, recording, taken,
+                                       sums, terms))
+                if left is not None:
+                    left = left[going]
 
     return ([_fold(shift[i], *done[i], cap_hit_fraction=float(
         clips[i] / max(slots_run[i] * lanes, 1))) for i in range(rows)], rec)

@@ -252,6 +252,17 @@ def run_period(policy, model, rng, carry: SimCarry | None = None,
         b = advance_battery(b, e_val, model.b_max_units, model.delta)
 
 
+def refill_indices(take, cur, taken, n_periods: int):
+    """The period engine's queue with a period index per lane: each lane
+    in the (rows, lanes) mask ``take`` gets its row's next index, in lane
+    order by one ``cumsum`` over every row, or -1 once the row's
+    ``n_periods`` indices are out.  Returns the new ``cur`` and
+    ``taken``; a lane records its period where ``cur >= 0``."""
+    nxt = taken[:, None] + np.cumsum(take, axis=1)  # 1-based here
+    new = nxt * (nxt <= n_periods) - 1
+    return cur + take * (new - cur), np.minimum(nxt[:, -1], n_periods)
+
+
 # ---------------------------------------------------------------------------
 # benchmark supplies spent one slot at a time
 

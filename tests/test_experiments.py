@@ -410,6 +410,25 @@ class TestPinnedTables:
         with open(res["csv"], "rb") as fh:
             assert hashlib.sha256(fh.read()).hexdigest() == self.SHA256[name]
 
+    # a two-rule pass of 16 lanes with no warm-up, whose traced row's queue
+    # runs out mid-slot (in slot 40, 9 lanes end a period with 8 indices
+    # left), so the trace pins which lanes take the last indices; the hash
+    # was taken on the engine that kept a period index per lane
+    TRACE_SHA256 = ("51f4bb1ca801435e411751f1207114fc"
+                    "8e7039ef186b15a2050532fbea21b12d")
+
+    def test_multi_lane_trace_bytes(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        model = sx.validate_config({"experiment": "fig4"}).build_model(0.5)
+        sx.run_policies([sx.Policy.threshold(1.5), sx.Policy.threshold(0.5)],
+                        model, 300, 9, warmup_periods=0, streams=16,
+                        trace_path=path)
+        with open(path, newline="") as fh:
+            periods = [int(r["period"]) for r in csv.DictReader(fh)]
+        assert periods == list(range(300))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() \
+            == self.TRACE_SHA256
+
 
 def assert_exact_stats(cfg, stats):
     """The sidecar holds the exact throughput and mean saving time at each
@@ -459,14 +478,16 @@ class TestCli:
     def test_simulate_threshold(self, tmp_path):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"experiment": "fig4", "mc": TINY_MC}))
-        trace = tmp_path / "trace.csv"
+        # the trace's directory is created, as --out is
+        trace = tmp_path / "new" / "trace.csv"
         r = run_cli("--config", str(cfg), "simulate", "--scheme",
                     "threshold", "--gamma", "1.5", "--p-s", "0.5",
                     "--trace", str(trace))
         assert r.returncode == 0, r.stderr
         out = json.loads(r.stdout)
         assert out["throughput"] > 0
-        assert trace.exists()
+        with open(trace, newline="") as fh:
+            assert len(list(csv.DictReader(fh))) == out["periods"]
 
     @pytest.mark.parametrize("scheme, run", [
         ("best-effort", lambda m, cfg: sx.run_supplies(
@@ -571,6 +592,33 @@ class TestCli:
         assert err.startswith("error: ") and str(out) in err
         assert out.read_text() == ""
 
+    @pytest.mark.parametrize("scheme", ["threshold", "dp"])
+    @pytest.mark.parametrize("where", ["under-a-file", "a-directory"])
+    def test_bad_trace_path_fails_first(self, tmp_path, scheme, where,
+                                        monkeypatch, capsys):
+        # simulate --trace ran the whole pass and only then exited 2 with
+        # "cannot write"; like --out, the path is now checked first
+        def never(*args, **kwargs):
+            raise AssertionError("entered before --trace was checked")
+
+        monkeypatch.setattr(cli, "solve_markov", never)
+        monkeypatch.setattr(savetx.experiments, "run_policies", never)
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"experiment": "fig3", "mc": TINY_MC}))
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        # the path that cannot be made: a directory that is a file, or a
+        # file that is a directory
+        trace, bad = ((afile / "t.csv", afile) if where == "under-a-file"
+                      else (tmp_path, tmp_path))
+        args = ["--config", str(cfg), "simulate", "--scheme", scheme,
+                "--trace", str(trace)]
+        if scheme == "threshold":
+            args += ["--gamma", "0.5"]
+        assert cli.main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(bad) in err
+
     def test_state_space_too_large(self, tmp_path, capsys):
         # fig4's defaults (a 10,000-unit battery, 64 common bins) were
         # SIGKILLed building a 1.3 GB DP grid; they are refused by name
@@ -592,7 +640,10 @@ class TestCli:
     def test_missing_gamma(self, tmp_path):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"experiment": "fig4", "mc": TINY_MC}))
+        trace = tmp_path / "t.csv"
         r = run_cli("--config", str(cfg), "simulate", "--scheme",
-                    "threshold")
+                    "threshold", "--trace", str(trace))
         assert r.returncode == 2
         assert "gamma" in r.stderr
+        # the rule is refused before the trace file is opened
+        assert not trace.exists()

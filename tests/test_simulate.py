@@ -7,11 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import savetx as sx
-from savetx.simulate import _run_block
+from savetx.simulate import _refill, _run_block
 
 from oracles import advance_battery, exact_threshold_metrics, \
     fig3_oracle_config, fresh_carry, grid_rule, markov_workload_config, \
-    run_period, run_supplies_per_slot
+    refill_indices, run_period, run_supplies_per_slot
 
 
 def constant_world(delta=1e-3, h=1.0, p_s=0.0):
@@ -463,6 +463,62 @@ class TestRunSimulation:
         assert max(b_stops) <= model.b_cap + 1e-12
         assert min(b_stops) >= 0.0
         assert met.cap_hit_fraction > 0.0
+
+
+class TestRefill:
+    @given(st.integers(1, 4), st.integers(1, 12), st.integers(1, 40),
+           st.lists(st.integers(0, 3), min_size=4, max_size=4),
+           st.booleans(), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_index_queue(self, rows, lanes, n_periods, room, start,
+                                 seed):
+        """``_refill``'s recording mask is the oracle's ``cur >= 0`` and
+        its ``taken`` the oracle's, slot after slot: from the all-lanes
+        call of a pass with no warm-up, or from queues within 3 indices of
+        their end, so that they run out mid-slot."""
+        rng = np.random.default_rng(seed)
+        if start:
+            taken = np.zeros(rows, dtype=np.int64)
+            cur = np.full((rows, lanes), -1)
+            take = np.ones((rows, lanes), dtype=bool)
+        else:
+            taken = np.maximum(n_periods - np.array(room[:rows]), 0)
+            cur = np.where(rng.random((rows, lanes)) < 0.5, -1,
+                           rng.integers(0, n_periods, (rows, lanes)))
+            take = rng.random((rows, lanes)) < rng.random()
+        recording = cur >= 0
+        for _ in range(6):
+            recording, counted = _refill(take, recording, taken, n_periods)
+            cur, taken = refill_indices(take, cur, taken, n_periods)
+            np.testing.assert_array_equal(recording, cur >= 0)
+            np.testing.assert_array_equal(counted, taken)
+            take = rng.random((rows, lanes)) < rng.random()
+
+
+class TestPeriodOverflow:
+    @pytest.mark.parametrize("k", [2, 5, 9])
+    @pytest.mark.parametrize("warmup, n", [(0, 8), (0, 50), (40, 50)])
+    def test_guard_at_the_longest_period(self, k, warmup, n):
+        """One unit of harvest per slot, constant gains and no access: the
+        battery after t slots holds t units, so a rule with gamma the rate
+        at k units ends every period in exactly k slots.  The pass runs at
+        ``slot_cap = k`` and overflows at ``k - 1``, also when it lasts k
+        slots in all (8 lanes, 8 periods, no warm-up); a rule that stops
+        every slot shares the pass and does not change that."""
+        model = sx.SystemModel(
+            private=sx.GainDistribution.constant(1.0),
+            common=sx.GainDistribution.constant(1.0),
+            access=sx.AccessModel(0.0),
+            eh=sx.MarkovChainSpec([1.0], [[1.0]]),
+            b_max_units=k, delta=1.0)
+        rules = [sx.Policy.threshold(0.0),
+                 sx.Policy.threshold(float(sx.stop_rate(k, 1.0, 1.0, 0)))]
+        kw = dict(warmup_periods=warmup, streams=8)
+        quick, slow = sx.run_policies(rules, model, n, 1, slot_cap=k, **kw)
+        assert quick.mean_saving_time == 1.0
+        assert slow.mean_saving_time == k and slow.periods == n
+        with pytest.raises(sx.PeriodOverflow, match=f"{k - 1} slots"):
+            sx.run_policies(rules, model, n, 1, slot_cap=k - 1, **kw)
 
 
 class TestBestEffort:
