@@ -137,13 +137,11 @@ def _cmd_simulate(args) -> int:
     cfg = _load_config(args)
     p_s, model = _model(args, cfg)
     out = _out_dir(args)
-    # a threshold is checked before --trace is opened, a DP rule solved after
-    rule = _rule(args, cfg, model) if args.scheme == "threshold" else None
-    trace = _trace_file(args)
     mc = cfg.mc
     if args.scheme in ("threshold", "dp"):
-        m, = cfg.simulate(model, [rule or _rule(args, cfg, model)],
-                          trace_path=trace)
+        # the rule comes first, so a failed one leaves no --trace file
+        rule = _rule(args, cfg, model)
+        m, = cfg.simulate(model, [rule], trace_path=_trace_file(args))
     else:
         best_effort, conventional = run_supplies(
             model, cfg.p_bar, mc["slots"], cfg.seed, streams=mc["streams"])

@@ -26,7 +26,7 @@ class NoConvergence(SaveTxError):
 
 
 class StateSpaceTooLarge(SaveTxError):
-    """The DP's discretized state space exceeds its size bound."""
+    """A rule's chain needs more cells than the solvers' size bound."""
 
 
 class PeriodOverflow(SaveTxError):

@@ -1,31 +1,25 @@
 """Optimal stopping policies for the save-then-transmit transmitter.
 
-Two solution paths:
+Every rule is a threshold table: stop iff the battery is charged and the
+slot's rate meets gamma(b, e, h) on the carried cells (battery, harvest
+state, private-gain state).  The access flag and the common gain are drawn
+fresh every slot, so a rule's slot chain closes on those cells.
+``solve_markov`` finds the throughput-optimal table by average-reward
+policy iteration (exponential gains binned), and ``threshold_metrics``
+evaluates a constant threshold exactly, under any harvest chain and an
+i.i.d. or Markov private gain.  ``optimize_threshold`` maximizes that
+throughput over the threshold by golden-section search cross-checked by a
+coarse grid scan.
 
-* ``solve_markov`` handles Markov-modulated gains and harvesting.  It finds
-  the throughput-optimal stationary stop/continue rule by average-reward
-  policy iteration on threshold tables, started from the rule that stops
-  wherever the battery is charged.  The access flag and the common gain
-  are drawn fresh every slot, so a rule's slot chain closes on the carried
-  cells (battery, harvest rate, private gain); the chain carries the stop
-  slot's harvest and the gain chain's step into the next saving period.
-  The solved rule is a threshold table on those cells: stop iff the
-  battery is charged and the rate meets gamma(b, e, h); the engine reads
-  it on the drawn rate.  Exponential gains are binned.
-
-* ``threshold_metrics`` evaluates a constant rate threshold exactly when
-  the gains are i.i.d., under any harvest chain.  The rule's slot chain
-  closes on (battery, harvest rate).
-
-Both evaluate a rule the same way: its stop moments per battery level
-(``_stop_moments``) set the slot chain (``_slot_kernel``), and one sparse
-solve (``_chain_gains``) gives the throughput, the mean saving time and
-the relative values.  Per battery level, atom gains are summed exactly; an
-exponential gain is inverted in closed form, its tail mean of the rate is
-closed form, and a second exponential gain is integrated by Gauss rules on
-the pieces where the integrand is smooth.  ``optimize_threshold``
-maximizes the exact throughput over the threshold with a golden-section
-search cross-checked by a coarse grid scan.
+One driver (``_rule_chain``) evaluates every rule for both solvers, on
+battery levels that are multiples of the gcd of the positive harvest
+units, cut where the chain holds no mass: the rule's stop moments per
+level (``_stop_moments``) set the slot chain (``_slot_kernel``), and one
+sparse solve (``_chain_gains``) gives the throughput, the mean saving time
+and the relative values.  Atom gains are summed exactly; an exponential
+gain is inverted in closed form with a closed-form tail mean of the rate,
+and a second exponential gain is integrated by Gauss rules on the pieces
+where the integrand is smooth.
 
 This module only solves: it draws no random numbers.  Monte Carlo
 estimates of the solved rules, with standard errors, come from the engine
@@ -40,7 +34,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import NoConvergence, StateSpaceTooLarge, UnsupportedKind
+from .errors import NoConvergence, StateSpaceTooLarge
 from .models import (
     GainDistribution,
     SystemModel,
@@ -96,6 +90,11 @@ class ValueTable:
     the rule's expected stop reward E[R 1{stop}] per cell, over the fresh
     access flag and gains, and ``stop_fraction`` the long-run share of
     slots that stop, 1 / mean saving time.
+
+    Both tables have a row per battery unit, 0 to ``b_max_units``, as the
+    engine reads them.  Only the levels the chain reaches below its cut
+    are solved: the multiples of the gcd of the positive harvest units, and
+    the cap.  Unit u copies the row of level ceil(u / gcd), or the top's.
     """
 
     lambda_star: float
@@ -175,40 +174,88 @@ def _chain_gains(K, r: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Markov solver
+# The evaluation driver, shared by both solvers
 
-# most rate terms (access flag x battery x harvest x private gain x common
-# gain atoms) that one evaluation of a rule sums.  fig3's default model has
-# 8 and the markov benchmark's 2,688; fig4's model at its "large" battery
-# would have 164 million.
-MAX_DP_STATES = 1_000_000
+# most cells (battery level x harvest state x private-gain state) in a cut
+# of a rule's chain, as b_max_units has no bound.  A cut of 262,144 cells
+# (two harvest states) took 8 s and 280 MB on a 2-core x86-64 machine;
+# the default models need at most 32 levels.
+MAX_DP_STATES = 250_000
+
+
+def _level_moments(model: SystemModel, levels: np.ndarray,
+                   gamma: np.ndarray):
+    """(P(stop), E[R 1{stop}]) of the rule 'stop iff b > 0 and R >=
+    gamma[k, e, h]' at the battery ``levels[k]`` (in units), over the
+    fresh access flag and gains, on axes (level, gamma's e axis, private
+    gain): a Markov private gain is the cell's state h, and an i.i.d. one
+    (an h axis of length 1) is integrated."""
+    states = None if model.private.is_iid \
+        else np.asarray(model.private.chain.states)
+    shape = (len(levels), gamma.shape[1], 1 if states is None
+             else len(states))
+    k, _, h = np.indices(shape).reshape(3, -1)
+    p, r = _stop_moments(model, levels[k] * model.delta,
+                         np.broadcast_to(gamma, shape).ravel(),
+                         None if states is None else states[h])
+    return p.reshape(shape), r.reshape(shape)
+
+
+def _rule_chain(model: SystemModel, gamma: np.ndarray, moments=None,
+                mass_tol: float = 1e-12):
+    """Exact evaluation of the rule 'stop iff b > 0 and R >= gamma[k, e,
+    h]', a table on axes (level, 1 or harvest states, 1 or private-gain
+    states) whose last row serves every level past its end.
+
+    Level k holds the battery min(k step, b_max_units), step the gcd of
+    the positive harvest units.  The chain is cut at its first levels, the
+    top one absorbing, from 16 doubling until the top holds stationary
+    mass <= ``mass_tol`` or the cap is reached.  Only the levels a cut
+    adds get stop moments computed; ``moments`` spares the first levels'.
+    Returns ``(x, levels, (next_b, Pe, Ph), (p, r))``: ``_chain_gains``'
+    solve for (stop reward, stop, top mass), each level's battery in
+    units, the cut's carried chain and the moments per cell.
+    """
+    units = model.eh_units()
+    pos = units[units > 0]
+    step = int(np.gcd.reduce(pos)) if pos.size else 1
+    # an empty battery never moves when nothing is ever harvested
+    n_full = -(-model.b_max_units // step) + 1 if pos.size else 1
+    Pe = model.eh.transition
+    Ph = np.ones((1, 1)) if model.private.is_iid \
+        else model.private.chain.transition
+    p, r = moments or (np.zeros((0, gamma.shape[1], len(Ph))),) * 2
+    n = max(min(16, n_full), len(p))
+    while True:
+        shape = (n, len(Pe), len(Ph))
+        if math.prod(shape) > MAX_DP_STATES:
+            raise StateSpaceTooLarge(
+                f"the rule's chain needs {math.prod(shape):,} cells "
+                f"(b_max_units {model.b_max_units}), more than "
+                f"{MAX_DP_STATES:,}")
+        new = np.arange(len(p), n)
+        levels = np.minimum(np.arange(n) * step, model.b_max_units)
+        p_new, r_new = _level_moments(
+            model, levels[new], gamma[np.minimum(new, len(gamma) - 1)])
+        p, r = np.concatenate([p, p_new]), np.concatenate([r, r_new])
+        cells = np.broadcast_to(p, shape), np.broadcast_to(r, shape)
+        chain = (np.minimum(np.arange(n)[:, None] + units // step, n - 1),
+                 Pe, Ph)
+        top = np.zeros(shape)
+        top[-1] = 1.0
+        x = _chain_gains(_slot_kernel(cells[0], *chain), np.column_stack(
+            [cells[1].ravel(), cells[0].ravel(), top.ravel()]))
+        if n == n_full or x[0, 2] <= mass_tol:
+            return x, levels, chain, cells
+        n = min(2 * n, n_full)
+
+
+# ---------------------------------------------------------------------------
+# Markov solver
 
 # improvements stop within this much of a tie, so that rounding in the
 # relative values cannot flip a tied cell from one improvement to the next
 _TIE = 1e-12
-
-
-def _carried_chain(model: SystemModel):
-    """``(next_b, Pe, Ph)`` of the carried cells (b, e, h): the battery
-    index after harvesting in state e' from level b, and the harvest and
-    private-gain chains; an i.i.d. private gain has one state."""
-    next_b = np.minimum(np.arange(model.b_max_units + 1)[:, None]
-                        + model.eh_units()[None, :], model.b_max_units)
-    Ph = model.private.chain.transition if not model.private.is_iid \
-        else np.ones((1, 1))
-    return next_b, model.eh.transition, Ph
-
-
-def _cell_moments(model: SystemModel, gamma: np.ndarray):
-    """(P(stop), E[R 1{stop}]) per carried cell (b, e, h) of the rule 'stop
-    iff b > 0 and R >= gamma[b, e, h]', over the fresh access flag and
-    gains: a Markov private gain is the cell's state h, and an i.i.d. one
-    (an h axis of length 1) is integrated."""
-    b, _, h = np.indices(gamma.shape).reshape(3, -1)
-    private = None if model.private.is_iid \
-        else np.asarray(model.private.chain.states)[h]
-    p, r = _stop_moments(model, b * model.delta, gamma.ravel(), private)
-    return p.reshape(gamma.shape), r.reshape(gamma.shape)
 
 
 def solve_markov(model: SystemModel, cfg: SolverConfig | None = None
@@ -218,8 +265,8 @@ def solve_markov(model: SystemModel, cfg: SolverConfig | None = None
     Average-reward policy iteration on threshold tables gamma[b, e, h],
     started from the rule that stops wherever the battery is charged.  An
     exponential gain is binned into ``common_bins`` equal-probability
-    atoms.  Each outer step evaluates the current rule exactly: its stop
-    moments per carried cell (``_stop_moments``) set the slot chain, whose
+    atoms.  Each outer step evaluates the current rule exactly on the
+    driver's cut (``_rule_chain``), which it grows as the rule needs; its
     one sparse solve gives the throughput and the relative values g.  The
     improvement compares the stop rate with gamma = Cg - Cg[0], where Cg =
     E[g' | skip] and the stop side credits the restart value Cg[0] of the
@@ -232,42 +279,33 @@ def solve_markov(model: SystemModel, cfg: SolverConfig | None = None
         for name, dist in (("private", model.private),
                            ("common", model.common))
         if dist.kind == "exponential"})
-    next_b, Pe, Ph = _carried_chain(model)
-    shape = (len(next_b), len(Pe), len(Ph))
-    # per cell: the access flag and the atoms of each gain it integrates
-    states = 2 * math.prod(shape) * len(_atoms(model.common)[0]) * (
-        len(_atoms(model.private)[0]) if model.private.is_iid else 1)
-    if states > MAX_DP_STATES:
-        raise StateSpaceTooLarge(
-            f"the DP would have {states:,} states (b_max_units "
-            f"{model.b_max_units}, common_bins {cfg.common_bins}), "
-            f"more than {MAX_DP_STATES:,}; lower b_max_units or "
-            "common_bins")
-
-    moments = _cell_moments(model, np.zeros(shape))
+    rule, moments = np.zeros((1, 1, 1)), None
     for it in range(1, cfg.outer_max_iters + 1):
-        p_stop, r_stop = moments
-        x = _chain_gains(_slot_kernel(p_stop, next_b, Pe, Ph),
-                         np.column_stack([r_stop.ravel(), p_stop.ravel()]))
-        g = np.r_[0.0, x[1:, 0]].reshape(shape)
+        x, levels, (next_b, Pe, Ph), evaluated = _rule_chain(model, rule,
+                                                             moments)
+        g = np.r_[0.0, x[1:, 0]].reshape(evaluated[0].shape)
         Cg = np.einsum("ef,bfg,hg->beh", Pe,
-                       g[next_b, np.arange(shape[1])], Ph)
+                       g[next_b, np.arange(len(Pe))], Ph)
         gamma = Cg - Cg[0]
-        improved = _cell_moments(model, gamma - _TIE)
-        if all(map(np.array_equal, improved, moments)):
+        rule = gamma - _TIE
+        moments = _level_moments(model, levels, rule)
+        if all(map(np.array_equal, moments, evaluated)):
             break
-        moments = improved
     else:
         raise NoConvergence(
             f"policy improvement did not settle in {cfg.outer_max_iters} "
             "iterations")
-    lam, stops = x[0]
-    return ValueTable(lambda_star=float(lam), rates=r_stop, gamma=gamma,
-                      stop_fraction=float(stops), outer_iters=it)
+    lam, stops, _ = x[0]
+    # each battery unit reads the level at or above it (see ValueTable)
+    at = np.minimum(np.searchsorted(levels, np.arange(model.b_max_units + 1)),
+                    len(levels) - 1)
+    return ValueTable(lambda_star=float(lam), rates=evaluated[1][at],
+                      gamma=gamma[at], stop_fraction=float(stops),
+                      outer_iters=it)
 
 
 # ---------------------------------------------------------------------------
-# Threshold rules (i.i.d. gains)
+# Stop moments and threshold rules
 
 
 @functools.cache
@@ -496,58 +534,20 @@ def _stop_moments(model: SystemModel, b: np.ndarray, gamma, private=None):
     return p[0], p[1]
 
 
-def _threshold_chain(model: SystemModel, gamma: float,
-                     mass_tol: float = 1e-12):
-    """(throughput, stops per slot, levels) of the rule 'stop iff b > 0
-    and R >= gamma' on the carried chain (battery, harvest state).
-
-    The battery lives on multiples of the gcd of the positive harvest
-    units, topped by the cap.  The chain is cut at its first ``levels``
-    levels, the top one absorbing, starting from 16 and doubling until the
-    top holds stationary mass <= ``mass_tol`` or the cap is reached.  One
-    factorization gives all three long-run averages.
-    """
-    units = model.eh_units()
-    pos = units[units > 0]
-    step = int(np.gcd.reduce(pos)) if pos.size else 1
-    # an empty battery never moves when nothing is ever harvested
-    n_full = -(-model.b_max_units // step) + 1 if pos.size else 1
-    ne = len(units)
-    p_stop = r_stop = np.zeros(0)
-    n = min(16, n_full)
-    while True:
-        b = np.minimum(np.arange(len(p_stop), n) * step, model.b_max_units)
-        p_new, r_new = _stop_moments(model, b * model.delta, gamma)
-        p_stop, r_stop = np.r_[p_stop, p_new], np.r_[r_stop, r_new]
-        next_b = np.minimum(np.arange(n)[:, None] + units // step, n - 1)
-        K = _slot_kernel(np.repeat(p_stop[:, None, None], ne, axis=1),
-                         next_b, model.eh.transition, np.ones((1, 1)))
-        top = np.zeros((n, ne))
-        top[-1] = 1.0
-        x = _chain_gains(K, np.column_stack(
-            [np.repeat(r_stop, ne), np.repeat(p_stop, ne), top.ravel()]))
-        lam, stops, mass = x[0]
-        if n == n_full or mass <= mass_tol:
-            return float(lam), float(stops), n
-        n = min(2 * n, n_full)
-
-
 def threshold_metrics(model: SystemModel, gamma: float):
     """Exact (throughput, mean saving time) of the rule 'stop once the
-    battery is charged and the rate reaches gamma', for i.i.d. gains and
-    any harvest chain.
+    battery is charged and the rate reaches gamma', under any harvest
+    chain and any private gain, i.i.d. or Markov.
 
     The throughput is the renewal ratio E[rate at stop] / E[T]; the mean
     saving time is 1 / (stops per slot), infinite for a rule that never
     stops.  Unlike the Monte Carlo engine, an empty battery never stops,
     which leaves the throughput unchanged and can lengthen the periods at
-    gamma = 0.  A Markov private gain is refused with UnsupportedKind: the
-    rule's chain would have to carry it.
+    gamma = 0.
     """
-    if not model.private.is_iid:
-        raise UnsupportedKind("threshold rules need an i.i.d. private gain")
-    lam, stops, _ = _threshold_chain(model, check_gamma(gamma))
-    return lam, (1.0 / stops if stops > 0 else math.inf)
+    lam, stops, _ = _rule_chain(model, np.full((1, 1, 1),
+                                               check_gamma(gamma)))[0][0]
+    return float(lam), (1.0 / stops if stops > 0 else math.inf)
 
 
 def optimize_threshold(model: SystemModel, cfg: SolverConfig | None = None):

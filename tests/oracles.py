@@ -600,22 +600,25 @@ def fig3_oracle_config(p_s) -> SmallConfig:
         hc=32.0, delta=1e-3)
 
 
+# the model block of the benchmark's markov workload: a 4-state private
+# chain, an exponential common gain, harvest preset c, 21 battery levels
+MARKOV_MODEL = {
+    "private": {"kind": "markov", "states": [0.25, 0.75, 1.5, 3.0],
+                "transition": [[0.7, 0.3, 0.0, 0.0],
+                               [0.15, 0.7, 0.15, 0.0],
+                               [0.0, 0.15, 0.7, 0.15],
+                               [0.0, 0.0, 0.3, 0.7]]},
+    "common": {"kind": "exponential", "mean": 1.0},
+    "eh": {"preset": "c"}, "delta": 1.0, "b_max_units": 20}
+
+
 def markov_workload_config(common_bins=8):
-    """The model of the benchmark's markov workload: fig3 runner, 4-state
-    private chain, exponential common gain on ``common_bins`` bins, harvest
-    preset c, 21 battery levels."""
+    """The config of the benchmark's markov workload: the fig3 runner on
+    ``MARKOV_MODEL``, its exponential gain on ``common_bins`` bins."""
     import savetx as sx
 
-    return sx.validate_config({
-        "experiment": "fig3",
-        "private": {"kind": "markov", "states": [0.25, 0.75, 1.5, 3.0],
-                    "transition": [[0.7, 0.3, 0.0, 0.0],
-                                   [0.15, 0.7, 0.15, 0.0],
-                                   [0.0, 0.15, 0.7, 0.15],
-                                   [0.0, 0.0, 0.3, 0.7]]},
-        "common": {"kind": "exponential", "mean": 1.0},
-        "eh": {"preset": "c"}, "delta": 1.0, "b_max_units": 20,
-        "solver": {"common_bins": common_bins}})
+    return sx.validate_config({"experiment": "fig3", **MARKOV_MODEL,
+                               "solver": {"common_bins": common_bins}})
 
 
 def random_small_config(rng) -> SmallConfig:

@@ -12,10 +12,13 @@ import pytest
 
 import savetx as sx
 import savetx.experiments
+import savetx.solver
 from savetx import cli
 from savetx.errors import ConfigError, IoError
 from savetx.experiments import EXPERIMENTS, _meta_base
 from savetx.tables import emit_csv
+
+from oracles import MARKOV_MODEL
 
 TINY_MC = {"periods": 1500, "slots": 8000, "warmup_periods": 50,
            "streams": 64}
@@ -329,6 +332,25 @@ class TestRunExperiment:
         assert by["conventional"] >= max(by.values()) - 1e-12
         assert_exact_stats(cfg, json.loads(open(res["meta"]).read())["stats"])
 
+    def test_fig8_on_a_markov_private_gain(self, tmp_path):
+        # the threshold search and its exact stats on a Markov private
+        # gain, and the engine's cross-check of the driver's h axis: the
+        # gamma* row's Monte Carlo throughput against the exact one
+        cfg = sx.validate_config({
+            "experiment": "fig8", **MARKOV_MODEL, "p_s_grid": [0.25, 0.75],
+            "mc": {"periods": 100_000, "slots": 8000, "streams": 256}})
+        res = sx.run_experiment(cfg, tmp_path)
+        stats = json.loads(open(res["meta"]).read())["stats"]
+        assert_exact_stats(cfg, stats)
+        with open(res["csv"], newline="") as fh:
+            rows = [r for r in csv.DictReader(fh)
+                    if r["scheme"] == "opportunistic"]
+        assert len(rows) == 2
+        for row in rows:
+            lam = stats["lambda_exact"][row["p_s"]]
+            z = (float(row["throughput"]) - lam) / float(row["se"])
+            assert abs(z) <= 5.102
+
 
 class TestSchemeTables:
     """fig3 and fig8 make one engine pass of all their rules and one supply
@@ -535,7 +557,7 @@ class TestCli:
         ("fig4", ["optimize-threshold", "--p-s", "nan"], "--p-s"),
         ("fig4", ["simulate", "--scheme", "threshold", "--gamma", "-1"],
          "--gamma"),
-        ("fig3", ["optimize-threshold"], "i.i.d. private"),
+        ("fig3", ["simulate", "--scheme", "dp", "--p-s", "2"], "--p-s"),
         ("fig4", ["simulate", "--scheme", "dp", "--gamma", "1"], "--gamma"),
         ("fig4", ["simulate", "--scheme", "best-effort", "--gamma", "1"],
          "--gamma"),
@@ -597,11 +619,11 @@ class TestCli:
     def test_bad_trace_path_fails_first(self, tmp_path, scheme, where,
                                         monkeypatch, capsys):
         # simulate --trace ran the whole pass and only then exited 2 with
-        # "cannot write"; like --out, the path is now checked first
+        # "cannot write"; the path is now checked once the rule is built
+        # (fig3's DP solves at once), before the pass
         def never(*args, **kwargs):
             raise AssertionError("entered before --trace was checked")
 
-        monkeypatch.setattr(cli, "solve_markov", never)
         monkeypatch.setattr(savetx.experiments, "run_policies", never)
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"experiment": "fig3", "mc": TINY_MC}))
@@ -619,10 +641,10 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(bad) in err
 
-    def test_state_space_too_large(self, tmp_path, capsys):
+    def test_state_space_too_large(self, tmp_path, capsys, monkeypatch):
         # fig4's defaults (a 10,000-unit battery, 64 common bins) were
-        # SIGKILLed building a 1.3 GB DP grid; they are refused by name
-        # before any grid is allocated
+        # SIGKILLed building a 1.3 GB DP grid, and then refused; the DP now
+        # solves them on a cut of 32 levels
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"experiment": "fig4"}))
         tracemalloc.start()
@@ -631,11 +653,30 @@ class TestCli:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        err = capsys.readouterr().err
-        assert code == 2
-        assert err.startswith("error: ") and "163,856,384 states" in err
-        assert "b_max_units 10000" in err and "common_bins 64" in err
+        assert code == 0
+        # the engine's table: a row per battery unit and harvest state
+        assert json.loads(capsys.readouterr().out)["states"] == 10_001 * 2
         assert peak < 10e6
+        # a cut past the size bound is refused by name
+        monkeypatch.setattr(savetx.solver, "MAX_DP_STATES", 32)
+        assert cli.main(["--config", str(cfg), "solve-markov"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "64 cells" in err
+        assert "b_max_units 10000" in err
+
+    def test_failed_dp_leaves_no_trace(self, tmp_path):
+        # the trace file was opened before the DP solve, so a solve that
+        # failed left an empty file behind
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({
+            "experiment": "fig3", **MARKOV_MODEL,
+            "solver": {"common_bins": 8, "outer_max_iters": 2}}))
+        trace = tmp_path / "t.csv"
+        r = run_cli("--config", str(cfg), "simulate", "--scheme", "dp",
+                    "--p-s", "0.75", "--trace", str(trace))
+        assert r.returncode == 2
+        assert r.stderr.startswith("error: ") and "did not settle" in r.stderr
+        assert not trace.exists()
 
     def test_missing_gamma(self, tmp_path):
         cfg = tmp_path / "c.json"

@@ -1,5 +1,7 @@
 import json
 import math
+import time
+import tracemalloc
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -9,11 +11,10 @@ import pytest
 import savetx as sx
 import savetx.simulate
 import savetx.solver
-from savetx.errors import NoConvergence, PeriodOverflow, UnsupportedKind
+from savetx.errors import NoConvergence, PeriodOverflow
 from savetx.tables import format_value
-from savetx.solver import MAX_DP_STATES, _carried_chain, _cell_moments, \
-    _chain_gains, _slot_kernel, _stop_moments, _tail_rate, \
-    _threshold_chain, _threshold_gain
+from savetx.solver import _chain_gains, _rule_chain, _slot_kernel, \
+    _stop_moments, _tail_rate, _threshold_gain
 
 from oracles import SmallConfig, enumerate_best_policy, \
     exact_threshold_metrics, fig3_oracle_config, full_array_tail_rate, \
@@ -56,13 +57,37 @@ def on_grid(config: SmallConfig, table):
             grid_rule(config, table.gamma).reshape(shape))
 
 
+def grid_levels(model):
+    """Battery units of the driver's levels: multiples of the gcd of the
+    positive harvest units, topped by the cap."""
+    units = model.eh_units()
+    step = int(np.gcd.reduce(units[units > 0]))
+    return np.minimum(np.arange(-(-model.b_max_units // step) + 1) * step,
+                      model.b_max_units)
+
+
 def cell_gain(model, gamma):
-    """Throughput of the rule 'stop iff b > 0 and R >= gamma[b, e, h]'
-    through the solver's evaluator: the rule's stop moments per carried
-    cell, its slot chain and one sparse solve."""
-    p, r = _cell_moments(model, gamma)
-    return _chain_gains(_slot_kernel(p, *_carried_chain(model)),
-                        r.ravel())[0]
+    """Throughput of the rule 'stop iff b > 0 and R >= gamma[u, e, h]', a
+    table on battery units, through the solver's driver, which reads the
+    table at its levels: the rule's stop moments per carried cell, its
+    slot chain and one sparse solve."""
+    return _rule_chain(model, gamma[grid_levels(model)])[0][0, 0]
+
+
+def unit_grid_metrics(model, gamma):
+    """(throughput, stops per slot) of the threshold ``gamma`` on a Markov
+    private gain, from its slot chain on every battery unit up to the cap,
+    with no cut: a second route to the driver's numbers."""
+    states = np.asarray(model.private.chain.states)
+    nb = model.b_max_units + 1
+    u, h = np.indices((nb, len(states))).reshape(2, -1)
+    moments = _stop_moments(model, u * model.delta, gamma, states[h])
+    shape = (nb, len(model.eh.states), len(states))
+    p, r = (np.broadcast_to(m.reshape(nb, 1, -1), shape) for m in moments)
+    next_b = np.minimum(np.arange(nb)[:, None] + model.eh_units(), nb - 1)
+    K = _slot_kernel(p, next_b, model.eh.transition,
+                     model.private.chain.transition)
+    return _chain_gains(K, np.column_stack([r.ravel(), p.ravel()]))[0]
 
 
 class TestSolveMarkov:
@@ -170,27 +195,61 @@ class TestSolveMarkov:
         table = sx.solve_markov(cfg.build_model(p_s), cfg.solver)
         assert table.lambda_star == pytest.approx(expect, rel=1e-9, abs=0)
 
-    def test_state_space_too_large_refused(self):
-        # fig4's defaults ("large" battery, 64 common bins) would allocate
-        # 2 x 10,001 x 2 x 64 x 64 float grid states, about 1.3 GB
+    def test_markov_workload_on_the_reachable_grid(self, monkeypatch):
+        # harvest units {0, 4} and a 20-unit cap: the DP's chain holds the
+        # levels 0, 4, ..., 20 x 2 harvest x 4 private-gain states, and the
+        # engine's table has a row per unit, each level's row repeated
+        seen = []
+
+        def spy(K, r):
+            seen.append(K.shape[0])
+            return _chain_gains(K, r)
+
+        monkeypatch.setattr(savetx.solver, "_chain_gains", spy)
+        cfg = markov_workload_config()
+        table = sx.solve_markov(cfg.build_model(0.75), cfg.solver)
+        assert seen == [48] * table.outer_iters
+        assert table.gamma.shape == table.rates.shape == (21, 2, 4)
+        for u in range(21):
+            assert np.array_equal(table.gamma[u], table.gamma[-(-u // 4) * 4])
+
+    def test_state_space_too_large_refused(self, monkeypatch):
+        # fig4's defaults ("large" battery, 64 common bins) were refused
+        # when the DP ran on every battery unit; on the driver's cut they
+        # solve on 32 levels, as a 400-unit battery does
         cfg = sx.validate_config({"experiment": "fig4"})
+        model = cfg.build_model(0.5)
+        sx.solve_markov(replace(model, b_max_units=40), cfg.solver)  # warm
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            table = sx.solve_markov(model, cfg.solver)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert time.perf_counter() - start < 10.0
+        assert peak < 5e6
+        lam400 = sx.solve_markov(replace(model, b_max_units=400),
+                                 cfg.solver).lambda_star
+        assert table.lambda_star == pytest.approx(lam400, rel=1e-12, abs=0)
+        # under a lowered bound the first cut past it is refused before
+        # its moments are computed: 16 levels x 2 harvest states fit in 32
+        # cells, and the 64-cell cut that the solve grows to does not
+        tops = []
+
+        def spy(model, levels, gamma):
+            tops.append(levels.max(initial=0))
+            return level_moments(model, levels, gamma)
+
+        level_moments = savetx.solver._level_moments
+        monkeypatch.setattr(savetx.solver, "_level_moments", spy)
+        monkeypatch.setattr(savetx.solver, "MAX_DP_STATES", 32)
         with pytest.raises(sx.StateSpaceTooLarge,
-                           match="163,856,384 states.*b_max_units 10000, "
-                                 "common_bins 64") as err:
-            sx.solve_markov(cfg.build_model(0.5), cfg.solver)
+                           match="64 cells.*b_max_units 10000") as err:
+            sx.solve_markov(model, cfg.solver)
         assert not isinstance(err.value, NoConvergence)
-        # 256 grid states per battery level at 8 bins: b_max_units 20
-        # solves, and the first battery past the bound is refused.  The
-        # solved table has one cell per (battery, harvest state): each
-        # cell integrates the i.i.d. private gain
-        bins = sx.SolverConfig(common_bins=8)
-        small = replace(cfg.build_model(0.5), b_max_units=20)
-        assert sx.solve_markov(small, bins).rates.size == 21 * 2
-        levels = MAX_DP_STATES // 256  # b_max_units levels: levels + 1
-        big = replace(small, b_max_units=levels)
-        with pytest.raises(sx.StateSpaceTooLarge,
-                           match=f"b_max_units {levels},"):
-            sx.solve_markov(big, bins)
+        # the top of the 16-level cut holds 60 units
+        assert max(tops) == 60
 
     def test_no_convergence(self):
         cfg = markov_workload_config()
@@ -566,8 +625,9 @@ class TestTailRate:
 class TestChainGains:
     @staticmethod
     def threshold_chains(monkeypatch, b_max_units, gamma):
-        """Every (K, r) that ``_threshold_chain`` solves on fig4's model
-        (harvest units {0, 4}) at p_s 0.5, up to the full cap."""
+        """Every (K, r) that ``_rule_chain`` solves for a threshold on
+        fig4's model (harvest units {0, 4}) at p_s 0.5, up to the full
+        cap."""
         seen = []
 
         def spy(K, r):
@@ -577,7 +637,8 @@ class TestChainGains:
         model = replace(iid_model(0.5), b_max_units=b_max_units)
         with monkeypatch.context() as patch:
             patch.setattr(savetx.solver, "_chain_gains", spy)
-            _threshold_chain(model, gamma, mass_tol=-1.0)
+            _rule_chain(model, sx.Policy.threshold(gamma).gamma,
+                        mass_tol=-1.0)
         return seen
 
     @staticmethod
@@ -785,20 +846,38 @@ class TestThresholdMetrics:
 
     def test_truncation_grows_with_gamma(self):
         model = iid_model(0.0)
-        assert _threshold_chain(model, 1.0)[2] < \
-            _threshold_chain(model, 4.0)[2] < model.b_max_units // 4
+        low, high = (_rule_chain(model, sx.Policy.threshold(g).gamma)[1]
+                     for g in (1.0, 4.0))
+        assert len(low) < len(high) < model.b_max_units // 4
 
     @pytest.mark.parametrize("gamma", [1.0, 4.0])
     def test_truncation_matches_full_chain(self, gamma):
         # harvest units {0, 4}: a cap of 200 units gives 51 levels
         model = replace(iid_model(0.5), b_max_units=200)
-        lam, stops, levels = _threshold_chain(model, gamma)
+        rule = sx.Policy.threshold(gamma).gamma
+        x, levels, _, _ = _rule_chain(model, rule)
         # a negative tolerance never truncates
-        lam_f, stops_f, levels_f = _threshold_chain(model, gamma,
-                                                    mass_tol=-1.0)
-        assert levels < levels_f == 51
-        assert lam == pytest.approx(lam_f, rel=1e-12, abs=0)
-        assert stops == pytest.approx(stops_f, rel=1e-12, abs=0)
+        x_f, levels_f, _, _ = _rule_chain(model, rule, mass_tol=-1.0)
+        assert len(levels) < len(levels_f) == 51
+        assert x[0, 0] == pytest.approx(x_f[0, 0], rel=1e-12, abs=0)
+        assert x[0, 1] == pytest.approx(x_f[0, 1], rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("p_s, gamma, expect", [
+        (0.0, 1.5, (1.0820541437988858, 2.5045534526687843)),
+        (0.5, 2.0, (1.3083624179550182, 2.5288416526893234)),
+        (1.0, 3.1, (1.4267671749348192, 2.9950917707501103))])
+    def test_pinned_values(self, p_s, gamma, expect):
+        # the values of the i.i.d.-only evaluator that the driver replaced,
+        # bit for bit, on fig4's model and on atom gains
+        assert sx.threshold_metrics(iid_model(p_s), gamma) == expect
+        atoms = sx.SystemModel(
+            private=sx.GainDistribution.discrete([0.0, 0.5, 2.0],
+                                                 [0.2, 0.5, 0.3]),
+            common=sx.GainDistribution.discrete([0.25, 4.0], [0.5, 0.5]),
+            access=sx.AccessModel(0.5), eh=sx.make_eh_preset("b"),
+            b_max_units=10_000)
+        assert sx.threshold_metrics(atoms, 1.0) == \
+            (1.382555773719704, 2.037037037037037)
 
     def test_threshold_gain_inverts_rate(self):
         rng = np.random.default_rng(3)
@@ -825,9 +904,37 @@ class TestThresholdMetrics:
         with pytest.raises(ValueError, match="finite"):
             sx.Policy.threshold(gamma)
 
-    def test_markov_gains_rejected(self):
-        with pytest.raises(UnsupportedKind, match="i.i.d. private"):
-            sx.threshold_metrics(fig3_model(0.5), 1.0)
+    def test_markov_private_gain_matches_enumerated_chain(self):
+        """A constant threshold on a Markov private gain, whose chain the
+        rule's slot chain carries, against the oracle's dense chain of the
+        same rule on its grid."""
+        rng = np.random.default_rng(17)
+        checked = 0
+        for _ in range(12):
+            config = random_small_config(rng)
+            model = config.system_model()
+            rates = config.rates()
+            charged = np.array([b > 0 for _, b, _, _ in config.states()])
+            levels = np.unique(rates[charged])
+            for gamma in np.r_[0.0, 0.5 * (levels[1:] + levels[:-1]),
+                               levels[-1] + 1.0]:
+                rule = sx.Policy.threshold(gamma).gamma
+                gain, = policy_gains(config, grid_rule(config, rule)[None])
+                lam, _ = sx.threshold_metrics(model, gamma)
+                assert abs(lam - gain) <= 1e-12
+                checked += 1
+        assert checked >= 50
+
+    @pytest.mark.parametrize("p_s", [0.25, 0.75])
+    def test_markov_private_gain_matches_unit_grid(self, p_s):
+        # the markov workload's model: harvest units {0, 4}, so the driver
+        # solves 6 of the 21 battery units, and an exponential common gain
+        model = markov_workload_config().build_model(p_s)
+        for gamma in (0.5, 1.5, 2.5):
+            lam, mean_T = sx.threshold_metrics(model, gamma)
+            lam_u, stops_u = unit_grid_metrics(model, gamma)
+            assert lam == pytest.approx(lam_u, rel=1e-12, abs=0)
+            assert mean_T == pytest.approx(1.0 / stops_u, rel=1e-12, abs=0)
 
 
 class TestOptimizeThreshold:
@@ -854,9 +961,14 @@ class TestOptimizeThreshold:
         assert all(x <= y + 1e-12 for x, y in zip(lams[:k], lams[1:k + 1]))
         assert all(x >= y - 1e-12 for x, y in zip(lams[k:], lams[k + 1:]))
 
-    def test_markov_gains_rejected(self):
-        with pytest.raises(UnsupportedKind):
-            sx.optimize_threshold(fig3_model(0.5))
+    def test_markov_private_gain_searched(self):
+        # fig3's model: its best threshold is worth the best of a scan
+        model = fig3_model(0.5)
+        gamma, pair = sx.optimize_threshold(model)
+        assert pair == sx.threshold_metrics(model, gamma)
+        scan = [sx.threshold_metrics(model, g)[0]
+                for g in np.linspace(0.0, 4.0, 81)]
+        assert pair[0] >= max(scan) - 1e-9
 
     def test_search_is_exact(self, monkeypatch):
         """The search simulates nothing, and its optimum has exact regret
