@@ -1,30 +1,34 @@
 """Slot-level Monte Carlo of save-then-transmit periods and the two
 benchmark supplies.
 
-Everything runs many battery streams side by side, one vectorized draw
-block per slot, so a fixed (configuration, seed) pair always reproduces the
-same metrics bit for bit.
+Everything runs many battery streams side by side, so a fixed
+(configuration, seed) pair always reproduces the same metrics bit for bit.
 
 Per-slot draw order is the access uniform u, private gain, common gain,
-harvest, each one block over all streams; the access flag is phi = u < p_s.
+harvest, each one value per stream; the access flag is phi = u < p_s.  One
+slot stream, ``_SlotStream``, makes every draw of a pass: it draws a block
+of ``_BLOCK`` slots at a time in exactly that generator order, one
+generator call per run of draws of one kind, so a block holds what drawing
+slot by slot gives, bit for bit.
+
 ``run_policies`` runs any list of rules, each a ``Policy`` gamma table, in
-one refill pass of the period engine ``_run_block``, which draws from one
-generator; ``run_simulation`` is its one-rule form.  Each rule's lanes take
-period indices from a queue as they end periods, so a lane simulates
-unrecorded periods only in its warm-up and while it waits, idle, for its
-rule's last recorded periods to end.  A lane keeps only whether its
-running period is recorded; the queue counts its takers, and a trace alone
-keeps the traced rule's period indices.  The two benchmark supplies run as
-one pass, ``run_supplies``, which draws per slot in that order, spends per
-block of slots, and gives both supplies the same draws, as the engine gives
-its rules.  A pass of either may hold several p_s: its models differ only
-in the access probability, the draws serve them all, and each p_s compares
-the one access uniform with its own value, so each row is what a pass of
-its p_s alone gives.  It runs the engine's Monte
-Carlo scheme: ``streams`` lanes on one generator built as the engine's,
-with standard errors batched over the engine's ``N_BATCHES`` fixed groups
-of lanes.  The engine and the supplies keep per-lane sums of their records
-and reduce them once, after the slot loop, with one fold, ``_fold``.
+one refill pass of the period engine ``_run_block``, which reads the
+stream slot by slot; ``run_simulation`` is its one-rule form.  Each rule's
+lanes take period indices from a queue as they end periods, so a lane
+simulates unrecorded periods only in its warm-up and while it waits, idle,
+for its rule's last recorded periods to end.  A lane keeps only whether
+its running period is recorded; the queue counts its takers, and a trace
+alone keeps the traced rule's period indices.  The two benchmark supplies
+run as one pass, ``run_supplies``, which spends the stream's blocks whole
+and gives both supplies the same draws, as the engine gives its rules.  It
+runs the engine's Monte Carlo scheme: ``streams`` lanes on one generator
+built as the engine's, with standard errors batched over the engine's
+``N_BATCHES`` fixed groups of lanes.  A pass of either may hold several
+p_s: its models differ only in the access probability, the draws serve
+them all, and each p_s compares the one access uniform with its own value,
+so each row is what a pass of its p_s alone gives.  The engine and the
+supplies keep per-lane sums of their records and reduce them once, after
+the slot loop, with one fold, ``_fold``.
 """
 from __future__ import annotations
 
@@ -34,7 +38,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .errors import PeriodOverflow
-from .models import GainDistribution, SystemModel, stationary_distribution
+from .models import SystemModel, stationary_distribution
 from .power import check_gamma, solve_water_level, stop_rate
 from .tables import emit_csv
 
@@ -98,97 +102,201 @@ class Metrics:
 
 
 # ---------------------------------------------------------------------------
-# samplers: every call draws one block of ``size`` values
+# the slot stream: every draw of a pass, one block of slots at a time
+
+# slots per block of the slot stream, for the engine and the supplies alike:
+# spreads the draw and spend kernels' call overhead over many values and
+# keeps their temporaries small
+_BLOCK = 32
 
 
 def _cum_table(p) -> np.ndarray:
-    """Cumulative sums of the probability rows ``p`` (one row, or a
-    transition matrix), less the columns that are >= 1.0 in every row: a
-    uniform in [0, 1) never reaches them, so ``_step_chain`` draws the same
-    indices without them, and a two-state chain steps one column."""
-    cum = np.cumsum(p, axis=-1)
-    return cum[..., (cum < 1.0).reshape(-1, cum.shape[-1]).any(axis=0)]
+    """Inverse-CDF bounds of the probability rows ``p`` (one row, or a
+    transition matrix): their cumulative sums less the last column, so the
+    last state takes the rest of [0, 1) whatever the sums round to, and
+    less the columns that are >= 1.0 in every row, which a uniform in
+    [0, 1) never reaches; a two-state chain has one column."""
+    cum = np.cumsum(p, axis=-1)[..., :-1]
+    return cum[..., np.atleast_2d(cum < 1.0).any(axis=0)]
 
 
-def _step_chain(cum: np.ndarray, idx, rng, size: int):
-    """Inverse-CDF index draws against the cumulative rows ``cum[idx]``,
-    one uniform per draw; ``idx=None`` draws every index from the single
-    cumulative row ``cum``."""
-    u = rng.random(size)
-    out = np.zeros(size, dtype=np.int64)
-    for col in cum.T:  # one column at a time: cheaper than a 2-D broadcast
-        out += u >= (col if idx is None else col[idx])
+def _inverse_cdf(bounds: np.ndarray, u: np.ndarray, out: np.ndarray):
+    """Writes to ``out`` the index of each uniform in ``u`` under one row
+    of ``_cum_table`` bounds, the count of bounds <= u, and returns it.  A
+    bound <= 0 counts for every uniform and one >= 1 for none, so neither
+    is compared."""
+    out.fill(np.count_nonzero(bounds <= 0.0))
+    for c in bounds[(bounds > 0.0) & (bounds < 1.0)]:
+        out += u >= c
     return out
 
 
-class _GainSampler:
-    """Per-slot i.i.d. gain draws."""
+class _Chain:
+    """A Markov chain of each lane, stepped by one uniform per lane and slot.
 
-    def __init__(self, dist: GainDistribution):
-        self.dist = dist
-        if dist.kind == "discrete":
-            self.values = np.asarray(dist.values)
-            self.cum = _cum_table(dist.probabilities)
+    A step reads each lane's row of the chain's ``_cum_table`` bounds at
+    its current state and counts the bounds its uniform reaches, so a
+    step's work grows with the number of states.  The walk's path holds
+    the block's states, from which its values are read once per block."""
 
-    def draw(self, rng, size: int) -> np.ndarray:
-        if self.dist.kind == "discrete":
-            return self.values[_step_chain(self.cum, None, rng, size)]
-        if self.dist.kind == "constant":
-            return np.full(size, self.dist.value)
-        return rng.exponential(self.dist.mean, size=size)
+    def __init__(self, spec, lanes: int):
+        n = len(spec.states)
+        # column c holds every state's c-th bound, so one gather reads
+        # each lane's row
+        self.bounds = np.ascontiguousarray(_cum_table(spec.transition).T)
+        self.values = np.asarray(spec.states, dtype=float)
+        self._rows = np.empty((len(self.bounds), lanes))
+        self._hits = np.empty(self._rows.shape, dtype=bool)
+        self._counts = self._hits.view(np.uint8)  # summed without a cast
+        # the state at each slot's start; row i + 1 is after slot i
+        self.path = np.empty((_BLOCK + 1, lanes), np.min_scalar_type(n - 1))
+        self.state = None  # each lane's state; the stream draws the start
+
+    def walk(self, u: np.ndarray, out: np.ndarray):
+        """Steps every lane once per row of the uniforms ``u`` (n, lanes)
+        and writes each step's value to the same row of ``out``, which may
+        be ``u`` itself.  A state out of range raises IndexError."""
+        n = len(u)
+        bounds, rows, hits, counts, path = (
+            self.bounds, self._rows, self._hits, self._counts, self.path)
+        bounds.take(self.state, axis=1, out=rows)  # out of range raises
+        path[0] = self.state
+        for i in range(n):
+            if i:  # every state here is a count of bounds, so in range
+                bounds.take(path[i], axis=1, out=rows, mode="clip")
+            np.less_equal(rows, u[i], out=hits)
+            np.add.reduce(counts, axis=0, dtype=path.dtype, out=path[i + 1])
+        self.values.take(path[1:n + 1], out=out, mode="clip")
+        self.state = path[n].copy()
+
+    def states(self, n: int, after: bool) -> np.ndarray:
+        """The states of the last walk's ``n`` slots, valid until the next
+        walk: at each slot's start, or ``after`` its step."""
+        return self.path[after:n + after]
 
 
-class _PrivateSampler:
-    """Private gain: Markov chain steps, or fresh i.i.d. draws at index 0."""
+class _SlotStream:
+    """Every draw of a pass, for ``lanes`` lanes on the generator ``rng``,
+    one block of ``_BLOCK`` slots at a time.
 
-    def __init__(self, model: SystemModel):
-        self.is_markov = model.private.kind == "markov"
-        if self.is_markov:
-            chain = model.private.chain
-            self.values = np.asarray(chain.states)
-            self.cum = _cum_table(chain.transition)
-            self.pi_cum = _cum_table(stationary_distribution(chain))
-        else:
-            self.iid = _GainSampler(model.private)
+    Each slot draws, in this order and one value per lane, the access
+    uniform u, the private gain, the common gain and the harvest step; a
+    constant gain draws nothing.  ``fill`` draws a block into a buffer of
+    shape (``_BLOCK``, 4, lanes) whose row for slot i holds (u, private
+    gain, common gain, harvest).  That layout is the generator's order, so
+    each run of consecutive draws of one kind is one generator call
+    writing into the buffer: uniforms for u, a Markov or discrete gain and
+    the harvest step, standard exponentials for an exponential gain, which
+    times the gain's mean is what ``Generator.exponential`` returns, bit
+    for bit.  The supplies have the block laid out as four contiguous
+    planes of shape (n, lanes), one per kind: their spend runs about a
+    third faster on them than on the slot rows.  A discrete gain's
+    uniforms are mapped to its values once per block, and a Markov private
+    gain and the harvest chain are walked slot by slot (``_Chain``), their
+    planes then holding the chain's values.  The harvest of slot i is the
+    energy that reaches the battery, or the budget, of slot i + 1.
 
-    def init(self, rng, size: int):
-        """Chain indices from the stationary law (zeros when i.i.d., which
-        draws nothing)."""
-        if self.is_markov:
-            return _step_chain(self.pi_cum, None, rng, size)
-        return np.zeros(size, dtype=np.int64)
+    Construction draws the start: the harvest chain's state from its
+    stationary law, stepped once (``harvest0`` is that step's harvest, the
+    energy before the first slot), then a Markov private gain's state from
+    its stationary law.  A pass that stops mid-block leaves the block's
+    other draws unread, with its generator."""
 
-    def step(self, idx, rng, size: int):
-        """Returns (values, indices); consumes one draw block."""
-        if self.is_markov:
-            nxt = _step_chain(self.cum, idx, rng, size)
-            return self.values[nxt], nxt
-        return self.iid.draw(rng, size), idx
+    def __init__(self, model: SystemModel, rng, lanes: int):
+        self._slots = np.empty((_BLOCK, 4, lanes))
+        self._flat = self._slots.reshape(-1, lanes)
+        # per row: the generator method that draws it, or None; one object
+        # per method, so that runs of one kind are found by identity
+        uniform, exponential = rng.random, rng.standard_exponential
+        self._kinds = [uniform, None, None, uniform]
+        markov = model.private.kind == "markov"
+        gains = ((1, model.private), (2, model.common))
+        # the i.i.d. gains' rows, each mapped to gains once per block
+        self._gains = [(j, dist) for j, dist in gains if dist.kind != "markov"]
+        self._bounds = {}  # each discrete gain's bounds, by row
+        for j, dist in gains:
+            if dist.kind == "exponential":
+                self._kinds[j] = exponential
+            elif dist.kind != "constant":  # discrete or Markov: uniforms
+                self._kinds[j] = uniform
+            if dist.kind == "discrete":
+                self._bounds[j] = _cum_table(dist.probabilities)
+        self._index = np.empty((_BLOCK, lanes), np.min_scalar_type(max(
+            (len(d.values) - 1 for _, d in self._gains
+             if d.kind == "discrete"), default=0)))
+        self._runs = {}
+        self.harvest = _Chain(model.eh, lanes)
+        self.private = _Chain(model.private.chain, lanes) if markov else None
 
+        u = rng.random((3 if markov else 2, lanes))
+        self.harvest.state = _inverse_cdf(
+            _cum_table(stationary_distribution(model.eh)), u[0],
+            np.empty(lanes, self.harvest.path.dtype))
+        self.harvest0 = np.empty(lanes)
+        self.harvest.walk(u[1:2], self.harvest0[None])
+        if markov:
+            self.private.state = _inverse_cdf(
+                _cum_table(stationary_distribution(model.private.chain)),
+                u[2], np.empty(lanes, self.private.path.dtype))
 
-def _draw_slot(private: _PrivateSampler, common: _GainSampler, h_idx, rng,
-               size: int):
-    """One slot's channel draws for every stream: the access uniform u,
-    private gain, common gain.  Returns (u, h, h_idx, hc); the access flag
-    at any p_s is ``u < p_s``, so one draw serves every p_s of a pass."""
-    u = rng.random(size)
-    h, h_idx = private.step(h_idx, rng, size)
-    return u, h, h_idx, common.draw(rng, size)
+    def _block_runs(self, n: int):
+        """(method, rows) of each run of consecutive draws of one kind
+        among the ``4 n`` rows of an ``n``-slot block."""
+        if n not in self._runs:
+            runs = []
+            for r in range(4 * n):
+                kind = self._kinds[r % 4]
+                if kind is None:
+                    continue
+                if runs and runs[-1][0] is kind and runs[-1][2] == r:
+                    runs[-1][2] = r + 1
+                else:
+                    runs.append([kind, r, r + 1])
+            self._runs[n] = [(kind, self._flat[first:end])
+                             for kind, first, end in runs]
+        return self._runs[n]
+
+    def fill(self, n: int = _BLOCK, scratch=None) -> np.ndarray:
+        """Draws the next ``n`` slots and returns them as planes of shape
+        (4, n, lanes): access uniforms, private gains, common gains and
+        harvests, valid until the next ``fill``.  A plane's rows are
+        contiguous, but not the plane, unless ``scratch``, a free buffer
+        of that shape, is given: the block is then laid out as four
+        contiguous planes, copied through it."""
+        for draw, rows in self._block_runs(n):
+            draw(out=rows)
+        planes = self._slots[:n].transpose(1, 0, 2)
+        if scratch is not None:
+            np.copyto(scratch, planes)
+            planes = self._flat[:4 * n].reshape(4, n, -1)
+            np.copyto(planes, scratch)
+        for j, dist in self._gains:
+            rows = planes[j]
+            if dist.kind == "constant":  # drew nothing
+                rows.fill(dist.value)
+            elif dist.kind == "exponential":  # standard, to the mean
+                rows *= dist.mean
+            else:  # discrete: uniforms to values
+                index = _inverse_cdf(self._bounds[j], rows, self._index[:n])
+                np.take(dist.values, index, out=rows, mode="clip")
+        if self.private is not None:
+            self.private.walk(planes[1], planes[1])
+        self.harvest.walk(planes[3], planes[3])
+        return planes
+
+    def states(self, n: int):
+        """The last block's chain states per slot: the harvest state at
+        each slot's start, and the private state of the slot (None for an
+        i.i.d. private gain)."""
+        return (self.harvest.states(n, after=False),
+                None if self.private is None
+                else self.private.states(n, after=True))
 
 
 def _access(u, p_s):
     """Access flags ``u < p_s`` as int8; ``p_s`` may be a column of one
     p_s per row."""
     return (u < p_s).astype(np.int8)
-
-
-def _first_harvest(model: SystemModel, rng, size: int):
-    """Harvest-chain indices from the stationary law, stepped once; the
-    harvest of that step is the first battery (or best-effort budget)."""
-    eh_cum = _cum_table(model.eh.transition)
-    pi_cum = _cum_table(stationary_distribution(model.eh))
-    return _step_chain(eh_cum, _step_chain(pi_cum, None, rng, size), rng,
-                       size)
 
 
 def _access_grid(model) -> list[SystemModel]:
@@ -261,7 +369,11 @@ def _run_block(policies, model, warm_per_lane: int, n_periods: int, rng,
     leaves when none of its lanes runs a recorded period.  A period is
     included when it starts, before its length is known, so the sample is
     free of length bias.  Rows share each slot's draws and keep their own
-    batteries, so each gets what a pass of its rule alone would.
+    batteries, so each gets what a pass of its rule alone would.  The
+    draws come from one ``_SlotStream`` on ``rng``, read one slot at a
+    time from its current block; a pass that ends mid-block leaves the
+    block's other draws unread.  The draws a pass reads are those of
+    drawing slot by slot in the stated order.
 
     A lane keeps one flag, whether its running period is recorded, not
     its period index: the records are summed per lane, so only a trace
@@ -287,18 +399,14 @@ def _run_block(policies, model, warm_per_lane: int, n_periods: int, rng,
         p_s = p_s[0, 0]
     gammas = _rule_tables(policies, model)
     nb, ne, nh = gammas.shape[1:]
-    private = _PrivateSampler(model)
-    common = _GainSampler(model.common)
-    eh_cum = _cum_table(model.eh.transition)
-    eh_vals = np.asarray(model.eh.states)
     cap = model.b_cap
     base = model.log_base
 
     # initial carry: one harvest as the first battery, gain chain from its
     # stationary law
-    e_idx = _first_harvest(model, rng, lanes)
-    b = np.tile(np.minimum(eh_vals[e_idx], cap), (rows, 1))
-    h_idx = private.init(rng, lanes)
+    stream = _SlotStream(model, rng, lanes)
+    b = np.tile(np.minimum(stream.harvest0, cap), (rows, 1))
+    t = _BLOCK  # the slot read from the stream's block; at _BLOCK, draw
 
     T_cur = np.zeros((rows, lanes), dtype=np.int64)
     # warm-up periods each lane has left to end; None once all have ended
@@ -313,7 +421,7 @@ def _run_block(policies, model, warm_per_lane: int, n_periods: int, rng,
     # row's sums as it leaves.  ``terms`` holds one slot's three terms,
     # masked in place
     sums = np.zeros((rows, 3, lanes))
-    done = np.empty_like(sums)
+    done = {}
     terms = np.empty_like(sums)
     shift = np.zeros(rows)
     unset = np.ones(rows, dtype=bool)
@@ -334,7 +442,12 @@ def _run_block(policies, model, warm_per_lane: int, n_periods: int, rng,
         # no period is longer than the pass so far
         if slots > slot_cap and T_cur.max() > slot_cap:
             raise PeriodOverflow(f"period exceeded {slot_cap} slots")
-        u, h, h_idx, hc = _draw_slot(private, common, h_idx, rng, lanes)
+        if t == _BLOCK:
+            us, hs, hcs, harvests = stream.fill()
+            if ne > 1 or nh > 1:
+                e_idx, h_idx = stream.states(_BLOCK)
+            t = 0
+        u, h, hc, e_val = us[t], hs[t], hcs[t], harvests[t]
         phi = _access(u, p_s[live] if mixed else p_s)
         rate = stop_rate(b, h, hc, phi, base)
         # unlike the rule the solvers evaluate, which never stops at b = 0,
@@ -346,10 +459,9 @@ def _run_block(policies, model, warm_per_lane: int, n_periods: int, rng,
         # (ROADMAP item 4)
         at = (live[:, None],
               np.round(b / model.delta).astype(np.int64) if nb > 1 else 0,
-              e_idx if ne > 1 else 0, h_idx if nh > 1 else 0)
+              e_idx[t] if ne > 1 else 0, h_idx[t] if nh > 1 else 0)
         stop = rate >= gammas[at]
-        e_idx = _step_chain(eh_cum, e_idx, rng, lanes)
-        e_val = eh_vals[e_idx]
+        t += 1
 
         recorded = stop & recording
         fresh = unset[live]
@@ -395,7 +507,7 @@ def _run_block(policies, model, warm_per_lane: int, n_periods: int, rng,
             going = (taken < n_periods) | recording.any(axis=1)
             if not going.all():
                 slots_run[live[~going]] = slots
-                done[live[~going]] = sums[~going]
+                done.update(zip(live[~going].tolist(), sums[~going]))
                 live, b, T_cur, recording, taken, sums, terms = (
                     a[going] for a in (live, b, T_cur, recording, taken,
                                        sums, terms))
@@ -518,11 +630,6 @@ def run_simulation(policy: Policy, model: SystemModel, n_periods: int,
     return run_policies([policy], model, n_periods, seed, **sizes)[0]
 
 
-# slots per spend in ``run_supplies``: spreads the spend kernels' call
-# overhead over many values and keeps their temporaries small
-_SUPPLY_BLOCK = 32
-
-
 def run_supplies(model, p_bar: float, n_slots: int, seed: int, *,
                  water_level=None, streams: int = 512):
     """Metrics of the two benchmark supplies, ``(best_effort,
@@ -543,19 +650,20 @@ def run_supplies(model, p_bar: float, n_slots: int, seed: int, *,
     be bracketed raises ``NoBracket`` for both.
 
     ``streams`` lanes run ``ceil(n_slots / streams)`` slots each on the
-    engine's generator at ``seed``.  Each slot draws the access uniform
-    and both gains, then steps the harvest chain; each block of
-    ``_SUPPLY_BLOCK`` slots is spent by both supplies of each model at
-    once.  A block computes what no p_s changes once: best-effort's rates
-    without and with access, and the gains' reciprocals.  Each model then
-    adds only its access mask, its water level's powers and rates, and a
-    choice between the two best-effort rates, made by multiplying them
-    with the mask and its complement; no value is selected with
-    ``np.where``, and every value is what a spend per model and slot
-    gives, bit for bit.  Each lane sums its deviations from the first
-    slot's values, and ``_fold`` takes those sums into the engine's lane
-    groups once, at the end, so the standard errors are NaN with fewer
-    streams than ``N_BATCHES``.
+    engine's generator at ``seed``, drawn by the engine's ``_SlotStream``:
+    each slot draws the access uniform and both gains, then steps the
+    harvest chain, in that generator order.  Each block of ``_BLOCK``
+    slots is spent by both supplies of each model at once, on the
+    stream's contiguous planes.  A block computes what no p_s changes
+    once: best-effort's rates without and with access, and the gains'
+    reciprocals.  Each model then adds only its access mask, its water
+    level's powers and rates, and a choice between the two best-effort
+    rates, made by multiplying them with the mask and its complement; no
+    value is selected with ``np.where``, and every value is what a spend
+    per model and slot gives, bit for bit.  Each lane sums its deviations
+    from the first slot's values, and ``_fold`` takes those sums into the
+    engine's lane groups once, at the end, so the standard errors are NaN
+    with fewer streams than ``N_BATCHES``.
     Throughput is total rate over total slots, exact when the per-slot
     rate is constant; the realized average power is reduced the same way.
     """
@@ -573,15 +681,9 @@ def run_supplies(model, p_bar: float, n_slots: int, seed: int, *,
               for m, lv in zip(models, levels)]
     model = models[0]
     slots = -(-n_slots // streams)
-    private = _PrivateSampler(model)
-    common = _GainSampler(model.common)
-    eh_cum = _cum_table(model.eh.transition)
-    eh_vals = np.asarray(model.eh.states)
     base = model.log_base
     logf = np.log2 if base == 2.0 else np.log
-    rng = _rng(seed)
-    e_idx = _first_harvest(model, rng, streams)
-    h_idx = private.init(rng, streams)
+    stream = _SlotStream(model, _rng(seed), streams)
 
     # per model and lane: best-effort rate, conventional rate and power,
     # less shifts (each model's first values of them)
@@ -596,20 +698,22 @@ def run_supplies(model, p_bar: float, n_slots: int, seed: int, *,
         v -= shifts[k, j]
         sums[k, j] += v.sum(axis=0)
 
-    # buffers for a block's draws, its gains' reciprocals and one model's
-    # values at a time, allocated once; a short last block uses their heads
-    draws = np.empty((4, _SUPPLY_BLOCK, streams))
-    inverses = np.empty((2, _SUPPLY_BLOCK, streams))
-    work = np.empty((3, _SUPPLY_BLOCK, streams))
-    masks = np.empty((2, _SUPPLY_BLOCK, streams), dtype=bool)
-    for first in range(0, slots, _SUPPLY_BLOCK):
-        n = min(_SUPPLY_BLOCK, slots - first)
-        u, h, hc, budget = draws[:, :n]
-        for i in range(n):
-            budget[i] = eh_vals[e_idx]
-            u[i], h[i], h_idx, hc[i] = _draw_slot(private, common, h_idx, rng,
-                                                  streams)
-            e_idx = _step_chain(eh_cum, e_idx, rng, streams)
+    # buffers for a block's gains' reciprocals and one model's values at a
+    # time, allocated once; a short last block uses their heads.  Between
+    # blocks they are free, and the stream lays its block out through them
+    budget0 = stream.harvest0
+    buffers = np.empty((5, _BLOCK, streams))
+    inverses, work = buffers[:2], buffers[2:]
+    masks = np.empty((2, _BLOCK, streams), dtype=bool)
+    for first in range(0, slots, _BLOCK):
+        n = min(_BLOCK, slots - first)
+        u, h, hc, budget = stream.fill(n, buffers[:4, :n])
+        # a slot's budget is the harvest of the slot before it: the
+        # harvest plane moves down one slot, in place
+        last = budget[-1].copy()
+        budget[1:] = budget[:-1]
+        budget[0] = budget0
+        budget0 = last
         # what no p_s changes, once per block: best-effort's rates without
         # and with access, and the gains' reciprocals (+inf at a gain of 0,
         # where the water-filling power is 0)

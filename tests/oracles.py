@@ -166,7 +166,10 @@ class PeriodOutcome:
 
 
 def _draw_index(cum_row, rng) -> int:
-    return int(np.searchsorted(cum_row, rng.random(), side="right"))
+    """Inverse-CDF index of one uniform under the full cumulative sums
+    ``cum_row``; the last sum is not compared, so the last state takes the
+    rest of [0, 1) whatever the sums round to."""
+    return int(np.searchsorted(cum_row[:-1], rng.random(), side="right"))
 
 
 def _draw_gain(dist, rng) -> float:
@@ -264,49 +267,97 @@ def refill_indices(take, cur, taken, n_periods: int):
 
 
 # ---------------------------------------------------------------------------
-# benchmark supplies spent one slot at a time
+# slot draws one slot at a time, and the benchmark supplies spent per slot
 
 
 def step_chain(cum, idx, rng, size):
     """Inverse-CDF index draws as one 2-D broadcast against the rows
-    ``cum[idx]`` (``idx=None``: the single row ``cum``)."""
+    ``cum[idx]`` of full cumulative sums (``idx=None``: the single row
+    ``cum``).  The last column is not compared, so the last state takes
+    the rest of [0, 1) whatever the sums round to."""
     u = rng.random(size)
-    return (u[:, None] >= cum[idx]).sum(axis=1)
+    return (u[:, None] >= (cum if idx is None else cum[idx])[..., :-1]).sum(
+        axis=1)
+
+
+class SlotDraws:
+    """The draws of a pass for ``lanes`` lanes, one slot and one generator
+    call per value at a time: the reference of the package's block stream.
+
+    Construction draws the harvest chain's state from its stationary law
+    and steps it once (``harvest0`` is that step's harvest), then a Markov
+    private gain's state from its stationary law.  Each ``slot()`` draws
+    the access uniform u, the private gain, the common gain and the
+    harvest step, in that order; a constant gain draws nothing."""
+
+    def __init__(self, model, rng, lanes):
+        import savetx as sx
+
+        self.model, self.rng, self.lanes = model, rng, lanes
+        self.eh_cum = np.cumsum(model.eh.transition, axis=1)
+        self.eh_vals = np.asarray(model.eh.states)
+        pi = np.cumsum(sx.stationary_distribution(model.eh))
+        self.e_idx = step_chain(self.eh_cum, step_chain(pi, None, rng, lanes),
+                                rng, lanes)
+        self.harvest0 = self.eh_vals[self.e_idx]
+        self.h_idx = None
+        if model.private.kind == "markov":
+            pi = np.cumsum(sx.stationary_distribution(model.private.chain))
+            self.h_idx = step_chain(pi, None, rng, lanes)
+
+    def _gain(self, dist):
+        if dist.kind == "constant":
+            return np.full(self.lanes, dist.value)
+        if dist.kind == "exponential":
+            return self.rng.exponential(dist.mean, self.lanes)
+        return np.asarray(dist.values)[step_chain(
+            np.cumsum(dist.probabilities), None, self.rng, self.lanes)]
+
+    def slot(self):
+        """One slot: ``(u, h, hc, harvest, e_idx, h_idx)``, with
+        ``e_idx`` the harvest state at the slot's start and ``h_idx`` the
+        private state of the slot (None for an i.i.d. gain)."""
+        rng, lanes = self.rng, self.lanes
+        u = rng.random(lanes)
+        if self.h_idx is None:
+            h = self._gain(self.model.private)
+        else:
+            chain = self.model.private.chain
+            self.h_idx = step_chain(np.cumsum(chain.transition, axis=1),
+                                    self.h_idx, rng, lanes)
+            h = np.asarray(chain.states)[self.h_idx]
+        hc = self._gain(self.model.common)
+        e_idx = self.e_idx
+        self.e_idx = step_chain(self.eh_cum, e_idx, rng, lanes)
+        return u, h, hc, self.eh_vals[self.e_idx], e_idx, self.h_idx
 
 
 def run_supplies_per_slot(model, level, n_slots, seed, *, streams=512):
     """``run_supplies`` with one spend per slot: ``(best_effort,
     conventional)`` at water level ``level``.
 
-    Each slot draws the access flag and both gains, then steps the harvest
-    chain, so the draws are those of ``run_supplies``.  Best-effort spends
-    the harvest of the slot before; conventional water-fills at ``level``.
+    The draws come one slot at a time from ``SlotDraws``, so they are
+    those of ``run_supplies`` if its block stream keeps the order.
+    Best-effort spends the harvest of the slot before; conventional
+    water-fills at ``level``.
     Each lane's deviations from the first slot's values are summed in
-    blocks of the engine's spend size, so the sums round as the engine's
+    blocks of the slot stream's size, so the sums round as the package's
     do, then folded into the engine's ``N_BATCHES`` lane groups.
     """
     import savetx as sx
     from savetx import simulate as sim
 
     slots = -(-n_slots // streams)
-    private = sim._PrivateSampler(model)
-    common = sim._GainSampler(model.common)
-    eh_cum = np.cumsum(model.eh.transition, axis=1)
-    eh_vals = np.asarray(model.eh.states)
     logf = np.log2 if model.log_base == 2.0 else np.log
-    rng = np.random.Generator(np.random.PCG64(
-        np.random.SeedSequence(seed).spawn(1)[0]))
-    e_idx = sim._first_harvest(model, rng, streams)
-    h_idx = private.init(rng, streams)
+    draws = SlotDraws(model, np.random.Generator(np.random.PCG64(
+        np.random.SeedSequence(seed).spawn(1)[0])), streams)
+    budget = draws.harvest0
     shifts = None
     sums = np.zeros((3, streams))
     block = []  # per-lane deviations of the slots since the last fold
     for s in range(slots):
-        budget = eh_vals[e_idx]
-        u, h, h_idx, hc = sim._draw_slot(private, common, h_idx, rng,
-                                         streams)
+        u, h, hc, harvest, *_ = draws.slot()
         phi = (u < model.access.p_s).astype(np.int8)
-        e_idx = step_chain(eh_cum, e_idx, rng, streams)
         p = sx.conventional_power(h, level)
         pc = np.where(phi == 1, sx.conventional_power(hc, level), 0.0)
         values = (sx.stop_rate(budget, h, hc, phi, model.log_base),
@@ -316,7 +367,8 @@ def run_supplies_per_slot(model, level, n_slots, seed, *, streams=512):
         if shifts is None:
             shifts = [float(v[0]) for v in values]
         block.append([v - c for v, c in zip(values, shifts)])
-        if len(block) == sim._SUPPLY_BLOCK or s == slots - 1:
+        budget = harvest  # the next slot spends this slot's harvest
+        if len(block) == sim._BLOCK or s == slots - 1:
             sums += np.sum(block, axis=0)
             block = []
     group = np.arange(streams) * sim.N_BATCHES // streams

@@ -1,14 +1,16 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy import integrate, stats
 
 import savetx as sx
 from savetx.errors import BadName, ReducibleChain, UnsupportedKind
-from savetx.simulate import _GainSampler, _PrivateSampler, _access, \
-    _cum_table, _draw_slot, _step_chain
+from savetx.simulate import _BLOCK, _Chain, _SlotStream, _access, \
+    _cum_table, _inverse_cdf
 
-from oracles import step_chain
+from oracles import SlotDraws, step_chain
 
 PAPER_CHAIN = sx.MarkovChainSpec([0.1, 2.0 ** 4],
                                  [[0.0, 1.0], [0.5, 0.5]])
@@ -133,81 +135,205 @@ def cum_rows(chain):
     return np.cumsum(chain.transition, axis=1)
 
 
-def one_state_model(private=None, p_s=0.5):
+def one_state_model(private=None, p_s=0.5, common=None):
     return sx.SystemModel(
         private=private or sx.GainDistribution.constant(1.0),
-        common=sx.GainDistribution.constant(1.0),
+        common=common or sx.GainDistribution.constant(1.0),
         access=sx.AccessModel(p_s),
         eh=sx.MarkovChainSpec([1.0], [[1.0]]),
         b_max_units=1, delta=1.0)
 
 
+def stream_of(lanes, seed, **gains):
+    """A slot stream of ``lanes`` lanes on a one-state harvest chain."""
+    return _SlotStream(one_state_model(**gains),
+                       np.random.default_rng(seed), lanes)
+
+
+def block_draws(row, n, seed, **gains):
+    """``n`` draws of the stream's row ``row`` (0 access uniform, 1 private
+    gain, 2 common gain), one full block of ``n / _BLOCK`` lanes."""
+    return stream_of(n // _BLOCK, seed, **gains).fill()[row].ravel()
+
+
+def chain_step(P, state, u):
+    """The states that one step of the walk takes lanes in ``state`` to
+    under the uniforms ``u``, on the transition rows ``P`` (rows of the
+    states a lane may be in, a column per state it may step to)."""
+    P = np.asarray(P)
+    chain = _Chain(SimpleNamespace(states=np.arange(P.shape[1]),
+                                   transition=P), len(u))
+    chain.state = state
+    chain.walk(u[None], np.empty((1, len(u))))
+    return chain.states(1, after=True)[0]
+
+
 def access_draws(p_s, rng, n):
     model = one_state_model(p_s=p_s)
-    u, *_ = _draw_slot(_PrivateSampler(model), _GainSampler(model.common),
-                       np.zeros(n, int), rng, n)
+    u = _SlotStream(model, rng, n // _BLOCK).fill()[0]
     return _access(u, model.access.p_s)
 
 
+def random_chain(rng, n, states=None):
+    """An irreducible chain of ``n`` states: random rows with about a third
+    of their entries zeroed, and a cycle through every state kept."""
+    P = rng.dirichlet(np.ones(n), size=n)
+    P[rng.random((n, n)) < 0.3] = 0.0
+    P[np.arange(n), (np.arange(n) + 1) % n] += 0.1
+    if states is None:
+        states = rng.uniform(0.0, 4.0, n).round(3)
+    return sx.MarkovChainSpec(states, P / P.sum(axis=1, keepdims=True))
+
+
+def random_gain(rng, kind):
+    if kind == "constant":
+        return sx.GainDistribution.constant(rng.uniform(0.0, 4.0))
+    if kind == "exponential":
+        return sx.GainDistribution.exponential(rng.uniform(0.2, 3.0))
+    if kind == "discrete":
+        n = int(rng.integers(1, 5))
+        return sx.GainDistribution.discrete(rng.uniform(0.0, 4.0, n),
+                                            rng.dirichlet(np.ones(n)))
+    return sx.GainDistribution.markov(random_chain(rng,
+                                                   int(rng.integers(1, 5))))
+
+
 class TestSampling:
-    """The engine's vectorized samplers, one block of draws per call."""
+    """The slot stream: every draw of a pass, a block of slots at a time."""
+
+    @given(st.sampled_from(["constant", "discrete", "exponential", "markov"]),
+           st.sampled_from(["constant", "discrete", "exponential"]),
+           st.integers(1, 3), st.sampled_from([1, 7, 64, 256]),
+           st.integers(1, 3 * _BLOCK), st.integers(0, 2 ** 32 - 1))
+    # a one-state harvest chain, as fig3's default, on 256 lanes: state
+    # indices sized to the states alone must still serve every lane
+    @example("exponential", "exponential", 1, 256, 3, 0)
+    @settings(max_examples=120, deadline=None)
+    def test_matches_per_slot_draws(self, private, common, eh_states, lanes,
+                                    slots, seed):
+        """The stream's blocks are the per-slot reference's draws, value
+        for value, with the chain states the engine reads: every private
+        kind (a Markov chain of 1 to 4 states) against every common kind,
+        exponential gains of different means, 1 lane or many, and a short
+        last block."""
+        rng = np.random.default_rng(seed)
+        model = sx.SystemModel(
+            private=random_gain(rng, private),
+            common=random_gain(rng, common),
+            access=sx.AccessModel(0.5),
+            eh=random_chain(rng, eh_states,
+                            rng.integers(0, 5, eh_states).astype(float)),
+            b_max_units=1, delta=1.0)
+        stream = _SlotStream(model, np.random.Generator(np.random.PCG64(
+            seed)), lanes)
+        ref = SlotDraws(model, np.random.Generator(np.random.PCG64(seed)),
+                        lanes)
+        assert np.array_equal(stream.harvest0, ref.harvest0)
+        for first in range(0, slots, _BLOCK):
+            n = min(_BLOCK, slots - first)
+            block = stream.fill(n)
+            assert block.shape == (4, n, lanes)
+            e_idx, h_idx = stream.states(n)
+            for i in range(n):
+                *values, e_want, h_want = ref.slot()
+                for got, want in zip(block[:, i], values):
+                    assert np.array_equal(got, want)
+                assert np.array_equal(e_idx[i], e_want)
+                assert (h_idx is None) == (h_want is None)
+                if h_want is not None:
+                    assert np.array_equal(h_idx[i], h_want)
 
     def test_forced_transition(self):
-        rng = np.random.default_rng(0)
-        nxt = _step_chain(cum_rows(PAPER_CHAIN), np.zeros(100, int), rng, 100)
-        assert (nxt == 1).all()
+        stream = stream_of(100, 0,
+                           private=sx.GainDistribution.markov(PAPER_CHAIN))
+        stream.private.state = np.zeros(100, int)
+        block = stream.fill(1)
+        assert (stream.states(1)[1] == 1).all()
+        assert (block[1, 0] == PAPER_CHAIN.states[1]).all()
 
     def test_single_state_loops(self):
         chain = sx.MarkovChainSpec([2.0], [[1.0]])
-        rng = np.random.default_rng(0)
-        assert _step_chain(cum_rows(chain), np.zeros(5, int), rng,
-                           5).tolist() == [0] * 5
+        stream = stream_of(5, 0, private=sx.GainDistribution.markov(chain))
+        stream.fill()
+        assert stream.states(_BLOCK)[1].tolist() == [[0] * 5] * _BLOCK
 
     def test_bad_index(self):
+        stream = stream_of(1, 0,
+                           private=sx.GainDistribution.markov(PAPER_CHAIN))
+        stream.private.state = np.array([5])
         with pytest.raises(IndexError):
-            _step_chain(cum_rows(PAPER_CHAIN), np.array([5]),
-                        np.random.default_rng(0), 1)
+            stream.fill(1)
 
     @pytest.mark.parametrize("k", range(1, 7))
     def test_matches_broadcast_step(self, k):
         rng = np.random.default_rng(k)
-        cum = np.cumsum(rng.dirichlet(np.ones(k), size=k), axis=1)
+        P = rng.dirichlet(np.ones(k), size=k)
+        cum = np.cumsum(P, axis=1)
         idx = rng.integers(0, k, 1000)
-        for rows, at in ((cum, idx), (cum[-1], None)):
-            got = _step_chain(rows, at, np.random.default_rng(5), 1000)
-            want = step_chain(rows, at, np.random.default_rng(5), 1000)
-            assert got.dtype == want.dtype
-            assert (got == want).all()
+        u = np.random.default_rng(5).random(1000)
+        got = chain_step(P, idx, u)
+        want = step_chain(cum, idx, np.random.default_rng(5), 1000)
+        # states are kept in the smallest unsigned type that holds them
+        assert got.dtype == np.min_scalar_type(k - 1)
+        assert (got == want).all()
+        got = _inverse_cdf(_cum_table(P[-1]), u, np.empty(1000, np.uint8))
+        assert (got == step_chain(cum[-1], None, np.random.default_rng(5),
+                                  1000)).all()
 
     @pytest.mark.parametrize("P, kept", [
-        # the last column is 1.0 in every row and is dropped
+        # the last column is always dropped
         ([[0.9, 0.1], [0.3, 0.7]], 1),
-        # both cumsums end at 0.9999999999999999: no column of ones
-        ([[0.2, 0.7, 0.1], [0.3, 0.6, 0.1]], 3),
-        # only row 1 ends at 0.9999999999999999, so the last column stays:
-        # a uniform in [that, 1) counts it
-        ([[0.5, 0.5, 0.0], [0.2, 0.7, 0.1]], 3),
+        # both cumsums end at 0.9999999999999999; the last state takes
+        # [that, 1) too
+        ([[0.2, 0.7, 0.1], [0.3, 0.6, 0.1]], 2),
+        # only row 1 ends at 0.9999999999999999: the last column goes all
+        # the same, and no uniform indexes past the last state
+        ([[0.5, 0.5, 0.0], [0.2, 0.7, 0.1]], 2),
+        # the middle column is 1.0 in every row and is dropped
+        ([[0.5, 0.5, 0.0], [0.1, 0.9, 0.0]], 1),
     ])
     def test_cum_table_skips_columns_of_ones(self, P, kept):
         full = np.cumsum(P, axis=1)
         cum = _cum_table(np.asarray(P))
         assert cum.shape == (len(P), kept)
-        assert (full[:, kept:] >= 1.0).all()
+        assert (full[:, kept:-1] >= 1.0).all()
         idx = np.random.default_rng(3).integers(0, len(P), 10_000)
-        for rows, at in ((cum, idx), (_cum_table(np.asarray(P[1])), None)):
-            got = _step_chain(rows, at, np.random.default_rng(5), 10_000)
-            want = step_chain(full if at is not None else full[1], at,
-                              np.random.default_rng(5), 10_000)
-            assert (got == want).all()
+        u = np.random.default_rng(5).random(10_000)
+        got = chain_step(P, idx, u)
+        want = step_chain(full, idx, np.random.default_rng(5), 10_000)
+        assert (got == want).all() and got.max() < len(P[0])
+        got = _inverse_cdf(_cum_table(np.asarray(P[1])), u,
+                           np.empty(10_000, np.uint8))
+        assert (got == step_chain(full[1], None, np.random.default_rng(5),
+                                  10_000)).all()
+
+    def test_last_state_takes_the_rest(self):
+        """A uniform above the last cumulative sum draws the last state
+        (it indexed one past the states): probabilities [0.5, 0.5 - 5e-10]
+        sum to 1 - 5e-10, inside the 1e-9 that ``discrete`` accepts, and
+        transition rows can sum to 1 - 2**-53."""
+        dist = sx.GainDistribution.discrete([1.0, 2.0], [0.5, 0.5 - 5e-10])
+        u = np.array([1.0 - 1e-10])
+        idx = _inverse_cdf(_cum_table(dist.probabilities), u,
+                           np.empty(1, np.uint8))
+        assert np.asarray(dist.values)[idx].tolist() == [2.0]
+        # rows summing to 0.9999999999999999 = 1 - 2**-53, the largest
+        # uniform the generator returns
+        chain = sx.MarkovChainSpec([1.0, 2.0, 3.0], [[0.2, 0.7, 0.1],
+                                                     [0.3, 0.6, 0.1],
+                                                     [0.5, 0.4, 0.1]])
+        got = chain_step(chain.transition, np.arange(3),
+                         np.full(3, 1.0 - 2.0 ** -53))
+        assert got.tolist() == [2, 2, 2]
 
     def test_switch_fraction_lln(self):
         chain = sx.MarkovChainSpec([0.0, 1.0], [[0.5, 0.5], [0.5, 0.5]])
-        private = _PrivateSampler(
-            one_state_model(private=sx.GainDistribution.markov(chain)))
-        rng = np.random.default_rng(42)
         n = 1_000_000
-        cur = private.init(rng, n)
-        vals, nxt = private.step(cur, rng, n)
+        stream = stream_of(n // _BLOCK, 42,
+                           private=sx.GainDistribution.markov(chain))
+        vals = stream.fill()[1]
+        cur = stream.private.states(_BLOCK, after=False)
+        nxt = stream.private.states(_BLOCK, after=True)
         assert (vals == np.asarray(chain.states)[nxt]).all()
         assert abs((nxt != cur).mean() - 0.5) < 0.002
 
@@ -215,36 +341,32 @@ class TestSampling:
         rng_p = np.random.default_rng(9)
         P = rng_p.dirichlet(np.ones(3), size=3)
         chain = sx.MarkovChainSpec([1.0, 2.0, 3.0], P)
-        rng = np.random.default_rng(7)
         n = 1_000_000
-        nxt = _step_chain(cum_rows(chain), np.ones(n, int), rng, n)
+        nxt = chain_step(chain.transition, np.ones(n, int),
+                         np.random.default_rng(7).random(n))
         counts = np.bincount(nxt, minlength=3)
         _, p = stats.chisquare(counts, P[1] * n)
         assert p > 0.001
 
     def test_constant_gain(self):
-        sampler = _GainSampler(sx.GainDistribution.constant(2.0 ** 5))
-        rng = np.random.default_rng(0)
-        vals = sampler.draw(rng, 10)
+        vals = stream_of(10, 0, private=sx.GainDistribution.constant(
+            2.0 ** 5)).fill(1)[1, 0]
         assert vals.shape == (10,) and (vals == 32.0).all()
 
     def test_exponential_mean_lln(self):
-        sampler = _GainSampler(sx.GainDistribution.exponential(1.0))
-        rng = np.random.default_rng(11)
-        draws = sampler.draw(rng, 1_000_000)
+        draws = block_draws(1, 1_000_000, 11,
+                            private=sx.GainDistribution.exponential(1.0))
         assert abs(draws.mean() - 1.0) < 0.005
 
     def test_degenerate_discrete(self):
-        sampler = _GainSampler(sx.GainDistribution.discrete([0.0], [1.0]))
-        vals = sampler.draw(np.random.default_rng(0), 3)
+        vals = stream_of(3, 0, common=sx.GainDistribution.discrete(
+            [0.0], [1.0])).fill(1)[2, 0]
         assert vals.tolist() == [0.0] * 3
 
     def test_discrete_chi_square(self):
         probs = [0.2, 0.5, 0.3]
-        sampler = _GainSampler(
-            sx.GainDistribution.discrete([1.0, 2.0, 4.0], probs))
-        rng = np.random.default_rng(5)
-        draws = sampler.draw(rng, 1_000_000)
+        draws = block_draws(2, 1_000_000, 5, common=sx.GainDistribution
+                            .discrete([1.0, 2.0, 4.0], probs))
         assert np.isin(draws, [1.0, 2.0, 4.0]).all()
         counts = [(draws == v).sum() for v in (1.0, 2.0, 4.0)]
         _, p = stats.chisquare(counts, np.array(probs) * 1_000_000)

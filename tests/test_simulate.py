@@ -335,8 +335,10 @@ class TestRunSimulation:
         the end, 7.36 MB for one that also recorded per-period harvest and
         clipping and kept the records beside their concatenation.  An
         engine that reduced the records into per-lane-group sums as they
-        arrived peaked at 0.09 MB; this one adds them into per-lane sums,
-        folded into the lane groups once, and peaks at 0.11 MB."""
+        arrived peaked at 0.09 MB, and one adding them into per-lane sums,
+        folded into the lane groups once, at 0.11 MB.  This one reads its
+        draws from the slot stream's 32-slot block (0.52 MB) and peaks at
+        0.89 MB."""
         model = iid_model(0.5)
         rule = sx.Policy.threshold(2.0)
         sx.run_simulation(rule, model, 50_000, 20240501)
@@ -355,9 +357,10 @@ class TestRunSimulation:
         into batch sums, and 41.1 MB for the same pass keeping every row's
         records until the end.  An engine that reduced the records into
         per-lane-group sums as they arrived peaked at 1.18 MB (1.24 MB
-        with a ``stop_rate`` that gathered and scattered by mask).  This
-        one adds them into (rules, lanes) sums, folded into the lane
-        groups once after the pass, and peaks at 1.67 MB."""
+        with a ``stop_rate`` that gathered and scattered by mask), and one
+        adding them into (rules, lanes) sums, folded into the lane groups
+        once after the pass, at 1.67 MB.  This one also reads its draws
+        from the slot stream's 32-slot block and peaks at 2.09 MB."""
         model = iid_model(0.5)
         rules = [sx.Policy.threshold(g) for g in np.linspace(0.0, 4.0, 21)]
         sx.run_policies(rules, model, 50_000, 20240501)
@@ -368,6 +371,26 @@ class TestRunSimulation:
         finally:
             tracemalloc.stop()
         assert peak < 6.0e6
+
+    def test_sweep_pass_memory(self):
+        """Peak traced memory of one pass of the sweep benchmark's p_s = 0
+        half: 21 thresholds on 512 lanes, 50k periods.  The bound sits
+        between two measurements with numpy 2.4: 2.09 MB for this engine,
+        which reads its draws from one 32-slot block of the slot stream
+        (0.52 MB) and keeps a row's sums apart only once the row leaves,
+        and 2.33 MB for the same engine holding every row's final sums in
+        an array from the start.  An engine that drew each slot's values
+        as it ran them peaked at 1.78 MB."""
+        model = iid_model(0.0)
+        rules = [sx.Policy.threshold(g) for g in np.linspace(0.0, 4.0, 21)]
+        sx.run_policies(rules, model, 50_000, 20240501)
+        tracemalloc.start()
+        try:
+            sx.run_policies(rules, model, 50_000, 20240501)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.3e6
 
     @pytest.mark.parametrize("p_s", [0.0, 0.5])
     def test_lanes_do_useful_work(self, p_s, monkeypatch):
@@ -699,7 +722,9 @@ class TestSupplyBlocks:
         gathered and scattered by mask, whose temporaries covered only the
         entries with access), and 4.00 MB when each of 16 replications'
         123 slots was spent as one best-effort block (the temporaries of
-        ``stop_rate`` grow with the block)."""
+        ``stop_rate`` grow with the block).  Drawn by the slot stream,
+        whose blocks the pass lays out through its own work buffers, it
+        peaks at 2.23 MB."""
         model = iid_model(0.5)
         sx.run_supplies(model, 2.0, 1_000_000, seed=1)
         tracemalloc.start()
