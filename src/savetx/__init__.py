@@ -27,7 +27,6 @@ from .models import (
 )
 from .power import (
     WaterLevel,
-    conventional_power,
     solve_water_level,
     stop_rate,
 )
@@ -63,7 +62,7 @@ __all__ = [
     "SystemModel", "stationary_distribution",
     "make_eh_preset", "discretize_gain",
     # power
-    "WaterLevel", "stop_rate", "conventional_power", "solve_water_level",
+    "WaterLevel", "stop_rate", "solve_water_level",
     # solver
     "SolverConfig", "ValueTable", "solve_markov", "threshold_metrics",
     "optimize_threshold",

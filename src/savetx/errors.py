@@ -6,7 +6,8 @@ class SaveTxError(Exception):
 
 
 class ReducibleChain(SaveTxError):
-    """Markov chain is not irreducible."""
+    """Markov chain has more than one closed class, so no unique
+    stationary law."""
 
 
 class BadName(SaveTxError):
@@ -22,7 +23,7 @@ class NoBracket(SaveTxError):
 
 
 class NoConvergence(SaveTxError):
-    """Iterative solver exhausted its iteration budget."""
+    """A solver exhausted its iteration budget or missed its residual."""
 
 
 class StateSpaceTooLarge(SaveTxError):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadName, ReducibleChain, UnsupportedKind
+from .errors import BadName, NoConvergence, ReducibleChain, UnsupportedKind
 
 __all__ = [
     "MarkovChainSpec",
@@ -94,8 +94,9 @@ class MarkovChainSpec:
         return hash((self.states, self.transition.tobytes()))
 
 
-def _strongly_connected(P: np.ndarray) -> bool:
-    """True when every state reaches every other state."""
+def _closed_class(P: np.ndarray) -> np.ndarray:
+    """Mask of the states that every state reaches: the chain's one closed
+    class, or no state when it has several."""
     n = P.shape[0]
     adj = P > 0
     reach = np.eye(n, dtype=bool) | adj
@@ -104,31 +105,45 @@ def _strongly_connected(P: np.ndarray) -> bool:
         if (new == reach).all():
             break
         reach = new
-    return bool(reach.all())
+    return reach.all(axis=0)
 
 
 def stationary_distribution(chain: MarkovChainSpec) -> np.ndarray:
-    """Solve pi @ P = pi, sum(pi) = 1 for an irreducible chain.
+    """Solve pi @ P = pi, sum(pi) = 1 for a chain with one closed class.
 
-    Raises ReducibleChain for any chain that is not irreducible, even one
-    with a unique stationary law: [[1, 0], [0.5, 0.5]], whose law is
-    [1, 0], is refused.
+    Transient states are allowed and get an exact 0: [[1, 0], [0.5, 0.5]]
+    has law [1, 0].  A chain with several closed classes has no unique law
+    and raises ReducibleChain.
     """
     P = chain.transition
-    n = chain.n_states
-    if n == 1:
-        return np.array([1.0])
-    if not _strongly_connected(P):
-        raise ReducibleChain("chain is not irreducible")
-    A = np.vstack([P.T - np.eye(n), np.ones(n)])
-    b = np.zeros(n + 1)
+    closed = _closed_class(P)
+    if not closed.any():
+        raise ReducibleChain("chain has more than one closed class")
+    # the closed class's rows stay in it, so its block is a chain
+    Q = P[closed][:, closed]
+    m = len(Q)
+    A = np.vstack([Q.T - np.eye(m), np.ones(m)])
+    b = np.zeros(m + 1)
     b[-1] = 1.0
-    pi, *_ = np.linalg.lstsq(A, b, rcond=None)
-    pi = np.clip(pi, 0.0, None)
-    pi /= pi.sum()
+    law, *_ = np.linalg.lstsq(A, b, rcond=None)
+    law = np.clip(law, 0.0, None)
+    law /= law.sum()
+    pi = np.zeros(chain.n_states)
+    pi[closed] = law
     if np.abs(pi @ P - pi).max() > 1e-10:
-        raise ReducibleChain("stationary solve did not converge")
+        raise NoConvergence("stationary solve did not converge")
     return pi
+
+
+def _atoms(dist: GainDistribution):
+    """A constant, discrete or Markov gain as (values, probabilities); a
+    Markov gain's probabilities are its stationary law."""
+    if dist.kind == "constant":
+        return np.array([dist.value]), np.array([1.0])
+    if dist.kind == "markov":
+        return (np.asarray(dist.chain.states),
+                stationary_distribution(dist.chain))
+    return np.asarray(dist.values), np.asarray(dist.probabilities)
 
 
 @dataclass(frozen=True)
@@ -192,8 +207,10 @@ class AccessModel:
     p_s: float
 
     def __post_init__(self):
-        if not 0.0 <= self.p_s <= 1.0:
-            raise ValueError(f"p_s must lie in [0, 1], got {self.p_s}")
+        p_s = _reals(self.p_s, "p_s")
+        if not 0.0 <= p_s <= 1.0:
+            raise ValueError(f"p_s: must lie in [0, 1], got {p_s}")
+        object.__setattr__(self, "p_s", p_s)
 
 
 # Default switch probabilities: (a) is i.i.d.-equivalent, (b) flips state

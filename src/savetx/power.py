@@ -2,8 +2,10 @@
 
 Two budget regimes: ``stop_rate`` spends a whole battery in one slot (the
 save-then-transmit case), water-filling it over both channels when the
-common channel is held; ``conventional_power`` and ``solve_water_level``
-hold an average-power constraint (the conventional-supply benchmark).
+common channel is held; ``solve_water_level`` finds the level xi at which
+the water-filling powers (1/xi - 1/gain)^+ meet an average-power
+constraint (the conventional-supply benchmark, spent by
+``simulate.run_supplies``).
 ``stop_rate`` is branch-free arithmetic over the broadcast arguments, with
 no access taken as a common channel of gain 0: the interior split, clipped
 to the budget, is the water-filling split, and only entries whose gains
@@ -21,12 +23,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoBracket
-from .models import AccessModel, GainDistribution
+from .models import AccessModel, GainDistribution, _atoms, _reals
 
 __all__ = [
     "WaterLevel",
     "stop_rate",
-    "conventional_power",
     "solve_water_level",
 ]
 
@@ -38,8 +39,8 @@ class WaterLevel:
     xi: float
 
     def __post_init__(self):
-        if self.xi <= 0:
-            raise ValueError("water level must be > 0")
+        if _reals(self.xi, "xi") <= 0:  # NaN and inf are refused by name
+            raise ValueError("xi: water level must be > 0")
 
 
 def _log(x, base: float, out=None):
@@ -103,55 +104,35 @@ def check_gamma(gamma) -> float:
     return float(gamma)
 
 
-def conventional_power(h: float, level: WaterLevel):
-    """Water-filling power (1/xi - 1/h)^+ for a conventional supply."""
-    h = np.asarray(h, dtype=float)
-    # a gain below 1/DBL_MAX overflows 1/h to inf, whose power is 0
-    with np.errstate(divide="ignore", over="ignore"):
-        p = np.where(h > 0, 1.0 / level.xi - 1.0 / np.where(h > 0, h, 1.0),
-                     0.0)
-    p = np.maximum(p, 0.0)
-    return float(p) if p.shape == () else p
-
-
 def _power_curve(dist: GainDistribution):
     """The function xi -> E[(1/xi - 1/H)^+] under a gain distribution,
-    exact: a closed form for an exponential gain, a sum for the others.
+    exact: a closed form for an exponential gain, a sum over the atoms of
+    the others.
 
-    Markov gains enter through their stationary distribution (the power
+    A Markov gain's atoms are weighted by its stationary law (the power
     constraint is a long-run average), solved here once per curve.
     """
-    if dist.kind == "constant":
-        g = dist.value
-        return lambda xi: max(1.0 / xi - 1.0 / g, 0.0) if g > 0 else 0.0
-    if dist.kind in ("discrete", "markov"):
-        if dist.kind == "markov":
-            from .models import stationary_distribution
+    if dist.kind == "exponential":
+        from scipy.special import exp1
 
-            vals = np.asarray(dist.chain.states)
-            probs = stationary_distribution(dist.chain)
-        else:
-            vals = np.asarray(dist.values)
-            probs = np.asarray(dist.probabilities)
-        with np.errstate(over="ignore"):  # a gain below 1/DBL_MAX
-            inv = 1.0 / np.where(vals > 0, vals, 1.0)
+        # exponential of mean m, z = xi / m:
+        # int_xi^inf (1/xi - 1/g) e^(-g/m) / m dg = e^(-z) / xi - E1(z) / m
+        m = dist.mean
 
-        def atoms(xi: float) -> float:
-            p = np.where(vals > 0, np.maximum(1.0 / xi - inv, 0.0), 0.0)
-            return float(p @ probs)
+        def exponential(xi: float) -> float:
+            z = xi / m
+            return float(math.exp(-z) / xi - exp1(z) / m)
 
-        return atoms
-    from scipy.special import exp1
+        return exponential
+    vals, probs = _atoms(dist)
+    with np.errstate(over="ignore"):  # a gain below 1/DBL_MAX
+        inv = 1.0 / np.where(vals > 0, vals, 1.0)
 
-    # exponential of mean m, z = xi / m:
-    # int_xi^inf (1/xi - 1/g) e^(-g/m) / m dg = e^(-z) / xi - E1(z) / m
-    m = dist.mean
+    def atoms(xi: float) -> float:
+        p = np.where(vals > 0, np.maximum(1.0 / xi - inv, 0.0), 0.0)
+        return float(p @ probs)
 
-    def exponential(xi: float) -> float:
-        z = xi / m
-        return float(math.exp(-z) / xi - exp1(z) / m)
-
-    return exponential
+    return atoms
 
 
 def solve_water_level(private: GainDistribution, common: GainDistribution,

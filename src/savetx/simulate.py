@@ -150,7 +150,15 @@ class _Chain:
         self._counts = self._hits.view(np.uint8)  # summed without a cast
         # the state at each slot's start; row i + 1 is after slot i
         self.path = np.empty((_BLOCK + 1, lanes), np.min_scalar_type(n - 1))
-        self.state = None  # each lane's state; the stream draws the start
+        self.spec = spec
+        self.state = None  # each lane's state, drawn by ``start``
+
+    def start(self, u: np.ndarray):
+        """Draws each lane's state from the chain's stationary law, by
+        the inverse CDF of the uniforms ``u``, one per lane."""
+        self.state = _inverse_cdf(
+            _cum_table(stationary_distribution(self.spec)), u,
+            np.empty(len(u), self.path.dtype))
 
     def walk(self, u: np.ndarray, out: np.ndarray):
         """Steps every lane once per row of the uniforms ``u`` (n, lanes)
@@ -229,15 +237,11 @@ class _SlotStream:
         self.private = _Chain(model.private.chain, lanes) if markov else None
 
         u = rng.random((3 if markov else 2, lanes))
-        self.harvest.state = _inverse_cdf(
-            _cum_table(stationary_distribution(model.eh)), u[0],
-            np.empty(lanes, self.harvest.path.dtype))
+        self.harvest.start(u[0])
         self.harvest0 = np.empty(lanes)
         self.harvest.walk(u[1:2], self.harvest0[None])
         if markov:
-            self.private.state = _inverse_cdf(
-                _cum_table(stationary_distribution(model.private.chain)),
-                u[2], np.empty(lanes, self.private.path.dtype))
+            self.private.start(u[2])
 
     def _block_runs(self, n: int):
         """(method, rows) of each run of consecutive draws of one kind

@@ -34,10 +34,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import NoConvergence, StateSpaceTooLarge
+from .errors import NoConvergence, ReducibleChain, StateSpaceTooLarge
 from .models import (
     GainDistribution,
     SystemModel,
+    _atoms,
     discretize_gain,
 )
 from .power import check_gamma, stop_rate
@@ -148,11 +149,14 @@ def _chain_gains(K, r: np.ndarray) -> np.ndarray:
     from scipy.sparse.linalg import spsolve
 
     m = K.shape[0]
-    # one gain fits every state only if a single class is closed
+    # one gain fits every state only if a single class is closed: the rule
+    # of models.stationary_distribution, checked here by components, as a
+    # rule's chain may hold MAX_DP_STATES cells
     n_cls, cls = connected_components(K, connection="strong")
     closed = n_cls - len(np.unique(cls[K.row][cls[K.row] != cls[K.col]]))
     if closed > 1:
-        raise NoConvergence(f"the rule's chain has {closed} recurrent classes")
+        raise ReducibleChain(
+            f"the rule's chain has {closed} recurrent classes")
     # pinning g[0] = 0 frees column 0 of I - K for the gain: A = [1 | (I -
     # K)[:, 1:]], built from K's triples.  A skip and a stop that meet at
     # the cap add up in K before I - K subtracts them, so the diagonal sums
@@ -329,13 +333,6 @@ def _frozen(*arrays):
     for a in arrays:
         a.setflags(write=False)
     return arrays
-
-
-def _atoms(dist: GainDistribution):
-    """A constant or discrete gain as (values, probabilities)."""
-    if dist.kind == "constant":
-        return np.array([dist.value]), np.array([1.0])
-    return np.asarray(dist.values), np.asarray(dist.probabilities)
 
 
 def _threshold_gain(b, c, G):
@@ -547,7 +544,7 @@ def threshold_metrics(model: SystemModel, gamma: float):
     """
     lam, stops, _ = _rule_chain(model, np.full((1, 1, 1),
                                                check_gamma(gamma)))[0][0]
-    return float(lam), (1.0 / stops if stops > 0 else math.inf)
+    return float(lam), (float(1.0 / stops) if stops > 0 else math.inf)
 
 
 def optimize_threshold(model: SystemModel, cfg: SolverConfig | None = None):

@@ -125,6 +125,18 @@ def split_rate(phi, h, hc, split: Split, base=2.0) -> float:
 # applies it.
 
 
+def conventional_power(h, level):
+    """Water-filling power (1/xi - 1/h)^+ of a conventional supply at the
+    water level ``level``; a gain of 0, or one below 1/DBL_MAX whose
+    reciprocal overflows, gets power 0."""
+    h = np.asarray(h, dtype=float)
+    with np.errstate(divide="ignore", over="ignore"):
+        p = np.where(h > 0, 1.0 / level.xi - 1.0 / np.where(h > 0, h, 1.0),
+                     0.0)
+    p = np.maximum(p, 0.0)
+    return float(p) if p.shape == () else p
+
+
 def advance_battery(b, e, b_max_units, delta) -> float:
     """Next battery level min(b + e, cap)."""
     if b < 0 or e < 0:
@@ -358,8 +370,8 @@ def run_supplies_per_slot(model, level, n_slots, seed, *, streams=512):
     for s in range(slots):
         u, h, hc, harvest, *_ = draws.slot()
         phi = (u < model.access.p_s).astype(np.int8)
-        p = sx.conventional_power(h, level)
-        pc = np.where(phi == 1, sx.conventional_power(hc, level), 0.0)
+        p = conventional_power(h, level)
+        pc = np.where(phi == 1, conventional_power(hc, level), 0.0)
         values = (sx.stop_rate(budget, h, hc, phi, model.log_base),
                   logf(1.0 + h * p) + np.where(phi == 1,
                                                logf(1.0 + hc * pc), 0.0),

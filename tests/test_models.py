@@ -10,7 +10,7 @@ from savetx.errors import BadName, ReducibleChain, UnsupportedKind
 from savetx.simulate import _BLOCK, _Chain, _SlotStream, _access, \
     _cum_table, _inverse_cdf
 
-from oracles import SlotDraws, step_chain
+from oracles import MARKOV_MODEL, SlotDraws, step_chain
 
 PAPER_CHAIN = sx.MarkovChainSpec([0.1, 2.0 ** 4],
                                  [[0.0, 1.0], [0.5, 0.5]])
@@ -85,7 +85,10 @@ class TestNonFiniteRefused:
         ("transition", lambda: sx.MarkovChainSpec([1.0], [[True]])),
         ("switch", lambda: sx.make_eh_preset("a", switch=NAN)),
         ("switch", lambda: sx.make_eh_preset("a", switch="x")),
-        ("p_good", lambda: sx.make_eh_preset("d", p_good=NAN))],
+        ("p_good", lambda: sx.make_eh_preset("d", p_good=NAN)),
+        ("p_s", lambda: sx.AccessModel(True)),
+        ("p_s", lambda: sx.AccessModel("0.5")),
+        ("p_s", lambda: sx.AccessModel(NAN))],
         ids=lambda v: v if isinstance(v, str) else "")
     def test_refused(self, name, make):
         with pytest.raises(ValueError, match=f"^{name}: "):
@@ -96,6 +99,18 @@ class TestNonFiniteRefused:
                                             [np.float64(0.25), 0.75])
         assert gain.values == (0.5, 2.0)
         assert sx.GainDistribution.exponential(np.int64(2)).mean == 2.0
+        assert type(sx.AccessModel(np.int64(1)).p_s) is float
+
+
+def whole_matrix_law(P):
+    """Least-squares pi (P - I) = 0, sum(pi) = 1 on the whole matrix,
+    clipped at 0 and normalized."""
+    n = len(P)
+    A = np.vstack([P.T - np.eye(n), np.ones(n)])
+    b = np.zeros(n + 1)
+    b[-1] = 1.0
+    pi = np.clip(np.linalg.lstsq(A, b, rcond=None)[0], 0.0, None)
+    return pi / pi.sum()
 
 
 class TestStationaryDistribution:
@@ -120,6 +135,27 @@ class TestStationaryDistribution:
         pi = sx.stationary_distribution(chain)
         assert np.abs(pi @ P - pi).max() < 1e-10
         assert abs(pi.sum() - 1) < 1e-12
+
+    @pytest.mark.parametrize("P, law", [
+        ([[1.0, 0.0], [0.5, 0.5]], [1.0, 0.0]),
+        ([[0.5, 0.5], [0.0, 1.0]], [0.0, 1.0]),
+        ([[0.2, 0.4, 0.4], [0.0, 0.3, 0.7], [0.0, 0.6, 0.4]],
+         [0.0, 6 / 13, 7 / 13])])
+    def test_transient_states_get_exact_zeros(self, P, law):
+        pi = sx.stationary_distribution(sx.MarkovChainSpec(range(len(P)), P))
+        assert pi[np.equal(law, 0.0)].tolist() == [0.0]
+        assert pi == pytest.approx(law, abs=1e-15)
+
+    @pytest.mark.parametrize("chain", [
+        *(sx.make_eh_preset(name) for name in "abcd"),
+        PAPER_CHAIN,  # fig3's private gain
+        sx.MarkovChainSpec(MARKOV_MODEL["private"]["states"],
+                           MARKOV_MODEL["private"]["transition"])])
+    def test_irreducible_law_is_the_whole_matrix_solve(self, chain):
+        # the solve on the closed class's block is, for an irreducible
+        # chain, the solve on the whole matrix, bit for bit
+        assert np.array_equal(sx.stationary_distribution(chain),
+                              whole_matrix_law(chain.transition))
 
     def test_reducible_raises(self):
         chain = sx.MarkovChainSpec([0.0, 1.0], [[1.0, 0.0], [0.0, 1.0]])
@@ -383,7 +419,7 @@ class TestSampling:
         assert abs(draws.mean() - 0.5) < 0.002
 
     def test_access_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^p_s: must lie in"):
             sx.AccessModel(1.5)
 
 

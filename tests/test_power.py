@@ -9,8 +9,8 @@ from scipy import integrate, optimize, special
 import savetx as sx
 from savetx.errors import NoBracket
 
-from oracles import Split, best_grid_split, split_rate, \
-    water_fill_two_channel, where_stop_rate
+from oracles import Split, best_grid_split, conventional_power, \
+    split_rate, water_fill_two_channel, where_stop_rate
 
 # gains from (negative) zero through the subnormals, whose reciprocals
 # overflow, to ordinary values; batteries from NaN and negative up to 1e300,
@@ -192,38 +192,47 @@ class TestStopRateOracle:
             warnings.simplefilter("error")
             assert sx.stop_rate(1.0, 1e-310, 2.0, 1) == np.log2(3.0)
             assert sx.stop_rate(1.0, 2.0, 1e-310, 1) == np.log2(3.0)
-            assert sx.conventional_power(np.array([1e-310]),
-                                         sx.WaterLevel(0.5)).tolist() == [0.0]
+            assert conventional_power(np.array([1e-310]),
+                                      sx.WaterLevel(0.5)).tolist() == [0.0]
             sx.solve_water_level(
                 sx.GainDistribution.discrete([1e-310, 1.0], [0.5, 0.5]),
                 sx.GainDistribution.constant(1.0), sx.AccessModel(0.5), 1.0)
+            tiny = sx.GainDistribution.constant(1e-310)
+            model = sx.SystemModel(private=tiny, common=tiny,
+                                   access=sx.AccessModel(0.5),
+                                   eh=sx.MarkovChainSpec([1.0], [[1.0]]),
+                                   b_max_units=1)
+            _, met = sx.run_supplies(model, 2.0, 2000, seed=1, streams=20,
+                                     water_level=sx.WaterLevel(0.5))
+            assert met.realized_avg_power == 0.0
 
 
 class TestConventionalPower:
     def test_boundary(self):
-        assert sx.conventional_power(2.0, sx.WaterLevel(2.0)) == 0.0
+        assert conventional_power(2.0, sx.WaterLevel(2.0)) == 0.0
 
     def test_high_gain_limit(self):
-        p = sx.conventional_power(1e12, sx.WaterLevel(0.5))
+        p = conventional_power(1e12, sx.WaterLevel(0.5))
         assert abs(p - 2.0) < 1e-9
 
     def test_simple_value(self):
-        assert sx.conventional_power(1.0, sx.WaterLevel(1 / 3)) == \
+        assert conventional_power(1.0, sx.WaterLevel(1 / 3)) == \
             pytest.approx(2.0, rel=1e-12)
 
     def test_monotone_grids(self):
         hs = np.linspace(0.01, 50, 500)
-        p_h = sx.conventional_power(hs, sx.WaterLevel(0.7))
+        p_h = conventional_power(hs, sx.WaterLevel(0.7))
         assert (np.diff(p_h) >= -1e-15).all()
         for h in (0.5, 3.0, 40.0):
             xis = np.linspace(0.05, 5, 200)
-            p_xi = np.array([sx.conventional_power(h, sx.WaterLevel(x))
+            p_xi = np.array([conventional_power(h, sx.WaterLevel(x))
                              for x in xis])
             assert (np.diff(p_xi) <= 1e-15).all()
 
     def test_level_validation(self):
-        with pytest.raises(ValueError):
-            sx.WaterLevel(0.0)
+        for xi in (0.0, -1.0, float("nan"), float("inf"), True):
+            with pytest.raises(ValueError, match="^xi: "):
+                sx.WaterLevel(xi)
 
 
 class TestSolveWaterLevel:
@@ -233,8 +242,8 @@ class TestSolveWaterLevel:
             sx.GainDistribution.constant(1.0),
             sx.AccessModel(0.0), 2.0)
         assert level.xi == pytest.approx(1 / 3, rel=1e-9)
-        assert sx.conventional_power(1.0, level) == pytest.approx(2.0,
-                                                                  rel=1e-9)
+        assert conventional_power(1.0, level) == pytest.approx(2.0,
+                                                               rel=1e-9)
 
     def test_exponential_against_closed_form(self):
         # E[(1/xi - 1/h)^+] over exp(1) equals e^{-xi}/xi - E1(xi)

@@ -9,9 +9,9 @@ from hypothesis import given, settings, strategies as st
 import savetx as sx
 from savetx.simulate import _refill, _run_block
 
-from oracles import advance_battery, exact_threshold_metrics, \
-    fig3_oracle_config, fresh_carry, grid_rule, markov_workload_config, \
-    refill_indices, run_period, run_supplies_per_slot
+from oracles import advance_battery, conventional_power, \
+    exact_threshold_metrics, fig3_oracle_config, fresh_carry, grid_rule, \
+    markov_workload_config, refill_indices, run_period, run_supplies_per_slot
 
 
 def constant_world(delta=1e-3, h=1.0, p_s=0.0):
@@ -764,7 +764,7 @@ class TestConstantRateExact:
         model = constant_world(delta=1.0, h=1.0, p_s=p_s)
         level = sx.solve_water_level(model.private, model.common,
                                      model.access, 2.0)
-        p = sx.conventional_power(1.0, level)
+        p = conventional_power(1.0, level)
         c = float(np.log2(1.0 + p) + p_s * np.log2(1.0 + p))
         _, met = sx.run_supplies(model, 2.0, n, seed=seed,
                                  water_level=level, streams=streams)

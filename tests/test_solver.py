@@ -11,7 +11,7 @@ import pytest
 import savetx as sx
 import savetx.simulate
 import savetx.solver
-from savetx.errors import NoConvergence, PeriodOverflow
+from savetx.errors import NoConvergence, PeriodOverflow, ReducibleChain
 from savetx.tables import format_value
 from savetx.solver import _chain_gains, _rule_chain, _slot_kernel, \
     _stop_moments, _tail_rate, _threshold_gain
@@ -169,7 +169,7 @@ class TestSolveMarkov:
             access=sx.AccessModel(0.5),
             eh=sx.MarkovChainSpec([0.0, 1.0], [[1.0, 0.0], [0.0, 1.0]]),
             b_max_units=2, delta=1.0)
-        with pytest.raises(NoConvergence):
+        with pytest.raises(ReducibleChain):
             sx.solve_markov(model)
 
     def test_markov_workload_with_16_common_bins(self):
@@ -310,7 +310,7 @@ class TestGainAndBias:
                 P = np.where(mask[:, None], Kr, Kc)
                 sv = np.linalg.svd(P - np.eye(config.n), compute_uv=False)
                 if sv[-2] < 1e-9:
-                    with pytest.raises(NoConvergence,
+                    with pytest.raises(ReducibleChain,
                                        match="recurrent classes"):
                         cell_gain(model, gamma)
                 else:
@@ -699,13 +699,13 @@ class TestChainGains:
         K = sparse.coo_array(([0.5, 0.5, 1.0, 1.0, 0.3, 0.7],
                               ([0, 0, 1, 2, 3, 3], [0, 1, 0, 2, 0, 2])),
                              shape=(4, 4))
-        with pytest.raises(NoConvergence, match="2 recurrent classes"):
+        with pytest.raises(ReducibleChain, match="2 recurrent classes"):
             _chain_gains(K, np.ones(4))
         # a harvest chain that never leaves its state: the empty battery
         # without harvest is closed, and so are the harvesting levels
         model = replace(iid_model(0.5), eh=sx.MarkovChainSpec(
             [0.0, 4.0], [[1.0, 0.0], [0.0, 1.0]]))
-        with pytest.raises(NoConvergence, match="2 recurrent classes"):
+        with pytest.raises(ReducibleChain, match="2 recurrent classes"):
             sx.threshold_metrics(model, 1.5)
 
 
@@ -966,6 +966,8 @@ class TestOptimizeThreshold:
         model = fig3_model(0.5)
         gamma, pair = sx.optimize_threshold(model)
         assert pair == sx.threshold_metrics(model, gamma)
+        # the mean saving time, 1 / stops, is a float, not a numpy scalar
+        assert [type(v) for v in pair] == [float, float]
         scan = [sx.threshold_metrics(model, g)[0]
                 for g in np.linspace(0.0, 4.0, 81)]
         assert pair[0] >= max(scan) - 1e-9
@@ -1006,3 +1008,67 @@ class TestSolverConfig:
     def test_at_least_one_iteration(self, name):
         with pytest.raises(ValueError, match=name):
             sx.SolverConfig(**{name: 0})
+
+
+# harvest state 0 is transient: the chain leaves it for 4 and never returns
+TRANSIENT_EH = sx.MarkovChainSpec([0.0, 4.0], [[0.5, 0.5], [0.0, 1.0]])
+# each harvest state is closed
+TWO_CLASSES = sx.MarkovChainSpec([0.0, 4.0], [[1.0, 0.0], [0.0, 1.0]])
+
+
+class TestOneClosedClass:
+    """Every layer accepts a chain with one closed class, transient states
+    allowed, and refuses one with several closed classes with
+    ReducibleChain."""
+
+    @pytest.mark.parametrize("p_s", [0.0, 0.5])
+    def test_transient_harvest_state_runs_on_every_layer(self, p_s):
+        model = replace(iid_model(p_s), eh=TRANSIENT_EH)
+        lam, _ = sx.threshold_metrics(model, 1.5)
+        _, (best, _) = sx.optimize_threshold(model)
+        assert best >= lam
+        met = sx.run_simulation(sx.Policy.threshold(1.5), model, 50_000,
+                                seed=3)
+        assert abs(met.throughput - lam) <= 5.102 * met.se_throughput
+        level = sx.solve_water_level(model.private, model.common,
+                                     model.access, 2.0)
+        be, cv = sx.run_supplies(model, 2.0, 20_000, seed=3,
+                                 water_level=level)
+        assert be.throughput > 0 and cv.throughput > 0
+        cfg = markov_workload_config()
+        dp_model = replace(cfg.build_model(p_s), eh=TRANSIENT_EH)
+        table = sx.solve_markov(dp_model, cfg.solver)
+        dp = sx.run_simulation(sx.Policy.dp(table), dp_model, 2_000, seed=3)
+        assert table.lambda_star > 0 and dp.throughput > 0
+
+    def test_transient_private_state_is_left_for_good(self):
+        # the gain leaves 0.5 for 2 and stays there, so the long-run
+        # throughput is that of a constant gain of 2
+        cfg = markov_workload_config()
+        model = cfg.build_model(0.5)
+        chain = sx.MarkovChainSpec([0.5, 2.0], [[0.5, 0.5], [0.0, 1.0]])
+        got = sx.solve_markov(
+            replace(model, private=sx.GainDistribution.markov(chain)),
+            cfg.solver).lambda_star
+        want = sx.solve_markov(
+            replace(model, private=sx.GainDistribution.constant(2.0)),
+            cfg.solver).lambda_star
+        assert got == pytest.approx(want, rel=1e-12)
+
+    def test_two_closed_classes_refused_by_every_layer(self):
+        model = replace(iid_model(0.5), eh=TWO_CLASSES)
+        cfg = markov_workload_config()
+        two_class_gain = sx.GainDistribution.markov(TWO_CLASSES)
+        for run in (
+                lambda: sx.stationary_distribution(TWO_CLASSES),
+                lambda: sx.threshold_metrics(model, 1.5),
+                lambda: sx.solve_markov(
+                    replace(cfg.build_model(0.5), eh=TWO_CLASSES),
+                    cfg.solver),
+                lambda: sx.run_simulation(sx.Policy.threshold(1.5), model,
+                                          1_000, seed=1),
+                lambda: sx.run_supplies(model, 2.0, 1_000, seed=1),
+                lambda: sx.solve_water_level(two_class_gain, model.common,
+                                             model.access, 2.0)):
+            with pytest.raises(ReducibleChain):
+                run()
