@@ -21,6 +21,7 @@ from .models import (
     GainDistribution,
     MarkovChainSpec,
     SystemModel,
+    _closed_class,
     make_eh_preset,
 )
 from .power import solve_water_level
@@ -178,6 +179,15 @@ def _check_keys(block: dict, allowed: set, path: str):
         _fail(f"{path}.{sorted(unknown)[0]}", "unknown key")
 
 
+def _chain_from_block(block: dict, path: str) -> MarkovChainSpec:
+    """The block's chain, refused by name unless it has one closed class
+    (transient states allowed), the rule every layer applies."""
+    chain = MarkovChainSpec(block["states"], block["transition"])
+    if not _closed_class(chain.transition).any():
+        _fail(f"{path}.transition", "chain has more than one closed class")
+    return chain
+
+
 def _gain_from_block(block: dict, path: str) -> GainDistribution:
     kind = block.get("kind")
     try:
@@ -189,8 +199,7 @@ def _gain_from_block(block: dict, path: str) -> GainDistribution:
             return GainDistribution.discrete(block["values"],
                                              block["probabilities"])
         if kind == "markov":
-            return GainDistribution.markov(
-                MarkovChainSpec(block["states"], block["transition"]))
+            return GainDistribution.markov(_chain_from_block(block, path))
     except KeyError as exc:
         _fail(f"{path}.{exc.args[0]}", "missing key")
     except ValueError as exc:  # its message starts with the argument name
@@ -204,7 +213,7 @@ def _eh_from_block(block: dict, delta: float) -> MarkovChainSpec:
             return make_eh_preset(block["preset"], switch=block.get("switch"),
                                   p_good=block.get("p_good"),
                                   delta=delta)
-        return MarkovChainSpec(block["states"], block["transition"])
+        return _chain_from_block(block, "eh")
     except KeyError as exc:
         _fail(f"eh.{exc.args[0]}", "missing key")
     except BadName as exc:

@@ -141,9 +141,9 @@ def _chain_gains(K, r: np.ndarray) -> np.ndarray:
     which share one factorization.
     """
     # scipy is imported inside the functions that use it (here, in
-    # _slot_kernel and _log_mean, and in power's _power_curve and
-    # solve_water_level), not at module load, so that importing savetx
-    # needs numpy alone
+    # _slot_kernel and _log_mean, and E1 in power's _power_curve; the
+    # water level's root is power's own), not at module load, so that
+    # importing savetx needs numpy alone
     from scipy import sparse
     from scipy.sparse.csgraph import connected_components
     from scipy.sparse.linalg import spsolve

@@ -3,7 +3,9 @@
 Everything here is deliberately written from scratch (closed-form water
 level, Gauss-Laguerre quadrature, dense-chain linear algebra, a scalar
 one-period simulator) so the tests cross-check the package against a second
-route to the same numbers.
+route to the same numbers.  The one borrowed route is scipy's ``brentq``,
+kept as the reference that the package's own Brent root must equal bit for
+bit.
 
 The module imports ``savetx`` only inside the functions that take its model
 objects, so the exact-throughput oracles load without the package.
@@ -135,6 +137,20 @@ def conventional_power(h, level):
                      0.0)
     p = np.maximum(p, 0.0)
     return float(p) if p.shape == () else p
+
+
+def brentq_water_level(private, common, access, p_bar, rel_tol=1e-12):
+    """The water level xi as ``power.solve_water_level`` found it with
+    ``scipy.optimize.brentq``: the same mean-power curve, bracket
+    [1e-12, 1e12], ``rtol`` and 500 iterations."""
+    from scipy import optimize
+
+    from savetx.power import _power_curve
+
+    private_power, common_power = _power_curve(private), _power_curve(common)
+    return optimize.brentq(
+        lambda x: private_power(x) + access.p_s * common_power(x) - p_bar,
+        1e-12, 1e12, rtol=rel_tol, maxiter=500)
 
 
 def advance_battery(b, e, b_max_units, delta) -> float:

@@ -6,7 +6,8 @@ import *``) fail on the first stale entry, so a name removed from a module
 must leave its ``__all__`` too.  scipy is imported inside the functions that
 use it, so a run that needs none of them never pays for loading it; so no
 annotation names a scipy type, which ``typing.get_type_hints`` could not
-resolve.
+resolve.  No run loads ``scipy.optimize``: the water level's root is found
+in-package.
 """
 import importlib
 import inspect
@@ -100,4 +101,32 @@ def test_fig8_run_loads_no_quadrature(tmp_path):
     loaded = scipy_modules_after(code)
     assert "scipy.special" in loaded
     assert [m for m in loaded if m.startswith("scipy.integrate")] == []
+    assert [m for m in loaded if m.startswith("scipy.optimize")] == []
     assert (tmp_path / "fig8.csv").exists()
+
+
+def test_fig3_run_loads_sparse_alone(tmp_path):
+    # fig3's gains are atoms, so its water level needs no E1, and its
+    # root is found in-package: the DP solver's sparse algebra is the one
+    # scipy a fig3 run loads
+    code = (
+        "import savetx as sx\n"
+        "cfg = sx.validate_config({'experiment': 'fig3', 'p_s_grid': [0.5],"
+        " 'mc': {'periods': 200, 'slots': 2000, 'streams': 16,"
+        " 'warmup_periods': 10}})\n"
+        f"sx.run_experiment(cfg, {str(tmp_path)!r})\n")
+    loaded = scipy_modules_after(code)
+    assert "scipy.sparse" in loaded
+    assert [m for m in loaded
+            if m.startswith(("scipy.optimize", "scipy.special"))] == []
+    assert (tmp_path / "fig3.csv").exists()
+
+
+def test_water_level_loads_special_alone():
+    code = (
+        "import savetx as sx\n"
+        "g = sx.GainDistribution.exponential(1.0)\n"
+        "sx.solve_water_level(g, g, sx.AccessModel(0.5), 2.0)\n")
+    loaded = scipy_modules_after(code)
+    assert "scipy.special" in loaded
+    assert [m for m in loaded if m.startswith("scipy.optimize")] == []

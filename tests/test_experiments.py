@@ -195,12 +195,25 @@ class TestValidateConfig:
         ("common", {"kind": "markov", "states": [1.0],
                     "transition": [[1.0]]}, "common"),
         ("private", {"kind": "exponential", "mean": 10 ** 400},
-         "private.mean")])
+         "private.mean"),
+        # two closed classes, no one stationary law: these validated and
+        # then raised ReducibleChain inside run_experiment
+        ("eh", {"states": [0, 4], "transition": [[1, 0], [0, 1]]},
+         "eh.transition"),
+        ("private", {"kind": "markov", "states": [1.0, 2.0],
+                     "transition": [[1, 0], [0, 1]]}, "private.transition")])
     def test_bad_model_block(self, key, block, path):
         # these were accepted, or escaped as a raw TypeError, ValueError or
         # BadName
         with pytest.raises(ConfigError, match=rf"^{re.escape(path)}: "):
             sx.validate_config({"experiment": "fig4", key: block})
+
+    def test_transient_states_accepted(self):
+        # one closed class with a transient state is a usable chain
+        chain = {"states": [0.0, 4.0], "transition": [[0.5, 0.5], [0, 1]]}
+        cfg = sx.validate_config({"experiment": "fig8", "eh": chain,
+                                  "private": {"kind": "markov", **chain}})
+        assert cfg.build_model(0.5).eh.n_states == 2
 
     def test_bad_gain_kind(self):
         with pytest.raises(ConfigError, match="private.kind"):

@@ -1,4 +1,5 @@
 import itertools
+import math
 import warnings
 
 import numpy as np
@@ -7,10 +8,12 @@ from hypothesis import given, settings, strategies as st
 from scipy import integrate, optimize, special
 
 import savetx as sx
-from savetx.errors import NoBracket
+from savetx.errors import NoBracket, NoConvergence
+from savetx.power import _brent_root
 
-from oracles import Split, best_grid_split, conventional_power, \
-    split_rate, water_fill_two_channel, where_stop_rate
+from oracles import MARKOV_MODEL, Split, best_grid_split, \
+    brentq_water_level, conventional_power, split_rate, \
+    water_fill_two_channel, where_stop_rate
 
 # gains from (negative) zero through the subnormals, whose reciprocals
 # overflow, to ordinary values; batteries from NaN and negative up to 1e300,
@@ -322,9 +325,93 @@ class TestSolveWaterLevel:
                                  sx.GainDistribution.constant(1.0),
                                  sx.AccessModel(0.0), 0.0)
 
+    @pytest.mark.parametrize("rel_tol", [0.0, 1e-16, -1.0, float("nan")])
+    def test_bad_rel_tol(self, rel_tol):
+        # scipy's brentq refused these, so the in-package root does too
+        with pytest.raises(ValueError, match="^rel_tol must be >= "):
+            sx.solve_water_level(sx.GainDistribution.constant(1.0),
+                                 sx.GainDistribution.constant(1.0),
+                                 sx.AccessModel(0.0), 2.0, rel_tol=rel_tol)
+
     def test_nan_p_bar(self):
         # a NaN passed "p_bar <= 0" and reached scipy's brentq
         with pytest.raises(ValueError, match="p_bar must be > 0"):
             sx.solve_water_level(sx.GainDistribution.constant(1.0),
                                  sx.GainDistribution.constant(1.0),
                                  sx.AccessModel(0.0), float("nan"))
+
+
+# the water-level configs: every experiment's defaults and the models of the
+# benchmark's search (fig8, p_bar 2) and markov (fig3, p_bar 2) workloads
+WATER_CONFIGS = {
+    **{exp: {"experiment": exp}
+       for exp in ("fig3", "fig4", "fig6", "fig7", "fig8", "custom")},
+    "search": {"experiment": "fig8", "p_s_grid": [0.0, 0.5], "p_bar": 2.0},
+    "markov": {"experiment": "fig3", **MARKOV_MODEL,
+               "p_s_grid": [0.25, 0.75], "p_bar": 2.0},
+}
+
+
+class TestBrentRoot:
+    """``power._brent_root`` is scipy's ``brentq.c`` step for step, so its
+    roots equal ``brentq``'s with ``==``."""
+
+    @pytest.mark.parametrize("name", list(WATER_CONFIGS))
+    def test_water_levels_equal_brentq(self, name):
+        raw = WATER_CONFIGS[name]
+        cfg = sx.validate_config({**sx.default_config(raw["experiment"]),
+                                  **raw})
+        for p_s in cfg.p_s_grid + [0.1, 0.3, 0.9]:
+            m = cfg.build_model(p_s)
+            for p_bar in (cfg.p_bar, 0.1, 1.0, 5.0, 37.0):
+                got = sx.solve_water_level(m.private, m.common, m.access,
+                                           p_bar).xi
+                assert got == brentq_water_level(m.private, m.common,
+                                                 m.access, p_bar)
+
+    @pytest.mark.parametrize("f,lo,hi,root", [
+        (lambda x: x ** 3 - 2.0, 0.0, 2.0, 2.0 ** (1 / 3)),
+        (math.cos, 0.0, 3.0, math.pi / 2),
+        (lambda x: math.exp(x) - 2.0, -1.0, 5.0, math.log(2.0)),
+        (lambda x: 1.0 / x - 3.0, 1e-12, 1e12, 1 / 3),
+        # slopes so small that an extrapolation's denominator underflows
+        # to 0, where C divides to inf and bisects
+        (lambda x: 1e-300 * (x ** 3 - 2.0), 0.0, 2.0, 2.0 ** (1 / 3)),
+        # a root reached exactly by a step, where f is 0
+        (lambda x: x - 0.5, 0.0, 1.0, 0.5),
+        # roots on a bracket end, f(lo) or f(hi) 0: brentq.c still calls
+        # f at both ends first
+        (lambda x: x - 1.0, 1.0, 3.0, 1.0),
+        (lambda x: x - 1.0, -2.0, 1.0, 1.0),
+    ])
+    def test_analytic_roots(self, f, lo, hi, root):
+        calls, oracle_calls = [], []
+        got = _brent_root(lambda x: calls.append(x) or f(x), lo, hi, 1e-12)
+        want = optimize.brentq(lambda x: oracle_calls.append(x) or f(x),
+                               lo, hi, rtol=1e-12, maxiter=500)
+        assert got == want
+        assert calls == oracle_calls
+        assert got == pytest.approx(root, rel=1e-11)
+
+    def test_iteration_budget_is_no_convergence(self):
+        f = lambda x: x ** 3 - 2.0  # noqa: E731
+        with pytest.raises(RuntimeError):
+            optimize.brentq(f, 0.0, 2.0, rtol=1e-12, maxiter=1)
+        with pytest.raises(NoConvergence, match="^water level: no root "
+                           "within 1 Brent steps"):
+            _brent_root(f, 0.0, 2.0, 1e-12, maxiter=1)
+
+    def test_nan_curve_is_no_convergence(self):
+        # finite at both ends, NaN at the first step inside
+        f = lambda x: x - 1 / 3 if x in (0.0, 1.0) else math.nan  # noqa
+        with pytest.raises(ValueError, match="NaN"):
+            optimize.brentq(f, 0.0, 1.0, rtol=1e-12)
+        with pytest.raises(NoConvergence, match="^water level: power curve "
+                           "is NaN at xi="):
+            _brent_root(f, 0.0, 1.0, 1e-12)
+        with pytest.raises(NoConvergence, match="NaN at xi=0.0$"):
+            _brent_root(lambda x: math.nan, 0.0, 1.0, 1e-12)
+
+    def test_one_sign_is_no_bracket(self):
+        with pytest.raises(NoBracket, match="^water level: "):
+            _brent_root(lambda x: x + 1.0, 0.0, 1.0, 1e-12)
