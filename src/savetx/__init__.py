@@ -35,7 +35,7 @@ from .simulate import (
     Policy,
     run_policies,
     run_simulation,
-    run_supplies,
+    run_conventional_supply,
 )
 from .solver import (
     SolverConfig,
@@ -67,7 +67,8 @@ __all__ = [
     "SolverConfig", "ValueTable", "solve_markov", "threshold_metrics",
     "optimize_threshold",
     # simulate
-    "Policy", "Metrics", "run_policies", "run_simulation", "run_supplies",
+    "Policy", "Metrics", "run_policies", "run_simulation",
+    "run_conventional_supply",
     # experiments
     "ExperimentConfig", "validate_config", "run_experiment",
     "default_config",

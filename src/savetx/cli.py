@@ -14,7 +14,7 @@ from pathlib import Path
 from .errors import ConfigError, SaveTxError
 from .experiments import EXPERIMENTS, ExperimentConfig, run_experiment, \
     validate_config
-from .simulate import Policy, run_supplies
+from .simulate import Policy, run_conventional_supply
 from .solver import optimize_threshold, solve_markov
 from .tables import make_dir, write_text
 
@@ -142,10 +142,11 @@ def _cmd_simulate(args) -> int:
         # the rule comes first, so a failed one leaves no --trace file
         rule = _rule(args, cfg, model)
         m, = cfg.simulate(model, [rule], trace_path=_trace_file(args))
+    elif args.scheme == "best-effort":  # the gamma = 0 rule
+        m, = cfg.simulate(model, [Policy.threshold(0.0)])
     else:
-        best_effort, conventional = run_supplies(
-            model, cfg.p_bar, mc["slots"], cfg.seed, streams=mc["streams"])
-        m = best_effort if args.scheme == "best-effort" else conventional
+        m = run_conventional_supply(model, cfg.p_bar, mc["slots"], cfg.seed,
+                                    streams=mc["streams"])
     payload = {
         "command": "simulate",
         "scheme": args.scheme,

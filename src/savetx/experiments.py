@@ -25,7 +25,7 @@ from .models import (
     make_eh_preset,
 )
 from .power import solve_water_level
-from .simulate import Policy, run_policies, run_supplies
+from .simulate import Policy, run_conventional_supply, run_policies
 from .solver import SolverConfig, optimize_threshold, solve_markov
 from .tables import emit_csv, make_dir, write_text
 
@@ -302,6 +302,11 @@ def validate_config(raw) -> ExperimentConfig:
     for name in eh_models:
         if name not in ("a", "b", "c", "d"):
             _fail("eh_models", f"unknown preset {name!r}")
+    # each value labels rows of its table, and a repeat prints them twice
+    for path, values in (("p_s_grid", ps_grid), ("gamma_grid", gamma_grid),
+                         ("gamma_modes", modes), ("eh_models", eh_models)):
+        if len(set(values)) != len(values):
+            _fail(path, "must not repeat a value")
 
     _check_keys(merged["private"], _GAIN_KEYS, "private")
     _check_keys(merged["common"], _GAIN_KEYS, "common")
@@ -349,10 +354,10 @@ def _meta_base(cfg: ExperimentConfig) -> dict:
         "seed": cfg.seed,
         "resolved_config": asdict(cfg),
         "labels": {"slot_ms": cfg.slot_ms, "delta": cfg.delta},
-        "notes": ("Monte Carlo rows share one seed across thresholds "
-                  "(common random numbers), and both supplies share one "
-                  "pass of draws; threshold searches and the exact stats "
-                  "use no random numbers"),
+        "notes": ("Monte Carlo rows share one seed across rules (common "
+                  "random numbers), best-effort's gamma = 0 among them; "
+                  "the conventional supply has its own pass; threshold "
+                  "searches and the exact stats use no random numbers"),
     }
 
 
@@ -360,24 +365,27 @@ def _scheme_rows(cfg: ExperimentConfig, models: list, rules: list,
                  stats: dict):
     """Rows of a scheme table, per p_s the opportunistic rule's row then
     the best-effort and conventional rows, from one engine pass of all
-    rules and one supply pass over the whole p_s grid.  Records each water
-    level, and returns the rows and the conventional metrics."""
+    rules and best-effort's gamma = 0 and one supply pass over the whole
+    p_s grid.  Records each water level, and returns the rows and the
+    conventional metrics."""
     mc = cfg.mc
     levels = [solve_water_level(m.private, m.common, m.access, cfg.p_bar)
               for m in models]
-    opps = cfg.simulate(models, rules)
-    supplies = run_supplies(models, cfg.p_bar, mc["slots"], cfg.seed + 1,
-                            water_level=levels, streams=mc["streams"])
+    mets = cfg.simulate(models + models,
+                        rules + [Policy.threshold(0.0)] * len(models))
+    conventional = run_conventional_supply(
+        models, cfg.p_bar, mc["slots"], cfg.seed + 1, water_level=levels,
+        streams=mc["streams"])
     rows = []
-    for model, level, m_opp, (m_be, m_cv) in zip(models, levels, opps,
-                                                  supplies):
+    for model, level, m_opp, m_be, m_cv in zip(
+            models, levels, mets, mets[len(models):], conventional):
         p_s = model.access.p_s
         stats.setdefault("water_level", {})[str(p_s)] = level.xi
         rows += [(p_s, scheme, m.throughput, m.se_throughput)
                  for scheme, m in (("opportunistic", m_opp),
                                    ("best_effort", m_be),
                                    ("conventional", m_cv))]
-    return rows, [m_cv for _, m_cv in supplies]
+    return rows, conventional
 
 
 def _run_fig3(cfg: ExperimentConfig):
@@ -426,7 +434,8 @@ def _run_fig6(cfg: ExperimentConfig):
                                   if mode == "optimal" else mode)
                  for mode in cfg.gamma_modes]
         for mode, m in zip(cfg.gamma_modes, cfg.simulate(model, rules)):
-            label = "optimal" if mode == "optimal" else f"{float(mode):g}"
+            # 12 significant digits, as the CSV's: distinct modes differ
+            label = "optimal" if mode == "optimal" else f"{float(mode):.12g}"
             rows.append((p_s, label, m.mean_saving_time, m.se_saving_time))
     return rows, stats
 

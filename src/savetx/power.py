@@ -5,8 +5,9 @@ save-then-transmit case), water-filling it over both channels when the
 common channel is held; ``solve_water_level`` finds the level xi at which
 the water-filling powers (1/xi - 1/gain)^+ meet an average-power
 constraint (the conventional-supply benchmark, spent by
-``simulate.run_supplies``), with ``_brent_root``, an in-package port of
-scipy's ``brentq`` that returns its root to the last bit.
+``simulate.run_conventional_supply``), with ``_brent_root``, an
+in-package port of scipy's ``brentq`` that returns its root to the last
+bit.
 ``stop_rate`` is branch-free arithmetic over the broadcast arguments, with
 no access taken as a common channel of gain 0: the interior split, clipped
 to the budget, is the water-filling split, and only entries whose gains
@@ -100,10 +101,19 @@ def stop_rate(b, h, hc, phi, base: float = 2.0):
 
 def check_gamma(gamma) -> float:
     """A rate threshold as a float: finite and >= 0.  A NaN threshold
-    never stops, so a rule with one would run to the slot cap."""
-    if not 0.0 <= gamma < math.inf:  # NaN fails both comparisons
-        raise ValueError(f"gamma must be a finite number >= 0, got {gamma}")
+    never stops, so a rule with one would run to the slot cap; booleans and
+    strings are refused by name, not read as numbers."""
+    if _reals(gamma, "gamma") < 0:
+        raise ValueError(f"gamma: must be a finite number >= 0, got {gamma}")
     return float(gamma)
+
+
+def check_p_bar(p_bar) -> float:
+    """An average power target as a float: finite and > 0, refused by name
+    otherwise (booleans and strings too)."""
+    if _reals(p_bar, "p_bar") <= 0:
+        raise ValueError(f"p_bar: must be a finite number > 0, got {p_bar}")
+    return float(p_bar)
 
 
 def _power_curve(dist: GainDistribution):
@@ -226,8 +236,7 @@ def solve_water_level(private: GainDistribution, common: GainDistribution,
     closed form in the exponential integral E1 for exponential gains, sums
     for the others.
     """
-    if not p_bar > 0:  # NaN fails the comparison
-        raise ValueError("p_bar must be > 0")
+    p_bar = check_p_bar(p_bar)
     # brentq's own floor on its relative tolerance (NaN fails it too)
     if not rel_tol >= 4 * np.finfo(float).eps:
         raise ValueError("rel_tol must be >= 4 * machine epsilon")

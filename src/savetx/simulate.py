@@ -1,5 +1,5 @@
-"""Slot-level Monte Carlo of save-then-transmit periods and the two
-benchmark supplies.
+"""Slot-level Monte Carlo of save-then-transmit periods and of the
+conventional-supply benchmark.
 
 Everything runs many battery streams side by side, so a fixed
 (configuration, seed) pair always reproduces the same metrics bit for bit.
@@ -18,28 +18,31 @@ lanes take period indices from a queue as they end periods, so a lane
 simulates unrecorded periods only in its warm-up and while it waits, idle,
 for its rule's last recorded periods to end.  A lane keeps only whether
 its running period is recorded; the queue counts its takers, and a trace
-alone keeps the traced rule's period indices.  The two benchmark supplies
-run as one pass, ``run_supplies``, which spends the stream's blocks whole
-and gives both supplies the same draws, as the engine gives its rules.  It
-runs the engine's Monte Carlo scheme: ``streams`` lanes on one generator
-built as the engine's, with standard errors batched over the engine's
-``N_BATCHES`` fixed groups of lanes.  A pass of either may hold several
-p_s: its models differ only in the access probability, the draws serve
-them all, and each p_s compares the one access uniform with its own value,
-so each row is what a pass of its p_s alone gives.  The engine and the
-supplies keep per-lane sums of their records and reduce them once, after
-the slot loop, with one fold, ``_fold``.
+alone keeps the traced rule's period indices.
+
+The best-effort benchmark is the engine's gamma = 0 rule,
+``Policy.threshold(0.0)``: every slot stops and spends the harvest of the
+slot before, held in the model's battery.  The conventional supply runs
+as its own pass, ``run_conventional_supply``, which spends the stream's
+blocks whole on the engine's Monte Carlo scheme: ``streams`` lanes on one
+generator built as the engine's, with standard errors batched over the
+engine's ``N_BATCHES`` fixed groups of lanes.  A pass of either may hold
+several p_s: its models differ only in the access probability, the draws
+serve them all, and each p_s compares the one access uniform with its own
+value, so each row is what a pass of its p_s alone gives.  The engine and
+the supply keep per-lane sums of their records and reduce them once,
+after the slot loop, with one fold, ``_fold``.
 """
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import PeriodOverflow
 from .models import SystemModel, stationary_distribution
-from .power import check_gamma, solve_water_level, stop_rate
+from .power import check_gamma, check_p_bar, solve_water_level, stop_rate
 from .tables import emit_csv
 
 __all__ = [
@@ -47,7 +50,7 @@ __all__ = [
     "Metrics",
     "run_policies",
     "run_simulation",
-    "run_supplies",
+    "run_conventional_supply",
 ]
 
 TRACE_SCHEMA = ("period", "saving_slots", "b_stop", "phi", "h", "h_common",
@@ -104,7 +107,7 @@ class Metrics:
 # ---------------------------------------------------------------------------
 # the slot stream: every draw of a pass, one block of slots at a time
 
-# slots per block of the slot stream, for the engine and the supplies alike:
+# slots per block of the slot stream, for the engine and the supply alike:
 # spreads the draw and spend kernels' call overhead over many values and
 # keeps their temporaries small
 _BLOCK = 32
@@ -196,13 +199,13 @@ class _SlotStream:
     writing into the buffer: uniforms for u, a Markov or discrete gain and
     the harvest step, standard exponentials for an exponential gain, which
     times the gain's mean is what ``Generator.exponential`` returns, bit
-    for bit.  The supplies have the block laid out as four contiguous
-    planes of shape (n, lanes), one per kind: their spend runs about a
-    third faster on them than on the slot rows.  A discrete gain's
+    for bit.  The conventional supply has the block laid out as four
+    contiguous planes of shape (n, lanes), one per kind: its spend runs
+    about a third faster on them than on the slot rows.  A discrete gain's
     uniforms are mapped to its values once per block, and a Markov private
     gain and the harvest chain are walked slot by slot (``_Chain``), their
     planes then holding the chain's values.  The harvest of slot i is the
-    energy that reaches the battery, or the budget, of slot i + 1.
+    energy that reaches the battery of slot i + 1.
 
     Construction draws the start: the harvest chain's state from its
     stationary law, stepped once (``harvest0`` is that step's harvest, the
@@ -634,45 +637,34 @@ def run_simulation(policy: Policy, model: SystemModel, n_periods: int,
     return run_policies([policy], model, n_periods, seed, **sizes)[0]
 
 
-def run_supplies(model, p_bar: float, n_slots: int, seed: int, *,
-                 water_level=None, streams: int = 512):
-    """Metrics of the two benchmark supplies, ``(best_effort,
-    conventional)``, from one pass of shared slot draws.
+def run_conventional_supply(model, p_bar: float, n_slots: int, seed: int,
+                            *, water_level=None, streams: int = 512):
+    """Metrics of the conventional supply, which water-fills an average
+    power ``p_bar`` (``check_p_bar``) at ``water_level`` (for a list, a list
+    of one level per model; solved from the model when None, so a model
+    whose level cannot be bracketed raises ``NoBracket``).
 
     ``model`` is one SystemModel, or a list of models that differ only in
     ``access`` (a p_s grid; any other difference raises ValueError naming
-    the field).  A list gives a list of one pair per model from one pass:
-    the draws are made once per slot for the whole grid, and each p_s
+    the field).  A list gives a list of one Metrics per model from one
+    pass: the draws are made once per slot for the whole grid, and each p_s
     spends them with its own access flags ``u < p_s`` and water level, so
-    each pair is what a call with that model alone returns.
-
-    Best-effort has no battery: each slot's budget is the harvest of the
-    slot before it (the very first budget is one fresh harvest draw),
-    spent whole with ``stop_rate``.  Conventional water-fills an average
-    power ``p_bar`` at ``water_level`` (for a list, a list of one level per
-    model; solved from the model when None), so a model whose level cannot
-    be bracketed raises ``NoBracket`` for both.
+    each Metrics is what a call with that model alone returns.
 
     ``streams`` lanes run ``ceil(n_slots / streams)`` slots each on the
     engine's generator at ``seed``, drawn by the engine's ``_SlotStream``:
     each slot draws the access uniform and both gains, then steps the
     harvest chain, in that generator order.  Each block of ``_BLOCK``
-    slots is spent by both supplies of each model at once, on the
-    stream's contiguous planes.  A block computes what no p_s changes
-    once: best-effort's rates without and with access, and the gains'
-    reciprocals.  Each model then adds only its access mask, its water
-    level's powers and rates, and a choice between the two best-effort
-    rates, made by multiplying them with the mask and its complement; no
-    value is selected with ``np.where``, and every value is what a spend
-    per model and slot gives, bit for bit.  Each lane sums its deviations
-    from the first slot's values, and ``_fold`` takes those sums into the
-    engine's lane groups once, at the end, so the standard errors are NaN
-    with fewer streams than ``N_BATCHES``.
+    slots is spent by each model at once, on the stream's contiguous
+    planes: the gains' reciprocals once per block, then each model's
+    access mask and its water level's powers and rates.  Each lane sums
+    its deviations from the first slot's values, and ``_fold`` takes those
+    sums into the engine's lane groups once, at the end, so the standard
+    errors are NaN with fewer streams than ``N_BATCHES``.
     Throughput is total rate over total slots, exact when the per-slot
     rate is constant; the realized average power is reduced the same way.
     """
-    if not p_bar > 0:  # NaN fails the comparison
-        raise ValueError("p_bar must be > 0")
+    check_p_bar(p_bar)
     _check_sizes(n_slots=n_slots, streams=streams)
     grid = not isinstance(model, SystemModel)
     models = _access_grid(model)
@@ -685,14 +677,12 @@ def run_supplies(model, p_bar: float, n_slots: int, seed: int, *,
               for m, lv in zip(models, levels)]
     model = models[0]
     slots = -(-n_slots // streams)
-    base = model.log_base
-    logf = np.log2 if base == 2.0 else np.log
+    logf = np.log2 if model.log_base == 2.0 else np.log
     stream = _SlotStream(model, _rng(seed), streams)
 
-    # per model and lane: best-effort rate, conventional rate and power,
-    # less shifts (each model's first values of them)
-    sums = np.zeros((len(models), 3, streams))
-    shifts = np.empty((len(models), 3))
+    # per model and lane: rate and power, less each model's first values
+    sums = np.zeros((len(models), 2, streams))
+    shifts = np.empty((len(models), 2))
 
     def spend(k, j, v):
         """Add the block's values ``v`` of model ``k``'s value ``j`` to
@@ -705,40 +695,24 @@ def run_supplies(model, p_bar: float, n_slots: int, seed: int, *,
     # buffers for a block's gains' reciprocals and one model's values at a
     # time, allocated once; a short last block uses their heads.  Between
     # blocks they are free, and the stream lays its block out through them
-    budget0 = stream.harvest0
     buffers = np.empty((5, _BLOCK, streams))
     inverses, work = buffers[:2], buffers[2:]
-    masks = np.empty((2, _BLOCK, streams), dtype=bool)
+    access = np.empty((_BLOCK, streams), dtype=bool)
     for first in range(0, slots, _BLOCK):
         n = min(_BLOCK, slots - first)
-        u, h, hc, budget = stream.fill(n, buffers[:4, :n])
-        # a slot's budget is the harvest of the slot before it: the
-        # harvest plane moves down one slot, in place
-        last = budget[-1].copy()
-        budget[1:] = budget[:-1]
-        budget[0] = budget0
-        budget0 = last
-        # what no p_s changes, once per block: best-effort's rates without
-        # and with access, and the gains' reciprocals (+inf at a gain of 0,
-        # where the water-filling power is 0)
-        rate_off = stop_rate(budget, h, hc, 0, base)
-        rate_on = stop_rate(budget, h, hc, 1, base)
+        u, h, hc, _ = stream.fill(n, buffers[:4, :n])
+        # the gains' reciprocals, once per block for every p_s (+inf at a
+        # gain of 0, where the water-filling power is 0)
         inv_h, inv_hc = inverses[:, :n]
         with np.errstate(divide="ignore", over="ignore"):
             np.divide(1.0, np.abs(h, out=inv_h), out=inv_h)
             np.divide(1.0, np.abs(hc, out=inv_hc), out=inv_hc)
         p, pc, cv = work[:, :n]
-        on, off = masks[:, :n]
+        on = access[:n]
         for k, (m, level) in enumerate(zip(models, levels)):
             np.less(u, m.access.p_s, out=on)
-            np.logical_not(on, out=off)
-            # best-effort takes one of its two rates: multiplied by the
-            # masks, the other is exactly 0
-            be = np.multiply(rate_off, off, out=p)
-            be += np.multiply(rate_on, on, out=pc)
-            spend(k, 0, be)
-            # conventional water-fills (1/xi - 1/gain)^+ on each channel;
-            # off access pc = 0, whose term log(1 + hc pc) is exactly 0
+            # water-fill (1/xi - 1/gain)^+ on each channel; off access
+            # pc = 0, whose term log(1 + hc pc) is exactly 0
             top = 1.0 / level.xi
             np.maximum(np.subtract(top, inv_h, out=p), 0.0, out=p)
             np.maximum(np.subtract(top, inv_hc, out=pc), 0.0, out=pc)
@@ -747,15 +721,15 @@ def run_supplies(model, p_bar: float, n_slots: int, seed: int, *,
             p += pc  # the power spent
             cv += logf(np.add(np.multiply(hc, pc, out=pc), 1.0, out=pc),
                        out=pc)
-            spend(k, 1, cv)
-            spend(k, 2, p)
+            spend(k, 0, cv)
+            spend(k, 1, p)
     # a supply's period is one slot, so each lane's T and count are its
     # slots, and the mean length is exact, with fewer lanes than groups too
     T = np.full(streams, float(slots))
-    pairs = []
-    for c3, dev3 in zip(shifts.tolist(), sums):
-        be, cv, power = (_fold(c, T, dev, T, cap_hit_fraction=0.0,
-                               se_saving_time=0.0)
-                         for c, dev in zip(c3, dev3))
-        pairs.append((be, replace(cv, realized_avg_power=power.throughput)))
-    return pairs if grid else pairs[0]
+    metrics = [_fold(c_rate, T, rate, T, cap_hit_fraction=0.0,
+                     se_saving_time=0.0, realized_avg_power=_fold(
+                         c_power, T, power, T,
+                         cap_hit_fraction=0.0).throughput)
+               for (c_rate, c_power), (rate, power) in zip(shifts.tolist(),
+                                                            sums)]
+    return metrics if grid else metrics[0]

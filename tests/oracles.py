@@ -361,13 +361,15 @@ class SlotDraws:
 
 
 def run_supplies_per_slot(model, level, n_slots, seed, *, streams=512):
-    """``run_supplies`` with one spend per slot: ``(best_effort,
-    conventional)`` at water level ``level``.
+    """Both benchmark supplies with one spend per slot: ``(best_effort,
+    conventional)``, with conventional at water level ``level``.
 
     The draws come one slot at a time from ``SlotDraws``, so they are
-    those of ``run_supplies`` if its block stream keeps the order.
-    Best-effort spends the harvest of the slot before; conventional
-    water-fills at ``level``.
+    those of ``run_conventional_supply`` and of the engine, if their block
+    stream keeps the order.  Best-effort spends the harvest of the slot
+    before, which the package runs as the engine's gamma = 0 rule (equal
+    when no harvest exceeds the battery cap); conventional water-fills at
+    ``level``, as ``run_conventional_supply`` does.
     Each lane's deviations from the first slot's values are summed in
     blocks of the slot stream's size, so the sums round as the package's
     do, then folded into the engine's ``N_BATCHES`` lane groups.
@@ -412,6 +414,20 @@ def run_supplies_per_slot(model, level, n_slots, seed, *, streams=512):
             cap_hit_fraction=0.0, realized_avg_power=power)
 
     return metrics(0), metrics(1, sim._mean_about(shifts[2], dev[2], count))
+
+
+def best_effort_exact(model) -> float:
+    """The exact best-effort throughput: every slot stops and spends the
+    harvest of the slot before, held in the battery, so it is
+    sum_e pi(e) E[R | b = min(e, cap)], with pi the harvest chain's
+    stationary law and E[R | b] the gamma-0 stop reward of
+    ``solver._stop_moments`` over the fresh access flag and gains."""
+    import savetx as sx
+    from savetx.solver import _stop_moments
+
+    pi = sx.stationary_distribution(model.eh)
+    b = np.minimum(np.asarray(model.eh.states, dtype=float), model.b_cap)
+    return float(pi @ _stop_moments(model, b, 0.0)[1])
 
 
 # ---------------------------------------------------------------------------

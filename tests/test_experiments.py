@@ -1,11 +1,14 @@
 import csv
 import hashlib
+import importlib.util
 import json
 import math
 import re
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +21,19 @@ from savetx.errors import ConfigError, IoError
 from savetx.experiments import EXPERIMENTS, _meta_base
 from savetx.tables import emit_csv
 
-from oracles import MARKOV_MODEL
+from oracles import MARKOV_MODEL, best_effort_exact
+
+
+def _load_workloads():
+    """The benchmark's workload configs, ``perfbench/workloads.py``."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+WORKLOADS = _load_workloads()
 
 TINY_MC = {"periods": 1500, "slots": 8000, "warmup_periods": 50,
            "streams": 64}
@@ -233,6 +248,17 @@ class TestValidateConfig:
             sx.validate_config({"experiment": "fig4",
                                 "gamma_grid": [2.0, 1.0]})
 
+    @pytest.mark.parametrize("experiment, key, value", [
+        ("fig3", "p_s_grid", [0.5, 0.5]), ("fig8", "p_s_grid", [0, 0.0, 1]),
+        ("fig4", "gamma_grid", [1.0, 1.0]), ("fig6", "gamma_modes", [2, 2.0]),
+        ("fig6", "gamma_modes", ["optimal", 1.5, "optimal"]),
+        ("fig7", "eh_models", ["a", "b", "a"])])
+    def test_repeated_value_refused(self, experiment, key, value):
+        # each table printed every row of a repeated value twice, and fig8's
+        # sidecar kept one set of stats for a repeated p_s
+        with pytest.raises(ConfigError, match=f"^{key}: must not repeat"):
+            sx.validate_config({"experiment": experiment, key: value})
+
     def test_bad_log_base(self):
         with pytest.raises(ConfigError, match="log_base"):
             sx.validate_config({"experiment": "fig4", "log_base": 10})
@@ -325,6 +351,18 @@ class TestRunExperiment:
         assert "0.5" in meta["stats"]["gamma_star"]
         assert_exact_stats(cfg, meta["stats"])
 
+    def test_fig6_labels_tell_modes_apart(self, tmp_path):
+        # each label has the CSV's 12 significant digits: with :g both of
+        # these modes printed as "2"
+        cfg = sx.validate_config({
+            "experiment": "fig6", "p_s_grid": [0.5], "mc": TINY_MC,
+            "gamma_modes": [2.0, 2.0000001, 1 / 3]})
+        res = sx.run_experiment(cfg, tmp_path)
+        with open(res["csv"], newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["gamma_mode"] for r in rows] == [
+            "2", "2.0000001", "0.333333333333"]
+
     def test_fig7_models(self, tmp_path):
         cfg = sx.validate_config({
             "experiment": "fig7", "gamma_grid": [0.0, 1.5],
@@ -366,9 +404,9 @@ class TestRunExperiment:
 
 
 class TestSchemeTables:
-    """fig3 and fig8 make one engine pass of all their rules and one supply
-    pass over the whole p_s grid; each row is what a table of its p_s
-    alone prints."""
+    """fig3 and fig8 make one engine pass of all their rules, best-effort's
+    gamma = 0 among them, and one conventional-supply pass over the whole
+    p_s grid; each row is what a table of its p_s alone prints."""
 
     GRID = [0.0, 0.5, 1.0]
     STATS = {"fig3": ["lambda_star", "solver_iters", "water_level",
@@ -387,7 +425,7 @@ class TestSchemeTables:
 
     @pytest.mark.parametrize("name", ["fig3", "fig8"])
     def test_one_pass_each(self, name, tmp_path, monkeypatch):
-        calls = {"run_policies": 0, "run_supplies": 0}
+        calls = {"run_policies": 0, "run_conventional_supply": 0}
 
         def counted(fn):
             def wrapper(*args, **kwargs):
@@ -395,11 +433,11 @@ class TestSchemeTables:
                 return fn(*args, **kwargs)
             return wrapper
 
-        for fn in (sx.run_policies, sx.run_supplies):
+        for fn in (sx.run_policies, sx.run_conventional_supply):
             monkeypatch.setattr(savetx.experiments, fn.__name__,
                                 counted(fn))
         lines, stats = self.table(name, self.GRID, tmp_path)
-        assert calls == {"run_policies": 1, "run_supplies": 1}
+        assert calls == {"run_policies": 1, "run_conventional_supply": 1}
         assert [line.split(",")[:2] for line in lines[1:]] == [
             [f"{p:g}", scheme] for p in self.GRID
             for scheme in ("opportunistic", "best_effort", "conventional")]
@@ -417,25 +455,95 @@ class TestSchemeTables:
                        for k, v in solo_stats.items())
 
 
+class TestBestEffortRows:
+    """Each best-effort row is the gamma = 0 rule of its table's engine
+    pass, and lies within the benchmark's t(19) row bound, |z| <= 5.102,
+    of the exact value (``oracles.best_effort_exact``); a row with SE 0 is
+    exact to 1e-12 relative."""
+
+    Z_MAX = 5.102
+
+    @classmethod
+    def assert_exact(cls, cfg, p_s, throughput, se):
+        exact = best_effort_exact(cfg.build_model(p_s))
+        if se == 0:
+            assert throughput == pytest.approx(exact, rel=1e-12)
+        else:
+            assert abs(throughput - exact) <= cls.Z_MAX * se
+
+    @classmethod
+    def check_table(cls, cfg, out):
+        res = sx.run_experiment(cfg, out)
+        with open(res["csv"], newline="") as fh:
+            rows = [r for r in csv.DictReader(fh)
+                    if r["scheme"] == "best_effort"]
+        assert len(rows) == len(cfg.p_s_grid)
+        for p_s, row in zip(cfg.p_s_grid, rows):
+            cls.assert_exact(cfg, p_s, float(row["throughput"]),
+                             float(row["se"]))
+        return rows
+
+    @pytest.mark.parametrize("name", ["fig3", "fig8"])
+    def test_default_rows(self, name, tmp_path):
+        rows = self.check_table(sx.validate_config({"experiment": name}),
+                                tmp_path)
+        # at full access fig3's rate is constant, and its SE is 0
+        assert (float(rows[-1]["se"]) == 0.0) == (name == "fig3")
+
+    @pytest.mark.parametrize("b_max_units", [1, 2])
+    def test_battery_cap_holds_the_harvest(self, b_max_units, tmp_path):
+        # fig8's harvest is 4 units: a battery of 1 or 2 units holds only
+        # part of it, and best-effort spends what the battery holds (at
+        # b_max_units 1 and p_s 0, exactly 0.430; a supply that spent the
+        # whole harvest printed 0.968)
+        cfg = sx.validate_config({
+            "experiment": "fig8", "b_max_units": b_max_units,
+            "p_s_grid": [0.0, 0.5], "solver": FAST_SOLVER,
+            "mc": {"periods": 20_000, "slots": 20_000}})
+        for p_s in cfg.p_s_grid:
+            capped = cfg.build_model(p_s)
+            whole = replace(capped,
+                            b_max_units=savetx.experiments.LARGE_B_MAX)
+            assert best_effort_exact(capped) < \
+                0.9 * best_effort_exact(whole)
+        self.check_table(cfg, tmp_path)
+
+    @pytest.mark.parametrize("workload", ["search", "markov"])
+    def test_benchmark_rows(self, workload):
+        # the benchmark's tables at seeds 1-10: each best-effort row is the
+        # gamma = 0 row of the table's pass, which a pass of that rule
+        # alone gives, since a pass's rows do not touch one another
+        for seed in range(1, 11):
+            cfg = sx.validate_config(WORKLOADS.make_config(workload, seed))
+            models = [cfg.build_model(p_s) for p_s in cfg.p_s_grid]
+            mets = cfg.simulate(models,
+                                [sx.Policy.threshold(0.0)] * len(models))
+            for p_s, m in zip(cfg.p_s_grid, mets):
+                self.assert_exact(cfg, p_s, m.throughput, m.se_throughput)
+
+
 class TestPinnedTables:
     """sha256 of each figure's CSV at the default seed and small Monte
     Carlo sizes, so a change that moves any printed digit shows.  Hashes
     from numpy 2.4 and scipy 1.17 on x86-64; another numpy or scipy may
-    round the last digits differently."""
+    round the last digits differently.  The fig3 and fig8 hashes were
+    re-pinned when best-effort became the engine's gamma = 0 rule: only
+    their best-effort rows moved, and each lies within 1.02 standard
+    errors of its exact value (SE 0 and exact to 1e-12 at fig3's p_s 1)."""
 
     MC = {"periods": 2000, "slots": 20000, "warmup_periods": 100,
           "streams": 64}
     SHA256 = {
-        "fig3": "e753b3376cbc8ef8b5e9b1f6918dfa46"
-                "26464879b0fd0bb72bffa9c695b40454",
+        "fig3": "8f94132e92b06c7adaba259516acb085"
+                "a30995d13a0322765fad5636090d7038",
         "fig4": "6094de7dc0d76e3e770c83cb4b5c1ab1"
                 "019154eebfcd22289bcb90844f4b2801",
         "fig6": "005dfb2bb3ce50c87e77053068467e30"
                 "0aad5a58421a604d47f89157409e9a01",
         "fig7": "c0f740df8a259672a4bb48376cdfb6ab"
                 "d5120f4dccae4042f5edf07fa2f181b4",
-        "fig8": "1e8c273419d09657a7b02e82cc63d972"
-                "7efc3fa15f1fb40c72618c620ecc1361",
+        "fig8": "89760f668355f98d866f5048a097e52c"
+                "27fbab513fb7908a955fccd52d0c1e99",
     }
 
     @pytest.mark.parametrize("name", sorted(SHA256))
@@ -525,16 +633,15 @@ class TestCli:
             assert len(list(csv.DictReader(fh))) == out["periods"]
 
     @pytest.mark.parametrize("scheme, run", [
-        ("best-effort", lambda m, cfg: sx.run_supplies(
+        ("best-effort", lambda m, cfg: cfg.simulate(
+            m, [sx.Policy.threshold(0.0)])[0]),
+        ("conventional", lambda m, cfg: sx.run_conventional_supply(
             m, cfg.p_bar, cfg.mc["slots"], cfg.seed,
-            streams=cfg.mc["streams"])[0]),
-        ("conventional", lambda m, cfg: sx.run_supplies(
-            m, cfg.p_bar, cfg.mc["slots"], cfg.seed,
-            streams=cfg.mc["streams"])[1])])
+            streams=cfg.mc["streams"]))])
     def test_simulate_supply(self, tmp_path, scheme, run):
-        # the command prints its scheme's metrics from the library's
-        # supply pass at the config's sizes and seed, which solves its own
-        # water level
+        # the command prints its scheme's metrics at the config's sizes and
+        # seed: best-effort from the engine's gamma = 0 rule, conventional
+        # from the library's supply pass, which solves its own water level
         raw = {"experiment": "fig4", "mc": TINY_MC}
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps(raw))
@@ -614,7 +721,8 @@ class TestCli:
         def never(*args, **kwargs):
             raise AssertionError("entered before --out was checked")
 
-        for name in ("solve_markov", "optimize_threshold", "run_supplies"):
+        for name in ("solve_markov", "optimize_threshold",
+                     "run_conventional_supply"):
             monkeypatch.setattr(cli, name, never)
         monkeypatch.setattr(savetx.experiments, "run_policies", never)
         cfg = tmp_path / "c.json"

@@ -9,7 +9,7 @@ from scipy import integrate, optimize, special
 
 import savetx as sx
 from savetx.errors import NoBracket, NoConvergence
-from savetx.power import _brent_root
+from savetx.power import _brent_root, check_gamma
 
 from oracles import MARKOV_MODEL, Split, best_grid_split, \
     brentq_water_level, conventional_power, split_rate, \
@@ -205,8 +205,9 @@ class TestStopRateOracle:
                                    access=sx.AccessModel(0.5),
                                    eh=sx.MarkovChainSpec([1.0], [[1.0]]),
                                    b_max_units=1)
-            _, met = sx.run_supplies(model, 2.0, 2000, seed=1, streams=20,
-                                     water_level=sx.WaterLevel(0.5))
+            met = sx.run_conventional_supply(model, 2.0, 2000, seed=1,
+                                             streams=20,
+                                             water_level=sx.WaterLevel(0.5))
             assert met.realized_avg_power == 0.0
 
 
@@ -335,10 +336,32 @@ class TestSolveWaterLevel:
 
     def test_nan_p_bar(self):
         # a NaN passed "p_bar <= 0" and reached scipy's brentq
-        with pytest.raises(ValueError, match="p_bar must be > 0"):
+        with pytest.raises(ValueError, match="^p_bar: must be a finite "):
             sx.solve_water_level(sx.GainDistribution.constant(1.0),
                                  sx.GainDistribution.constant(1.0),
                                  sx.AccessModel(0.0), float("nan"))
+
+    @pytest.mark.parametrize("p_bar", [True, "1", float("inf"), -1.0, 0.0])
+    def test_p_bar_refused_by_name(self, p_bar):
+        # True solved the level of p_bar 1, "1" raised a bare TypeError
+        # and inf raised NoBracket
+        with pytest.raises(ValueError, match="^p_bar: must be a finite "):
+            sx.solve_water_level(sx.GainDistribution.exponential(1.0),
+                                 sx.GainDistribution.exponential(1.0),
+                                 sx.AccessModel(0.5), p_bar)
+
+
+class TestCheckGamma:
+    @pytest.mark.parametrize("gamma", [True, "1", float("nan"),
+                                       float("inf"), -1.0])
+    def test_refused_by_name(self, gamma):
+        # True ran as gamma 1 and "1" raised a bare TypeError, in the
+        # engine's rules and in the exact evaluator alike
+        model = sx.validate_config({"experiment": "fig4"}).build_model(0.5)
+        for check in (check_gamma, sx.Policy.threshold,
+                      lambda g: sx.threshold_metrics(model, g)):
+            with pytest.raises(ValueError, match="^gamma: must be a finite"):
+                check(gamma)
 
 
 # the water-level configs: every experiment's defaults and the models of the

@@ -154,11 +154,11 @@ class TestRunSimulation:
         ("n_slots", 0), ("streams", 0), ("replications", 0),
         ("n_slots", 100.5), ("streams", 4.5), ("streams", True)])
     def test_bad_supply_sizes_rejected(self, key, value):
-        # the supplies run the engine's lanes and take no replications
+        # the supply runs the engine's lanes and takes no replications
         args = {"n_slots": 100, "seed": 1, key: value}
         error = TypeError if key == "replications" else ValueError
         with pytest.raises(error, match=key):
-            sx.run_supplies(constant_world(), 2.0, **args)
+            sx.run_conventional_supply(constant_world(), 2.0, **args)
 
     def test_mixed_rules_match_solo_runs(self):
         # a DP rule and threshold rules share one engine pass, and each
@@ -207,7 +207,8 @@ class TestRunSimulation:
         model = iid_model(0.5)
         other = replace(iid_model(0.25), **{field: value})
         with pytest.raises(ValueError, match=f"differ in {field},"):
-            sx.run_supplies([model, other], 2.0, 1000, seed=1, streams=20)
+            sx.run_conventional_supply([model, other], 2.0, 1000, seed=1,
+                                       streams=20)
         with pytest.raises(ValueError, match=f"differ in {field},"):
             sx.run_policies([sx.Policy.threshold(1.0)] * 2, [model, other],
                             100, seed=1)
@@ -217,9 +218,9 @@ class TestRunSimulation:
         with pytest.raises(ValueError, match="2 models for 3 rules"):
             sx.run_policies([sx.Policy.threshold(1.0)] * 3, models, 100, 1)
         with pytest.raises(ValueError, match="water_level"):
-            sx.run_supplies(models, 2.0, 1000, seed=1,
-                            water_level=[sx.WaterLevel(1.0)])
-        assert sx.run_supplies([], 2.0, 1000, seed=1) == []
+            sx.run_conventional_supply(models, 2.0, 1000, seed=1,
+                                       water_level=[sx.WaterLevel(1.0)])
+        assert sx.run_conventional_supply([], 2.0, 1000, seed=1) == []
 
     @pytest.mark.parametrize("b_max_units, eh, axis", [
         (30, None, "battery axis has length 21"),
@@ -245,13 +246,18 @@ class TestRunSimulation:
         assert met.throughput > 0
         assert np.isnan(met.se_throughput) and np.isnan(met.se_saving_time)
         # 16 lanes leave 4 of the N_BATCHES lane groups empty
-        be, cv = sx.run_supplies(iid_model(0.5), 2.0, 10_000, seed=3,
-                                 streams=16)
+        cv = sx.run_conventional_supply(iid_model(0.5), 2.0, 10_000, seed=3,
+                                        streams=16)
         assert cv.throughput > 0 and np.isnan(cv.se_throughput)
-        # a supply's period is one slot, so its mean length and that
+        # the supply's period is one slot, so its mean length and that
         # length's SE are exact, however few the lanes
+        assert cv.se_saving_time == 0.0 and cv.mean_saving_time == 1.0
+        # best-effort, the gamma = 0 rule, also ends every period in one
+        # slot, but the engine batches its lengths as it does any rule's
+        be = sx.run_simulation(sx.Policy.threshold(0.0), iid_model(0.5),
+                               10_000, seed=3, streams=16)
         assert np.isnan(be.se_throughput)
-        assert be.se_saving_time == 0.0 and be.mean_saving_time == 1.0
+        assert np.isnan(be.se_saving_time) and be.mean_saving_time == 1.0
 
     def test_bitwise_determinism(self):
         model = iid_model(0.5)
@@ -421,11 +427,11 @@ class TestRunSimulation:
         lane, gave 2.26 on the markov workload's DP rule, whose harvest and
         private-gain chains carry over from one period to the next.
 
-        The supplies batch the same lane groups.  Best-effort runs an
-        i.i.d. model with preset-c harvesting, centred on the exact gamma-0
-        throughput.  Conventional runs the markov workload's model and,
-        with no exact value in the library, is centred on the mean of its
-        40 runs."""
+        Best-effort is the gamma = 0 rule on an i.i.d. model with
+        preset-c harvesting, centred on its exact throughput.  The
+        conventional supply batches the same lane groups; it runs the
+        markov workload's model and, with no exact value in the library,
+        is centred on the mean of its 40 runs."""
         if case == "markov-dp":
             cfg = markov_workload_config()
             model = cfg.build_model(0.75)
@@ -444,11 +450,14 @@ class TestRunSimulation:
                                         "eh": {"preset": "c"}}
                                        ).build_model(0.5)
             exact, _ = sx.threshold_metrics(model, 0.0)
-            mets = [sx.run_supplies(model, 2.0, 32_000, seed, streams=64)[0]
+            mets = [sx.run_simulation(sx.Policy.threshold(0.0), model,
+                                      32_000, seed, warmup_periods=100,
+                                      streams=64)
                     for seed in range(1, 41)]
         else:
             model = markov_workload_config().build_model(0.75)
-            mets = [sx.run_supplies(model, 2.0, 32_000, seed, streams=64)[1]
+            mets = [sx.run_conventional_supply(model, 2.0, 32_000, seed,
+                                               streams=64)
                     for seed in range(1, 41)]
             exact = np.mean([m.throughput for m in mets])
         z = [(m.throughput - exact) / m.se_throughput for m in mets]
@@ -545,9 +554,12 @@ class TestPeriodOverflow:
 
 
 class TestBestEffort:
+    """Best-effort is the engine's gamma = 0 rule: every slot stops and
+    spends the harvest of the slot before, held in the battery."""
+
     def test_constant_world_exact(self):
-        met, _ = sx.run_supplies(constant_world(), 2.0, 2000, seed=1,
-                                 streams=20)
+        met = sx.run_simulation(sx.Policy.threshold(0.0), constant_world(),
+                                2000, seed=1, streams=20)
         assert met.throughput == pytest.approx(np.log2(1 + 1e-3), rel=1e-14)
         assert met.mean_saving_time == 1.0
 
@@ -558,7 +570,8 @@ class TestBestEffort:
             access=sx.AccessModel(0.0),
             eh=sx.MarkovChainSpec([0.0, 4.0], [[0.5, 0.5], [0.5, 0.5]]),
             b_max_units=10, delta=1.0)
-        met, _ = sx.run_supplies(model, 2.0, 200_000, seed=4)
+        met = sx.run_simulation(sx.Policy.threshold(0.0), model, 200_000,
+                                seed=4)
         # exp(1) private gain, budget 4 on half the slots
         expect = 0.5 * np.sum(
             np.polynomial.laguerre.laggauss(64)[1]
@@ -572,12 +585,12 @@ class TestBestEffort:
         oracle = fig3_oracle_config(p_s)
         stop = grid_rule(oracle, table.gamma).reshape(2, oracle.nb, -1)
         assert stop[:, 1:].all()  # stop everywhere charged
-        # the engine and the supply draw from one generator at the seed
+        # the DP rule and best-effort share one pass, as in the fig3 table
         streams, slots = 64, 800
         n = streams * slots
-        met_dp = sx.run_simulation(sx.Policy.dp(table), model, n, seed=7,
-                                   warmup_periods=0, streams=streams)
-        met_be, _ = sx.run_supplies(model, 1e-3, n, seed=7, streams=streams)
+        met_dp, met_be = sx.run_policies(
+            [sx.Policy.dp(table), sx.Policy.threshold(0.0)], model, n,
+            seed=7, warmup_periods=0, streams=streams)
         assert met_dp.throughput == pytest.approx(met_be.throughput,
                                                   rel=1e-12)
         assert abs(met_dp.throughput - met_be.throughput) <= \
@@ -586,15 +599,19 @@ class TestBestEffort:
     @pytest.mark.parametrize("workload", ["search", "markov"])
     def test_is_zero_threshold_rule(self, workload):
         # gamma 0 stops every slot on the previous slot's harvest, which
-        # is the best-effort budget; both batch the same lane groups
+        # is the per-slot oracle's best-effort budget (no harvest of these
+        # models exceeds the cap); both batch the same lane groups
         model = (iid_model(0.5) if workload == "search" else
                  markov_workload_config().build_model(0.75))
+        level = sx.solve_water_level(model.private, model.common,
+                                     model.access, 2.0)
         streams, slots = 64, 800
         n = streams * slots
         met_opp = sx.run_simulation(sx.Policy.threshold(0.0), model, n,
                                     seed=7, warmup_periods=0,
                                     streams=streams)
-        met_be, _ = sx.run_supplies(model, 2.0, n, seed=7, streams=streams)
+        met_be, _ = run_supplies_per_slot(model, level, n, 7,
+                                          streams=streams)
         assert met_be.throughput == pytest.approx(met_opp.throughput,
                                                   rel=1e-12)
         assert met_be.se_throughput == pytest.approx(met_opp.se_throughput,
@@ -605,26 +622,34 @@ class TestBestEffort:
 class TestConventional:
     def test_constant_world(self):
         model = constant_world(delta=1.0, h=1.0)
-        _, met = sx.run_supplies(model, 2.0, 2000, seed=1, streams=20)
+        met = sx.run_conventional_supply(model, 2.0, 2000, seed=1,
+                                         streams=20)
         assert met.throughput == pytest.approx(np.log2(3.0), rel=1e-9)
         assert met.realized_avg_power == pytest.approx(2.0, rel=1e-9)
 
     def test_realized_power_near_target(self):
         model = iid_model(0.5)
-        _, met = sx.run_supplies(model, 2.0, 1_000_000, seed=3)
+        met = sx.run_conventional_supply(model, 2.0, 1_000_000, seed=3)
         assert abs(met.realized_avg_power - 2.0) / 2.0 < 0.01
 
-    @pytest.mark.parametrize("p_bar", [0.0, float("nan")])
+    @pytest.mark.parametrize("p_bar", [0.0, float("nan"), float("inf"),
+                                       True, "2", -1.0])
     def test_bad_p_bar(self, p_bar):
-        with pytest.raises(ValueError, match="p_bar must be > 0"):
-            sx.run_supplies(iid_model(0.5), p_bar, 10_000, seed=3)
+        # True ran as p_bar 1, "2" raised a bare TypeError and inf raised
+        # NoBracket; each is now refused by name
+        with pytest.raises(ValueError, match="^p_bar: must be a finite "):
+            sx.run_conventional_supply(iid_model(0.5), p_bar, 10_000, seed=3)
+        # a given water level skips the solve, and p_bar is still checked
+        with pytest.raises(ValueError, match="^p_bar: must be a finite "):
+            sx.run_conventional_supply(iid_model(0.5), p_bar, 10_000, seed=3,
+                                       water_level=sx.WaterLevel(1.0))
 
     def test_water_level_reused(self):
         model = iid_model(0.5)
         level = sx.solve_water_level(model.private, model.common,
                                      model.access, 2.0)
-        _, met = sx.run_supplies(model, 2.0, 10_000, seed=3,
-                                 water_level=level)
+        met = sx.run_conventional_supply(model, 2.0, 10_000, seed=3,
+                                         water_level=level)
         assert met.throughput > 0
 
 
@@ -638,9 +663,10 @@ def discrete_model(p_s=0.5):
 
 
 class TestSupplyBlocks:
-    """The supplies draw per slot and spend per block of slots; the
-    per-slot loop of ``tests/oracles.py`` makes the same draws, so both
-    give the same metrics bit for bit."""
+    """The conventional supply draws per slot and spends per block of
+    slots; the per-slot loop of ``tests/oracles.py`` makes the same draws,
+    so both give the same metrics bit for bit.  The engine's gamma = 0
+    rule reads the same draws, and gives the oracle's best-effort."""
 
     MODELS = {"exponential": lambda: iid_model(0.5),
               "discrete": discrete_model,
@@ -656,23 +682,36 @@ class TestSupplyBlocks:
         np.testing.assert_equal(astuple(got), astuple(want))
 
     def run_both(self, name, short, streams, slots, seed):
-        """The supplies' metrics from ``run_supplies`` and from the
-        per-slot oracle."""
+        """The conventional supply's metrics from
+        ``run_conventional_supply``, and both supplies' from the per-slot
+        oracle."""
         model = self.MODELS[name]()
         level = sx.solve_water_level(model.private, model.common,
                                      model.access, 2.0)
         n = streams * slots - short
-        got = sx.run_supplies(model, 2.0, n, seed=seed, water_level=level,
-                              streams=streams)
+        got = sx.run_conventional_supply(model, 2.0, n, seed=seed,
+                                         water_level=level, streams=streams)
         return got, run_supplies_per_slot(model, level, n, seed,
                                           streams=streams)
 
     @pytest.mark.parametrize("name", MODELS)
     @pytest.mark.parametrize("short, streams, slots", SIZES)
     def test_best_effort_matches_per_slot(self, name, short, streams, slots):
-        (got, _), (want, _) = self.run_both(name, short, streams, slots, 3)
-        self.assert_same(got, want)
-        assert got.periods == streams * slots
+        # the gamma = 0 rule records one period per lane and slot, so a
+        # pass of streams * slots periods spends the oracle's slots, which
+        # it rounds up to whole slots per lane; no harvest of these models
+        # exceeds the cap.  The two shift their sums by different first
+        # values, so they agree to rounding, not bit for bit
+        (_, (want, _)) = self.run_both(name, short, streams, slots, 3)
+        got = sx.run_simulation(sx.Policy.threshold(0.0),
+                                self.MODELS[name](), streams * slots, 3,
+                                warmup_periods=0, streams=streams)
+        np.testing.assert_allclose(
+            [got.throughput, got.se_throughput],
+            [want.throughput, want.se_throughput], rtol=1e-12)
+        assert got.mean_saving_time == want.mean_saving_time == 1.0
+        assert got.cap_hit_fraction == want.cap_hit_fraction == 0.0
+        assert got.periods == want.periods == streams * slots
 
     @pytest.mark.parametrize("name", MODELS)
     @pytest.mark.parametrize("short, streams, slots", SIZES)
@@ -684,52 +723,52 @@ class TestSupplyBlocks:
         models = [replace(base, access=sx.AccessModel(p))
                   for p in (0.0, base.access.p_s, 1.0)]
         n = streams * slots - short
-        got = sx.run_supplies(models, 2.0, n, seed=7, streams=streams)
+        got = sx.run_conventional_supply(models, 2.0, n, seed=7,
+                                         streams=streams)
         assert len(got) == len(models)
-        for model, pair in zip(models, got):
-            want = sx.run_supplies(model, 2.0, n, seed=7, streams=streams)
-            for g, w in zip(pair, want):
-                self.assert_same(g, w)
+        for model, met in zip(models, got):
+            self.assert_same(met, sx.run_conventional_supply(
+                model, 2.0, n, seed=7, streams=streams))
 
     @pytest.mark.parametrize("name", MODELS)
     def test_unsorted_repeated_grid_matches_solo_calls(self, name):
-        # the models share each block's rates and reciprocals; a model at
-        # p_s 0 after one at 1 and before another one at 0 must neither
-        # change them nor see what the model before it spent
+        # the models share each block's reciprocals; a model at p_s 0
+        # after one at 1 and before another one at 0 must neither change
+        # them nor see what the model before it spent
         base = self.MODELS[name]()
         models = [replace(base, access=sx.AccessModel(p))
                   for p in (1.0, 0.0, 0.5, 0.0)]
         n = 16 * 33 - 2
-        got = sx.run_supplies(models, 2.0, n, seed=7, streams=16)
-        for model, pair in zip(models, got):
-            want = sx.run_supplies(model, 2.0, n, seed=7, streams=16)
-            for g, w in zip(pair, want):
-                self.assert_same(g, w)
-        self.assert_same(got[1][0], got[3][0])
+        got = sx.run_conventional_supply(models, 2.0, n, seed=7, streams=16)
+        for model, met in zip(models, got):
+            self.assert_same(met, sx.run_conventional_supply(
+                model, 2.0, n, seed=7, streams=16))
+        self.assert_same(got[1], got[3])
 
     @pytest.mark.parametrize("name", MODELS)
     @pytest.mark.parametrize("short, streams, slots", SIZES)
     def test_conventional_matches_per_slot(self, name, short, streams, slots):
-        (_, got), (_, want) = self.run_both(name, short, streams, slots, 5)
+        got, (_, want) = self.run_both(name, short, streams, slots, 5)
         self.assert_same(got, want)
         assert got.periods == streams * slots
 
     def test_best_effort_memory(self):
-        """Peak traced memory of a 1M-slot supply pass, best-effort and
-        conventional together.  The bound sits between two measurements
-        with numpy 2.4: 2.08 MB with 32-slot blocks spent by both supplies
-        (1.54 MB for best-effort alone, 1.06 MB with a ``stop_rate`` that
-        gathered and scattered by mask, whose temporaries covered only the
-        entries with access), and 4.00 MB when each of 16 replications'
-        123 slots was spent as one best-effort block (the temporaries of
-        ``stop_rate`` grow with the block).  Drawn by the slot stream,
-        whose blocks the pass lays out through its own work buffers, it
-        peaks at 2.23 MB."""
+        """Peak traced memory of a 1M-slot supply pass.  The bound sits
+        between two measurements with numpy 2.4: 2.08 MB with 32-slot
+        blocks spent by both supplies (1.54 MB for best-effort alone, 1.06
+        MB with a ``stop_rate`` that gathered and scattered by mask, whose
+        temporaries covered only the entries with access), and 4.00 MB
+        when each of 16 replications' 123 slots was spent as one
+        best-effort block (the temporaries of ``stop_rate`` grow with the
+        block).  Drawn by the slot stream, whose blocks the pass lays out
+        through its own work buffers, both supplies peaked at 2.23 MB; the
+        conventional supply alone, now that best-effort is the engine's
+        gamma = 0 rule, peaks at 1.39 MB."""
         model = iid_model(0.5)
-        sx.run_supplies(model, 2.0, 1_000_000, seed=1)
+        sx.run_conventional_supply(model, 2.0, 1_000_000, seed=1)
         tracemalloc.start()
         try:
-            sx.run_supplies(model, 2.0, 1_000_000, seed=1)
+            sx.run_conventional_supply(model, 2.0, 1_000_000, seed=1)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -752,7 +791,11 @@ class TestConstantRateExact:
     def test_best_effort_and_zero_threshold(self, p_s, n, streams, seed):
         model = constant_world(p_s=p_s)
         c = float(sx.stop_rate(1e-3, 1.0, 1.0, int(p_s), model.log_base))
-        be, _ = sx.run_supplies(model, 2.0, n, seed=seed, streams=streams)
+        # best-effort as a scheme table runs it: the gamma = 0 row of a
+        # pass of models + models, beside an opportunistic rule
+        _, be = sx.run_policies([sx.Policy.threshold(0.0)] * 2,
+                                [model, model], n, seed=seed,
+                                streams=streams)
         opp = sx.run_simulation(sx.Policy.threshold(0.0), model, n,
                                 seed=seed, streams=streams)
         assert be.throughput == c
@@ -766,8 +809,8 @@ class TestConstantRateExact:
                                      model.access, 2.0)
         p = conventional_power(1.0, level)
         c = float(np.log2(1.0 + p) + p_s * np.log2(1.0 + p))
-        _, met = sx.run_supplies(model, 2.0, n, seed=seed,
-                                 water_level=level, streams=streams)
+        met = sx.run_conventional_supply(model, 2.0, n, seed=seed,
+                                         water_level=level, streams=streams)
         assert met.throughput == c
         assert met.realized_avg_power == p + p_s * p
 

@@ -1032,8 +1032,10 @@ class TestOneClosedClass:
         assert abs(met.throughput - lam) <= 5.102 * met.se_throughput
         level = sx.solve_water_level(model.private, model.common,
                                      model.access, 2.0)
-        be, cv = sx.run_supplies(model, 2.0, 20_000, seed=3,
-                                 water_level=level)
+        be = sx.run_simulation(sx.Policy.threshold(0.0), model, 20_000,
+                               seed=3)
+        cv = sx.run_conventional_supply(model, 2.0, 20_000, seed=3,
+                                        water_level=level)
         assert be.throughput > 0 and cv.throughput > 0
         cfg = markov_workload_config()
         dp_model = replace(cfg.build_model(p_s), eh=TRANSIENT_EH)
@@ -1067,7 +1069,8 @@ class TestOneClosedClass:
                     cfg.solver),
                 lambda: sx.run_simulation(sx.Policy.threshold(1.5), model,
                                           1_000, seed=1),
-                lambda: sx.run_supplies(model, 2.0, 1_000, seed=1),
+                lambda: sx.run_conventional_supply(model, 2.0, 1_000,
+                                                   seed=1),
                 lambda: sx.solve_water_level(two_class_gain, model.common,
                                              model.access, 2.0)):
             with pytest.raises(ReducibleChain):
