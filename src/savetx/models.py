@@ -94,18 +94,19 @@ class MarkovChainSpec:
         return hash((self.states, self.transition.tobytes()))
 
 
+def _reach(adj: np.ndarray) -> np.ndarray:
+    """Reflexive-transitive closure of boolean adjacency matrices (stacked
+    on the leading axes), by repeated squaring."""
+    r = adj | np.eye(adj.shape[-1], dtype=bool)
+    for _ in range(adj.shape[-1].bit_length()):
+        r = r @ r
+    return r
+
+
 def _closed_class(P: np.ndarray) -> np.ndarray:
     """Mask of the states that every state reaches: the chain's one closed
     class, or no state when it has several."""
-    n = P.shape[0]
-    adj = P > 0
-    reach = np.eye(n, dtype=bool) | adj
-    for _ in range(n):
-        new = reach @ reach
-        if (new == reach).all():
-            break
-        reach = new
-    return reach.all(axis=0)
+    return _reach(P > 0).all(axis=0)
 
 
 def stationary_distribution(chain: MarkovChainSpec) -> np.ndarray:

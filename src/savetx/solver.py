@@ -14,9 +14,9 @@ coarse grid scan.
 One driver (``_rule_chain``) evaluates every rule for both solvers, on
 battery levels that are multiples of the gcd of the positive harvest
 units, cut where the chain holds no mass: the rule's stop moments per
-level (``_stop_moments``) set the slot chain (``_slot_kernel``), and one
-sparse solve (``_chain_gains``) gives the throughput, the mean saving time
-and the relative values.  Atom gains are summed exactly; an exponential
+level (``_stop_moments``) set the slot chain, and one numpy pass over its
+levels (``_level_gains``) gives the throughput, the mean saving time and
+the relative values.  Atom gains are summed exactly; an exponential
 gain is inverted in closed form with a closed-form tail mean of the rate,
 and a second exponential gain is integrated by Gauss rules on the pieces
 where the integrand is smooth.
@@ -39,6 +39,7 @@ from .models import (
     GainDistribution,
     SystemModel,
     _atoms,
+    _reach,
     discretize_gain,
 )
 from .power import check_gamma, stop_rate
@@ -109,81 +110,165 @@ class ValueTable:
 # Slot chain on the carried state, shared by both solvers
 
 
-def _slot_kernel(p_stop: np.ndarray, next_b: np.ndarray, Pe: np.ndarray,
-                 Ph: np.ndarray):
-    """Slot-to-slot kernel, a scipy COO array, on the carried cells (b, e,
-    h) of a rule that stops with probability ``p_stop[b, e, h]``: a skip
-    moves the battery to ``next_b[b, e']``, a stop restarts at ``next_b[0,
-    e']``, and both step the harvest chain ``Pe`` and the private-gain
-    chain ``Ph``.  Entries that coincide at the cap add up."""
-    from scipy import sparse
-
-    red = p_stop.shape
-    # axes (skip/stop, b, e, h, e', h')
-    a, b, e, h, e2, h2 = np.ix_(*map(np.arange, (2,) + red + red[1:]))
-    src = np.ravel_multi_index((b, e, h), red)
-    dest = np.ravel_multi_index((next_b[b * (1 - a), e2], e2, h2), red)
-    p = p_stop[b, e, h]
-    w = np.where(a, p, 1.0 - p) * Pe[e, e2] * Ph[h, h2]
-    src, dest, w = np.broadcast_arrays(src, dest, w)
-    edge = w > 0
-    return sparse.coo_array((w[edge], (src[edge], dest[edge])),
-                            shape=(p_stop.size, p_stop.size))
+def _sweep(c: np.ndarray, V: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The backward pass's moves up, in place: from the level below the
+    top down, level k adds ``V[k]`` times the rows ``rows[k]`` of c's
+    (level, cell) rows, flat, which lie on levels above it."""
+    flat = c.reshape(-1, c.shape[-1])
+    for v, row, ck in zip(V[-2::-1], rows[-2::-1], c[-2::-1]):
+        ck += v @ flat[row]
+    return c
 
 
-def _chain_gains(K, r: np.ndarray) -> np.ndarray:
-    """Long-run averages of per-slot rewards on the slot chain ``K`` (a
-    scipy COO array, as ``_slot_kernel`` returns).
+def _level_gains(p_stop: np.ndarray, next_b: np.ndarray, Pe: np.ndarray,
+                 Ph: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Long-run averages of per-slot rewards on the slot chain of a rule
+    that stops with probability ``p_stop[k, e, h]`` on the carried cells
+    (level, harvest state, private-gain state): a skip moves the level to
+    ``next_b[k, e']``, a stop restarts it at ``next_b[0, e']``, and both
+    step the harvest chain ``Pe`` and the private-gain chain ``Ph``.
 
-    Solves g + gain = r + K g with g pinned at state 0 and returns x with
+    Solves g + gain = r + K g with g pinned at cell 0 and returns x with
     the gain in ``x[0]`` and g[1:] in ``x[1:]``; the gain is pi @ r for the
-    chain's stationary law pi.  ``r`` may hold several reward columns,
-    which share one factorization.
-    """
-    # scipy is imported inside the functions that use it (here, in
-    # _slot_kernel and _log_mean, and E1 in power's _power_curve; the
-    # water level's root is power's own), not at module load, so that
-    # importing savetx needs numpy alone
-    from scipy import sparse
-    from scipy.sparse.csgraph import connected_components
-    from scipy.sparse.linalg import spsolve
+    chain's stationary law pi.  ``r`` holds reward columns on the cells,
+    flat in the order of ``p_stop``, which share one solve.
 
-    m = K.shape[0]
-    # one gain fits every state only if a single class is closed: the rule
-    # of models.stationary_distribution, checked here by components, as a
-    # rule's chain may hold MAX_DP_STATES cells
-    n_cls, cls = connected_components(K, connection="strong")
-    closed = n_cls - len(np.unique(cls[K.row][cls[K.row] != cls[K.col]]))
-    if closed > 1:
+    A skip never lowers the level, and a stop lands on a restart cell
+    (next_b[0, e'], e', h').  So a backward pass from the top level writes
+    each level's g as an affine function of the gain and of the g at the
+    restart cells: the moves that stay on the level take one dense solve
+    per level, all inverted at once, and the moves up read levels already
+    passed.  The moves that stay on a level are its skips that harvest
+    nothing (every skip at the top) and its stops that land on it.  A
+    square system on the gain and the restart values closes the pass.  The
+    pass's boolean twin counts the closed classes: a class that lies on one
+    level has no move off it, and any other class holds a restart cell.
+    """
+    n, ne, nh = p_stop.shape
+    m = ne * nh
+    p = p_stop.reshape(n, m)
+    cells = np.arange(m)
+    e_of = cells // nh
+    # from cell e * nh + h to cell e' * nh + h'
+    P = (Pe[:, None, :, None] * Ph[None, :, None, :]).reshape(m, m)
+    edge = ((Pe > 0)[:, None, :, None] & (Ph > 0)[None, :, None, :]
+            ).reshape(m, m)
+    restart = next_b[0, e_of]  # the level a stop into each cell lands on
+    stay = next_b[:, e_of] == np.arange(n)[:, None]  # skips, per level
+    same = restart == np.arange(n)[:, None]  # stops, per level
+    up = np.flatnonzero(restart > 0)  # the cells a skip enters a level up
+    target = next_b[:, e_of[up]]
+    rows = target * m + up  # the flat (level, cell) rows a skip up enters
+    skip, stop = (p < 1)[:, :, None], (p > 0)[:, :, None]
+
+    # a closed class on one level is a closed class of the cell chain
+    # whose moves all stay on the level.  Its block of I - S is singular;
+    # adding 1 e_c' on its rows, c its first cell, makes it regular with g
+    # pinned to 0 at c
+    reach = _reach(edge)
+    # each closed class by its first cell: one that every cell it reaches
+    # reaches back, and the first cell it reaches
+    first = np.flatnonzero(~(reach & ~reach.T).any(axis=1)
+                           & (reach.argmax(axis=1) == cells))
+    classes = reach[first]
+    off = edge & (skip & ~stay[:, None, :] | stop & ~same[:, None, :])
+    closed_on = ~(off.any(axis=2) @ classes.T)  # (level, class)
+    k_q, q = np.nonzero(closed_on)
+
+    # the boolean twin: the restart cells each cell reaches up to its first
+    # stop off its level, and whether it reaches a class on one level
+    seen = _reach(edge & (skip & stay[:, None, :] | stop & same[:, None, :]))
+    R = np.zeros((n, m, m + 1), dtype=bool)
+    R[restart, cells, cells] = True
+    R[:, :, :m] |= stop & edge & ~same[:, None, :]
+    R[:, :, m] = closed_on @ classes
+    R = seen @ R
+    RV = seen @ (skip & edge & ~stay[:, None, :])[:, :, up]
+
+    # the numeric pass, on columns (rewards, gain, restart values)
+    nr = r.shape[1]
+    M = np.eye(m) - ((1.0 - p)[:, :, None] * stay[:, None, :]
+                     + p[:, :, None] * same[:, None, :]) * P
+    M[k_q, :, first[q]] += classes[q]
+    W = np.linalg.inv(M) * seen  # exact zeros where no path runs
+    V = W @ ((1.0 - p)[:, :, None] * P * ~stay[:, None, :])[:, :, up]
+
+    G = _sweep(W @ np.concatenate(
+        [r.reshape(n, m, nr), np.full((n, m, 1), -1.0),
+         p[:, :, None] * P * ~same[:, None, :]], axis=2), V, rows)
+
+    # the twin's levels repeat: once a level's row equals the rows it
+    # reads, each level below with the same data gets that row too
+    data = R.reshape(n, -1), RV.reshape(n, -1), target - np.arange(n)[:, None]
+    new = np.any([(d[1:] != d[:-1]).any(axis=1) for d in data], axis=0)
+    run_start = np.maximum.accumulate(
+        np.concatenate([[0], np.where(new, np.arange(1, n), 0)]))
+    lag = restart.max(initial=0)
+    k = n - 2
+    while k >= 0:
+        R[k] |= RV[k] @ R[target[k], up]
+        if run_start[k] < k and (R[k + 1:k + lag + 1] == R[k]).all():
+            R[run_start[k]:k] = R[k]
+            k = run_start[k]
+        k -= 1
+
+    # any other closed class holds the restart cells of a final class of
+    # the restart cells' graph, one that reaches no class on one level
+    hits = _reach(R[restart, cells, :m])
+    final = ~(hits & ~hits.T).any(axis=1) & ~(hits @ R[restart, cells, m])
+    n_classes = len(k_q) + np.count_nonzero(
+        final & (hits.argmax(axis=1) == cells))
+    if n_classes > 1:
         raise ReducibleChain(
-            f"the rule's chain has {closed} recurrent classes")
-    # pinning g[0] = 0 frees column 0 of I - K for the gain: A = [1 | (I -
-    # K)[:, 1:]], built from K's triples.  A skip and a stop that meet at
-    # the cap add up in K before I - K subtracts them, so the diagonal sums
-    # them first too; an exact 0 of I - K is left out, as the subtraction
-    # leaves it out
-    on = K.row == K.col
-    diag = 1.0 - np.bincount(K.row[on], K.data[on], minlength=m)
-    d = np.flatnonzero(diag[1:]) + 1
-    off = (K.col > 0) & ~on
-    A = sparse.csc_array(
-        (np.concatenate([np.ones(m), diag[d], -K.data[off]]),
-         (np.concatenate([np.arange(m), d, K.row[off]]),
-          np.concatenate([np.zeros(m, int), d, K.col[off]]))), shape=(m, m))
-    x = spsolve(A, r)
-    resid = np.abs(A @ x - r).max()
+            f"the rule's chain has {n_classes} recurrent classes")
+
+    # closure: g is 0 at the pin (cell 0, or the first cell of the class on
+    # one level) and each restart value is its cell's g.  The pin's row
+    # eliminates the gain first: a class on one level has a pin row in the
+    # gain alone, which gives the class's gain from its own cells
+    pin = (k_q[0], first[q[0]]) if len(k_q) else (0, 0)
+    at = (np.concatenate([[pin[0]], restart]),
+          np.concatenate([[pin[1]], cells]))
+    A = G[at][:, nr:]
+    A[1:, 1:] -= np.eye(m)
+    col = A[1:, :1] / A[0, 0]
+    reduced = A[1:, 1:] - col * A[0, 1:]
+
+    def close(a):  # (gain, g) of the reward parts a on the cells
+        b = -a[at]
+        g_r = np.linalg.solve(reduced, b[1:] - col * b[0])
+        gain = (b[0] - A[0, 1:] @ g_r) / A[0, 0]
+        g = a + G[:, :, nr:nr + 1] * gain + G[:, :, nr + 1:] @ g_r
+        return gain, (g - g[0, 0]).reshape(n, ne, nh, nr)
+
+    def residual(gain, g):  # r - (gain + g - K g), K g gathered per level
+        Cg = np.einsum("ef,kfgc,hg->kehc", Pe, g[next_b, np.arange(ne)],
+                       Ph)
+        ps = p_stop[..., None]
+        return r.reshape(g.shape) - gain - g + (1.0 - ps) * Cg + ps * Cg[0]
+
+    gain, g = close(G[:, :, :nr])
+    res = residual(gain, g)
+    # a level the chain stays on for many slots costs the pass as many
+    # digits; one step of iterative refinement wins them back
+    if np.abs(W).sum(axis=2).max() > 64.0:
+        fix = close(_sweep(W @ res.reshape(n, m, nr), V, rows))
+        gain, g = gain + fix[0], g + fix[1]
+        res = residual(gain, g)
+    resid = np.abs(res).max()
     if not resid <= 1e-6:
         raise NoConvergence(f"policy evaluation residual {resid:.2e}")
-    return x
+    return np.concatenate([gain[None], g.reshape(-1, nr)[1:]])
 
 
 # ---------------------------------------------------------------------------
 # The evaluation driver, shared by both solvers
 
 # most cells (battery level x harvest state x private-gain state) in a cut
-# of a rule's chain, as b_max_units has no bound.  A cut of 262,144 cells
-# (two harvest states) took 8 s and 280 MB on a 2-core x86-64 machine;
-# the default models need at most 32 levels.
+# of a rule's chain, as b_max_units has no bound.  A cut of 248,000 cells
+# (two harvest states) took 6.5-7.7 s, most of it in the stop moments, and
+# 132 MB on a 2-core x86-64 machine; the default models need at most 32
+# levels.
 MAX_DP_STATES = 250_000
 
 
@@ -216,7 +301,7 @@ def _rule_chain(model: SystemModel, gamma: np.ndarray, moments=None,
     top one absorbing, from 16 doubling until the top holds stationary
     mass <= ``mass_tol`` or the cap is reached.  Only the levels a cut
     adds get stop moments computed; ``moments`` spares the first levels'.
-    Returns ``(x, levels, (next_b, Pe, Ph), (p, r))``: ``_chain_gains``'
+    Returns ``(x, levels, (next_b, Pe, Ph), (p, r))``: ``_level_gains``'
     solve for (stop reward, stop, top mass), each level's battery in
     units, the cut's carried chain and the moments per cell.
     """
@@ -247,7 +332,7 @@ def _rule_chain(model: SystemModel, gamma: np.ndarray, moments=None,
                  Pe, Ph)
         top = np.zeros(shape)
         top[-1] = 1.0
-        x = _chain_gains(_slot_kernel(cells[0], *chain), np.column_stack(
+        x = _level_gains(cells[0], *chain, np.column_stack(
             [cells[1].ravel(), cells[0].ravel(), top.ravel()]))
         if n == n_full or x[0, 2] <= mass_tol:
             return x, levels, chain, cells
@@ -271,7 +356,7 @@ def solve_markov(model: SystemModel, cfg: SolverConfig | None = None
     exponential gain is binned into ``common_bins`` equal-probability
     atoms.  Each outer step evaluates the current rule exactly on the
     driver's cut (``_rule_chain``), which it grows as the rule needs; its
-    one sparse solve gives the throughput and the relative values g.  The
+    pass over the levels gives the throughput and the relative values g.  The
     improvement compares the stop rate with gamma = Cg - Cg[0], where Cg =
     E[g' | skip] and the stop side credits the restart value Cg[0] of the
     state components that survive the transmission slot.  The iteration
@@ -359,6 +444,8 @@ def _log_mean(u, s, m):
     """E[ln(g + s)] for g = u + an exponential of mean m: ln(u + s) +
     e^z E1(z) with z = (u + s) / m, and e^z E1(z) by its asymptotic series
     once e^z would overflow."""
+    # scipy is imported on first use, so that importing savetx needs numpy
+    # alone and a model without an exponential gain never loads it
     from scipy.special import exp1
 
     z = (u + s) / m

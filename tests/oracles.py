@@ -806,3 +806,73 @@ def enumerate_best_policy(config: SmallConfig):
     gains = policy_gains(config, masks)
     k = int(np.argmax(gains))
     return float(gains[k]), masks[k]
+
+
+# ---------------------------------------------------------------------------
+# The sparse route to a rule's slot chain: the package's solver before it
+# solved the chain level by level, kept as the reference for that solve
+
+
+def slot_kernel(p_stop: np.ndarray, next_b: np.ndarray, Pe: np.ndarray,
+                Ph: np.ndarray):
+    """Slot-to-slot kernel, a scipy COO array, on the carried cells (b, e,
+    h) of a rule that stops with probability ``p_stop[b, e, h]``: a skip
+    moves the battery to ``next_b[b, e']``, a stop restarts at ``next_b[0,
+    e']``, and both step the harvest chain ``Pe`` and the private-gain
+    chain ``Ph``.  Entries that coincide at the cap add up."""
+    from scipy import sparse
+
+    red = p_stop.shape
+    # axes (skip/stop, b, e, h, e', h')
+    a, b, e, h, e2, h2 = np.ix_(*map(np.arange, (2,) + red + red[1:]))
+    src = np.ravel_multi_index((b, e, h), red)
+    dest = np.ravel_multi_index((next_b[b * (1 - a), e2], e2, h2), red)
+    p = p_stop[b, e, h]
+    w = np.where(a, p, 1.0 - p) * Pe[e, e2] * Ph[h, h2]
+    src, dest, w = np.broadcast_arrays(src, dest, w)
+    edge = w > 0
+    return sparse.coo_array((w[edge], (src[edge], dest[edge])),
+                            shape=(p_stop.size, p_stop.size))
+
+
+def chain_gains(K, r: np.ndarray) -> np.ndarray:
+    """Long-run averages of per-slot rewards on the slot chain ``K`` (a
+    scipy COO array, as ``slot_kernel`` returns).
+
+    Solves g + gain = r + K g with g pinned at state 0 and returns x with
+    the gain in ``x[0]`` and g[1:] in ``x[1:]``; the gain is pi @ r for the
+    chain's stationary law pi.  ``r`` may hold several reward columns,
+    which share one factorization.  The closed classes are counted by
+    scipy's strongly connected components.
+    """
+    from scipy import sparse
+    from scipy.sparse.csgraph import connected_components
+    from scipy.sparse.linalg import spsolve
+
+    from savetx.errors import NoConvergence, ReducibleChain
+
+    m = K.shape[0]
+    # one gain fits every state only if a single class is closed
+    n_cls, cls = connected_components(K, connection="strong")
+    closed = n_cls - len(np.unique(cls[K.row][cls[K.row] != cls[K.col]]))
+    if closed > 1:
+        raise ReducibleChain(
+            f"the rule's chain has {closed} recurrent classes")
+    # pinning g[0] = 0 frees column 0 of I - K for the gain: A = [1 | (I -
+    # K)[:, 1:]], built from K's triples.  A skip and a stop that meet at
+    # the cap add up in K before I - K subtracts them, so the diagonal sums
+    # them first too; an exact 0 of I - K is left out, as the subtraction
+    # leaves it out
+    on = K.row == K.col
+    diag = 1.0 - np.bincount(K.row[on], K.data[on], minlength=m)
+    d = np.flatnonzero(diag[1:]) + 1
+    off = (K.col > 0) & ~on
+    A = sparse.csc_array(
+        (np.concatenate([np.ones(m), diag[d], -K.data[off]]),
+         (np.concatenate([np.arange(m), d, K.row[off]]),
+          np.concatenate([np.zeros(m, int), d, K.col[off]]))), shape=(m, m))
+    x = spsolve(A, r)
+    resid = np.abs(A @ x - r).max()
+    if not resid <= 1e-6:
+        raise NoConvergence(f"policy evaluation residual {resid:.2e}")
+    return x

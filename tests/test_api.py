@@ -7,8 +7,11 @@ must leave its ``__all__`` too.  scipy is imported inside the functions that
 use it, so a run that needs none of them never pays for loading it; so no
 annotation names a scipy type, which ``typing.get_type_hints`` could not
 resolve.  No run loads ``scipy.optimize``: the water level's root is found
-in-package.
+in-package.  The one scipy import left is ``scipy.special.exp1``, for the
+mean power and stop moments of an exponential gain: the slot chains are
+solved with numpy alone.
 """
+import ast
 import importlib
 import inspect
 import json
@@ -100,26 +103,39 @@ def test_fig8_run_loads_no_quadrature(tmp_path):
         f"sx.run_experiment(cfg, {str(tmp_path)!r})\n")
     loaded = scipy_modules_after(code)
     assert "scipy.special" in loaded
-    assert [m for m in loaded if m.startswith("scipy.integrate")] == []
-    assert [m for m in loaded if m.startswith("scipy.optimize")] == []
+    assert [m for m in loaded if m.startswith((
+        "scipy.integrate", "scipy.optimize", "scipy.sparse",
+        "scipy.linalg"))] == []
     assert (tmp_path / "fig8.csv").exists()
 
 
-def test_fig3_run_loads_sparse_alone(tmp_path):
-    # fig3's gains are atoms, so its water level needs no E1, and its
-    # root is found in-package: the DP solver's sparse algebra is the one
-    # scipy a fig3 run loads
+def test_fig3_run_loads_no_scipy(tmp_path):
+    # fig3's gains are atoms, so its water level needs no E1, its root is
+    # found in-package, and the DP solver's slot chains are solved with
+    # numpy: a fig3 run loads no scipy
     code = (
         "import savetx as sx\n"
         "cfg = sx.validate_config({'experiment': 'fig3', 'p_s_grid': [0.5],"
         " 'mc': {'periods': 200, 'slots': 2000, 'streams': 16,"
         " 'warmup_periods': 10}})\n"
         f"sx.run_experiment(cfg, {str(tmp_path)!r})\n")
-    loaded = scipy_modules_after(code)
-    assert "scipy.sparse" in loaded
-    assert [m for m in loaded
-            if m.startswith(("scipy.optimize", "scipy.special"))] == []
+    assert scipy_modules_after(code) == []
     assert (tmp_path / "fig3.csv").exists()
+
+
+def test_package_imports_exp1_alone_from_scipy():
+    imports = []
+    for path in sorted(Path(sx.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imports += [(path.name, a.name) for a in node.names
+                            if a.name.split(".")[0] == "scipy"]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0 \
+                    and node.module.split(".")[0] == "scipy":
+                imports += [(path.name, f"{node.module}.{a.name}")
+                            for a in node.names]
+    assert imports and {name for _, name in imports} == \
+        {"scipy.special.exp1"}
 
 
 def test_water_level_loads_special_alone():

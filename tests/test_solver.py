@@ -13,12 +13,13 @@ import savetx.simulate
 import savetx.solver
 from savetx.errors import NoConvergence, PeriodOverflow, ReducibleChain
 from savetx.tables import format_value
-from savetx.solver import _chain_gains, _rule_chain, _slot_kernel, \
-    _stop_moments, _tail_rate, _threshold_gain
+from savetx.solver import _level_gains, _rule_chain, _stop_moments, \
+    _tail_rate, _threshold_gain
 
-from oracles import SmallConfig, enumerate_best_policy, \
+from oracles import SmallConfig, chain_gains, enumerate_best_policy, \
     exact_threshold_metrics, fig3_oracle_config, full_array_tail_rate, \
-    grid_rule, markov_workload_config, policy_gains, random_small_config
+    grid_rule, markov_workload_config, policy_gains, random_small_config, \
+    slot_kernel
 
 
 def fig3_model(p_s):
@@ -69,15 +70,16 @@ def grid_levels(model):
 def cell_gain(model, gamma):
     """Throughput of the rule 'stop iff b > 0 and R >= gamma[u, e, h]', a
     table on battery units, through the solver's driver, which reads the
-    table at its levels: the rule's stop moments per carried cell, its
-    slot chain and one sparse solve."""
+    table at its levels: the rule's stop moments per carried cell and the
+    level-by-level solve of its slot chain."""
     return _rule_chain(model, gamma[grid_levels(model)])[0][0, 0]
 
 
 def unit_grid_metrics(model, gamma):
     """(throughput, stops per slot) of the threshold ``gamma`` on a Markov
     private gain, from its slot chain on every battery unit up to the cap,
-    with no cut: a second route to the driver's numbers."""
+    with no cut, solved by the oracle's sparse route: a second route to
+    the driver's numbers."""
     states = np.asarray(model.private.chain.states)
     nb = model.b_max_units + 1
     u, h = np.indices((nb, len(states))).reshape(2, -1)
@@ -85,9 +87,9 @@ def unit_grid_metrics(model, gamma):
     shape = (nb, len(model.eh.states), len(states))
     p, r = (np.broadcast_to(m.reshape(nb, 1, -1), shape) for m in moments)
     next_b = np.minimum(np.arange(nb)[:, None] + model.eh_units(), nb - 1)
-    K = _slot_kernel(p, next_b, model.eh.transition,
-                     model.private.chain.transition)
-    return _chain_gains(K, np.column_stack([r.ravel(), p.ravel()]))[0]
+    K = slot_kernel(p, next_b, model.eh.transition,
+                    model.private.chain.transition)
+    return chain_gains(K, np.column_stack([r.ravel(), p.ravel()]))[0]
 
 
 class TestSolveMarkov:
@@ -201,11 +203,11 @@ class TestSolveMarkov:
         # engine's table has a row per unit, each level's row repeated
         seen = []
 
-        def spy(K, r):
-            seen.append(K.shape[0])
-            return _chain_gains(K, r)
+        def spy(p, *args):
+            seen.append(p.size)
+            return _level_gains(p, *args)
 
-        monkeypatch.setattr(savetx.solver, "_chain_gains", spy)
+        monkeypatch.setattr(savetx.solver, "_level_gains", spy)
         cfg = markov_workload_config()
         table = sx.solve_markov(cfg.build_model(0.75), cfg.solver)
         assert seen == [48] * table.outer_iters
@@ -622,34 +624,55 @@ class TestTailRate:
         assert _tail_rate(b, y, t, m) == pytest.approx(ref, rel=1e-10, abs=0)
 
 
+def solved_chains(monkeypatch, run):
+    """The arguments of every slot chain that ``_level_gains`` solves, or
+    refuses, while ``run()`` runs, and the error ``run`` raised."""
+    seen = []
+
+    def spy(*args):
+        seen.append(args)
+        return _level_gains(*args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(savetx.solver, "_level_gains", spy)
+        try:
+            run()
+        except ReducibleChain as err:
+            return seen, err
+    return seen, None
+
+
+def oracle_verdict(p, next_b, Pe, Ph, r):
+    """The sparse oracle's x, or its ReducibleChain message."""
+    try:
+        return chain_gains(slot_kernel(p, next_b, Pe, Ph), r)
+    except ReducibleChain as err:
+        return str(err)
+
+
 class TestChainGains:
     @staticmethod
     def threshold_chains(monkeypatch, b_max_units, gamma):
-        """Every (K, r) that ``_rule_chain`` solves for a threshold on
+        """Every chain that ``_rule_chain`` solves for a threshold on
         fig4's model (harvest units {0, 4}) at p_s 0.5, up to the full
-        cap."""
-        seen = []
-
-        def spy(K, r):
-            seen.append((K, r))
-            return _chain_gains(K, r)
-
+        cap, as the arguments of ``_level_gains``."""
         model = replace(iid_model(0.5), b_max_units=b_max_units)
-        with monkeypatch.context() as patch:
-            patch.setattr(savetx.solver, "_chain_gains", spy)
-            _rule_chain(model, sx.Policy.threshold(gamma).gamma,
-                        mass_tol=-1.0)
+        seen, _ = solved_chains(monkeypatch, lambda: _rule_chain(
+            model, sx.Policy.threshold(gamma).gamma, mass_tol=-1.0))
         return seen
 
     @staticmethod
-    def check(K, r):
-        """``_chain_gains`` against a dense solve of [1 | (I - K)[:, 1:]],
-        and bit for bit against the same matrix built by sparse algebra."""
+    def check(p, next_b, Pe, Ph, r):
+        """``_level_gains`` against the sparse oracle, and the oracle
+        against a dense solve of [1 | (I - K)[:, 1:]] and, bit for bit,
+        against the same matrix built by sparse algebra."""
         from scipy import sparse
         from scipy.sparse.linalg import spsolve
 
+        K = slot_kernel(p, next_b, Pe, Ph)
+        x = chain_gains(K, r)
+        assert np.abs(_level_gains(p, next_b, Pe, Ph, r) - x).max() <= 1e-13
         m = K.shape[0]
-        x = _chain_gains(K, r)
         A = np.eye(m) - K.toarray()
         A[:, 0] = 1.0
         assert np.abs(x - np.linalg.solve(A, r)).max() <= 1e-13
@@ -663,17 +686,19 @@ class TestChainGains:
     def test_matches_dense_solve(self, monkeypatch, b_max_units, gamma):
         solves = self.threshold_chains(monkeypatch, b_max_units, gamma)
         assert len(solves) == (1 if b_max_units == 10 else 3)
-        for K, r in solves:
-            self.check(K, r)
+        for args in solves:
+            self.check(*args)
 
     def test_entries_meeting_at_the_cap(self, monkeypatch):
         # at a 4-unit cap a skip and a stop from the top level land on the
-        # same cell, the top itself included, and K holds both entries
+        # same cell, the top itself included, and the oracle's K holds
+        # both entries
         for gamma in np.linspace(0.0, 4.0, 41):
-            (K, r), = self.threshold_chains(monkeypatch, 4, gamma)
+            (args,) = self.threshold_chains(monkeypatch, 4, gamma)
+            K = slot_kernel(*args[:4])
             top = (K.row == K.col) & (K.row == K.shape[0] - 1)
             assert top.sum() == 2
-            self.check(K, r)
+            self.check(*args)
 
     def test_random_kernels_with_meeting_entries(self):
         """Slot chains on (b, e, h) whose largest harvest fills the
@@ -689,18 +714,17 @@ class TestChainGains:
             p[0] = 0.0
             Pe, Ph = rng.dirichlet(np.ones(ne), ne), \
                 rng.dirichlet(np.ones(nh), nh)
-            self.check(_slot_kernel(p, next_b, Pe, Ph),
-                       rng.random((p.size, 2)))
+            self.check(p, next_b, Pe, Ph, rng.random((p.size, 2)))
 
     def test_two_closed_classes_refused(self):
         from scipy import sparse
 
-        # {0, 1} and {2} are closed, and 3 leaks into both
+        # the oracle: {0, 1} and {2} are closed, and 3 leaks into both
         K = sparse.coo_array(([0.5, 0.5, 1.0, 1.0, 0.3, 0.7],
                               ([0, 0, 1, 2, 3, 3], [0, 1, 0, 2, 0, 2])),
                              shape=(4, 4))
         with pytest.raises(ReducibleChain, match="2 recurrent classes"):
-            _chain_gains(K, np.ones(4))
+            chain_gains(K, np.ones(4))
         # a harvest chain that never leaves its state: the empty battery
         # without harvest is closed, and so are the harvesting levels
         model = replace(iid_model(0.5), eh=sx.MarkovChainSpec(
@@ -863,12 +887,14 @@ class TestThresholdMetrics:
         assert x[0, 1] == pytest.approx(x_f[0, 1], rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("p_s, gamma, expect", [
-        (0.0, 1.5, (1.0820541437988858, 2.5045534526687843)),
-        (0.5, 2.0, (1.3083624179550182, 2.5288416526893234)),
-        (1.0, 3.1, (1.4267671749348192, 2.9950917707501103))])
+        (0.0, 1.5, (1.082054143798886, 2.5045534526687834)),
+        (0.5, 2.0, (1.3083624179550177, 2.528841652689324)),
+        (1.0, 3.1, (1.4267671749348196, 2.9950917707501095))])
     def test_pinned_values(self, p_s, gamma, expect):
-        # the values of the i.i.d.-only evaluator that the driver replaced,
-        # bit for bit, on fig4's model and on atom gains
+        # the level-by-level solve's values, bit for bit, on fig4's model
+        # and on atom gains.  The sparse solve gave values within 4e-16
+        # relative, each of the two routes off the correctly rounded value
+        # by an ulp or two in some of them
         assert sx.threshold_metrics(iid_model(p_s), gamma) == expect
         atoms = sx.SystemModel(
             private=sx.GainDistribution.discrete([0.0, 0.5, 2.0],
@@ -877,7 +903,7 @@ class TestThresholdMetrics:
             access=sx.AccessModel(0.5), eh=sx.make_eh_preset("b"),
             b_max_units=10_000)
         assert sx.threshold_metrics(atoms, 1.0) == \
-            (1.382555773719704, 2.037037037037037)
+            (1.3825557737197043, 2.0370370370370368)
 
     def test_threshold_gain_inverts_rate(self):
         rng = np.random.default_rng(3)
@@ -1056,6 +1082,111 @@ class TestOneClosedClass:
             replace(model, private=sx.GainDistribution.constant(2.0)),
             cfg.solver).lambda_star
         assert got == pytest.approx(want, rel=1e-12)
+
+    @staticmethod
+    def assert_oracle_verdicts(chains):
+        """Each chain is solved as the sparse oracle solves it, or refused
+        with the oracle's count of closed classes; returns the number of
+        chains solved."""
+        solved = 0
+        for args in chains:
+            want = oracle_verdict(*args)
+            if isinstance(want, str):
+                with pytest.raises(ReducibleChain) as err:
+                    _level_gains(*args)
+                assert str(err.value) == want
+            else:
+                got = _level_gains(*args)
+                assert np.abs(got - want).max() <= \
+                    1e-13 * max(1.0, np.abs(want).max())
+                solved += 1
+        return solved
+
+    def test_closed_classes_counted_as_the_oracle_counts(self, monkeypatch):
+        """The level-by-level solve counts closed classes structurally;
+        the oracle counts them by strongly connected components."""
+        cfg = markov_workload_config()
+        markov = cfg.build_model(0.5)
+        private = sx.GainDistribution.markov(
+            sx.MarkovChainSpec([0.5, 2.0], [[0.5, 0.5], [0.0, 1.0]]))
+        runs = {
+            "transient eh": lambda: sx.threshold_metrics(
+                replace(iid_model(0.5), eh=TRANSIENT_EH), 1.5),
+            "transient eh, DP": lambda: sx.solve_markov(
+                replace(markov, eh=TRANSIENT_EH), cfg.solver),
+            "two classes": lambda: sx.threshold_metrics(
+                replace(iid_model(0.5), eh=TWO_CLASSES), 1.5),
+            "two classes, DP": lambda: sx.solve_markov(
+                replace(markov, eh=TWO_CLASSES), cfg.solver),
+            "transient private state": lambda: sx.solve_markov(
+                replace(markov, private=private), cfg.solver),
+        }
+        for name, run in runs.items():
+            chains, err = solved_chains(monkeypatch, run)
+            assert (err is None) == ("two classes" not in name), name
+            assert chains, name
+            self.assert_oracle_verdicts(chains)
+
+    def test_random_level_chains_counted_as_the_oracle_counts(self):
+        """Random level-structured chains with stop probabilities of 0 and
+        1, absorbing harvest and gain states and harvests that reach the
+        cap, against the oracle's verdict and count."""
+        rng = np.random.default_rng(28)
+
+        def chain(k):  # a random chain, some entries 0, some rows absorbing
+            P = rng.dirichlet(np.ones(k), k) * (rng.random((k, k)) >= 0.4)
+            P[P.sum(axis=1) == 0, 0] = 1.0
+            absorbing = rng.random(k) < 0.3
+            P[absorbing] = np.eye(k)[absorbing]
+            return P / P.sum(axis=1, keepdims=True)
+
+        chains = []
+        for _ in range(40):
+            nb, ne, nh = (int(v) for v in rng.integers(1, [7, 4, 3]))
+            next_b = np.minimum(np.arange(nb)[:, None]
+                                + rng.integers(0, nb + 1, ne), nb - 1)
+            p = rng.random((nb, ne, nh))
+            p[0] = 0.0
+            p[rng.random(p.shape) < 0.3] = 0.0
+            p[rng.random(p.shape) < 0.1] = 1.0
+            chains.append((p, next_b, chain(ne), chain(nh),
+                           rng.random((p.size, 2))))
+        solved = self.assert_oracle_verdicts(chains)
+        assert 10 <= solved <= 30
+
+    def test_classes_split_by_parity_of_the_levels(self):
+        # the harvest alternates between two states of one unit each and
+        # every cell stops at level 10 and above: a stop from (10, e)
+        # restarts at (1, e'), e' the other state, and each parity of the
+        # levels below is its own class, which levels 2 to 9 of equal data
+        # hand down one level at a time
+        p = np.zeros((12, 2, 1))
+        p[10:] = 1.0
+        next_b = np.minimum(np.arange(12)[:, None] + [1, 1], 11)
+        chain = (p, next_b, np.array([[0.0, 1.0], [1.0, 0.0]]),
+                 np.ones((1, 1)), np.ones((24, 1)))
+        assert oracle_verdict(*chain) == \
+            "the rule's chain has 2 recurrent classes"
+        self.assert_oracle_verdicts([chain])
+
+    def test_empty_battery_closed(self):
+        # a harvest state that harvests nothing and is never left: the
+        # empty battery is the one closed class, and it never stops
+        eh = sx.MarkovChainSpec([0.0, 4.0], [[1.0, 0.0], [0.5, 0.5]])
+        assert sx.threshold_metrics(replace(iid_model(0.5), eh=eh), 1.5) \
+            == (0.0, math.inf)
+        cfg = markov_workload_config()
+        table = sx.solve_markov(replace(cfg.build_model(0.5), eh=eh),
+                                cfg.solver)
+        assert abs(table.lambda_star) <= 1e-15
+
+    def test_rule_that_never_stops(self):
+        # fig3's model under a threshold above every rate: the chain climbs
+        # to the top level and stays there
+        model = fig3_model(0.5)
+        assert sx.threshold_metrics(model, 100.0) == (0.0, math.inf)
+        x = _rule_chain(model, np.full((1, 1, 1), 100.0))[0]
+        assert x[0, 2] == 1.0
 
     def test_two_closed_classes_refused_by_every_layer(self):
         model = replace(iid_model(0.5), eh=TWO_CLASSES)
