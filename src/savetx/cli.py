@@ -14,7 +14,7 @@ from pathlib import Path
 from .errors import ConfigError, SaveTxError
 from .experiments import EXPERIMENTS, ExperimentConfig, run_experiment, \
     validate_config
-from .simulate import Policy, run_conventional_supply
+from .simulate import Policy
 from .solver import optimize_threshold, solve_markov
 from .tables import make_dir, write_text
 
@@ -137,7 +137,6 @@ def _cmd_simulate(args) -> int:
     cfg = _load_config(args)
     p_s, model = _model(args, cfg)
     out = _out_dir(args)
-    mc = cfg.mc
     if args.scheme in ("threshold", "dp"):
         # the rule comes first, so a failed one leaves no --trace file
         rule = _rule(args, cfg, model)
@@ -145,8 +144,7 @@ def _cmd_simulate(args) -> int:
     elif args.scheme == "best-effort":  # the gamma = 0 rule
         m, = cfg.simulate(model, [Policy.threshold(0.0)])
     else:
-        m = run_conventional_supply(model, cfg.p_bar, mc["slots"], cfg.seed,
-                                    streams=mc["streams"])
+        m = cfg.supply(model)
     payload = {
         "command": "simulate",
         "scheme": args.scheme,

@@ -24,7 +24,6 @@ from .models import (
     _closed_class,
     make_eh_preset,
 )
-from .power import solve_water_level
 from .simulate import Policy, run_conventional_supply, run_policies
 from .solver import SolverConfig, optimize_threshold, solve_markov
 from .tables import emit_csv, make_dir, write_text
@@ -89,6 +88,14 @@ class ExperimentConfig:
                             warmup_periods=mc["warmup_periods"],
                             streams=mc["streams"], slot_cap=mc["slot_cap"],
                             trace_path=trace_path)
+
+    def supply(self, models):
+        """``run_conventional_supply`` of ``models`` (one model, or a p_s
+        grid of them) at the config's ``p_bar``, ``mc`` slots and streams,
+        on its own generator at the config's seed + 1."""
+        return run_conventional_supply(models, self.p_bar, self.mc["slots"],
+                                       self.seed + 1,
+                                       streams=self.mc["streams"])
 
 
 def _fig3_private() -> dict:
@@ -368,19 +375,14 @@ def _scheme_rows(cfg: ExperimentConfig, models: list, rules: list,
     rules and best-effort's gamma = 0 and one supply pass over the whole
     p_s grid.  Records each water level, and returns the rows and the
     conventional metrics."""
-    mc = cfg.mc
-    levels = [solve_water_level(m.private, m.common, m.access, cfg.p_bar)
-              for m in models]
     mets = cfg.simulate(models + models,
                         rules + [Policy.threshold(0.0)] * len(models))
-    conventional = run_conventional_supply(
-        models, cfg.p_bar, mc["slots"], cfg.seed + 1, water_level=levels,
-        streams=mc["streams"])
+    conventional = cfg.supply(models)
     rows = []
-    for model, level, m_opp, m_be, m_cv in zip(
-            models, levels, mets, mets[len(models):], conventional):
+    for model, m_opp, m_be, m_cv in zip(models, mets, mets[len(models):],
+                                        conventional):
         p_s = model.access.p_s
-        stats.setdefault("water_level", {})[str(p_s)] = level.xi
+        stats.setdefault("water_level", {})[str(p_s)] = m_cv.water_level
         rows += [(p_s, scheme, m.throughput, m.se_throughput)
                  for scheme, m in (("opportunistic", m_opp),
                                    ("best_effort", m_be),

@@ -5,16 +5,16 @@ save-then-transmit case), water-filling it over both channels when the
 common channel is held; ``solve_water_level`` finds the level xi at which
 the water-filling powers (1/xi - 1/gain)^+ meet an average-power
 constraint (the conventional-supply benchmark, spent by
-``simulate.run_conventional_supply``), with ``_brent_root``, an
-in-package port of scipy's ``brentq`` that returns its root to the last
-bit.
+``simulate.run_conventional_supply``): the smallest float at which the
+exact mean power does not exceed the target, found by bisection on that
+nonincreasing curve.
 ``stop_rate`` is branch-free arithmetic over the broadcast arguments, with
 no access taken as a common channel of gain 0: the interior split, clipped
 to the budget, is the water-filling split, and only entries whose gains
 are both below 1/DBL_MAX are selected with ``np.where``.
 
-Importing this module needs numpy alone, and no function here loads
-scipy's root finders: the exponential integral ``scipy.special.exp1`` is
+Importing this module needs numpy alone, and no function here loads a
+scipy root finder: the exponential integral ``scipy.special.exp1`` is
 the one scipy import, made inside ``_power_curve`` on first use and only
 for an exponential gain.
 """
@@ -137,117 +137,51 @@ def _power_curve(dist: GainDistribution):
 
         return exponential
     vals, probs = _atoms(dist)
+    # an atom at gain 0 gets weight 0 and a finite reciprocal: it spends 0
+    live = vals > 0
+    weights = np.where(live, probs, 0.0)
     with np.errstate(over="ignore"):  # a gain below 1/DBL_MAX
-        inv = 1.0 / np.where(vals > 0, vals, 1.0)
+        inv = 1.0 / np.where(live, vals, 1.0)
 
     def atoms(xi: float) -> float:
-        p = np.where(vals > 0, np.maximum(1.0 / xi - inv, 0.0), 0.0)
-        return float(p @ probs)
+        return float(np.maximum(1.0 / xi - inv, 0.0) @ weights)
 
     return atoms
 
 
-_BRENT_XTOL = 2e-12  # scipy brentq's default absolute tolerance
-
-
-def _brent_root(f, lo: float, hi: float, rtol: float,
-                maxiter: int = 500) -> float:
-    """A root of ``f`` between ``lo`` and ``hi``, where f changes sign, by
-    Brent's method (Brent, *Algorithms for Minimization without
-    Derivatives*, 1973, ch. 4).
-
-    A step-by-step port of scipy's ``brentq.c``: the same calls to f in the
-    same order (f(lo), then f(hi)), the same early returns where f is 0, the
-    same interpolate, extrapolate and bisect steps and the same tolerance
-    ``delta = (_BRENT_XTOL + rtol*|x|) / 2``, so it returns scipy's
-    ``brentq`` root to the last bit (``tests/oracles.py::brentq_water_level``
-    is that oracle).  Raises NoBracket when f(lo) and f(hi) share a sign, and
-    NoConvergence when f returns NaN or ``maxiter`` steps do not converge.
-    """
-    def value(x: float) -> float:
-        fx = f(x)
-        if math.isnan(fx):
-            raise NoConvergence(f"water level: power curve is NaN at xi={x!r}")
-        return fx
-
-    def signbit(v: float) -> bool:
-        return math.copysign(1.0, v) < 0
-
-    xpre, xcur = lo, hi
-    xblk = fblk = spre = scur = 0.0
-    fpre = value(xpre)
-    fcur = value(xcur)
-    if fpre == 0:
-        return xpre
-    if fcur == 0:
-        return xcur
-    if signbit(fpre) == signbit(fcur):
-        raise NoBracket("water level: the power curve minus the target has "
-                        "one sign at both ends")
-    for _ in range(maxiter):
-        if fpre != 0 and fcur != 0 and signbit(fpre) != signbit(fcur):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-
-        delta = (_BRENT_XTOL + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            try:
-                if xpre == xblk:  # interpolate
-                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
-                else:  # extrapolate
-                    dpre = (fpre - fcur) / (xpre - xcur)
-                    dblk = (fblk - fcur) / (xblk - xcur)
-                    stry = (-fcur * (fblk * dblk - fpre * dpre)
-                            / (dblk * dpre * (fblk - fpre)))
-            except ZeroDivisionError:
-                # a denominator underflowed to 0 (slopes below ~1e-160);
-                # C's inf or NaN fails the test below, so this bisects
-                stry = math.inf
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                spre, scur = scur, stry  # good short step
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = value(xcur)
-    raise NoConvergence(f"water level: no root within {maxiter} Brent "
-                        f"steps (last xi={xcur!r})")
-
-
 def solve_water_level(private: GainDistribution, common: GainDistribution,
-                      access: AccessModel, p_bar: float,
-                      rel_tol: float = 1e-12) -> WaterLevel:
-    """Find xi with E[P(H)] + p_s E[Pc(Hc)] = p_bar.
+                      access: AccessModel, p_bar: float) -> WaterLevel:
+    """The water level xi of an average power ``p_bar``: the smallest float
+    in [1e-12, 1e12] whose mean power E[P(H)] + p_s E[Pc(Hc)] does not
+    exceed p_bar, so the constraint holds at the level returned.
 
-    Brent's method over xi (``_brent_root``); the expectations are exact: a
-    closed form in the exponential integral E1 for exponential gains, sums
-    for the others.
+    The mean power (``_power_curve``, exact) is nonincreasing in xi, so
+    bisection finds that float: geometric midpoints while the bracket spans
+    more than a factor 2, arithmetic ones after, until its ends are
+    adjacent floats.  Raises NoBracket when p_bar lies outside the curve's
+    values at the ends, and NoConvergence naming xi when the curve is NaN.
     """
     p_bar = check_p_bar(p_bar)
-    # brentq's own floor on its relative tolerance (NaN fails it too)
-    if not rel_tol >= 4 * np.finfo(float).eps:
-        raise ValueError("rel_tol must be >= 4 * machine epsilon")
-
     private_power, common_power = _power_curve(private), _power_curve(common)
 
     def total(xi: float) -> float:
-        return private_power(xi) + access.p_s * common_power(xi)
+        power = private_power(xi) + access.p_s * common_power(xi)
+        if math.isnan(power):
+            raise NoConvergence(
+                f"water level: power curve is NaN at xi={xi!r}")
+        return power
 
     lo, hi = 1e-12, 1e12
-    if total(lo) < p_bar or total(hi) > p_bar:
+    top = total(lo)
+    if top < p_bar or total(hi) > p_bar:
         raise NoBracket("average power target cannot be bracketed")
-    return WaterLevel(_brent_root(lambda x: total(x) - p_bar, lo, hi,
-                                  rel_tol))
+    if top == p_bar:
+        return WaterLevel(lo)
+    # total(lo) > p_bar >= total(hi) from here on
+    while math.nextafter(lo, hi) < hi:
+        mid = math.sqrt(lo * hi) if hi > 2 * lo else (lo + hi) / 2
+        if total(mid) > p_bar:
+            lo = mid
+        else:
+            hi = mid
+    return WaterLevel(hi)

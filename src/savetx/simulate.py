@@ -95,7 +95,9 @@ class Metrics:
     se_saving_time: float
     periods: int
     cap_hit_fraction: float
+    # the conventional supply's: its average power spent and water level
     realized_avg_power: float | None = None
+    water_level: float | None = None
 
     def __post_init__(self):
         if self.throughput < 0 or self.periods <= 0:
@@ -638,11 +640,11 @@ def run_simulation(policy: Policy, model: SystemModel, n_periods: int,
 
 
 def run_conventional_supply(model, p_bar: float, n_slots: int, seed: int,
-                            *, water_level=None, streams: int = 512):
+                            *, streams: int = 512):
     """Metrics of the conventional supply, which water-fills an average
-    power ``p_bar`` (``check_p_bar``) at ``water_level`` (for a list, a list
-    of one level per model; solved from the model when None, so a model
-    whose level cannot be bracketed raises ``NoBracket``).
+    power ``p_bar`` (``check_p_bar``) at each model's water level
+    (``solve_water_level``, so a model whose level cannot be bracketed
+    raises ``NoBracket``).
 
     ``model`` is one SystemModel, or a list of models that differ only in
     ``access`` (a p_s grid; any other difference raises ValueError naming
@@ -663,18 +665,16 @@ def run_conventional_supply(model, p_bar: float, n_slots: int, seed: int,
     errors are NaN with fewer streams than ``N_BATCHES``.
     Throughput is total rate over total slots, exact when the per-slot
     rate is constant; the realized average power is reduced the same way.
+    Each Metrics records its model's water level xi.
     """
     check_p_bar(p_bar)
     _check_sizes(n_slots=n_slots, streams=streams)
     grid = not isinstance(model, SystemModel)
     models = _access_grid(model)
-    levels = (water_level if grid else [water_level]) or [None] * len(models)
-    if len(levels) != len(models):
-        raise ValueError("water_level: give one level per model")
     if not models:
         return []
-    levels = [lv or solve_water_level(m.private, m.common, m.access, p_bar)
-              for m, lv in zip(models, levels)]
+    levels = [solve_water_level(m.private, m.common, m.access, p_bar)
+              for m in models]
     model = models[0]
     slots = -(-n_slots // streams)
     logf = np.log2 if model.log_base == 2.0 else np.log
@@ -729,7 +729,8 @@ def run_conventional_supply(model, p_bar: float, n_slots: int, seed: int,
     metrics = [_fold(c_rate, T, rate, T, cap_hit_fraction=0.0,
                      se_saving_time=0.0, realized_avg_power=_fold(
                          c_power, T, power, T,
-                         cap_hit_fraction=0.0).throughput)
-               for (c_rate, c_power), (rate, power) in zip(shifts.tolist(),
-                                                            sums)]
+                         cap_hit_fraction=0.0).throughput,
+                     water_level=level.xi)
+               for (c_rate, c_power), (rate, power), level in zip(
+                   shifts.tolist(), sums, levels)]
     return metrics if grid else metrics[0]

@@ -29,8 +29,6 @@ def write_text(path, text: str) -> None:
 
 
 def format_value(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
     if isinstance(v, float):
         return f"{v:.12g}"
     return str(v)
@@ -39,8 +37,8 @@ def format_value(v) -> str:
 def emit_csv(rows, schema, path) -> None:
     """Write rows under the column names in ``schema``.
 
-    Rows may be dicts or sequences; floats are rendered with 12 significant
-    digits, '.' decimal separator, LF line endings.
+    Rows are sequences; floats are rendered with 12 significant digits,
+    '.' decimal separator, LF line endings.
     """
     schema = list(schema)
     try:
@@ -48,16 +46,8 @@ def emit_csv(rows, schema, path) -> None:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(schema)
             for row in rows:
-                if isinstance(row, dict):
-                    unknown = set(row) - set(schema)
-                    if unknown:
-                        raise ValueError(
-                            f"row fields {sorted(unknown)} not in schema")
-                    values = [row.get(col) for col in schema]
-                else:
-                    if len(row) != len(schema):
-                        raise ValueError("row length does not match schema")
-                    values = list(row)
-                writer.writerow([format_value(v) for v in values])
+                if len(row) != len(schema):
+                    raise ValueError("row length does not match schema")
+                writer.writerow([format_value(v) for v in row])
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc

@@ -4,8 +4,8 @@ Everything here is deliberately written from scratch (closed-form water
 level, Gauss-Laguerre quadrature, dense-chain linear algebra, a scalar
 one-period simulator) so the tests cross-check the package against a second
 route to the same numbers.  The one borrowed route is scipy's ``brentq``,
-kept as the reference that the package's own Brent root must equal bit for
-bit.
+kept as a tolerance oracle: the package bisects for its water level, which
+must lie within brentq's own tolerance of brentq's root.
 
 The module imports ``savetx`` only inside the functions that take its model
 objects, so the exact-throughput oracles load without the package.
@@ -139,10 +139,13 @@ def conventional_power(h, level):
     return float(p) if p.shape == () else p
 
 
-def brentq_water_level(private, common, access, p_bar, rel_tol=1e-12):
-    """The water level xi as ``power.solve_water_level`` found it with
-    ``scipy.optimize.brentq``: the same mean-power curve, bracket
-    [1e-12, 1e12], ``rtol`` and 500 iterations."""
+BRENTQ_XTOL, BRENTQ_RTOL = 2e-12, 1e-12  # brentq's defaults, and its bound
+
+
+def brentq_water_level(private, common, access, p_bar):
+    """The water level xi by ``scipy.optimize.brentq`` on the mean-power
+    curve of ``power.solve_water_level``, over its bracket [1e-12, 1e12]:
+    within BRENTQ_XTOL + BRENTQ_RTOL * xi of the curve's root."""
     from scipy import optimize
 
     from savetx.power import _power_curve
@@ -150,7 +153,7 @@ def brentq_water_level(private, common, access, p_bar, rel_tol=1e-12):
     private_power, common_power = _power_curve(private), _power_curve(common)
     return optimize.brentq(
         lambda x: private_power(x) + access.p_s * common_power(x) - p_bar,
-        1e-12, 1e12, rtol=rel_tol, maxiter=500)
+        1e-12, 1e12, xtol=BRENTQ_XTOL, rtol=BRENTQ_RTOL, maxiter=500)
 
 
 def advance_battery(b, e, b_max_units, delta) -> float:
@@ -405,15 +408,16 @@ def run_supplies_per_slot(model, level, n_slots, seed, *, streams=512):
     count = np.bincount(group, minlength=sim.N_BATCHES) * float(slots)
     dev = [np.bincount(group, acc, minlength=sim.N_BATCHES) for acc in sums]
 
-    def metrics(k, power=None):
+    def metrics(k, **fields):
         return sx.Metrics(
             throughput=sim._mean_about(shifts[k], dev[k], count),
             mean_saving_time=1.0,
             se_throughput=sim._batch_ses(dev[k], count, count)[0],
             se_saving_time=0.0, periods=slots * streams,
-            cap_hit_fraction=0.0, realized_avg_power=power)
+            cap_hit_fraction=0.0, **fields)
 
-    return metrics(0), metrics(1, sim._mean_about(shifts[2], dev[2], count))
+    return metrics(0), metrics(1, realized_avg_power=sim._mean_about(
+        shifts[2], dev[2], count), water_level=level.xi)
 
 
 def best_effort_exact(model) -> float:

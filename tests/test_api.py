@@ -6,8 +6,8 @@ import *``) fail on the first stale entry, so a name removed from a module
 must leave its ``__all__`` too.  scipy is imported inside the functions that
 use it, so a run that needs none of them never pays for loading it; so no
 annotation names a scipy type, which ``typing.get_type_hints`` could not
-resolve.  No run loads ``scipy.optimize``: the water level's root is found
-in-package.  The one scipy import left is ``scipy.special.exp1``, for the
+resolve.  No run loads ``scipy.optimize``: the water level is found by
+bisection in-package.  The one scipy import left is ``scipy.special.exp1``, for the
 mean power and stop moments of an exponential gain: the slot chains are
 solved with numpy alone.
 """

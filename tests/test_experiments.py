@@ -15,11 +15,12 @@ import pytest
 
 import savetx as sx
 import savetx.experiments
+import savetx.simulate
 import savetx.solver
 from savetx import cli
 from savetx.errors import ConfigError, IoError
 from savetx.experiments import EXPERIMENTS, _meta_base
-from savetx.tables import emit_csv
+from savetx.tables import emit_csv, format_value
 
 from oracles import MARKOV_MODEL, best_effort_exact
 
@@ -293,11 +294,6 @@ class TestEmitCsv:
         for a, b in zip(vals, back):
             assert b == pytest.approx(a, rel=1e-11)
 
-    def test_dict_rows(self, tmp_path):
-        path = tmp_path / "d.csv"
-        emit_csv([{"a": 1, "b": 2.5}], ("a", "b"), path)
-        assert path.read_text().splitlines()[1] == "1,2.5"
-
     def test_io_error(self):
         with pytest.raises(IoError):
             emit_csv([], ("a",), "/nonexistent-dir/x.csv")
@@ -436,8 +432,18 @@ class TestSchemeTables:
         for fn in (sx.run_policies, sx.run_conventional_supply):
             monkeypatch.setattr(savetx.experiments, fn.__name__,
                                 counted(fn))
+        # the sidecar records the levels the supply solved, once per p_s
+        calls["solve_water_level"] = 0
+        monkeypatch.setattr(savetx.simulate, "solve_water_level",
+                            counted(sx.solve_water_level))
         lines, stats = self.table(name, self.GRID, tmp_path)
-        assert calls == {"run_policies": 1, "run_conventional_supply": 1}
+        assert calls == {"run_policies": 1, "run_conventional_supply": 1,
+                         "solve_water_level": len(self.GRID)}
+        cfg = sx.validate_config({"experiment": name})
+        for p_s in self.GRID:
+            model = cfg.build_model(p_s)
+            assert stats["water_level"][str(p_s)] == sx.solve_water_level(
+                model.private, model.common, model.access, cfg.p_bar).xi
         assert [line.split(",")[:2] for line in lines[1:]] == [
             [f"{p:g}", scheme] for p in self.GRID
             for scheme in ("opportunistic", "best_effort", "conventional")]
@@ -529,7 +535,10 @@ class TestPinnedTables:
     round the last digits differently.  The fig3 and fig8 hashes were
     re-pinned when best-effort became the engine's gamma = 0 rule: only
     their best-effort rows moved, and each lies within 1.02 standard
-    errors of its exact value (SE 0 and exact to 1e-12 at fig3's p_s 1)."""
+    errors of its exact value (SE 0 and exact to 1e-12 at fig3's p_s 1).
+    The fig8 hash was re-pinned when the water level became the bisected
+    smallest float meeting the power constraint: only the p_s 0.5
+    conventional row's SE moved, 0.00930379449029 -> 0.0093037944903."""
 
     MC = {"periods": 2000, "slots": 20000, "warmup_periods": 100,
           "streams": 64}
@@ -542,8 +551,8 @@ class TestPinnedTables:
                 "0aad5a58421a604d47f89157409e9a01",
         "fig7": "c0f740df8a259672a4bb48376cdfb6ab"
                 "d5120f4dccae4042f5edf07fa2f181b4",
-        "fig8": "89760f668355f98d866f5048a097e52c"
-                "27fbab513fb7908a955fccd52d0c1e99",
+        "fig8": "cf81a984d5bfe05301d1a972411a6d27"
+                "d6d0e9be0c1a0f742b1099ed4eab8fad",
     }
 
     @pytest.mark.parametrize("name", sorted(SHA256))
@@ -635,13 +644,12 @@ class TestCli:
     @pytest.mark.parametrize("scheme, run", [
         ("best-effort", lambda m, cfg: cfg.simulate(
             m, [sx.Policy.threshold(0.0)])[0]),
-        ("conventional", lambda m, cfg: sx.run_conventional_supply(
-            m, cfg.p_bar, cfg.mc["slots"], cfg.seed,
-            streams=cfg.mc["streams"]))])
+        ("conventional", lambda m, cfg: cfg.supply(m))])
     def test_simulate_supply(self, tmp_path, scheme, run):
         # the command prints its scheme's metrics at the config's sizes and
-        # seed: best-effort from the engine's gamma = 0 rule, conventional
-        # from the library's supply pass, which solves its own water level
+        # seeds, as the tables run them: best-effort from the engine's
+        # gamma = 0 rule at the seed, conventional from the supply pass at
+        # the seed + 1, which solves its own water level
         raw = {"experiment": "fig4", "mc": TINY_MC}
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps(raw))
@@ -654,6 +662,24 @@ class TestCli:
         assert out["throughput"] == met.throughput
         assert out["se_throughput"] == met.se_throughput
         assert out.get("realized_avg_power") == met.realized_avg_power
+
+    def test_simulate_conventional_is_the_table_row(self, tmp_path):
+        # the tables ran the supply at the seed + 1 and this command at the
+        # seed, so the two printed different numbers for one config
+        raw = {"experiment": "fig8", "p_s_grid": [0.5], "mc": TINY_MC,
+               "solver": FAST_SOLVER}
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(raw))
+        r = run_cli("--config", str(cfg), "simulate", "--scheme",
+                    "conventional", "--p-s", "0.5")
+        assert r.returncode == 0, r.stderr
+        out = json.loads(r.stdout)
+        res = sx.run_experiment(sx.validate_config(raw), tmp_path / "table")
+        with open(res["csv"], newline="") as fh:
+            row, = [r for r in csv.DictReader(fh)
+                    if r["scheme"] == "conventional"]
+        assert [row["throughput"], row["se"]] == [
+            format_value(out["throughput"]), format_value(out["se_throughput"])]
 
     def test_optimize_threshold(self, tmp_path):
         cfg = tmp_path / "c.json"
@@ -721,10 +747,10 @@ class TestCli:
         def never(*args, **kwargs):
             raise AssertionError("entered before --out was checked")
 
-        for name in ("solve_markov", "optimize_threshold",
-                     "run_conventional_supply"):
+        for name in ("solve_markov", "optimize_threshold"):
             monkeypatch.setattr(cli, name, never)
-        monkeypatch.setattr(savetx.experiments, "run_policies", never)
+        for name in ("run_policies", "run_conventional_supply"):
+            monkeypatch.setattr(savetx.experiments, name, never)
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"experiment": "fig4", "mc": TINY_MC,
                                    "solver": FAST_SOLVER}))

@@ -8,11 +8,12 @@ from hypothesis import given, settings, strategies as st
 from scipy import integrate, optimize, special
 
 import savetx as sx
+from savetx import power
 from savetx.errors import NoBracket, NoConvergence
-from savetx.power import _brent_root, check_gamma
+from savetx.power import _power_curve, check_gamma
 
-from oracles import MARKOV_MODEL, Split, best_grid_split, \
-    brentq_water_level, conventional_power, split_rate, \
+from oracles import BRENTQ_RTOL, BRENTQ_XTOL, MARKOV_MODEL, Split, \
+    best_grid_split, brentq_water_level, conventional_power, split_rate, \
     water_fill_two_channel, where_stop_rate
 
 # gains from (negative) zero through the subnormals, whose reciprocals
@@ -200,15 +201,19 @@ class TestStopRateOracle:
             sx.solve_water_level(
                 sx.GainDistribution.discrete([1e-310, 1.0], [0.5, 0.5]),
                 sx.GainDistribution.constant(1.0), sx.AccessModel(0.5), 1.0)
-            tiny = sx.GainDistribution.constant(1e-310)
-            model = sx.SystemModel(private=tiny, common=tiny,
-                                   access=sx.AccessModel(0.5),
-                                   eh=sx.MarkovChainSpec([1.0], [[1.0]]),
-                                   b_max_units=1)
+            # the private channel's tiny gain is spent nothing, every
+            # slot, and the common channel all of the level's power
+            model = sx.SystemModel(
+                private=sx.GainDistribution.constant(1e-310),
+                common=sx.GainDistribution.constant(1.0),
+                access=sx.AccessModel(1.0),
+                eh=sx.MarkovChainSpec([1.0], [[1.0]]), b_max_units=1)
+            level = sx.solve_water_level(model.private, model.common,
+                                         model.access, 2.0)
             met = sx.run_conventional_supply(model, 2.0, 2000, seed=1,
-                                             streams=20,
-                                             water_level=sx.WaterLevel(0.5))
-            assert met.realized_avg_power == 0.0
+                                             streams=20)
+            assert met.realized_avg_power == 1.0 / level.xi - 1.0
+            assert met.realized_avg_power == pytest.approx(2.0, rel=1e-15)
 
 
 class TestConventionalPower:
@@ -264,8 +269,6 @@ class TestSolveWaterLevel:
     def test_exponential_mean_power_exact(self, m):
         # the closed form e^-z / xi - E1(z) / m, z = xi / m, against tight
         # quadrature; the default quad missed it by 3.4e-6 at m 5, xi 50
-        from savetx.power import _power_curve
-
         dist = sx.GainDistribution.exponential(m)
         for xi in np.geomspace(1e-6, 50.0, 25):
             want, _ = integrate.quad(
@@ -287,8 +290,6 @@ class TestSolveWaterLevel:
         common = sx.GainDistribution.discrete([0.5, 4.0], [0.3, 0.7])
         level = sx.solve_water_level(private, common, sx.AccessModel(p_s),
                                      p_bar)
-        from savetx.power import _power_curve
-
         got = _power_curve(private)(level.xi) \
             + p_s * _power_curve(common)(level.xi)
         assert got == pytest.approx(p_bar, rel=1e-6)
@@ -307,8 +308,6 @@ class TestSolveWaterLevel:
                                      sx.GainDistribution.exponential(1.0),
                                      sx.AccessModel(0.5), 2.0)
         assert calls == [chain]
-        from savetx.power import _power_curve
-
         got = _power_curve(sx.GainDistribution.markov(chain))(level.xi) \
             + 0.5 * _power_curve(sx.GainDistribution.exponential(1.0))(
                 level.xi)
@@ -325,14 +324,6 @@ class TestSolveWaterLevel:
             sx.solve_water_level(sx.GainDistribution.constant(1.0),
                                  sx.GainDistribution.constant(1.0),
                                  sx.AccessModel(0.0), 0.0)
-
-    @pytest.mark.parametrize("rel_tol", [0.0, 1e-16, -1.0, float("nan")])
-    def test_bad_rel_tol(self, rel_tol):
-        # scipy's brentq refused these, so the in-package root does too
-        with pytest.raises(ValueError, match="^rel_tol must be >= "):
-            sx.solve_water_level(sx.GainDistribution.constant(1.0),
-                                 sx.GainDistribution.constant(1.0),
-                                 sx.AccessModel(0.0), 2.0, rel_tol=rel_tol)
 
     def test_nan_p_bar(self):
         # a NaN passed "p_bar <= 0" and reached scipy's brentq
@@ -375,9 +366,29 @@ WATER_CONFIGS = {
 }
 
 
+def mean_power(m):
+    """The mean power xi -> E[P(H)] + p_s E[Pc(Hc)] of a model, with
+    ``solve_water_level``'s arithmetic."""
+    private, common = _power_curve(m.private), _power_curve(m.common)
+    return lambda xi: private(xi) + m.access.p_s * common(xi)
+
+
+def assert_water_level(m, p_bar):
+    """The level is the smallest float at which the mean power does not
+    exceed p_bar; returns it."""
+    xi = sx.solve_water_level(m.private, m.common, m.access, p_bar).xi
+    total = mean_power(m)
+    assert total(xi) <= p_bar < total(math.nextafter(xi, 0.0))
+    return xi
+
+
 class TestBrentRoot:
-    """``power._brent_root`` is scipy's ``brentq.c`` step for step, so its
-    roots equal ``brentq``'s with ``==``."""
+    """Water levels against scipy's Brent root
+    (``tests/oracles.py::brentq_water_level``), the oracle these tests are
+    named for: the bisected level is the smallest float that meets the
+    power constraint, and lies within brentq's own tolerance of brentq's
+    root.  The two ways a search fails, a NaN curve and a target outside
+    the bracket, are errors by name."""
 
     @pytest.mark.parametrize("name", list(WATER_CONFIGS))
     def test_water_levels_equal_brentq(self, name):
@@ -387,54 +398,58 @@ class TestBrentRoot:
         for p_s in cfg.p_s_grid + [0.1, 0.3, 0.9]:
             m = cfg.build_model(p_s)
             for p_bar in (cfg.p_bar, 0.1, 1.0, 5.0, 37.0):
-                got = sx.solve_water_level(m.private, m.common, m.access,
-                                           p_bar).xi
-                assert got == brentq_water_level(m.private, m.common,
-                                                 m.access, p_bar)
+                xi = assert_water_level(m, p_bar)
+                want = brentq_water_level(m.private, m.common, m.access,
+                                          p_bar)
+                assert abs(xi - want) <= BRENTQ_XTOL + BRENTQ_RTOL * xi
 
-    @pytest.mark.parametrize("f,lo,hi,root", [
-        (lambda x: x ** 3 - 2.0, 0.0, 2.0, 2.0 ** (1 / 3)),
-        (math.cos, 0.0, 3.0, math.pi / 2),
-        (lambda x: math.exp(x) - 2.0, -1.0, 5.0, math.log(2.0)),
-        (lambda x: 1.0 / x - 3.0, 1e-12, 1e12, 1 / 3),
-        # slopes so small that an extrapolation's denominator underflows
-        # to 0, where C divides to inf and bisects
-        (lambda x: 1e-300 * (x ** 3 - 2.0), 0.0, 2.0, 2.0 ** (1 / 3)),
-        # a root reached exactly by a step, where f is 0
-        (lambda x: x - 0.5, 0.0, 1.0, 0.5),
-        # roots on a bracket end, f(lo) or f(hi) 0: brentq.c still calls
-        # f at both ends first
-        (lambda x: x - 1.0, 1.0, 3.0, 1.0),
-        (lambda x: x - 1.0, -2.0, 1.0, 1.0),
-    ])
-    def test_analytic_roots(self, f, lo, hi, root):
-        calls, oracle_calls = [], []
-        got = _brent_root(lambda x: calls.append(x) or f(x), lo, hi, 1e-12)
-        want = optimize.brentq(lambda x: oracle_calls.append(x) or f(x),
-                               lo, hi, rtol=1e-12, maxiter=500)
-        assert got == want
-        assert calls == oracle_calls
-        assert got == pytest.approx(root, rel=1e-11)
-
-    def test_iteration_budget_is_no_convergence(self):
-        f = lambda x: x ** 3 - 2.0  # noqa: E731
-        with pytest.raises(RuntimeError):
-            optimize.brentq(f, 0.0, 2.0, rtol=1e-12, maxiter=1)
-        with pytest.raises(NoConvergence, match="^water level: no root "
-                           "within 1 Brent steps"):
-            _brent_root(f, 0.0, 2.0, 1e-12, maxiter=1)
-
-    def test_nan_curve_is_no_convergence(self):
-        # finite at both ends, NaN at the first step inside
-        f = lambda x: x - 1 / 3 if x in (0.0, 1.0) else math.nan  # noqa
-        with pytest.raises(ValueError, match="NaN"):
-            optimize.brentq(f, 0.0, 1.0, rtol=1e-12)
+    def test_nan_curve_is_no_convergence(self, monkeypatch):
+        # finite at both ends of the bracket, NaN at the first midpoint
+        ends = (1e-12, 1e12)
+        monkeypatch.setattr(power, "_power_curve", lambda dist: (
+            lambda xi: 1.0 / xi if xi in ends else math.nan))
+        one = sx.GainDistribution.constant(1.0)
         with pytest.raises(NoConvergence, match="^water level: power curve "
-                           "is NaN at xi="):
-            _brent_root(f, 0.0, 1.0, 1e-12)
-        with pytest.raises(NoConvergence, match="NaN at xi=0.0$"):
-            _brent_root(lambda x: math.nan, 0.0, 1.0, 1e-12)
+                           "is NaN at xi=1.0$"):
+            sx.solve_water_level(one, one, sx.AccessModel(0.0), 2.0)
+        monkeypatch.setattr(power, "_power_curve",
+                            lambda dist: lambda xi: math.nan)
+        with pytest.raises(NoConvergence, match="NaN at xi=1e-12$"):
+            sx.solve_water_level(one, one, sx.AccessModel(0.0), 2.0)
 
     def test_one_sign_is_no_bracket(self):
-        with pytest.raises(NoBracket, match="^water level: "):
-            _brent_root(lambda x: x + 1.0, 0.0, 1.0, 1e-12)
+        # a dead channel spends nothing at any level; a strong one spends
+        # more than 1e-13 at the top of the bracket, 1e-12 - 1e-20
+        for gain, p_bar in ((0.0, 1.0), (1e20, 1e-13)):
+            g = sx.GainDistribution.constant(gain)
+            with pytest.raises(NoBracket, match="^average power target "
+                               "cannot be bracketed$"):
+                sx.solve_water_level(g, g, sx.AccessModel(0.5), p_bar)
+
+
+def discrete_laws():
+    """Discrete gain laws of one to four atoms, 0 and a gain whose
+    reciprocal overflows among them."""
+    value = st.one_of(st.sampled_from([0.0, 1e-310]),
+                      st.floats(1e-6, 1e6))
+    return st.lists(st.tuples(value, st.floats(0.01, 1.0)), min_size=1,
+                    max_size=4).map(lambda atoms: sx.GainDistribution.discrete(
+                        [v for v, _ in atoms],
+                        np.array([w for _, w in atoms])
+                        / sum(w for _, w in atoms)))
+
+
+class TestWaterLevelProperty:
+    @settings(max_examples=200, deadline=None)
+    @given(private=discrete_laws(), common=discrete_laws(),
+           p_s=st.floats(0.0, 1.0), p_bar=st.floats(1e-9, 1e9))
+    def test_smallest_level_meeting_the_target(self, private, common, p_s,
+                                               p_bar):
+        m = sx.SystemModel(private=private, common=common,
+                           access=sx.AccessModel(p_s),
+                           eh=sx.MarkovChainSpec([1.0], [[1.0]]),
+                           b_max_units=1)
+        try:
+            assert_water_level(m, p_bar)
+        except NoBracket:
+            pass

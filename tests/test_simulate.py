@@ -217,9 +217,6 @@ class TestRunSimulation:
         models = [iid_model(0.0), iid_model(0.5)]
         with pytest.raises(ValueError, match="2 models for 3 rules"):
             sx.run_policies([sx.Policy.threshold(1.0)] * 3, models, 100, 1)
-        with pytest.raises(ValueError, match="water_level"):
-            sx.run_conventional_supply(models, 2.0, 1000, seed=1,
-                                       water_level=[sx.WaterLevel(1.0)])
         assert sx.run_conventional_supply([], 2.0, 1000, seed=1) == []
 
     @pytest.mark.parametrize("b_max_units, eh, axis", [
@@ -639,18 +636,6 @@ class TestConventional:
         # NoBracket; each is now refused by name
         with pytest.raises(ValueError, match="^p_bar: must be a finite "):
             sx.run_conventional_supply(iid_model(0.5), p_bar, 10_000, seed=3)
-        # a given water level skips the solve, and p_bar is still checked
-        with pytest.raises(ValueError, match="^p_bar: must be a finite "):
-            sx.run_conventional_supply(iid_model(0.5), p_bar, 10_000, seed=3,
-                                       water_level=sx.WaterLevel(1.0))
-
-    def test_water_level_reused(self):
-        model = iid_model(0.5)
-        level = sx.solve_water_level(model.private, model.common,
-                                     model.access, 2.0)
-        met = sx.run_conventional_supply(model, 2.0, 10_000, seed=3,
-                                         water_level=level)
-        assert met.throughput > 0
 
 
 def discrete_model(p_s=0.5):
@@ -690,7 +675,7 @@ class TestSupplyBlocks:
                                      model.access, 2.0)
         n = streams * slots - short
         got = sx.run_conventional_supply(model, 2.0, n, seed=seed,
-                                         water_level=level, streams=streams)
+                                         streams=streams)
         return got, run_supplies_per_slot(model, level, n, seed,
                                           streams=streams)
 
@@ -810,7 +795,7 @@ class TestConstantRateExact:
         p = conventional_power(1.0, level)
         c = float(np.log2(1.0 + p) + p_s * np.log2(1.0 + p))
         met = sx.run_conventional_supply(model, 2.0, n, seed=seed,
-                                         water_level=level, streams=streams)
+                                         streams=streams)
         assert met.throughput == c
         assert met.realized_avg_power == p + p_s * p
 

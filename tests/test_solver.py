@@ -1056,12 +1056,9 @@ class TestOneClosedClass:
         met = sx.run_simulation(sx.Policy.threshold(1.5), model, 50_000,
                                 seed=3)
         assert abs(met.throughput - lam) <= 5.102 * met.se_throughput
-        level = sx.solve_water_level(model.private, model.common,
-                                     model.access, 2.0)
         be = sx.run_simulation(sx.Policy.threshold(0.0), model, 20_000,
                                seed=3)
-        cv = sx.run_conventional_supply(model, 2.0, 20_000, seed=3,
-                                        water_level=level)
+        cv = sx.run_conventional_supply(model, 2.0, 20_000, seed=3)
         assert be.throughput > 0 and cv.throughput > 0
         cfg = markov_workload_config()
         dp_model = replace(cfg.build_model(p_s), eh=TRANSIENT_EH)
