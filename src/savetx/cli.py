@@ -107,7 +107,7 @@ def _cmd_optimize_threshold(args) -> int:
     cfg = _load_config(args)
     p_s, model = _model(args, cfg)
     out = _out_dir(args)
-    gamma, (lam, _) = optimize_threshold(model, cfg.solver)
+    gamma, (lam, _) = optimize_threshold(model)
     _dump({
         "command": "optimize-threshold",
         "p_s": p_s,

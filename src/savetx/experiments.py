@@ -52,7 +52,6 @@ class ExperimentConfig:
     experiment: str
     seed: int
     delta: float
-    slot_ms: float            # physical slot length; report label only
     b_max_units: int
     p_s_grid: list[float]
     gamma_grid: list[float]
@@ -86,8 +85,7 @@ class ExperimentConfig:
         mc = self.mc
         return run_policies(policies, model, mc["periods"], self.seed,
                             warmup_periods=mc["warmup_periods"],
-                            streams=mc["streams"], slot_cap=mc["slot_cap"],
-                            trace_path=trace_path)
+                            streams=mc["streams"], trace_path=trace_path)
 
     def supply(self, models):
         """``run_conventional_supply`` of ``models`` (one model, or a p_s
@@ -121,7 +119,6 @@ def default_config(experiment: str) -> dict:
     base = {
         "experiment": experiment,
         "seed": 20240501,
-        "slot_ms": 1.0,
         "log_base": 2,
         "gamma_modes": [1.5, 2.0, "optimal"],
         "eh_models": ["a", "b", "c", "d"],
@@ -149,14 +146,8 @@ def default_config(experiment: str) -> dict:
     return base
 
 
-_TOP_KEYS = {
-    "experiment", "seed", "delta", "slot_ms", "b_max_units", "p_s_grid",
-    "gamma_grid", "gamma_modes", "p_bar", "log_base", "private", "common",
-    "eh", "eh_models", "solver", "mc",
-}
-_MC_KEYS = {"periods", "slots", "warmup_periods", "streams", "slot_cap"}
 _MC_DEFAULTS = {"periods": 200_000, "slots": 1_000_000,
-                "warmup_periods": 1000, "streams": 512, "slot_cap": 1_000_000}
+                "warmup_periods": 1000, "streams": 512}
 _GAIN_KEYS = {"kind", "value", "mean", "values", "probabilities", "states",
               "transition"}
 _EH_KEYS = {"preset", "switch", "p_good", "states", "transition"}
@@ -249,18 +240,18 @@ def validate_config(raw) -> ExperimentConfig:
     if experiment not in EXPERIMENTS:
         _fail("experiment", f"must be one of {EXPERIMENTS}")
     merged = default_config(experiment)
-    _check_keys(data, _TOP_KEYS, "config")
+    _check_keys(data, {f.name for f in fields(ExperimentConfig)}, "config")
     merged.update(data)
 
     seed = merged["seed"]
     if type(seed) is not int or seed < 0:  # bool is an int too
         _fail("seed", "must be a nonnegative integer")
-    positive = ("delta", "slot_ms", "p_bar")
+    positive = ("delta", "p_bar")
     for key in positive:  # type() rejects bool; NaN fails both comparisons
         value = merged[key]
         if type(value) not in (int, float) or not 0.0 < value < math.inf:
             _fail(key, "must be a finite number > 0")
-    delta, slot_ms, p_bar = (float(merged[k]) for k in positive)
+    delta, p_bar = (float(merged[k]) for k in positive)
 
     b_max = merged["b_max_units"]
     if b_max == "large":
@@ -278,6 +269,9 @@ def validate_config(raw) -> ExperimentConfig:
             _fail("p_s_grid", f"p_s out of [0,1]: {v}")
     if sorted(ps_grid) != ps_grid:
         _fail("p_s_grid", "must be sorted")
+    # fig7's rows are labelled by the harvest model alone
+    if experiment == "fig7" and len(ps_grid) > 1:
+        _fail("p_s_grid", "must hold one value for this experiment")
 
     gamma_grid = _as_list(merged["gamma_grid"], "gamma_grid")
     for g in gamma_grid:
@@ -320,7 +314,7 @@ def validate_config(raw) -> ExperimentConfig:
     _check_keys(merged["eh"], _EH_KEYS, "eh")
     _check_keys(merged["solver"], {f.name for f in fields(SolverConfig)},
                 "solver")
-    _check_keys(merged["mc"], _MC_KEYS, "mc")
+    _check_keys(merged["mc"], set(_MC_DEFAULTS), "mc")
 
     mc = dict(_MC_DEFAULTS)
     mc.update(merged["mc"])
@@ -335,8 +329,7 @@ def validate_config(raw) -> ExperimentConfig:
         raise ConfigError(f"solver.{exc}") from exc
 
     cfg = ExperimentConfig(
-        experiment=experiment, seed=seed, delta=delta,
-        slot_ms=slot_ms, b_max_units=b_max,
+        experiment=experiment, seed=seed, delta=delta, b_max_units=b_max,
         p_s_grid=[float(v) for v in ps_grid], gamma_grid=gamma_grid,
         gamma_modes=modes, p_bar=p_bar, log_base=log_base,
         private=merged["private"], common=merged["common"], eh=merged["eh"],
@@ -360,7 +353,6 @@ def _meta_base(cfg: ExperimentConfig) -> dict:
         "experiment": cfg.experiment,
         "seed": cfg.seed,
         "resolved_config": asdict(cfg),
-        "labels": {"slot_ms": cfg.slot_ms, "delta": cfg.delta},
         "notes": ("Monte Carlo rows share one seed across rules (common "
                   "random numbers), best-effort's gamma = 0 among them; "
                   "the conventional supply has its own pass; threshold "
@@ -415,11 +407,10 @@ def _run_fig4(cfg: ExperimentConfig):
     return rows, {}
 
 
-def _record_optimum(model: SystemModel, cfg: ExperimentConfig,
-                    stats: dict) -> float:
+def _record_optimum(model: SystemModel, stats: dict) -> float:
     """Search the best threshold of one ``p_s``; record it with its exact
     throughput and mean saving time, and return it."""
-    gamma, (lam, mean_T) = optimize_threshold(model, cfg.solver)
+    gamma, (lam, mean_T) = optimize_threshold(model)
     key = str(model.access.p_s)
     for name, value in (("gamma_star", gamma), ("lambda_exact", lam),
                         ("mean_T_exact", mean_T)):
@@ -432,7 +423,7 @@ def _run_fig6(cfg: ExperimentConfig):
     stats = {"gamma_star": {}}
     for p_s in cfg.p_s_grid:
         model = cfg.build_model(p_s)
-        rules = [Policy.threshold(_record_optimum(model, cfg, stats)
+        rules = [Policy.threshold(_record_optimum(model, stats)
                                   if mode == "optimal" else mode)
                  for mode in cfg.gamma_modes]
         for mode, m in zip(cfg.gamma_modes, cfg.simulate(model, rules)):
@@ -444,7 +435,7 @@ def _run_fig6(cfg: ExperimentConfig):
 
 def _run_fig7(cfg: ExperimentConfig):
     rows = []
-    p_s = cfg.p_s_grid[0]
+    p_s, = cfg.p_s_grid
     for name in cfg.eh_models:
         model = cfg.build_model(p_s, eh_block={"preset": name})
         mets = cfg.simulate(model, [Policy.threshold(g)
@@ -457,7 +448,7 @@ def _run_fig7(cfg: ExperimentConfig):
 def _run_fig8(cfg: ExperimentConfig):
     stats = {"gamma_star": {}, "water_level": {}}
     models = [cfg.build_model(p_s) for p_s in cfg.p_s_grid]
-    rules = [Policy.threshold(_record_optimum(m, cfg, stats)) for m in models]
+    rules = [Policy.threshold(_record_optimum(m, stats)) for m in models]
     rows, _ = _scheme_rows(cfg, models, rules, stats)
     return rows, stats
 

@@ -60,6 +60,9 @@ TRACE_SCHEMA = ("period", "saving_slots", "b_stop", "phi", "h", "h_common",
 # them follows a t law with N_BATCHES - 1 degrees of freedom
 N_BATCHES = 20
 
+# longest period, in slots, before ``run_policies`` raises PeriodOverflow
+SLOT_CAP = 1_000_000
+
 
 @dataclass(frozen=True, eq=False)
 class Policy:
@@ -595,7 +598,7 @@ def _check_sizes(**sizes):
 
 def run_policies(policies, model, n_periods: int, seed: int, *,
                  warmup_periods: int = 1000, streams: int = 512,
-                 slot_cap: int = 1_000_000, trace_path=None) -> list[Metrics]:
+                 trace_path=None) -> list[Metrics]:
     """Renewal metrics of each stopping rule over ``n_periods`` periods, in
     order, from one refill pass of ``streams`` lanes per rule.
 
@@ -615,14 +618,15 @@ def run_policies(policies, model, n_periods: int, seed: int, *,
     the pass folds them into the lane groups once, at its end.
     Deterministic for fixed arguments: the pass draws from one PCG64
     generator seeded from ``seed``.  ``trace_path`` receives the first
-    rule's periods as CSV.
+    rule's periods as CSV.  A period longer than ``SLOT_CAP`` slots raises
+    PeriodOverflow.
     """
     _check_sizes(n_periods=n_periods, warmup_periods=warmup_periods,
-                 streams=streams, slot_cap=slot_cap)
+                 streams=streams)
     if not policies:
         return []
     metrics, rec = _run_block(policies, model, -(-warmup_periods // streams),
-                              n_periods, _rng(seed), streams, slot_cap,
+                              n_periods, _rng(seed), streams, SLOT_CAP,
                               trace_path is not None)
     if trace_path is not None:
         cols = [rec[k] for k in ("T", "b", "phi", "h", "hc", "rate")]

@@ -55,28 +55,17 @@ __all__ = [
 
 @dataclass
 class SolverConfig:
-    """Numerical knobs of the solvers; the battery grid is the model's,
-    and Monte Carlo sizes belong to the engine's callers."""
+    """The solver's one setting: bins of an exponential gain in the DP.
+    The battery grid is the model's; Monte Carlo sizes are the engine's."""
 
-    outer_max_iters: int = 100
     common_bins: int = 64
-    gamma_hi: float = 4.0
-    grid_points: int = 21
-    golden_tol: float = 5e-3
 
     def __post_init__(self):
-        # bool is an Integral and a Real too, so it is refused by name
-        for name, low in (("outer_max_iters", 1), ("common_bins", 2),
-                          ("grid_points", 2)):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, numbers.Integral) \
-                    or v < low:
-                raise ValueError(f"{name}: must be an integer >= {low}")
-        for name in ("golden_tol", "gamma_hi"):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, numbers.Real) \
-                    or not 0 < v < math.inf:
-                raise ValueError(f"{name}: must be a finite number > 0")
+        # bool is an Integral too, so it is refused by name
+        v = self.common_bins
+        if isinstance(v, bool) or not isinstance(v, numbers.Integral) \
+                or v < 2:
+            raise ValueError("common_bins: must be an integer >= 2")
 
 
 @dataclass
@@ -346,6 +335,9 @@ def _rule_chain(model: SystemModel, gamma: np.ndarray, moments=None,
 # relative values cannot flip a tied cell from one improvement to the next
 _TIE = 1e-12
 
+# policy-iteration steps before ``solve_markov`` gives up with NoConvergence
+OUTER_MAX_ITERS = 100
+
 
 def solve_markov(model: SystemModel, cfg: SolverConfig | None = None
                  ) -> ValueTable:
@@ -369,7 +361,7 @@ def solve_markov(model: SystemModel, cfg: SolverConfig | None = None
                            ("common", model.common))
         if dist.kind == "exponential"})
     rule, moments = np.zeros((1, 1, 1)), None
-    for it in range(1, cfg.outer_max_iters + 1):
+    for it in range(1, OUTER_MAX_ITERS + 1):
         x, levels, (next_b, Pe, Ph), evaluated = _rule_chain(model, rule,
                                                              moments)
         g = np.r_[0.0, x[1:, 0]].reshape(evaluated[0].shape)
@@ -382,7 +374,7 @@ def solve_markov(model: SystemModel, cfg: SolverConfig | None = None
             break
     else:
         raise NoConvergence(
-            f"policy improvement did not settle in {cfg.outer_max_iters} "
+            f"policy improvement did not settle in {OUTER_MAX_ITERS} "
             "iterations")
     lam, stops, _ = x[0]
     # each battery unit reads the level at or above it (see ValueTable)
@@ -634,14 +626,26 @@ def threshold_metrics(model: SystemModel, gamma: float):
     return float(lam), (float(1.0 / stops) if stops > 0 else math.inf)
 
 
-def optimize_threshold(model: SystemModel, cfg: SolverConfig | None = None):
-    """Best pure threshold by golden-section search plus a coarse grid scan.
+# the threshold search, which ``optimize_threshold`` states
+GAMMA_HI = 4.0
+GRID_POINTS = 21
+GOLDEN_TOL = 5e-3
 
-    Both searches maximize the exact throughput of ``threshold_metrics``;
-    the better of the two wins.  Returns ``(gamma, (throughput, mean
-    saving time))``, the pair being ``threshold_metrics`` at that gamma.
+
+def optimize_threshold(model: SystemModel):
+    """Best pure threshold on [0, ``GAMMA_HI``] = [0, 4] for the exact
+    throughput (``threshold_metrics``), by a grid scan and a golden-section
+    search.
+
+    The scan takes the first best of the ``GRID_POINTS`` = 21 thresholds
+    ``np.linspace(0, 4, 21)``.  The search narrows [a, b] = [0, 4] to the
+    side of the better of its points b - (b - a) / phi and a + (b - a) /
+    phi, phi the golden ratio (the upper side on a tie), until b - a <=
+    ``GOLDEN_TOL`` = 5e-3, and takes the midpoint.  The better of the two
+    wins, the scan's on a tie; no threshold is evaluated twice.  Returns
+    ``(gamma, (throughput, mean saving time))``, the pair being
+    ``threshold_metrics`` at that gamma.
     """
-    cfg = cfg or SolverConfig()
     cache: dict[float, tuple[float, float]] = {}
 
     def f(gamma: float) -> float:
@@ -650,15 +654,15 @@ def optimize_threshold(model: SystemModel, cfg: SolverConfig | None = None):
             cache[g] = threshold_metrics(model, g)
         return cache[g][0]
 
-    grid = np.linspace(0.0, cfg.gamma_hi, cfg.grid_points)
+    grid = np.linspace(0.0, GAMMA_HI, GRID_POINTS)
     grid_vals = [f(g) for g in grid]
     g_grid = float(grid[int(np.argmax(grid_vals))])
 
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = 0.0, cfg.gamma_hi
+    a, b = 0.0, GAMMA_HI
     c, d = b - invphi * (b - a), a + invphi * (b - a)
     fc, fd = f(c), f(d)
-    while b - a > cfg.golden_tol:
+    while b - a > GOLDEN_TOL:
         if fc > fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)

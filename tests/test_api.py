@@ -97,7 +97,6 @@ def test_fig8_run_loads_no_quadrature(tmp_path):
     code = (
         "import savetx as sx\n"
         "cfg = sx.validate_config({'experiment': 'fig8', 'p_s_grid': [0.5],"
-        " 'solver': {'grid_points': 5, 'gamma_hi': 3.0, 'golden_tol': 0.25},"
         " 'mc': {'periods': 200, 'slots': 2000, 'streams': 16,"
         " 'warmup_periods': 10}})\n"
         f"sx.run_experiment(cfg, {str(tmp_path)!r})\n")

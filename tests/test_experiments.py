@@ -38,7 +38,6 @@ WORKLOADS = _load_workloads()
 
 TINY_MC = {"periods": 1500, "slots": 8000, "warmup_periods": 50,
            "streams": 64}
-FAST_SOLVER = {"grid_points": 5, "gamma_hi": 3.0, "golden_tol": 0.25}
 NAN = float("nan")
 
 
@@ -91,6 +90,10 @@ class TestValidateConfig:
     def test_unknown_top_key(self):
         with pytest.raises(ConfigError, match="bogus"):
             sx.validate_config({"experiment": "fig3", "bogus": 1})
+        # the slot length was a sidecar label that changed no number
+        with pytest.raises(ConfigError,
+                           match=r"^config\.slot_ms: unknown key"):
+            sx.validate_config({"experiment": "fig3", "slot_ms": 1.0})
 
     def test_unknown_nested_key(self):
         with pytest.raises(ConfigError, match="solver"):
@@ -101,13 +104,20 @@ class TestValidateConfig:
                            match=r"^mc\.replications: unknown key"):
             sx.validate_config({"experiment": "fig3",
                                 "mc": {"replications": 16}})
+        # the engine's longest period is the constant simulate.SLOT_CAP
+        with pytest.raises(ConfigError, match=r"^mc\.slot_cap: unknown key"):
+            sx.validate_config({"experiment": "fig3",
+                                "mc": {"slot_cap": 1_000_000}})
 
     @pytest.mark.parametrize("key", ["b_max_units", "delta", "mc_periods",
                                      "mc_seed", "slot_cap", "value_iter_tol",
-                                     "value_iter_max_sweeps", "lambda_tol"])
+                                     "value_iter_max_sweeps", "lambda_tol",
+                                     "outer_max_iters", "gamma_hi",
+                                     "grid_points", "golden_tol"])
     def test_solver_accepts_only_settable_keys(self, key):
         # the battery grid is set at top level, so the DP and the engine
-        # share it; Monte Carlo sizes are set in mc
+        # share it; Monte Carlo sizes are set in mc; the iteration cap and
+        # the threshold search are constants of savetx.solver
         raw = {"experiment": "fig3", "eh": {"preset": "c"}, "delta": 1.0,
                "b_max_units": 20, "solver": {"common_bins": 8, key: 2}}
         with pytest.raises(ConfigError, match=rf"^solver\.{key}: unknown key"):
@@ -116,7 +126,7 @@ class TestValidateConfig:
     @pytest.mark.parametrize("name", EXPERIMENTS)
     def test_resolved_config_reloads(self, name):
         for raw in ({"experiment": name},
-                    {"experiment": name, "solver": FAST_SOLVER,
+                    {"experiment": name, "solver": {"common_bins": 8},
                      "mc": TINY_MC}):
             cfg = sx.validate_config(raw)
             meta = json.loads(json.dumps(_meta_base(cfg), default=float))
@@ -124,7 +134,7 @@ class TestValidateConfig:
 
     @pytest.mark.parametrize("key, value", [
         ("streams", 0), ("slots", 0), ("periods", 1500.5),
-        ("warmup_periods", -1), ("slot_cap", 0), ("streams", True)])
+        ("warmup_periods", -1), ("streams", True)])
     def test_bad_mc_value(self, key, value):
         with pytest.raises(ConfigError, match=rf"^mc\.{key}: must be an int"):
             sx.validate_config({"experiment": "fig4", "mc": {key: value}})
@@ -137,10 +147,13 @@ class TestValidateConfig:
         ("fig8", "gamma_hi", -1.0), ("fig8", "gamma_hi", float("inf")),
         ("fig8", "gamma_hi", "4"), ("fig8", "golden_tol", False)])
     def test_bad_solver_value(self, experiment, key, value):
-        # fig3 with an exponential common gain is the one that bins it
+        # fig3 with an exponential common gain is the one that bins it.
+        # common_bins is the one solver setting: the others are constants
+        # of savetx.solver now, refused by name before their value is read
         raw = {"experiment": experiment, "solver": {key: value},
                "common": {"kind": "exponential", "mean": 1.0}}
-        with pytest.raises(ConfigError, match=rf"^solver\.{key}: must be"):
+        reason = "must be" if key == "common_bins" else "unknown key"
+        with pytest.raises(ConfigError, match=rf"^solver\.{key}: {reason}"):
             sx.validate_config(raw)
 
     @pytest.mark.parametrize("key, value", [
@@ -155,14 +168,14 @@ class TestValidateConfig:
         with pytest.raises(ConfigError, match=rf"^{key}: "):
             sx.validate_config({"experiment": "fig6", key: value})
 
-    @pytest.mark.parametrize("key", ["p_bar", "slot_ms", "delta"])
+    @pytest.mark.parametrize("key", ["p_bar", "delta"])
     @pytest.mark.parametrize("value", [float("nan"), math.inf, 0.0])
     def test_non_finite_positive_number(self, key, value):
         # NaN passed a plain "<= 0" check and reached scipy's brentq
         with pytest.raises(ConfigError, match=rf"^{key}: must be a finite"):
             sx.validate_config({"experiment": "fig8", key: value})
 
-    @pytest.mark.parametrize("key", ["p_bar", "slot_ms", "delta"])
+    @pytest.mark.parametrize("key", ["p_bar", "delta"])
     @pytest.mark.parametrize("value", ["abc", "2.0", None, [1.0], True])
     def test_positive_number_not_a_number(self, key, value):
         # a bare float() let these escape as ValueError or TypeError
@@ -260,6 +273,15 @@ class TestValidateConfig:
         with pytest.raises(ConfigError, match=f"^{key}: must not repeat"):
             sx.validate_config({"experiment": experiment, key: value})
 
+    def test_fig7_runs_one_p_s(self):
+        # fig7's rows are labelled by harvest model alone: a grid of two
+        # printed the first p_s's rows only, while the sidecar listed both
+        with pytest.raises(ConfigError, match="^p_s_grid: must hold one"):
+            sx.validate_config({"experiment": "fig7",
+                                "p_s_grid": [0.25, 0.75]})
+        cfg = sx.validate_config({"experiment": "fig7", "p_s_grid": [0.25]})
+        assert cfg.p_s_grid == [0.25]
+
     def test_bad_log_base(self):
         with pytest.raises(ConfigError, match="log_base"):
             sx.validate_config({"experiment": "fig4", "log_base": 10})
@@ -337,8 +359,7 @@ class TestRunExperiment:
     def test_fig6_modes(self, tmp_path):
         cfg = sx.validate_config({
             "experiment": "fig6", "p_s_grid": [0.5],
-            "gamma_grid": [1.0, 2.0], "mc": TINY_MC,
-            "solver": FAST_SOLVER})
+            "gamma_grid": [1.0, 2.0], "mc": TINY_MC})
         res = sx.run_experiment(cfg, tmp_path)
         with open(res["csv"], newline="") as fh:
             rows = list(csv.DictReader(fh))
@@ -370,8 +391,7 @@ class TestRunExperiment:
 
     def test_fig8_schemes(self, tmp_path):
         cfg = sx.validate_config({
-            "experiment": "fig8", "p_s_grid": [0.5], "mc": TINY_MC,
-            "solver": FAST_SOLVER})
+            "experiment": "fig8", "p_s_grid": [0.5], "mc": TINY_MC})
         res = sx.run_experiment(cfg, tmp_path)
         with open(res["csv"], newline="") as fh:
             rows = list(csv.DictReader(fh))
@@ -413,7 +433,7 @@ class TestSchemeTables:
     @staticmethod
     def table(name, grid, out):
         cfg = sx.validate_config({"experiment": name, "p_s_grid": grid,
-                                  "mc": TINY_MC, "solver": FAST_SOLVER})
+                                  "mc": TINY_MC})
         res = sx.run_experiment(cfg, out)
         with open(res["csv"]) as fh:
             lines = fh.read().splitlines()
@@ -504,7 +524,7 @@ class TestBestEffortRows:
         # whole harvest printed 0.968)
         cfg = sx.validate_config({
             "experiment": "fig8", "b_max_units": b_max_units,
-            "p_s_grid": [0.0, 0.5], "solver": FAST_SOLVER,
+            "p_s_grid": [0.0, 0.5],
             "mc": {"periods": 20_000, "slots": 20_000}})
         for p_s in cfg.p_s_grid:
             capped = cfg.build_model(p_s)
@@ -666,8 +686,7 @@ class TestCli:
     def test_simulate_conventional_is_the_table_row(self, tmp_path):
         # the tables ran the supply at the seed + 1 and this command at the
         # seed, so the two printed different numbers for one config
-        raw = {"experiment": "fig8", "p_s_grid": [0.5], "mc": TINY_MC,
-               "solver": FAST_SOLVER}
+        raw = {"experiment": "fig8", "p_s_grid": [0.5], "mc": TINY_MC}
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps(raw))
         r = run_cli("--config", str(cfg), "simulate", "--scheme",
@@ -682,14 +701,18 @@ class TestCli:
             format_value(out["throughput"]), format_value(out["se_throughput"])]
 
     def test_optimize_threshold(self, tmp_path):
+        raw = {"experiment": "fig4", "mc": TINY_MC}
         cfg = tmp_path / "c.json"
-        cfg.write_text(json.dumps({
-            "experiment": "fig4", "mc": TINY_MC, "solver": FAST_SOLVER}))
+        cfg.write_text(json.dumps(raw))
         r = run_cli("--config", str(cfg), "optimize-threshold",
                     "--p-s", "0.0")
         assert r.returncode == 0, r.stderr
         out = json.loads(r.stdout)
-        assert 0.0 <= out["gamma_star"] <= 3.0
+        # the command prints the library's search, on [0, 4]
+        gamma, (lam, _) = sx.optimize_threshold(
+            sx.validate_config(raw).build_model(0.0))
+        assert [out["gamma_star"], out["throughput"]] == [gamma, lam]
+        assert 0.0 <= gamma <= savetx.solver.GAMMA_HI
 
     def test_seed_override(self, tmp_path):
         cfg = tmp_path / "c.json"
@@ -752,8 +775,7 @@ class TestCli:
         for name in ("run_policies", "run_conventional_supply"):
             monkeypatch.setattr(savetx.experiments, name, never)
         cfg = tmp_path / "c.json"
-        cfg.write_text(json.dumps({"experiment": "fig4", "mc": TINY_MC,
-                                   "solver": FAST_SOLVER}))
+        cfg.write_text(json.dumps({"experiment": "fig4", "mc": TINY_MC}))
         out = tmp_path / "afile"
         out.write_text("")
         assert cli.main(["--config", str(cfg), "--out", str(out), *args]) == 2
@@ -811,18 +833,20 @@ class TestCli:
         assert err.startswith("error: ") and "64 cells" in err
         assert "b_max_units 10000" in err
 
-    def test_failed_dp_leaves_no_trace(self, tmp_path):
+    def test_failed_dp_leaves_no_trace(self, tmp_path, monkeypatch, capsys):
         # the trace file was opened before the DP solve, so a solve that
-        # failed left an empty file behind
+        # failed left an empty file behind; in process, so that the solve
+        # can be given two policy-iteration steps
+        monkeypatch.setattr(savetx.solver, "OUTER_MAX_ITERS", 2)
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({
             "experiment": "fig3", **MARKOV_MODEL,
-            "solver": {"common_bins": 8, "outer_max_iters": 2}}))
+            "solver": {"common_bins": 8}}))
         trace = tmp_path / "t.csv"
-        r = run_cli("--config", str(cfg), "simulate", "--scheme", "dp",
-                    "--p-s", "0.75", "--trace", str(trace))
-        assert r.returncode == 2
-        assert r.stderr.startswith("error: ") and "did not settle" in r.stderr
+        assert cli.main(["--config", str(cfg), "simulate", "--scheme", "dp",
+                         "--p-s", "0.75", "--trace", str(trace)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "did not settle in 2" in err
         assert not trace.exists()
 
     def test_missing_gamma(self, tmp_path):

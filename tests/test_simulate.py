@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import savetx as sx
+import savetx.simulate
 from savetx.simulate import _refill, _run_block
 
 from oracles import advance_battery, conventional_power, \
@@ -141,11 +142,12 @@ class TestRunSimulation:
         ("replications", 0), ("slot_cap", 0), ("n_periods", float("nan")),
         ("n_periods", 2.5), ("warmup_periods", True), ("slot_cap", 10.0)])
     def test_bad_sizes_rejected(self, key, value):
-        # streams=0 divided by zero, slot_cap=0 drew a slot before it
-        # overflowed, and n_periods=2.5 recorded 3 periods; the period
-        # engine takes no replications at all
+        # streams=0 divided by zero and n_periods=2.5 recorded 3 periods;
+        # the period engine takes no replications at all, and its slot cap
+        # is the constant SLOT_CAP
         args = {"n_periods": 100, "warmup_periods": 0, key: value}
-        error = TypeError if key == "replications" else ValueError
+        error = TypeError if key in ("replications", "slot_cap") \
+            else ValueError
         with pytest.raises(error, match=key):
             sx.run_simulation(sx.Policy.threshold(0.0), constant_world(),
                               seed=1, **args)
@@ -314,7 +316,7 @@ class TestRunSimulation:
         for case_model, case_pol in cases:
             rng = np.random.Generator(np.random.PCG64(7))
             _, rec = _run_block([case_pol], case_model, 0, n, rng, 1,
-                                   1_000_000, trace=True)
+                                   savetx.simulate.SLOT_CAP, trace=True)
             rng = np.random.Generator(np.random.PCG64(7))
             carry = fresh_carry(case_model, rng)
             outs = [run_period(case_pol, case_model, rng, carry=carry)
@@ -527,11 +529,11 @@ class TestRefill:
 class TestPeriodOverflow:
     @pytest.mark.parametrize("k", [2, 5, 9])
     @pytest.mark.parametrize("warmup, n", [(0, 8), (0, 50), (40, 50)])
-    def test_guard_at_the_longest_period(self, k, warmup, n):
+    def test_guard_at_the_longest_period(self, k, warmup, n, monkeypatch):
         """One unit of harvest per slot, constant gains and no access: the
         battery after t slots holds t units, so a rule with gamma the rate
         at k units ends every period in exactly k slots.  The pass runs at
-        ``slot_cap = k`` and overflows at ``k - 1``, also when it lasts k
+        ``SLOT_CAP = k`` and overflows at ``k - 1``, also when it lasts k
         slots in all (8 lanes, 8 periods, no warm-up); a rule that stops
         every slot shares the pass and does not change that."""
         model = sx.SystemModel(
@@ -543,11 +545,13 @@ class TestPeriodOverflow:
         rules = [sx.Policy.threshold(0.0),
                  sx.Policy.threshold(float(sx.stop_rate(k, 1.0, 1.0, 0)))]
         kw = dict(warmup_periods=warmup, streams=8)
-        quick, slow = sx.run_policies(rules, model, n, 1, slot_cap=k, **kw)
+        monkeypatch.setattr(savetx.simulate, "SLOT_CAP", k)
+        quick, slow = sx.run_policies(rules, model, n, 1, **kw)
         assert quick.mean_saving_time == 1.0
         assert slow.mean_saving_time == k and slow.periods == n
+        monkeypatch.setattr(savetx.simulate, "SLOT_CAP", k - 1)
         with pytest.raises(sx.PeriodOverflow, match=f"{k - 1} slots"):
-            sx.run_policies(rules, model, n, 1, slot_cap=k - 1, **kw)
+            sx.run_policies(rules, model, n, 1, **kw)
 
 
 class TestBestEffort:

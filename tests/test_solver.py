@@ -253,11 +253,11 @@ class TestSolveMarkov:
         # the top of the 16-level cut holds 60 units
         assert max(tops) == 60
 
-    def test_no_convergence(self):
+    def test_no_convergence(self, monkeypatch):
         cfg = markov_workload_config()
-        with pytest.raises(NoConvergence, match="did not settle"):
-            sx.solve_markov(cfg.build_model(0.75),
-                            replace(cfg.solver, outer_max_iters=2))
+        monkeypatch.setattr(savetx.solver, "OUTER_MAX_ITERS", 2)
+        with pytest.raises(NoConvergence, match="did not settle in 2 "):
+            sx.solve_markov(cfg.build_model(0.75), cfg.solver)
 
     def test_dp_beats_every_threshold(self):
         """On atom-gain models with an i.i.d. private gain the DP's
@@ -444,11 +444,11 @@ class TestEvaluateThreshold:
         assert abs(met.throughput - lam) < 3 * met.se_throughput
         assert abs(met.mean_saving_time - eT) < 3 * met.se_saving_time
 
-    def test_unreachable_threshold_overflows(self):
-        with pytest.raises(PeriodOverflow):
+    def test_unreachable_threshold_overflows(self, monkeypatch):
+        monkeypatch.setattr(savetx.simulate, "SLOT_CAP", 200)
+        with pytest.raises(PeriodOverflow, match="200 slots"):
             sx.run_simulation(sx.Policy.threshold(10.0), fig3_model(0.0),
-                              100, 0, streams=16,
-                              slot_cap=200)
+                              100, 0, streams=16)
 
     def test_negative_gamma_rejected(self):
         with pytest.raises(ValueError):
@@ -492,10 +492,11 @@ class TestEvaluateThresholds:
             mets[1].mean_saving_time
         assert sx.run_policies([], model, 4000, 7, **self.SIZES) == []
 
-    def test_one_unreachable_threshold_overflows(self):
-        with pytest.raises(PeriodOverflow):
+    def test_one_unreachable_threshold_overflows(self, monkeypatch):
+        monkeypatch.setattr(savetx.simulate, "SLOT_CAP", 200)
+        with pytest.raises(PeriodOverflow, match="200 slots"):
             sx.run_policies(thresholds([0.0, 10.0]), fig3_model(0.0), 100, 0,
-                            streams=16, slot_cap=200)
+                            streams=16)
 
 
 def with_iid_private(config: SmallConfig, rng) -> SmallConfig:
@@ -1021,19 +1022,14 @@ class TestOptimizeThreshold:
 
 class TestSolverConfig:
     def test_fields_are_the_solver_knobs(self):
-        # Monte Carlo sizes and the seed live in the mc block and the seed
-        assert [f.name for f in fields(sx.SolverConfig)] == [
-            "outer_max_iters", "common_bins", "gamma_hi", "grid_points",
-            "golden_tol"]
+        # Monte Carlo sizes and the seed live in the mc block and the seed;
+        # the iteration cap and the threshold search are constants
+        assert [f.name for f in fields(sx.SolverConfig)] == ["common_bins"]
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            sx.SolverConfig(golden_tol=0.0)
-
-    @pytest.mark.parametrize("name", ["outer_max_iters"])
-    def test_at_least_one_iteration(self, name):
-        with pytest.raises(ValueError, match=name):
-            sx.SolverConfig(**{name: 0})
+        for bins in (1, 8.0, True):
+            with pytest.raises(ValueError, match="^common_bins: "):
+                sx.SolverConfig(common_bins=bins)
 
 
 # harvest state 0 is transient: the chain leaves it for 4 and never returns
