@@ -13,10 +13,10 @@ no access taken as a common channel of gain 0: the interior split, clipped
 to the budget, is the water-filling split, and only entries whose gains
 are both below 1/DBL_MAX are selected with ``np.where``.
 
-Importing this module needs numpy alone, and no function here loads a
-scipy root finder: the exponential integral ``scipy.special.exp1`` is
-the one scipy import, made inside ``_power_curve`` on first use and only
-for an exponential gain.
+This module needs numpy alone: the mean power of an exponential gain is
+a closed form in the exponential integral E1, evaluated in-package
+(``expint.e1_float``, imported on first use, as ``solver`` imports
+``expint.exp_e1``).
 """
 from __future__ import annotations
 
@@ -125,7 +125,7 @@ def _power_curve(dist: GainDistribution):
     constraint is a long-run average), solved here once per curve.
     """
     if dist.kind == "exponential":
-        from scipy.special import exp1
+        from .expint import e1_float
 
         # exponential of mean m, z = xi / m:
         # int_xi^inf (1/xi - 1/g) e^(-g/m) / m dg = e^(-z) / xi - E1(z) / m
@@ -133,7 +133,7 @@ def _power_curve(dist: GainDistribution):
 
         def exponential(xi: float) -> float:
             z = xi / m
-            return float(math.exp(-z) / xi - exp1(z) / m)
+            return math.exp(-z) / xi - e1_float(z) / m
 
         return exponential
     vals, probs = _atoms(dist)
@@ -162,10 +162,16 @@ def solve_water_level(private: GainDistribution, common: GainDistribution,
     values at the ends, and NoConvergence naming xi when the curve is NaN.
     """
     p_bar = check_p_bar(p_bar)
-    private_power, common_power = _power_curve(private), _power_curve(common)
+    private_power = _power_curve(private)
+    # an exponential common gain of the private gain's mean has the same
+    # curve, evaluated once per level
+    common_power = None if common.kind == "exponential" and common == private \
+        else _power_curve(common)
 
     def total(xi: float) -> float:
-        power = private_power(xi) + access.p_s * common_power(xi)
+        power = private_power(xi)
+        power += access.p_s * (power if common_power is None
+                               else common_power(xi))
         if math.isnan(power):
             raise NoConvergence(
                 f"water level: power curve is NaN at xi={xi!r}")

@@ -204,13 +204,16 @@ class _SlotStream:
     writing into the buffer: uniforms for u, a Markov or discrete gain and
     the harvest step, standard exponentials for an exponential gain, which
     times the gain's mean is what ``Generator.exponential`` returns, bit
-    for bit.  The conventional supply has the block laid out as four
+    for bit.  The conventional supply has the block laid out as
     contiguous planes of shape (n, lanes), one per kind: its spend runs
     about a third faster on them than on the slot rows.  A discrete gain's
     uniforms are mapped to its values once per block, and a Markov private
     gain and the harvest chain are walked slot by slot (``_Chain``), their
     planes then holding the chain's values.  The harvest of slot i is the
-    energy that reaches the battery of slot i + 1.
+    energy that reaches the battery of slot i + 1.  A stream built with
+    ``walk_harvest`` False (the conventional supply, which spends no
+    harvest) still draws the harvest uniforms, but neither walks the chain
+    nor lays out their plane, which ``fill`` then leaves unset.
 
     Construction draws the start: the harvest chain's state from its
     stationary law, stepped once (``harvest0`` is that step's harvest, the
@@ -218,8 +221,10 @@ class _SlotStream:
     its stationary law.  A pass that stops mid-block leaves the block's
     other draws unread, with its generator."""
 
-    def __init__(self, model: SystemModel, rng, lanes: int):
+    def __init__(self, model: SystemModel, rng, lanes: int, *,
+                 walk_harvest: bool = True):
         self._slots = np.empty((_BLOCK, 4, lanes))
+        self._walk_harvest = walk_harvest
         self._flat = self._slots.reshape(-1, lanes)
         # per row: the generator method that draws it, or None; one object
         # per method, so that runs of one kind are found by identity
@@ -273,15 +278,16 @@ class _SlotStream:
         (4, n, lanes): access uniforms, private gains, common gains and
         harvests, valid until the next ``fill``.  A plane's rows are
         contiguous, but not the plane, unless ``scratch``, a free buffer
-        of that shape, is given: the block is then laid out as four
-        contiguous planes, copied through it."""
+        of that shape, is given: the block is then laid out as contiguous
+        planes, copied through it."""
         for draw, rows in self._block_runs(n):
             draw(out=rows)
         planes = self._slots[:n].transpose(1, 0, 2)
         if scratch is not None:
-            np.copyto(scratch, planes)
+            laid = 4 if self._walk_harvest else 3  # planes laid out
+            np.copyto(scratch[:laid], planes[:laid])
             planes = self._flat[:4 * n].reshape(4, n, -1)
-            np.copyto(planes, scratch)
+            np.copyto(planes[:laid], scratch[:laid])
         for j, dist in self._gains:
             rows = planes[j]
             if dist.kind == "constant":  # drew nothing
@@ -293,7 +299,8 @@ class _SlotStream:
                 np.take(dist.values, index, out=rows, mode="clip")
         if self.private is not None:
             self.private.walk(planes[1], planes[1])
-        self.harvest.walk(planes[3], planes[3])
+        if self._walk_harvest:
+            self.harvest.walk(planes[3], planes[3])
         return planes
 
     def states(self, n: int):
@@ -659,8 +666,9 @@ def run_conventional_supply(model, p_bar: float, n_slots: int, seed: int,
 
     ``streams`` lanes run ``ceil(n_slots / streams)`` slots each on the
     engine's generator at ``seed``, drawn by the engine's ``_SlotStream``:
-    each slot draws the access uniform and both gains, then steps the
-    harvest chain, in that generator order.  Each block of ``_BLOCK``
+    each slot draws the access uniform and both gains, then the harvest
+    step's uniform, in that generator order; the harvest chain is not
+    walked, as the supply spends no harvest.  Each block of ``_BLOCK``
     slots is spent by each model at once, on the stream's contiguous
     planes: the gains' reciprocals once per block, then each model's
     access mask and its water level's powers and rates.  Each lane sums
@@ -682,7 +690,7 @@ def run_conventional_supply(model, p_bar: float, n_slots: int, seed: int,
     model = models[0]
     slots = -(-n_slots // streams)
     logf = np.log2 if model.log_base == 2.0 else np.log
-    stream = _SlotStream(model, _rng(seed), streams)
+    stream = _SlotStream(model, _rng(seed), streams, walk_harvest=False)
 
     # per model and lane: rate and power, less each model's first values
     sums = np.zeros((len(models), 2, streams))
@@ -704,7 +712,7 @@ def run_conventional_supply(model, p_bar: float, n_slots: int, seed: int,
     access = np.empty((_BLOCK, streams), dtype=bool)
     for first in range(0, slots, _BLOCK):
         n = min(_BLOCK, slots - first)
-        u, h, hc, _ = stream.fill(n, buffers[:4, :n])
+        u, h, hc, _ = stream.fill(n, buffers[:3, :n])
         # the gains' reciprocals, once per block for every p_s (+inf at a
         # gain of 0, where the water-filling power is 0)
         inv_h, inv_hc = inverses[:, :n]

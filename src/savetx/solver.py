@@ -434,18 +434,13 @@ def _threshold_gain(b, c, G):
 
 def _log_mean(u, s, m):
     """E[ln(g + s)] for g = u + an exponential of mean m: ln(u + s) +
-    e^z E1(z) with z = (u + s) / m, and e^z E1(z) by its asymptotic series
-    once e^z would overflow."""
-    # scipy is imported on first use, so that importing savetx needs numpy
-    # alone and a model without an exponential gain never loads it
-    from scipy.special import exp1
+    e^z E1(z) with z = (u + s) / m."""
+    # imported on first use, so that a run without an exponential gain
+    # never compiles the kernel's coefficient table
+    from .expint import exp_e1
 
-    z = (u + s) / m
-    zc = np.minimum(z, 700.0)
-    r = 1.0 / np.maximum(z, 700.0)
-    series = r * (1 - r * (1 - 2 * r * (1 - 3 * r * (1 - 4 * r
-                                                      * (1 - 5 * r)))))
-    return np.log(u + s) + np.where(z > 700.0, series, np.exp(zc) * exp1(zc))
+    us = u + s
+    return np.log(us) + exp_e1(us / m)
 
 
 def _tail_rate(b, y, t, m):
@@ -458,18 +453,16 @@ def _tail_rate(b, y, t, m):
     Every piece is a sum of ln(g + s) terms, so its tail mean is closed
     form; no quadrature runs over g.  Each piece is evaluated only on the
     elements it applies to: the two-channel pieces where y > 0, the top
-    piece where h_b is finite.
+    piece where h_b is finite.  Their six tail means take one ``_log_mean``
+    call on the joined arguments.
     """
     b, y, t = np.broadcast_arrays(b, y, t)
     out = np.empty(b.shape)
 
-    def alone(b, u):  # mean of ln(1 + g b) over g >= u
-        return np.log(b) + _log_mean(u, 1.0 / b, m)
-
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         pair = y > 0
         solo = ~pair
-        out[solo] = np.exp(-t[solo] / m) * alone(b[solo], t[solo])
+        b_s, t_s = b[solo], t[solo]
         b, y, t = b[pair], y[pair], t[pair]
         yb = y * b
         h_a = y / (1.0 + yb)
@@ -477,16 +470,26 @@ def _tail_rate(b, y, t, m):
         h_b = np.maximum(np.where(yb < 1.0, y / (1.0 - yb), np.inf), lo)
         log1p_yb = np.log1p(yb)
         c = 2.0 * log1p_yb - np.log(4.0 * y)
-
-        def both(u, k):  # mean of the two-channel rate over g >= u, at k
-            return c[k] + 2.0 * _log_mean(u, h_a[k], m) - _log_mean(u, 0.0, m)
-
         fin = np.isfinite(h_b)
-        hb = h_b[fin]
+        hb, b_f = h_b[fin], b[fin]
+        # the means of ln(g + s) over g >= u, at these (u, s), in one call
+        zero = np.zeros(len(lo))
+        args = [(t_s, 1.0 / b_s), (hb, 1.0 / b_f), (hb, h_a[fin]),
+                (hb, zero[fin]), (lo, h_a), (lo, zero)]
+        solo_t, alone_hb, ha_hb, zero_hb, ha_lo, zero_lo = np.split(
+            _log_mean(np.concatenate([u for u, _ in args]),
+                      np.concatenate([s for _, s in args]), m),
+            np.cumsum([len(u) for u, _ in args[:-1]]))
+
+        def both(k, ha, at0):  # mean of the two-channel rate, at k
+            return c[k] + 2.0 * ha - at0
+
+        out[solo] = np.exp(-t_s / m) * (np.log(b_s) + solo_t)
         top = np.zeros(len(y))
-        top[fin] = np.exp(-hb / m) * (alone(b[fin], hb) - both(hb, fin))
+        top[fin] = np.exp(-hb / m) * (np.log(b_f) + alone_hb
+                                      - both(fin, ha_hb, zero_hb))
         out[pair] = (log1p_yb * (np.exp(-t / m) - np.exp(-lo / m))
-                     + np.exp(-lo / m) * both(lo, ...) + top)
+                     + np.exp(-lo / m) * both(..., ha_lo, zero_lo) + top)
     return out
 
 

@@ -3,9 +3,11 @@
 Everything here is deliberately written from scratch (closed-form water
 level, Gauss-Laguerre quadrature, dense-chain linear algebra, a scalar
 one-period simulator) so the tests cross-check the package against a second
-route to the same numbers.  The one borrowed route is scipy's ``brentq``,
-kept as a tolerance oracle: the package bisects for its water level, which
-must lie within brentq's own tolerance of brentq's root.
+route to the same numbers.  The borrowed routes are scipy's: ``brentq``,
+kept as a tolerance oracle (the package bisects for its water level, which
+must lie within brentq's own tolerance of brentq's root), ``exp1`` in the
+exact tail means (the package evaluates E1 in ``savetx.expint``), and the
+sparse solve of ``chain_gains``.
 
 The module imports ``savetx`` only inside the functions that take its model
 objects, so the exact-throughput oracles load without the package.
@@ -19,6 +21,9 @@ from typing import NamedTuple
 import numpy as np
 
 GL_X, GL_W = np.polynomial.laguerre.laggauss(128)
+# the 48-point Gauss-Legendre rule on [0, 1], for ``_q_rho1``
+LEG_X, LEG_W = np.polynomial.legendre.leggauss(48)
+LEG_X, LEG_W = 0.5 * (LEG_X + 1.0), 0.5 * LEG_W
 
 
 def oracle_rate(b, h, hc, phi, base=2.0):
@@ -527,8 +532,7 @@ def _q_rho1(b, gamma, ps):
     e = max(c0, 1.0 / b)
     s_e = np.sqrt(min(max((c0 - 1.0 / b) / (c0 - c1), 0.0), 1.0)) \
         if c0 > c1 else 0.0
-    x, w = np.polynomial.legendre.leggauss(48)
-    x, w = 0.5 * (x + 1.0), 0.5 * w
+    x, w = LEG_X, LEG_W
     nodes, weights = [], []
     for lo, hi, kind in ((0.0, c1, "c"), (0.0, s_e, "s"), (s_e, 1.0, "s"),
                          (c0, e, "c"), (0.0, 1.0, "log")):

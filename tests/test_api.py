@@ -1,15 +1,13 @@
-"""Every exported name resolves, every annotation resolves, and importing
-savetx needs numpy alone.
+"""Every exported name resolves, every annotation resolves, and savetx
+needs numpy alone.
 
 Tools that walk a module's ``__all__`` (tracing wrappers, ``from savetx
 import *``) fail on the first stale entry, so a name removed from a module
-must leave its ``__all__`` too.  scipy is imported inside the functions that
-use it, so a run that needs none of them never pays for loading it; so no
-annotation names a scipy type, which ``typing.get_type_hints`` could not
-resolve.  No run loads ``scipy.optimize``: the water level is found by
-bisection in-package.  The one scipy import left is ``scipy.special.exp1``, for the
-mean power and stop moments of an exponential gain: the slot chains are
-solved with numpy alone.
+must leave its ``__all__`` too.  No module imports scipy, and no run loads
+it: the water level is found by bisection in-package, the slot chains are
+solved with numpy, and the exponential integral E1 behind an exponential
+gain's mean power and stop moments is ``savetx.expint``'s.  The tests keep
+scipy as an independent oracle.
 """
 import ast
 import importlib
@@ -25,7 +23,8 @@ import pytest
 
 import savetx as sx
 
-LAYERS = ("models", "power", "solver", "simulate", "experiments", "tables")
+LAYERS = ("models", "expint", "power", "solver", "simulate", "experiments",
+          "tables")
 
 
 def test_package_all_resolves():
@@ -90,22 +89,29 @@ def test_fig4_run_loads_no_scipy(tmp_path):
     assert (tmp_path / "fig4.csv").exists()
 
 
-def test_fig8_run_loads_no_quadrature(tmp_path):
-    # the water level's mean power is a closed form in E1, so a fig8 run
-    # (threshold search, water level, engine and supplies) integrates
-    # nothing numerically
+def test_fig8_run_loads_no_scipy(tmp_path):
+    # the threshold search's stop moments and the water level's mean power
+    # are closed forms in E1, evaluated in-package, so a fig8 run (search,
+    # water level, engine and supplies) loads no scipy
     code = (
         "import savetx as sx\n"
         "cfg = sx.validate_config({'experiment': 'fig8', 'p_s_grid': [0.5],"
         " 'mc': {'periods': 200, 'slots': 2000, 'streams': 16,"
         " 'warmup_periods': 10}})\n"
         f"sx.run_experiment(cfg, {str(tmp_path)!r})\n")
-    loaded = scipy_modules_after(code)
-    assert "scipy.special" in loaded
-    assert [m for m in loaded if m.startswith((
-        "scipy.integrate", "scipy.optimize", "scipy.sparse",
-        "scipy.linalg"))] == []
+    assert scipy_modules_after(code) == []
     assert (tmp_path / "fig8.csv").exists()
+
+
+def test_fig6_run_loads_no_scipy(tmp_path):
+    # fig6 runs the exact evaluator on exponential gains
+    code = (
+        "import savetx as sx\n"
+        "cfg = sx.validate_config({'experiment': 'fig6', 'p_s_grid': [0.5],"
+        " 'mc': {'periods': 200, 'streams': 16, 'warmup_periods': 10}})\n"
+        f"sx.run_experiment(cfg, {str(tmp_path)!r})\n")
+    assert scipy_modules_after(code) == []
+    assert (tmp_path / "fig6.csv").exists()
 
 
 def test_fig3_run_loads_no_scipy(tmp_path):
@@ -122,7 +128,7 @@ def test_fig3_run_loads_no_scipy(tmp_path):
     assert (tmp_path / "fig3.csv").exists()
 
 
-def test_package_imports_exp1_alone_from_scipy():
+def test_package_imports_no_scipy():
     imports = []
     for path in sorted(Path(sx.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -133,15 +139,12 @@ def test_package_imports_exp1_alone_from_scipy():
                     and node.module.split(".")[0] == "scipy":
                 imports += [(path.name, f"{node.module}.{a.name}")
                             for a in node.names]
-    assert imports and {name for _, name in imports} == \
-        {"scipy.special.exp1"}
+    assert imports == []
 
 
-def test_water_level_loads_special_alone():
+def test_water_level_loads_no_scipy():
     code = (
         "import savetx as sx\n"
         "g = sx.GainDistribution.exponential(1.0)\n"
         "sx.solve_water_level(g, g, sx.AccessModel(0.5), 2.0)\n")
-    loaded = scipy_modules_after(code)
-    assert "scipy.special" in loaded
-    assert [m for m in loaded if m.startswith("scipy.optimize")] == []
+    assert scipy_modules_after(code) == []
