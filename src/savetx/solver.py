@@ -16,10 +16,17 @@ battery levels that are multiples of the gcd of the positive harvest
 units, cut where the chain holds no mass: the rule's stop moments per
 level (``_stop_moments``) set the slot chain, and one numpy pass over its
 levels (``_level_gains``) gives the throughput, the mean saving time and
-the relative values.  Atom gains are summed exactly; an exponential
-gain is inverted in closed form with a closed-form tail mean of the rate,
-and a second exponential gain is integrated by Gauss rules on the pieces
-where the integrand is smooth.
+the relative values.  That pass reads a plan of the chain's structure
+(``_chain_plan``: the cell transition product, the masks of the moves
+that stay on a level and of the skips up, reachability and the closed
+classes, the boolean twin's count of them, and the pin), keyed by the
+cut's shape and where the rule may stop (p > 0) and skip (p < 1).  A
+search and a DP solve each keep one dict of plans for their own call, and
+the search's grid scan takes its 21 thresholds' first-cut stop moments in
+one pass.  Atom gains are summed exactly; an exponential gain is inverted
+in closed form with a closed-form tail mean of the rate, and a second
+exponential gain is integrated by Gauss rules on the pieces where the
+integrand is smooth.
 
 This module only solves: it draws no random numbers.  Monte Carlo
 estimates of the solved rules, with standard errors, come from the engine
@@ -109,35 +116,28 @@ def _sweep(c: np.ndarray, V: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return c
 
 
-def _level_gains(p_stop: np.ndarray, next_b: np.ndarray, Pe: np.ndarray,
-                 Ph: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Long-run averages of per-slot rewards on the slot chain of a rule
-    that stops with probability ``p_stop[k, e, h]`` on the carried cells
-    (level, harvest state, private-gain state): a skip moves the level to
-    ``next_b[k, e']``, a stop restarts it at ``next_b[0, e']``, and both
-    step the harvest chain ``Pe`` and the private-gain chain ``Ph``.
+def _chain_plan(next_b: np.ndarray, Pe: np.ndarray, Ph: np.ndarray,
+                stop: np.ndarray, skip: np.ndarray) -> tuple:
+    """What ``_level_gains`` needs of a slot chain's structure, from the
+    moves ``next_b``, ``Pe`` and ``Ph`` and where the rule may stop
+    (``stop``, p > 0) and skip (``skip``, p < 1) on the (level, cell)
+    grid.  It reads no probability of the rule, so rules with one stop
+    pattern share it.  Returns, in order: the cell transition product P;
+    the (level, cell) masks of the skips (``stay``) and stops (``same``)
+    that stay on a level; the cells a skip enters a level up and the flat
+    (level, cell) rows it enters; the (level, first cell, class) of each
+    closed class on one level; the reachability of the moves that stay on
+    each level; the boolean twin's count of closed classes; and the pin
+    with each restart cell, as (level, cell) indices.
 
-    Solves g + gain = r + K g with g pinned at cell 0 and returns x with
-    the gain in ``x[0]`` and g[1:] in ``x[1:]``; the gain is pi @ r for the
-    chain's stationary law pi.  ``r`` holds reward columns on the cells,
-    flat in the order of ``p_stop``, which share one solve.
-
-    A skip never lowers the level, and a stop lands on a restart cell
-    (next_b[0, e'], e', h').  So a backward pass from the top level writes
-    each level's g as an affine function of the gain and of the g at the
-    restart cells: the moves that stay on the level take one dense solve
-    per level, all inverted at once, and the moves up read levels already
-    passed.  The moves that stay on a level are its skips that harvest
-    nothing (every skip at the top) and its stops that land on it.  A
-    square system on the gain and the restart values closes the pass.  The
-    pass's boolean twin counts the closed classes: a class that lies on one
+    The boolean twin runs the backward pass on reachability: the restart
+    cells each cell reaches up to its first stop off its level, and
+    whether it reaches a class on one level.  A class that lies on one
     level has no move off it, and any other class holds a restart cell.
     """
-    n, ne, nh = p_stop.shape
-    m = ne * nh
-    p = p_stop.reshape(n, m)
+    n, m = stop.shape
     cells = np.arange(m)
-    e_of = cells // nh
+    e_of = cells // len(Ph)
     # from cell e * nh + h to cell e' * nh + h'
     P = (Pe[:, None, :, None] * Ph[None, :, None, :]).reshape(m, m)
     edge = ((Pe > 0)[:, None, :, None] & (Ph > 0)[None, :, None, :]
@@ -148,7 +148,7 @@ def _level_gains(p_stop: np.ndarray, next_b: np.ndarray, Pe: np.ndarray,
     up = np.flatnonzero(restart > 0)  # the cells a skip enters a level up
     target = next_b[:, e_of[up]]
     rows = target * m + up  # the flat (level, cell) rows a skip up enters
-    skip, stop = (p < 1)[:, :, None], (p > 0)[:, :, None]
+    skip, stop = skip[:, :, None], stop[:, :, None]
 
     # a closed class on one level is a closed class of the cell chain
     # whose moves all stay on the level.  Its block of I - S is singular;
@@ -174,18 +174,6 @@ def _level_gains(p_stop: np.ndarray, next_b: np.ndarray, Pe: np.ndarray,
     R = seen @ R
     RV = seen @ (skip & edge & ~stay[:, None, :])[:, :, up]
 
-    # the numeric pass, on columns (rewards, gain, restart values)
-    nr = r.shape[1]
-    M = np.eye(m) - ((1.0 - p)[:, :, None] * stay[:, None, :]
-                     + p[:, :, None] * same[:, None, :]) * P
-    M[k_q, :, first[q]] += classes[q]
-    W = np.linalg.inv(M) * seen  # exact zeros where no path runs
-    V = W @ ((1.0 - p)[:, :, None] * P * ~stay[:, None, :])[:, :, up]
-
-    G = _sweep(W @ np.concatenate(
-        [r.reshape(n, m, nr), np.full((n, m, 1), -1.0),
-         p[:, :, None] * P * ~same[:, None, :]], axis=2), V, rows)
-
     # the twin's levels repeat: once a level's row equals the rows it
     # reads, each level below with the same data gets that row too
     data = R.reshape(n, -1), RV.reshape(n, -1), target - np.arange(n)[:, None]
@@ -207,17 +195,80 @@ def _level_gains(p_stop: np.ndarray, next_b: np.ndarray, Pe: np.ndarray,
     final = ~(hits & ~hits.T).any(axis=1) & ~(hits @ R[restart, cells, m])
     n_classes = len(k_q) + np.count_nonzero(
         final & (hits.argmax(axis=1) == cells))
+
+    # g is 0 at the pin: cell 0, or the first cell of the class on one level
+    pin = (k_q[0], first[q[0]]) if len(k_q) else (0, 0)
+    at = (np.concatenate([[pin[0]], restart]),
+          np.concatenate([[pin[1]], cells]))
+    return (P, stay, same, up, rows, (k_q, first[q], classes[q]), seen,
+            n_classes, at)
+
+
+def _level_gains(p_stop: np.ndarray, next_b: np.ndarray, Pe: np.ndarray,
+                 Ph: np.ndarray, r: np.ndarray, plans: dict | None = None
+                 ) -> np.ndarray:
+    """Long-run averages of per-slot rewards on the slot chain of a rule
+    that stops with probability ``p_stop[k, e, h]`` on the carried cells
+    (level, harvest state, private-gain state): a skip moves the level to
+    ``next_b[k, e']``, a stop restarts it at ``next_b[0, e']``, and both
+    step the harvest chain ``Pe`` and the private-gain chain ``Ph``.
+
+    Solves g + gain = r + K g with g pinned at cell 0 and returns x with
+    the gain in ``x[0]`` and g[1:] in ``x[1:]``; the gain is pi @ r for the
+    chain's stationary law pi.  ``r`` holds reward columns on the cells,
+    flat in the order of ``p_stop``, which share one solve.
+
+    A skip never lowers the level, and a stop lands on a restart cell
+    (next_b[0, e'], e', h').  So a backward pass from the top level writes
+    each level's g as an affine function of the gain and of the g at the
+    restart cells: the moves that stay on the level take one dense solve
+    per level, all inverted at once, and the moves up read levels already
+    passed.  The moves that stay on a level are its skips that harvest
+    nothing (every skip at the top) and its stops that land on it.  A
+    square system on the gain and the restart values closes the pass.
+
+    Everything but the numeric pass is a plan (``_chain_plan``): the cell
+    transition product, the masks of the moves that stay on a level and
+    of the skips up, reachability and the closed classes, the boolean
+    twin's count of closed classes, and the pin.  It depends on the rule
+    only through where p_stop is above 0 and below 1, and its key is the
+    cut's shape with those two masks.  ``plans``, when given, holds the
+    plans already built and takes each new one.  The key leaves
+    ``next_b``, ``Pe`` and ``Ph`` out, so one dict serves the chains of
+    one model alone: ``optimize_threshold`` keeps one for one search and
+    ``solve_markov`` one for one DP solve.  A chain with several closed
+    classes is refused on every solve, its plan new or not.
+    """
+    n, ne, nh = p_stop.shape
+    m = ne * nh
+    p = p_stop.reshape(n, m)
+    stop, skip = p > 0, p < 1
+    key = (p_stop.shape, stop.tobytes(), skip.tobytes())
+    plans = {} if plans is None else plans
+    if key not in plans:
+        plans[key] = _chain_plan(next_b, Pe, Ph, stop, skip)
+    P, stay, same, up, rows, (k_q, first_q, classes_q), seen, n_classes, \
+        at = plans[key]
     if n_classes > 1:
         raise ReducibleChain(
             f"the rule's chain has {n_classes} recurrent classes")
 
-    # closure: g is 0 at the pin (cell 0, or the first cell of the class on
-    # one level) and each restart value is its cell's g.  The pin's row
-    # eliminates the gain first: a class on one level has a pin row in the
-    # gain alone, which gives the class's gain from its own cells
-    pin = (k_q[0], first[q[0]]) if len(k_q) else (0, 0)
-    at = (np.concatenate([[pin[0]], restart]),
-          np.concatenate([[pin[1]], cells]))
+    # the numeric pass, on columns (rewards, gain, restart values)
+    nr = r.shape[1]
+    M = np.eye(m) - ((1.0 - p)[:, :, None] * stay[:, None, :]
+                     + p[:, :, None] * same[:, None, :]) * P
+    M[k_q, :, first_q] += classes_q
+    W = np.linalg.inv(M) * seen  # exact zeros where no path runs
+    V = W @ ((1.0 - p)[:, :, None] * P * ~stay[:, None, :])[:, :, up]
+
+    G = _sweep(W @ np.concatenate(
+        [r.reshape(n, m, nr), np.full((n, m, 1), -1.0),
+         p[:, :, None] * P * ~same[:, None, :]], axis=2), V, rows)
+
+    # closure: g is 0 at the pin and each restart value is its cell's g.
+    # The pin's row eliminates the gain first: a class on one level has a
+    # pin row in the gain alone, which gives the class's gain from its own
+    # cells
     A = G[at][:, nr:]
     A[1:, 1:] -= np.eye(m)
     col = A[1:, :1] / A[0, 0]
@@ -279,50 +330,76 @@ def _level_moments(model: SystemModel, levels: np.ndarray,
     return p.reshape(shape), r.reshape(shape)
 
 
+# levels in ``_rule_chain``'s first cut of a rule's chain; each further
+# cut doubles it
+_FIRST_CUT = 16
+
+
+def _level_grid(model: SystemModel):
+    """(step, n_full): ``_rule_chain``'s level k holds the battery min(k step,
+    b_max_units) in units, for k < n_full, step the gcd of the positive
+    harvest units."""
+    units = model.eh_units()
+    pos = units[units > 0]
+    if not pos.size:  # an empty battery never moves: nothing is harvested
+        return 1, 1
+    step = int(np.gcd.reduce(pos))
+    return step, -(-model.b_max_units // step) + 1
+
+
+def _cut_shape(model: SystemModel, n: int):
+    """The cells (level, harvest state, private-gain state) of a cut of n
+    levels, refused past ``MAX_DP_STATES``."""
+    shape = (n, len(model.eh.states),
+             1 if model.private.is_iid else len(model.private.chain.states))
+    if math.prod(shape) > MAX_DP_STATES:
+        raise StateSpaceTooLarge(
+            f"the rule's chain needs {math.prod(shape):,} cells "
+            f"(b_max_units {model.b_max_units}), more than "
+            f"{MAX_DP_STATES:,}")
+    return shape
+
+
 def _rule_chain(model: SystemModel, gamma: np.ndarray, moments=None,
-                mass_tol: float = 1e-12):
+                mass_tol: float = 1e-12, plans: dict | None = None):
     """Exact evaluation of the rule 'stop iff b > 0 and R >= gamma[k, e,
     h]', a table on axes (level, 1 or harvest states, 1 or private-gain
     states) whose last row serves every level past its end.
 
     Level k holds the battery min(k step, b_max_units), step the gcd of
-    the positive harvest units.  The chain is cut at its first levels, the
-    top one absorbing, from 16 doubling until the top holds stationary
-    mass <= ``mass_tol`` or the cap is reached.  Only the levels a cut
-    adds get stop moments computed; ``moments`` spares the first levels'.
-    Returns ``(x, levels, (next_b, Pe, Ph), (p, r))``: ``_level_gains``'
-    solve for (stop reward, stop, top mass), each level's battery in
-    units, the cut's carried chain and the moments per cell.
+    the positive harvest units (``_level_grid``).  The chain is cut at its
+    first levels, the top one absorbing, from 16 doubling until the top
+    holds stationary mass <= ``mass_tol`` or the cap is reached.  Only the
+    levels a cut adds get stop moments computed; ``moments`` spares the
+    first levels'.  ``plans`` is the dict of chain plans that a search or
+    a DP solve keeps for its own call on one model: each the structure of
+    a chain (``_level_gains``), keyed by the cut's shape and where the rule
+    may stop and skip.  Returns ``(x, levels, (next_b, Pe, Ph), (p, r))``:
+    ``_level_gains``' solve for (stop reward, stop, top mass), each level's
+    battery in units, the cut's carried chain and the moments per cell.
     """
     units = model.eh_units()
-    pos = units[units > 0]
-    step = int(np.gcd.reduce(pos)) if pos.size else 1
-    # an empty battery never moves when nothing is ever harvested
-    n_full = -(-model.b_max_units // step) + 1 if pos.size else 1
+    step, n_full = _level_grid(model)
     Pe = model.eh.transition
     Ph = np.ones((1, 1)) if model.private.is_iid \
         else model.private.chain.transition
     p, r = moments or (np.zeros((0, gamma.shape[1], len(Ph))),) * 2
-    n = max(min(16, n_full), len(p))
+    n = max(min(_FIRST_CUT, n_full), len(p))
     while True:
-        shape = (n, len(Pe), len(Ph))
-        if math.prod(shape) > MAX_DP_STATES:
-            raise StateSpaceTooLarge(
-                f"the rule's chain needs {math.prod(shape):,} cells "
-                f"(b_max_units {model.b_max_units}), more than "
-                f"{MAX_DP_STATES:,}")
+        shape = _cut_shape(model, n)
         new = np.arange(len(p), n)
         levels = np.minimum(np.arange(n) * step, model.b_max_units)
-        p_new, r_new = _level_moments(
-            model, levels[new], gamma[np.minimum(new, len(gamma) - 1)])
-        p, r = np.concatenate([p, p_new]), np.concatenate([r, r_new])
+        if len(new):
+            p_new, r_new = _level_moments(
+                model, levels[new], gamma[np.minimum(new, len(gamma) - 1)])
+            p, r = np.concatenate([p, p_new]), np.concatenate([r, r_new])
         cells = np.broadcast_to(p, shape), np.broadcast_to(r, shape)
         chain = (np.minimum(np.arange(n)[:, None] + units // step, n - 1),
                  Pe, Ph)
         top = np.zeros(shape)
         top[-1] = 1.0
         x = _level_gains(cells[0], *chain, np.column_stack(
-            [cells[1].ravel(), cells[0].ravel(), top.ravel()]))
+            [cells[1].ravel(), cells[0].ravel(), top.ravel()]), plans=plans)
         if n == n_full or x[0, 2] <= mass_tol:
             return x, levels, chain, cells
         n = min(2 * n, n_full)
@@ -348,7 +425,10 @@ def solve_markov(model: SystemModel, cfg: SolverConfig | None = None
     exponential gain is binned into ``common_bins`` equal-probability
     atoms.  Each outer step evaluates the current rule exactly on the
     driver's cut (``_rule_chain``), which it grows as the rule needs; its
-    pass over the levels gives the throughput and the relative values g.  The
+    pass over the levels gives the throughput and the relative values g.
+    The solve keeps one dict of chain plans (``_level_gains``), so that
+    steps whose rules stop and skip on the same cells of the same cut
+    share one structure; it lives for this call alone.  The
     improvement compares the stop rate with gamma = Cg - Cg[0], where Cg =
     E[g' | skip] and the stop side credits the restart value Cg[0] of the
     state components that survive the transmission slot.  The iteration
@@ -360,10 +440,10 @@ def solve_markov(model: SystemModel, cfg: SolverConfig | None = None
         for name, dist in (("private", model.private),
                            ("common", model.common))
         if dist.kind == "exponential"})
-    rule, moments = np.zeros((1, 1, 1)), None
+    rule, moments, plans = np.zeros((1, 1, 1)), None, {}
     for it in range(1, OUTER_MAX_ITERS + 1):
-        x, levels, (next_b, Pe, Ph), evaluated = _rule_chain(model, rule,
-                                                             moments)
+        x, levels, (next_b, Pe, Ph), evaluated = _rule_chain(
+            model, rule, moments, plans=plans)
         g = np.r_[0.0, x[1:, 0]].reshape(evaluated[0].shape)
         Cg = np.einsum("ef,bfg,hg->beh", Pe,
                        g[next_b, np.arange(len(Pe))], Ph)
@@ -539,6 +619,11 @@ def _exp_nodes(b, G, m):
 # Levels are handled a chunk at a time, at most this many array elements
 # (64 kB of float64) per chunk.  Chunks of 2 MB left the search workload's
 # peak memory 2 MB higher: the allocator keeps freed blocks of that size.
+# Two exponential gains hold some 40 floats per node at their peak (the
+# tail rate's one call on its joined pieces), so their chunks also take
+# at most a first cut's levels: a call over the grid scan's 21 first cuts
+# then peaks as one cut's call does.  At 39 levels a chunk it raised the
+# search workload's peak RSS by 1.5 MB.
 _CHUNK_ELEMS = 1 << 13
 
 
@@ -587,6 +672,8 @@ def _stop_moments(model: SystemModel, b: np.ndarray, gamma, private=None):
             (x, wx), (y, wy) = atoms(inv), atoms(other)
             per_level = len(wx) * len(wy)
         step = max(1, _CHUNK_ELEMS // per_level)
+        if _is_exponential(other):  # both gains are (see _CHUNK_ELEMS)
+            step = min(step, _FIRST_CUT)
         for lo in range(0, len(charged), step):
             idx = charged[lo:lo + step]
             bb, GG = b[idx, None], G[idx, None]
@@ -624,9 +711,29 @@ def threshold_metrics(model: SystemModel, gamma: float):
     which leaves the throughput unchanged and can lengthen the periods at
     gamma = 0.
     """
-    lam, stops, _ = _rule_chain(model, np.full((1, 1, 1),
-                                               check_gamma(gamma)))[0][0]
+    return _threshold_pair(model, check_gamma(gamma))
+
+
+def _threshold_pair(model: SystemModel, gamma: float, moments=None,
+                    plans: dict | None = None):
+    """``threshold_metrics`` of a checked threshold, with ``_rule_chain``'s
+    ``moments`` and ``plans``."""
+    lam, stops, _ = _rule_chain(model, np.full((1, 1, 1), gamma), moments,
+                                plans=plans)[0][0]
     return float(lam), (float(1.0 / stops) if stops > 0 else math.inf)
+
+
+def _grid_moments(model: SystemModel, grid: np.ndarray):
+    """The stop moments ``(p, r)`` of each threshold in ``grid`` on the
+    first cut of ``_rule_chain``, as it computes them for that threshold
+    alone, from one ``_level_moments`` call over every threshold's
+    levels."""
+    step, n_full = _level_grid(model)
+    n = _cut_shape(model, min(_FIRST_CUT, n_full))[0]
+    levels = np.minimum(np.arange(n) * step, model.b_max_units)
+    p, r = (m.reshape(len(grid), n, *m.shape[1:]) for m in _level_moments(
+        model, np.tile(levels, len(grid)), np.repeat(grid, n)[:, None, None]))
+    return list(zip(p, r))
 
 
 # the threshold search, which ``optimize_threshold`` states
@@ -648,17 +755,27 @@ def optimize_threshold(model: SystemModel):
     wins, the scan's on a tie; no threshold is evaluated twice.  Returns
     ``(gamma, (throughput, mean saving time))``, the pair being
     ``threshold_metrics`` at that gamma.
+
+    Each evaluation is ``threshold_metrics``' own, with two savings that
+    leave every bit as it is.  The scan's stop moments on the first cut of
+    the chain come from one pass over all 21 thresholds' levels
+    (``_grid_moments``).  And the search keeps one dict of chain plans for
+    this call alone: each plan holds a chain's structure, its closed
+    classes and the pin (``_level_gains``), keyed by the cut's shape and
+    where the rule may stop and skip, so that the evaluations whose chains
+    share that key build it once.
     """
     cache: dict[float, tuple[float, float]] = {}
+    plans: dict = {}
 
-    def f(gamma: float) -> float:
+    def f(gamma: float, moments=None) -> float:
         g = float(gamma)
         if g not in cache:
-            cache[g] = threshold_metrics(model, g)
+            cache[g] = _threshold_pair(model, g, moments, plans)
         return cache[g][0]
 
     grid = np.linspace(0.0, GAMMA_HI, GRID_POINTS)
-    grid_vals = [f(g) for g in grid]
+    grid_vals = [f(g, m) for g, m in zip(grid, _grid_moments(model, grid))]
     g_grid = float(grid[int(np.argmax(grid_vals))])
 
     invphi = (np.sqrt(5.0) - 1.0) / 2.0

@@ -506,28 +506,10 @@ def full_array_tail_rate(b, y, t, m):
         return np.where(y > 0, mixed, np.exp(-t / m) * alone(t))
 
 
-def _q_rho1(b, gamma, ps):
-    """(P(R >= gamma), E[R 1{R >= gamma}]) given battery b, gains exp(1).
-
-    The private gain is integrated in closed form above the gain where the
-    rate reaches gamma (found by bisection).  With access, the common gain
-    hc is integrated piecewise, with 48-point Gauss-Legendre rules between
-    the points where the integrand is not smooth: c1 = c0 / 2^gamma (the
-    threshold gain starts to fall), c0 = (2^gamma - 1) / b (it falls like
-    sqrt(c0 - hc) and jumps to 0), 1/b (the private-only regime ends) and
-    e + 1 for e = max(c0, 1/b) (in log hc from e, as hc -> 0 is singular);
-    [c1, c0] is taken in s with hc = c0 - (c0 - c1) s^2, and the tail past
-    e + 1 by the 128-point Gauss-Laguerre rule.
-    """
-    if b <= 0:
-        return (1.0, 0.0) if gamma <= 0 else (0.0, 0.0)
-    c = 2.0 ** gamma - 1.0
-    hs0 = c / b
-    q0 = np.exp(-hs0)
-    r0 = (np.log(b) * q0 + _tail_log(hs0, 1.0 / b)) / np.log(2.0)
-    if ps == 0.0:
-        return float(q0), float(r0)
-    c0 = c / b
+def _common_nodes(b, gamma):
+    """The common gain's nodes and weights at battery b > 0 for
+    ``_q_rho1``, and c0 = (2^gamma - 1) / b."""
+    c0 = (2.0 ** gamma - 1.0) / b
     c1 = c0 / 2.0 ** gamma
     e = max(c0, 1.0 / b)
     s_e = np.sqrt(min(max((c0 - 1.0 / b) / (c0 - c1), 0.0), 1.0)) \
@@ -548,26 +530,75 @@ def _q_rho1(b, gamma, ps):
         weights.append(wu * np.exp(-u))
     hc = np.concatenate(nodes + [e + 1.0 + GL_X])
     wc = np.concatenate(weights + [GL_W * np.exp(-(e + 1.0))])
+    return hc, wc, c0
+
+
+def _private_threshold(b, hc, gamma):
+    """The private gain at which the rate with battery b and common gain
+    hc reaches gamma > 0, elementwise (b an array like hc): the bracket
+    doubles from 1 until it holds the root, then 70 bisection steps."""
+    lo = np.full_like(hc, 1e-12)
+    hi = np.ones_like(hc)
+    for _ in range(200):
+        bad = _rate_vec(b, hi, hc) < gamma
+        if not bad.any():
+            break
+        hi[bad] *= 2.0
+    for _ in range(70):
+        mid = 0.5 * (lo + hi)
+        ok = _rate_vec(b, mid, hc) >= gamma
+        hi = np.where(ok, mid, hi)
+        lo = np.where(ok, lo, mid)
+    return hi
+
+
+def _q_rho1(bs, gamma, ps):
+    """(P(R >= gamma), E[R 1{R >= gamma}]) at each battery level of
+    ``bs``, gains exp(1), as a list of pairs.
+
+    The private gain is integrated in closed form above the gain where the
+    rate reaches gamma (found by bisection).  With access, the common gain
+    hc is integrated piecewise, with 48-point Gauss-Legendre rules between
+    the points where the integrand is not smooth: c1 = c0 / 2^gamma (the
+    threshold gain starts to fall), c0 = (2^gamma - 1) / b (it falls like
+    sqrt(c0 - hc) and jumps to 0), 1/b (the private-only regime ends) and
+    e + 1 for e = max(c0, 1/b) (in log hc from e, as hc -> 0 is singular);
+    [c1, c0] is taken in s with hc = c0 - (c0 - c1) s^2, and the tail past
+    e + 1 by the 128-point Gauss-Laguerre rule.  The bisection runs on
+    every level's nodes at once; it is elementwise, so each level's nodes
+    take the steps they take alone, and each level's sums are its own.
+    """
+    out, access = [], []  # access: (index, b, q0, r0, hc, wc, c0)
+    for b in bs:
+        if b <= 0:
+            out.append((1.0, 0.0) if gamma <= 0 else (0.0, 0.0))
+            continue
+        hs0 = (2.0 ** gamma - 1.0) / b
+        q0 = np.exp(-hs0)
+        r0 = (np.log(b) * q0 + _tail_log(hs0, 1.0 / b)) / np.log(2.0)
+        if ps == 0.0:
+            out.append((float(q0), float(r0)))
+            continue
+        access.append((len(out), b, q0, r0, *_common_nodes(b, gamma)))
+        out.append(None)
+    if not access:
+        return out
+    index, b_a, q0_a, r0_a, hc_a, wc_a, c0_a = zip(*access)
+    sizes = [len(hc) for hc in hc_a]
+    hc = np.concatenate(hc_a)
     if gamma <= 0:
         hstar = np.zeros_like(hc)
     else:
-        lo = np.full_like(hc, 1e-12)
-        hi = np.ones_like(hc)
-        for _ in range(200):
-            bad = _rate_vec(b, hi, hc) < gamma
-            if not bad.any():
-                break
-            hi[bad] *= 2.0
-        for _ in range(70):
-            mid = 0.5 * (lo + hi)
-            ok = _rate_vec(b, mid, hc) >= gamma
-            hi = np.where(ok, mid, hi)
-            lo = np.where(ok, lo, mid)
         # past c0 the common gain alone reaches gamma
-        hstar = np.where(hc >= c0, 0.0, hi)
-    q1 = np.sum(wc * np.exp(-hstar))
-    r1 = np.sum(wc * _tail_rate_bits(b, hc, hstar))
-    return float((1 - ps) * q0 + ps * q1), float((1 - ps) * r0 + ps * r1)
+        hstar = np.where(hc >= np.repeat(c0_a, sizes), 0.0,
+                         _private_threshold(np.repeat(b_a, sizes), hc, gamma))
+    for i, b, q0, r0, hc, wc, h in zip(index, b_a, q0_a, r0_a, hc_a, wc_a,
+                                       np.split(hstar, np.cumsum(sizes)[:-1])):
+        q1 = np.sum(wc * np.exp(-h))
+        r1 = np.sum(wc * _tail_rate_bits(b, hc, h))
+        out[i] = (float((1 - ps) * q0 + ps * q1),
+                  float((1 - ps) * r0 + ps * r1))
+    return out
 
 
 def exact_threshold_metrics(gamma, ps, e_values=(0.0, 4.0),
@@ -583,10 +614,7 @@ def exact_threshold_metrics(gamma, ps, e_values=(0.0, 4.0),
     step = np.gcd.reduce([int(round(v)) for v in e_values if v > 0] or [1])
     bs = np.arange(0.0, b_hi + step, step)
     n = len(bs)
-    q = np.zeros(n)
-    r1 = np.zeros(n)
-    for i, b in enumerate(bs):
-        q[i], r1[i] = _q_rho1(float(b), gamma, ps)
+    q, r1 = np.array(_q_rho1(bs.tolist(), gamma, ps)).T
     tau = np.ones(n)
     rho = r1.copy()
     p0 = float(e_probs[e_values == 0].sum())
@@ -603,6 +631,45 @@ def exact_threshold_metrics(gamma, ps, e_values=(0.0, 4.0),
     eT = float(sum(p * tau[i] for i, p in zip(start_idx, e_probs)))
     eR = float(sum(p * rho[i] for i, p in zip(start_idx, e_probs)))
     return eR / eT, eT
+
+
+def reference_threshold_search(model):
+    """``savetx.optimize_threshold``'s grid scan and golden-section search
+    as a loop over ``threshold_metrics``, each threshold evaluated alone:
+    no moments shared over the grid, no chain structure shared between
+    evaluations.  The search must return this ``(gamma, pair)``."""
+    import savetx as sx
+    from savetx.solver import GAMMA_HI, GOLDEN_TOL, GRID_POINTS
+
+    cache = {}
+
+    def f(gamma):
+        g = float(gamma)
+        if g not in cache:
+            cache[g] = sx.threshold_metrics(model, g)
+        return cache[g][0]
+
+    grid = np.linspace(0.0, GAMMA_HI, GRID_POINTS)
+    grid_vals = [f(g) for g in grid]
+    g_grid = float(grid[int(np.argmax(grid_vals))])
+
+    invphi = (np.sqrt(5.0) - 1.0) / 2.0
+    a, b = 0.0, GAMMA_HI
+    c, d = b - invphi * (b - a), a + invphi * (b - a)
+    fc, fd = f(c), f(d)
+    while b - a > GOLDEN_TOL:
+        if fc > fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = f(d)
+    g_golden = float(0.5 * (a + b))
+
+    best = max([g_grid, g_golden], key=f)
+    return best, cache[best]
 
 
 # ---------------------------------------------------------------------------

@@ -13,13 +13,13 @@ import savetx.simulate
 import savetx.solver
 from savetx.errors import NoConvergence, PeriodOverflow, ReducibleChain
 from savetx.tables import format_value
-from savetx.solver import _level_gains, _rule_chain, _stop_moments, \
-    _tail_rate, _threshold_gain
+from savetx.solver import _grid_moments, _level_gains, _level_moments, \
+    _rule_chain, _stop_moments, _tail_rate, _threshold_gain
 
 from oracles import SmallConfig, chain_gains, enumerate_best_policy, \
     exact_threshold_metrics, fig3_oracle_config, full_array_tail_rate, \
     grid_rule, markov_workload_config, policy_gains, random_small_config, \
-    slot_kernel
+    reference_threshold_search, slot_kernel
 
 
 def fig3_model(p_s):
@@ -203,9 +203,9 @@ class TestSolveMarkov:
         # engine's table has a row per unit, each level's row repeated
         seen = []
 
-        def spy(p, *args):
+        def spy(p, *args, **kwargs):
             seen.append(p.size)
-            return _level_gains(p, *args)
+            return _level_gains(p, *args, **kwargs)
 
         monkeypatch.setattr(savetx.solver, "_level_gains", spy)
         cfg = markov_workload_config()
@@ -630,9 +630,9 @@ def solved_chains(monkeypatch, run):
     refuses, while ``run()`` runs, and the error ``run`` raised."""
     seen = []
 
-    def spy(*args):
+    def spy(*args, **kwargs):
         seen.append(args)
-        return _level_gains(*args)
+        return _level_gains(*args, **kwargs)
 
     with monkeypatch.context() as patch:
         patch.setattr(savetx.solver, "_level_gains", spy)
@@ -1199,3 +1199,103 @@ class TestOneClosedClass:
                                              model.access, 2.0)):
             with pytest.raises(ReducibleChain):
                 run()
+
+
+# the model of the benchmark's search workload, a fig8 table
+SEARCH_MODEL = {"private": {"kind": "exponential", "mean": 1.0},
+                "common": {"kind": "exponential", "mean": 1.0},
+                "eh": {"preset": "a"}, "delta": 1.0, "b_max_units": "large"}
+
+
+def search_model(p_s):
+    return sx.validate_config(
+        {"experiment": "fig8", **SEARCH_MODEL}).build_model(p_s)
+
+
+def plan_models():
+    """Models of every stop-moment route: fig8's exponential gains with
+    and without access, fig3's Markov private gain, i.i.d. atoms, and a
+    transient harvest state."""
+    rng = np.random.default_rng(32)
+    fig8 = sx.validate_config({"experiment": "fig8"})
+    return {
+        **{f"fig8 p_s {p_s}": fig8.build_model(p_s)
+           for p_s in (0.0, 0.5, 1.0)},
+        "fig3 Markov private": fig3_model(0.5),
+        "atoms": iid_model_of(with_iid_private(random_small_config(rng),
+                                               rng)),
+        "transient harvest": replace(iid_model(0.5), eh=TRANSIENT_EH),
+    }
+
+
+class TestChainPlans:
+    """The search shares its grid's stop moments and, with the DP, each
+    chain's structure; neither moves a bit of any result."""
+
+    def test_grid_moments_are_single_calls(self):
+        grid = np.linspace(0.0, savetx.solver.GAMMA_HI,
+                           savetx.solver.GRID_POINTS)
+        for name, model in plan_models().items():
+            levels = grid_levels(model)[:16]
+            batched = _grid_moments(model, grid)
+            assert len(batched) == len(grid), name
+            for g, got in zip(grid, batched):
+                want = _level_moments(model, levels,
+                                      np.full((len(levels), 1, 1), g))
+                for a, b in zip(got, want):
+                    assert a.shape == b.shape, name
+                    assert a.tobytes() == b.tobytes(), (name, g)
+
+    def test_search_equals_per_threshold_search(self):
+        for name, model in plan_models().items():
+            assert sx.optimize_threshold(model) == \
+                reference_threshold_search(model), name
+
+    def test_three_plans_per_search(self, monkeypatch):
+        """On the search workload's model each search solves 43 (p_s 0)
+        and 39 (p_s 0.5) chains of 3 structures, and its grid's 21 first
+        cuts take one ``_level_moments`` call; every later solve computes
+        the levels its cut adds."""
+        calls = {"plans": 0, "solves": 0, "moments": []}
+
+        def chain_plan(*args):
+            calls["plans"] += 1
+            return plan(*args)
+
+        def level_gains(*args, **kwargs):
+            calls["solves"] += 1
+            return gains(*args, **kwargs)
+
+        def level_moments(model, levels, gamma):
+            calls["moments"].append(len(levels))
+            return moments(model, levels, gamma)
+
+        plan, gains, moments = (savetx.solver._chain_plan, _level_gains,
+                                _level_moments)
+        monkeypatch.setattr(savetx.solver, "_chain_plan", chain_plan)
+        monkeypatch.setattr(savetx.solver, "_level_gains", level_gains)
+        monkeypatch.setattr(savetx.solver, "_level_moments", level_moments)
+        for p_s, solves in ((0.0, 43), (0.5, 39)):
+            calls.update(plans=0, solves=0, moments=[])
+            sx.optimize_threshold(search_model(p_s))
+            assert calls["plans"] == 3
+            assert calls["solves"] == solves
+            assert calls["moments"][0] == 21 * 16
+            assert len(calls["moments"]) == 1 + solves - 21
+
+    def test_refused_on_every_evaluation(self, monkeypatch):
+        """Chains with two closed classes share one plan, and each
+        evaluation is refused with the oracle's count."""
+        model = replace(iid_model(0.5), eh=TWO_CLASSES)
+        plans = {}
+        for gamma in np.linspace(0.0, 4.0, 9):
+            chains, err = solved_chains(monkeypatch, lambda: _rule_chain(
+                model, np.full((1, 1, 1), gamma), plans=plans))
+            assert err is not None
+            assert str(err) == oracle_verdict(*chains[-1])
+            with pytest.raises(ReducibleChain) as again:
+                _level_gains(*chains[-1], plans=plans)
+            assert str(again.value) == str(err)
+        assert len(plans) < 9
+        with pytest.raises(ReducibleChain):
+            sx.optimize_threshold(model)
