@@ -26,7 +26,6 @@ from .models import (
     stationary_distribution,
 )
 from .power import (
-    WaterLevel,
     solve_water_level,
     stop_rate,
 )
@@ -62,7 +61,7 @@ __all__ = [
     "SystemModel", "stationary_distribution",
     "make_eh_preset", "discretize_gain",
     # power
-    "WaterLevel", "stop_rate", "solve_water_level",
+    "stop_rate", "solve_water_level",
     # solver
     "SolverConfig", "ValueTable", "solve_markov", "threshold_metrics",
     "optimize_threshold",

@@ -57,7 +57,6 @@ class ExperimentConfig:
     gamma_grid: list[float]
     gamma_modes: list
     p_bar: float
-    log_base: float
     private: dict
     common: dict
     eh: dict
@@ -75,7 +74,6 @@ class ExperimentConfig:
             eh=_eh_from_block(eh_block, self.delta),
             b_max_units=self.b_max_units,
             delta=self.delta,
-            log_base=self.log_base,
         )
 
     def simulate(self, model, policies, trace_path=None) -> list:
@@ -119,7 +117,6 @@ def default_config(experiment: str) -> dict:
     base = {
         "experiment": experiment,
         "seed": 20240501,
-        "log_base": 2,
         "gamma_modes": [1.5, 2.0, "optimal"],
         "eh_models": ["a", "b", "c", "d"],
         "solver": {},
@@ -291,14 +288,6 @@ def validate_config(raw) -> ExperimentConfig:
             _fail("gamma_modes", f"entries must be finite numbers >= 0 or "
                                  f"'optimal', got {m!r}")
 
-    log_base = merged["log_base"]
-    if log_base in (2, 2.0):
-        log_base = 2.0
-    elif log_base in ("e", np.e):
-        log_base = float(np.e)
-    else:
-        _fail("log_base", "must be 2 or \"e\"")
-
     eh_models = _as_list(merged["eh_models"], "eh_models")
     for name in eh_models:
         if name not in ("a", "b", "c", "d"):
@@ -331,7 +320,7 @@ def validate_config(raw) -> ExperimentConfig:
     cfg = ExperimentConfig(
         experiment=experiment, seed=seed, delta=delta, b_max_units=b_max,
         p_s_grid=[float(v) for v in ps_grid], gamma_grid=gamma_grid,
-        gamma_modes=modes, p_bar=p_bar, log_base=log_base,
+        gamma_modes=modes, p_bar=p_bar,
         private=merged["private"], common=merged["common"], eh=merged["eh"],
         eh_models=eh_models, solver=solver, mc=mc,
     )

@@ -275,7 +275,7 @@ class SystemModel:
     """Full environment for one transmitter.
 
     Bundles the private/common channel models, the access model, the
-    harvesting chain, battery quantization, and the rate log base.
+    harvesting chain and battery quantization.  Rates on it are in bits.
     """
 
     private: GainDistribution
@@ -284,7 +284,6 @@ class SystemModel:
     eh: MarkovChainSpec
     b_max_units: int
     delta: float = 1.0
-    log_base: float = 2.0
 
     def __post_init__(self):
         # bool is an Integral too, so it is refused by name
@@ -293,8 +292,6 @@ class SystemModel:
             raise ValueError("b_max_units: must be an integer >= 1")
         if _reals(self.delta, "delta") <= 0:
             raise ValueError("delta: must be > 0")
-        if self.log_base not in (2.0, np.e):
-            raise ValueError("log_base must be 2 or e")
         if self.common.kind == "markov":
             raise ValueError("common: common gains must be i.i.d.")
         # Harvest amounts must land on the battery grid.

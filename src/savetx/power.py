@@ -1,13 +1,14 @@
 """Slot rates and power allocation over the private/common channel pair.
 
-Two budget regimes: ``stop_rate`` spends a whole battery in one slot (the
-save-then-transmit case), water-filling it over both channels when the
-common channel is held; ``solve_water_level`` finds the level xi at which
-the water-filling powers (1/xi - 1/gain)^+ meet an average-power
-constraint (the conventional-supply benchmark, spent by
-``simulate.run_conventional_supply``): the smallest float at which the
-exact mean power does not exceed the target, found by bisection on that
-nonincreasing curve.
+Rates are in bits per slot, log2(1 + gain * power), as are the rate
+thresholds gamma.  Two budget regimes: ``stop_rate`` spends a whole
+battery in one slot (the save-then-transmit case), water-filling it over
+both channels when the common channel is held; ``solve_water_level``
+finds the level xi at which the water-filling powers (1/xi - 1/gain)^+
+meet an average-power constraint (the conventional-supply benchmark,
+spent by ``simulate.run_conventional_supply``): the smallest float at
+which the exact mean power does not exceed the target, found by bisection
+on that nonincreasing curve.
 ``stop_rate`` is branch-free arithmetic over the broadcast arguments, with
 no access taken as a common channel of gain 0: the interior split, clipped
 to the budget, is the water-filling split, and only entries whose gains
@@ -21,7 +22,6 @@ a closed form in the exponential integral E1, evaluated in-package
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,29 +29,13 @@ from .errors import NoBracket, NoConvergence
 from .models import AccessModel, GainDistribution, _atoms, _reals
 
 __all__ = [
-    "WaterLevel",
     "stop_rate",
     "solve_water_level",
 ]
 
 
-@dataclass(frozen=True)
-class WaterLevel:
-    """Lagrange multiplier of the average-power constraint."""
-
-    xi: float
-
-    def __post_init__(self):
-        if _reals(self.xi, "xi") <= 0:  # NaN and inf are refused by name
-            raise ValueError("xi: water level must be > 0")
-
-
-def _log(x, base: float, out=None):
-    return (np.log2 if base == 2.0 else np.log)(x, out=out)
-
-
-def stop_rate(b, h, hc, phi, base: float = 2.0):
-    """Rate when the whole battery is spent this slot.
+def stop_rate(b, h, hc, phi):
+    """Rate, in bits, when the whole battery is spent this slot.
 
     With channel access the budget is water-filled across both channels:
     an interior split equalizes 1/gain + power, otherwise the whole budget
@@ -89,13 +73,13 @@ def stop_rate(b, h, hc, phi, base: float = 2.0):
         if lost.any():
             p_pri = np.where(lost, b * (h >= cc), p_pri)
         rate = np.multiply(h, p_pri, out=np.empty(shape))
-        _log(np.add(rate, 1.0, out=rate), base, out=rate)
+        np.log2(np.add(rate, 1.0, out=rate), out=rate)
         common = np.subtract(b, p_pri, out=p_pri)
         common *= cc
-        rate += _log(np.add(common, 1.0, out=common), base, out=common)
+        rate += np.log2(np.add(common, 1.0, out=common), out=common)
     else:
         rate = np.multiply(h, b, out=np.empty(shape))
-        _log(np.add(rate, 1.0, out=rate), base, out=rate)
+        np.log2(np.add(rate, 1.0, out=rate), out=rate)
     return rate if rate.shape else float(rate)
 
 
@@ -150,10 +134,11 @@ def _power_curve(dist: GainDistribution):
 
 
 def solve_water_level(private: GainDistribution, common: GainDistribution,
-                      access: AccessModel, p_bar: float) -> WaterLevel:
-    """The water level xi of an average power ``p_bar``: the smallest float
-    in [1e-12, 1e12] whose mean power E[P(H)] + p_s E[Pc(Hc)] does not
-    exceed p_bar, so the constraint holds at the level returned.
+                      access: AccessModel, p_bar: float) -> float:
+    """The water level xi of an average power ``p_bar``, the Lagrange
+    multiplier of that constraint, as a float: the smallest float in
+    [1e-12, 1e12] whose mean power E[P(H)] + p_s E[Pc(Hc)] does not exceed
+    p_bar, so the constraint holds at the level returned.
 
     The mean power (``_power_curve``, exact) is nonincreasing in xi, so
     bisection finds that float: geometric midpoints while the bracket spans
@@ -182,7 +167,7 @@ def solve_water_level(private: GainDistribution, common: GainDistribution,
     if top < p_bar or total(hi) > p_bar:
         raise NoBracket("average power target cannot be bracketed")
     if top == p_bar:
-        return WaterLevel(lo)
+        return lo
     # total(lo) > p_bar >= total(hi) from here on
     while math.nextafter(lo, hi) < hi:
         mid = math.sqrt(lo * hi) if hi > 2 * lo else (lo + hi) / 2
@@ -190,4 +175,4 @@ def solve_water_level(private: GainDistribution, common: GainDistribution,
             lo = mid
         else:
             hi = mid
-    return WaterLevel(hi)
+    return hi

@@ -68,7 +68,8 @@ SLOT_CAP = 1_000_000
 class Policy:
     """Stopping rule of the period engine: stop once the slot's rate meets
     ``gamma[b, e, h]``, a read-only table on (battery units, harvest state,
-    private-gain state); an axis of length 1 applies to all its states."""
+    private-gain state); an axis of length 1 applies to all its states.
+    An entry may be below 0 or infinite, but not NaN."""
 
     gamma: np.ndarray
 
@@ -76,6 +77,9 @@ class Policy:
         gamma = np.array(self.gamma, dtype=float)  # a read-only copy
         if gamma.ndim != 3:
             raise ValueError("gamma: a rule table has 3 axes")
+        # a NaN entry never stops, so its lanes would run to the slot cap
+        if np.isnan(gamma).any():
+            raise ValueError("gamma: a rule table holds no NaN")
         gamma.setflags(write=False)
         object.__setattr__(self, "gamma", gamma)
 
@@ -375,7 +379,7 @@ def _refill(take, recording, taken, n_periods: int):
 
 
 def _run_block(policies, model, warm_per_lane: int, n_periods: int, rng,
-               lanes: int, slot_cap: int, trace: bool = False):
+               lanes: int, trace: bool = False):
     """One refill pass of the period engine: ``lanes`` lanes per rule, one
     row of lanes per rule, against a queue of ``n_periods`` period indices
     per row.  ``model`` is one model for every rule, or a list of one per
@@ -399,7 +403,7 @@ def _run_block(policies, model, warm_per_lane: int, n_periods: int, rng,
     needs indices, and only the traced row keeps them.  Work that can no
     longer change anything is skipped: the warm-up count once every lane
     has ended its warm-up, the leave test until some row's queue is out,
-    and the overflow test until the pass is longer than ``slot_cap``.
+    and the overflow test until the pass is longer than ``SLOT_CAP``.
 
     Returns one Metrics per rule and, when ``trace``, the first rule's
     records ``T``, ``rate``, ``b``, ``phi``, ``h`` and ``hc`` in period
@@ -419,7 +423,6 @@ def _run_block(policies, model, warm_per_lane: int, n_periods: int, rng,
     gammas = _rule_tables(policies, model)
     nb, ne, nh = gammas.shape[1:]
     cap = model.b_cap
-    base = model.log_base
 
     # initial carry: one harvest as the first battery, gain chain from its
     # stationary law
@@ -459,8 +462,8 @@ def _run_block(policies, model, warm_per_lane: int, n_periods: int, rng,
         slots += 1
         T_cur += 1
         # no period is longer than the pass so far
-        if slots > slot_cap and T_cur.max() > slot_cap:
-            raise PeriodOverflow(f"period exceeded {slot_cap} slots")
+        if slots > SLOT_CAP and T_cur.max() > SLOT_CAP:
+            raise PeriodOverflow(f"period exceeded {SLOT_CAP} slots")
         if t == _BLOCK:
             us, hs, hcs, harvests = stream.fill()
             if ne > 1 or nh > 1:
@@ -468,7 +471,7 @@ def _run_block(policies, model, warm_per_lane: int, n_periods: int, rng,
             t = 0
         u, h, hc, e_val = us[t], hs[t], hcs[t], harvests[t]
         phi = _access(u, p_s[live] if mixed else p_s)
-        rate = stop_rate(b, h, hc, phi, base)
+        rate = stop_rate(b, h, hc, phi)
         # unlike the rule the solvers evaluate, which never stops at b = 0,
         # this stops at an empty battery (0 >= gamma[0] = 0).  Masking that
         # stop gave the markov benchmark's DP rows a mean z of +0.01 and
@@ -633,7 +636,7 @@ def run_policies(policies, model, n_periods: int, seed: int, *,
     if not policies:
         return []
     metrics, rec = _run_block(policies, model, -(-warmup_periods // streams),
-                              n_periods, _rng(seed), streams, SLOT_CAP,
+                              n_periods, _rng(seed), streams,
                               trace_path is not None)
     if trace_path is not None:
         cols = [rec[k] for k in ("T", "b", "phi", "h", "hc", "rate")]
@@ -689,7 +692,6 @@ def run_conventional_supply(model, p_bar: float, n_slots: int, seed: int,
               for m in models]
     model = models[0]
     slots = -(-n_slots // streams)
-    logf = np.log2 if model.log_base == 2.0 else np.log
     stream = _SlotStream(model, _rng(seed), streams, walk_harvest=False)
 
     # per model and lane: rate and power, less each model's first values
@@ -725,14 +727,14 @@ def run_conventional_supply(model, p_bar: float, n_slots: int, seed: int,
             np.less(u, m.access.p_s, out=on)
             # water-fill (1/xi - 1/gain)^+ on each channel; off access
             # pc = 0, whose term log(1 + hc pc) is exactly 0
-            top = 1.0 / level.xi
+            top = 1.0 / level
             np.maximum(np.subtract(top, inv_h, out=p), 0.0, out=p)
             np.maximum(np.subtract(top, inv_hc, out=pc), 0.0, out=pc)
             pc *= on
-            logf(np.add(np.multiply(h, p, out=cv), 1.0, out=cv), out=cv)
+            np.log2(np.add(np.multiply(h, p, out=cv), 1.0, out=cv), out=cv)
             p += pc  # the power spent
-            cv += logf(np.add(np.multiply(hc, pc, out=pc), 1.0, out=pc),
-                       out=pc)
+            cv += np.log2(np.add(np.multiply(hc, pc, out=pc), 1.0, out=pc),
+                          out=pc)
             spend(k, 0, cv)
             spend(k, 1, p)
     # a supply's period is one slot, so each lane's T and count are its
@@ -742,7 +744,7 @@ def run_conventional_supply(model, p_bar: float, n_slots: int, seed: int,
                      se_saving_time=0.0, realized_avg_power=_fold(
                          c_power, T, power, T,
                          cap_hit_fraction=0.0).throughput,
-                     water_level=level.xi)
+                     water_level=level)
                for (c_rate, c_power), (rate, power), level in zip(
                    shifts.tolist(), sums, levels)]
     return metrics if grid else metrics[0]

@@ -649,7 +649,7 @@ def _stop_moments(model: SystemModel, b: np.ndarray, gamma, private=None):
     gamma = np.broadcast_to(gamma, b.shape)
     # Python's power, not numpy's, which differs in the last bit: a level
     # gets the G of a call with its threshold alone
-    G = np.array([model.log_base ** g for g in gamma.tolist()])
+    G = np.array([2.0 ** g for g in gamma.tolist()])
 
     def atoms(gain):  # (values on (level, atom) axes, weights)
         v, w = _atoms(gain) if isinstance(gain, GainDistribution) \
@@ -685,12 +685,13 @@ def _stop_moments(model: SystemModel, b: np.ndarray, gamma, private=None):
                     y = y[idx]
                 t = _threshold_gain(bb, y, GG)
                 stop_p = (np.exp(-t / inv.mean) * wy).sum(axis=-1)
+                # to bits: _tail_rate is in nats
                 stop_r = (_tail_rate(bb, y, t, inv.mean) * wy).sum(axis=-1) \
-                    / math.log(model.log_base)
+                    / math.log(2.0)
             else:
                 # axes (level, private atom, common atom)
                 rate = stop_rate(bb[:, :, None], x[idx, :, None],
-                                 y[idx, None, :], phi, model.log_base)
+                                 y[idx, None, :], phi)
                 stop = rate >= gamma[idx, None, None]
                 stop_p = np.einsum("lij,i,j->l", stop.astype(float), wx, wy)
                 stop_r = np.einsum("lij,i,j->l", np.where(stop, rate, 0.0),

@@ -26,26 +26,27 @@ LEG_X, LEG_W = np.polynomial.legendre.leggauss(48)
 LEG_X, LEG_W = 0.5 * (LEG_X + 1.0), 0.5 * LEG_W
 
 
-def oracle_rate(b, h, hc, phi, base=2.0):
+def oracle_rate(b, h, hc, phi):
     """Stop rate via the water-level closed form (not the split cases)."""
-    logf = np.log2 if base == 2.0 else np.log
     if b <= 0:
         return 0.0
     if phi == 0 or hc <= 0:
-        return float(logf(1 + h * b)) if h > 0 else 0.0
+        return float(np.log2(1 + h * b)) if h > 0 else 0.0
     if h <= 0:
-        return float(logf(1 + hc * b))
+        return float(np.log2(1 + hc * b))
     if abs(1 / hc - 1 / h) < b:
         w = 0.5 * (b + 1 / h + 1 / hc)
-        return float(logf(h * hc * w * w))
+        return float(np.log2(h * hc * w * w))
     g = max(h, hc)
-    return float(logf(1 + g * b))
+    return float(np.log2(1 + g * b))
 
 
 def where_stop_rate(b, h, hc, phi, base=2.0):
     """``savetx.stop_rate`` as the branches it clips together, each case
     selected by ``np.where`` over the broadcast arguments: the same
-    per-element arithmetic, so the two agree bit for bit."""
+    per-element arithmetic, so in bits the two agree bit for bit.  With
+    ``base=np.e`` it gives the same rates in nats, the unit in which the
+    solver carries them (bits times ln 2)."""
     logf = np.log2 if base == 2.0 else np.log
     b, h, hc, phi = (np.asarray(a) for a in (b, h, hc, phi))
     b = np.fmax(b, 0.0)  # fmax also sends a NaN battery to 0
@@ -68,11 +69,10 @@ def where_stop_rate(b, h, hc, phi, base=2.0):
     return rate if rate.shape else float(rate)
 
 
-def best_grid_split(b, h, hc, n=10_000, base=2.0):
+def best_grid_split(b, h, hc, n=10_000):
     """Exhaustive split search for the two-channel allocation."""
-    logf = np.log2 if base == 2.0 else np.log
     p = np.linspace(0.0, b, n + 1)
-    rates = logf(1 + h * p) + logf(1 + hc * (b - p))
+    rates = np.log2(1 + h * p) + np.log2(1 + hc * (b - p))
     k = int(np.argmax(rates))
     return float(rates[k]), float(p[k])
 
@@ -111,14 +111,13 @@ def water_fill_two_channel(budget, h_private, h_common) -> Split:
     return Split(0.0, budget)
 
 
-def split_rate(phi, h, hc, split: Split, base=2.0) -> float:
+def split_rate(phi, h, hc, split: Split) -> float:
     """Slot rate of a given power split; common power needs access."""
     if phi == 0 and split.p_common > 0:
         raise ValueError("common power assigned without channel access")
-    logf = np.log2 if base == 2.0 else np.log
-    r = logf(1.0 + h * split.p_private)
+    r = np.log2(1.0 + h * split.p_private)
     if phi == 1:
-        r += logf(1.0 + hc * split.p_common)
+        r += np.log2(1.0 + hc * split.p_common)
     return float(r)
 
 
@@ -132,13 +131,13 @@ def split_rate(phi, h, hc, split: Split, base=2.0) -> float:
 # applies it.
 
 
-def conventional_power(h, level):
+def conventional_power(h, xi):
     """Water-filling power (1/xi - 1/h)^+ of a conventional supply at the
-    water level ``level``; a gain of 0, or one below 1/DBL_MAX whose
+    water level ``xi``; a gain of 0, or one below 1/DBL_MAX whose
     reciprocal overflows, gets power 0."""
     h = np.asarray(h, dtype=float)
     with np.errstate(divide="ignore", over="ignore"):
-        p = np.where(h > 0, 1.0 / level.xi - 1.0 / np.where(h > 0, h, 1.0),
+        p = np.where(h > 0, 1.0 / xi - 1.0 / np.where(h > 0, h, 1.0),
                      0.0)
     p = np.maximum(p, 0.0)
     return float(p) if p.shape == () else p
@@ -274,7 +273,7 @@ def run_period(policy, model, rng, carry: SimCarry | None = None,
         hc = _draw_gain(model.common, rng)
         state = SystemState(phi=phi, b=b, e_prev=model.eh.states[e_idx],
                             h=float(h), h_common=float(hc))
-        rate = float(sx.stop_rate(b, h, hc, phi, model.log_base))
+        rate = float(sx.stop_rate(b, h, hc, phi))
         stop = _decide_stop(policy, model, b, e_idx, h_idx, rate)
         e_idx = _draw_index(np.cumsum(model.eh.transition[e_idx]), rng)
         e_val = model.eh.states[e_idx]
@@ -386,7 +385,6 @@ def run_supplies_per_slot(model, level, n_slots, seed, *, streams=512):
     from savetx import simulate as sim
 
     slots = -(-n_slots // streams)
-    logf = np.log2 if model.log_base == 2.0 else np.log
     draws = SlotDraws(model, np.random.Generator(np.random.PCG64(
         np.random.SeedSequence(seed).spawn(1)[0])), streams)
     budget = draws.harvest0
@@ -398,9 +396,9 @@ def run_supplies_per_slot(model, level, n_slots, seed, *, streams=512):
         phi = (u < model.access.p_s).astype(np.int8)
         p = conventional_power(h, level)
         pc = np.where(phi == 1, conventional_power(hc, level), 0.0)
-        values = (sx.stop_rate(budget, h, hc, phi, model.log_base),
-                  logf(1.0 + h * p) + np.where(phi == 1,
-                                               logf(1.0 + hc * pc), 0.0),
+        values = (sx.stop_rate(budget, h, hc, phi),
+                  np.log2(1.0 + h * p)
+                  + np.where(phi == 1, np.log2(1.0 + hc * pc), 0.0),
                   p + pc)
         if shifts is None:
             shifts = [float(v[0]) for v in values]
@@ -422,7 +420,7 @@ def run_supplies_per_slot(model, level, n_slots, seed, *, streams=512):
             cap_hit_fraction=0.0, **fields)
 
     return metrics(0), metrics(1, realized_avg_power=sim._mean_about(
-        shifts[2], dev[2], count), water_level=level.xi)
+        shifts[2], dev[2], count), water_level=level)
 
 
 def best_effort_exact(model) -> float:

@@ -185,7 +185,7 @@ def test_criterion_04_scheme_ordering(fig3_sims):
         assert full["conventional"].se_throughput == 0.0
         model = fig3_model(1.0)
         xi = sx.solve_water_level(model.private, model.common, model.access,
-                                  1e-3).xi
+                                  1e-3)
         assert_scheme_order(1.0, full, 3 * np.spacing(1 / xi) / 1e-3)
         # fig3's one-unit battery stops every charged slot under both
         # rules, so its rows are one row; a 20-unit battery lets the DP

@@ -283,8 +283,11 @@ class TestValidateConfig:
         assert cfg.p_s_grid == [0.25]
 
     def test_bad_log_base(self):
-        with pytest.raises(ConfigError, match="log_base"):
-            sx.validate_config({"experiment": "fig4", "log_base": 10})
+        # rates are in bits alone: the rate's log base is no setting
+        for value in (2, "e", 10):
+            with pytest.raises(ConfigError,
+                               match=r"^config\.log_base: unknown key"):
+                sx.validate_config({"experiment": "fig4", "log_base": value})
 
     def test_bad_preset(self):
         with pytest.raises(ConfigError, match="eh_models"):
@@ -463,7 +466,7 @@ class TestSchemeTables:
         for p_s in self.GRID:
             model = cfg.build_model(p_s)
             assert stats["water_level"][str(p_s)] == sx.solve_water_level(
-                model.private, model.common, model.access, cfg.p_bar).xi
+                model.private, model.common, model.access, cfg.p_bar)
         assert [line.split(",")[:2] for line in lines[1:]] == [
             [f"{p:g}", scheme] for p in self.GRID
             for scheme in ("opportunistic", "best_effort", "conventional")]

@@ -119,10 +119,6 @@ class TestRateAtStop:
     def test_empty_battery(self):
         assert sx.stop_rate(0.0, 1.0, 1.0, 1) == 0.0
 
-    def test_natural_log_base(self):
-        assert sx.stop_rate(2.0, 1.0, 1.0, 0, base=np.e) == pytest.approx(
-            np.log(3.0), rel=1e-12)
-
     def test_scalars_give_float(self):
         for phi in (0, 1):
             assert type(sx.stop_rate(1.0, 2.0, 3.0, phi)) is float
@@ -168,8 +164,17 @@ class TestRateAtStop:
 
 class TestStopRateOracle:
     """``stop_rate`` clips the interior split; ``where_stop_rate`` selects
-    each case with ``np.where``.  They agree bit for bit, also where a
-    gain's reciprocal overflows."""
+    each case with ``np.where``.  In bits they agree bit for bit, also
+    where a gain's reciprocal overflows.  Each test also takes the bits to
+    log base ``base`` by the factor ln 2 / ln base, as the solver takes
+    them to nats: the factor is exactly 1 for bits, and in nats the result
+    is the oracle's nats to within a few ulps."""
+
+    @staticmethod
+    def assert_in_base(bits, base, want):
+        np.testing.assert_allclose(
+            bits * (math.log(2.0) / math.log(base)), want,
+            rtol=4 * np.finfo(float).eps, atol=0.0)
 
     @pytest.mark.parametrize("base", [2.0, np.e])
     def test_rows_by_lanes_equal_oracle(self, base):
@@ -177,18 +182,21 @@ class TestStopRateOracle:
                                                       indexing="ij"))
         b = np.array(BATTERIES)[:, None]
         for p in (phi, phi.astype(np.int8), 0, 1):
-            got = sx.stop_rate(b, h, hc, p, base)
-            want = where_stop_rate(b, h, hc, p, base)
+            got = sx.stop_rate(b, h, hc, p)
+            want = where_stop_rate(b, h, hc, p)
             assert got.shape == want.shape == (len(BATTERIES), len(h))
             assert not np.isnan(got).any()
             assert (got == want).all()
+            self.assert_in_base(got, base, where_stop_rate(b, h, hc, p, base))
 
     @pytest.mark.parametrize("base", [2.0, np.e])
     def test_scalars_equal_oracle(self, base):
         for b, h, hc, phi in itertools.product(BATTERIES, GAINS, GAINS,
                                                [0, 1]):
-            assert sx.stop_rate(b, h, hc, phi, base) \
-                == where_stop_rate(b, h, hc, phi, base)
+            got = sx.stop_rate(b, h, hc, phi)
+            assert got == where_stop_rate(b, h, hc, phi)
+            self.assert_in_base(got, base,
+                                where_stop_rate(b, h, hc, phi, base))
 
     def test_tiny_gains_raise_no_warning(self):
         # 1/h overflows to inf below 1/DBL_MAX; the values are still right
@@ -197,7 +205,7 @@ class TestStopRateOracle:
             assert sx.stop_rate(1.0, 1e-310, 2.0, 1) == np.log2(3.0)
             assert sx.stop_rate(1.0, 2.0, 1e-310, 1) == np.log2(3.0)
             assert conventional_power(np.array([1e-310]),
-                                      sx.WaterLevel(0.5)).tolist() == [0.0]
+                                      0.5).tolist() == [0.0]
             sx.solve_water_level(
                 sx.GainDistribution.discrete([1e-310, 1.0], [0.5, 0.5]),
                 sx.GainDistribution.constant(1.0), sx.AccessModel(0.5), 1.0)
@@ -212,36 +220,29 @@ class TestStopRateOracle:
                                          model.access, 2.0)
             met = sx.run_conventional_supply(model, 2.0, 2000, seed=1,
                                              streams=20)
-            assert met.realized_avg_power == 1.0 / level.xi - 1.0
+            assert met.realized_avg_power == 1.0 / level - 1.0
             assert met.realized_avg_power == pytest.approx(2.0, rel=1e-15)
 
 
 class TestConventionalPower:
     def test_boundary(self):
-        assert conventional_power(2.0, sx.WaterLevel(2.0)) == 0.0
+        assert conventional_power(2.0, 2.0) == 0.0
 
     def test_high_gain_limit(self):
-        p = conventional_power(1e12, sx.WaterLevel(0.5))
+        p = conventional_power(1e12, 0.5)
         assert abs(p - 2.0) < 1e-9
 
     def test_simple_value(self):
-        assert conventional_power(1.0, sx.WaterLevel(1 / 3)) == \
-            pytest.approx(2.0, rel=1e-12)
+        assert conventional_power(1.0, 1 / 3) == pytest.approx(2.0, rel=1e-12)
 
     def test_monotone_grids(self):
         hs = np.linspace(0.01, 50, 500)
-        p_h = conventional_power(hs, sx.WaterLevel(0.7))
+        p_h = conventional_power(hs, 0.7)
         assert (np.diff(p_h) >= -1e-15).all()
         for h in (0.5, 3.0, 40.0):
             xis = np.linspace(0.05, 5, 200)
-            p_xi = np.array([conventional_power(h, sx.WaterLevel(x))
-                             for x in xis])
+            p_xi = np.array([conventional_power(h, x) for x in xis])
             assert (np.diff(p_xi) <= 1e-15).all()
-
-    def test_level_validation(self):
-        for xi in (0.0, -1.0, float("nan"), float("inf"), True):
-            with pytest.raises(ValueError, match="^xi: "):
-                sx.WaterLevel(xi)
 
 
 class TestSolveWaterLevel:
@@ -250,7 +251,7 @@ class TestSolveWaterLevel:
             sx.GainDistribution.constant(1.0),
             sx.GainDistribution.constant(1.0),
             sx.AccessModel(0.0), 2.0)
-        assert level.xi == pytest.approx(1 / 3, rel=1e-9)
+        assert level == pytest.approx(1 / 3, rel=1e-9)
         assert conventional_power(1.0, level) == pytest.approx(2.0,
                                                                rel=1e-9)
 
@@ -263,7 +264,7 @@ class TestSolveWaterLevel:
             sx.GainDistribution.exponential(1.0),
             sx.GainDistribution.constant(1.0),
             sx.AccessModel(0.0), 2.0)
-        assert level.xi == pytest.approx(target, rel=1e-6)
+        assert level == pytest.approx(target, rel=1e-6)
 
     @pytest.mark.parametrize("m", [0.3, 1.0, 5.0])
     def test_exponential_mean_power_exact(self, m):
@@ -281,7 +282,7 @@ class TestSolveWaterLevel:
             sx.GainDistribution.constant(16.0),
             sx.GainDistribution.constant(32.0),
             sx.AccessModel(1.0), 2.0)
-        assert level.xi == pytest.approx(2.0 / (2.0 + 3.0 / 32.0), rel=1e-9)
+        assert level == pytest.approx(2.0 / (2.0 + 3.0 / 32.0), rel=1e-9)
 
     @pytest.mark.parametrize("p_s,p_bar", [(0.0, 0.5), (0.5, 2.0),
                                            (1.0, 7.0)])
@@ -290,8 +291,7 @@ class TestSolveWaterLevel:
         common = sx.GainDistribution.discrete([0.5, 4.0], [0.3, 0.7])
         level = sx.solve_water_level(private, common, sx.AccessModel(p_s),
                                      p_bar)
-        got = _power_curve(private)(level.xi) \
-            + p_s * _power_curve(common)(level.xi)
+        got = _power_curve(private)(level) + p_s * _power_curve(common)(level)
         assert got == pytest.approx(p_bar, rel=1e-6)
 
     def test_stationary_law_once_per_solve(self, monkeypatch):
@@ -308,9 +308,8 @@ class TestSolveWaterLevel:
                                      sx.GainDistribution.exponential(1.0),
                                      sx.AccessModel(0.5), 2.0)
         assert calls == [chain]
-        got = _power_curve(sx.GainDistribution.markov(chain))(level.xi) \
-            + 0.5 * _power_curve(sx.GainDistribution.exponential(1.0))(
-                level.xi)
+        got = _power_curve(sx.GainDistribution.markov(chain))(level) \
+            + 0.5 * _power_curve(sx.GainDistribution.exponential(1.0))(level)
         assert got == pytest.approx(2.0, rel=1e-9)
 
     def test_no_bracket(self):
@@ -376,7 +375,7 @@ def mean_power(m):
 def assert_water_level(m, p_bar):
     """The level is the smallest float at which the mean power does not
     exceed p_bar; returns it."""
-    xi = sx.solve_water_level(m.private, m.common, m.access, p_bar).xi
+    xi = sx.solve_water_level(m.private, m.common, m.access, p_bar)
     total = mean_power(m)
     assert total(xi) <= p_bar < total(math.nextafter(xi, 0.0))
     return xi

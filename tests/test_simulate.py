@@ -126,6 +126,18 @@ class TestPolicy:
         with pytest.raises(ValueError, match="3 axes"):
             sx.Policy(np.zeros((2, 2)))
 
+    def test_nan_entry_refused(self):
+        # a NaN entry never stops (rate >= nan is False), so its lanes ran
+        # to the slot cap before PeriodOverflow
+        table = np.zeros((3, 1, 1))
+        table[1] = np.nan
+        with pytest.raises(ValueError, match="^gamma: "):
+            sx.Policy(table)
+        # a DP table's Cg - Cg[0] may lie below 0, and inf never stops
+        for entry in (-1.0, np.inf):
+            rule = sx.Policy(np.full((1, 1, 1), entry))
+            assert rule.gamma[0, 0, 0] == entry
+
 
 class TestRunSimulation:
     def test_constant_world_exact(self):
@@ -316,7 +328,7 @@ class TestRunSimulation:
         for case_model, case_pol in cases:
             rng = np.random.Generator(np.random.PCG64(7))
             _, rec = _run_block([case_pol], case_model, 0, n, rng, 1,
-                                   savetx.simulate.SLOT_CAP, trace=True)
+                                trace=True)
             rng = np.random.Generator(np.random.PCG64(7))
             carry = fresh_carry(case_model, rng)
             outs = [run_period(case_pol, case_model, rng, carry=carry)
@@ -779,7 +791,7 @@ class TestConstantRateExact:
     @pytest.mark.parametrize("n, streams, seed", SIZES)
     def test_best_effort_and_zero_threshold(self, p_s, n, streams, seed):
         model = constant_world(p_s=p_s)
-        c = float(sx.stop_rate(1e-3, 1.0, 1.0, int(p_s), model.log_base))
+        c = float(sx.stop_rate(1e-3, 1.0, 1.0, int(p_s)))
         # best-effort as a scheme table runs it: the gamma = 0 row of a
         # pass of models + models, beside an opportunistic rule
         _, be = sx.run_policies([sx.Policy.threshold(0.0)] * 2,

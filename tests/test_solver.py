@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import time
@@ -619,8 +620,8 @@ class TestTailRate:
         edges = [t] + [x for x in (h_a, h_b) if t < x < math.inf] \
             + [math.inf]
         ref = sum(integrate.quad(
-            lambda g: sx.stop_rate(b, g, y, 1, math.e) * math.exp(-g / m)
-            / m, lo, hi, epsabs=1e-14, epsrel=1e-12)[0]
+            lambda g: sx.stop_rate(b, g, y, 1) * math.log(2.0)
+            * math.exp(-g / m) / m, lo, hi, epsabs=1e-14, epsrel=1e-12)[0]
             for lo, hi in zip(edges, edges[1:]))
         assert _tail_rate(b, y, t, m) == pytest.approx(ref, rel=1e-10, abs=0)
 
@@ -805,10 +806,13 @@ class TestThresholdMetrics:
         G = 2.0 ** gamma
         c0 = (G - 1) / b
 
+        @functools.cache  # both references' quadratures meet each hc
         def h_star(hc):  # bisection, not the closed-form inverse
             lo, hi = 0.0, 64.0
             for _ in range(100):
                 mid = 0.5 * (lo + hi)
+                if not lo < mid < hi:  # adjacent ends: no step moves them
+                    break
                 lo, hi = (lo, mid) if sx.stop_rate(b, mid, hc, 1) >= gamma \
                     else (mid, hi)
             return hi if hc < c0 else 0.0
@@ -833,7 +837,9 @@ class TestThresholdMetrics:
         assert p[0] == pytest.approx(p_ref, rel=1e-10, abs=0)
         assert r[0] == pytest.approx(r_ref, rel=1e-9, abs=0)
 
-    @pytest.mark.parametrize("private, common, log_base", [
+    # thresholds 1 and 2.5 in log-``base`` units: the base-e cases run as
+    # bits at gamma / ln 2, the same stopping rules
+    @pytest.mark.parametrize("private, common, base", [
         (sx.GainDistribution.discrete([0.0, 0.5, 2.0], [0.2, 0.5, 0.3]),
          sx.GainDistribution.exponential(1.5), np.e),
         (sx.GainDistribution.exponential(2.0),
@@ -842,13 +848,11 @@ class TestThresholdMetrics:
          sx.GainDistribution.discrete([0.25, 4.0], [0.5, 0.5]), 2.0),
         (sx.GainDistribution.exponential(2.0),
          sx.GainDistribution.exponential(0.5), np.e)])
-    def test_monte_carlo_agrees_on_gain_kinds(self, private, common,
-                                              log_base):
+    def test_monte_carlo_agrees_on_gain_kinds(self, private, common, base):
         model = sx.SystemModel(
             private=private, common=common, access=sx.AccessModel(0.5),
-            eh=sx.make_eh_preset("b"), b_max_units=10_000,
-            log_base=log_base)
-        for gamma in (1.0, 2.5):
+            eh=sx.make_eh_preset("b"), b_max_units=10_000)
+        for gamma in (1.0 * math.log2(base), 2.5 * math.log2(base)):
             lam, mean_T = sx.threshold_metrics(model, gamma)
             met = sx.run_simulation(sx.Policy.threshold(gamma), model,
                                     100_000, 9, streams=256)
