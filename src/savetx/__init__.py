@@ -33,7 +33,6 @@ from .simulate import (
     Metrics,
     Policy,
     run_policies,
-    run_simulation,
     run_conventional_supply,
 )
 from .solver import (
@@ -66,8 +65,7 @@ __all__ = [
     "SolverConfig", "ValueTable", "solve_markov", "threshold_metrics",
     "optimize_threshold",
     # simulate
-    "Policy", "Metrics", "run_policies", "run_simulation",
-    "run_conventional_supply",
+    "Policy", "Metrics", "run_policies", "run_conventional_supply",
     # experiments
     "ExperimentConfig", "validate_config", "run_experiment",
     "default_config",

@@ -120,7 +120,7 @@ def _cmd_optimize_threshold(args) -> int:
 def _rule(args, cfg: ExperimentConfig, model) -> Policy:
     """The stopping rule of ``simulate --scheme threshold|dp``."""
     if args.scheme == "dp":
-        return Policy.dp(solve_markov(model, cfg.solver))
+        return Policy(solve_markov(model, cfg.solver).gamma)
     if args.gamma is None:
         raise ConfigError("--gamma is required for the threshold scheme")
     try:
@@ -144,7 +144,7 @@ def _cmd_simulate(args) -> int:
     elif args.scheme == "best-effort":  # the gamma = 0 rule
         m, = cfg.simulate(model, [Policy.threshold(0.0)])
     else:
-        m = cfg.supply(model)
+        m, = cfg.supply(model)
     payload = {
         "command": "simulate",
         "scheme": args.scheme,

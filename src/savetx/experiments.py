@@ -31,7 +31,7 @@ from .tables import emit_csv, make_dir, write_text
 __all__ = ["ExperimentConfig", "validate_config", "run_experiment",
            "default_config", "EXPERIMENTS"]
 
-EXPERIMENTS = ("fig3", "fig4", "fig6", "fig7", "fig8", "custom")
+EXPERIMENTS = ("fig3", "fig4", "fig6", "fig7", "fig8")
 
 LARGE_B_MAX = 10_000
 
@@ -41,7 +41,6 @@ SCHEMAS = {
     "fig6": ("p_s", "gamma_mode", "mean_T", "se"),
     "fig7": ("eh_model", "gamma", "throughput", "se"),
     "fig8": ("p_s", "scheme", "throughput", "se"),
-    "custom": ("p_s", "gamma", "throughput", "se"),
 }
 
 
@@ -85,10 +84,11 @@ class ExperimentConfig:
                             warmup_periods=mc["warmup_periods"],
                             streams=mc["streams"], trace_path=trace_path)
 
-    def supply(self, models):
+    def supply(self, models) -> list:
         """``run_conventional_supply`` of ``models`` (one model, or a p_s
         grid of them) at the config's ``p_bar``, ``mc`` slots and streams,
-        on its own generator at the config's seed + 1."""
+        on its own generator at the config's seed + 1: one Metrics per
+        model, in order."""
         return run_conventional_supply(models, self.p_bar, self.mc["slots"],
                                        self.seed + 1,
                                        streams=self.mc["streams"])
@@ -134,7 +134,7 @@ def default_config(experiment: str) -> dict:
             # conventional benchmark budget matched to the mean harvest
             "p_bar": 1e-3,
         })
-    elif experiment in ("fig4", "fig6", "fig7", "fig8", "custom"):
+    elif experiment in EXPERIMENTS:
         base.update(_iid_defaults())
         if experiment == "fig7":
             base["p_s_grid"] = [0.5]
@@ -145,9 +145,10 @@ def default_config(experiment: str) -> dict:
 
 _MC_DEFAULTS = {"periods": 200_000, "slots": 1_000_000,
                 "warmup_periods": 1000, "streams": 512}
-_GAIN_KEYS = {"kind", "value", "mean", "values", "probabilities", "states",
-              "transition"}
-_EH_KEYS = {"preset", "switch", "p_good", "states", "transition"}
+# the keys each gain kind reads besides "kind"
+_GAIN_FORMS = {"constant": ("value",), "exponential": ("mean",),
+               "discrete": ("values", "probabilities"),
+               "markov": ("states", "transition")}
 
 
 def _fail(path: str, reason: str):
@@ -184,31 +185,37 @@ def _chain_from_block(block: dict, path: str) -> MarkovChainSpec:
 
 
 def _gain_from_block(block: dict, path: str) -> GainDistribution:
+    """The block's gain; refuses by name a key its kind does not read."""
     kind = block.get("kind")
+    if not isinstance(kind, str) or kind not in _GAIN_FORMS:
+        _fail(f"{path}.kind", f"unknown gain kind {kind!r}")
+    keys = _GAIN_FORMS[kind]
+    _check_keys(block, {"kind", *keys}, path)
     try:
-        if kind == "constant":
-            return GainDistribution.constant(block["value"])
-        if kind == "exponential":
-            return GainDistribution.exponential(block["mean"])
-        if kind == "discrete":
-            return GainDistribution.discrete(block["values"],
-                                             block["probabilities"])
         if kind == "markov":
             return GainDistribution.markov(_chain_from_block(block, path))
+        # each i.i.d. kind's constructor takes its keys in order
+        return getattr(GainDistribution, kind)(*(block[k] for k in keys))
     except KeyError as exc:
         _fail(f"{path}.{exc.args[0]}", "missing key")
     except ValueError as exc:  # its message starts with the argument name
         raise ConfigError(f"{path}.{exc}") from exc
-    _fail(f"{path}.kind", f"unknown gain kind {kind!r}")
 
 
 def _eh_from_block(block: dict, delta: float) -> MarkovChainSpec:
+    """The block's harvest chain, a preset or an explicit chain; refuses by
+    name a key its form does not read."""
     try:
-        if "preset" in block:
-            return make_eh_preset(block["preset"], switch=block.get("switch"),
-                                  p_good=block.get("p_good"),
-                                  delta=delta)
-        return _chain_from_block(block, "eh")
+        if "preset" not in block:
+            _check_keys(block, {"states", "transition"}, "eh")
+            return _chain_from_block(block, "eh")
+        name = block["preset"]
+        chain = make_eh_preset(name, switch=block.get("switch"),
+                               p_good=block.get("p_good"), delta=delta)
+        # a known preset from here on: d reads p_good, a/b/c read switch
+        _check_keys(block, {"preset", "p_good" if name == "d" else "switch"},
+                    "eh")
+        return chain
     except KeyError as exc:
         _fail(f"eh.{exc.args[0]}", "missing key")
     except BadName as exc:
@@ -220,8 +227,9 @@ def _eh_from_block(block: dict, delta: float) -> MarkovChainSpec:
 def validate_config(raw) -> ExperimentConfig:
     """Parse and validate raw JSON text (or a dict) into a full config.
 
-    Missing keys take the chosen experiment's defaults; unknown keys are
-    hard errors naming the offending path.
+    Missing keys take the chosen experiment's defaults (fig4's without an
+    ``experiment``); unknown keys, and keys a model block's form does not
+    read, are hard errors naming the offending path.
     """
     if isinstance(raw, (str, bytes)):
         try:
@@ -233,7 +241,7 @@ def validate_config(raw) -> ExperimentConfig:
     if not isinstance(data, dict):
         raise ConfigError("config root must be an object")
 
-    experiment = data.get("experiment", "custom")
+    experiment = data.get("experiment", "fig4")
     if experiment not in EXPERIMENTS:
         _fail("experiment", f"must be one of {EXPERIMENTS}")
     merged = default_config(experiment)
@@ -279,8 +287,6 @@ def validate_config(raw) -> ExperimentConfig:
         _fail("gamma_grid", "thresholds must be finite and >= 0")
     if sorted(gamma_grid) != gamma_grid:
         _fail("gamma_grid", "must be sorted")
-    if experiment in ("fig4", "fig6", "fig7", "custom") and not gamma_grid:
-        _fail("gamma_grid", "must be nonempty for this experiment")
 
     modes = _as_list(merged["gamma_modes"], "gamma_modes")
     for m in modes:
@@ -292,15 +298,23 @@ def validate_config(raw) -> ExperimentConfig:
     for name in eh_models:
         if name not in ("a", "b", "c", "d"):
             _fail("eh_models", f"unknown preset {name!r}")
+    # the lists each experiment's rows are made of
+    for path, values, users in (("gamma_grid", gamma_grid,
+                                 ("fig4", "fig6", "fig7")),
+                                ("gamma_modes", modes, ("fig6",)),
+                                ("eh_models", eh_models, ("fig7",))):
+        if experiment in users and not values:
+            _fail(path, "must be nonempty for this experiment")
     # each value labels rows of its table, and a repeat prints them twice
     for path, values in (("p_s_grid", ps_grid), ("gamma_grid", gamma_grid),
                          ("gamma_modes", modes), ("eh_models", eh_models)):
         if len(set(values)) != len(values):
             _fail(path, "must not repeat a value")
 
-    _check_keys(merged["private"], _GAIN_KEYS, "private")
-    _check_keys(merged["common"], _GAIN_KEYS, "common")
-    _check_keys(merged["eh"], _EH_KEYS, "eh")
+    # their keys are checked by form as the model is built, below
+    for path in ("private", "common", "eh"):
+        if not isinstance(merged[path], dict):
+            _fail(path, "must be an object")
     _check_keys(merged["solver"], {f.name for f in fields(SolverConfig)},
                 "solver")
     _check_keys(merged["mc"], set(_MC_DEFAULTS), "mc")
@@ -379,21 +393,28 @@ def _run_fig3(cfg: ExperimentConfig):
         table = solve_markov(model, cfg.solver)
         stats["lambda_star"][str(p_s)] = table.lambda_star
         stats["solver_iters"][str(p_s)] = table.outer_iters
-        rules.append(Policy.dp(table))
+        rules.append(Policy(table.gamma))
     rows, conventional = _scheme_rows(cfg, models, rules, stats)
     stats["realized_power"] = {str(p_s): m.realized_avg_power
                                for p_s, m in zip(cfg.p_s_grid, conventional)}
     return rows, stats
 
 
-def _run_fig4(cfg: ExperimentConfig):
+def _sweep_rows(cfg: ExperimentConfig, labelled_models):
+    """Rows of a threshold sweep: per (label, model), one engine pass of
+    the ``gamma_grid`` thresholds."""
+    rules = [Policy.threshold(g) for g in cfg.gamma_grid]
     rows = []
-    for p_s in cfg.p_s_grid:
-        mets = cfg.simulate(cfg.build_model(p_s), [
-            Policy.threshold(g) for g in cfg.gamma_grid])
-        rows += [(p_s, gamma, m.throughput, m.se_throughput)
-                 for gamma, m in zip(cfg.gamma_grid, mets)]
+    for label, model in labelled_models:
+        rows += [(label, gamma, m.throughput, m.se_throughput)
+                 for gamma, m in zip(cfg.gamma_grid,
+                                     cfg.simulate(model, rules))]
     return rows, {}
+
+
+def _run_fig4(cfg: ExperimentConfig):
+    return _sweep_rows(cfg, ((p_s, cfg.build_model(p_s))
+                             for p_s in cfg.p_s_grid))
 
 
 def _record_optimum(model: SystemModel, stats: dict) -> float:
@@ -423,15 +444,9 @@ def _run_fig6(cfg: ExperimentConfig):
 
 
 def _run_fig7(cfg: ExperimentConfig):
-    rows = []
     p_s, = cfg.p_s_grid
-    for name in cfg.eh_models:
-        model = cfg.build_model(p_s, eh_block={"preset": name})
-        mets = cfg.simulate(model, [Policy.threshold(g)
-                                    for g in cfg.gamma_grid])
-        rows += [(name, gamma, m.throughput, m.se_throughput)
-                 for gamma, m in zip(cfg.gamma_grid, mets)]
-    return rows, {}
+    return _sweep_rows(cfg, ((name, cfg.build_model(
+        p_s, eh_block={"preset": name})) for name in cfg.eh_models))
 
 
 def _run_fig8(cfg: ExperimentConfig):
@@ -448,7 +463,6 @@ _RUNNERS = {
     "fig6": _run_fig6,
     "fig7": _run_fig7,
     "fig8": _run_fig8,
-    "custom": _run_fig4,
 }
 
 

@@ -79,10 +79,6 @@ class MarkovChainSpec:
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "transition", transition)
 
-    @property
-    def n_states(self) -> int:
-        return len(self.states)
-
     def __eq__(self, other):
         return (
             isinstance(other, MarkovChainSpec)
@@ -129,7 +125,7 @@ def stationary_distribution(chain: MarkovChainSpec) -> np.ndarray:
     law, *_ = np.linalg.lstsq(A, b, rcond=None)
     law = np.clip(law, 0.0, None)
     law /= law.sum()
-    pi = np.zeros(chain.n_states)
+    pi = np.zeros(len(chain.states))
     pi[closed] = law
     if np.abs(pi @ P - pi).max() > 1e-10:
         raise NoConvergence("stationary solve did not converge")

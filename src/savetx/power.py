@@ -147,16 +147,10 @@ def solve_water_level(private: GainDistribution, common: GainDistribution,
     values at the ends, and NoConvergence naming xi when the curve is NaN.
     """
     p_bar = check_p_bar(p_bar)
-    private_power = _power_curve(private)
-    # an exponential common gain of the private gain's mean has the same
-    # curve, evaluated once per level
-    common_power = None if common.kind == "exponential" and common == private \
-        else _power_curve(common)
+    private_power, common_power = _power_curve(private), _power_curve(common)
 
     def total(xi: float) -> float:
-        power = private_power(xi)
-        power += access.p_s * (power if common_power is None
-                               else common_power(xi))
+        power = private_power(xi) + access.p_s * common_power(xi)
         if math.isnan(power):
             raise NoConvergence(
                 f"water level: power curve is NaN at xi={xi!r}")

@@ -13,7 +13,7 @@ slot by slot gives, bit for bit.
 
 ``run_policies`` runs any list of rules, each a ``Policy`` gamma table, in
 one refill pass of the period engine ``_run_block``, which reads the
-stream slot by slot; ``run_simulation`` is its one-rule form.  Each rule's
+stream slot by slot; one rule is a list of one.  Each rule's
 lanes take period indices from a queue as they end periods, so a lane
 simulates unrecorded periods only in its warm-up and while it waits, idle,
 for its rule's last recorded periods to end.  A lane keeps only whether
@@ -49,7 +49,6 @@ __all__ = [
     "Policy",
     "Metrics",
     "run_policies",
-    "run_simulation",
     "run_conventional_supply",
 ]
 
@@ -82,10 +81,6 @@ class Policy:
             raise ValueError("gamma: a rule table holds no NaN")
         gamma.setflags(write=False)
         object.__setattr__(self, "gamma", gamma)
-
-    @classmethod
-    def dp(cls, table) -> "Policy":
-        return cls(table.gamma)
 
     @classmethod
     def threshold(cls, gamma) -> "Policy":
@@ -646,15 +641,8 @@ def run_policies(policies, model, n_periods: int, seed: int, *,
     return metrics
 
 
-def run_simulation(policy: Policy, model: SystemModel, n_periods: int,
-                   seed: int, **sizes) -> Metrics:
-    """Renewal metrics of one stopping policy: ``run_policies`` of that
-    rule alone, with the same keyword arguments and defaults."""
-    return run_policies([policy], model, n_periods, seed, **sizes)[0]
-
-
 def run_conventional_supply(model, p_bar: float, n_slots: int, seed: int,
-                            *, streams: int = 512):
+                            *, streams: int = 512) -> list[Metrics]:
     """Metrics of the conventional supply, which water-fills an average
     power ``p_bar`` (``check_p_bar``) at each model's water level
     (``solve_water_level``, so a model whose level cannot be bracketed
@@ -662,8 +650,8 @@ def run_conventional_supply(model, p_bar: float, n_slots: int, seed: int,
 
     ``model`` is one SystemModel, or a list of models that differ only in
     ``access`` (a p_s grid; any other difference raises ValueError naming
-    the field).  A list gives a list of one Metrics per model from one
-    pass: the draws are made once per slot for the whole grid, and each p_s
+    the field).  Returns a list of one Metrics per model from one pass:
+    the draws are made once per slot for the whole grid, and each p_s
     spends them with its own access flags ``u < p_s`` and water level, so
     each Metrics is what a call with that model alone returns.
 
@@ -684,7 +672,6 @@ def run_conventional_supply(model, p_bar: float, n_slots: int, seed: int,
     """
     check_p_bar(p_bar)
     _check_sizes(n_slots=n_slots, streams=streams)
-    grid = not isinstance(model, SystemModel)
     models = _access_grid(model)
     if not models:
         return []
@@ -740,11 +727,9 @@ def run_conventional_supply(model, p_bar: float, n_slots: int, seed: int,
     # a supply's period is one slot, so each lane's T and count are its
     # slots, and the mean length is exact, with fewer lanes than groups too
     T = np.full(streams, float(slots))
-    metrics = [_fold(c_rate, T, rate, T, cap_hit_fraction=0.0,
-                     se_saving_time=0.0, realized_avg_power=_fold(
-                         c_power, T, power, T,
-                         cap_hit_fraction=0.0).throughput,
-                     water_level=level)
-               for (c_rate, c_power), (rate, power), level in zip(
-                   shifts.tolist(), sums, levels)]
-    return metrics if grid else metrics[0]
+    return [_fold(c_rate, T, rate, T, cap_hit_fraction=0.0,
+                  se_saving_time=0.0, realized_avg_power=_fold(
+                      c_power, T, power, T, cap_hit_fraction=0.0).throughput,
+                  water_level=level)
+            for (c_rate, c_power), (rate, power), level in zip(
+                shifts.tolist(), sums, levels)]

@@ -91,11 +91,11 @@ def scheme_sims(model, table):
     ``table``: best-effort is the gamma = 0 rule, in the opportunistic
     rule's pass, as the table runs it."""
     opp, be = sx.run_policies(
-        [sx.Policy.dp(table), sx.Policy.threshold(0.0)], model,
+        [sx.Policy(table.gamma), sx.Policy.threshold(0.0)], model,
         MC_PERIODS, SEED, warmup_periods=1000, streams=512)
     return {"opportunistic": opp, "best_effort": be,
             "conventional": sx.run_conventional_supply(
-                model, 1e-3, MC_SLOTS, SEED + 1, streams=512)}
+                model, 1e-3, MC_SLOTS, SEED + 1, streams=512)[0]}
 
 
 @pytest.fixture(scope="module")
@@ -273,8 +273,8 @@ def test_criterion_08_fraction_of_conventional():
         for p_s in PS_GRID:
             model = iid_model(p_s)
             _, (opp, _) = optimal_policy(p_s)
-            cv = sx.run_conventional_supply(model, 2.0, MC_SLOTS, SEED + 2,
-                                            streams=512)
+            cv, = sx.run_conventional_supply(model, 2.0, MC_SLOTS, SEED + 2,
+                                             streams=512)
             ratios.append(opp / cv.throughput)
         mean_ratio = float(np.mean(ratios))
         assert 0.60 <= mean_ratio <= 0.80
@@ -336,6 +336,6 @@ def test_criterion_10_average_power_constraint():
             (fig3_model(0.25), 1e-3, SEED + 13),
         ]
         for model, p_bar, seed in cases:
-            met = sx.run_conventional_supply(model, p_bar, MC_SLOTS, seed,
-                                             streams=512)
+            met, = sx.run_conventional_supply(model, p_bar, MC_SLOTS, seed,
+                                              streams=512)
             assert abs(met.realized_avg_power - p_bar) / p_bar < 0.01

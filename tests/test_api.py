@@ -25,6 +25,9 @@ import savetx as sx
 
 LAYERS = ("models", "expint", "power", "solver", "simulate", "experiments",
           "tables")
+# the fewest functions a layer's hint check must find; expint and tables
+# define fewer than the others' 5
+LEAST_FUNCTIONS = {"expint": 2, "tables": 4}
 
 
 def test_package_all_resolves():
@@ -40,7 +43,7 @@ def test_layer_all_resolves(layer):
     assert missing == []
 
 
-@pytest.mark.parametrize("layer", ["solver", "simulate", "power"])
+@pytest.mark.parametrize("layer", LAYERS + ("cli",))
 def test_type_hints_resolve(layer):
     mod = importlib.import_module(f"savetx.{layer}")
     functions = [f for f in vars(mod).values()
@@ -48,7 +51,7 @@ def test_type_hints_resolve(layer):
     functions += [f for c in vars(mod).values()
                   if inspect.isclass(c) and c.__module__ == mod.__name__
                   for f in vars(c).values() if inspect.isfunction(f)]
-    assert len(functions) >= 5
+    assert len(functions) >= LEAST_FUNCTIONS.get(layer, 5)
     for f in functions:
         typing.get_type_hints(f)
 

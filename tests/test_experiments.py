@@ -242,7 +242,7 @@ class TestValidateConfig:
         chain = {"states": [0.0, 4.0], "transition": [[0.5, 0.5], [0, 1]]}
         cfg = sx.validate_config({"experiment": "fig8", "eh": chain,
                                   "private": {"kind": "markov", **chain}})
-        assert cfg.build_model(0.5).eh.n_states == 2
+        assert len(cfg.build_model(0.5).eh.states) == 2
 
     def test_bad_gain_kind(self):
         with pytest.raises(ConfigError, match="private.kind"):
@@ -295,6 +295,53 @@ class TestValidateConfig:
                                 "eh_models": ["a", "z"]})
         with pytest.raises(ConfigError, match="^eh_models: must be a list"):
             sx.validate_config({"experiment": "fig7", "eh_models": 5})
+
+    @pytest.mark.parametrize("key, block, path", [
+        ("private", {"kind": "exponential", "mean": 1, "value": 3,
+                     "states": [1]}, "private.states"),
+        ("common", {"kind": "constant", "value": 1, "mean": 7},
+         "common.mean"),
+        ("eh", {"preset": "a", "states": [0, 9],
+                "transition": [[0.5, 0.5], [0.5, 0.5]]}, "eh.states"),
+        ("eh", {"preset": "d", "switch": 0.3}, "eh.switch"),
+        ("eh", {"preset": "a", "p_good": 0.9}, "eh.p_good"),
+        ("eh", {"states": [0, 4], "transition": [[0.5, 0.5], [0.5, 0.5]],
+                "switch": 0.3}, "eh.switch")])
+    def test_key_outside_its_form_refused(self, key, block, path):
+        # a block took any key some form reads, and its own form ignored
+        # the rest: a preset ran beside an explicit chain it never used
+        with pytest.raises(ConfigError,
+                           match=rf"^{re.escape(path)}: unknown key"):
+            sx.validate_config({"experiment": "fig4", key: block})
+
+    @pytest.mark.parametrize("experiment, key", [("fig6", "gamma_modes"),
+                                                 ("fig7", "eh_models")])
+    def test_empty_row_list_refused(self, experiment, key):
+        # each ran and wrote a table with a header and no rows
+        with pytest.raises(ConfigError,
+                           match=f"^{key}: must be nonempty for this "):
+            sx.validate_config({"experiment": experiment, key: []})
+
+    def test_default_experiment_is_fig4(self):
+        # "custom" was fig4's defaults and runner under a second name
+        with pytest.raises(ConfigError, match="^experiment: must be one"):
+            sx.validate_config({"experiment": "custom"})
+        cfg = sx.validate_config({})
+        assert cfg == sx.validate_config({"experiment": "fig4"})
+        resolved = json.loads(json.dumps(_meta_base(cfg)["resolved_config"],
+                                         default=float))
+        # the former default, "custom", resolved to these values
+        assert resolved == {
+            "experiment": "fig4", "seed": 20240501, "delta": 1.0,
+            "b_max_units": 10_000, "p_s_grid": [0.0, 0.25, 0.5, 0.75, 1.0],
+            "gamma_grid": [round(0.2 * k, 10) for k in range(21)],
+            "gamma_modes": [1.5, 2.0, "optimal"], "p_bar": 2.0,
+            "private": {"kind": "exponential", "mean": 1.0},
+            "common": {"kind": "exponential", "mean": 1.0},
+            "eh": {"preset": "a"}, "eh_models": ["a", "b", "c", "d"],
+            "solver": {"common_bins": 64},
+            "mc": {"periods": 200_000, "slots": 1_000_000,
+                   "warmup_periods": 1000, "streams": 512}}
 
 
 class TestEmitCsv:
@@ -667,7 +714,7 @@ class TestCli:
     @pytest.mark.parametrize("scheme, run", [
         ("best-effort", lambda m, cfg: cfg.simulate(
             m, [sx.Policy.threshold(0.0)])[0]),
-        ("conventional", lambda m, cfg: cfg.supply(m))])
+        ("conventional", lambda m, cfg: cfg.supply(m)[0])])
     def test_simulate_supply(self, tmp_path, scheme, run):
         # the command prints its scheme's metrics at the config's sizes and
         # seeds, as the tables run them: best-effort from the engine's

@@ -218,8 +218,8 @@ class TestStopRateOracle:
                 eh=sx.MarkovChainSpec([1.0], [[1.0]]), b_max_units=1)
             level = sx.solve_water_level(model.private, model.common,
                                          model.access, 2.0)
-            met = sx.run_conventional_supply(model, 2.0, 2000, seed=1,
-                                             streams=20)
+            met, = sx.run_conventional_supply(model, 2.0, 2000, seed=1,
+                                              streams=20)
             assert met.realized_avg_power == 1.0 / level - 1.0
             assert met.realized_avg_power == pytest.approx(2.0, rel=1e-15)
 
@@ -358,7 +358,7 @@ class TestCheckGamma:
 # benchmark's search (fig8, p_bar 2) and markov (fig3, p_bar 2) workloads
 WATER_CONFIGS = {
     **{exp: {"experiment": exp}
-       for exp in ("fig3", "fig4", "fig6", "fig7", "fig8", "custom")},
+       for exp in ("fig3", "fig4", "fig6", "fig7", "fig8")},
     "search": {"experiment": "fig8", "p_s_grid": [0.0, 0.5], "p_bar": 2.0},
     "markov": {"experiment": "fig3", **MARKOV_MODEL,
                "p_s_grid": [0.25, 0.75], "p_bar": 2.0},

@@ -72,7 +72,7 @@ class TestRunPeriod:
         rng = np.random.default_rng(1)
         carry = fresh_carry(model, rng)
         for _ in range(20):
-            out = run_period(sx.Policy.dp(table), model, rng, carry=carry)
+            out = run_period(sx.Policy(table.gamma), model, rng, carry=carry)
             assert out.saving_slots == 1
             assert out.rate_at_stop == pytest.approx(np.log2(1 + 1e-3))
 
@@ -120,7 +120,7 @@ class TestPolicy:
     def test_one_read_only_table(self):
         table = sx.solve_markov(fig3_model(0.5))
         for rule, want in ((sx.Policy.threshold(2.0), np.full((1, 1, 1), 2.0)),
-                           (sx.Policy.dp(table), table.gamma)):
+                           (sx.Policy(table.gamma), table.gamma)):
             np.testing.assert_array_equal(rule.gamma, want)
             assert not rule.gamma.flags.writeable
         with pytest.raises(ValueError, match="3 axes"):
@@ -142,8 +142,8 @@ class TestPolicy:
 class TestRunSimulation:
     def test_constant_world_exact(self):
         model = constant_world()
-        met = sx.run_simulation(sx.Policy.threshold(0.0), model, 500,
-                                seed=3, warmup_periods=0, streams=25)
+        met = sx.run_policies([sx.Policy.threshold(0.0)], model, 500,
+                              seed=3, warmup_periods=0, streams=25)[0]
         assert met.throughput == pytest.approx(np.log2(1 + 1e-3), rel=1e-14)
         assert met.se_throughput == 0.0
         assert met.mean_saving_time == 1.0
@@ -161,8 +161,8 @@ class TestRunSimulation:
         error = TypeError if key in ("replications", "slot_cap") \
             else ValueError
         with pytest.raises(error, match=key):
-            sx.run_simulation(sx.Policy.threshold(0.0), constant_world(),
-                              seed=1, **args)
+            sx.run_policies([sx.Policy.threshold(0.0)], constant_world(),
+                            seed=1, **args)
 
     @pytest.mark.parametrize("key, value", [
         ("n_slots", 0), ("streams", 0), ("replications", 0),
@@ -180,11 +180,11 @@ class TestRunSimulation:
         cfg = markov_workload_config()
         model = cfg.build_model(0.75)
         rules = [sx.Policy.threshold(1.0),
-                 sx.Policy.dp(sx.solve_markov(model, cfg.solver)),
+                 sx.Policy(sx.solve_markov(model, cfg.solver).gamma),
                  sx.Policy.threshold(2.5)]
         kw = dict(warmup_periods=100, streams=64)
         got = sx.run_policies(rules, model, 4000, 3, **kw)
-        assert got == [sx.run_simulation(r, model, 4000, 3, **kw)
+        assert got == [sx.run_policies([r], model, 4000, 3, **kw)[0]
                        for r in rules]
 
     def test_mixed_access_rows_match_solo_runs(self, tmp_path):
@@ -194,7 +194,7 @@ class TestRunSimulation:
         cfg = markov_workload_config()
         dp_model = cfg.build_model(0.75)
         cases = [(sx.Policy.threshold(1.0), cfg.build_model(0.0)),
-                 (sx.Policy.dp(sx.solve_markov(dp_model, cfg.solver)),
+                 (sx.Policy(sx.solve_markov(dp_model, cfg.solver).gamma),
                   dp_model),
                  (sx.Policy.threshold(1.5), cfg.build_model(0.25)),
                  (sx.Policy.threshold(2.5), dp_model)]
@@ -204,10 +204,10 @@ class TestRunSimulation:
             rules, models = map(list, zip(*cases[first:], *cases[:first]))
             got = sx.run_policies(rules, models, 4000, 3, trace_path=grid,
                                   **kw)
-            assert got == [sx.run_simulation(r, m, 4000, 3, **kw)
+            assert got == [sx.run_policies([r], m, 4000, 3, **kw)[0]
                            for r, m in zip(rules, models)]
-            sx.run_simulation(rules[0], models[0], 4000, 3, trace_path=solo,
-                              **kw)
+            sx.run_policies([rules[0]], models[0], 4000, 3, trace_path=solo,
+                            **kw)
             assert grid.read_bytes() == solo.read_bytes()
 
     @pytest.mark.parametrize("field, value", [
@@ -243,44 +243,45 @@ class TestRunSimulation:
         # ran the b_max 20 table silently
         cfg = markov_workload_config()
         model = cfg.build_model(0.75)
-        rule = sx.Policy.dp(sx.solve_markov(model, cfg.solver))
+        rule = sx.Policy(sx.solve_markov(model, cfg.solver).gamma)
         other = sx.SystemModel(
             private=model.private, common=model.common, access=model.access,
             eh=eh or model.eh, b_max_units=b_max_units, delta=model.delta)
         with pytest.raises(ValueError, match=axis):
-            sx.run_simulation(rule, other, 100, seed=1)
+            sx.run_policies([rule], other, 100, seed=1)
 
     def test_short_run_se_unknown(self):
         # fewer than two records per batch: the SE is unknown, not zero
-        met = sx.run_simulation(sx.Policy.threshold(2.0), iid_model(0.5), 30,
-                                seed=1)
+        met = sx.run_policies([sx.Policy.threshold(2.0)], iid_model(0.5), 30,
+                              seed=1)[0]
         assert met.throughput > 0
         assert np.isnan(met.se_throughput) and np.isnan(met.se_saving_time)
         # 16 lanes leave 4 of the N_BATCHES lane groups empty
-        cv = sx.run_conventional_supply(iid_model(0.5), 2.0, 10_000, seed=3,
-                                        streams=16)
+        cv, = sx.run_conventional_supply(iid_model(0.5), 2.0, 10_000, seed=3,
+                                         streams=16)
         assert cv.throughput > 0 and np.isnan(cv.se_throughput)
         # the supply's period is one slot, so its mean length and that
         # length's SE are exact, however few the lanes
         assert cv.se_saving_time == 0.0 and cv.mean_saving_time == 1.0
         # best-effort, the gamma = 0 rule, also ends every period in one
         # slot, but the engine batches its lengths as it does any rule's
-        be = sx.run_simulation(sx.Policy.threshold(0.0), iid_model(0.5),
-                               10_000, seed=3, streams=16)
+        be = sx.run_policies([sx.Policy.threshold(0.0)], iid_model(0.5),
+                             10_000, seed=3, streams=16)[0]
         assert np.isnan(be.se_throughput)
         assert np.isnan(be.se_saving_time) and be.mean_saving_time == 1.0
 
     def test_bitwise_determinism(self):
         model = iid_model(0.5)
         kw = dict(warmup_periods=50, streams=64)
-        a = sx.run_simulation(sx.Policy.threshold(2.0), model, 3000, 11, **kw)
-        b = sx.run_simulation(sx.Policy.threshold(2.0), model, 3000, 11, **kw)
+        rules = [sx.Policy.threshold(2.0)]
+        a = sx.run_policies(rules, model, 3000, 11, **kw)
+        b = sx.run_policies(rules, model, 3000, 11, **kw)
         assert a == b
 
     def test_matches_exact_oracle(self):
         model = iid_model(0.5)
-        met = sx.run_simulation(sx.Policy.threshold(2.0), model, 100_000,
-                                seed=5, warmup_periods=500, streams=256)
+        met = sx.run_policies([sx.Policy.threshold(2.0)], model, 100_000,
+                              seed=5, warmup_periods=500, streams=256)[0]
         lam, eT = exact_threshold_metrics(2.0, 0.5)
         assert abs(met.throughput - lam) < 3 * met.se_throughput
         assert abs(met.mean_saving_time - eT) < 3 * met.se_saving_time
@@ -291,8 +292,8 @@ class TestRunSimulation:
         energy ledger (criterion 09) thereby holds for the engine too."""
         model = iid_model(0.5)
         pol = sx.Policy.threshold(2.0)
-        met = sx.run_simulation(pol, model, 200, seed=42, warmup_periods=0,
-                                streams=1)
+        met = sx.run_policies([pol], model, 200, seed=42, warmup_periods=0,
+                              streams=1)[0]
         rng = np.random.Generator(np.random.PCG64(
             np.random.SeedSequence(42).spawn(1)[0]))
         carry = fresh_carry(model, rng)
@@ -319,10 +320,11 @@ class TestRunSimulation:
         assert iid_dp_table.gamma.shape == (7, 2, 1)
         cases = [
             (model, pol),
-            (fig3_model(0.5), sx.Policy.dp(sx.solve_markov(fig3_model(0.5)))),
-            (markov_model, sx.Policy.dp(sx.solve_markov(markov_model,
-                                                        markov_cfg.solver))),
-            (iid_dp_model, sx.Policy.dp(iid_dp_table)),
+            (fig3_model(0.5),
+             sx.Policy(sx.solve_markov(fig3_model(0.5)).gamma)),
+            (markov_model, sx.Policy(sx.solve_markov(
+                markov_model, markov_cfg.solver).gamma)),
+            (iid_dp_model, sx.Policy(iid_dp_table.gamma)),
         ]
         n = 300
         for case_model, case_pol in cases:
@@ -358,10 +360,10 @@ class TestRunSimulation:
         0.89 MB."""
         model = iid_model(0.5)
         rule = sx.Policy.threshold(2.0)
-        sx.run_simulation(rule, model, 50_000, 20240501)
+        sx.run_policies([rule], model, 50_000, 20240501)
         tracemalloc.start()
         try:
-            sx.run_simulation(rule, model, 50_000, 20240501)
+            sx.run_policies([rule], model, 50_000, 20240501)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -447,28 +449,28 @@ class TestRunSimulation:
             cfg = markov_workload_config()
             model = cfg.build_model(0.75)
             table = sx.solve_markov(model, cfg.solver)
-            rule, exact = sx.Policy.dp(table), table.lambda_star
+            rule, exact = sx.Policy(table.gamma), table.lambda_star
         elif case == "fig4-threshold":
             model = iid_model(0.5)
             rule = sx.Policy.threshold(2.0)
             exact, _ = sx.threshold_metrics(model, 2.0)
         if case in ("markov-dp", "fig4-threshold"):
-            mets = [sx.run_simulation(rule, model, 4000, seed,
-                                      warmup_periods=100, streams=64)
+            mets = [sx.run_policies([rule], model, 4000, seed,
+                                    warmup_periods=100, streams=64)[0]
                     for seed in range(1, 41)]
         elif case == "best-effort":
             model = sx.validate_config({"experiment": "fig4",
                                         "eh": {"preset": "c"}}
                                        ).build_model(0.5)
             exact, _ = sx.threshold_metrics(model, 0.0)
-            mets = [sx.run_simulation(sx.Policy.threshold(0.0), model,
-                                      32_000, seed, warmup_periods=100,
-                                      streams=64)
+            mets = [sx.run_policies([sx.Policy.threshold(0.0)], model,
+                                    32_000, seed, warmup_periods=100,
+                                    streams=64)[0]
                     for seed in range(1, 41)]
         else:
             model = markov_workload_config().build_model(0.75)
             mets = [sx.run_conventional_supply(model, 2.0, 32_000, seed,
-                                               streams=64)
+                                               streams=64)[0]
                     for seed in range(1, 41)]
             exact = np.mean([m.throughput for m in mets])
         z = [(m.throughput - exact) / m.se_throughput for m in mets]
@@ -477,9 +479,9 @@ class TestRunSimulation:
     def test_trace_roundtrip(self, tmp_path):
         model = iid_model(0.5)
         path = tmp_path / "trace.csv"
-        met = sx.run_simulation(sx.Policy.threshold(1.0), model, 200,
-                                seed=9, warmup_periods=0, streams=16,
-                                trace_path=path)
+        met = sx.run_policies([sx.Policy.threshold(1.0)], model, 200,
+                              seed=9, warmup_periods=0, streams=16,
+                              trace_path=path)[0]
         with open(path, newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == met.periods
@@ -498,9 +500,9 @@ class TestRunSimulation:
             eh=sx.MarkovChainSpec([0.0, 4.0], [[0.5, 0.5], [0.5, 0.5]]),
             b_max_units=8, delta=1.0)
         path = tmp_path / "trace.csv"
-        met = sx.run_simulation(sx.Policy.threshold(4.0), model, 2000,
-                                seed=2, warmup_periods=0, streams=64,
-                                trace_path=path)
+        met = sx.run_policies([sx.Policy.threshold(4.0)], model, 2000,
+                              seed=2, warmup_periods=0, streams=64,
+                              trace_path=path)[0]
         with open(path, newline="") as fh:
             b_stops = [float(r["b_stop"]) for r in csv.DictReader(fh)]
         assert max(b_stops) <= model.b_cap + 1e-12
@@ -571,8 +573,8 @@ class TestBestEffort:
     spends the harvest of the slot before, held in the battery."""
 
     def test_constant_world_exact(self):
-        met = sx.run_simulation(sx.Policy.threshold(0.0), constant_world(),
-                                2000, seed=1, streams=20)
+        met = sx.run_policies([sx.Policy.threshold(0.0)], constant_world(),
+                              2000, seed=1, streams=20)[0]
         assert met.throughput == pytest.approx(np.log2(1 + 1e-3), rel=1e-14)
         assert met.mean_saving_time == 1.0
 
@@ -583,8 +585,8 @@ class TestBestEffort:
             access=sx.AccessModel(0.0),
             eh=sx.MarkovChainSpec([0.0, 4.0], [[0.5, 0.5], [0.5, 0.5]]),
             b_max_units=10, delta=1.0)
-        met = sx.run_simulation(sx.Policy.threshold(0.0), model, 200_000,
-                                seed=4)
+        met = sx.run_policies([sx.Policy.threshold(0.0)], model, 200_000,
+                              seed=4)[0]
         # exp(1) private gain, budget 4 on half the slots
         expect = 0.5 * np.sum(
             np.polynomial.laguerre.laggauss(64)[1]
@@ -602,7 +604,7 @@ class TestBestEffort:
         streams, slots = 64, 800
         n = streams * slots
         met_dp, met_be = sx.run_policies(
-            [sx.Policy.dp(table), sx.Policy.threshold(0.0)], model, n,
+            [sx.Policy(table.gamma), sx.Policy.threshold(0.0)], model, n,
             seed=7, warmup_periods=0, streams=streams)
         assert met_dp.throughput == pytest.approx(met_be.throughput,
                                                   rel=1e-12)
@@ -620,9 +622,9 @@ class TestBestEffort:
                                      model.access, 2.0)
         streams, slots = 64, 800
         n = streams * slots
-        met_opp = sx.run_simulation(sx.Policy.threshold(0.0), model, n,
-                                    seed=7, warmup_periods=0,
-                                    streams=streams)
+        met_opp = sx.run_policies([sx.Policy.threshold(0.0)], model, n,
+                                  seed=7, warmup_periods=0,
+                                  streams=streams)[0]
         met_be, _ = run_supplies_per_slot(model, level, n, 7,
                                           streams=streams)
         assert met_be.throughput == pytest.approx(met_opp.throughput,
@@ -635,14 +637,14 @@ class TestBestEffort:
 class TestConventional:
     def test_constant_world(self):
         model = constant_world(delta=1.0, h=1.0)
-        met = sx.run_conventional_supply(model, 2.0, 2000, seed=1,
-                                         streams=20)
+        met, = sx.run_conventional_supply(model, 2.0, 2000, seed=1,
+                                          streams=20)
         assert met.throughput == pytest.approx(np.log2(3.0), rel=1e-9)
         assert met.realized_avg_power == pytest.approx(2.0, rel=1e-9)
 
     def test_realized_power_near_target(self):
         model = iid_model(0.5)
-        met = sx.run_conventional_supply(model, 2.0, 1_000_000, seed=3)
+        met, = sx.run_conventional_supply(model, 2.0, 1_000_000, seed=3)
         assert abs(met.realized_avg_power - 2.0) / 2.0 < 0.01
 
     @pytest.mark.parametrize("p_bar", [0.0, float("nan"), float("inf"),
@@ -690,8 +692,8 @@ class TestSupplyBlocks:
         level = sx.solve_water_level(model.private, model.common,
                                      model.access, 2.0)
         n = streams * slots - short
-        got = sx.run_conventional_supply(model, 2.0, n, seed=seed,
-                                         streams=streams)
+        got, = sx.run_conventional_supply(model, 2.0, n, seed=seed,
+                                          streams=streams)
         return got, run_supplies_per_slot(model, level, n, seed,
                                           streams=streams)
 
@@ -704,9 +706,9 @@ class TestSupplyBlocks:
         # exceeds the cap.  The two shift their sums by different first
         # values, so they agree to rounding, not bit for bit
         (_, (want, _)) = self.run_both(name, short, streams, slots, 3)
-        got = sx.run_simulation(sx.Policy.threshold(0.0),
-                                self.MODELS[name](), streams * slots, 3,
-                                warmup_periods=0, streams=streams)
+        got = sx.run_policies([sx.Policy.threshold(0.0)],
+                              self.MODELS[name](), streams * slots, 3,
+                              warmup_periods=0, streams=streams)[0]
         np.testing.assert_allclose(
             [got.throughput, got.se_throughput],
             [want.throughput, want.se_throughput], rtol=1e-12)
@@ -729,7 +731,7 @@ class TestSupplyBlocks:
         assert len(got) == len(models)
         for model, met in zip(models, got):
             self.assert_same(met, sx.run_conventional_supply(
-                model, 2.0, n, seed=7, streams=streams))
+                model, 2.0, n, seed=7, streams=streams)[0])
 
     @pytest.mark.parametrize("name", MODELS)
     def test_unsorted_repeated_grid_matches_solo_calls(self, name):
@@ -743,7 +745,7 @@ class TestSupplyBlocks:
         got = sx.run_conventional_supply(models, 2.0, n, seed=7, streams=16)
         for model, met in zip(models, got):
             self.assert_same(met, sx.run_conventional_supply(
-                model, 2.0, n, seed=7, streams=16))
+                model, 2.0, n, seed=7, streams=16)[0])
         self.assert_same(got[1], got[3])
 
     @pytest.mark.parametrize("name", MODELS)
@@ -797,8 +799,8 @@ class TestConstantRateExact:
         _, be = sx.run_policies([sx.Policy.threshold(0.0)] * 2,
                                 [model, model], n, seed=seed,
                                 streams=streams)
-        opp = sx.run_simulation(sx.Policy.threshold(0.0), model, n,
-                                seed=seed, streams=streams)
+        opp = sx.run_policies([sx.Policy.threshold(0.0)], model, n,
+                              seed=seed, streams=streams)[0]
         assert be.throughput == c
         assert opp.throughput == c
 
@@ -810,8 +812,8 @@ class TestConstantRateExact:
                                      model.access, 2.0)
         p = conventional_power(1.0, level)
         c = float(np.log2(1.0 + p) + p_s * np.log2(1.0 + p))
-        met = sx.run_conventional_supply(model, 2.0, n, seed=seed,
-                                         streams=streams)
+        met, = sx.run_conventional_supply(model, 2.0, n, seed=seed,
+                                          streams=streams)
         assert met.throughput == c
         assert met.realized_avg_power == p + p_s * p
 

@@ -418,13 +418,14 @@ class TestDpDecide:
 
 
 class TestEvaluateThreshold:
-    """Monte Carlo metrics of one threshold rule (``run_simulation``)."""
+    """Monte Carlo metrics of one threshold rule (``run_policies`` of a
+    list of one)."""
 
     @staticmethod
     def run(model, gamma, periods=20_000):
-        return sx.run_simulation(sx.Policy.threshold(gamma), model, periods,
-                                 0, warmup_periods=200,
-                                 streams=256)
+        return sx.run_policies([sx.Policy.threshold(gamma)], model, periods,
+                               0, warmup_periods=200,
+                               streams=256)[0]
 
     def test_zero_threshold_stops_immediately(self):
         m = iid_model(0.5)
@@ -448,8 +449,8 @@ class TestEvaluateThreshold:
     def test_unreachable_threshold_overflows(self, monkeypatch):
         monkeypatch.setattr(savetx.simulate, "SLOT_CAP", 200)
         with pytest.raises(PeriodOverflow, match="200 slots"):
-            sx.run_simulation(sx.Policy.threshold(10.0), fig3_model(0.0),
-                              100, 0, streams=16)
+            sx.run_policies([sx.Policy.threshold(10.0)], fig3_model(0.0),
+                            100, 0, streams=16)
 
     def test_negative_gamma_rejected(self):
         with pytest.raises(ValueError):
@@ -479,8 +480,8 @@ class TestEvaluateThresholds:
                                **self.SIZES)
         assert len(mets) == len(self.GAMMAS)
         for gamma, met in zip(self.GAMMAS, mets):
-            one = sx.run_simulation(sx.Policy.threshold(gamma), model, 4000,
-                                    7, **self.SIZES)
+            one = sx.run_policies([sx.Policy.threshold(gamma)], model, 4000,
+                                  7, **self.SIZES)[0]
             for name in ("throughput", "se_throughput", "mean_saving_time",
                          "se_saving_time"):
                 got, want = getattr(met, name), getattr(one, name)
@@ -780,8 +781,8 @@ class TestThresholdMetrics:
         model = fig7_model(preset)
         for gamma in (1.5, 2.0):
             lam, mean_T = sx.threshold_metrics(model, gamma)
-            met = sx.run_simulation(sx.Policy.threshold(gamma), model,
-                                    100_000, 5, streams=256)
+            met = sx.run_policies([sx.Policy.threshold(gamma)], model,
+                                  100_000, 5, streams=256)[0]
             assert abs(met.throughput - lam) <= 3 * met.se_throughput
             assert abs(met.mean_saving_time - mean_T) <= \
                 3 * met.se_saving_time
@@ -792,7 +793,8 @@ class TestThresholdMetrics:
         # misses by up to 2% per level; the mean saving time shows it most
         model = iid_model(1.0)
         lam, mean_T = sx.threshold_metrics(model, 2.17)
-        met = sx.run_simulation(sx.Policy.threshold(2.17), model, 200_000, 1)
+        met, = sx.run_policies([sx.Policy.threshold(2.17)], model, 200_000,
+                               1)
         assert abs(met.throughput - lam) <= 3 * met.se_throughput
         assert abs(met.mean_saving_time - mean_T) <= 3 * met.se_saving_time
 
@@ -854,8 +856,8 @@ class TestThresholdMetrics:
             eh=sx.make_eh_preset("b"), b_max_units=10_000)
         for gamma in (1.0 * math.log2(base), 2.5 * math.log2(base)):
             lam, mean_T = sx.threshold_metrics(model, gamma)
-            met = sx.run_simulation(sx.Policy.threshold(gamma), model,
-                                    100_000, 9, streams=256)
+            met = sx.run_policies([sx.Policy.threshold(gamma)], model,
+                                  100_000, 9, streams=256)[0]
             assert abs(met.throughput - lam) <= 3 * met.se_throughput
             assert abs(met.mean_saving_time - mean_T) <= \
                 3 * met.se_saving_time
@@ -1009,7 +1011,7 @@ class TestOptimizeThreshold:
         def no_mc(*args, **kwargs):
             raise AssertionError("the threshold search ran Monte Carlo")
 
-        monkeypatch.setattr(savetx.simulate, "run_simulation", no_mc)
+        monkeypatch.setattr(savetx.simulate, "run_policies", no_mc)
         # the period engine, which run_policies reaches directly
         monkeypatch.setattr(savetx.simulate, "_run_block", no_mc)
         refs = json.loads((Path(__file__).resolve().parents[1] / "perfbench"
@@ -1053,17 +1055,18 @@ class TestOneClosedClass:
         lam, _ = sx.threshold_metrics(model, 1.5)
         _, (best, _) = sx.optimize_threshold(model)
         assert best >= lam
-        met = sx.run_simulation(sx.Policy.threshold(1.5), model, 50_000,
-                                seed=3)
+        met = sx.run_policies([sx.Policy.threshold(1.5)], model, 50_000,
+                              seed=3)[0]
         assert abs(met.throughput - lam) <= 5.102 * met.se_throughput
-        be = sx.run_simulation(sx.Policy.threshold(0.0), model, 20_000,
-                               seed=3)
-        cv = sx.run_conventional_supply(model, 2.0, 20_000, seed=3)
+        be = sx.run_policies([sx.Policy.threshold(0.0)], model, 20_000,
+                             seed=3)[0]
+        cv, = sx.run_conventional_supply(model, 2.0, 20_000, seed=3)
         assert be.throughput > 0 and cv.throughput > 0
         cfg = markov_workload_config()
         dp_model = replace(cfg.build_model(p_s), eh=TRANSIENT_EH)
         table = sx.solve_markov(dp_model, cfg.solver)
-        dp = sx.run_simulation(sx.Policy.dp(table), dp_model, 2_000, seed=3)
+        dp, = sx.run_policies([sx.Policy(table.gamma)], dp_model, 2_000,
+                              seed=3)
         assert table.lambda_star > 0 and dp.throughput > 0
 
     def test_transient_private_state_is_left_for_good(self):
@@ -1195,8 +1198,8 @@ class TestOneClosedClass:
                 lambda: sx.solve_markov(
                     replace(cfg.build_model(0.5), eh=TWO_CLASSES),
                     cfg.solver),
-                lambda: sx.run_simulation(sx.Policy.threshold(1.5), model,
-                                          1_000, seed=1),
+                lambda: sx.run_policies([sx.Policy.threshold(1.5)], model,
+                                        1_000, seed=1),
                 lambda: sx.run_conventional_supply(model, 2.0, 1_000,
                                                    seed=1),
                 lambda: sx.solve_water_level(two_class_gain, model.common,
