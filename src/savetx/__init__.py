@@ -14,14 +14,12 @@ from .errors import (
     ReducibleChain,
     SaveTxError,
     StateSpaceTooLarge,
-    UnsupportedKind,
 )
 from .models import (
     AccessModel,
     GainDistribution,
     MarkovChainSpec,
     SystemModel,
-    discretize_gain,
     make_eh_preset,
     stationary_distribution,
 )
@@ -52,13 +50,12 @@ from .experiments import (
 __all__ = [
     "__version__",
     # errors
-    "SaveTxError", "ReducibleChain", "BadName", "UnsupportedKind",
-    "NoBracket", "NoConvergence", "PeriodOverflow", "ConfigError", "IoError",
+    "SaveTxError", "ReducibleChain", "BadName", "NoBracket",
+    "NoConvergence", "PeriodOverflow", "ConfigError", "IoError",
     "StateSpaceTooLarge",
     # models
     "MarkovChainSpec", "GainDistribution", "AccessModel",
-    "SystemModel", "stationary_distribution",
-    "make_eh_preset", "discretize_gain",
+    "SystemModel", "stationary_distribution", "make_eh_preset",
     # power
     "stop_rate", "solve_water_level",
     # solver

@@ -14,10 +14,6 @@ class BadName(SaveTxError):
     """Unknown harvesting-model preset name."""
 
 
-class UnsupportedKind(SaveTxError):
-    """Operation not defined for this distribution kind."""
-
-
 class NoBracket(SaveTxError):
     """Water-level bisection could not bracket the target average power."""
 

@@ -11,6 +11,7 @@ import json
 import math
 import time
 from dataclasses import asdict, dataclass, fields
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -24,24 +25,15 @@ from .models import (
     _closed_class,
     make_eh_preset,
 )
-from .simulate import Policy, run_conventional_supply, run_policies
+from .simulate import STREAMS, WARMUP_PERIODS, Policy, \
+    run_conventional_supply, run_policies
 from .solver import SolverConfig, optimize_threshold, solve_markov
 from .tables import emit_csv, make_dir, write_text
 
 __all__ = ["ExperimentConfig", "validate_config", "run_experiment",
            "default_config", "EXPERIMENTS"]
 
-EXPERIMENTS = ("fig3", "fig4", "fig6", "fig7", "fig8")
-
 LARGE_B_MAX = 10_000
-
-SCHEMAS = {
-    "fig3": ("p_s", "scheme", "throughput", "se"),
-    "fig4": ("p_s", "gamma", "throughput", "se"),
-    "fig6": ("p_s", "gamma_mode", "mean_T", "se"),
-    "fig7": ("eh_model", "gamma", "throughput", "se"),
-    "fig8": ("p_s", "scheme", "throughput", "se"),
-}
 
 
 @dataclass
@@ -144,7 +136,7 @@ def default_config(experiment: str) -> dict:
 
 
 _MC_DEFAULTS = {"periods": 200_000, "slots": 1_000_000,
-                "warmup_periods": 1000, "streams": 512}
+                "warmup_periods": WARMUP_PERIODS, "streams": STREAMS}
 # the keys each gain kind reads besides "kind"
 _GAIN_FORMS = {"constant": ("value",), "exponential": ("mean",),
                "discrete": ("values", "probabilities"),
@@ -298,16 +290,13 @@ def validate_config(raw) -> ExperimentConfig:
     for name in eh_models:
         if name not in ("a", "b", "c", "d"):
             _fail("eh_models", f"unknown preset {name!r}")
-    # the lists each experiment's rows are made of
-    for path, values, users in (("gamma_grid", gamma_grid,
-                                 ("fig4", "fig6", "fig7")),
-                                ("gamma_modes", modes, ("fig6",)),
-                                ("eh_models", eh_models, ("fig7",))):
-        if experiment in users and not values:
+    lists = {"p_s_grid": ps_grid, "gamma_grid": gamma_grid,
+             "gamma_modes": modes, "eh_models": eh_models}
+    for path in _EXPERIMENTS[experiment].rows_of:
+        if not lists[path]:
             _fail(path, "must be nonempty for this experiment")
     # each value labels rows of its table, and a repeat prints them twice
-    for path, values in (("p_s_grid", ps_grid), ("gamma_grid", gamma_grid),
-                         ("gamma_modes", modes), ("eh_models", eh_models)):
+    for path, values in lists.items():
         if len(set(values)) != len(values):
             _fail(path, "must not repeat a value")
 
@@ -363,41 +352,42 @@ def _meta_base(cfg: ExperimentConfig) -> dict:
     }
 
 
-def _scheme_rows(cfg: ExperimentConfig, models: list, rules: list,
-                 stats: dict):
-    """Rows of a scheme table, per p_s the opportunistic rule's row then
-    the best-effort and conventional rows, from one engine pass of all
-    rules and best-effort's gamma = 0 and one supply pass over the whole
-    p_s grid.  Records each water level, and returns the rows and the
-    conventional metrics."""
+def _record(stats: dict, model: SystemModel, **values):
+    """Record each value under its name and the model's p_s."""
+    for name, value in values.items():
+        stats.setdefault(name, {})[str(model.access.p_s)] = value
+
+
+def _scheme_table(cfg: ExperimentConfig, rule: Callable):
+    """Rows of a scheme table and its stats: per p_s the opportunistic
+    rule's row, ``rule(model, stats)``, then the best-effort and
+    conventional rows, from one engine pass of all rules and best-effort's
+    gamma = 0 and one supply pass over the whole p_s grid.  Records each
+    p_s's water level and realized power."""
+    stats = {}
+    models = [cfg.build_model(p_s) for p_s in cfg.p_s_grid]
+    rules = [rule(model, stats) for model in models]
     mets = cfg.simulate(models + models,
                         rules + [Policy.threshold(0.0)] * len(models))
-    conventional = cfg.supply(models)
     rows = []
     for model, m_opp, m_be, m_cv in zip(models, mets, mets[len(models):],
-                                        conventional):
-        p_s = model.access.p_s
-        stats.setdefault("water_level", {})[str(p_s)] = m_cv.water_level
-        rows += [(p_s, scheme, m.throughput, m.se_throughput)
+                                        cfg.supply(models)):
+        _record(stats, model, water_level=m_cv.water_level,
+                realized_power=m_cv.realized_avg_power)
+        rows += [(model.access.p_s, scheme, m.throughput, m.se_throughput)
                  for scheme, m in (("opportunistic", m_opp),
                                    ("best_effort", m_be),
                                    ("conventional", m_cv))]
-    return rows, conventional
+    return rows, stats
 
 
 def _run_fig3(cfg: ExperimentConfig):
-    stats = {"lambda_star": {}, "solver_iters": {}}
-    models = [cfg.build_model(p_s) for p_s in cfg.p_s_grid]
-    rules = []
-    for p_s, model in zip(cfg.p_s_grid, models):
+    def dp_rule(model, stats):
         table = solve_markov(model, cfg.solver)
-        stats["lambda_star"][str(p_s)] = table.lambda_star
-        stats["solver_iters"][str(p_s)] = table.outer_iters
-        rules.append(Policy(table.gamma))
-    rows, conventional = _scheme_rows(cfg, models, rules, stats)
-    stats["realized_power"] = {str(p_s): m.realized_avg_power
-                               for p_s, m in zip(cfg.p_s_grid, conventional)}
-    return rows, stats
+        _record(stats, model, lambda_star=table.lambda_star,
+                solver_iters=table.outer_iters)
+        return Policy(table.gamma)
+    return _scheme_table(cfg, dp_rule)
 
 
 def _sweep_rows(cfg: ExperimentConfig, labelled_models):
@@ -421,10 +411,8 @@ def _record_optimum(model: SystemModel, stats: dict) -> float:
     """Search the best threshold of one ``p_s``; record it with its exact
     throughput and mean saving time, and return it."""
     gamma, (lam, mean_T) = optimize_threshold(model)
-    key = str(model.access.p_s)
-    for name, value in (("gamma_star", gamma), ("lambda_exact", lam),
-                        ("mean_T_exact", mean_T)):
-        stats.setdefault(name, {})[key] = value
+    _record(stats, model, gamma_star=gamma, lambda_exact=lam,
+            mean_T_exact=mean_T)
     return gamma
 
 
@@ -450,20 +438,29 @@ def _run_fig7(cfg: ExperimentConfig):
 
 
 def _run_fig8(cfg: ExperimentConfig):
-    stats = {"gamma_star": {}, "water_level": {}}
-    models = [cfg.build_model(p_s) for p_s in cfg.p_s_grid]
-    rules = [Policy.threshold(_record_optimum(m, stats)) for m in models]
-    rows, _ = _scheme_rows(cfg, models, rules, stats)
-    return rows, stats
+    return _scheme_table(cfg, lambda model, stats: Policy.threshold(
+        _record_optimum(model, stats)))
 
 
-_RUNNERS = {
-    "fig3": _run_fig3,
-    "fig4": _run_fig4,
-    "fig6": _run_fig6,
-    "fig7": _run_fig7,
-    "fig8": _run_fig8,
+class _Experiment(NamedTuple):
+    columns: tuple   # of its CSV
+    run: Callable    # cfg -> (rows, stats)
+    rows_of: tuple   # the config lists its rows are made of: none empty
+
+
+_EXPERIMENTS = {
+    "fig3": _Experiment(("p_s", "scheme", "throughput", "se"), _run_fig3,
+                        ()),
+    "fig4": _Experiment(("p_s", "gamma", "throughput", "se"), _run_fig4,
+                        ("gamma_grid",)),
+    "fig6": _Experiment(("p_s", "gamma_mode", "mean_T", "se"), _run_fig6,
+                        ("gamma_modes",)),
+    "fig7": _Experiment(("eh_model", "gamma", "throughput", "se"),
+                        _run_fig7, ("gamma_grid", "eh_models")),
+    "fig8": _Experiment(("p_s", "scheme", "throughput", "se"), _run_fig8,
+                        ()),
 }
+EXPERIMENTS = tuple(_EXPERIMENTS)
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir) -> dict:
@@ -472,12 +469,13 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> dict:
     Returns {"csv": path, "meta": path, "rows": row count}.
     """
     out = make_dir(out_dir)
+    experiment = _EXPERIMENTS[cfg.experiment]
     start = time.perf_counter()
-    rows, stats = _RUNNERS[cfg.experiment](cfg)
+    rows, stats = experiment.run(cfg)
     elapsed = time.perf_counter() - start
 
     csv_path = out / f"{cfg.experiment}.csv"
-    emit_csv(rows, SCHEMAS[cfg.experiment], csv_path)
+    emit_csv(rows, experiment.columns, csv_path)
 
     meta = _meta_base(cfg)
     meta["wall_clock_s"] = elapsed

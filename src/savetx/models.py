@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadName, NoConvergence, ReducibleChain, UnsupportedKind
+from .errors import BadName, NoConvergence, ReducibleChain
 
 __all__ = [
     "MarkovChainSpec",
@@ -21,7 +21,6 @@ __all__ = [
     "AccessModel",
     "stationary_distribution",
     "make_eh_preset",
-    "discretize_gain",
     "SystemModel",
 ]
 
@@ -237,33 +236,6 @@ def make_eh_preset(name: str, switch: float | None = None,
             raise ValueError("p_good: preset d needs 0.5 < p_good < 1")
         return MarkovChainSpec(states, [[1 - g, g], [1 - g, g]])
     raise BadName(f"unknown harvesting preset {name!r}")
-
-
-def discretize_gain(dist: GainDistribution, n_bins: int) -> GainDistribution:
-    """Equal-probability binning of an exponential gain.
-
-    Each bin is represented by its conditional mean, so the first moment is
-    preserved exactly.
-    """
-    if dist.kind != "exponential":
-        raise UnsupportedKind(f"cannot discretize kind {dist.kind!r}")
-    if n_bins < 2:
-        raise ValueError("n_bins must be >= 2")
-    m = dist.mean
-    # Bin edges at quantiles k/n; conditional mean of Exp(m) on [a, b):
-    #   m * ((a/m + 1) e^{-a/m} - (b/m + 1) e^{-b/m}) / (e^{-a/m} - e^{-b/m})
-    k = np.arange(n_bins) / n_bins
-    a = -m * np.log1p(-k)          # lower edges; the last bin is unbounded
-    b = np.append(a[1:], np.inf)
-    ea = np.exp(-a / m)
-    eb = np.zeros(n_bins)
-    bt = np.zeros(n_bins)
-    fin = np.isfinite(b)
-    eb[fin] = np.exp(-b[fin] / m)
-    bt[fin] = (b[fin] / m + 1) * eb[fin]
-    reps = m * ((a / m + 1) * ea - bt) / (ea - eb)
-    probs = np.full(n_bins, 1.0 / n_bins)
-    return GainDistribution.discrete(reps, probs)
 
 
 @dataclass(frozen=True)

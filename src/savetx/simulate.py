@@ -62,6 +62,11 @@ N_BATCHES = 20
 # longest period, in slots, before ``run_policies`` raises PeriodOverflow
 SLOT_CAP = 1_000_000
 
+# the Monte Carlo sizes a run takes unless given others: warm-up periods
+# of the engine, and lanes of the engine and of the supply
+WARMUP_PERIODS = 1000
+STREAMS = 512
+
 
 @dataclass(frozen=True, eq=False)
 class Policy:
@@ -602,7 +607,8 @@ def _check_sizes(**sizes):
 
 
 def run_policies(policies, model, n_periods: int, seed: int, *,
-                 warmup_periods: int = 1000, streams: int = 512,
+                 warmup_periods: int = WARMUP_PERIODS,
+                 streams: int = STREAMS,
                  trace_path=None) -> list[Metrics]:
     """Renewal metrics of each stopping rule over ``n_periods`` periods, in
     order, from one refill pass of ``streams`` lanes per rule.
@@ -642,7 +648,7 @@ def run_policies(policies, model, n_periods: int, seed: int, *,
 
 
 def run_conventional_supply(model, p_bar: float, n_slots: int, seed: int,
-                            *, streams: int = 512) -> list[Metrics]:
+                            *, streams: int = STREAMS) -> list[Metrics]:
     """Metrics of the conventional supply, which water-fills an average
     power ``p_bar`` (``check_p_bar``) at each model's water level
     (``solve_water_level``, so a model whose level cannot be bracketed

@@ -47,7 +47,6 @@ from .models import (
     SystemModel,
     _atoms,
     _reach,
-    discretize_gain,
 )
 from .power import check_gamma, stop_rate
 
@@ -408,6 +407,25 @@ def _rule_chain(model: SystemModel, gamma: np.ndarray, moments=None,
 # ---------------------------------------------------------------------------
 # Markov solver
 
+
+def _bins(mean: float, n: int) -> GainDistribution:
+    """``n`` equal-probability bins of an exponential gain of mean
+    ``mean``, each at its conditional mean, so the mean is kept exactly."""
+    # Bin edges at quantiles k/n; conditional mean of Exp(m) on [a, b):
+    #   m * ((a/m + 1) e^{-a/m} - (b/m + 1) e^{-b/m}) / (e^{-a/m} - e^{-b/m})
+    m = mean
+    k = np.arange(n) / n
+    a = -m * np.log1p(-k)          # lower edges; the last bin is unbounded
+    b = np.append(a[1:], np.inf)
+    ea = np.exp(-a / m)
+    eb = np.zeros(n)
+    bt = np.zeros(n)
+    fin = np.isfinite(b)
+    eb[fin] = np.exp(-b[fin] / m)
+    bt[fin] = (b[fin] / m + 1) * eb[fin]
+    reps = m * ((a / m + 1) * ea - bt) / (ea - eb)
+    return GainDistribution.discrete(reps, np.full(n, 1.0 / n))
+
 # improvements stop within this much of a tie, so that rounding in the
 # relative values cannot flip a tied cell from one improvement to the next
 _TIE = 1e-12
@@ -436,7 +454,7 @@ def solve_markov(model: SystemModel, cfg: SolverConfig | None = None
     """
     cfg = cfg or SolverConfig()
     model = replace(model, **{
-        name: discretize_gain(dist, cfg.common_bins)
+        name: _bins(dist.mean, cfg.common_bins)
         for name, dist in (("private", model.private),
                            ("common", model.common))
         if dist.kind == "exponential"})

@@ -367,7 +367,7 @@ class SlotDraws:
         return u, h, hc, self.eh_vals[self.e_idx], e_idx, self.h_idx
 
 
-def run_supplies_per_slot(model, level, n_slots, seed, *, streams=512):
+def run_supplies_per_slot(model, level, n_slots, seed, *, streams=None):
     """Both benchmark supplies with one spend per slot: ``(best_effort,
     conventional)``, with conventional at water level ``level``.
 
@@ -380,10 +380,12 @@ def run_supplies_per_slot(model, level, n_slots, seed, *, streams=512):
     Each lane's deviations from the first slot's values are summed in
     blocks of the slot stream's size, so the sums round as the package's
     do, then folded into the engine's ``N_BATCHES`` lane groups.
+    ``streams`` defaults to the package's.
     """
     import savetx as sx
     from savetx import simulate as sim
 
+    streams = streams or sim.STREAMS
     slots = -(-n_slots // streams)
     draws = SlotDraws(model, np.random.Generator(np.random.PCG64(
         np.random.SeedSequence(seed).spawn(1)[0])), streams)

@@ -1,5 +1,5 @@
-"""Every exported name resolves, every annotation resolves, and savetx
-needs numpy alone.
+"""Every exported name resolves, the package's public names are pinned,
+every annotation resolves, and savetx needs numpy alone.
 
 Tools that walk a module's ``__all__`` (tracing wrappers, ``from savetx
 import *``) fail on the first stale entry, so a name removed from a module
@@ -34,6 +34,23 @@ def test_package_all_resolves():
     missing = [name for name in sx.__all__ if not hasattr(sx, name)]
     assert missing == []
     assert len(set(sx.__all__)) == len(sx.__all__)
+
+
+def test_public_surface_pinned():
+    # a public name is added or removed here, in a reviewed edit
+    assert set(sx.__all__) == {
+        "__version__",
+        "SaveTxError", "ReducibleChain", "BadName", "NoBracket",
+        "NoConvergence", "PeriodOverflow", "ConfigError", "IoError",
+        "StateSpaceTooLarge",
+        "MarkovChainSpec", "GainDistribution", "AccessModel", "SystemModel",
+        "stationary_distribution", "make_eh_preset",
+        "stop_rate", "solve_water_level",
+        "SolverConfig", "ValueTable", "solve_markov", "threshold_metrics",
+        "optimize_threshold",
+        "Policy", "Metrics", "run_policies", "run_conventional_supply",
+        "ExperimentConfig", "validate_config", "run_experiment",
+        "default_config"}
 
 
 @pytest.mark.parametrize("layer", LAYERS)

@@ -315,7 +315,9 @@ class TestValidateConfig:
             sx.validate_config({"experiment": "fig4", key: block})
 
     @pytest.mark.parametrize("experiment, key", [("fig6", "gamma_modes"),
-                                                 ("fig7", "eh_models")])
+                                                 ("fig7", "eh_models"),
+                                                 ("fig4", "gamma_grid"),
+                                                 ("fig7", "gamma_grid")])
     def test_empty_row_list_refused(self, experiment, key):
         # each ran and wrote a table with a header and no rows
         with pytest.raises(ConfigError,
@@ -390,11 +392,17 @@ class TestRunExperiment:
         assert meta["resolved_config"]["experiment"] == "fig3"
         assert "lambda_star" in meta["stats"]
 
-    def test_fig3_reproducible_bytes(self, tmp_path):
-        raw = {"experiment": "fig3", "p_s_grid": [0.5], "mc": TINY_MC}
-        r1 = sx.run_experiment(sx.validate_config(raw), tmp_path / "a")
-        r2 = sx.run_experiment(sx.validate_config(raw), tmp_path / "b")
-        assert open(r1["csv"], "rb").read() == open(r2["csv"], "rb").read()
+    @pytest.mark.parametrize("name", EXPERIMENTS)
+    def test_reproducible_bytes(self, name, tmp_path):
+        # two runs of one config print the same table, and sidecars that
+        # differ in their wall-clock time alone
+        raw = {"experiment": name, "p_s_grid": [0.5], "mc": TINY_MC}
+        r1, r2 = (sx.run_experiment(sx.validate_config(raw), tmp_path / d)
+                  for d in "ab")
+        assert Path(r1["csv"]).read_bytes() == Path(r2["csv"]).read_bytes()
+        m1, m2 = (json.loads(Path(r["meta"]).read_text()) for r in (r1, r2))
+        del m1["wall_clock_s"], m2["wall_clock_s"]
+        assert m1 == m2
 
     def test_fig4_row_count(self, tmp_path):
         cfg = sx.validate_config({
@@ -407,9 +415,11 @@ class TestRunExperiment:
         assert set(r["gamma"] for r in rows) == {"0.5", "1.5", "2.5"}
 
     def test_fig6_modes(self, tmp_path):
+        # fig6's rows are its gamma_modes: it takes an empty gamma_grid,
+        # a list it never reads
         cfg = sx.validate_config({
             "experiment": "fig6", "p_s_grid": [0.5],
-            "gamma_grid": [1.0, 2.0], "mc": TINY_MC})
+            "gamma_grid": [], "mc": TINY_MC})
         res = sx.run_experiment(cfg, tmp_path)
         with open(res["csv"], newline="") as fh:
             rows = list(csv.DictReader(fh))
@@ -477,8 +487,8 @@ class TestSchemeTables:
     GRID = [0.0, 0.5, 1.0]
     STATS = {"fig3": ["lambda_star", "solver_iters", "water_level",
                       "realized_power"],
-             "fig8": ["gamma_star", "water_level", "lambda_exact",
-                      "mean_T_exact"]}
+             "fig8": ["gamma_star", "lambda_exact", "mean_T_exact",
+                      "water_level", "realized_power"]}
 
     @staticmethod
     def table(name, grid, out):

@@ -6,9 +6,10 @@ from hypothesis import example, given, settings, strategies as st
 from scipy import integrate, stats
 
 import savetx as sx
-from savetx.errors import BadName, ReducibleChain, UnsupportedKind
+from savetx.errors import BadName, ReducibleChain
 from savetx.simulate import _BLOCK, _Chain, _SlotStream, _access, \
     _cum_table, _inverse_cdf
+from savetx.solver import _bins
 
 from oracles import MARKOV_MODEL, SlotDraws, step_chain
 
@@ -451,6 +452,9 @@ class TestEHPresets:
 
 
 class TestDiscretizeGain:
+    """The DP's equal-probability bins of an exponential gain
+    (``solver._bins``), each at its conditional mean."""
+
     def quad_conditional_means(self, mean, n_bins):
         edges = [-mean * np.log(1 - k / n_bins) for k in range(n_bins)]
         edges.append(np.inf)
@@ -464,14 +468,14 @@ class TestDiscretizeGain:
         return np.array(reps)
 
     def test_two_bins_match_quadrature(self):
-        d = sx.discretize_gain(sx.GainDistribution.exponential(1.0), 2)
+        d = _bins(1.0, 2)
         assert np.allclose(d.probabilities, [0.5, 0.5])
         assert np.allclose(d.values, self.quad_conditional_means(1.0, 2),
                            atol=1e-9)
         assert abs(np.dot(d.values, d.probabilities) - 1.0) < 1e-6
 
     def test_64_bins_moments(self):
-        d = sx.discretize_gain(sx.GainDistribution.exponential(1.0), 64)
+        d = _bins(1.0, 64)
         vals = np.asarray(d.values)
         probs = np.asarray(d.probabilities)
         mean = vals @ probs
@@ -479,18 +483,10 @@ class TestDiscretizeGain:
         assert abs(mean - 1.0) < 1e-6
         assert abs(var - 1.0) < 0.02
 
-    def test_constant_rejected(self):
-        with pytest.raises(UnsupportedKind):
-            sx.discretize_gain(sx.GainDistribution.constant(1.0), 4)
-
-    def test_too_few_bins(self):
-        with pytest.raises(ValueError):
-            sx.discretize_gain(sx.GainDistribution.exponential(1.0), 1)
-
     @given(st.floats(0.1, 50.0), st.integers(2, 128))
     @settings(max_examples=60, deadline=None)
     def test_mean_preserved(self, mean, n_bins):
-        d = sx.discretize_gain(sx.GainDistribution.exponential(mean), n_bins)
+        d = _bins(mean, n_bins)
         got = float(np.dot(d.values, d.probabilities))
         assert abs(got - mean) < 1e-6 * max(1.0, mean)
 

@@ -14,8 +14,8 @@ import savetx.simulate
 import savetx.solver
 from savetx.errors import NoConvergence, PeriodOverflow, ReducibleChain
 from savetx.tables import format_value
-from savetx.solver import _grid_moments, _level_gains, _level_moments, \
-    _rule_chain, _stop_moments, _tail_rate, _threshold_gain
+from savetx.solver import _bins, _grid_moments, _level_gains, \
+    _level_moments, _rule_chain, _stop_moments, _tail_rate, _threshold_gain
 
 from oracles import SmallConfig, chain_gains, enumerate_best_policy, \
     exact_threshold_metrics, fig3_oracle_config, full_array_tail_rate, \
@@ -184,7 +184,7 @@ class TestSolveMarkov:
         # the table read with the engine's comparison, which has no tie
         # margin, is worth lambda_star
         model = cfg.build_model(0.75)
-        binned = replace(model, common=sx.discretize_gain(model.common, 16))
+        binned = replace(model, common=_bins(model.common.mean, 16))
         assert abs(cell_gain(binned, table.gamma) - table.lambda_star) <= 1e-9
         coarse = markov_workload_config(common_bins=8)
         lam8 = sx.solve_markov(coarse.build_model(0.75),
